@@ -26,6 +26,15 @@ acceptance run)::
 
     PYTHONPATH=src python benchmarks/serve_load.py --n 1000 \
         --duplicate-fraction 0.3 --kill-fraction 0.25 --report stats.json
+
+``--closed-loop N`` runs a different, much smaller check instead: one
+client sends ``N`` never-seen tiny scenarios one after the other, each
+waited to ``done``, and the daemon's own ``queue_latency_s`` histogram
+must average under 10 ms.  An idle daemon dispatches a submission the
+moment it arrives (~0.2 ms); a dispatcher that looks for work on a
+timer would sit at half its period, so a reintroduced tick fails here::
+
+    PYTHONPATH=src python benchmarks/serve_load.py --closed-loop 20 --workers 1
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import Scenario  # noqa: E402
-from repro.serve import ServeClient, TERMINAL_STATES  # noqa: E402
+from repro.serve import ServeClient  # noqa: E402
 from repro.serve.daemon import wait_for_daemon  # noqa: E402
 
 
@@ -129,18 +138,67 @@ class DaemonProcess:
         return self.proc.wait(timeout=30.0)
 
 
-def run_load(args: argparse.Namespace) -> dict:
-    submissions = build_submissions(args.n, args.duplicate_fraction, args.seed)
-    n_duplicates = sum(1 for _, _, dup in submissions if dup)
+#: Mean submit->dispatch wait the closed-loop check tolerates.
+QUEUE_LATENCY_LIMIT_S = 0.010
+
+
+def start_daemon(args: argparse.Namespace) -> DaemonProcess:
+    """A daemon on a wiped state dir, per the command line."""
     state_dir = Path(args.state_dir or (REPO_ROOT / ".serve-load-state"))
     if state_dir.exists():
         import shutil
 
         shutil.rmtree(state_dir)
     state_dir.mkdir(parents=True)
-    port = args.port or free_port()
-    daemon = DaemonProcess(port, state_dir, args.workers, args.job_timeout)
+    daemon = DaemonProcess(
+        args.port or free_port(), state_dir, args.workers, args.job_timeout
+    )
     daemon.start()
+    return daemon
+
+
+def run_closed_loop(args: argparse.Namespace) -> dict:
+    """One client, one job in flight: the submit->dispatch wait of an
+    idle daemon, read from the daemon's own histogram."""
+    submissions = build_submissions(args.closed_loop, 0.0, args.seed)
+    daemon = start_daemon(args)
+    started = time.perf_counter()
+    with ServeClient(port=daemon.port, timeout=30.0) as client:
+        for scenario, _, _ in submissions:
+            ack = client.submit(scenario)
+            assert not ack["cached"] and not ack["coalesced"], ack
+            frame = client.wait(ack["id"], timeout=args.drain_timeout)
+            assert frame["state"] == "done", frame
+        elapsed = time.perf_counter() - started
+        metrics = client.metrics()
+    exit_code = daemon.shutdown_clean()
+    waits = metrics["histograms"]["queue_latency_s"]
+    assert waits["count"] == len(submissions), waits
+    mean_wait_s = waits["sum"] / waits["count"]
+    assert mean_wait_s <= QUEUE_LATENCY_LIMIT_S, (
+        f"mean queue_latency_s {mean_wait_s * 1e3:.2f} ms over "
+        f"{waits['count']} closed-loop jobs exceeds "
+        f"{QUEUE_LATENCY_LIMIT_S * 1e3:.0f} ms: is the dispatcher "
+        f"waiting on a timer again?"
+    )
+    assert exit_code == 0, f"daemon exited {exit_code} on clean shutdown"
+    return {
+        "config": {"closed_loop": args.closed_loop, "workers": args.workers,
+                   "seed": args.seed},
+        "jobs_per_s": round(len(submissions) / elapsed, 1),
+        "mean_queue_latency_ms": round(mean_wait_s * 1e3, 3),
+        "queue_latency_limit_ms": QUEUE_LATENCY_LIMIT_S * 1e3,
+        "dispatcher_wakeups": metrics["counters"].get("dispatcher_wakeups"),
+        "final_metrics": metrics,
+        "clean_shutdown_exit": exit_code,
+    }
+
+
+def run_load(args: argparse.Namespace) -> dict:
+    submissions = build_submissions(args.n, args.duplicate_fraction, args.seed)
+    n_duplicates = sum(1 for _, _, dup in submissions if dup)
+    daemon = start_daemon(args)
+    port = daemon.port
 
     daemon_up = threading.Event()
     daemon_up.set()
@@ -214,29 +272,22 @@ def run_load(args: argparse.Namespace) -> dict:
         f"only {len(acks)}/{len(submissions)} submissions acknowledged"
     )
 
-    # Wait for every acknowledged job to reach a terminal state.
+    # Wait for every acknowledged job to reach a terminal state (a
+    # long poll per job: each returns the moment its job settles).
     job_ids = sorted({ack["id"] for ack in acks.values()})
     terminal: dict = {}
     with ServeClient(port=port, timeout=30.0) as client:
         deadline = time.monotonic() + args.drain_timeout
-        pending = list(job_ids)
-        while pending:
-            still = []
-            for job_id in pending:
-                status = client.status(job_id)
-                if status["state"] in TERMINAL_STATES:
-                    terminal[job_id] = status
-                else:
-                    still.append(job_id)
-            if not still:
-                break
-            if time.monotonic() > deadline:
-                raise RuntimeError(
-                    f"{len(still)} job(s) not terminal after "
-                    f"{args.drain_timeout}s: {still[:10]}"
+        for job_id in job_ids:
+            try:
+                terminal[job_id] = client.wait(
+                    job_id, timeout=max(0.0, deadline - time.monotonic())
                 )
-            pending = still
-            time.sleep(0.1)
+            except TimeoutError:
+                raise RuntimeError(
+                    f"{len(job_ids) - len(terminal)} job(s) not terminal "
+                    f"after {args.drain_timeout}s, first: {job_id}"
+                ) from None
         final_stats = client.stats()
         final_metrics = client.metrics()
         # The observability contract: after real load the daemon's
@@ -337,14 +388,26 @@ def main() -> int:
                         "wiped at start)")
     parser.add_argument("--report", default=None,
                         help="write the JSON report here")
+    parser.add_argument("--closed-loop", type=int, default=0, metavar="N",
+                        help="instead of the load run: N never-seen jobs "
+                        "through one client, one at a time; fail if the "
+                        "daemon's mean queue latency exceeds 10 ms")
     args = parser.parse_args()
 
-    report = run_load(args)
+    report = run_closed_loop(args) if args.closed_loop else run_load(args)
     payload = json.dumps(report, indent=2)
     if args.report:
         Path(args.report).write_text(payload + "\n", encoding="utf-8")
         print(f"wrote report to {args.report}")
     print(payload)
+    if args.closed_loop:
+        print(
+            f"serve-load closed loop: {args.closed_loop} jobs at "
+            f"{report['jobs_per_s']}/s, mean queue latency "
+            f"{report['mean_queue_latency_ms']} ms "
+            f"(limit {report['queue_latency_limit_ms']:.0f} ms), clean shutdown"
+        )
+        return 0
     print(
         f"serve-load: {report['submissions_acknowledged']} submissions, "
         f"{report['executed_runs']} executed, "

@@ -65,6 +65,13 @@ _COLLECT_SLICE = 0.25
 #: Poll slice of a finished child waiting for the all-done signal.
 _DRAIN_SLICE = 0.05
 
+#: How long the parent waits, once every rank has reported, for the
+#: ranks to leave on their own before reaping them.  Fixed, not the run
+#: deadline: the result is complete by then, and a rank stuck in its
+#: exit drain (reading a half-written message from a peer that already
+#: exited) must not hold a correct run back until ``timeout``.
+_EXIT_GRACE = 2.0
+
 
 class ProcessWorkerError(RuntimeError):
     """A worker process failed; raised in the parent with rank context."""
@@ -473,9 +480,10 @@ def run_processes(
         raise
     elapsed = time.monotonic() - start
     done.set()
+    grace_ends = time.monotonic() + _EXIT_GRACE
     for process in processes:
-        process.join(max(0.1, deadline - time.monotonic()))
-    _reap(processes)  # no-op on the happy path; safety net otherwise
+        process.join(max(0.0, grace_ends - time.monotonic()))
+    _reap(processes)  # no-op on the happy path; a rank stuck in its drain otherwise
     # Window accounting on the same axis the children used: the
     # earliest post-bootstrap anchor any rank reported.
     fault_counters: Dict[str, int] = _window_counters(scenario, min(anchors))

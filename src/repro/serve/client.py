@@ -41,7 +41,8 @@ class ServeClient:
     """A connection to one daemon; context manager closes it.
 
     ``timeout`` bounds every single request/response exchange; the
-    long waits belong to :meth:`wait`, which polls.
+    long waits belong to :meth:`wait`, which chains long polls that
+    each stay inside it.
     """
 
     def __init__(
@@ -131,12 +132,22 @@ class ServeClient:
             {"verb": "submit", "scenario": payload, "priority": priority}
         )
 
-    def status(self, job_id: str) -> Dict[str, Any]:
-        return self._call({"verb": "status", "id": job_id})
+    def _job_call(self, verb: str, job_id: str, wait_s: float) -> Dict[str, Any]:
+        frame: Dict[str, Any] = {"verb": verb, "id": job_id}
+        if wait_s > 0:
+            frame["wait_s"] = wait_s
+        return self._call(frame)
 
-    def result(self, job_id: str) -> Dict[str, Any]:
-        """Status plus, once ``done``, the full run ``record``."""
-        return self._call({"verb": "result", "id": job_id})
+    def status(self, job_id: str, wait_s: float = 0.0) -> Dict[str, Any]:
+        """The job's state; with ``wait_s`` the daemon holds the answer
+        until the job is terminal or ``wait_s`` seconds passed (keep it
+        under this client's ``timeout``)."""
+        return self._job_call("status", job_id, wait_s)
+
+    def result(self, job_id: str, wait_s: float = 0.0) -> Dict[str, Any]:
+        """Status plus, once ``done``, the full run ``record``;
+        ``wait_s`` as for :meth:`status`."""
+        return self._job_call("result", job_id, wait_s)
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         return self._call({"verb": "cancel", "id": job_id})
@@ -165,7 +176,13 @@ class ServeClient:
         timeout: float = 120.0,
         poll: float = 0.05,
     ) -> Dict[str, Any]:
-        """Poll until the job is terminal; returns its ``result`` frame.
+        """Block until the job is terminal; returns its ``result`` frame.
+
+        Each round is one long-polling ``result`` request the daemon
+        answers the moment the job settles, so the record arrives
+        without a polling delay.  A daemon that predates ``wait_s``
+        ignores it and answers at once; the round is then padded to
+        ``poll`` seconds, which is the old polling loop.
 
         Raises :class:`TimeoutError` when the deadline passes first --
         the job keeps running server-side (use :meth:`cancel` to stop
@@ -173,14 +190,17 @@ class ServeClient:
         """
         deadline = time.monotonic() + timeout
         while True:
-            frame = self.result(job_id)
+            asked = time.monotonic()
+            hold = max(0.0, min(deadline - asked, self.timeout / 2))
+            frame = self.result(job_id, wait_s=hold)
             if frame["state"] in TERMINAL_STATES:
                 return frame
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {frame['state']!r} after {timeout}s"
                 )
-            time.sleep(poll)
+            time.sleep(max(0.0, min(poll - (now - asked), deadline - now)))
 
 
 __all__ = ["ServeClient", "ServeError"]

@@ -26,7 +26,14 @@ its own timeout subclass inside the worker is treated identically.
 
 :class:`ServeDaemon` listens on a TCP socket, speaks the
 newline-delimited-JSON protocol (:mod:`repro.serve.protocol`), and
-runs one dispatcher thread that pumps :meth:`Scheduler.tick`.
+runs one dispatcher thread that loops over :meth:`Scheduler.tick`.
+The path from "a job is ready" to "its submitter has the record"
+waits on no clock: the dispatcher sleeps in ``pool.poll()`` until a
+worker posts an event, a per-job deadline arrives, or something that
+made work dispatchable calls ``pool.wake()`` (a submission, a cancel
+that freed a worker, a retry re-queue, ``stop``); ``result``/``status``
+requests carrying ``wait_s`` sleep on a condition that every terminal
+transition notifies.  An idle daemon's dispatcher does not run at all.
 ``SIGTERM``/``SIGINT`` and the ``shutdown`` verb all funnel into
 :meth:`ServeDaemon.stop`; unfinished jobs survive in the journal and
 are requeued by the next daemon pointed at the same state dir.
@@ -49,6 +56,7 @@ from repro.serve.protocol import (
     CANCELLED,
     DONE,
     FAILED,
+    MAX_WAIT_S,
     QUEUED,
     RUNNING,
     ProtocolError,
@@ -66,8 +74,13 @@ class Scheduler:
 
     ``pool`` may be any object with the :class:`~repro.serve.workers.
     WorkerPool` dispatch surface (``idle_count``, ``dispatch``,
-    ``poll``, ``reap_expired``, ``kill_job``, ``job_timeout``,
+    ``poll``, ``wake``, ``reap_expired``, ``kill_job``, ``job_timeout``,
     ``stats``, ``shutdown``) -- the tests substitute a stub.
+
+    ``pool.wake()`` is always called *after* the scheduler lock is
+    released: the woken dispatcher's first act is to take that lock,
+    and waking it from inside would park it straight away while the
+    waker still has the ack to write.
     """
 
     def __init__(
@@ -83,6 +96,10 @@ class Scheduler:
         self.cache = cache
         self.max_attempts = max_attempts
         self._lock = threading.RLock()
+        #: Notified whenever a job turns terminal (and on close); what
+        #: ``wait_s`` requests sleep on.
+        self._settled = threading.Condition(self._lock)
+        self._closed = False
         self._jobs: Dict[str, Job] = {}
         self._by_key: Dict[str, str] = {}  # in-flight (queued/running) job per key
         self._queue = JobQueue()
@@ -103,6 +120,9 @@ class Scheduler:
         #: depth, worker utilization.  Served by the ``metrics`` verb
         #: and folded into ``stats()``.
         self.metrics = MetricsRegistry()
+        #: Times the dispatcher came out of ``pool.poll``: stays 0 on an
+        #: idle daemon, grows by a handful per job under load.
+        self.metrics.counter("dispatcher_wakeups")
         self._journal: Optional[Journal] = None
         if state_dir is not None:
             state_dir = Path(state_dir)
@@ -200,9 +220,11 @@ class Scheduler:
             self._queue.push(job)
             self._by_key[key] = job.id
             self.metrics.gauge("queue_depth").set(len(self._queue))
-            return ok_frame(
+            ack = ok_frame(
                 id=job.id, state=QUEUED, key=key, cached=False, coalesced=False
             )
+        self.pool.wake()
+        return ack
 
     def _new_job(self, scenario, key, priority, state=QUEUED, cached=False) -> Job:
         job = Job(
@@ -226,13 +248,26 @@ class Scheduler:
             raise ProtocolError(f"unknown job id {job_id!r}", code="unknown-job")
         return job
 
-    def status(self, job_id: str) -> Dict[str, Any]:
-        with self._lock:
-            return ok_frame(**self._get_job(job_id).public_status())
+    def _await_terminal(self, job_id: str, wait_s: float) -> Job:
+        """The job, after holding (lock held on entry and exit, released
+        while asleep) until it is terminal, ``wait_s`` -- capped at
+        ``MAX_WAIT_S`` -- has passed, or the scheduler closed."""
+        job = self._get_job(job_id)
+        deadline = time.monotonic() + min(wait_s, MAX_WAIT_S)
+        while not job.terminal and not self._closed:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            self._settled.wait(remaining)
+        return job
 
-    def result(self, job_id: str) -> Dict[str, Any]:
+    def status(self, job_id: str, wait_s: float = 0.0) -> Dict[str, Any]:
         with self._lock:
-            job = self._get_job(job_id)
+            return ok_frame(**self._await_terminal(job_id, wait_s).public_status())
+
+    def result(self, job_id: str, wait_s: float = 0.0) -> Dict[str, Any]:
+        with self._lock:
+            job = self._await_terminal(job_id, wait_s)
             frame = ok_frame(**job.public_status())
             if job.state == DONE:
                 frame["record"] = self.cache.get(job.key)
@@ -243,13 +278,20 @@ class Scheduler:
             job = self._get_job(job_id)
             if job.terminal:
                 return ok_frame(**job.public_status(), changed=False)
-            if job.state == RUNNING:
+            was_running = job.state == RUNNING
+            if was_running:
                 self.pool.kill_job(job.id)
             job.state = CANCELLED
             self._by_key.pop(job.key, None)
             self._log({"event": CANCELLED, "id": job.id})
             self.counters["cancelled"] += 1
-            return ok_frame(**job.public_status(), changed=True)
+            self._settled.notify_all()
+            frame = ok_frame(**job.public_status(), changed=True)
+        if was_running:
+            # The kill freed (replaced) a worker: queued work can start,
+            # and the dispatcher must re-read the pool's pipes.
+            self.pool.wake()
+        return frame
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
@@ -290,12 +332,16 @@ class Scheduler:
     # ------------------------------------------------------------------
     # dispatcher
     # ------------------------------------------------------------------
-    def tick(self, poll_timeout: float = 0.05) -> None:
-        """One dispatcher heartbeat: dispatch, collect, reap.
+    def tick(self, poll_timeout: Optional[float] = None) -> None:
+        """One dispatcher turn: dispatch, wait for something to happen,
+        collect, reap.
 
         Called in a loop by the daemon's dispatcher thread; also
         callable directly (the tests and any embedded single-thread
-        use drive it manually).
+        use drive it manually).  The wait in the middle is
+        ``pool.poll``: it ends at a worker event, a ``pool.wake()`` or
+        the nearest per-job deadline, and ``poll_timeout`` is only a
+        ceiling on it (``None``: none; ``0``: do not block).
         """
         with self._lock:
             while self.pool.idle_count > 0:
@@ -314,7 +360,19 @@ class Scheduler:
                 self.pool.dispatch(job.id, job.scenario)
             self.metrics.gauge("queue_depth").set(len(self._queue))
         events = self.pool.poll(timeout=poll_timeout)
+        self.metrics.counter("dispatcher_wakeups").inc()
+        # Records reach the cache *before* the lock is taken: the write
+        # is file I/O every concurrent submit/result would otherwise
+        # queue behind, and put -> lock -> mark DONE keeps "a DONE job
+        # always has its record".  The unlocked state peek only saves a
+        # write: a record stored for a job cancelled in between is a
+        # correct entry for its key, and _apply_event still ignores it.
+        for job_id, kind, payload in events:
+            job = self._jobs.get(job_id)
+            if kind == "done" and job is not None and job.state == RUNNING:
+                self.cache.put(job.key, payload if isinstance(payload, dict) else {})
         with self._lock:
+            retries_before = self.counters["retries"]
             for job_id, kind, payload in events:
                 self._apply_event(job_id, kind, payload)
             for job_id in self.pool.reap_expired():
@@ -324,14 +382,17 @@ class Scheduler:
                     f"{self.pool.job_timeout}s per-attempt deadline",
                     timed_out=True,
                 )
+            requeued = self.counters["retries"] > retries_before
+        if requeued:
+            self.pool.wake()
 
     def _apply_event(self, job_id: str, kind: str, payload: Any) -> None:
+        """Settle one worker event (lock held; a ``done`` event's record
+        is already in the cache, see :meth:`tick`)."""
         job = self._jobs.get(job_id)
         if job is None or job.state != RUNNING:
             return  # cancelled (or otherwise settled) while the worker ran
         if kind == "done":
-            record = payload if isinstance(payload, dict) else {}
-            self.cache.put(job.key, record)
             job.state = DONE
             self._by_key.pop(job.key, None)
             self._log({"event": DONE, "id": job.id})
@@ -340,6 +401,7 @@ class Scheduler:
                 self.metrics.histogram("run_latency_s").observe(
                     time.monotonic() - job.started_mono
                 )
+            self._settled.notify_all()
         elif kind == "failed":
             error = str(payload)
             self._attempt_failed(job_id, error, timed_out=is_timeout_error(error))
@@ -364,6 +426,7 @@ class Scheduler:
         self._by_key.pop(job.key, None)
         self._log({"event": FAILED, "id": job.id, "error": error})
         self.counters["failed"] += 1
+        self._settled.notify_all()
 
     # ------------------------------------------------------------------
     # request routing
@@ -374,9 +437,9 @@ class Scheduler:
         if verb == "submit":
             return self.submit(dict(frame["scenario"]), frame.get("priority", 0))
         if verb == "status":
-            return self.status(frame["id"])
+            return self.status(frame["id"], frame.get("wait_s", 0.0))
         if verb == "result":
-            return self.result(frame["id"])
+            return self.result(frame["id"], frame.get("wait_s", 0.0))
         if verb == "cancel":
             return self.cancel(frame["id"])
         if verb == "stats":
@@ -388,6 +451,10 @@ class Scheduler:
         raise ProtocolError(f"verb {verb!r} is not routable here")
 
     def close(self) -> None:
+        """Release every ``wait_s`` holder, then close the journal."""
+        with self._lock:
+            self._closed = True
+            self._settled.notify_all()
         if self._journal is not None:
             self._journal.close()
 
@@ -498,7 +565,7 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
         while not self._stop_event.is_set():
-            self.scheduler.tick(poll_timeout=0.05)
+            self.scheduler.tick()
 
     def start(self) -> None:
         """Run server + dispatcher on background threads (returns at once)."""
@@ -549,14 +616,15 @@ class ServeDaemon:
             if self._stopped.is_set():
                 return
             self._stop_event.set()
+            self.scheduler.pool.wake()
             if self._dispatcher is not None:
                 self._dispatcher.join(timeout=5.0)
             try:
                 self._server.server_close()
             except OSError:
                 pass
-            self.scheduler.pool.shutdown()
             self.scheduler.close()
+            self.scheduler.pool.shutdown()
             self._stopped.set()
 
 

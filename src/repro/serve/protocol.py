@@ -26,6 +26,16 @@ Request verbs
 ``result``
     ``id`` -> the state, plus the full run record once ``done``
     (or the error string once ``failed``/``cancelled``).
+
+    Both ``status`` and ``result`` take an optional ``wait_s`` (a
+    non-negative number): the daemon holds the request until the job
+    is terminal or ``wait_s`` seconds have passed -- whichever comes
+    first, and never longer than :data:`MAX_WAIT_S` -- then answers
+    with whatever the state is.  It is a long poll, not a timeout: a
+    non-terminal answer is not an error.  Without the field the
+    answer is immediate; a daemon that predates the field ignores it
+    and answers immediately, so clients keep their own pacing as the
+    fallback (:meth:`repro.serve.client.ServeClient.wait` does).
 ``cancel``
     ``id`` -> cancel a queued job, or kill the worker of a running
     one.  Terminal jobs are left untouched (the response reports
@@ -82,6 +92,15 @@ VERBS = frozenset(
 #: Verbs that address one existing job and therefore require an ``id``.
 _JOB_VERBS = frozenset({"status", "result", "cancel"})
 
+#: Verbs that may long-poll (optional ``wait_s``).
+_WAIT_VERBS = frozenset({"status", "result"})
+
+#: Longest the daemon holds one ``wait_s`` request, whatever was asked:
+#: bounds how long a handler thread can be parked for a client that
+#: went away.  (A client must itself ask for less than its socket
+#: timeout; ``ServeClient.wait`` asks for half of it.)
+MAX_WAIT_S = 30.0
+
 
 class ProtocolError(ValueError):
     """A request frame the daemon refuses, with a machine-readable code."""
@@ -123,8 +142,10 @@ def parse_request(line: Union[str, bytes, Mapping[str, Any]]) -> Dict[str, Any]:
     """Decode and validate one request frame.
 
     Returns the frame dict with ``verb`` guaranteed present and known,
-    ``id`` guaranteed for the job-addressing verbs, and ``submit``
-    guaranteed to carry a scenario object plus an integer priority.
+    ``id`` guaranteed for the job-addressing verbs, ``wait_s`` (when
+    present on ``status``/``result``) a non-negative number, and
+    ``submit`` guaranteed to carry a scenario object plus an integer
+    priority.
     Scenario *content* is not validated here -- that is the
     scheduler's job (it answers ``bad-scenario`` with the registry's
     own error message).
@@ -139,6 +160,14 @@ def parse_request(line: Union[str, bytes, Mapping[str, Any]]) -> Dict[str, Any]:
         )
     if verb in _JOB_VERBS and not isinstance(frame.get("id"), str):
         raise ProtocolError(f"{verb!r} requires a job 'id' string")
+    if verb in _WAIT_VERBS and "wait_s" in frame:
+        wait_s = frame["wait_s"]
+        # ``not >= 0`` rather than ``< 0``: NaN fails both comparisons.
+        if (isinstance(wait_s, bool) or not isinstance(wait_s, (int, float))
+                or not wait_s >= 0):
+            raise ProtocolError(
+                f"'wait_s' must be a non-negative number, got {wait_s!r}"
+            )
     if verb == "submit":
         scenario = frame.get("scenario")
         if not isinstance(scenario, Mapping):
@@ -174,6 +203,7 @@ __all__ = [
     "CANCELLED",
     "TERMINAL_STATES",
     "VERBS",
+    "MAX_WAIT_S",
     "ProtocolError",
     "encode_frame",
     "decode_frame",

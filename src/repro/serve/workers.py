@@ -1,7 +1,7 @@
 """The backend worker pool: one job at a time per worker process.
 
-Each worker is an OS process with its *own* single-slot task queue --
-the parent decides placement, so it always knows which process holds
+Each worker is an OS process with its *own* one-way task pipe -- the
+parent decides placement, so it always knows which process holds
 which job and can terminate exactly that worker when the job's
 deadline passes or the job is cancelled (then respawn a fresh one).
 Completions flow back over a *per-worker* event pipe, never a shared
@@ -13,7 +13,17 @@ that lock held -- after which every surviving worker's completion
 post blocks forever and the pool wedges.  With one pipe per worker
 there is a single writer per channel, no shared lock to orphan, and
 a killed worker's half-written frame is discarded along with its
-pipe when the worker is replaced.
+pipe when the worker is replaced.  Tasks travel the same way in the
+other direction: written from the calling thread (no feeder thread to
+wake, no queue lock), so a hand-off to a worker that already died
+raises ``BrokenPipeError`` *here* and becomes a ``crashed`` event
+instead of vanishing in a background buffer.
+
+Nothing in the pool waits on a clock.  :meth:`WorkerPool.poll` blocks
+on every worker's event pipe plus a *wake pipe* until a worker posts,
+someone calls :meth:`WorkerPool.wake` (work was queued, a worker was
+replaced, the owner is stopping) or the nearest per-job deadline
+arrives; an idle pool sleeps until woken.
 
 The worker body is deliberately thin: rebuild the scenario from its
 dict, run it on the configured backend, post the
@@ -36,6 +46,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -62,18 +73,26 @@ def is_timeout_error(error: str) -> bool:
 
 
 def _worker_main(
-    task_queue: Any,
+    tasks: Any,
     events: Any,
+    parent_ends: Tuple[Any, Any],
     backend: Union[str, Any],
     backend_kwargs: Dict[str, Any],
     include_solution: bool = False,
 ) -> None:
     """Run jobs forever: ``(job_id, scenario_dict)`` in, events out.
 
-    ``events`` is this worker's private pipe end; sends happen in the
-    main thread (no feeder thread), so a job that kills the process
-    can never strand a half-posted event in a background buffer.
+    ``tasks`` and ``events`` are this worker's private pipe ends; sends
+    happen in the main thread (no feeder thread), so a job that kills
+    the process can never strand a half-posted event in a background
+    buffer.  ``parent_ends`` are this process's copies of the *other*
+    two ends, closed at once: while the worker held a writer of its own
+    task pipe, a parent that died (SIGKILL) never read as EOF and the
+    orphan blocked in ``recv`` forever.  EOF on ``tasks`` now means the
+    parent is gone: exit.
     """
+    for conn in parent_ends:
+        conn.close()
     import repro.api  # noqa: F401 - repopulates registries under spawn
     from repro.api.backends import get_backend
     from repro.api.scenario import Scenario
@@ -81,7 +100,10 @@ def _worker_main(
     if isinstance(backend, str):
         backend = get_backend(backend, **backend_kwargs)
     while True:
-        item = task_queue.get()
+        try:
+            item = tasks.recv()
+        except (EOFError, OSError):
+            break
         if item is None:
             break
         job_id, scenario_dict = item
@@ -104,18 +126,21 @@ class _Worker:
         include_solution: bool = False,
     ):
         self.id = worker_id
-        self.task_queue = ctx.Queue()
+        tasks_recv, self.tasks = ctx.Pipe(duplex=False)
         self.events, events_send = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(self.task_queue, events_send, backend,
-                  backend_kwargs, include_solution),
+            args=(tasks_recv, events_send, (self.tasks, self.events),
+                  backend, backend_kwargs, include_solution),
             name=f"repro-serve-worker-{worker_id}",
             daemon=False,
         )
         self.process.start()
-        # The parent holds only the read end; the child's copy is the
-        # sole writer, so worker death eventually reads as EOF here.
+        # The parent keeps one end of each pipe; the child's copies are
+        # the sole task reader and the sole event writer, so worker
+        # death reads as EOF on ``events`` and as BrokenPipeError on the
+        # next ``tasks.send``.
+        tasks_recv.close()
         events_send.close()
         self.job_id: Optional[str] = None
         self.deadline: Optional[float] = None
@@ -129,14 +154,14 @@ class _Worker:
     ) -> None:
         self.job_id = job_id
         self.deadline = None if timeout is None else time.monotonic() + timeout
-        self.task_queue.put((job_id, scenario))
+        self.tasks.send((job_id, scenario))
 
     def release(self) -> None:
         self.job_id = None
         self.deadline = None
 
     def destroy(self) -> None:
-        """Terminate the process and abandon its queue."""
+        """Terminate the process and abandon its pipes."""
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=2.0)
@@ -147,12 +172,11 @@ class _Worker:
             self.process.close()
         except ValueError:
             pass  # unkillable (uninterruptible sleep); reaped by the OS later
-        self.task_queue.cancel_join_thread()
-        self.task_queue.close()
-        try:
-            self.events.close()
-        except OSError:
-            pass
+        for conn in (self.tasks, self.events):
+            try:
+                conn.close()
+            except OSError:
+                pass
 
 
 class WorkerPool:
@@ -162,7 +186,7 @@ class WorkerPool:
 
         pool = WorkerPool(backend="simulated", size=2, job_timeout=60.0)
         pool.dispatch("j000001", scenario.to_dict())
-        for job_id, kind, payload in pool.poll(timeout=0.05):
+        for job_id, kind, payload in pool.poll():
             ...                      # kind: "done" | "failed" | "crashed"
         for job_id in pool.reap_expired():
             ...                      # worker killed + respawned
@@ -171,6 +195,11 @@ class WorkerPool:
     ``poll`` also notices a worker that died *without* posting an
     event (segfault, OOM kill) and surfaces its job as ``crashed``;
     the dead worker is replaced, so the pool never shrinks.
+
+    One thread drives ``dispatch``/``poll``/``reap_expired``; any
+    thread may call :meth:`wake`, :meth:`kill_job` and :meth:`stats`
+    (the worker table is lock-guarded, and the lock is never held
+    while ``poll`` blocks).
     """
 
     def __init__(
@@ -195,9 +224,18 @@ class WorkerPool:
         self._backend_kwargs = dict(backend_kwargs or {})
         self._ctx = multiprocessing.get_context(start_method)
         self._next_worker_id = 0
+        self._lock = threading.Lock()  # guards _workers and _undelivered
         self._workers: Dict[int, _Worker] = {}
+        #: Events born outside ``poll`` (a hand-off that hit a dead
+        #: worker), delivered by the next ``poll``.
+        self._undelivered: List[Tuple[str, str, Any]] = []
         self._respawns = 0
         self._closed = False
+        # The wake channel: at most one unread byte, so N wake() calls
+        # between two polls cost one write and one read.
+        self._wake_recv, self._wake_send = self._ctx.Pipe(duplex=False)
+        self._wake_lock = threading.Lock()
+        self._wake_pending = False
         for _ in range(size):
             self._spawn()
 
@@ -225,79 +263,145 @@ class WorkerPool:
 
     def shutdown(self) -> None:
         """Stop every worker; idle ones exit cleanly, busy ones are killed."""
-        if self._closed:
-            return
-        self._closed = True
-        for worker in list(self._workers.values()):
-            if worker.busy:
-                continue
-            try:
-                worker.task_queue.put(None)
-            except (OSError, ValueError):
-                pass
-        deadline = time.monotonic() + 2.0
-        for worker in list(self._workers.values()):
-            if not worker.busy:
-                worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
-        for worker in list(self._workers.values()):
-            worker.destroy()
-        self._workers.clear()
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            for worker in self._workers.values():
+                if worker.busy:
+                    continue
+                try:
+                    worker.tasks.send(None)
+                except OSError:
+                    pass  # already dead
+            deadline = time.monotonic() + 2.0
+            for worker in self._workers.values():
+                if not worker.busy:
+                    worker.process.join(
+                        timeout=max(0.0, deadline - time.monotonic())
+                    )
+            for worker in self._workers.values():
+                worker.destroy()
+            self._workers.clear()
+        with self._wake_lock:
+            self._wake_pending = True  # a late wake() finds nothing to write to
+            self._wake_send.close()
+            self._wake_recv.close()
 
     # ------------------------------------------------------------------
     # dispatch / completion
     # ------------------------------------------------------------------
     @property
     def idle_count(self) -> int:
-        return sum(1 for worker in self._workers.values() if not worker.busy)
+        with self._lock:
+            return sum(1 for worker in self._workers.values() if not worker.busy)
 
     @property
     def busy_jobs(self) -> List[str]:
-        return [w.job_id for w in self._workers.values() if w.job_id is not None]
+        with self._lock:
+            return [
+                w.job_id for w in self._workers.values() if w.job_id is not None
+            ]
 
     def dispatch(self, job_id: str, scenario: Dict[str, Any]) -> bool:
-        """Hand a job to an idle worker; False when all are busy."""
-        for worker in self._workers.values():
-            if not worker.busy:
-                worker.assign(job_id, scenario, self.job_timeout)
+        """Hand a job to an idle worker; False when all are busy.
+
+        A hand-off that finds the idle worker dead (its task pipe is
+        broken) still takes the job: the worker is replaced and the job
+        comes back from the next :meth:`poll` as ``crashed``, exactly
+        as if the worker had died a moment later.
+        """
+        with self._lock:
+            for worker in self._workers.values():
+                if worker.busy:
+                    continue
+                try:
+                    worker.assign(job_id, scenario, self.job_timeout)
+                except OSError:
+                    self._replace(worker)
+                    self._undelivered.append(
+                        (job_id, "crashed", "worker process died while idle")
+                    )
                 return True
         return False
 
-    def poll(self, timeout: float = 0.05) -> List[Tuple[str, str, Any]]:
+    def wake(self) -> None:
+        """Make a blocked (or the next) :meth:`poll` return at once.
+
+        Callable from any thread.  Calls coalesce: until ``poll`` has
+        consumed the wake, further calls do nothing.
+        """
+        with self._wake_lock:
+            if self._wake_pending:
+                return
+            self._wake_pending = True
+            self._wake_send.send_bytes(b"\0")
+
+    def poll(self, timeout: Optional[float] = None) -> List[Tuple[str, str, Any]]:
         """Job events since the last poll: ``(job_id, kind, payload)``.
 
-        Blocks up to ``timeout`` for the first ready worker pipe, then
-        reads one event from every pipe with data.  A worker posts at
-        most one unread event (it only gets its next job after the
-        event is consumed), so one ``recv`` per ready pipe drains
-        everything.  Events for a job the worker no longer owns (it
-        was cancelled or timed out and the worker reaped) cannot
-        arrive at all: the reaped worker's pipe died with it.
+        Blocks until a worker pipe is ready, :meth:`wake` is called or
+        the nearest per-job deadline arrives (so the caller's
+        :meth:`reap_expired` runs on time) -- and no longer than
+        ``timeout`` when one is given.  Then reads one event from every
+        pipe with data.  A worker posts at most one unread event (it
+        only gets its next job after the event is consumed), so one
+        ``recv`` per ready pipe drains everything.  Events for a job
+        the worker no longer owns (it was cancelled or timed out and
+        the worker reaped) cannot arrive at all: the reaped worker's
+        pipe died with it.
         """
-        events: List[Tuple[str, str, Any]] = []
-        by_conn = {worker.events: worker for worker in self._workers.values()}
+        with self._lock:
+            events, self._undelivered = self._undelivered, []
+            by_conn = {worker.events: worker for worker in self._workers.values()}
+            deadlines = [
+                worker.deadline for worker in self._workers.values()
+                if worker.busy and worker.deadline is not None
+            ]
+        if events:
+            timeout = 0.0
+        elif deadlines:
+            until = max(0.0, min(deadlines) - time.monotonic())
+            timeout = until if timeout is None else min(timeout, until)
         try:
             ready = multiprocessing.connection.wait(
-                list(by_conn), timeout=timeout
+                [*by_conn, self._wake_recv], timeout=timeout
             )
-        except OSError:
-            ready = []
-        for conn in ready:
-            worker = by_conn[conn]
-            try:
-                job_id, kind, payload = conn.recv()
-            except (EOFError, OSError):
-                continue  # worker died; the liveness sweep below settles it
-            if worker.job_id != job_id:
-                continue  # stale: the job was re-settled while in flight
-            worker.release()
-            events.append((job_id, kind, payload))
-        for worker in list(self._workers.values()):
-            if worker.busy and not worker.process.is_alive():
-                job_id = worker.job_id
-                self._replace(worker)
-                events.append(
-                    (job_id, "crashed", "worker process died mid-job")
-                )
+        except (OSError, ValueError):
+            ready = []  # a pipe was closed under us (kill_job, shutdown)
+        with self._lock:
+            for conn in ready:
+                if conn is self._wake_recv:
+                    with self._wake_lock:
+                        conn.recv_bytes()
+                        self._wake_pending = False
+                    continue
+                worker = by_conn[conn]
+                if self._workers.get(worker.id) is not worker:
+                    continue  # replaced (kill_job) while we were waiting
+                try:
+                    job_id, kind, payload = conn.recv()
+                except (EOFError, OSError):
+                    # EOF: the only writer is gone.  Settle it now --
+                    # a dead pipe left in the wait set stays "ready".
+                    job_id = worker.job_id
+                    self._replace(worker)
+                    if job_id is not None:
+                        events.append(
+                            (job_id, "crashed", "worker process died mid-job")
+                        )
+                    continue
+                if worker.job_id != job_id:
+                    continue  # stale: the job was re-settled while in flight
+                worker.release()
+                events.append((job_id, kind, payload))
+            for worker in list(self._workers.values()):
+                if worker.busy and not worker.process.is_alive():
+                    job_id = worker.job_id
+                    self._replace(worker)
+                    events.append(
+                        (job_id, "crashed", "worker process died mid-job")
+                    )
         return events
 
     def reap_expired(self, now: Optional[float] = None) -> List[str]:
@@ -308,27 +412,37 @@ class WorkerPool:
         """
         now = time.monotonic() if now is None else now
         reaped: List[str] = []
-        for worker in list(self._workers.values()):
-            if worker.busy and worker.deadline is not None and now > worker.deadline:
-                reaped.append(worker.job_id)
-                self._replace(worker)
+        with self._lock:
+            for worker in list(self._workers.values()):
+                if worker.busy and worker.deadline is not None and now > worker.deadline:
+                    reaped.append(worker.job_id)
+                    self._replace(worker)
         return reaped
 
     def kill_job(self, job_id: str) -> bool:
-        """Terminate the worker running ``job_id`` (cancel support)."""
-        for worker in list(self._workers.values()):
-            if worker.job_id == job_id:
-                self._replace(worker)
-                return True
+        """Terminate the worker running ``job_id`` (cancel support).
+
+        From a thread other than the polling one, follow with
+        :meth:`wake` so the blocked ``poll`` picks up the replacement
+        worker's pipe.
+        """
+        with self._lock:
+            for worker in list(self._workers.values()):
+                if worker.job_id == job_id:
+                    self._replace(worker)
+                    return True
         return False
 
     def stats(self) -> Dict[str, Any]:
         backend = self.backend
         if not isinstance(backend, str):
             backend = getattr(backend, "name", type(backend).__name__)
+        with self._lock:
+            workers = len(self._workers)
+            busy = sum(1 for worker in self._workers.values() if worker.busy)
         return {
-            "workers": len(self._workers),
-            "busy": len(self._workers) - self.idle_count,
+            "workers": workers,
+            "busy": busy,
             "respawns": self._respawns,
             "backend": backend,
             "job_timeout": self.job_timeout,

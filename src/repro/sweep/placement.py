@@ -91,8 +91,12 @@ class Placement:
         """Accept one unit; settlement arrives via :meth:`poll`."""
         raise NotImplementedError
 
-    def poll(self, timeout: float = 0.05) -> List[PlacementEvent]:
-        """Settlements since the last poll (may block up to ``timeout``)."""
+    def poll(self, timeout: Optional[float] = None) -> List[PlacementEvent]:
+        """Settlements since the last poll.
+
+        A placement with units in flight elsewhere blocks until one
+        settles -- but no longer than ``timeout`` when one is given.
+        """
         events, self._events = self._events, []
         return events
 
@@ -259,7 +263,7 @@ class MegaPlacement(Placement):
 
         self._buffer.append((key, Scenario.from_dict(scenario_dict)))
 
-    def poll(self, timeout: float = 0.05) -> List[PlacementEvent]:
+    def poll(self, timeout: Optional[float] = None) -> List[PlacementEvent]:
         events = super().poll(timeout)
         if not self._buffer:
             return events
@@ -330,7 +334,7 @@ class PoolPlacement(Placement):
     def submit(self, key: str, scenario_dict: Dict[str, Any]) -> None:
         self._pool.dispatch(key, scenario_dict)
 
-    def poll(self, timeout: float = 0.05) -> List[PlacementEvent]:
+    def poll(self, timeout: Optional[float] = None) -> List[PlacementEvent]:
         events = super().poll(timeout)
         for key, kind, payload in self._pool.poll(timeout=timeout):
             if kind == "done":
@@ -364,7 +368,8 @@ class ServePlacement(Placement):
     Submissions reuse the scheduler's machinery wholesale -- priority
     queue, duplicate coalescing onto in-flight twins, content-hash
     result cache, per-job deadline + bounded retry -- so this placement
-    is a thin polling loop over :class:`~repro.serve.client.ServeClient`.
+    is a thin loop over :class:`~repro.serve.client.ServeClient`: it
+    long-polls (``wait_s``) the oldest in-flight job and sweeps the rest.
     The context's ``backend``/``timeout`` do not travel: the daemon
     runs whatever backend and deadlines it was started with.
     """
@@ -372,6 +377,9 @@ class ServePlacement(Placement):
     #: In-flight submissions kept per worker-slot hint; the daemon
     #: queues beyond its pool anyway, this just bounds polling cost.
     INFLIGHT_PER_SLOT = 8
+
+    #: Length of one long poll when the caller sets no ceiling.
+    _HOLD_S = 10.0
 
     def __init__(self, context: PlacementContext) -> None:
         super().__init__(context)
@@ -403,12 +411,20 @@ class ServePlacement(Placement):
             return
         self._jobs[key] = ack["id"]
 
-    def poll(self, timeout: float = 0.05) -> List[PlacementEvent]:
+    def poll(self, timeout: Optional[float] = None) -> List[PlacementEvent]:
         from repro.serve.protocol import CANCELLED, DONE, FAILED
 
         events = super().poll(timeout)
+        started = time.monotonic()
+        budget = self._HOLD_S if timeout is None else timeout
+        # Nothing to report yet: let the daemon hold the first request
+        # until that job settles.  The oldest job is the likeliest to
+        # finish first, and whatever else finished meanwhile is picked
+        # up by the rest of this same pass.
+        hold = 0.0 if events else budget
         for key, job_id in list(self._jobs.items()):
-            frame = self._client.result(job_id)
+            frame = self._client.result(job_id, wait_s=hold)
+            hold = 0.0
             state = frame["state"]
             if state == DONE:
                 del self._jobs[key]
@@ -422,7 +438,9 @@ class ServePlacement(Placement):
                 del self._jobs[key]
                 events.append((key, "failed", "job cancelled server-side"))
         if not events and self._jobs:
-            time.sleep(timeout)  # pace the polling loop
+            # A daemon that predates ``wait_s`` answered at once: pad
+            # the pass to the time it was allowed to take.
+            time.sleep(max(0.0, budget - (time.monotonic() - started)))
         return events
 
     def shutdown(self) -> None:

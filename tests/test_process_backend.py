@@ -27,11 +27,13 @@ from repro.balancing import BalancingPlan
 from repro.core.aiac import AIACOptions
 from repro.runtime.executor import BackendTimeoutError, ThreadTimeoutError
 from repro.runtime.faults import ThreadFaultInjector
+from repro.runtime import process_hub
 from repro.runtime.process_hub import (
     ProcessEndpoint,
     ProcessTimeoutError,
     ProcessWorkerError,
     _child_main,
+    run_processes,
 )
 from repro.simgrid.message import Message
 from repro.testing import check_invariants, check_row_partition
@@ -198,6 +200,29 @@ def test_process_timeout_reaps_every_child():
     deadline = time.monotonic() + 5.0
     while multiprocessing.active_children() and time.monotonic() < deadline:
         time.sleep(0.05)
+    assert multiprocessing.active_children() == []
+
+
+def _child_that_never_leaves(*args):
+    _child_main(*args)
+    time.sleep(3600.0)  # reported, then stuck -- like a rank blocked in its exit drain
+
+
+def test_a_rank_stuck_after_reporting_does_not_hold_the_result_back(monkeypatch):
+    # Regression: the parent used to join every rank for the rest of the
+    # run deadline *after* all reports were in, so one rank stuck in its
+    # exit drain made a correct run return ``timeout`` seconds late.
+    monkeypatch.setattr(process_hub, "_child_main", _child_that_never_leaves)
+    timeout = 60.0
+    started = time.monotonic()
+    outcome = run_processes(
+        SMALL.derive(n_ranks=2), timeout=timeout, start_method="fork"
+    )
+    elapsed = time.monotonic() - started
+    assert sorted(outcome.results) == [0, 1]
+    assert all(report.converged for report in outcome.results.values())
+    # The run itself, a fixed exit grace and the reap -- not the deadline.
+    assert elapsed < timeout / 4
     assert multiprocessing.active_children() == []
 
 

@@ -9,7 +9,10 @@ Three altitudes:
   resume-after-kill journal replay, all without sockets;
 * one end-to-end daemon smoke over a real TCP socket with real worker
   processes (kept small: this is the integration seam, the load story
-  lives in ``benchmarks/serve_load.py``).
+  lives in ``benchmarks/serve_load.py``);
+* the event-driven path: every place that makes work dispatchable
+  wakes the dispatcher (outside the scheduler lock), the real pool's
+  wake/pipe mechanics, and ``wait_s`` long polls.
 
 Plus the two satellite regressions at the API layer:
 ``Scenario.content_hash`` / record join keys, and ``sweep`` surviving
@@ -20,6 +23,9 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -41,6 +47,7 @@ from repro.serve import (
     ServeDaemon,
     ServeError,
 )
+from repro.serve import daemon as daemon_module
 from repro.serve.protocol import (
     decode_frame,
     encode_frame,
@@ -261,6 +268,13 @@ class StubPool:
         self.killed = []
         self.events = []
         self.expired = []
+        #: One entry per wake(): did the caller hold the scheduler lock?
+        self.wakes = []
+        self.scheduler = None  # set by make_scheduler
+        #: Set: poll() blocks until wake(), like the real pool (for
+        #: tests that run the daemon's own dispatcher thread).
+        self.blocking = False
+        self._woken = threading.Event()
 
     @property
     def idle_count(self):
@@ -270,7 +284,14 @@ class StubPool:
         self.running[job_id] = scenario
         return True
 
-    def poll(self, timeout=0.0):
+    def wake(self):
+        self.wakes.append(self.scheduler._lock._is_owned())
+        self._woken.set()
+
+    def poll(self, timeout=None):
+        if self.blocking:
+            self._woken.wait(timeout)
+            self._woken.clear()
         events, self.events = self.events, []
         for job_id, _, _ in events:
             self.running.pop(job_id, None)
@@ -314,6 +335,7 @@ def make_scheduler(tmp_path, state=True, **kwargs):
         state_dir=(tmp_path / "state") if state else None,
         max_attempts=kwargs.get("max_attempts", 2),
     )
+    pool.scheduler = scheduler
     return scheduler, pool
 
 
@@ -651,6 +673,370 @@ class TestSchedulerMetrics:
 
 
 # ---------------------------------------------------------------------------
+# event-driven dispatch: who wakes the dispatcher, and from where
+# ---------------------------------------------------------------------------
+
+class TestDispatcherWake:
+    """Everything that makes work dispatchable calls ``pool.wake()``,
+    and does so after releasing the scheduler lock (the woken
+    dispatcher's first act is to take it)."""
+
+    def test_fresh_submit_wakes_outside_the_lock(self, tmp_path):
+        scheduler, pool = make_scheduler(tmp_path)
+        scheduler.submit(SCENARIO.to_dict())
+        assert pool.wakes == [False]
+        # Nothing became dispatchable: a rider and a cache hit stay quiet.
+        scheduler.submit(SCENARIO.derive(name="twin").to_dict())
+        assert pool.wakes == [False]
+
+    def test_cancel_of_running_wakes_cancel_of_queued_does_not(self, tmp_path):
+        scheduler, pool = make_scheduler(tmp_path, size=1)
+        running = scheduler.submit(SCENARIO.to_dict())
+        scheduler.tick()
+        queued = scheduler.submit(OTHER.to_dict())
+        del pool.wakes[:]
+        scheduler.cancel(queued["id"])
+        assert pool.wakes == []
+        scheduler.cancel(running["id"])
+        assert pool.wakes == [False]  # the kill freed a worker
+
+    def test_retry_requeue_wakes_outside_the_lock(self, tmp_path):
+        scheduler, pool = make_scheduler(tmp_path, max_attempts=2)
+        ack = scheduler.submit(SCENARIO.to_dict())
+        scheduler.tick()
+        del pool.wakes[:]
+        pool.expire(ack["id"])
+        scheduler.tick()  # reaped -> requeued
+        assert scheduler.status(ack["id"])["state"] == QUEUED
+        assert pool.wakes == [False]
+        scheduler.tick()
+        pool.expire(ack["id"])
+        scheduler.tick()  # out of attempts: failed, nothing to dispatch
+        assert scheduler.status(ack["id"])["state"] == FAILED
+        assert pool.wakes == [False]
+
+    def test_stop_wakes_a_blocked_dispatcher(self, tmp_path):
+        scheduler, pool = make_scheduler(tmp_path)
+        pool.blocking = True
+        daemon = ServeDaemon(port=0, scheduler=scheduler)
+        daemon.start()
+        daemon.stop()
+        # Without the wake the dispatcher would sit in poll() forever
+        # and outlive stop()'s bounded join.
+        assert pool.wakes and pool.wakes[-1] is False
+        assert not daemon._dispatcher.is_alive()
+
+    def test_idle_scheduler_makes_no_dispatcher_wakeups(self, tmp_path):
+        scheduler, pool = make_scheduler(tmp_path)
+        pool.blocking = True
+        daemon = ServeDaemon(port=0, scheduler=scheduler)
+        daemon.start()
+        try:
+            time.sleep(0.3)
+            counters = scheduler.metrics_frame()["metrics"]["counters"]
+            assert counters["dispatcher_wakeups"] == 0
+        finally:
+            daemon.stop()
+
+
+# ---------------------------------------------------------------------------
+# the real pool: wake channel, pipe hand-off, dead idle workers
+# ---------------------------------------------------------------------------
+
+TINY = Scenario(
+    problem="sparse_linear", problem_params={"n": 40, "dominance": 1.2},
+    environment="pm2", n_ranks=2, seed=3,
+)
+
+
+def poll_until_event(pool, budget=60.0):
+    deadline = time.monotonic() + budget
+    while time.monotonic() < deadline:
+        events = pool.poll(timeout=max(0.0, deadline - time.monotonic()))
+        if events:
+            return events
+    raise AssertionError(f"no pool event within {budget}s")
+
+
+class TestEventDrivenPool:
+    def test_wakes_coalesce_into_one_byte(self, tmp_path):
+        from repro.serve import WorkerPool
+
+        pool = WorkerPool(size=1)
+        try:
+            scheduler = Scheduler(pool, ResultCache(tmp_path / "cache"))
+            for n in (40, 44, 48, 52):  # N submissions, no poll between
+                scheduler.submit(TINY.derive(problem_params__n=n).to_dict())
+            assert pool._wake_recv.poll()
+            assert pool.poll(timeout=0) == []  # consumes the wake
+            assert not pool._wake_recv.poll()  # ... which was one byte
+            pool.wake()  # and the channel re-arms
+            assert pool._wake_recv.poll()
+        finally:
+            pool.shutdown()
+        pool.wake()  # after shutdown: a no-op, not an error
+
+    def test_dispatcher_with_a_30s_ceiling_answers_at_once(self, tmp_path):
+        from repro.serve import WorkerPool
+
+        pool = WorkerPool(size=1)
+        scheduler = Scheduler(pool, ResultCache(tmp_path / "cache"))
+        stop = threading.Event()
+
+        def dispatcher():
+            while not stop.is_set():
+                scheduler.tick(poll_timeout=30.0)
+
+        thread = threading.Thread(target=dispatcher, daemon=True)
+        thread.start()
+        try:
+            time.sleep(0.3)  # let the dispatcher park in poll()
+            started = time.monotonic()
+            ack = scheduler.submit(TINY.to_dict())
+            frame = scheduler.result(ack["id"], wait_s=25.0)
+            elapsed = time.monotonic() - started
+            assert frame["state"] == DONE and frame["record"]["converged"]
+            # A dispatcher that only looked every 30 s would not be here yet.
+            assert elapsed < 5.0
+        finally:
+            stop.set()
+            pool.wake()
+            thread.join(timeout=10.0)
+            pool.shutdown()
+        assert not thread.is_alive()
+
+    def test_no_wake_is_lost_under_concurrent_submitters(self, tmp_path):
+        # More submitting threads than cores, a short switch interval,
+        # and a dispatcher with no poll ceiling: one lost wake-up would
+        # leave its job queued for good.
+        import sys
+
+        from repro.serve import WorkerPool
+
+        pool = WorkerPool(size=2)
+        scheduler = Scheduler(pool, ResultCache(tmp_path / "cache"))
+        stop = threading.Event()
+
+        def dispatcher():
+            while not stop.is_set():
+                scheduler.tick()
+
+        thread = threading.Thread(target=dispatcher, daemon=True)
+        states = {}
+
+        def submitter(lane):
+            for i in range(6):
+                scenario = TINY.derive(seed=100 * lane + i).to_dict()
+                ack = scheduler.submit(scenario, priority=i % 3)
+                frame = scheduler.result(ack["id"], wait_s=25.0)
+                states[lane, i] = frame["state"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            lanes = [threading.Thread(target=submitter, args=(lane,), daemon=True)
+                     for lane in range(6)]
+            for lane in lanes:
+                lane.start()
+            for lane in lanes:
+                lane.join(timeout=60.0)
+            assert not any(lane.is_alive() for lane in lanes)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            pool.wake()
+            thread.join(timeout=10.0)
+            pool.shutdown()
+        assert not thread.is_alive()
+        assert len(states) == 36 and set(states.values()) == {DONE}
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pipe_hand_off(self, start_method):
+        from repro.serve import WorkerPool
+
+        pool = WorkerPool(size=1, start_method=start_method)
+        try:
+            for job_id in ("a", "b"):  # the pipe is reused job after job
+                assert pool.dispatch(job_id, TINY.to_dict())
+                assert not pool.dispatch("overflow", TINY.to_dict())
+                [(got, kind, record)] = poll_until_event(pool)
+                assert (got, kind) == (job_id, "done")
+                assert record["converged"]
+        finally:
+            pool.shutdown()
+
+    def test_hand_off_to_a_dead_idle_worker_is_a_crash_event(self):
+        from repro.serve import WorkerPool
+
+        pool = WorkerPool(size=1)
+        try:
+            [worker] = pool._workers.values()
+            victim = worker.process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
+            assert pool.dispatch("j1", TINY.to_dict())  # BrokenPipeError inside
+            assert pool.poll(timeout=0) == [
+                ("j1", "crashed", "worker process died while idle")
+            ]
+            assert pool.stats()["respawns"] == 1 and pool.idle_count == 1
+            assert pool.dispatch("j2", TINY.to_dict())
+            [(got, kind, _)] = poll_until_event(pool)
+            assert (got, kind) == ("j2", "done")
+        finally:
+            pool.shutdown()
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_workers_of_a_killed_owner_exit(self, start_method):
+        # EOF on the task pipe is how a worker learns its owner is gone;
+        # it only arrives if the worker holds no writer of that pipe.
+        import subprocess
+        import sys
+
+        owner = subprocess.Popen(
+            [sys.executable, "-c",
+             "import time\n"
+             "from repro.serve import WorkerPool\n"
+             f"pool = WorkerPool(size=2, start_method={start_method!r})\n"
+             "print(*[w.process.pid for w in pool._workers.values()], flush=True)\n"
+             "time.sleep(600)\n"],
+            stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        try:
+            pids = [int(pid) for pid in owner.stdout.readline().split()]
+            assert len(pids) == 2
+        finally:
+            owner.kill()
+            owner.wait()
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return False
+
+        deadline = time.monotonic() + 30.0
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = [pid for pid in pids if running(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert orphans == []
+
+    def test_dead_idle_worker_is_replaced_by_poll(self):
+        from repro.serve import WorkerPool
+
+        pool = WorkerPool(size=1)
+        try:
+            [worker] = pool._workers.values()
+            os.kill(worker.process.pid, signal.SIGKILL)
+            # EOF on its event pipe ends the wait; no job, so no event.
+            assert pool.poll(timeout=30.0) == []
+            assert pool.stats()["respawns"] == 1 and pool.idle_count == 1
+        finally:
+            pool.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# long polls: ``wait_s`` on result/status
+# ---------------------------------------------------------------------------
+
+class Waiter(threading.Thread):
+    """Calls ``fn`` on a thread; ``frame`` is its answer once joined."""
+
+    def __init__(self, fn):
+        super().__init__(daemon=True)
+        self.fn, self.frame = fn, None
+        self.start()
+
+    def run(self):
+        self.frame = self.fn()
+
+    def joined(self, timeout=10.0):
+        self.join(timeout)
+        assert not self.is_alive(), "long poll was not released"
+        return self.frame
+
+
+class TestLongPoll:
+    @pytest.mark.parametrize("wait_s", ["1", -1, -0.5, True, None, float("nan")])
+    def test_bad_wait_s_is_a_bad_frame(self, wait_s):
+        for verb in ("result", "status"):
+            with pytest.raises(ProtocolError) as info:
+                parse_request({"verb": verb, "id": "j000001", "wait_s": wait_s})
+            assert info.value.code == "bad-frame"
+
+    def test_good_wait_s_passes(self):
+        for wait_s in (0, 3, 1.5, float("inf")):
+            frame = parse_request(
+                encode_frame({"verb": "result", "id": "j1", "wait_s": wait_s})
+            )
+            assert frame["wait_s"] == wait_s
+
+    def test_returns_at_settlement(self, tmp_path):
+        scheduler, pool = make_scheduler(tmp_path)
+        ack = scheduler.submit(SCENARIO.to_dict())
+        scheduler.tick()
+        waiter = Waiter(lambda: scheduler.handle(
+            {"verb": "result", "id": ack["id"], "wait_s": 25.0}))
+        status = Waiter(lambda: scheduler.status(ack["id"], wait_s=25.0))
+        time.sleep(0.1)
+        assert waiter.is_alive() and status.is_alive()
+        pool.finish(ack["id"], {"makespan": 4.0})
+        scheduler.tick()
+        frame = waiter.joined()
+        assert frame["state"] == DONE and frame["record"]["makespan"] == 4.0
+        assert status.joined()["state"] == DONE
+
+    def test_failure_releases_too(self, tmp_path):
+        scheduler, pool = make_scheduler(tmp_path)
+        ack = scheduler.submit(SCENARIO.to_dict())
+        scheduler.tick()
+        waiter = Waiter(lambda: scheduler.result(ack["id"], wait_s=25.0))
+        pool.fail(ack["id"], "ValueError: singular matrix")
+        scheduler.tick()
+        assert waiter.joined()["state"] == FAILED
+
+    def test_non_terminal_answer_after_wait_s(self, tmp_path, monkeypatch):
+        scheduler, _ = make_scheduler(tmp_path)
+        ack = scheduler.submit(SCENARIO.to_dict())
+        assert scheduler.result(ack["id"], wait_s=0.05)["state"] == QUEUED
+        # ... and the server's cap wins over whatever was asked.
+        monkeypatch.setattr(daemon_module, "MAX_WAIT_S", 0.05)
+        assert scheduler.status(ack["id"], wait_s=1e9)["state"] == QUEUED
+
+    def test_cancel_releases(self, tmp_path):
+        scheduler, _ = make_scheduler(tmp_path)
+        ack = scheduler.submit(SCENARIO.to_dict())
+        waiter = Waiter(lambda: scheduler.result(ack["id"], wait_s=25.0))
+        time.sleep(0.05)
+        scheduler.cancel(ack["id"])
+        assert waiter.joined()["state"] == CANCELLED
+
+    def test_held_connection_blocks_nobody_and_stop_releases_it(self, tmp_path):
+        scheduler, pool = make_scheduler(tmp_path)
+        pool.blocking = True
+        daemon = ServeDaemon(port=0, scheduler=scheduler)
+        daemon.start()
+        try:
+            with ServeClient(port=daemon.port) as holder, \
+                    ServeClient(port=daemon.port) as other:
+                ack = holder.submit(SCENARIO)  # the stub never finishes it
+                waiter = Waiter(lambda: holder.result(ack["id"], wait_s=25.0))
+                time.sleep(0.1)
+                assert waiter.is_alive()
+                assert other.ping()
+                assert other.status(ack["id"])["state"] in (QUEUED, RUNNING)
+                daemon.stop()
+                assert waiter.joined()["state"] in (QUEUED, RUNNING)
+        finally:
+            daemon.stop()
+
+
+# ---------------------------------------------------------------------------
 # end-to-end daemon over a real socket with real worker processes
 # ---------------------------------------------------------------------------
 
@@ -712,3 +1098,29 @@ class TestDaemonEndToEnd:
         with ServeClient(port=daemon.port) as client:
             assert client.shutdown()["stopping"]
         assert daemon._stopped.wait(timeout=10.0)
+
+    def test_wait_paces_itself_against_a_daemon_without_wait_s(
+        self, daemon, monkeypatch
+    ):
+        # An older daemon ignores the unknown field and answers at once.
+        monkeypatch.setattr(
+            Scheduler, "_await_terminal",
+            lambda self, job_id, wait_s: self._get_job(job_id),
+        )
+        calls = []
+        with ServeClient(port=daemon.port) as client:
+            real_call = client._call
+
+            def counting_call(frame):
+                calls.append(frame["verb"])
+                return real_call(frame)
+
+            client._call = counting_call
+            ack = client.submit(Scenario(
+                problem="sparse_linear", problem_params={"n": 90}, seed=4))
+            started = time.monotonic()
+            frame = client.wait(ack["id"], timeout=60.0, poll=0.05)
+            elapsed = time.monotonic() - started
+        assert frame["state"] == DONE
+        # Paced, not spinning: about one request per ``poll`` interval.
+        assert calls.count("result") <= elapsed / 0.05 + 2
