@@ -14,10 +14,10 @@ Modules
 
 ==============  =====================================================
 ``protocol``    wire frames, verbs, job states, validation errors
-``queue``       ``Job`` + priority queue + the resumability journal
+``queue``       ``Job``, priority queue, journal, the ``WorkQueue`` core
 ``cache``       content-hash-keyed on-disk result store
 ``workers``     the backend worker-process pool (deadline reaping)
-``daemon``      ``Scheduler`` (state machine) + ``ServeDaemon`` (TCP)
+``daemon``      ``Scheduler`` (queue shell) + ``ServeDaemon`` (TCP)
 ``client``      ``ServeClient`` -- submit / status / result / cancel
 ==============  =====================================================
 
@@ -48,7 +48,7 @@ from repro.serve.protocol import (
     TERMINAL_STATES,
     ProtocolError,
 )
-from repro.serve.queue import Job, JobQueue, Journal
+from repro.serve.queue import Job, JobQueue, Journal, WorkQueue
 from repro.serve.workers import WorkerPool
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
     "Job",
     "JobQueue",
     "Journal",
+    "WorkQueue",
     "ProtocolError",
     "wait_for_daemon",
     "QUEUED",

@@ -1,11 +1,13 @@
-"""The scheduler daemon: the service's state machine plus its socket face.
+"""The scheduler daemon: the work queue's socket-facing shell.
 
-:class:`Scheduler` owns the job table, the priority queue, the
-journal, the result cache and the worker pool, and implements every
-protocol verb as a thread-safe method returning a wire frame.  It is
-deliberately separable from the socket layer -- the protocol tests
-drive it directly (with a stub pool), and the TCP server is a thin
-shell around it.
+:class:`Scheduler` puts a lock, wire frames, the id-keyed journal and
+the metrics registry around the shared
+:class:`~repro.serve.queue.WorkQueue` (which owns the job table, the
+priority queue and every admit / dispatch / settle / replay decision)
+and implements every protocol verb as a thread-safe method returning a
+wire frame.  It is deliberately separable from the socket layer -- the
+protocol tests drive it directly (with a stub pool), and the TCP server
+is a thin shell around it.
 
 Lifecycle of a submission::
 
@@ -19,10 +21,11 @@ Lifecycle of a submission::
                        kill worker, retry (bounded) ──► failed   cache.put
 
 Timeouts reuse the repo-wide :class:`~repro.runtime.executor.
-BackendTimeoutError` vocabulary: a reaped attempt is retried until
-``max_attempts`` is exhausted, then the job fails with a
-``BackendTimeoutError:``-prefixed error -- and a backend that raised
-its own timeout subclass inside the worker is treated identically.
+BackendTimeoutError` vocabulary: an attempt the pool cut off at its
+deadline is retried until ``max_attempts`` is exhausted, then the job
+fails with a ``BackendTimeoutError:``-prefixed error -- and a backend
+that raised its own timeout subclass inside the worker is treated
+identically.
 
 :class:`ServeDaemon` listens on a TCP socket, speaks the
 newline-delimited-JSON protocol (:mod:`repro.serve.protocol`), and
@@ -46,18 +49,15 @@ import socketserver
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.api.scenario import Scenario
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.executor import BackendTimeoutError
 from repro.serve.cache import ResultCache
 from repro.serve.protocol import (
-    CANCELLED,
     DONE,
     FAILED,
     MAX_WAIT_S,
-    QUEUED,
     RUNNING,
     ProtocolError,
     encode_frame,
@@ -65,17 +65,17 @@ from repro.serve.protocol import (
     ok_frame,
     parse_request,
 )
-from repro.serve.queue import Job, JobQueue, Journal, replay_events
-from repro.serve.workers import WorkerPool, is_timeout_error
+from repro.serve.queue import Job, Journal, WorkQueue
+from repro.serve.workers import WorkerPool
 
 
 class Scheduler:
-    """Thread-safe protocol state machine over queue, cache, journal, pool.
+    """Thread-safe protocol shell over the work queue, cache, journal, pool.
 
-    ``pool`` may be any object with the :class:`~repro.serve.workers.
-    WorkerPool` dispatch surface (``idle_count``, ``dispatch``,
-    ``poll``, ``wake``, ``reap_expired``, ``kill_job``, ``job_timeout``,
-    ``stats``, ``shutdown``) -- the tests substitute a stub.
+    ``pool`` may be any executor (see :mod:`repro.serve.queue`) that
+    also has ``wake``, ``kill`` and ``stats`` -- the tests substitute a
+    stub.  The backend name its ``stats()`` reports, if any, is what a
+    cached record must have been produced by to answer a submission.
 
     ``pool.wake()`` is always called *after* the scheduler lock is
     released: the woken dispatcher's first act is to take that lock,
@@ -90,32 +90,23 @@ class Scheduler:
         state_dir: Optional[Union[str, Path]] = None,
         max_attempts: int = 2,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.pool = pool
         self.cache = cache
-        self.max_attempts = max_attempts
         self._lock = threading.RLock()
         #: Notified whenever a job turns terminal (and on close); what
         #: ``wait_s`` requests sleep on.
         self._settled = threading.Condition(self._lock)
         self._closed = False
-        self._jobs: Dict[str, Job] = {}
-        self._by_key: Dict[str, str] = {}  # in-flight (queued/running) job per key
-        self._queue = JobQueue()
-        self._next_id = 1
-        self._next_seq = 0
+        #: The work-queue core: job table, priority queue, every admit /
+        #: dispatch / settle / replay decision (touch it under the lock).
+        self.work = WorkQueue(
+            cache,
+            journal=self._log,
+            max_attempts=max_attempts,
+            backend=pool.stats().get("backend"),
+        )
+        self.counters = self.work.counters
         self._started = time.monotonic()
-        self.counters: Dict[str, int] = {
-            "submitted": 0,
-            "completed": 0,
-            "failed": 0,
-            "cancelled": 0,
-            "cache_hits": 0,
-            "coalesced": 0,
-            "retries": 0,
-            "replayed": 0,
-        }
         #: Observability registry: queue/run latency histograms, queue
         #: depth, worker utilization.  Served by the ``metrics`` verb
         #: and folded into ``stats()``.
@@ -128,45 +119,34 @@ class Scheduler:
             state_dir = Path(state_dir)
             state_dir.mkdir(parents=True, exist_ok=True)
             journal_path = state_dir / "journal.ndjson"
-            self._replay(journal_path)
+            # Queue latency for a replayed job measures from *here*:
+            # monotonic readings never cross a process boundary, and
+            # the dead daemon's queueing time is unknowable anyway.
+            for job in self.work.restore(Journal.load(journal_path)):
+                job.submitted_mono = time.monotonic()
             self._journal = Journal(journal_path)
 
-    # ------------------------------------------------------------------
-    # resume
-    # ------------------------------------------------------------------
-    def _replay(self, journal_path: Path) -> None:
-        """Rebuild the job table from a previous daemon's journal."""
-        jobs, next_seq = replay_events(Journal.load(journal_path))
-        for job in jobs.values():
-            if job.state == DONE and job.key not in self.cache:
-                # Terminal on paper but the record is gone (cache wiped
-                # out from under us): the work is lost, run it again.
-                job.state = QUEUED
-            self._jobs[job.id] = job
-            if job.state == QUEUED:
-                # Queue latency for a replayed job measures from *here*:
-                # monotonic readings never cross a process boundary, and
-                # the dead daemon's queueing time is unknowable anyway.
-                job.submitted_mono = time.monotonic()
-                self._queue.push(job)
-                self._by_key[job.key] = job.id
-                self.counters["replayed"] += 1
-        self._next_seq = next_seq
-        if jobs:
-            numeric = [int(j.id[1:]) for j in jobs.values() if j.id[1:].isdigit()]
-            self._next_id = max(numeric, default=0) + 1
-
-    def _log(self, event: Dict[str, Any]) -> None:
-        if self._journal is not None:
-            # Every journal event carries when it happened: wall clock
-            # for operators reading the NDJSON, monotonic for latency
-            # math across events of one daemon process.  Replay ignores
-            # unknown keys, so journals written before these stamps (and
-            # journals written after them, read by older builds) both
-            # keep replaying.
-            event.setdefault("ts", time.time())
-            event.setdefault("mono", round(time.monotonic(), 6))
-            self._journal.append(event)
+    def _log(self, event: str, job: Job) -> None:
+        """Journal one transition in the id-keyed ``journal.ndjson`` form."""
+        if self._journal is None:
+            return
+        entry: Dict[str, Any] = {"event": event, "id": job.id}
+        if event == "submit":
+            entry.update(key=job.key, priority=job.priority, seq=job.seq,
+                         scenario=job.scenario)
+        elif event == DONE and job.cached:
+            entry["cached"] = True
+        elif event == FAILED:
+            entry["error"] = job.error
+        # Every journal event carries when it happened: wall clock
+        # for operators reading the NDJSON, monotonic for latency
+        # math across events of one daemon process.  Replay ignores
+        # unknown keys, so journals written before these stamps (and
+        # journals written after them, read by older builds) both
+        # keep replaying.
+        entry["ts"] = time.time()
+        entry["mono"] = round(time.monotonic(), 6)
+        self._journal.append(entry)
 
     # ------------------------------------------------------------------
     # verbs
@@ -181,69 +161,25 @@ class Scheduler:
         key = ResultCache.key_for(scenario)
         canonical = scenario.to_dict()
         with self._lock:
-            self.counters["submitted"] += 1
-            # 1. Result already on disk: the job is born terminal.
-            record = self.cache.get(key)
+            job, coalesced, record = self.work.admit(key, canonical, priority)
+            ack = ok_frame(
+                id=job.id, state=job.state, key=key,
+                cached=record is not None, coalesced=coalesced,
+            )
             if record is not None:
-                job = self._new_job(canonical, key, priority, state=DONE, cached=True)
-                self._log(
-                    {"event": "submit", "id": job.id, "key": key,
-                     "priority": priority, "seq": job.seq, "scenario": canonical}
-                )
-                self._log({"event": DONE, "id": job.id, "cached": True})
-                self.counters["cache_hits"] += 1
-                self.counters["completed"] += 1
                 # A cache hit never waited: it still counts into the
                 # queue-latency distribution (as ~0) so the histogram
                 # reflects what submitters actually experienced.
                 self.metrics.histogram("queue_latency_s").observe(0.0)
-                return ok_frame(
-                    id=job.id, state=DONE, key=key, cached=True, coalesced=False
-                )
-            # 2. Identical scenario already in flight: ride that job.
-            inflight_id = self._by_key.get(key)
-            if inflight_id is not None:
-                inflight = self._jobs[inflight_id]
-                inflight.coalesced += 1
-                inflight.priority = max(inflight.priority, priority)
-                self.counters["coalesced"] += 1
-                return ok_frame(
-                    id=inflight.id, state=inflight.state, key=key,
-                    cached=False, coalesced=True,
-                )
-            # 3. Fresh work: journal it, queue it.
-            job = self._new_job(canonical, key, priority)
-            self._log(
-                {"event": "submit", "id": job.id, "key": key,
-                 "priority": priority, "seq": job.seq, "scenario": canonical}
-            )
-            self._queue.push(job)
-            self._by_key[key] = job.id
-            self.metrics.gauge("queue_depth").set(len(self._queue))
-            ack = ok_frame(
-                id=job.id, state=QUEUED, key=key, cached=False, coalesced=False
-            )
+            if record is not None or coalesced:
+                return ack  # nothing became dispatchable
+            job.submitted_mono = time.monotonic()
+            self.metrics.gauge("queue_depth").set(len(self.work.queue))
         self.pool.wake()
         return ack
 
-    def _new_job(self, scenario, key, priority, state=QUEUED, cached=False) -> Job:
-        job = Job(
-            id=f"j{self._next_id:06d}",
-            scenario=scenario,
-            key=key,
-            priority=priority,
-            seq=self._next_seq,
-            state=state,
-            cached=cached,
-            submitted_mono=time.monotonic(),
-        )
-        self._next_id += 1
-        self._next_seq += 1
-        self._jobs[job.id] = job
-        return job
-
     def _get_job(self, job_id: str) -> Job:
-        job = self._jobs.get(job_id)
+        job = self.work.jobs.get(job_id)
         if job is None:
             raise ProtocolError(f"unknown job id {job_id!r}", code="unknown-job")
         return job
@@ -280,11 +216,8 @@ class Scheduler:
                 return ok_frame(**job.public_status(), changed=False)
             was_running = job.state == RUNNING
             if was_running:
-                self.pool.kill_job(job.id)
-            job.state = CANCELLED
-            self._by_key.pop(job.key, None)
-            self._log({"event": CANCELLED, "id": job.id})
-            self.counters["cancelled"] += 1
+                self.pool.kill(job.id)
+            self.work.cancel(job)
             self._settled.notify_all()
             frame = ok_frame(**job.public_status(), changed=True)
         if was_running:
@@ -296,12 +229,12 @@ class Scheduler:
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             states: Dict[str, int] = {}
-            for job in self._jobs.values():
+            for job in self.work.jobs.values():
                 states[job.state] = states.get(job.state, 0) + 1
             return ok_frame(
                 uptime_s=round(time.monotonic() - self._started, 3),
                 jobs=states,
-                queued=len(self._queue),
+                queued=len(self.work.queue),
                 counters=dict(self.counters),
                 cache=self.cache.stats(),
                 pool=self.pool.stats(),
@@ -334,7 +267,7 @@ class Scheduler:
     # ------------------------------------------------------------------
     def tick(self, poll_timeout: Optional[float] = None) -> None:
         """One dispatcher turn: dispatch, wait for something to happen,
-        collect, reap.
+        store, settle.
 
         Called in a loop by the daemon's dispatcher thread; also
         callable directly (the tests and any embedded single-thread
@@ -344,89 +277,37 @@ class Scheduler:
         ceiling on it (``None``: none; ``0``: do not block).
         """
         with self._lock:
-            while self.pool.idle_count > 0:
-                job = self._queue.pop()
-                if job is None:
-                    break
-                job.state = RUNNING
-                job.started_mono = time.monotonic()
+            for job in self.work.dispatch(self.pool, time.monotonic()):
                 if job.submitted_mono:
                     # Fresh jobs measure from submission, replayed jobs
-                    # from replay (see _replay); a job without a stamp
+                    # from replay (see __init__); a job without a stamp
                     # is skipped rather than charged a bogus wait.
                     self.metrics.histogram("queue_latency_s").observe(
                         job.started_mono - job.submitted_mono
                     )
-                self.pool.dispatch(job.id, job.scenario)
-            self.metrics.gauge("queue_depth").set(len(self._queue))
+            self.metrics.gauge("queue_depth").set(len(self.work.queue))
         events = self.pool.poll(timeout=poll_timeout)
         self.metrics.counter("dispatcher_wakeups").inc()
         # Records reach the cache *before* the lock is taken: the write
         # is file I/O every concurrent submit/result would otherwise
         # queue behind, and put -> lock -> mark DONE keeps "a DONE job
-        # always has its record".  The unlocked state peek only saves a
-        # write: a record stored for a job cancelled in between is a
-        # correct entry for its key, and _apply_event still ignores it.
-        for job_id, kind, payload in events:
-            job = self._jobs.get(job_id)
-            if kind == "done" and job is not None and job.state == RUNNING:
-                self.cache.put(job.key, payload if isinstance(payload, dict) else {})
+        # always has its record".
+        for event in events:
+            self.work.store(*event)
         with self._lock:
             retries_before = self.counters["retries"]
-            for job_id, kind, payload in events:
-                self._apply_event(job_id, kind, payload)
-            for job_id in self.pool.reap_expired():
-                self._attempt_failed(
-                    job_id,
-                    f"{BackendTimeoutError.__name__}: job exceeded the "
-                    f"{self.pool.job_timeout}s per-attempt deadline",
-                    timed_out=True,
-                )
+            for event in events:
+                job = self.work.settle(*event)
+                if job is None:
+                    continue
+                if job.state == DONE:
+                    self.metrics.histogram("run_latency_s").observe(
+                        time.monotonic() - job.started_mono
+                    )
+                self._settled.notify_all()
             requeued = self.counters["retries"] > retries_before
         if requeued:
             self.pool.wake()
-
-    def _apply_event(self, job_id: str, kind: str, payload: Any) -> None:
-        """Settle one worker event (lock held; a ``done`` event's record
-        is already in the cache, see :meth:`tick`)."""
-        job = self._jobs.get(job_id)
-        if job is None or job.state != RUNNING:
-            return  # cancelled (or otherwise settled) while the worker ran
-        if kind == "done":
-            job.state = DONE
-            self._by_key.pop(job.key, None)
-            self._log({"event": DONE, "id": job.id})
-            self.counters["completed"] += 1
-            if job.started_mono:
-                self.metrics.histogram("run_latency_s").observe(
-                    time.monotonic() - job.started_mono
-                )
-            self._settled.notify_all()
-        elif kind == "failed":
-            error = str(payload)
-            self._attempt_failed(job_id, error, timed_out=is_timeout_error(error))
-        elif kind == "crashed":
-            self._attempt_failed(job_id, f"worker crashed: {payload}", timed_out=True)
-
-    def _attempt_failed(self, job_id: str, error: str, timed_out: bool) -> None:
-        """Settle one failed attempt: bounded retry for timeouts/crashes,
-        immediate failure for deterministic in-job errors."""
-        job = self._jobs.get(job_id)
-        if job is None or job.state != RUNNING:
-            return
-        job.attempts += 1
-        if timed_out and job.attempts < self.max_attempts:
-            job.state = QUEUED
-            job.error = None
-            self._queue.push(job)
-            self.counters["retries"] += 1
-            return
-        job.state = FAILED
-        job.error = error
-        self._by_key.pop(job.key, None)
-        self._log({"event": FAILED, "id": job.id, "error": error})
-        self.counters["failed"] += 1
-        self._settled.notify_all()
 
     # ------------------------------------------------------------------
     # request routing

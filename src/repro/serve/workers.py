@@ -34,11 +34,15 @@ spawn-safety rule as :mod:`repro.runtime.process_hub`.  Workers are
 *not* daemonic: the ``process`` backend spawns one child per rank,
 which daemonic processes may not do.
 
-Timeout policy lives in the caller (the scheduler and the sweep
-executor decide retry vs. fail); this module only enforces deadlines
-mechanically via :meth:`WorkerPool.reap_expired` and exports the
-shared :func:`is_timeout_error` classifier both callers use to
-recognise a :class:`~repro.runtime.executor.BackendTimeoutError`
+The pool speaks the executor protocol of :mod:`repro.serve.queue`
+natively (``capacity`` / ``submit`` / ``poll`` / ``shutdown``, plus
+``wake`` / ``kill`` / ``stats``), so the serve scheduler and the sweep's
+``pool`` placement drive it through the same work queue.  Timeout
+*policy* lives in that queue (retry vs. fail); this module only
+enforces deadlines mechanically -- ``poll`` kills and replaces a worker
+whose attempt outlived ``job_timeout`` and reports a ``timeout`` event
+-- and exports :func:`is_timeout_error`, with which the queue
+recognises a :class:`~repro.runtime.executor.BackendTimeoutError`
 family error that crossed a process boundary as a string.
 """
 
@@ -64,10 +68,9 @@ TIMEOUT_ERROR_PREFIXES = (
 def is_timeout_error(error: str) -> bool:
     """True when a stringified per-job error is a backend timeout.
 
-    Shared vocabulary between the serve scheduler and the sweep
-    executor: timeouts (and worker crashes) are transient and retried
-    with a bounded budget; every other error is deterministic and
-    fails the job immediately.
+    The work queue's retry rule rests on it: timeouts (and worker
+    crashes) are transient and retried with a bounded budget; every
+    other error is deterministic and fails the job immediately.
     """
     return str(error).startswith(TIMEOUT_ERROR_PREFIXES)
 
@@ -185,21 +188,21 @@ class WorkerPool:
     ::
 
         pool = WorkerPool(backend="simulated", size=2, job_timeout=60.0)
-        pool.dispatch("j000001", scenario.to_dict())
+        if pool.capacity:
+            pool.submit("j000001", scenario.to_dict())
         for job_id, kind, payload in pool.poll():
-            ...                      # kind: "done" | "failed" | "crashed"
-        for job_id in pool.reap_expired():
-            ...                      # worker killed + respawned
+            ...          # kind: "done" | "failed" | "timeout" | "crashed"
         pool.shutdown()
 
     ``poll`` also notices a worker that died *without* posting an
-    event (segfault, OOM kill) and surfaces its job as ``crashed``;
-    the dead worker is replaced, so the pool never shrinks.
+    event (segfault, OOM kill) and surfaces its job as ``crashed``,
+    and a job that outlived ``job_timeout`` as ``timeout`` (its worker
+    killed); either way the worker is replaced, so the pool never
+    shrinks.
 
-    One thread drives ``dispatch``/``poll``/``reap_expired``; any
-    thread may call :meth:`wake`, :meth:`kill_job` and :meth:`stats`
-    (the worker table is lock-guarded, and the lock is never held
-    while ``poll`` blocks).
+    One thread drives ``submit``/``poll``; any thread may call
+    :meth:`wake`, :meth:`kill` and :meth:`stats` (the worker table is
+    lock-guarded, and the lock is never held while ``poll`` blocks).
     """
 
     def __init__(
@@ -289,22 +292,16 @@ class WorkerPool:
             self._wake_recv.close()
 
     # ------------------------------------------------------------------
-    # dispatch / completion
+    # submission / completion
     # ------------------------------------------------------------------
     @property
-    def idle_count(self) -> int:
+    def capacity(self) -> int:
+        """Idle workers: how many more jobs :meth:`submit` takes now."""
         with self._lock:
             return sum(1 for worker in self._workers.values() if not worker.busy)
 
-    @property
-    def busy_jobs(self) -> List[str]:
-        with self._lock:
-            return [
-                w.job_id for w in self._workers.values() if w.job_id is not None
-            ]
-
-    def dispatch(self, job_id: str, scenario: Dict[str, Any]) -> bool:
-        """Hand a job to an idle worker; False when all are busy.
+    def submit(self, job_id: str, scenario: Dict[str, Any]) -> None:
+        """Hand a job to an idle worker (``capacity`` says there is one).
 
         A hand-off that finds the idle worker dead (its task pipe is
         broken) still takes the job: the worker is replaced and the job
@@ -322,8 +319,8 @@ class WorkerPool:
                     self._undelivered.append(
                         (job_id, "crashed", "worker process died while idle")
                     )
-                return True
-        return False
+                return
+        raise RuntimeError(f"no idle worker for {job_id!r}: submit past capacity")
 
     def wake(self) -> None:
         """Make a blocked (or the next) :meth:`poll` return at once.
@@ -341,15 +338,16 @@ class WorkerPool:
         """Job events since the last poll: ``(job_id, kind, payload)``.
 
         Blocks until a worker pipe is ready, :meth:`wake` is called or
-        the nearest per-job deadline arrives (so the caller's
-        :meth:`reap_expired` runs on time) -- and no longer than
+        the nearest per-job deadline arrives -- and no longer than
         ``timeout`` when one is given.  Then reads one event from every
         pipe with data.  A worker posts at most one unread event (it
         only gets its next job after the event is consumed), so one
         ``recv`` per ready pipe drains everything.  Events for a job
         the worker no longer owns (it was cancelled or timed out and
         the worker reaped) cannot arrive at all: the reaped worker's
-        pipe died with it.
+        pipe died with it.  Last, every worker still busy past its
+        deadline is killed and respawned and its job reported as a
+        ``timeout`` event.
         """
         with self._lock:
             events, self._undelivered = self._undelivered, []
@@ -368,7 +366,7 @@ class WorkerPool:
                 [*by_conn, self._wake_recv], timeout=timeout
             )
         except (OSError, ValueError):
-            ready = []  # a pipe was closed under us (kill_job, shutdown)
+            ready = []  # a pipe was closed under us (kill, shutdown)
         with self._lock:
             for conn in ready:
                 if conn is self._wake_recv:
@@ -378,7 +376,7 @@ class WorkerPool:
                     continue
                 worker = by_conn[conn]
                 if self._workers.get(worker.id) is not worker:
-                    continue  # replaced (kill_job) while we were waiting
+                    continue  # replaced (kill) while we were waiting
                 try:
                     job_id, kind, payload = conn.recv()
                 except (EOFError, OSError):
@@ -402,24 +400,18 @@ class WorkerPool:
                     events.append(
                         (job_id, "crashed", "worker process died mid-job")
                     )
-        return events
-
-    def reap_expired(self, now: Optional[float] = None) -> List[str]:
-        """Kill workers whose job deadline has passed; respawn each.
-
-        Returns the job ids that were reaped, for the scheduler to
-        retry or fail.
-        """
-        now = time.monotonic() if now is None else now
-        reaped: List[str] = []
-        with self._lock:
+            now = time.monotonic()
             for worker in list(self._workers.values()):
                 if worker.busy and worker.deadline is not None and now > worker.deadline:
-                    reaped.append(worker.job_id)
+                    events.append((
+                        worker.job_id, "timeout",
+                        "BackendTimeoutError: job exceeded the "
+                        f"{self.job_timeout}s per-attempt deadline",
+                    ))
                     self._replace(worker)
-        return reaped
+        return events
 
-    def kill_job(self, job_id: str) -> bool:
+    def kill(self, job_id: str) -> bool:
         """Terminate the worker running ``job_id`` (cancel support).
 
         From a thread other than the polling one, follow with

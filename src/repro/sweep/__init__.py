@@ -3,7 +3,8 @@
 The work-queue successor to the classic :func:`repro.api.sweep` grid
 runner (which now delegates here).  A grid of scenarios is validated
 up front, coalesced into distinct units by ``content_hash + seed``,
-pre-settled against an on-disk cache + journal, and the remainder
+admitted to the work queue it shares with ``repro serve`` (settled
+units come back from the on-disk cache + journal), and the remainder
 pumped through a placement strategy -- in-process (``local``), process
 per shard (``pool``), or a running ``repro serve`` daemon (``serve``)::
 
@@ -20,7 +21,7 @@ See ``docs/sweeping.md`` for the placement vocabulary, the resume
 workflow and the on-disk layout.
 """
 
-from repro.sweep.executor import SweepOutcome, SweepUnit, run_sweep
+from repro.sweep.executor import SweepOutcome, run_sweep
 from repro.sweep.placement import (
     LocalPlacement,
     Placement,
@@ -36,7 +37,6 @@ from repro.sweep.state import SweepState, SweepStateError, plan_fingerprint
 __all__ = [
     "run_sweep",
     "SweepOutcome",
-    "SweepUnit",
     "Placement",
     "PlacementContext",
     "LocalPlacement",

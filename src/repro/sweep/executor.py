@@ -1,7 +1,8 @@
-"""The sharded sweep executor: validate, coalesce, pump, settle.
+"""The sharded sweep executor: the work queue's grid-facing shell.
 
 :func:`run_sweep` turns an iterable of scenarios into one record per
-input index through a placement-agnostic work queue:
+input index through the placement-agnostic
+:class:`~repro.serve.queue.WorkQueue` it shares with ``repro serve``:
 
 1. **Validate** the whole grid up front.  Every item must rebuild into
    a :class:`~repro.api.Scenario` whose registry strings (problem,
@@ -13,16 +14,18 @@ input index through a placement-agnostic work queue:
    points execute once and fan their record out to every requesting
    index (each record keeps its own index's ``scenario`` dict, so
    labels stay honest).
-3. **Pre-settle** against durable state when a ``state_dir`` is given:
-   journaled failures keep their error, journaled completions and
-   fresh cache hits are served from the
-   :class:`~repro.serve.cache.ResultCache` for free -- re-running a
-   finished grid costs nothing, resuming a killed one costs only the
-   units that had not settled.
+3. **Admit** every unit to the queue.  With a ``state_dir``,
+   journaled failures keep their error (they are never admitted), and
+   units whose record reads back from the
+   :class:`~repro.serve.cache.ResultCache` are born settled --
+   re-running a finished grid costs nothing, resuming a killed one
+   costs only the units that had not settled (plus any journaled
+   completion whose cache entry rotted: *repaired*).
 4. **Pump** the remainder through the chosen placement
-   (:mod:`repro.sweep.placement`): fill capacity, poll settlements,
-   retry transient ones (timeout, worker crash) within a bounded
-   per-unit budget, journal every terminal transition.
+   (:mod:`repro.sweep.placement`): the queue fills capacity, the sweep
+   blocks in the placement's ``poll``, the queue retries transient
+   settlements (timeout, worker crash) within a bounded per-unit
+   budget and journals every terminal transition.
 
 The executor is crash-consistent by construction: a unit's record is
 cached *then* journaled *then* reported, so ``run_sweep(...,
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
@@ -42,11 +44,9 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
 from repro.api.backends import Backend, SimulatedBackend
 from repro.api.scenario import Scenario
 from repro.serve.cache import ResultCache
-from repro.sweep.placement import (
-    PlacementContext,
-    RETRYABLE_KINDS,
-    get_placement,
-)
+from repro.serve.protocol import DONE, FAILED
+from repro.serve.queue import WorkQueue
+from repro.sweep.placement import PlacementContext, get_placement
 from repro.sweep.state import SweepState, plan_fingerprint
 
 ScenarioLike = Union[Scenario, Mapping[str, Any]]
@@ -56,19 +56,6 @@ ScenarioLike = Union[Scenario, Mapping[str, Any]]
 SOURCE_EXECUTED = "executed"
 SOURCE_CACHE = "cache"
 SOURCE_RESUMED = "resumed"
-
-
-@dataclass
-class SweepUnit:
-    """One distinct piece of work: a cache key and its grid indices."""
-
-    key: str
-    scenario: Dict[str, Any]
-    indices: List[int] = field(default_factory=list)
-    attempts: int = 0
-    #: Monotonic instant of the latest dispatch (0.0 = never dispatched);
-    #: feeds the ``unit_latency_s`` histogram when the unit settles.
-    dispatched_mono: float = 0.0
 
 
 @dataclass
@@ -126,16 +113,6 @@ def _validate_registries(scenario: Scenario) -> None:
         raise KeyError(
             f"unknown cluster {scenario.cluster!r}; known: {list_clusters()}"
         )
-
-
-def _error_payload(payload: Any) -> Dict[str, str]:
-    """Normalise a placement failure payload to ``error``/``traceback``."""
-    if isinstance(payload, Mapping):
-        out = {"error": str(payload.get("error", "unknown failure"))}
-        if payload.get("traceback"):
-            out["traceback"] = str(payload["traceback"])
-        return out
-    return {"error": str(payload)}
 
 
 def run_sweep(
@@ -245,7 +222,7 @@ def run_sweep(
     invalid: Dict[int, Dict[str, Any]] = {}
     index_keys: Dict[int, str] = {}
     index_scenarios: Dict[int, Dict[str, Any]] = {}
-    units: Dict[str, SweepUnit] = {}
+    units: Dict[str, Dict[str, Any]] = {}  # distinct key -> scenario dict
     for index, spec in enumerate(scenarios):
         counters["items"] = index + 1
         try:
@@ -263,12 +240,10 @@ def run_sweep(
         key = ResultCache.key_for(scenario)
         index_keys[index] = key
         index_scenarios[index] = scenario.to_dict()
-        unit = units.get(key)
-        if unit is None:
-            units[key] = unit = SweepUnit(key=key, scenario=scenario.to_dict())
-        else:
+        if key in units:
             counters["coalesced"] += 1
-        unit.indices.append(index)
+        else:
+            units[key] = index_scenarios[index]
     counters["distinct"] = len(units)
 
     fingerprint = plan_fingerprint(units.keys())
@@ -284,7 +259,7 @@ def run_sweep(
         else None
     )
 
-    # key -> ("done", record) | ("failed", {"error", "traceback"?})
+    # key -> (DONE, record) | (FAILED, {"error", "traceback"?})
     settled: Dict[str, Any] = {}
     from repro.obs.metrics import MetricsRegistry
 
@@ -320,72 +295,47 @@ def run_sweep(
             }
         )
 
-    def _observe_unit(unit: SweepUnit) -> None:
-        if unit.dispatched_mono:
-            metrics.histogram("unit_latency_s").observe(
-                time.monotonic() - unit.dispatched_mono
-            )
+    def settle(key: str, kind: str, payload: Any, source: str) -> None:
+        settled[key] = (kind, payload)
+        if kind == FAILED:
+            counters["failed"] += 1
+        notify(key, kind, source)
 
-    def settle_done(unit: SweepUnit, record: Dict[str, Any], source: str) -> None:
-        if source == SOURCE_EXECUTED and state is not None:
-            state.cache.put(unit.key, record)
-            state.record_done(unit.key)
-        if source == SOURCE_EXECUTED:
-            _observe_unit(unit)
-        settled[unit.key] = ("done", record)
-        notify(unit.key, "done", source)
-
-    def settle_failed(unit: SweepUnit, payload: Any, source: str) -> None:
-        info = _error_payload(payload)
-        counters["failed"] += 1
-        if source == SOURCE_EXECUTED and state is not None:
-            state.record_failed(unit.key, info["error"])
-        if source == SOURCE_EXECUTED:
-            _observe_unit(unit)
-        settled[unit.key] = ("failed", info)
-        notify(unit.key, "failed", source)
+    journaled_done = set(state.done) if state is not None else set()
 
     # ------------------------------------------------------------------
-    # 3. pre-settle from journal + cache
+    # 3. admit: sticky failures, cache-born settlements, the rest queued
     # ------------------------------------------------------------------
-    pending: List[SweepUnit] = []
     try:
-        journaled_done = set(state.done) if state is not None else set()
-        for unit in units.values():
-            if state is None:
-                pending.append(unit)
-                continue
-            if unit.key in state.failed:
+        work = WorkQueue(
+            cache=state.cache if state is not None else None,
+            journal=state.journal if state is not None else None,
+            max_attempts=retries + 1,
+            backend=backend_name,
+            require_solution=include_solution,
+        )
+        for key, scenario_dict in units.items():
+            if state is not None and key in state.failed:
                 counters["resumed"] += 1
-                settle_failed(unit, state.failed[unit.key], SOURCE_RESUMED)
+                settle(key, FAILED, {"error": state.failed[key]}, SOURCE_RESUMED)
                 continue
-            record = state.cache.get_checked(
-                unit.key,
-                require_solution=include_solution,
-                backend=backend_name,
-            )
+            _job, _coalesced, record = work.admit(key, scenario_dict)
             if record is not None:
-                if unit.key in journaled_done:
-                    counters["resumed"] += 1
-                    settle_done(unit, record, SOURCE_RESUMED)
-                else:
-                    counters["cache_hits"] += 1
-                    state.record_done(unit.key)
-                    settle_done(unit, record, SOURCE_CACHE)
-                continue
-            if unit.key in journaled_done:
+                source = SOURCE_RESUMED if key in journaled_done else SOURCE_CACHE
+                counters["resumed" if source == SOURCE_RESUMED else "cache_hits"] += 1
+                settle(key, DONE, record, source)
+            elif key in journaled_done:
                 # Journaled done but the cache entry rotted (evicted,
                 # corrupted, or written without what we need now):
                 # re-execute rather than trust the journal blindly.
                 counters["repaired"] += 1
-            pending.append(unit)
 
         # --------------------------------------------------------------
         # 4. pump the remainder through the placement
         # --------------------------------------------------------------
-        if placement == "pool" and len(pending) <= 1:
-            placement, placement_cls = "local", get_placement("local")
-        if pending:
+        if placement == "pool" and work.in_flight <= 1:
+            placement_cls = get_placement("local")
+        if work.in_flight:
             context = PlacementContext(
                 backend=backend,
                 size=max(1, processes),
@@ -399,29 +349,29 @@ def run_sweep(
             strategy = placement_cls(context)
             strategy.start()
             try:
-                queue = deque(pending)
-                inflight: Dict[str, SweepUnit] = {}
-                while queue or inflight:
-                    while queue and strategy.capacity > 0:
-                        unit = queue.popleft()
-                        unit.attempts += 1
-                        unit.dispatched_mono = time.monotonic()
-                        inflight[unit.key] = unit
-                        strategy.submit(unit.key, unit.scenario)
-                    for key, kind, payload in strategy.poll(timeout=0.05):
-                        unit = inflight.pop(key, None)
-                        if unit is None:
-                            continue  # stale event for a settled unit
-                        if kind == "done":
+                while work.in_flight:
+                    work.dispatch(strategy, time.monotonic())
+                    for event in strategy.poll():
+                        work.store(*event)
+                        job = work.settle(*event)
+                        if job is None:
+                            continue  # re-queued, or stale
+                        metrics.histogram("unit_latency_s").observe(
+                            time.monotonic() - job.started_mono
+                        )
+                        payload = event[2]
+                        if job.state == DONE:
                             counters["executed"] += 1
-                            settle_done(unit, payload, SOURCE_EXECUTED)
-                        elif kind in RETRYABLE_KINDS and unit.attempts <= retries:
-                            counters["retries"] += 1
-                            queue.append(unit)
                         else:
-                            settle_failed(unit, payload, SOURCE_EXECUTED)
+                            trace = payload.get("traceback") if isinstance(
+                                payload, Mapping) else None
+                            payload = {"error": job.error}
+                            if trace:
+                                payload["traceback"] = str(trace)
+                        settle(job.key, job.state, payload, SOURCE_EXECUTED)
             finally:
                 strategy.shutdown()
+        counters["retries"] = work.counters["retries"]
     finally:
         if state is not None:
             state.close()
@@ -435,22 +385,10 @@ def run_sweep(
             records.append(invalid[index])
             continue
         kind, payload = settled[index_keys[index]]
-        if kind == "done":
-            record = dict(payload)
-            record["index"] = index
-            # Coalesced twins share one execution but keep their own
-            # scenario dict, so per-index labels stay honest.
-            record["scenario"] = index_scenarios[index]
-            records.append(record)
-        else:
-            record = {
-                "index": index,
-                "scenario": index_scenarios[index],
-                "error": payload["error"],
-            }
-            if "traceback" in payload:
-                record["traceback"] = payload["traceback"]
-            records.append(record)
+        # Coalesced twins share one execution but keep their own
+        # scenario dict, so per-index labels stay honest.
+        label = {"index": index, "scenario": index_scenarios[index]}
+        records.append({**payload, **label} if kind == DONE else {**label, **payload})
 
     for name, value in counters.items():
         metrics.counter(f"sweep.{name}").inc(value)
@@ -465,4 +403,4 @@ def run_sweep(
     )
 
 
-__all__ = ["run_sweep", "SweepOutcome", "SweepUnit"]
+__all__ = ["run_sweep", "SweepOutcome"]

@@ -1,9 +1,10 @@
 """Pluggable placement strategies for the sweep executor.
 
 A *placement* decides where a sweep unit's scenario actually runs.
-Every strategy speaks one small asynchronous surface -- offer capacity,
-accept submissions, report settlements -- so the executor's work-queue
-loop (:mod:`repro.sweep.executor`) is placement-agnostic:
+Every strategy speaks the executor protocol of :mod:`repro.serve.queue`
+-- offer ``capacity``, ``submit`` units, report settlements from
+``poll`` -- so the work queue under :func:`repro.sweep.run_sweep` is
+placement-agnostic:
 
 * ``local`` -- in-process, one unit at a time.  The daemonic-safe
   path: it works inside pytest workers, other pools, and is the only
@@ -24,10 +25,11 @@ Custom strategies register with :func:`register_placement` and are
 addressable by name from :func:`repro.sweep.run_sweep` and
 ``repro sweep --placement`` (see ``docs/sweeping.md``).
 
-Event vocabulary (``poll`` return rows, ``(key, kind, payload)``):
-``done`` carries the run record; ``failed`` a deterministic error
-(string, or ``{"error", "traceback"}``); ``timeout`` and ``crashed``
-are transient -- the executor retries them within its per-unit budget.
+Event vocabulary (``poll`` return rows, ``(id, kind, payload)``):
+``done`` carries the run record; ``failed`` an in-unit error (string,
+or ``{"error", "traceback"}``); ``timeout`` and ``crashed`` are
+transient -- the work queue retries them (and ``BackendTimeoutError``
+family ``failed`` ones) within its per-unit budget.
 """
 
 from __future__ import annotations
@@ -38,15 +40,13 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Type, Union
 
+from repro.api.scenario import Scenario
 from repro.runtime.executor import BackendTimeoutError
-from repro.serve.workers import WorkerPool, is_timeout_error
+from repro.serve.workers import WorkerPool
 
-#: One settlement: ``(unit key, kind, payload)`` where kind is one of
+#: One settlement: ``(unit id, kind, payload)`` where kind is one of
 #: ``done`` / ``failed`` / ``timeout`` / ``crashed``.
 PlacementEvent = Tuple[str, str, Any]
-
-#: Event kinds the executor treats as transient (retry budget applies).
-RETRYABLE_KINDS = ("timeout", "crashed")
 
 
 @dataclass
@@ -95,7 +95,8 @@ class Placement:
         """Settlements since the last poll.
 
         A placement with units in flight elsewhere blocks until one
-        settles -- but no longer than ``timeout`` when one is given.
+        settles (or a deadline it enforces passes) -- but no longer
+        than ``timeout`` when one is given; the sweep gives none.
         """
         events, self._events = self._events, []
         return events
@@ -144,6 +145,26 @@ def list_placements() -> List[str]:
 # ----------------------------------------------------------------------
 # strategies
 # ----------------------------------------------------------------------
+def _run_unit(
+    backend: Any, key: str, scenario_dict: Dict[str, Any], include_solution: bool
+) -> PlacementEvent:
+    """Run one unit in-process; the settlement event it amounts to."""
+    try:
+        result = backend.run(Scenario.from_dict(scenario_dict))
+        return (key, "done", result.to_record(include_solution=include_solution))
+    except BackendTimeoutError as exc:
+        return (key, "timeout", f"{type(exc).__name__}: {exc}")
+    except Exception as exc:  # noqa: BLE001 - settled per unit
+        return (
+            key,
+            "failed",
+            {
+                "error": f"{type(exc).__name__}: {exc}",
+                "traceback": traceback.format_exc(),
+            },
+        )
+
+
 @register_placement("local")
 class LocalPlacement(Placement):
     """Run units in-process, serially, one settlement per pump turn.
@@ -182,29 +203,9 @@ class LocalPlacement(Placement):
         return 0 if self._events else 1
 
     def submit(self, key: str, scenario_dict: Dict[str, Any]) -> None:
-        from repro.api.scenario import Scenario
-
-        try:
-            result = self._backend.run(Scenario.from_dict(scenario_dict))
-            record = result.to_record(
-                include_solution=self.context.include_solution
-            )
-            self._events.append((key, "done", record))
-        except BackendTimeoutError as exc:
-            self._events.append(
-                (key, "timeout", f"{type(exc).__name__}: {exc}")
-            )
-        except Exception as exc:  # noqa: BLE001 - settled per unit
-            self._events.append(
-                (
-                    key,
-                    "failed",
-                    {
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback.format_exc(),
-                    },
-                )
-            )
+        self._events.append(
+            _run_unit(self._backend, key, scenario_dict, self.context.include_solution)
+        )
 
 
 @register_placement("mega")
@@ -235,7 +236,7 @@ class MegaPlacement(Placement):
     def __init__(self, context: PlacementContext) -> None:
         super().__init__(context)
         self._backend: Any = None
-        self._buffer: List[Tuple[str, Any]] = []
+        self._buffer: List[Tuple[str, Dict[str, Any]]] = []
 
     def start(self) -> None:
         backend = self.context.backend
@@ -259,106 +260,56 @@ class MegaPlacement(Placement):
         return max(0, self.MAX_BATCH - len(self._buffer))
 
     def submit(self, key: str, scenario_dict: Dict[str, Any]) -> None:
-        from repro.api.scenario import Scenario
-
-        self._buffer.append((key, Scenario.from_dict(scenario_dict)))
+        self._buffer.append((key, scenario_dict))
 
     def poll(self, timeout: Optional[float] = None) -> List[PlacementEvent]:
         events = super().poll(timeout)
         if not self._buffer:
             return events
         batch, self._buffer = self._buffer, []
+        include_solution = self.context.include_solution
         try:
-            results = self._backend.run_many([sc for _, sc in batch])
+            results = self._backend.run_many(
+                [Scenario.from_dict(scenario_dict) for _, scenario_dict in batch]
+            )
         except Exception:  # noqa: BLE001 - re-attribute per unit below
             # One poisoned unit fails run_many as a whole (results of
             # the healthy worlds are not recoverable from it), so
             # re-run individually: errors land on the unit that caused
             # them, everyone else still settles ``done``.
-            for key, sc in batch:
-                try:
-                    result = self._backend.run(sc)
-                    events.append((
-                        key, "done",
-                        result.to_record(
-                            include_solution=self.context.include_solution
-                        ),
-                    ))
-                except BackendTimeoutError as exc:
-                    events.append((key, "timeout", f"{type(exc).__name__}: {exc}"))
-                except Exception as exc:  # noqa: BLE001 - settled per unit
-                    events.append((
-                        key, "failed",
-                        {
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "traceback": traceback.format_exc(),
-                        },
-                    ))
-            return events
-        for (key, _sc), result in zip(batch, results):
-            events.append((
-                key, "done",
-                result.to_record(include_solution=self.context.include_solution),
-            ))
-        return events
+            return events + [
+                _run_unit(self._backend, key, scenario_dict, include_solution)
+                for key, scenario_dict in batch
+            ]
+        return events + [
+            (key, "done", result.to_record(include_solution=include_solution))
+            for (key, _), result in zip(batch, results)
+        ]
 
 
 @register_placement("pool")
-class PoolPlacement(Placement):
-    """One shard per worker process via the serve-layer WorkerPool.
+class PoolPlacement(WorkerPool, Placement):
+    """One shard per worker process: the serve layer's WorkerPool, which
+    speaks the placement surface natively, sized from a context (the
+    workers are spawned at construction; ``start`` has nothing to add).
 
     The pool is non-daemonic and parent-controlled: an expired unit's
     worker is killed and respawned (the unit comes back as a
     ``timeout`` event), a worker that dies mid-unit (segfault, OOM
     kill, ``os._exit`` in problem code) surfaces as ``crashed`` --
-    both transient kinds the executor retries with its bounded budget.
+    both transient kinds the work queue retries with its bounded budget.
     """
 
     def __init__(self, context: PlacementContext) -> None:
-        super().__init__(context)
-        self._pool: Optional[WorkerPool] = None
-
-    def start(self) -> None:
-        self._pool = WorkerPool(
-            backend=self.context.backend,
-            size=max(1, self.context.size),
-            job_timeout=self.context.timeout,
-            start_method=self.context.start_method,
-            include_solution=self.context.include_solution,
+        Placement.__init__(self, context)
+        WorkerPool.__init__(
+            self,
+            backend=context.backend,
+            size=max(1, context.size),
+            job_timeout=context.timeout,
+            start_method=context.start_method,
+            include_solution=context.include_solution,
         )
-
-    @property
-    def capacity(self) -> int:
-        return self._pool.idle_count
-
-    def submit(self, key: str, scenario_dict: Dict[str, Any]) -> None:
-        self._pool.dispatch(key, scenario_dict)
-
-    def poll(self, timeout: Optional[float] = None) -> List[PlacementEvent]:
-        events = super().poll(timeout)
-        for key, kind, payload in self._pool.poll(timeout=timeout):
-            if kind == "done":
-                events.append((key, "done", payload))
-            elif kind == "crashed":
-                events.append((key, "crashed", f"worker crashed: {payload}"))
-            elif is_timeout_error(payload):
-                events.append((key, "timeout", str(payload)))
-            else:
-                events.append((key, "failed", str(payload)))
-        for key in self._pool.reap_expired():
-            events.append(
-                (
-                    key,
-                    "timeout",
-                    f"{BackendTimeoutError.__name__}: unit exceeded the "
-                    f"{self.context.timeout}s per-attempt deadline",
-                )
-            )
-        return events
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
 
 
 @register_placement("serve")
@@ -431,9 +382,7 @@ class ServePlacement(Placement):
                 events.append((key, "done", frame.get("record") or {}))
             elif state == FAILED:
                 del self._jobs[key]
-                error = str(frame.get("error", "job failed"))
-                kind = "timeout" if is_timeout_error(error) else "failed"
-                events.append((key, kind, error))
+                events.append((key, "failed", str(frame.get("error", "job failed"))))
             elif state == CANCELLED:
                 del self._jobs[key]
                 events.append((key, "failed", "job cancelled server-side"))
@@ -454,7 +403,6 @@ __all__ = [
     "Placement",
     "PlacementContext",
     "PlacementEvent",
-    "RETRYABLE_KINDS",
     "register_placement",
     "get_placement",
     "list_placements",

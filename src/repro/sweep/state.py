@@ -39,7 +39,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.serve.cache import ResultCache
-from repro.serve.queue import Journal
+from repro.serve.protocol import DONE, FAILED
+from repro.serve.queue import Job, Journal
 
 
 class SweepStateError(RuntimeError):
@@ -68,6 +69,7 @@ class SweepState:
         state.done          # keys settled "done" by a previous run
         state.failed        # key -> journaled error string
         state.record_done(key); state.record_failed(key, error)
+        WorkQueue(cache=state.cache, journal=state.journal, ...)
         state.close()
 
     Without ``resume``, an existing journal for this fingerprint is
@@ -97,15 +99,15 @@ class SweepState:
             os.replace(self.journal_path, self.journal_path.with_suffix(".prev"))
         events = Journal.load(self.journal_path) if resume else []
         plan: Optional[Dict] = None
-        seen_done = set()
+        self._journaled_done = set()
         for event in events:
             kind = event.get("event")
             if kind == "plan":
                 plan = event
             elif kind == "done":
                 key = str(event.get("key", ""))
-                if key and key not in seen_done:
-                    seen_done.add(key)
+                if key and key not in self._journaled_done:
+                    self._journaled_done.add(key)
                     self.done.append(key)
                 self.failed.pop(key, None)
             elif kind == "failed":
@@ -142,6 +144,16 @@ class SweepState:
     def record_failed(self, key: str, error: str) -> None:
         """Journal a unit's terminal failure with its error string."""
         self._journal.append({"event": "failed", "key": key, "error": error})
+
+    def journal(self, event: str, job: Job) -> None:
+        """The work queue's journal callable, in this journal's
+        key-keyed form: acceptance is not an event here (the plan is),
+        and a completion born from the cache is written only if the
+        journal being resumed does not hold it already."""
+        if event == DONE and not (job.cached and job.key in self._journaled_done):
+            self.record_done(job.key)
+        elif event == FAILED:
+            self.record_failed(job.key, job.error)
 
     def close(self) -> None:
         self._journal.close()

@@ -261,13 +261,13 @@ class TestResultCache:
 class StubPool:
     """A hand-cranked worker pool: the test decides when jobs finish."""
 
-    def __init__(self, size=2, job_timeout=60.0):
+    def __init__(self, size=2, job_timeout=60.0, backend=None):
         self.size = size
         self.job_timeout = job_timeout
+        self.backend = backend  # reported by stats() when set, like the real pool
         self.running = {}
         self.killed = []
         self.events = []
-        self.expired = []
         #: One entry per wake(): did the caller hold the scheduler lock?
         self.wakes = []
         self.scheduler = None  # set by make_scheduler
@@ -277,12 +277,11 @@ class StubPool:
         self._woken = threading.Event()
 
     @property
-    def idle_count(self):
+    def capacity(self):
         return self.size - len(self.running)
 
-    def dispatch(self, job_id, scenario):
+    def submit(self, job_id, scenario):
         self.running[job_id] = scenario
-        return True
 
     def wake(self):
         self.wakes.append(self.scheduler._lock._is_owned())
@@ -297,13 +296,7 @@ class StubPool:
             self.running.pop(job_id, None)
         return events
 
-    def reap_expired(self, now=None):
-        expired, self.expired = self.expired, []
-        for job_id in expired:
-            self.running.pop(job_id, None)
-        return expired
-
-    def kill_job(self, job_id):
+    def kill(self, job_id):
         self.killed.append(job_id)
         return self.running.pop(job_id, None) is not None
 
@@ -314,10 +307,17 @@ class StubPool:
         self.events.append((job_id, "failed", error))
 
     def expire(self, job_id):
-        self.expired.append(job_id)
+        self.events.append((
+            job_id, "timeout",
+            f"BackendTimeoutError: job exceeded the {self.job_timeout}s "
+            "per-attempt deadline",
+        ))
 
     def stats(self):
-        return {"workers": self.size, "busy": len(self.running)}
+        stats = {"workers": self.size, "busy": len(self.running)}
+        if self.backend is not None:
+            stats["backend"] = self.backend
+        return stats
 
     def shutdown(self):
         pass
@@ -485,6 +485,42 @@ class TestSchedulerStateMachine:
         fresh = scheduler.submit(SCENARIO.to_dict())
         assert not fresh["coalesced"] and not fresh["cached"]
 
+    def test_record_written_by_another_backend_is_not_served(self, tmp_path):
+        # Regression: the daemon admitted through a bare cache.get(), so a
+        # threaded daemon on a state dir a simulated sweep had filled (the
+        # shared layout docs/sweeping.md describes) answered cached: true
+        # with the simulated record.
+        from repro.sweep import run_sweep
+
+        state_dir = tmp_path / "state"
+        outcome = run_sweep([TINY], state_dir=state_dir)
+        assert outcome.records[0]["backend"] == "simulated"
+        key = ResultCache.key_for(TINY)
+
+        def daemon_on(backend):
+            pool = StubPool(backend=backend)
+            scheduler = Scheduler(
+                pool, ResultCache(state_dir / "cache"), state_dir=state_dir
+            )
+            pool.scheduler = scheduler
+            return scheduler, pool
+
+        scheduler, pool = daemon_on("threaded")
+        ack = scheduler.submit(TINY.to_dict())
+        assert not ack["cached"] and ack["state"] == QUEUED
+        scheduler.tick()
+        assert ack["id"] in pool.running  # dispatched, not answered
+        # The mismatching entry stays put until the new record lands.
+        assert scheduler.cache.get(key)["backend"] == "simulated"
+        pool.finish(ack["id"], {"backend": "threaded", "makespan": 2.0})
+        scheduler.tick()
+        assert scheduler.result(ack["id"])["record"]["backend"] == "threaded"
+        scheduler.close()
+        # ... which a daemon on that backend is served from the cache.
+        again, _ = daemon_on("threaded")
+        assert again.submit(TINY.to_dict())["cached"]
+        again.close()
+
     def test_stats_shape(self, tmp_path):
         scheduler, pool = make_scheduler(tmp_path)
         scheduler.submit(SCENARIO.to_dict())
@@ -562,6 +598,29 @@ class TestJournalReplay:
         revived, _ = make_scheduler(tmp_path)
         assert revived.status(ack["id"])["state"] == QUEUED
         assert revived.counters["replayed"] == 1
+
+    def test_resume_requeues_done_job_whose_cache_entry_is_torn(self, tmp_path):
+        # Regression: replay only asked whether the cache *file* existed,
+        # so a torn entry left the job done with ``record: None`` for the
+        # daemon's lifetime; the sweep's resume re-executed (``repaired``).
+        scheduler, pool = make_scheduler(tmp_path)
+        ack = scheduler.submit(SCENARIO.to_dict())
+        scheduler.tick()
+        pool.finish(ack["id"], {"makespan": 4.0, "converged": True, "reports": []})
+        scheduler.tick()
+        key = scheduler.status(ack["id"])["key"]
+        del scheduler
+        with (tmp_path / "cache" / f"{key}.json").open("r+") as handle:
+            handle.truncate(40)
+
+        revived, pool2 = make_scheduler(tmp_path)
+        assert revived.status(ack["id"])["state"] == QUEUED
+        assert revived.counters["replayed"] == 1
+        revived.tick()
+        assert ack["id"] in pool2.running
+        pool2.finish(ack["id"], {"makespan": 7.0})
+        revived.tick()
+        assert revived.result(ack["id"])["record"]["makespan"] == 7.0
 
     def test_stateless_scheduler_has_no_journal(self, tmp_path):
         scheduler, pool = make_scheduler(tmp_path, state=False)
@@ -660,7 +719,7 @@ class TestSchedulerMetrics:
         metrics = revived.handle({"verb": "metrics"})["metrics"]
         # The replayed job's queue wait is measured from replay, not
         # across the daemon restart: observed, but restart-gap-free
-        # (here: microseconds between _replay and the first tick).
+        # (here: microseconds between the replay and the first tick).
         hist = metrics["histograms"]["queue_latency_s"]
         assert hist["count"] == 1
         assert hist["max"] < 30.0
@@ -858,8 +917,11 @@ class TestEventDrivenPool:
         pool = WorkerPool(size=1, start_method=start_method)
         try:
             for job_id in ("a", "b"):  # the pipe is reused job after job
-                assert pool.dispatch(job_id, TINY.to_dict())
-                assert not pool.dispatch("overflow", TINY.to_dict())
+                assert pool.capacity == 1
+                pool.submit(job_id, TINY.to_dict())
+                assert pool.capacity == 0
+                with pytest.raises(RuntimeError, match="capacity"):
+                    pool.submit("overflow", TINY.to_dict())
                 [(got, kind, record)] = poll_until_event(pool)
                 assert (got, kind) == (job_id, "done")
                 assert record["converged"]
@@ -876,12 +938,12 @@ class TestEventDrivenPool:
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10.0)
             assert not victim.is_alive()
-            assert pool.dispatch("j1", TINY.to_dict())  # BrokenPipeError inside
+            pool.submit("j1", TINY.to_dict())  # BrokenPipeError inside
             assert pool.poll(timeout=0) == [
                 ("j1", "crashed", "worker process died while idle")
             ]
-            assert pool.stats()["respawns"] == 1 and pool.idle_count == 1
-            assert pool.dispatch("j2", TINY.to_dict())
+            assert pool.stats()["respawns"] == 1 and pool.capacity == 1
+            pool.submit("j2", TINY.to_dict())
             [(got, kind, _)] = poll_until_event(pool)
             assert (got, kind) == ("j2", "done")
         finally:
@@ -935,7 +997,7 @@ class TestEventDrivenPool:
             os.kill(worker.process.pid, signal.SIGKILL)
             # EOF on its event pipe ends the wait; no job, so no event.
             assert pool.poll(timeout=30.0) == []
-            assert pool.stats()["respawns"] == 1 and pool.idle_count == 1
+            assert pool.stats()["respawns"] == 1 and pool.capacity == 1
         finally:
             pool.shutdown()
 
