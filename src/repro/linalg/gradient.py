@@ -17,11 +17,11 @@ entries from the last received global vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.linalg.norms import max_norm_diff
+from repro.linalg.norms import max_norm
 from repro.linalg.sparse import MultiDiagonalMatrix
 from repro.linalg.splitting import jacobi_splitting
 
@@ -54,11 +54,19 @@ class FixedStepGradient:
         self.gamma = gamma
         self.diag = jacobi_splitting(matrix).diagonal
 
+    def block(self, lo: int, hi: int, x=None) -> "BlockUpdate":
+        """Prepared in-place update of rows ``[lo, hi)``; build once per rank.
+
+        Its working vector starts as zeros, or as a copy of ``x``.
+        """
+        return BlockUpdate(self, lo, hi, x)
+
     def update_block(self, lo: int, hi: int, x_global: np.ndarray) -> np.ndarray:
-        """New values for rows ``[lo, hi)`` given the current global x."""
-        ax = self.matrix.row_block_matvec(lo, hi, x_global)
-        residual = self.b[lo:hi] - ax
-        return x_global[lo:hi] + self.gamma * residual / self.diag[lo:hi]
+        """New values for rows ``[lo, hi)`` given the current global x.
+
+        One-shot form of :meth:`block`; ``x_global`` is left untouched.
+        """
+        return self.block(lo, hi, x_global).step()[0]
 
     def update_flops(self, lo: int, hi: int) -> float:
         """Analytic flop count of one block update (used for time charging).
@@ -72,6 +80,50 @@ class FixedStepGradient:
         return 2.0 * nnz_rows + 3.0 * (hi - lo)
 
 
+class BlockUpdate:
+    """The update of rows ``[lo, hi)`` iterated in place on its own ``x``.
+
+    Holds the row block's :class:`~repro.linalg.sparse.RowBlockOperator`
+    and the ``b`` / ``diag`` / own-block slices it needs every
+    iteration.  :attr:`x` is the operator's full-length working vector:
+    foreign entries are written into it as they arrive, :meth:`step`
+    advances the own block.
+    """
+
+    def __init__(self, kernel: FixedStepGradient, lo: int, hi: int, x=None) -> None:
+        self.kernel = kernel
+        self.operator = kernel.matrix.row_block(lo, hi, x)
+        self.x = self.operator.x
+        self._own = self.x[lo:hi]
+        self._b = kernel.b[lo:hi]
+        self._diag = kernel.diag[lo:hi]
+        self._gamma = kernel.gamma
+
+    def step(self) -> Tuple[np.ndarray, float]:
+        """Advance the own block once; returns ``(new_block, residual)``.
+
+        ``new_block`` is a fresh array the caller may give away (it is
+        not retained here); ``residual`` is ``||new - old||_inf``
+        (Eq. 6).
+        """
+        # own + gamma * (b - A x) / diag, evaluated left to right in the
+        # product's buffer.
+        step = self.operator.matvec()
+        np.subtract(self._b, step, out=step)
+        step *= self._gamma
+        step /= self._diag
+        new_block = self._own + step
+        np.subtract(new_block, self._own, out=step)
+        self._own[:] = new_block
+        return new_block, max_norm(step)
+
+    def __reduce__(self):
+        # ``x`` and the own-block slice alias the operator's buffer;
+        # plain pickling would hand back three unrelated copies.
+        op = self.operator
+        return (BlockUpdate, (self.kernel, op.lo, op.hi, self.x))
+
+
 def gradient_descent(
     matrix: MultiDiagonalMatrix,
     b: np.ndarray,
@@ -81,22 +133,19 @@ def gradient_descent(
     x0: Optional[np.ndarray] = None,
 ) -> GradientResult:
     """Sequential reference solver for ``A x = b`` (Eq. 4 of the paper)."""
-    kernel = FixedStepGradient(matrix, b, gamma)
-    x = (
-        np.zeros(matrix.n)
-        if x0 is None
-        else np.array(x0, dtype=float, copy=True)
-    )
-    if x.shape != (matrix.n,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({matrix.n},)")
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (matrix.n,):
+            raise ValueError(f"x0 has shape {x0.shape}, expected ({matrix.n},)")
+    block = FixedStepGradient(matrix, b, gamma).block(0, matrix.n, x0)
     residual = float("inf")
     for k in range(1, max_iterations + 1):
-        x_new = kernel.update_block(0, matrix.n, x)
-        residual = max_norm_diff(x_new, x)
-        x = x_new
+        x, residual = block.step()
         if residual < eps:
             return GradientResult(x=x, iterations=k, residual=residual, converged=True)
-    return GradientResult(x=x, iterations=max_iterations, residual=residual, converged=False)
+    return GradientResult(
+        x=block.x.copy(), iterations=max_iterations, residual=residual, converged=False
+    )
 
 
-__all__ = ["FixedStepGradient", "GradientResult", "gradient_descent"]
+__all__ = ["FixedStepGradient", "BlockUpdate", "GradientResult", "gradient_descent"]

@@ -19,12 +19,13 @@ def max_norm(x: np.ndarray) -> float:
     """``||x||_inf``; 0.0 for empty vectors.
 
     Computed as ``max(max(x), -min(x))`` -- two C-level reductions, no
-    ``|x|`` temporary (this runs every solver iteration).
+    ``|x|`` temporary (this runs every solver iteration, so the ufunc
+    reductions are called directly, not through ``np.max``/``np.min``).
     """
     x = np.asarray(x)
     if x.size == 0:
         return 0.0
-    return float(max(np.max(x), -np.min(x)))
+    return float(max(np.maximum.reduce(x, axis=None), -np.minimum.reduce(x, axis=None)))
 
 
 def max_norm_diff(x: np.ndarray, y: np.ndarray) -> float:
@@ -33,11 +34,7 @@ def max_norm_diff(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    if x.size == 0:
-        return 0.0
-    diff = x - y
-    # max |d| == max(max(d), -min(d)): avoids materializing |d|.
-    return float(max(np.max(diff), -np.min(diff)))
+    return max_norm(x - y)
 
 
 def error_weights(y: np.ndarray, rtol: float, atol: float | np.ndarray) -> np.ndarray:

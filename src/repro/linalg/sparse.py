@@ -5,12 +5,12 @@ Two layouts are provided:
 * :class:`MultiDiagonalMatrix` -- the structure used by the paper's
   sparse linear problem ("repartition of non-zero values: 30
   sub-diagonals", Table 1).  Diagonals are stored densely (DIA layout)
-  and the mat-vec is fully vectorised *across diagonals*: a lazily
-  built ``(n_diagonals, n)`` column-index table turns the whole
-  product into one gather + one ``einsum``, with no per-diagonal
-  Python loop (see ``kernel/sparse_matvec`` in :mod:`repro.bench`).
-  Row-block products against a global vector support the row-wise
-  decomposition of Section 4.3.
+  and every product goes through one prepared
+  :class:`RowBlockOperator` per row block (the row-wise decomposition
+  of Section 4.3): the diagonals that meet the block, each read as a
+  contiguous window of a zero-padded ``x``, fused by one ``einsum``
+  with no per-diagonal Python loop (see ``kernel/sparse_matvec`` in
+  :mod:`repro.bench`).
 * :class:`CSRMatrix` -- a general compressed-sparse-row matrix used as
   a fallback and as an independent implementation to cross-check the
   DIA code in tests.
@@ -85,31 +85,6 @@ class MultiDiagonalMatrix:
         self._offset_index: Dict[int, int] = {
             int(k): i for i, k in enumerate(self.offsets)
         }
-        self._col_index: np.ndarray | None = None
-
-    def _column_index(self) -> np.ndarray:
-        """``(n_diagonals, n)`` gather table: row ``i`` of diagonal ``d``
-        reads ``x[i + offsets[d]]``.
-
-        Out-of-matrix positions point at the sentinel slot ``n`` of the
-        zero-padded vector built by :meth:`_padded`, so they gather an
-        exact ``0.0`` -- never an arbitrary ``x`` entry (whose ``inf``
-        or ``NaN`` would otherwise poison the row through ``0 * inf``).
-        Built lazily on the first product so construction-only uses
-        never pay for it.
-        """
-        if self._col_index is None:
-            index = np.arange(self.n)[None, :] + self.offsets[:, None]
-            np.copyto(index, self.n, where=(index < 0) | (index >= self.n))
-            self._col_index = index
-        return self._col_index
-
-    def _padded(self, x: np.ndarray) -> np.ndarray:
-        """``x`` with one trailing ``0.0`` sentinel slot appended."""
-        padded = np.empty(self.n + 1, dtype=float)
-        padded[: self.n] = x
-        padded[self.n] = 0.0
-        return padded
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -147,33 +122,29 @@ class MultiDiagonalMatrix:
     def nnz(self) -> int:
         return int(sum(hi - lo for lo, hi in (self._valid_range(int(k)) for k in self.offsets)))
 
+    def row_block(self, lo: int, hi: int, x=None) -> "RowBlockOperator":
+        """Prepared product ``x -> (A x)[lo:hi]`` for rows ``[lo, hi)``.
+
+        This is the local computation of a processor owning those rows
+        in the row-wise decomposition of Section 4.3; build it once per
+        rank and iterate on its working vector ``.x`` (zeros, or a copy
+        of ``x`` when given).
+        """
+        return RowBlockOperator(self, lo, hi, x)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"vector length {x.shape} != ({self.n},)")
-        if not len(self.offsets):
-            return np.zeros(self.n, dtype=float)
-        # One gather + one fused multiply-sum across all diagonals;
-        # out-of-matrix positions gather the sentinel zero (see
-        # ``_column_index``).
-        return np.einsum("ij,ij->j", self.data, self._padded(x)[self._column_index()])
+        return self.row_block_matvec(0, self.n, x)
 
     def row_block_matvec(self, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
         """``(A x)[lo:hi]`` using the *global* vector ``x``.
 
-        This is the local computation of a processor owning rows
-        ``[lo, hi)`` in the row-wise decomposition of Section 4.3: it
-        only reads the entries of ``x`` its dependency list provides
-        (gathers outside the dependency ranges hit the sentinel zero,
-        never an ``x`` entry).
+        One-shot form of :meth:`row_block`: a fresh operator, ``x``
+        copied into its working vector, one product.
         """
-        x = np.asarray(x, dtype=float)
-        if not 0 <= lo <= hi <= self.n:
-            raise ValueError(f"bad row range [{lo}, {hi})")
-        if hi == lo or not len(self.offsets):
-            return np.zeros(hi - lo, dtype=float)
-        cols = self._column_index()[:, lo:hi]
-        return np.einsum("ij,ij->j", self.data[:, lo:hi], self._padded(x)[cols])
+        return self.row_block(lo, hi, x).matvec()
 
     def column_dependencies(self, lo: int, hi: int) -> List[Tuple[int, int]]:
         """Global column ranges read by rows ``[lo, hi)``, one per diagonal."""
@@ -227,6 +198,69 @@ class MultiDiagonalMatrix:
         if np.any(diag == 0):
             return float("inf")
         return float(np.max(self.offdiagonal_row_sums() / np.abs(diag)))
+
+
+class RowBlockOperator:
+    """``(A x)[lo:hi]`` of a :class:`MultiDiagonalMatrix`, prepared once.
+
+    Only the diagonals that meet rows ``[lo, hi)`` take part: in sorted
+    offset order they are one contiguous slice, kept as the *view*
+    ``matrix.data[d0:d1, lo:hi]`` (later ``set_diagonal`` calls stay
+    visible).  The operator owns a zero-padded working vector whose
+    middle ``n`` entries are :attr:`x` -- callers iterate on ``x`` in
+    place, so no product ever copies or pads it -- and diagonal ``k``
+    reads its operand as the contiguous window ``x[lo+k : hi+k]`` of
+    that buffer: a row memcpy per diagonal instead of an indexed load
+    per element.  Where a window overhangs the matrix it reads the
+    zero padding, never an ``x`` entry outside the block's
+    :meth:`~MultiDiagonalMatrix.column_dependencies` (whose ``inf`` or
+    ``NaN`` would otherwise poison the row through ``0 * inf``).
+
+    The buffer belongs to this operator alone: ranks sharing one matrix
+    each build their own.
+    """
+
+    def __init__(self, matrix: MultiDiagonalMatrix, lo: int, hi: int, x=None) -> None:
+        n = matrix.n
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(f"bad row range [{lo}, {hi})")
+        self.matrix = matrix
+        self.lo = lo
+        self.hi = hi
+        rows = hi - lo
+        offsets = matrix.offsets
+        # Diagonal k holds an entry of some row i in [lo, hi) iff
+        # 0 <= i + k < n, i.e. -(hi - 1) <= k <= n - 1 - lo.
+        d0 = d1 = left = right = 0
+        if rows:
+            d0 = int(offsets.searchsorted(1 - hi, "left"))
+            d1 = int(offsets.searchsorted(n - 1 - lo, "right"))
+        if d1 > d0:
+            # Overhang of the lowest / highest window beyond ``x``.
+            left = max(0, -(lo + int(offsets[d0])))
+            right = max(0, hi + int(offsets[d1 - 1]) - n)
+        buffer = np.zeros(left + n + right, dtype=float)
+        self.x = buffer[left : left + n]
+        if x is not None:
+            self.x[:] = x
+        self._data = matrix.data[d0:d1, lo:hi]
+        # Diagonal k reads x[lo + k : hi + k]: one window start each.
+        self._starts = offsets[d0:d1] + (lo + left)
+        # Every length-``rows`` window of the buffer, as a read-only
+        # strided view (no copy): row ``s`` is ``buffer[s : s + rows]``.
+        self._windows = np.ndarray(
+            (len(buffer) - rows + 1, rows), float, buffer, 0, 2 * buffer.strides
+        )
+        self._windows.flags.writeable = False
+
+    def matvec(self) -> np.ndarray:
+        """``(A x)[lo:hi]`` for the current contents of :attr:`x`."""
+        return np.einsum("ij,ij->j", self._data, self._windows[self._starts])
+
+    def __reduce__(self):
+        # Rebuild instead of pickling the window view, which would be
+        # materialised at (positions x rows) values.
+        return (RowBlockOperator, (self.matrix, self.lo, self.hi, self.x))
 
 
 class CSRMatrix:
@@ -324,4 +358,4 @@ class CSRMatrix:
         )
 
 
-__all__ = ["DiagonalMatrix", "MultiDiagonalMatrix", "CSRMatrix"]
+__all__ = ["DiagonalMatrix", "MultiDiagonalMatrix", "RowBlockOperator", "CSRMatrix"]

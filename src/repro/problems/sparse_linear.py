@@ -131,6 +131,7 @@ class SparseLinearProblem:
         self.x_true = rng.standard_normal(config.n)
         self.b = matrix.matvec(self.x_true)
         self.kernel = FixedStepGradient(matrix, self.b, config.gamma)
+        self._dependencies: Dict[Tuple[Tuple[int, int], ...], Any] = {}
 
     @property
     def n(self) -> int:
@@ -148,6 +149,22 @@ class SparseLinearProblem:
         )
         kwargs.update(overrides)
         return gradient_descent(self.matrix, self.b, **kwargs)
+
+    def block_dependencies(self, partition):
+        """``(providers, receivers)`` maps of ``partition``, computed once.
+
+        Every rank of a run asks for the same maps, so they are
+        memoised per partition (keyed by its bounds) and shared:
+        treat them as read-only.  Rank threads racing on a cold entry
+        each compute it; the results are equal and one of them stays.
+        """
+        key = tuple(partition)
+        deps = self._dependencies.get(key)
+        if deps is None:
+            deps = self._dependencies[key] = block_ranges_dependencies(
+                self.matrix, partition
+            )
+        return deps
 
     def solution_error(self, x: np.ndarray) -> float:
         """Max-norm error against the known true solution."""
@@ -170,9 +187,10 @@ class SparseLinearProblem:
 class SparseLinearLocal(LocalSolver):
     """Per-processor state of the parallel gradient descent.
 
-    Keeps a full-length working copy of ``x`` whose foreign entries are
-    refreshed from received messages; iterates only its own row block
-    (the paper's vertical decomposition, Section 4.3).
+    Keeps a full-length working copy of ``x`` (the working vector of
+    its prepared :class:`~repro.linalg.gradient.BlockUpdate`) whose
+    foreign entries are refreshed from received messages; iterates only
+    its own row block (the paper's vertical decomposition, Section 4.3).
     """
 
     def __init__(
@@ -201,14 +219,20 @@ class SparseLinearLocal(LocalSolver):
                 f"{problem.n} rows); the static decomposition needs "
                 "n >= n_ranks"
             )
-        providers, receivers = block_ranges_dependencies(problem.matrix, self.partition)
+        providers, receivers = problem.block_dependencies(self.partition)
         self._providers = providers[rank]
         self._receivers = receivers[rank]
-        self.x = np.zeros(problem.n)
+        self._block = problem.kernel.block(self.lo, self.hi)
         self._flops_per_iter = problem.kernel.update_flops(self.lo, self.hi)
+        self._size_bytes = BYTES_PER_VALUE * (self.hi - self.lo)
         self.iterations_done = 0
 
     # ------------------------------------------------------------------
+    @property
+    def x(self) -> np.ndarray:
+        """Full-length working copy of the solution vector."""
+        return self._block.x
+
     def providers(self) -> Set[int]:
         return set(self._providers)
 
@@ -217,8 +241,7 @@ class SparseLinearLocal(LocalSolver):
 
     def initial_outgoing(self) -> Dict[int, Tuple[np.ndarray, float]]:
         block = self.x[self.lo : self.hi].copy()
-        size_bytes = BYTES_PER_VALUE * len(block)
-        return {dst: ((self.rank, block), size_bytes) for dst in self._receivers}
+        return dict.fromkeys(self._receivers, ((self.rank, block), self._size_bytes))
 
     def integrate(self, src: int, payload) -> None:
         block_id, values = payload
@@ -231,14 +254,15 @@ class SparseLinearLocal(LocalSolver):
         self.x[lo:hi] = values
 
     def iterate(self) -> LocalIteration:
-        new_block = self.problem.kernel.update_block(self.lo, self.hi, self.x)
-        residual = max_norm_diff(new_block, self.x[self.lo : self.hi])
-        self.x[self.lo : self.hi] = new_block
+        new_block, residual = self._block.step()
         self.iterations_done += 1
-        payload = (self.rank, new_block.copy())
-        size_bytes = BYTES_PER_VALUE * len(new_block)
-        outgoing = {dst: (payload, size_bytes) for dst in self._receivers}
-        return LocalIteration(residual=residual, flops=self._flops_per_iter, outgoing=outgoing)
+        # ``new_block`` is fresh and not retained here: it is the payload.
+        item = ((self.rank, new_block), self._size_bytes)
+        return LocalIteration(
+            residual=residual,
+            flops=self._flops_per_iter,
+            outgoing=dict.fromkeys(self._receivers, item),
+        )
 
     def local_solution(self) -> np.ndarray:
         return self.x[self.lo : self.hi].copy()
@@ -289,12 +313,14 @@ class MigratableSparseLinearLocal(LocalSolver):
             raise ValueError("partition does not match problem/size")
         self.lo, self.hi = partition.bounds(rank)
         self._others = {r for r in range(size) if r != rank}
-        self.x = np.zeros(problem.n)
         self.iterations_done = 0
-        self._refresh_flops()
+        self._reslice(None)
 
     # ------------------------------------------------------------------
-    def _refresh_flops(self) -> None:
+    def _reslice(self, x) -> None:
+        """Prepare the update for the current ``[lo, hi)``, carrying ``x`` over."""
+        self._block = self.problem.kernel.block(self.lo, self.hi, x)
+        self._size_bytes = max(BYTES_PER_VALUE, BYTES_PER_VALUE * self.n_rows)
         if self.hi > self.lo:
             self._flops_per_iter = self.problem.kernel.update_flops(self.lo, self.hi)
         else:
@@ -306,6 +332,11 @@ class MigratableSparseLinearLocal(LocalSolver):
             self._flops_per_iter = (
                 self.problem.kernel.update_flops(0, 1) if n else 3.0
             )
+
+    @property
+    def x(self) -> np.ndarray:
+        """Full-length working copy of the solution vector."""
+        return self._block.x
 
     @property
     def n_rows(self) -> int:
@@ -340,8 +371,7 @@ class MigratableSparseLinearLocal(LocalSolver):
 
     def initial_outgoing(self) -> Dict[int, Tuple[Any, float]]:
         payload = (self.rank, self.lo, self.x[self.lo : self.hi].copy())
-        size_bytes = max(BYTES_PER_VALUE, BYTES_PER_VALUE * self.n_rows)
-        return {dst: (payload, size_bytes) for dst in self._others}
+        return dict.fromkeys(self._others, (payload, self._size_bytes))
 
     def integrate(self, src: int, payload) -> None:
         _, lo, values = payload
@@ -356,19 +386,16 @@ class MigratableSparseLinearLocal(LocalSolver):
 
     def iterate(self) -> LocalIteration:
         if self.hi > self.lo:
-            new_block = self.problem.kernel.update_block(self.lo, self.hi, self.x)
-            residual = max_norm_diff(new_block, self.x[self.lo : self.hi])
-            self.x[self.lo : self.hi] = new_block
-            payload = (self.rank, self.lo, new_block.copy())
+            new_block, residual = self._block.step()
         else:
             # Empty block: trivially stationary, but still heard from.
-            residual = 0.0
-            payload = (self.rank, self.lo, _EMPTY_ROWS)
+            new_block, residual = _EMPTY_ROWS, 0.0
         self.iterations_done += 1
-        size_bytes = max(BYTES_PER_VALUE, BYTES_PER_VALUE * self.n_rows)
-        outgoing = {dst: (payload, size_bytes) for dst in self._others}
+        item = ((self.rank, self.lo, new_block), self._size_bytes)
         return LocalIteration(
-            residual=residual, flops=self._flops_per_iter, outgoing=outgoing
+            residual=residual,
+            flops=self._flops_per_iter,
+            outgoing=dict.fromkeys(self._others, item),
         )
 
     def local_solution(self) -> np.ndarray:
@@ -401,7 +428,7 @@ class MigratableSparseLinearLocal(LocalSolver):
                 f"not rank {to_rank}"
             )
         values = self.x[lo:hi].copy()
-        self._refresh_flops()
+        self._reslice(self.x)
         return lo, hi, values
 
     def take_rows(self, lo: int, hi: int, values) -> None:
@@ -422,8 +449,8 @@ class MigratableSparseLinearLocal(LocalSolver):
                 f"migrated range [{lo}, {hi}) is not adjacent to "
                 f"block [{self.lo}, {self.hi})"
             )
+        self._reslice(self.x)
         self.x[lo:hi] = values
-        self._refresh_flops()
 
 
 _EMPTY_ROWS = np.empty(0)

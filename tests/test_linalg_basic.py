@@ -30,6 +30,14 @@ def test_max_norm_basics():
     assert max_norm(np.array([])) == 0.0
 
 
+def test_max_norm_reduces_over_every_axis_like_np_max():
+    grid = np.array([[1.0, -7.0], [3.0, 2.0]])
+    assert max_norm(grid) == 7.0 == float(np.max(np.abs(grid)))
+    assert max_norm_diff(grid, np.zeros((2, 2))) == 7.0
+    assert max_norm_diff(np.empty((0, 2)), np.empty((0, 2))) == 0.0
+    assert np.isnan(max_norm(np.array([np.nan, 1.0])))
+
+
 def test_max_norm_diff_is_paper_residual():
     x = np.array([1.0, 2.0, 3.0])
     y = np.array([1.5, 2.0, 1.0])

@@ -11,6 +11,7 @@ from repro.clusters import ethernet_wan
 from repro.envs import get_environment
 from repro.linalg.partition import WeightedPartition
 from repro.problems.sparse_linear import (
+    MigratableSparseLinearLocal,
     SparseLinearConfig,
     SparseLinearProblem,
     balanced_local_factory,
@@ -181,3 +182,40 @@ def test_balanced_equalises_per_iteration_compute():
         s._flops_per_iter / speed for s, speed in zip(locals_, speeds)
     ]
     assert max(times) / min(times) < 1.6  # vs 4.0 unbalanced
+
+
+# ----------------------------------------------------------------------
+# row migration rebuilds the prepared row-block update
+# ----------------------------------------------------------------------
+def _fresh_migratable(problem, rank, size, sizes, x):
+    solver = MigratableSparseLinearLocal(
+        problem, rank, size, partition=WeightedPartition.from_sizes(sizes)
+    )
+    solver.x[:] = x
+    return solver
+
+
+def test_migrated_solver_iterates_like_a_fresh_one_on_the_new_range():
+    problem = SparseLinearProblem(
+        SparseLinearConfig(n=90, n_diagonals=8, sign_structure="random")
+    )
+    x = np.random.default_rng(0).standard_normal(problem.n)
+    left = _fresh_migratable(problem, 0, 3, [30, 30, 30], x)
+    mid = _fresh_migratable(problem, 1, 3, [30, 30, 30], x)
+    # mid gives 12 rows to the left, then everything else (empty block).
+    for count, sizes in [(12, [42, 18, 30]), (18, [60, 0, 30])]:
+        lo, hi, values = mid.give_rows(count, to_rank=0)
+        left.take_rows(lo, hi, values)
+        assert left.row_range == (0, sizes[0])
+        assert mid.row_range == (sizes[0], sizes[0] + sizes[1])
+        for moved, rank in ((left, 0), (mid, 1)):
+            assert moved.x.tobytes() == x.tobytes()  # x carried over
+            fresh = _fresh_migratable(problem, rank, 3, sizes, x)
+            for _ in range(3):
+                a, b = moved.iterate(), fresh.iterate()
+                assert a.residual == b.residual and a.flops == b.flops
+                (pa, sa), (pb, sb) = a.outgoing[2], b.outgoing[2]
+                assert pa[:2] == pb[:2] and sa == sb
+                assert pa[2].tobytes() == pb[2].tobytes()
+                assert moved.x.tobytes() == fresh.x.tobytes()
+            moved.x[:] = x

@@ -1,9 +1,12 @@
 """Tests for the sparse linear problem instance (Section 4.1)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.linalg.partition import BlockPartition
+from repro.linalg.partition import BlockPartition, WeightedPartition
+from repro.simgrid.message import Message
 from repro.problems.sparse_linear import (
     PAPER_SPARSE_LINEAR,
     SparseLinearConfig,
@@ -81,6 +84,67 @@ def test_local_iterate_matches_sequential_block():
         assert np.allclose(solver.local_solution(), global_next[lo:hi])
         assert res.flops > 0
         assert res.residual >= 0
+
+
+def test_local_iterate_is_bit_identical_to_the_written_out_update():
+    """The in-place update keeps the operation order of Eq. 4 as it was
+    always evaluated: x + (gamma * (b - A x)) / d, residual max|new - x|."""
+    p = SparseLinearProblem(SparseLinearConfig(n=130, gamma=0.9, sign_structure="random"))
+    local = p.make_local(1, 3)
+    local.x[:] = np.random.default_rng(0).standard_normal(p.n)
+    for _ in range(3):
+        x = local.x.copy()
+        own = x[local.lo : local.hi]
+        ax = p.matrix.row_block_matvec(local.lo, local.hi, x)
+        residual = p.b[local.lo : local.hi] - ax
+        expected = own + p.config.gamma * residual / p.kernel.diag[local.lo : local.hi]
+        res = local.iterate()
+        (_, sent), _ = next(iter(res.outgoing.values()))
+        assert sent.tobytes() == expected.tobytes() == local.local_solution().tobytes()
+        assert res.residual == float(np.max(np.abs(expected - own)))
+        assert np.array_equal(local.x[: local.lo], x[: local.lo])
+        assert np.array_equal(local.x[local.hi :], x[local.hi :])
+
+
+def test_dependency_maps_are_computed_once_per_partition():
+    p = SparseLinearProblem(SparseLinearConfig(n=240))
+    maps = p.block_dependencies(BlockPartition(p.n, 4))
+    assert p.block_dependencies(BlockPartition(p.n, 4)) is maps
+    assert p.block_dependencies(WeightedPartition(p.n, [1, 1, 1, 1])) is maps
+    assert p.block_dependencies(BlockPartition(p.n, 3)) is not maps
+    assert p.block_dependencies(WeightedPartition(p.n, [3, 1, 1, 1])) is not maps
+    # Solvers hand out fresh sets: mutating one must not reach the shared maps.
+    local = p.make_local(1, 4)
+    expected = set(maps[0][1])
+    local.providers().clear()
+    local.receivers().clear()
+    assert local.providers() == expected == p.make_local(1, 4).providers()
+
+
+def test_solver_and_message_payload_round_trip_through_pickle():
+    p = SparseLinearProblem(SparseLinearConfig(n=3000, sign_structure="random"))
+    local = p.make_local(1, 3)
+    local.x[:] = np.random.default_rng(1).standard_normal(p.n)
+    res = local.iterate()
+    payload, size = next(iter(res.outgoing.values()))
+    wire = pickle.dumps(Message(src=1, dst=0, tag="data", payload=payload, size=size))
+    # The block's 1000 values, not a view dragging a padded buffer along.
+    assert len(wire) < 8 * 1000 + 1000
+    assert np.array_equal(pickle.loads(wire).payload[1], payload[1])
+
+    blob = pickle.dumps(local)
+    # Matrix + b + x_true + x ..., never the (positions x rows) window view.
+    assert len(blob) < 8 * (p.matrix.data.size + 8 * p.n)
+    clone = pickle.loads(blob)
+    assert clone.iterations_done == 1
+    assert clone.x.tobytes() == local.x.tobytes()
+    # The clone's x, own block and operator are wired together again.
+    clone.integrate(0, (0, np.full(1000, 0.5)))
+    local.integrate(0, (0, np.full(1000, 0.5)))
+    a, b = clone.iterate(), local.iterate()
+    assert a.residual == b.residual
+    assert clone.local_solution().tobytes() == local.local_solution().tobytes()
+    assert clone.x.tobytes() == local.x.tobytes()
 
 
 def test_local_integrate_updates_foreign_entries():

@@ -1,5 +1,9 @@
 """Tests for the sparse matrix layouts (DIA and CSR cross-checks)."""
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +129,148 @@ def test_multidiag_matvec_dense_property(n, seed):
         m.set_diagonal(off, rng.standard_normal(hi - lo))
     x = rng.standard_normal(n)
     assert np.allclose(m.matvec(x), m.to_dense() @ x, atol=1e-10)
+
+
+# ----------------------------------------------------------------------
+# RowBlockOperator (the prepared row-block product)
+# ----------------------------------------------------------------------
+def _gather_oracle(m, lo, hi, x):
+    """The pre-operator formula, kept as the bit-for-bit reference: gather
+    *every* diagonal of a sentinel-padded ``x`` through an index table
+    (out-of-matrix positions read the trailing 0.0), then one einsum."""
+    index = np.arange(m.n)[None, :] + m.offsets[:, None]
+    np.copyto(index, m.n, where=(index < 0) | (index >= m.n))
+    padded = np.append(np.asarray(x, dtype=float), 0.0)
+    if hi == lo or not len(m.offsets):
+        return np.zeros(hi - lo)
+    return np.einsum("ij,ij->j", m.data[:, lo:hi], padded[index[:, lo:hi]])
+
+
+@st.composite
+def _matrix_and_block(draw):
+    n = draw(st.integers(1, 24))
+    # Extremes first: |k| = n-1 overhangs by a whole block on each side.
+    candidates = [n - 1, -(n - 1)] + list(range(-(n - 2), n - 1))
+    offsets = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=7))
+    seed = draw(st.integers(0, 2**16))
+    lo = draw(st.integers(0, n))
+    hi = draw(st.sampled_from([lo, min(n, lo + 1), n]) | st.integers(lo, n))
+    if draw(st.booleans()):
+        lo, hi = 0, n
+    rng = np.random.default_rng(seed)
+    m = MultiDiagonalMatrix(n, offsets)
+    for off in offsets:
+        vlo, vhi = max(0, -off), min(n, n - off)
+        m.set_diagonal(off, rng.standard_normal(vhi - vlo))
+    return m, lo, hi, rng.standard_normal(n)
+
+
+@given(case=_matrix_and_block())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_row_block_operator_matches_dense_and_gather_oracle(case):
+    m, lo, hi, x = case
+    block = m.row_block(lo, hi)
+    block.x[:] = x
+    prepared, one_shot = block.matvec(), m.row_block_matvec(lo, hi, x)
+    oracle = _gather_oracle(m, lo, hi, x)
+    assert prepared.shape == (hi - lo,)
+    assert prepared.tobytes() == one_shot.tobytes() == oracle.tobytes()
+    assert np.allclose(prepared, (m.to_dense() @ x)[lo:hi], atol=1e-12)
+    if (lo, hi) == (0, m.n):
+        assert m.matvec(x).tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
+def test_row_block_never_reads_outside_its_column_dependencies(poison):
+    # Windows of the kept diagonals overhang both ends of x, and some
+    # diagonals miss the block entirely: neither may leak a foreign
+    # entry into the rows through 0 * inf.
+    m = _random_multidiag(n=20, offsets=(-19, -12, -3, 0, 4, 9, 19))
+    x = np.random.default_rng(3).standard_normal(m.n)
+    for lo, hi in [(0, 4), (6, 11), (10, 11), (15, 20), (0, 20)]:
+        needed = np.zeros(m.n, dtype=bool)
+        for clo, chi in m.column_dependencies(lo, hi):
+            needed[clo:chi] = True
+        poisoned = np.where(needed, x, poison)
+        expected = (m.to_dense() @ np.where(needed, x, 0.0))[lo:hi]
+        block = m.row_block(lo, hi)
+        block.x[:] = poisoned
+        for got in (block.matvec(), m.row_block_matvec(lo, hi, poisoned)):
+            assert np.all(np.isfinite(got))
+            assert np.allclose(got, expected)
+
+
+def test_row_block_sees_set_diagonal_made_after_it_was_built():
+    m = _random_multidiag()
+    x = np.random.default_rng(4).standard_normal(m.n)
+    block = m.row_block(5, 13)
+    block.x[:] = x
+    before = block.matvec()
+    m.set_diagonal(3, 2.5)
+    after = block.matvec()
+    assert not np.array_equal(before, after)
+    assert np.allclose(after, (m.to_dense() @ x)[5:13])
+
+
+def test_row_block_validation_and_edges():
+    m = _random_multidiag()
+    for lo, hi in [(-1, 3), (3, 2), (0, 21)]:
+        with pytest.raises(ValueError):
+            m.row_block(lo, hi)
+    with pytest.raises(ValueError):
+        m.row_block_matvec(0, 5, np.zeros(m.n + 1))
+    assert m.row_block(7, 7).matvec().shape == (0,)
+    assert m.row_block(0, m.n).x.shape == (m.n,)
+    empty = MultiDiagonalMatrix(4, ())
+    assert np.array_equal(empty.matvec(np.ones(4)), np.zeros(4))
+
+
+def test_row_block_operators_of_one_shared_matrix_run_concurrently():
+    # Four rank threads (more than this host's cores), one matrix, an
+    # operator each: nothing on the matrix may be a shared buffer.
+    m = _random_multidiag(n=400, offsets=(-399, -130, -7, 0, 5, 90, 250), seed=5)
+    x = np.random.default_rng(6).standard_normal(m.n)
+    ranges = [(0, 100), (100, 200), (200, 300), (300, 400)]
+    serial = [m.row_block_matvec(lo, hi, x).tobytes() for lo, hi in ranges]
+    mismatches, finished = [], []
+    start = threading.Barrier(len(ranges), timeout=30)
+
+    def rank(i):
+        block = m.row_block(*ranges[i])
+        block.x[:] = x
+        start.wait()
+        for _ in range(200):
+            if block.matvec().tobytes() != serial[i]:
+                mismatches.append(i)
+            if m.row_block_matvec(*ranges[i], x).tobytes() != serial[i]:
+                mismatches.append(i)
+        finished.append(i)
+
+    threads = [threading.Thread(target=rank, args=(i,)) for i in range(len(ranges))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(finished) == [0, 1, 2, 3]
+    assert not mismatches
+
+
+def test_row_block_pickles_without_the_window_view():
+    m = _random_multidiag(n=2000, offsets=(-1999, -600, 0, 700, 1999), seed=7)
+    block = m.row_block(500, 1500)
+    block.x[:] = np.random.default_rng(8).standard_normal(m.n)
+    blob = pickle.dumps(block)
+    # matrix data + x, not (positions x rows) window values (~16 MB).
+    assert len(blob) < 8 * (m.data.size + 2 * m.n)
+    clone = pickle.loads(blob)
+    assert clone.matvec().tobytes() == block.matvec().tobytes()
+    clone.x[:] = 0.0  # still wired to its own buffer
+    assert not clone.matvec().any()
 
 
 # ----------------------------------------------------------------------
