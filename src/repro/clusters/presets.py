@@ -4,10 +4,10 @@ Each site is modelled as a switched LAN: one shared LAN link per site
 (carrying both intra-site traffic and the local legs of inter-site
 traffic) plus a pair of simplex uplink/downlink WAN links per site.
 Intra-site routes use the LAN link; inter-site routes go
-LAN -> uplink(src site) -> downlink(dst site) -> LAN, store-and-forward
-with FIFO contention on every hop -- slow uplinks therefore serialise
-the all-to-all exchanges exactly the way the paper's 10 Mb / ADSL links
-did.
+LAN -> uplink(src site) -> downlink(dst site) -> LAN, cut-through (the
+latencies add up once, at delivery) with FIFO contention on every hop
+-- slow uplinks therefore serialise the all-to-all exchanges exactly
+the way the paper's 10 Mb / ADSL links did.
 """
 
 from __future__ import annotations

@@ -137,9 +137,7 @@ class ComputeBatcher:
         self.stats["parked"] += 1
         if not self._flush_scheduled:
             self._flush_scheduled = True
-            self.world.engine.at(
-                self.world.engine.now, self._tick, label="iterate-flush"
-            )
+            self.world.engine.post_at(self.world.engine.now, self._tick)
 
     def take(self) -> List[_Entry]:
         """Remove and return the ready batch (coordinator use)."""

@@ -16,17 +16,25 @@ implements exactly that machinery:
   job queue in FIFO (fair scheduler, e.g. Marcel) or LIFO (unfair)
   order; :class:`OnDemandPool` simulates thread-per-message creation;
 * :class:`Transport` drives a message through: sending-thread occupancy
-  (software overhead + occupancy of the first link, as with blocking
-  sockets), FIFO store-and-forward traversal of the route, then the
+  (software overhead, then the serialisation of the message along the
+  route, as with blocking sockets), *cut-through* traversal of the
+  route (each hop's serialisation chains FIFO onto the next link and
+  the route's total latency is added once, at delivery), then the
   receive path, after which the message becomes *visible* in the
   destination :class:`Mailbox`.
+
+One message costs four engine events -- software done, sender
+released, arrival, visible -- all of them methods of the message's
+:class:`_Flight` or of the pools, none a per-message closure (see "The
+simulator's event path" in ``DESIGN.md``).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, replace
+from heapq import heappop, heappush
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.simgrid.effects import SendHandle
@@ -77,96 +85,81 @@ class CommPolicy:
 # ----------------------------------------------------------------------
 # thread pools
 # ----------------------------------------------------------------------
-class ThreadPoolModel:
+class _ServiceThreads:
+    """The jobs in service on one pool's threads.
+
+    A job is ``on_done(now)`` plus the time its thread is finished with
+    it.  Every job's engine event is the same bound method,
+    :meth:`_finish`, which takes the earliest ``(finish time, start
+    order)`` off a heap -- the key the engine orders the events by, so
+    the job popped is the one whose event is firing.
+    """
+
+    def __init__(self, engine: Engine) -> None:
+        self.engine = engine
+        self._running: List[Tuple[float, int, Callable[[float], None]]] = []
+        self._order = itertools.count()
+
+    def _occupy(self, finish_time: float, on_done: Callable[[float], None]) -> None:
+        heappush(self._running, (finish_time, next(self._order), on_done))
+        self.engine.post_at(finish_time, self._finish)
+
+    def _finish(self) -> None:
+        heappop(self._running)[2](self.engine.now)
+
+    # A sending thread stays occupied once the software overhead is
+    # paid, until the message has cleared the links (blocking-socket
+    # behaviour): the link wait is only known at that instant, so it is
+    # chained from ``on_done`` via :meth:`hold`.
+    def hold(self, delay: float, on_release: Callable[[float], None]) -> None:
+        """Keep the calling thread busy for ``delay`` more seconds."""
+        self._occupy(self.engine.now + delay, on_release)
+
+
+class ThreadPoolModel(_ServiceThreads):
     """A fixed-size pool of service threads.
 
-    Jobs are ``(duration, on_start, on_done)``.  With a fair scheduler
-    jobs are served FIFO; with an unfair one LIFO, which starves old
-    jobs exactly as the paper warns in Section 6 ("it is possible to
-    have always the same threads working and the same other ones which
-    are never activated").
+    Jobs are ``(duration, on_done)``.  With a fair scheduler jobs are
+    served FIFO; with an unfair one LIFO, which starves old jobs
+    exactly as the paper warns in Section 6 ("it is possible to have
+    always the same threads working and the same other ones which are
+    never activated").
     """
 
     def __init__(self, engine: Engine, size: int, fair: bool = True) -> None:
         if size < 1:
             raise ValueError("pool size must be >= 1")
-        self.engine = engine
+        super().__init__(engine)
         self.size = size
         self.fair = fair
-        self._busy = 0
-        self._queue: Deque[Tuple[float, Callable[[float], None], Callable[[float], None]]] = deque()
-        self.jobs_served = 0
-        self.max_queue_len = 0
+        self._queue: Deque[Tuple[float, Callable[[float], None]]] = deque()
 
-    def submit(
-        self,
-        duration: float,
-        on_done: Callable[[float], None],
-        on_start: Optional[Callable[[float], None]] = None,
-    ) -> None:
-        self._queue.append((duration, on_start or (lambda t: None), on_done))
-        self.max_queue_len = max(self.max_queue_len, len(self._queue))
-        self._try_dispatch()
+    def submit(self, duration: float, on_done: Callable[[float], None]) -> None:
+        if self._queue or len(self._running) >= self.size:
+            self._queue.append((duration, on_done))  # until a thread is free
+        else:
+            self._occupy(self.engine.now + duration, on_done)
 
-    def _try_dispatch(self) -> None:
-        while self._busy < self.size and self._queue:
-            if self.fair:
-                duration, on_start, on_done = self._queue.popleft()
-            else:
-                duration, on_start, on_done = self._queue.pop()
-            self._busy += 1
-            self.jobs_served += 1
-            on_start(self.engine.now)
-            self.engine.after(duration, self._make_finish(on_done), label="pool-job")
-
-    def _make_finish(self, on_done: Callable[[float], None]) -> Callable[[], None]:
-        def finish() -> None:
-            self._busy -= 1
-            on_done(self.engine.now)
-            self._try_dispatch()
-
-        return finish
-
-    # A sending thread sometimes needs to extend its occupancy once the
-    # link start time is known (blocking-socket behaviour): the job is
-    # submitted with the software-overhead duration and the link wait is
-    # chained from ``on_done`` via :meth:`hold`.
-    def hold(self, until_delay: float, on_release: Callable[[float], None]) -> None:
-        """Keep the calling thread busy for ``until_delay`` more seconds."""
-        self._busy += 1
-        self.engine.after(until_delay, self._make_finish(on_release), label="pool-hold")
+    def _finish(self) -> None:
+        heappop(self._running)[2](self.engine.now)  # as the base class, inline
+        queue = self._queue
+        while queue and len(self._running) < self.size:
+            duration, on_done = queue.popleft() if self.fair else queue.pop()
+            self._occupy(self.engine.now + duration, on_done)
 
 
-class OnDemandPool:
+class OnDemandPool(_ServiceThreads):
     """Thread-per-message model: unlimited concurrency, spawn cost."""
 
     def __init__(self, engine: Engine, spawn_cost: float) -> None:
-        self.engine = engine
+        super().__init__(engine)
         self.spawn_cost = spawn_cost
-        self.jobs_served = 0
         self.peak_concurrency = 0
-        self._live = 0
 
-    def submit(
-        self,
-        duration: float,
-        on_done: Callable[[float], None],
-        on_start: Optional[Callable[[float], None]] = None,
-    ) -> None:
-        self._live += 1
-        self.peak_concurrency = max(self.peak_concurrency, self._live)
-        self.jobs_served += 1
-        start_cb = on_start or (lambda t: None)
-
-        def run() -> None:
-            start_cb(self.engine.now)
-            self.engine.after(duration, finish, label="ondemand-job")
-
-        def finish() -> None:
-            self._live -= 1
-            on_done(self.engine.now)
-
-        self.engine.after(self.spawn_cost, run, label="ondemand-spawn")
+    def submit(self, duration: float, on_done: Callable[[float], None]) -> None:
+        # One event per job: the thread is spawned, then serves.
+        self._occupy((self.engine.now + self.spawn_cost) + duration, on_done)
+        self.peak_concurrency = max(self.peak_concurrency, len(self._running))
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +199,81 @@ class Mailbox:
 
     def clear_waiter(self) -> None:
         self._waiter = None
+
+
+# ----------------------------------------------------------------------
+# one message in flight
+# ----------------------------------------------------------------------
+class _Flight:
+    """One message on its way through the :class:`Transport`.
+
+    The per-message state lives here once, and the stage callbacks are
+    its bound methods: :meth:`software_done` (sending thread paid the
+    software overhead) -> ``handle.release_sender`` (thread and links
+    cleared) -> :meth:`arrive` (last byte at the destination host) ->
+    :meth:`visible` (receive path done).
+    """
+
+    __slots__ = ("transport", "message", "handle", "route", "decision")
+
+    def __init__(self, transport, message, handle, route, decision) -> None:
+        self.transport = transport
+        self.message = message
+        self.handle = handle
+        self.route = route
+        self.decision = decision
+
+    def software_done(self, now: float) -> None:
+        # Traverse the route cut-through, reserving the links *now*
+        # (not at send(): the thread may have queued behind other
+        # messages): each hop's serialisation chains FIFO onto the
+        # next, and the total propagation latency is added once at the
+        # end.  TCP backpressure keeps the sending thread busy until
+        # the message has cleared the bottleneck (the whole
+        # serialisation chain): with a single sending thread this
+        # serialises a processor's outgoing messages head-of-line --
+        # the very effect Table 4's thread counts are about.
+        message = self.message
+        route = self.route
+        t = now
+        for link in route.links:
+            t = link.reserve(t, message.size)[1]
+        arrival = t + route.latency
+        decision = self.decision
+        if decision is not None and decision.extra_delay > 0.0:
+            arrival += decision.extra_delay
+        transport = self.transport
+        if t > now:
+            transport._send_pools[message.src].hold(t - now, self.handle.release_sender)
+        else:
+            self.handle.release_sender(now)
+        # Delivery (and hence the skip-send gate) happens when the
+        # last byte reaches the destination host.
+        transport.engine.post_at(arrival, self.arrive)
+
+    def arrive(self) -> None:
+        # The handle always completes -- the skip-send gate must reopen
+        # even for a message the fault plan destroys, exactly as a real
+        # sender never learns that an unacknowledged datagram died.
+        self.handle.complete(self.transport.engine.now)
+        decision = self.decision
+        if decision is not None and decision.drop:
+            return  # lost in the network: no receive path, no mailbox
+        self.receive()
+        if decision is not None and decision.duplicate:
+            _Flight(self.transport, self.message.clone(), None, None, None).receive()
+
+    def receive(self) -> None:
+        """Message reached the destination NIC: run the receive path."""
+        transport = self.transport
+        message = self.message
+        transport._recv_pools[message.dst].submit(
+            transport.policy.recv_sw_time(message.size), self.visible
+        )
+
+    def visible(self, now: float) -> None:
+        self.message.delivered_at = now
+        self.transport.mailboxes[self.message.dst].deposit(self.message)
 
 
 # ----------------------------------------------------------------------
@@ -250,9 +318,9 @@ class Transport:
         """Submit a message to the sender-side machinery.
 
         The sending thread is occupied for the software overhead plus
-        the serialisation of the message onto the first link of the
-        route (blocking-socket behaviour).  Once the last byte reaches
-        the destination host, the receive path starts; when *that*
+        the serialisation of the message along the route
+        (blocking-socket behaviour).  Once the last byte reaches the
+        destination host, the receive path starts; when *that*
         completes the message becomes visible in the mailbox.
         """
         rank_to_host = self.rank_to_host
@@ -260,76 +328,16 @@ class Transport:
             raise KeyError(f"unknown destination rank {message.dst}")
         self.messages_sent += 1
         self.bytes_sent += message.size
-        engine = self.engine
-        message.sent_at = engine.now
+        now = self.engine.now
+        message.sent_at = now
         route = self.network.route(
             rank_to_host[message.src], rank_to_host[message.dst]
         )
-        pool = self._send_pools[message.src]
-        sw_time = self.policy.send_sw_time(message.size)
-        decision = (
-            self.faults.on_send(message, engine.now)
-            if self.faults is not None else None
+        decision = self.faults.on_send(message, now) if self.faults is not None else None
+        flight = _Flight(self, message, handle, route, decision)
+        self._send_pools[message.src].submit(
+            self.policy.send_sw_time(message.size), flight.software_done
         )
-
-        def after_software(now: float) -> None:
-            # Traverse the route cut-through: each hop's serialisation
-            # chains FIFO onto the next, and the total propagation
-            # latency is added once at the end.  TCP backpressure keeps
-            # the sending thread busy until the message has cleared the
-            # bottleneck (the whole serialisation chain): with a single
-            # sending thread this serialises a processor's outgoing
-            # messages head-of-line -- the very effect Table 4's thread
-            # counts are about.
-            t = now
-            for link in route.links:
-                start, end = link.reserve(t, message.size)
-                t = end
-            arrival = t + route.latency
-            if decision is not None and decision.extra_delay > 0.0:
-                arrival += decision.extra_delay
-            hold = max(0.0, t - now)
-            if hold > 0:
-                pool_hold(hold)
-            else:
-                handle.release_sender(now)
-            # Delivery (and hence the skip-send gate) happens when the
-            # last byte reaches the destination host.
-            engine.at(
-                arrival,
-                partial(self._deliver, message, handle, decision),
-                label="arrive",
-            )
-
-        def pool_hold(hold: float) -> None:
-            if isinstance(pool, ThreadPoolModel):
-                pool.hold(hold, handle.release_sender)
-            else:
-                engine.after(hold, lambda: handle.release_sender(engine.now))
-
-        pool.submit(sw_time, after_software)
-
-    def _deliver(self, message: Message, handle: SendHandle, decision=None) -> None:
-        # The handle always completes -- the skip-send gate must reopen
-        # even for a message the fault plan destroys, exactly as a real
-        # sender never learns that an unacknowledged datagram died.
-        handle.complete(self.engine.now)
-        if decision is not None and decision.drop:
-            return  # lost in the network: no receive path, no mailbox
-        self._arrive(message)
-        if decision is not None and decision.duplicate:
-            self._arrive(message.clone())
-
-    def _arrive(self, message: Message) -> None:
-        """Message reached the destination NIC: run the receive path."""
-        pool = self._recv_pools[message.dst]
-        sw_time = self.policy.recv_sw_time(message.size)
-
-        def visible(now: float) -> None:
-            message.delivered_at = now
-            self.mailboxes[message.dst].deposit(message)
-
-        pool.submit(sw_time, visible)
 
     # ------------------------------------------------------------------
     def barrier_cost(self, n_ranks: int) -> float:

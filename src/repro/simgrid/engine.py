@@ -9,15 +9,18 @@ processes) is driven by callbacks registered here.
 Performance notes (this is the simulator's hottest loop; see
 ``kernel/engine_dispatch`` in :mod:`repro.bench`):
 
-* heap entries are plain ``(time, seq, event)`` tuples, so every heap
-  comparison happens in C instead of a Python ``__lt__``;
-* :class:`Event` is a ``__slots__`` class (no per-event ``__dict__``);
-* :meth:`Engine.run` is specialized per limit combination: the
-  unlimited loop and the ``stop_when``-only loop (what
-  :meth:`repro.simgrid.world.World.run` uses) pop and dispatch
-  directly -- same-timestamp groups run back to back with no peeking
-  and no ``until``/``max_events`` re-checks; only runs that actually
-  set ``until``/``max_events`` pay for those tests per event.
+* heap entries are plain ``(time, seq, callback, handle)`` tuples: the
+  callback rides in the entry itself and every heap comparison happens
+  in C (``seq`` is unique, so the callback is never compared);
+* an :class:`Event` handle exists only for the events somebody may
+  cancel (:meth:`Engine.at` / :meth:`Engine.after` return one); the
+  simulator's own per-message and per-effect events use the
+  handle-free :meth:`Engine.post_at` / :meth:`Engine.post_after`, which
+  apply the same time checks and allocate nothing but the entry;
+* :meth:`Engine.run` has two loops: the unlimited one pops and
+  dispatches directly -- same-timestamp groups run back to back with no
+  peeking -- and only runs that set ``until`` / ``max_events`` /
+  ``stop_when`` pay for those tests per event.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
+
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -33,49 +38,30 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A scheduled callback.
+    """Cancellable handle of one scheduled callback.
 
-    Events order by ``(time, seq)`` which makes the heap ordering --
-    and therefore the whole simulation -- deterministic.  (The heap
-    itself stores ``(time, seq, event)`` tuples so ordering never calls
-    back into Python; ``__lt__`` is kept for explicit comparisons.)
+    Returned by :meth:`Engine.at` / :meth:`Engine.after`; the heap
+    entry points back at it so the engine can skip a cancelled event
+    without firing it, counting it or advancing the clock to it.
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "label")
+    __slots__ = ("time", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[[], None],
-        cancelled: bool = False,
-        label: str = "",
-    ) -> None:
+    def __init__(self, time: float) -> None:
         self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = cancelled
-        self.label = label
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.seq) == (other.time, other.seq)
+        self.cancelled = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time:.6f}, seq={self.seq}{state}, label={self.label!r})"
+        return f"Event(t={self.time:.6f}{state})"
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when popped."""
         self.cancelled = True
 
 
-#: Heap entry type: ``(time, seq, event)``.
-_Entry = Tuple[float, int, Event]
+#: Heap entry type: ``(time, seq, callback, handle-or-None)``.
+_Entry = Tuple[float, int, Callable[[], None], Optional[Event]]
 
 
 class Engine:
@@ -88,7 +74,9 @@ class Engine:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current virtual time in seconds (a plain attribute -- it is
+        #: read several times per event; only the engine writes it).
+        self.now = float(start_time)
         self._queue: List[_Entry] = []
         self._seq = itertools.count()
         self._events_processed = 0
@@ -109,11 +97,6 @@ class Engine:
     # introspection
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
-    @property
     def events_processed(self) -> int:
         """Number of callbacks executed so far."""
         return self._events_processed
@@ -131,7 +114,7 @@ class Engine:
         every consumer reads the same numbers.
         """
         return {
-            "now": self._now,
+            "now": self.now,
             "events": self._events_processed,
             "pending_events": len(self._queue),
         }
@@ -139,56 +122,53 @@ class Engine:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def at(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``callback`` at absolute virtual time ``time``.
+    def _admit(self, time: float) -> float:
+        """Slow half of the time check: ``time`` is not in ``[now, inf)``.
 
-        Scheduling in the past is an error: the simulation is causal.
+        Scheduling in the past is an error (the simulation is causal),
+        except for floating-point noise: tiny negative deltas clamp to
+        ``now``.
         """
         if not math.isfinite(time):
             raise SimulationError(f"non-finite event time: {time!r}")
-        now = self._now
-        # Guard against floating-point noise: clamp tiny negative deltas.
-        if time < now:
-            if now - time < 1e-12 * max(1.0, abs(now)):
-                time = now
-            else:
-                raise SimulationError(
-                    f"cannot schedule event at {time} before now={now}"
-                )
-        seq = next(self._seq)
-        event = Event(time, seq, callback, False, label)
-        heapq.heappush(self._queue, (time, seq, event))
-        return event
+        now = self.now
+        if now - time < 1e-12 * max(1.0, abs(now)):
+            return now
+        raise SimulationError(f"cannot schedule event at {time} before now={now}")
 
-    def after(self, delay: float, callback: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``callback`` ``delay`` seconds from now (``delay >= 0``)."""
+    def post_at(self, time: float, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` at absolute virtual time ``time``.
+
+        The handle-free form: same checks as :meth:`at`, nothing to
+        cancel, nothing allocated beyond the heap entry.
+        """
+        if not self.now <= time < _INF:
+            time = self._admit(time)
+        heapq.heappush(self._queue, (time, next(self._seq), callback, None))
+
+    def post_after(self, delay: float, callback: Callable[[], None]) -> None:
+        """Handle-free :meth:`after`: ``callback`` fires ``delay >= 0`` from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.at(self._now + delay, callback, label=label)
+        self.post_at(self.now + delay, callback)
+
+    def at(self, time: float, callback: Callable[[], None]) -> Event:
+        """Like :meth:`post_at`, returning a handle that can cancel the event."""
+        if not self.now <= time < _INF:
+            time = self._admit(time)
+        event = Event(time)
+        heapq.heappush(self._queue, (time, next(self._seq), callback, event))
+        return event
+
+    def after(self, delay: float, callback: Callable[[], None]) -> Event:
+        """Like :meth:`post_after`, returning a cancellable handle."""
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        return self.at(self.now + delay, callback)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next non-cancelled event.
-
-        Returns ``False`` when the queue is exhausted.
-        """
-        queue = self._queue
-        while queue:
-            time, _seq, event = heapq.heappop(queue)
-            if event.cancelled:
-                continue
-            if time < self._now:
-                raise SimulationError(
-                    f"causality violation: event at {time} < now {self._now}"
-                )
-            self._now = time
-            self._events_processed += 1
-            event.callback()
-            return True
-        return False
-
     def run(
         self,
         until: Optional[float] = None,
@@ -219,46 +199,33 @@ class Engine:
         heappop = heapq.heappop
         processed = 0
         try:
-            if until is None and max_events is None:
-                if stop_when is None:
-                    # Hot path: no limits.  One tight loop, locals
-                    # bound, same-timestamp events dispatched back to
-                    # back without re-reading any engine state beyond
-                    # the queue head and the halt flag.
-                    while queue:
-                        time, _seq, event = heappop(queue)
-                        if event.cancelled:
-                            continue
-                        self._now = time
-                        processed += 1
-                        event.callback()
-                        if self._halted:
-                            break
-                    return self._now
-                # The World.run path: only a stop predicate, checked
-                # after every event (a failure must halt immediately),
-                # but no peeking and no until/max_events tests.
+            if until is None and max_events is None and stop_when is None:
+                # Hot path: no limits.  One tight loop, locals bound,
+                # same-timestamp events dispatched back to back without
+                # re-reading any engine state beyond the queue head and
+                # the halt flag.
                 while queue:
-                    time, _seq, event = heappop(queue)
-                    if event.cancelled:
+                    time, _seq, callback, handle = heappop(queue)
+                    if handle is not None and handle.cancelled:
                         continue
-                    self._now = time
+                    self.now = time
                     processed += 1
-                    event.callback()
-                    if stop_when():
+                    callback()
+                    if self._halted:
                         break
-                return self._now
+                return self.now
             while queue:
-                head = self._peek()
-                if head is None:
+                time, _seq, callback, handle = queue[0]
+                if handle is not None and handle.cancelled:
+                    heappop(queue)
+                    continue
+                if until is not None and time > until:
+                    self.now = until
                     break
-                if until is not None and head.time > until:
-                    self._now = until
-                    break
-                time, _seq, event = heappop(queue)
-                self._now = time
+                heappop(queue)
+                self.now = time
                 processed += 1
-                event.callback()
+                callback()
                 if self._halted:
                     break
                 if stop_when is not None and stop_when():
@@ -268,20 +235,14 @@ class Engine:
                         f"exceeded max_events={max_events}; "
                         "simulation appears to be diverging"
                     )
-            return self._now
+            return self.now
         finally:
             self._events_processed += processed
             self._running = False
 
-    def _peek(self) -> Optional[Event]:
-        queue = self._queue
-        while queue and queue[0][2].cancelled:
-            heapq.heappop(queue)
-        return queue[0][2] if queue else None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Engine(now={self._now:.6f}, pending={len(self._queue)}, "
+            f"Engine(now={self.now:.6f}, pending={len(self._queue)}, "
             f"processed={self._events_processed})"
         )
 

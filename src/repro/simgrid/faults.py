@@ -196,8 +196,8 @@ class SimFaultInjector:
                 link.latency -= event.latency_add
             self._count("recoveries")
 
-        self._schedule(engine, event.start, apply, "fault-link-degrade")
-        self._schedule(engine, event.end, restore, "fault-link-restore")
+        self._schedule(engine, event.start, apply)
+        self._schedule(engine, event.end, restore)
 
     def _install_host_window(self, engine, event: HostSlowdown, hosts) -> None:
         # Geometric ramp: nominal -> factor across `steps` equal
@@ -215,22 +215,20 @@ class SimFaultInjector:
         for i in range(event.steps):
             target = event.factor ** ((i + 1) / event.steps)
             when = event.start + span * (i / event.steps)
-            self._schedule(
-                engine, when, (lambda t=target: ramp_to(t)), "fault-host-slow"
-            )
+            self._schedule(engine, when, (lambda t=target: ramp_to(t)))
         self._schedule_counting(engine, event.start, "host_slowdowns")
 
         def restore() -> None:
             ramp_to(1.0)
             self._count("recoveries")
 
-        self._schedule(engine, event.end, restore, "fault-host-restore")
+        self._schedule(engine, event.end, restore)
 
-    def _schedule(self, engine, when: float, callback, label: str) -> None:
-        self._pending_events.append(engine.at(when, callback, label=label))
+    def _schedule(self, engine, when: float, callback) -> None:
+        self._pending_events.append(engine.at(when, callback))
 
     def _schedule_counting(self, engine, when: float, key: str) -> None:
-        self._schedule(engine, when, lambda: self._count(key), f"fault-{key}")
+        self._schedule(engine, when, lambda: self._count(key))
 
     def cancel_pending(self) -> None:
         """Cancel window edges that lie beyond the end of the run.

@@ -1,12 +1,17 @@
 """Network topology: hosts wired together by routes made of links.
 
 A :class:`Network` stores, for every ordered pair of hosts, the sequence
-of simplex links a message traverses (store-and-forward).  Connection
-graphs may be *incomplete*: the paper's Section 5.3 discusses how PM2
-requires a complete interconnection graph while OmniORB tolerates
-partial visibility (e.g. firewalls); :meth:`Network.connectivity_graph`
-exposes the graph so the deployment validators in :mod:`repro.envs` can
-check those constraints.
+of simplex links a message traverses.  The traversal is *cut-through*:
+the transport chains each hop's serialisation FIFO onto the next link
+(:meth:`repro.simgrid.link.Link.reserve`) and adds the route's total
+latency once, at delivery -- no hop waits for the previous one's
+propagation delay.
+
+Connection graphs may be *incomplete*: the paper's Section 5.3 discusses
+how PM2 requires a complete interconnection graph while OmniORB
+tolerates partial visibility (e.g. firewalls);
+:meth:`Network.connectivity_graph` exposes the graph so the deployment
+validators in :mod:`repro.envs` can check those constraints.
 """
 
 from __future__ import annotations

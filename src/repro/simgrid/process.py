@@ -4,12 +4,22 @@ A :class:`Process` owns one algorithm coroutine (a generator yielding
 :mod:`repro.simgrid.effects` objects) bound to one host and one rank.
 The interpreter advances the generator, translating each effect into
 engine events, trace spans and transport calls.
+
+Whatever unblocks a process resumes its coroutine *directly*, inside
+the event that did it (a compute/sleep/barrier event of its own, the
+sender-released or arrival event of a blocking send, the visible event
+that satisfies a ``Recv``) -- never through a same-timestamp bounce
+event.  :meth:`Process._advance` is the trampoline that keeps this
+re-entrancy-safe: a resume that arrives while the process is already
+advancing (a send that completes at once) is handed to the running
+loop instead of re-entering the generator, so the stack depth does not
+grow with the number of such resumes.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
+from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from repro.simgrid import effects as fx
 from repro.simgrid.engine import SimulationError
@@ -18,6 +28,10 @@ from repro.simgrid.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simgrid.world import World
+
+
+#: "No resume arrived while advancing" marker of the trampoline.
+_PARKED = object()
 
 
 class ProcessState(enum.Enum):
@@ -51,23 +65,39 @@ class Process:
         #: (surfaced as per-rank busy time in run results).
         self.busy_time: float = 0.0
         self._blocked_since: float = 0.0
-        self._recv_timeout_event = None
-        # Event labels are constant per process; building them once
-        # keeps f-string formatting out of the per-effect hot path.
-        self._compute_label = f"compute[{rank}]"
-        self._sleep_label = f"sleep[{rank}]"
+        # What the process is blocked on: the handle of a blocking
+        # send, or the ``Recv`` effect (and its timeout event, if any).
+        self._blocked_on: Any = None
+        self._recv_timer = None
+        self._advancing = False
+        self._resume_value: Any = _PARKED
 
     # ------------------------------------------------------------------
     def start(self) -> None:
         if self.state is not ProcessState.READY:
             raise SimulationError(f"{self.name}: already started")
         self.state = ProcessState.RUNNING
-        self.world.engine.at(self.world.engine.now, lambda: self._advance(None))
+        self.world.engine.post_at(self.world.engine.now, self._wake)
+
+    def _wake(self) -> None:
+        """Engine event: a compute / sleep / barrier wait is over."""
+        self._advance(None)
 
     def _advance(self, value: Any) -> None:
-        """Send ``value`` into the coroutine and dispatch the next effect."""
+        """Send ``value`` into the coroutine and run it until it parks."""
+        if self._advancing:
+            # Resumed from inside our own effect handling: the running
+            # loop below picks the value up when the handler returns.
+            self._resume_value = value
+            return
+        self._advancing = True
         try:
-            self._advance_inner(value)
+            while True:
+                self._advance_inner(value)
+                value = self._resume_value
+                if value is _PARKED:
+                    return
+                self._resume_value = _PARKED
         except BaseException as exc:  # noqa: BLE001 - report and stop
             # Failures in effect handling (e.g. sending to a host with
             # no route) are attributed to the process, like failures
@@ -76,6 +106,8 @@ class Process:
                 self.state = ProcessState.FAILED
                 self.exception = exc
                 self.world._process_failed(self, exc)
+        finally:
+            self._advancing = False
 
     def _advance_inner(self, value: Any) -> None:
         engine = self.world.engine
@@ -156,7 +188,7 @@ class Process:
         self.busy_time += duration
         start = engine.now
         self.world.trace.add_span(self.rank, start, start + duration, "compute", effect.label)
-        engine.after(duration, lambda: self._advance(None), label=self._compute_label)
+        engine.post_after(duration, self._wake)
 
     def _do_sleep(self, effect: fx.Sleep) -> None:
         engine = self.world.engine
@@ -165,7 +197,7 @@ class Process:
         self.world.trace.add_span(
             self.rank, engine.now, engine.now + effect.seconds, "idle", effect.label
         )
-        engine.after(effect.seconds, lambda: self._advance(None), label=self._sleep_label)
+        engine.post_after(effect.seconds, self._wake)
 
     def _do_send(self, effect: fx.Send) -> fx.SendHandle:
         handle = fx.SendHandle()
@@ -187,26 +219,24 @@ class Process:
         return handle
 
     def _block_until_handle(self, handle: fx.SendHandle, rendezvous: bool = False) -> None:
-        engine = self.world.engine
         self.state = ProcessState.BLOCKED
-        start = engine.now
-
-        def resume(when: float) -> None:
-            self.world.trace.add_span(self.rank, start, when, "comm", "blocking-send")
-            self.state = ProcessState.RUNNING
-            # The handle completion callback may fire inside transport
-            # event processing; bounce through the engine to keep the
-            # interpreter re-entrant-safe.
-            engine.at(when, lambda: self._advance(handle))
-
+        self._blocked_since = self.world.engine.now
+        self._blocked_on = handle
         if rendezvous:
             # Large-message MPI semantics: the send returns only once
             # the receiver has the data.
-            handle.on_complete(resume)
+            handle.on_complete(self._send_unblocked)
         else:
             # Eager/buffered send: resumes when the sender-side
             # transfer is finished (socket buffer drained).
-            handle.on_sender_release(resume)
+            handle.on_sender_release(self._send_unblocked)
+
+    def _send_unblocked(self, when: float) -> None:
+        self.world.trace.add_span(
+            self.rank, self._blocked_since, when, "comm", "blocking-send"
+        )
+        self.state = ProcessState.RUNNING
+        self._advance(self._blocked_on)
 
     def _try_recv(self, effect: fx.Recv) -> bool:
         """Attempt to satisfy a blocking receive immediately.
@@ -216,40 +246,41 @@ class Process:
         mailbox waiter / timeout and returns False.
         """
         mailbox = self.world.transport.mailboxes[self.rank]
-        needed = max(1, effect.count)
-        if mailbox.peek_count(effect.tag) >= needed:
+        if mailbox.peek_count(effect.tag) >= max(1, effect.count):
             self._recv_value = mailbox.drain(effect.tag)
             return True
-
         engine = self.world.engine
         self.state = ProcessState.BLOCKED
-        start = engine.now
-        timeout_event = None
-
-        def wake() -> None:
-            nonlocal timeout_event
-            if mailbox.peek_count(effect.tag) >= needed:
-                if timeout_event is not None:
-                    timeout_event.cancel()
-                finish(timed_out=False)
-            else:
-                mailbox.set_waiter(wake)
-
-        def on_timeout() -> None:
-            mailbox.clear_waiter()
-            finish(timed_out=True)
-
-        def finish(timed_out: bool) -> None:
-            now = engine.now
-            self.world.trace.add_span(self.rank, start, now, "comm", "recv-wait")
-            self.state = ProcessState.RUNNING
-            msgs = [] if timed_out else mailbox.drain(effect.tag)
-            engine.at(now, lambda: self._advance(msgs))
-
-        mailbox.set_waiter(wake)
+        self._blocked_since = engine.now
+        self._blocked_on = effect
+        mailbox.set_waiter(self._recv_wake)
         if effect.timeout is not None:
-            timeout_event = engine.after(effect.timeout, on_timeout, label="recv-timeout")
+            self._recv_timer = engine.after(effect.timeout, self._recv_timeout)
         return False
+
+    def _recv_wake(self) -> None:
+        """Mailbox waiter: a message became visible while blocked in Recv."""
+        effect = self._blocked_on
+        mailbox = self.world.transport.mailboxes[self.rank]
+        if mailbox.peek_count(effect.tag) < max(1, effect.count):
+            mailbox.set_waiter(self._recv_wake)
+            return
+        if self._recv_timer is not None:
+            self._recv_timer.cancel()
+            self._recv_timer = None
+        self._recv_unblocked(mailbox.drain(effect.tag))
+
+    def _recv_timeout(self) -> None:
+        self._recv_timer = None
+        self.world.transport.mailboxes[self.rank].clear_waiter()
+        self._recv_unblocked([])
+
+    def _recv_unblocked(self, messages: list) -> None:
+        self.world.trace.add_span(
+            self.rank, self._blocked_since, self.world.engine.now, "comm", "recv-wait"
+        )
+        self.state = ProcessState.RUNNING
+        self._advance(messages)
 
     # Called by the compute batcher with the outcome of a parked Iterate.
     def iterate_resume(self, result: Any) -> None:
@@ -270,7 +301,7 @@ class Process:
             self.rank, self._blocked_since, release_time, "idle", "barrier"
         )
         self.state = ProcessState.RUNNING
-        self.world.engine.at(release_time, lambda: self._advance(None))
+        self.world.engine.post_at(release_time, self._wake)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Process({self.name}, state={self.state.value})"

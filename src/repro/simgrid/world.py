@@ -63,7 +63,6 @@ class World:
         self.processes: Dict[int, Process] = {}
         self.transport: Optional[Transport] = None
         self._barrier_waiting: List[Process] = []
-        self._barrier_generation = 0
         self._finished = 0
         self._failure: Optional[BaseException] = None
         self._failed_process: Optional[Process] = None
@@ -184,7 +183,6 @@ class World:
         self._barrier_waiting.append(proc)
         if len(self._barrier_waiting) == len(self.processes):
             waiting, self._barrier_waiting = self._barrier_waiting, []
-            self._barrier_generation += 1
             cost = self.transport.barrier_cost(len(self.processes))
             release = self.engine.now + cost
             for p in waiting:

@@ -71,6 +71,46 @@ def test_pool_hold_keeps_thread_busy():
     assert ("second", 4.0) in done
 
 
+def test_pool_finish_events_reach_the_right_job():
+    """Every job of a pool finishes through the same bound method; a
+    short job started after a long one must still get *its* callback."""
+    engine = Engine()
+    done = []
+    pool = ThreadPoolModel(engine, size=3)
+    for name, duration in (("long", 5.0), ("short", 1.0), ("mid", 3.0), ("queued", 1.0)):
+        pool.submit(duration, lambda t, name=name: done.append((name, t)))
+    engine.run()
+    # "queued" takes the thread "short" frees at t=1.
+    assert done == [("short", 1.0), ("queued", 2.0), ("mid", 3.0), ("long", 5.0)]
+    assert engine.events_processed == 4  # one event per job
+
+
+def test_queued_jobs_keep_their_turn_when_a_callback_submits():
+    engine = Engine()
+    order = []
+    pool = ThreadPoolModel(engine, size=1, fair=True)
+
+    def first(t):
+        order.append("first")
+        pool.submit(1.0, lambda t: order.append("late"))  # thread is free *now*
+
+    pool.submit(1.0, first)
+    pool.submit(1.0, lambda t: order.append("second"))
+    engine.run()
+    assert order == ["first", "second", "late"]
+
+
+def test_on_demand_pool_hold_and_one_event_per_job():
+    engine = Engine()
+    done = []
+    pool = OnDemandPool(engine, spawn_cost=0.5)
+    pool.submit(1.0, lambda t: pool.hold(2.0, lambda t2: done.append(("hold", t2))))
+    pool.submit(0.25, lambda t: done.append(("quick", t)))
+    engine.run()
+    assert done == [("quick", 0.75), ("hold", 3.5)]
+    assert engine.events_processed == 3  # spawn + service is one event
+
+
 def test_pool_requires_positive_size():
     with pytest.raises(ValueError):
         ThreadPoolModel(Engine(), size=0)
@@ -159,6 +199,37 @@ def test_message_delivery_and_visibility():
     assert len(visible) == 1 and visible[0].payload == 42
     # Delivery respects software + serialisation + latency lower bound.
     assert visible[0].delivered_at >= 1e-4 + 1000.0 / 1e6 + 1e-3
+
+
+def test_one_message_is_four_engine_events():
+    """Software done, sender released, arrival, visible -- and three
+    when there is nothing to hold the sending thread for (size 0)."""
+    for recv_threads in (1, None):
+        policy = CommPolicy(name="t", n_send_threads=1, n_recv_threads=recv_threads)
+        engine, transport = _transport(policy)
+        transport.send(Message(src=0, dst=1, tag="d", payload=None, size=1000.0), SendHandle())
+        engine.run()
+        assert engine.events_processed == 4
+        transport.send(Message(src=0, dst=2, tag="d", payload=None, size=0.0), SendHandle())
+        engine.run()
+        assert engine.events_processed == 4 + 3
+
+
+def test_links_are_reserved_at_software_done_not_at_send():
+    """A message queued behind another on the single sending thread
+    books its links when the thread gets to it: the second message's
+    transfer starts where the first one's ended."""
+    policy = CommPolicy(name="t", n_send_threads=1, send_base=0.5, recv_base=0.0)
+    engine, transport = _transport(policy)
+    handles = [SendHandle(), SendHandle()]
+    for handle in handles:
+        transport.send(Message(src=0, dst=1, tag="d", payload=None, size=1e6), handle)
+    engine.run()
+    # 0.5 s software then 1 s on the link, twice over: the thread is
+    # held until 1.5, so the second transfer occupies the link 2.0-3.0
+    # (booked at send() it would have been 1.0-2.0).
+    assert handles[0].sender_done_at == pytest.approx(1.5)
+    assert handles[1].sender_done_at == pytest.approx(3.0)
 
 
 def test_sender_release_before_delivery():

@@ -78,6 +78,69 @@ def test_cancelled_events_do_not_fire():
     assert fired == []
 
 
+def test_cancelled_events_neither_count_nor_advance_the_clock():
+    engine = Engine()
+    engine.at(1.0, lambda: None)
+    engine.at(9.0, lambda: None).cancel()
+    engine.run()
+    assert engine.events_processed == 1
+    assert engine.now == 1.0  # a fault window cancelled at the end of a run
+    assert engine.pending == 0
+
+
+@pytest.mark.parametrize("form", ["at", "post_at"])
+def test_both_scheduling_forms_make_the_same_time_checks(form):
+    engine = Engine(start_time=5.0)
+    schedule = getattr(engine, form)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(SimulationError, match="non-finite"):
+            schedule(bad, lambda: None)
+    with pytest.raises(SimulationError, match="before now"):
+        schedule(5.0 - 1e-9, lambda: None)
+    assert engine.pending == 0
+    # Floating-point noise below the 1e-12 relative clamp fires at `now`.
+    seen = []
+    schedule(5.0 - 1e-13, lambda: seen.append(engine.now))
+    engine.run()
+    assert seen == [5.0]
+
+
+@pytest.mark.parametrize("form", ["after", "post_after"])
+def test_both_relative_forms_reject_negative_and_non_finite_delays(form):
+    engine = Engine()
+    schedule = getattr(engine, form)
+    for bad in (-1.0, -1e-300, float("-inf")):
+        with pytest.raises(SimulationError, match="negative delay"):
+            schedule(bad, lambda: None)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(SimulationError, match="non-finite"):
+            schedule(bad, lambda: None)
+    assert engine.pending == 0
+
+
+def test_only_the_handle_form_returns_something_to_cancel():
+    engine = Engine()
+    assert engine.post_at(1.0, lambda: None) is None
+    assert engine.post_after(1.0, lambda: None) is None
+    assert not engine.at(1.0, lambda: None).cancelled
+    assert not engine.after(1.0, lambda: None).cancelled
+
+
+def test_ties_fire_in_scheduling_order_across_both_forms():
+    engine = Engine()
+    fired = []
+    engine.at(1.0, lambda: fired.append("a"))
+    engine.post_at(1.0, lambda: fired.append("b"))
+    engine.after(1.0, lambda: fired.append("c"))
+    engine.post_after(1.0, lambda: fired.append("d"))
+    cancelled = engine.at(1.0, lambda: fired.append("x"))
+    engine.post_at(1.0, lambda: fired.append("e"))
+    cancelled.cancel()
+    engine.run()
+    assert fired == list("abcde")
+    assert engine.events_processed == 5
+
+
 def test_run_until_stops_clock_at_horizon():
     engine = Engine()
     fired = []
@@ -106,6 +169,19 @@ def test_stop_when_predicate():
         engine.at(float(i + 1), lambda i=i: fired.append(i))
     engine.run(stop_when=lambda: len(fired) >= 3)
     assert fired == [0, 1, 2]
+
+
+def test_limited_runs_skip_cancelled_events_too():
+    engine = Engine()
+    fired = []
+    engine.at(1.0, lambda: fired.append(1)).cancel()
+    engine.post_at(2.0, lambda: fired.append(2))
+    engine.at(3.0, lambda: fired.append(3)).cancel()
+    engine.post_at(7.0, lambda: fired.append(7))
+    assert engine.run(until=5.0) == 5.0
+    assert fired == [2] and engine.events_processed == 1
+    engine.run(stop_when=lambda: False)
+    assert fired == [2, 7] and engine.events_processed == 2
 
 
 def test_events_processed_counter():

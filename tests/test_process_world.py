@@ -1,5 +1,7 @@
 """Integration tests of the coroutine interpreter and World container."""
 
+import sys
+
 import pytest
 
 from repro.clusters import uniform_cluster
@@ -191,6 +193,105 @@ def test_rendezvous_send_waits_for_delivery():
         results[label] = world.results[0]
     # Rendezvous additionally waits for the route latency.
     assert results["rendezvous"] > results["eager"]
+
+
+BLOCKING = CommPolicy(
+    name="blocking", send_base=1e-4, recv_base=1e-4,
+    blocking_send=True, blocking_recv=True,
+)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_loopback_blocking_sends_do_not_grow_the_stack():
+    """A blocking send to oneself completes inside its own effect
+    handling; the trampoline hands the resume to the running loop
+    instead of re-entering the generator (or recursing)."""
+    world = make_world(1, policy=BLOCKING)
+    count = 10_000
+    depths = set()
+
+    def proc(rank, size):
+        for i in range(count):
+            handle = yield Send(0, "self", i, 8.0)
+            assert isinstance(handle, SendHandle) and handle.done
+            depths.add(_stack_depth())
+        msgs = yield Recv("self", count=count)
+        return [m.payload for m in msgs]
+
+    world.spawn(proc(0, 1))
+    world.run()
+    assert world.results[0] == list(range(count))
+    assert len(depths) == 1
+    assert world.engine.events_processed == 1  # the start event, nothing else
+
+
+def test_recv_send_ping_pong_runs_at_constant_stack_depth():
+    """Satisfied Recv -> blocking Send -> satisfied Recv ...: each
+    wake-up resumes the coroutine directly inside the other rank's
+    visible / sender-released event, at a depth that does not depend
+    on how many rounds came before."""
+    world = make_world(2, policy=BLOCKING)
+    rounds = 500
+    depths = {0: [], 1: []}
+
+    def player(rank, size):
+        other = 1 - rank
+        if rank == 0:
+            yield Send(other, "ball", 0, 64.0)
+        for _ in range(rounds):
+            (msg,) = yield Recv("ball")
+            depths[rank].append(_stack_depth())
+            yield Send(other, "ball", msg.payload + 1, 64.0)
+            depths[rank].append(_stack_depth())
+        if rank == 1:
+            yield Recv("ball")
+        return msg.payload
+
+    world.spawn(player(0, 2))
+    world.spawn(player(1, 2))
+    world.run()
+    assert world.results == {0: 2 * rounds - 1, 1: 2 * rounds - 2}
+    for rank in (0, 1):
+        assert len(set(depths[rank])) <= 2  # woken by a Recv / by a send release
+    # One message is four events; nothing bounces through the engine.
+    messages = world.transport.messages_sent
+    assert messages == 2 * rounds + 1
+    assert world.engine.events_processed == 4 * messages + 2
+
+
+def test_failure_in_a_directly_resumed_receiver_is_the_receivers():
+    """The receiver's coroutine runs inside the *sender's* visible
+    event; when it raises there, the receiver fails -- not the sender,
+    not the transport -- and the engine is halted once."""
+    world = make_world(2, policy=BLOCKING)
+    halts = []
+    halt = world.engine.halt
+    world.engine.halt = lambda: (halts.append(world.engine.now), halt())
+
+    def sender(rank, size):
+        yield Send(1, "d", None, 100.0)
+        yield Sleep(10.0)
+
+    def receiver(rank, size):
+        yield Recv("d")
+        raise ValueError("boom")
+
+    world.spawn(sender(0, 2))
+    proc = world.spawn(receiver(1, 2))
+    with pytest.raises(ProcessFailure, match=proc.name) as excinfo:
+        world.run()
+    assert isinstance(excinfo.value.__cause__, ValueError)
+    assert len(halts) == 1 and world.engine.now == halts[0] < 10.0
+    assert proc.state.value == "failed"
+    assert world.processes[0].state.value != "failed"
+    # The message itself was delivered before the receiver blew up.
+    assert world.transport.mailboxes[1].total_received == 1
 
 
 def test_process_failure_propagates():

@@ -1,0 +1,182 @@
+"""The simulator's event path, pinned end to end.
+
+``backend_stats["events"]`` is a property of the implementation: the
+literals below are the cost of *this* engine / transport / process
+design (four events per message, no same-timestamp bounce events) and
+are expected to change -- knowingly -- when that design does.  What a
+scenario *computes* must not: iterations, messages, makespan, spans.
+"""
+
+import hashlib
+import importlib.util
+import itertools
+import json
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.simgrid.world as world_module
+from repro.api import Scenario, SimulatedBackend
+from repro.simgrid.engine import Engine
+
+
+def tiny_sparse(environment: str) -> Scenario:
+    # Host speed puts one iteration at ~20 ms of virtual time, the
+    # regime the conformance generator calibrates to (see
+    # repro.testing.generator._pick_cluster).
+    return Scenario.from_dict({
+        "problem": "sparse_linear",
+        "problem_params": {
+            "n": 120, "n_diagonals": 6, "sign_structure": "random", "eps": 1e-6,
+        },
+        "environment": environment,
+        "cluster": "uniform_cluster",
+        "cluster_params": {"speed": 3e4},
+        "n_ranks": 3,
+        "seed": 5,
+    })
+
+
+def tiny_chemical(environment: str) -> Scenario:
+    return Scenario.from_dict({
+        "problem": "chemical",
+        "problem_params": {"nx": 8, "nz": 8, "t_end": 360.0, "dt": 180.0},
+        "environment": environment,
+        "cluster": "uniform_cluster",
+        "n_ranks": 3,
+        "seed": 5,
+    })
+
+
+# ----------------------------------------------------------------------
+# (a) event totals
+# ----------------------------------------------------------------------
+#: environment -> (events, messages, iterations, makespan).  Only the
+#: first column may move with the implementation.
+PINNED = {
+    "sync_mpi": (1277, 296, 87, 0.5982642879999995),
+    "pm2": (1360, 302, 146, 0.7272898133333336),
+    "mpimad": (1504, 334, 162, 0.8220713066666675),
+    "omniorb": (1441, 320, 155, 0.7710419733333337),
+}
+
+
+@pytest.mark.parametrize("environment", sorted(PINNED))
+def test_event_totals_are_pinned_per_environment(environment):
+    result = SimulatedBackend(trace=False).run(tiny_sparse(environment))
+    stats = result.backend_stats
+    assert (
+        stats["events"], stats["messages_sent"],
+        result.total_iterations, result.makespan,
+    ) == PINNED[environment]
+
+
+def test_sync_run_costs_four_events_per_message():
+    """4 per message (software done, sender released, arrival, visible)
+    plus the per-iteration compute events and the start/barrier wake-ups;
+    one bounce event per blocking send or per Recv wake would break it."""
+    result = SimulatedBackend(trace=False).run(tiny_sparse("sync_mpi"))
+    stats = result.backend_stats
+    floor = 4 * stats["messages_sent"]
+    assert floor <= stats["events"] <= floor + 2 * result.total_iterations
+
+
+# ----------------------------------------------------------------------
+# (e) SISC does not depend on the order of same-timestamp events
+# ----------------------------------------------------------------------
+def block_shuffled(seed: int, block: int = 8):
+    """0, 1, 2, ... with every run of ``block`` numbers shuffled: unique
+    tie-breakers in an order the scheduling order does not determine."""
+    rng = random.Random(seed)
+    for base in itertools.count(0, block):
+        chunk = list(range(base, base + block))
+        rng.shuffle(chunk)
+        yield from chunk
+
+
+def run_with_shuffled_ties(scenario: Scenario, seed: int, monkeypatch):
+    class ShuffledEngine(Engine):
+        def __init__(self) -> None:
+            super().__init__()
+            self._seq = block_shuffled(seed)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(world_module, "Engine", ShuffledEngine)
+        return SimulatedBackend(trace=False).run(scenario)
+
+
+@pytest.mark.parametrize("make", [tiny_sparse, tiny_chemical])
+def test_sisc_results_do_not_depend_on_tie_order(make, monkeypatch):
+    """The synchronous half of ROADMAP item 4's schedule fuzz.  Which
+    of two same-instant events fires first decides who books a shared
+    link first, so the *makespan* may move; what SISC computes may not.
+    (Asynchronous environments are order sensitive by nature -- a rank
+    iterates on whatever has arrived -- and are deliberately not
+    asserted here.)"""
+    scenario = make("sync_mpi")
+    reference = SimulatedBackend(trace=False).run(scenario)
+    event_deltas = set()
+    for seed in range(8):
+        shuffled = run_with_shuffled_ties(scenario, seed, monkeypatch)
+        event_deltas.add(shuffled.backend_stats["events"] - reference.backend_stats["events"])
+        assert shuffled.total_iterations == reference.total_iterations
+        assert shuffled.backend_stats["messages_sent"] == reference.backend_stats["messages_sent"]
+        assert np.array_equal(shuffled.solution(), reference.solution())
+        assert shuffled.makespan == pytest.approx(reference.makespan, rel=1e-2)
+    assert event_deltas == {0}
+
+
+# ----------------------------------------------------------------------
+# (f) the timeline still shows the waits
+# ----------------------------------------------------------------------
+def test_timeline_wait_spans_are_unchanged():
+    """Direct resume moved *when the coroutine continues* inside an
+    instant, not what the Gantt shows: the blocking-send / recv-wait /
+    barrier spans of this run are the ones recorded before the event
+    path was rebuilt (count, total length and a digest of all of them)."""
+    result = SimulatedBackend(timeline=True).run(tiny_sparse("sync_mpi"))
+    spans = result.timeline.to_dict()["spans"]
+    waits = sorted(s for s in spans if s[4] in ("blocking-send", "recv-wait", "barrier"))
+    summary = {}
+    for _rank, start, end, kind, label in waits:
+        count, total = summary.get((kind, label), (0, 0.0))
+        summary[(kind, label)] = (count + 1, total + (end - start))
+    assert summary == {
+        ("comm", "blocking-send"): (296, 0.09371833600000021),
+        ("comm", "recv-wait"): (178, 0.41798030933333186),
+        ("idle", "barrier"): (3, 0.0018262399999999998),
+    }
+    digest = hashlib.sha1(json.dumps(waits).encode()).hexdigest()
+    assert digest == "97f39c8bb9b37534d46758d05bd5a6488140ed50"
+
+
+# ----------------------------------------------------------------------
+# tools/sim_identity.py
+# ----------------------------------------------------------------------
+def _sim_identity():
+    path = Path(__file__).resolve().parent.parent / "tools" / "sim_identity.py"
+    spec = importlib.util.spec_from_file_location("sim_identity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sim_identity_reports_one_line_per_differing_scenario():
+    tool = _sim_identity()
+    parent = {"a": {"makespan": 1.0, "solution_sha1": "x"}, "b": {"makespan": 2.0}}
+    change = {"a": {"makespan": 1.5, "solution_sha1": "x"}, "b": {"makespan": 2.0}, "c": {}}
+    assert tool.diff(parent, parent) == []
+    assert tool.diff(parent, change) == [
+        "a: makespan 1.0 -> 1.5",
+        "c: only in change",
+    ]
+
+
+def test_sim_identity_passes_a_tree_against_itself(capsys):
+    tool = _sim_identity()
+    assert tool.main(["--parent", str(tool.ROOT), "--n", "2", "--seeds", "3"]) == 0
+    assert "2 scenarios (n=2, seeds=3), 0 differ" in capsys.readouterr().out
+    fingerprint = next(iter(tool.fingerprints(1, [3]).values()))
+    assert "events" not in fingerprint and len(fingerprint["solution_sha1"]) == 40

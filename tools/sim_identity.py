@@ -1,0 +1,131 @@
+#!/usr/bin/env python
+"""Check that this tree simulates exactly what a parent revision does.
+
+Runs ``repro.testing.generator.generate_scenarios(n, seed)`` for every
+seed on the simulated backend of *both* trees (each in its own
+subprocess, ``PYTHONPATH`` pointing at that tree's ``src/``) and diffs,
+per scenario, the deterministic ``work_counters`` minus ``events`` (the
+event total is a property of the implementation, not of the virtual
+run) plus the SHA-1 of the solution bytes.  Prints one line per
+differing scenario and exits 1 when there is any (2 when a tree could
+not be checked out or run); a PR that *means* to change virtual results
+says so in ``CHANGES.md``.
+
+``--parent`` is a git revision (checked out into a temporary
+``git worktree``, removed afterwards) or a path to a checkout.
+
+Usage::
+
+    python tools/sim_identity.py --parent HEAD~1 [--n 40] [--seeds 0,7]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, NoReturn
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fail(message: str) -> NoReturn:
+    print(f"sim-identity: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+def fingerprints(n: int, seeds: List[int]) -> Dict[str, dict]:
+    """``{scenario name: counters + solution hash}`` on the importable ``repro``."""
+    from repro.api import SimulatedBackend
+    from repro.testing.generator import generate_scenarios
+    from repro.testing.invariants import work_counters
+
+    out: Dict[str, dict] = {}
+    for seed in seeds:
+        for scenario in generate_scenarios(n, seed):
+            result = SimulatedBackend(trace=False).run(scenario)
+            row = {k: v for k, v in work_counters(result).items() if k != "events"}
+            row["solution_sha1"] = hashlib.sha1(result.solution().tobytes()).hexdigest()
+            # Through JSON so both sides compare the same (string-keyed) shape.
+            out[scenario.name] = json.loads(json.dumps(row, sort_keys=True))
+    return out
+
+
+def run_tree(tree: Path, n: int, seeds: List[int]) -> Dict[str, dict]:
+    """:func:`fingerprints` of the checkout at ``tree``, in a subprocess."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--emit",
+         "--n", str(n), "--seeds", ",".join(map(str, seeds))],
+        env=env, cwd=tree, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        fail(f"running the scenarios of {tree} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def diff(parent: Dict[str, dict], change: Dict[str, dict]) -> List[str]:
+    """One line per scenario whose fingerprint differs."""
+    lines = []
+    for name in sorted(parent.keys() | change.keys()):
+        a, b = parent.get(name), change.get(name)
+        if a is None or b is None:
+            lines.append(f"{name}: only in {'change' if a is None else 'parent'}")
+        elif a != b:
+            keys = [k for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)]
+            detail = ", ".join(f"{k} {a.get(k)!r} -> {b.get(k)!r}" for k in keys)
+            lines.append(f"{name}: {detail}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", help="git revision or path of the parent tree")
+    parser.add_argument("--n", type=int, default=40, help="scenarios per seed")
+    parser.add_argument("--seeds", default="0,7", help="comma-separated generator seeds")
+    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    if args.emit:
+        print(json.dumps(fingerprints(args.n, seeds)))
+        return 0
+    if not args.parent:
+        parser.error("--parent is required")
+
+    if Path(args.parent).is_dir():
+        parent = run_tree(Path(args.parent).resolve(), args.n, seeds)
+    else:
+        with tempfile.TemporaryDirectory(prefix="sim-identity-") as tmp:
+            worktree = Path(tmp) / "parent"
+            added = subprocess.run(
+                ["git", "worktree", "add", "--detach", str(worktree), args.parent],
+                cwd=ROOT, capture_output=True, text=True,
+            )
+            if added.returncode != 0:
+                fail(f"cannot check out {args.parent!r}:\n{added.stderr}")
+            try:
+                parent = run_tree(worktree, args.n, seeds)
+            finally:
+                subprocess.run(
+                    ["git", "worktree", "remove", "--force", str(worktree)],
+                    cwd=ROOT, check=False, capture_output=True,
+                )
+    change = run_tree(ROOT, args.n, seeds)
+
+    lines = diff(parent, change)
+    for line in lines:
+        print(line)
+    print(
+        f"sim-identity: {len(change)} scenarios "
+        f"(n={args.n}, seeds={','.join(map(str, seeds))}), {len(lines)} differ"
+    )
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
