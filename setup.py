@@ -42,7 +42,11 @@ setup(
     python_requires=">=3.9",
     install_requires=["numpy>=1.21"],
     extras_require={
-        "test": ["pytest", "hypothesis", "pytest-benchmark"],
+        # The two graph-export helpers (`Network.connectivity_graph`,
+        # `linalg.splitting.dependency_graph`) return an `nx.DiGraph`
+        # and import networkx when called; nothing else does.
+        "graph": ["networkx"],
+        "test": ["pytest", "hypothesis", "pytest-benchmark", "networkx"],
         # `repro calibrate fit` upgrades its local-search stage to TPE
         # when optuna is importable; everything degrades cleanly to the
         # built-in coordinate descent without it.

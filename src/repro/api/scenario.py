@@ -12,6 +12,7 @@ other side of a process pool.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -27,8 +28,12 @@ from repro.envs import Environment, get_environment
 from repro.problems import get_problem_factory
 
 
+@functools.lru_cache(maxsize=None)
 def _accepts(callable_obj: Any, param: str) -> bool:
-    """True if ``callable_obj`` has an explicitly named ``param``."""
+    """True if ``callable_obj`` has an explicitly named ``param``.
+
+    Memoised per registry factory: every bind of a seeded scenario asks.
+    """
     try:
         signature = inspect.signature(callable_obj)
     except (TypeError, ValueError):

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.envs.base import Environment
 from repro.simgrid.network import Network
 
@@ -100,13 +98,12 @@ def validate_deployment(
     if not traits.requires_complete_graph and not complete:
         # OmniORB can still work provided the graph allows reaching the
         # naming-service site from everywhere.
-        graph = network.connectivity_graph()
         if network.hosts:
             ns_host = network.hosts[0].name
             unreachable = [
                 h.name
                 for h in network.hosts
-                if h.name != ns_host and not nx.has_path(graph, h.name, ns_host)
+                if not network.reaches(h.name, ns_host)
             ]
             if unreachable:
                 plan.ok = False

@@ -97,11 +97,9 @@ class MultiDiagonalMatrix:
         idx = self._offset_index.get(offset)
         if idx is None:
             raise KeyError(f"matrix has no diagonal at offset {offset}")
-        row = np.zeros(self.n, dtype=float)
         lo, hi = self._valid_range(offset)
-        vals = np.broadcast_to(np.asarray(values, dtype=float), (hi - lo,))
-        row[lo:hi] = vals
-        self.data[idx] = row
+        self.data[idx] = 0.0
+        self.data[idx, lo:hi] = values
 
     def diagonal_values(self, offset: int) -> np.ndarray:
         idx = self._offset_index.get(offset)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.linalg.partition import BlockPartition
@@ -73,11 +72,18 @@ def block_ranges_dependencies(
 
 def dependency_graph(
     matrix: MultiDiagonalMatrix, partition: BlockPartition
-) -> nx.DiGraph:
-    """The directed dependency graph of Section 1.1.
+) -> "nx.DiGraph":
+    """The directed dependency graph of Section 1.1 (``graph`` extra).
 
     Edge ``u -> v`` means block ``v`` depends on data owned by ``u``.
     """
+    try:
+        import networkx as nx
+    except ImportError as exc:
+        raise ImportError(
+            "dependency_graph() needs the 'graph' extra: "
+            "pip install 'repro-aiac[graph]'"
+        ) from exc
     providers = block_column_dependencies(matrix, partition)
     g = nx.DiGraph()
     g.add_nodes_from(range(partition.m))

@@ -118,9 +118,8 @@ class SparseLinearProblem:
                 vals = -vals
             else:
                 vals *= rng.choice([-1.0, 1.0], hi - lo)
-            row = np.zeros(config.n)
-            row[lo:hi] = vals
-            matrix.set_diagonal(off, row[lo:hi])
+            # Storage starts zeroed: only the in-matrix span is written.
+            matrix.diagonal_values(off)[lo:hi] = vals
         # Strict diagonal dominance => Jacobi spectral radius <= dominance.
         row_sums = matrix.offdiagonal_row_sums()
         floor = np.median(row_sums[row_sums > 0]) if np.any(row_sums > 0) else 1.0

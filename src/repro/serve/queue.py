@@ -249,14 +249,16 @@ class WorkQueue:
         self._backend = backend
         self._require_solution = require_solution
         self._by_key: Dict[str, str] = {}  # in-flight (queued/running) job per key
+        #: Replayed jobs waiting on their key's in-flight job instead of
+        #: running themselves (see :meth:`restore`).
+        self._riders: Dict[str, List[Job]] = {}
         self._next_id = 1
         self._next_seq = 0
 
     @property
     def in_flight(self) -> int:
         """Keys with a queued or running job: 0 means nothing is left
-        to run.  (One job per key, except after a :meth:`restore` that
-        re-queued two ``done`` jobs of one key whose record rotted.)"""
+        to run."""
         return len(self._by_key)
 
     def _usable_record(self, key: str) -> Optional[Dict[str, Any]]:
@@ -270,6 +272,25 @@ class WorkQueue:
         job.state = QUEUED
         self.queue.push(job)
         self._by_key[job.key] = job.id
+
+    def _leave(self, job: Job) -> None:
+        """``job`` just turned terminal: give up its seat as a rider, or
+        free its key -- ``done`` settles the key's riders on the record
+        it stored, anything else hands the key to the first of them."""
+        riders = self._riders.get(job.key)
+        if riders and job in riders:
+            riders.remove(job)
+            return
+        self._by_key.pop(job.key, None)
+        if not riders:
+            return
+        if job.state == DONE:
+            for rider in self._riders.pop(job.key):
+                rider.state = DONE
+                self.counters["completed"] += 1
+                self._journal(DONE, rider)
+        else:
+            self._enqueue(riders.pop(0))
 
     def admit(
         self, key: str, scenario: Dict[str, Any], priority: int = 0
@@ -316,8 +337,12 @@ class WorkQueue:
         at the kill, its worker died with the daemon -- plus every
         ``done`` one whose record no longer reads back usable (cache
         wiped, entry torn or written by another backend): terminal on
-        paper, but the work is lost.  Unknown event types and events
-        for unknown ids are ignored (forward compatibility).
+        paper, but the work is lost.  One job per key is queued: a
+        later one of the same key (two ``done`` jobs shared the rotted
+        record) comes back ``queued`` too but rides the earlier one, as
+        a duplicate submission would, and turns ``done`` with it.
+        Unknown event types and events for unknown ids are ignored
+        (forward compatibility).
         """
         for event in events:
             kind, job_id = event.get("event"), event.get("id")
@@ -347,7 +372,11 @@ class WorkQueue:
                 job.state == DONE and self._usable_record(job.key) is None
             ):
                 job.cached = False
-                self._enqueue(job)
+                if job.key in self._by_key:
+                    job.state = QUEUED
+                    self._riders.setdefault(job.key, []).append(job)
+                else:
+                    self._enqueue(job)
                 requeued.append(job)
         self.counters["replayed"] += len(requeued)
         numeric = [int(job_id[1:]) for job_id in self.jobs if job_id[1:].isdigit()]
@@ -408,17 +437,17 @@ class WorkQueue:
                 return None
             job.state, job.error = FAILED, error
             self.counters["failed"] += 1
-        self._by_key.pop(job.key, None)
         self._journal(job.state, job)
+        self._leave(job)
         return job
 
     def cancel(self, job: Job) -> None:
         """Make a non-terminal job ``cancelled`` (killing its attempt
         is the caller's business); its key is submittable again."""
         job.state = CANCELLED
-        self._by_key.pop(job.key, None)
         self._journal(CANCELLED, job)
         self.counters["cancelled"] += 1
+        self._leave(job)
 
 
 __all__ = ["Job", "JobQueue", "Journal", "WorkQueue"]

@@ -10,16 +10,16 @@ propagation delay.
 Connection graphs may be *incomplete*: the paper's Section 5.3 discusses
 how PM2 requires a complete interconnection graph while OmniORB
 tolerates partial visibility (e.g. firewalls);
-:meth:`Network.connectivity_graph` exposes the graph so the deployment
-validators in :mod:`repro.envs` can check those constraints.
+:meth:`Network.is_complete` and :meth:`Network.reaches` answer the two
+questions the deployment validators in :mod:`repro.envs` ask, and
+:meth:`Network.connectivity_graph` exports the visibility graph for
+analysis (it needs the ``graph`` extra).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.simgrid.host import Host
 from repro.simgrid.link import Link
@@ -134,8 +134,32 @@ class Network:
             (a, b) in self._routes for a in names for b in names if a != b
         )
 
-    def connectivity_graph(self) -> nx.DiGraph:
-        """Directed visibility graph over host names."""
+    def reaches(self, src: Host | str, dst: Host | str) -> bool:
+        """True when ``dst`` is reachable from ``src`` by chaining routes.
+
+        A host reaches itself; an unknown host reaches nothing.
+        """
+        src = src.name if isinstance(src, Host) else src
+        dst = dst.name if isinstance(dst, Host) else dst
+        if src not in self._hosts or dst not in self._hosts:
+            return False
+        seen = frontier = {src}
+        while frontier and dst not in seen:
+            frontier = {
+                b for a, b in self._routes if a in frontier and b not in seen
+            }
+            seen = seen | frontier
+        return dst in seen
+
+    def connectivity_graph(self) -> "nx.DiGraph":
+        """Directed visibility graph over host names (``graph`` extra)."""
+        try:
+            import networkx as nx
+        except ImportError as exc:
+            raise ImportError(
+                "Network.connectivity_graph() needs the 'graph' extra: "
+                "pip install 'repro-aiac[graph]'"
+            ) from exc
         g = nx.DiGraph()
         g.add_nodes_from(self._hosts)
         g.add_edges_from(self._routes)

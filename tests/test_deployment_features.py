@@ -1,5 +1,7 @@
 """Tests for Sections 5.2, 5.3 and 6 as executable code."""
 
+import sys
+
 import pytest
 
 from repro.clusters import local_cluster, uniform_cluster
@@ -50,13 +52,35 @@ def test_omniorb_tolerates_incomplete_graph():
     assert plan.ok
     assert any("naming service" in step for step in plan.manual_steps)
     assert "omniNames" in plan.required_daemons
+    assert plan.warnings == [
+        "incomplete connection graph: invocations will be "
+        "redirected through visible hosts"
+    ]
 
 
 def test_omniorb_needs_reachable_naming_service():
     net = _incomplete_network(reach_naming_host=False)
     plan = validate_deployment(get_environment("omniorb"), net)
     assert not plan.ok
-    assert any("naming service unreachable" in e for e in plan.errors)
+    assert plan.errors == ["naming service unreachable from: c"]
+
+
+def test_omniorb_reaches_the_naming_service_through_visible_hosts():
+    """Only the direction towards the naming-service host (a) matters."""
+    net = _incomplete_network(reach_naming_host=False)
+    link = net.links[0]
+    net.add_route("c", "b", [link])  # c -> b -> a, nothing back to c
+    assert validate_deployment(get_environment("omniorb"), net).ok
+    blind = _incomplete_network(reach_naming_host=False)
+    blind.add_route("a", "c", [link])  # a sees c, c still sees nobody
+    plan = validate_deployment(get_environment("omniorb"), blind)
+    assert plan.errors == ["naming service unreachable from: c"]
+
+
+def test_validate_deployment_needs_no_graph_library(monkeypatch):
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    plan = validate_deployment(get_environment("omniorb"), _incomplete_network())
+    assert plan.ok and len(plan.warnings) == 1
 
 
 def test_complete_cluster_deploys_everywhere():

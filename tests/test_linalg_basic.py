@@ -196,13 +196,16 @@ def test_dependencies_match_matrix_structure():
 
 
 def test_dependency_graph_nodes_and_edges():
+    nx = pytest.importorskip("networkx")
     problem, part = _small_problem()
     graph = dependency_graph(problem.matrix, part)
+    assert isinstance(graph, nx.DiGraph)
     assert set(graph.nodes) == set(range(part.m))
     providers = block_column_dependencies(problem.matrix, part)
     for consumer, sources in providers.items():
         for src in sources:
             assert graph.has_edge(src, consumer)
+    assert graph.number_of_edges() == sum(len(s) for s in providers.values())
 
 
 def test_spread_offsets_give_all_to_all_dependencies():

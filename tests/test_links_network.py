@@ -1,7 +1,8 @@
 """Unit tests for hosts, links and the network topology."""
 
-import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simgrid.host import Host
 from repro.simgrid.link import Link, kbit, mbit
@@ -130,11 +131,52 @@ def test_completeness_detection():
 
 
 def test_connectivity_graph_structure():
+    nx = pytest.importorskip("networkx")
     net, a, b, link = _two_host_network()
     net.add_route(a, b, [link])
     graph = net.connectivity_graph()
     assert isinstance(graph, nx.DiGraph)
+    assert list(graph.nodes) == ["a", "b"]
     assert list(graph.edges) == [("a", "b")]
+
+
+def _network_from_routes(n_hosts, routes):
+    net = Network()
+    names = [f"h{i}" for i in range(n_hosts)]
+    for name in names:
+        net.add_host(Host(name=name, speed=1.0))
+    link = net.add_link(Link(name="l", latency=1e-3, bandwidth=1e6))
+    for i, j in routes:
+        net.add_route(names[i], names[j], [link])
+    return net, names
+
+
+@st.composite
+def _route_tables(draw):
+    """Directed route tables: asymmetric pairs, isolated hosts, any density."""
+    n_hosts = draw(st.integers(min_value=1, max_value=7))
+    pairs = [(i, j) for i in range(n_hosts) for j in range(n_hosts) if i != j]
+    routes = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return n_hosts, sorted(routes)
+
+
+@given(table=_route_tables())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_reaches_matches_has_path_on_the_exported_graph(table):
+    nx = pytest.importorskip("networkx")
+    net, names = _network_from_routes(*table)
+    graph = net.connectivity_graph()
+    for src in names:
+        for dst in names:  # self pairs included
+            assert net.reaches(src, dst) == nx.has_path(graph, src, dst)
+            assert net.reaches(net.host(src), net.host(dst)) == net.reaches(src, dst)
+
+
+def test_reaches_follows_route_direction_and_ignores_unknown_hosts():
+    net, names = _network_from_routes(4, [(0, 1), (1, 2)])
+    assert net.reaches("h0", "h2") and not net.reaches("h2", "h0")
+    assert net.reaches("h3", "h3") and not net.reaches("h0", "h3")
+    assert not net.reaches("h0", "ghost") and not net.reaches("ghost", "ghost")
 
 
 def test_duplicate_host_rejected():

@@ -1,5 +1,6 @@
 """Tests for the sparse linear problem instance (Section 4.1)."""
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -58,6 +59,45 @@ def test_instance_generation_is_deterministic():
     assert np.array_equal(a.matrix.data, b.matrix.data)
     c = SparseLinearProblem(SparseLinearConfig(n=100, seed=6))
     assert not np.array_equal(a.b, c.b)
+
+
+@pytest.mark.parametrize(
+    "params, matrix_sha1, b_sha1, x_true_sha1",
+    [
+        (
+            {},
+            "8e90c415ab1ab2fd5cbec8880c928dc42e5cdf52",
+            "ff7ebc61305e5aa789fd1550f7d73bafc1d2008e",
+            "7534ab5dd7c7b53c9c03ee32b67a498d7a5169ba",
+        ),
+        (
+            {"sign_structure": "random"},
+            "ae7fcb99a1b1cf1f0601e828e8adc0afdeb77c96",
+            "8e21c131fe9e1ed6f8079ac9854e2e23e22f7415",
+            "5dd61ff5e3d95783d7e809b8e1a9d15bea88484d",
+        ),
+        (
+            {"n_diagonals": 100},
+            "e7f99a16f67de75476c4eea035b353832cf33a83",
+            "8fa5f27bfd23c60227df7b421c0877a885ac48c3",
+            "e6961404e9856b853fa2714ec79da2fc33537e83",
+        ),
+    ],
+    ids=["default", "random_signs", "100_diagonals"],
+)
+def test_generated_instance_bytes_are_pinned(params, matrix_sha1, b_sha1, x_true_sha1):
+    """The instance a config names never changes (hashes taken before PR 17).
+
+    Every recorded makespan, cache key and sim-identity fingerprint is
+    a function of these bytes, so construction may get faster but not
+    draw or place a value differently.
+    """
+    p = SparseLinearProblem(SparseLinearConfig(**params))
+    digests = [
+        hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()
+        for a in (p.matrix.data, p.b, p.x_true)
+    ]
+    assert digests == [matrix_sha1, b_sha1, x_true_sha1]
 
 
 def test_local_solver_dependency_lists():

@@ -89,6 +89,8 @@ class DaemonFront:
     """The daemon's durable form: a life is a ``Scheduler`` on the state
     dir (its journal callable, its replay), driven below its verbs."""
 
+    ids_survive = True
+
     def __init__(self, root):
         self.root = root
         self.scheduler = None
@@ -123,6 +125,8 @@ class SweepFront:
     """The sweep's durable form: a life is a ``SweepState`` (resume) plus
     a fresh queue the grid shell re-admits every unit to, except the
     ones the journal holds as failed."""
+
+    ids_survive = False
 
     def __init__(self, root):
         self.root = root
@@ -189,11 +193,6 @@ class WorkQueueMachine(RuleBasedStateMachine):
         self.work, self.executor = self.front.open(self.admitted)
         self.terminal = {}  # job id -> the terminal state it first reached
         self.rides = {}  # job id -> riders it took this life
-        #: Keys two jobs came back queued for (both journaled done, the
-        #: record rotted): each re-executes, and a later duplicate may
-        #: miss the twin -- wasteful, not wrong; see WorkQueue.restore.
-        keys = [job.key for job in self.open_jobs()]
-        self.twice_replayed = {key for key in keys if keys.count(key) > 1}
 
     # -- model helpers ---------------------------------------------------
     def open_jobs(self, key=None):
@@ -246,7 +245,7 @@ class WorkQueueMachine(RuleBasedStateMachine):
             assert job.priority >= priority
             self.rides[job.id] = self.rides.get(job.id, 0) + 1
         else:
-            assert not twins or key in self.twice_replayed
+            assert not twins
             assert record is None and job.state == QUEUED and job.attempts == 0
         if key not in self.admitted:
             self.admitted.append(key)
@@ -273,6 +272,7 @@ class WorkQueueMachine(RuleBasedStateMachine):
         record = record_for(job.key, self.stamp)
         assert self.deliver(job, "done", record) is job
         assert job.state == DONE and self.usable(job.key) == record
+        assert not self.open_jobs(job.key)  # replayed twins settle with it
 
     @precondition(lambda self: self.executor.running)
     @rule(index=st.integers(0, 7), as_dict=st.booleans())
@@ -328,20 +328,40 @@ class WorkQueueMachine(RuleBasedStateMachine):
         self.work.cancel(job)
         assert job.state == CANCELLED
 
+    def keys_shared_by_done_jobs(self):
+        done = [job.key for job in self.work.jobs.values() if job.state == DONE]
+        return sorted(key for key in set(done) if done.count(key) > 1)
+
     @rule(index=st.integers(0, 7), rot=st.sampled_from(["keep", "remove", "tear"]))
     def kill_and_replay(self, index, rot):
+        cached = sorted(self.root.glob("cache/*.json"))
+        self.replay_after_rotting(cached[index % len(cached)] if cached else None, rot)
+
+    @precondition(lambda self: self.keys_shared_by_done_jobs())
+    @rule(index=st.integers(0, 7), rot=st.sampled_from(["remove", "tear"]))
+    def rot_a_record_shared_by_done_jobs_and_replay(self, index, rot):
+        shared = self.keys_shared_by_done_jobs()
+        key = shared[index % len(shared)]
+        done = sum(
+            1 for job in self.work.jobs.values()
+            if job.key == key and job.state == DONE
+        )
+        self.replay_after_rotting(self.probe.path_for(key), rot)
+        # The daemon brings every id back, the sweep one job per key;
+        # either way the key has one seat (invariant below) and all its
+        # jobs settle together in ``executor_done``.
+        assert len(self.open_jobs(key)) == (done if self.front.ids_survive else 1)
+
+    def replay_after_rotting(self, victim, rot):
         before = {
             job.id: (job.key, job.state, job.error)
             for job in self.work.jobs.values()
         }
-        cached = sorted(self.root.glob("cache/*.json"))
-        if cached and rot != "keep":
-            victim = cached[index % len(cached)]
-            if rot == "remove":
-                victim.unlink()
-            else:
-                with victim.open("r+") as handle:
-                    handle.truncate(40)
+        if victim is not None and rot == "remove":
+            victim.unlink()
+        elif victim is not None and rot == "tear":
+            with victim.open("r+") as handle:
+                handle.truncate(40)
         usable = {key for key in KEYS if self.usable(key) is not None}
         self.front.kill()
         self.open_life()
@@ -363,6 +383,14 @@ class WorkQueueMachine(RuleBasedStateMachine):
         # the rider's; what can go wrong is the host losing count of them.
         for job_id, riders in self.rides.items():
             assert self.work.jobs[job_id].coalesced == riders
+
+    @invariant()
+    def every_open_key_has_exactly_one_seat(self):
+        # One job per key is queued or running, however many jobs of
+        # the key are open: a key is never executed twice at once.
+        seats = len(self.work.queue) + len(self.executor.running)
+        assert seats == self.work.in_flight
+        assert seats == len({job.key for job in self.open_jobs()})
 
     @invariant()
     def attempts_stay_within_the_budget(self):
@@ -406,6 +434,76 @@ TestWorkQueueDaemonFormat = DaemonFormatMachine.TestCase
 TestWorkQueueDaemonFormat.settings = MACHINE_SETTINGS
 TestWorkQueueSweepFormat = SweepFormatMachine.TestCase
 TestWorkQueueSweepFormat.settings = MACHINE_SETTINGS
+
+
+# ---------------------------------------------------------------------------
+# restore: jobs of one key whose shared record rotted run once
+# ---------------------------------------------------------------------------
+
+def _restored_twins(tmp_path, n=3):
+    """A queue replayed from ``n`` journaled-``done`` jobs of ``k0`` whose
+    record is gone, its journal as a list, and a two-slot executor."""
+    events = []
+    for i in range(1, n + 1):
+        events.append({"event": "submit", "id": f"j{i:06d}", "key": "k0",
+                       "priority": 0, "seq": i - 1, "scenario": SCENARIOS["k0"]})
+        events.append({"event": "done", "id": f"j{i:06d}"})
+    journal = []
+    work = WorkQueue(
+        cache=ResultCache(tmp_path / "cache"),
+        journal=lambda event, job: journal.append((event, job.id)),
+        max_attempts=MAX_ATTEMPTS,
+    )
+    requeued = work.restore(events)
+    assert [job.id for job in requeued] == [f"j{i:06d}" for i in range(1, n + 1)]
+    assert all(job.state == QUEUED for job in requeued)
+    assert work.counters["replayed"] == n and work.in_flight == 1
+    return work, journal, StubExecutor()
+
+
+def _finish(work, executor, job_id, kind, payload):
+    executor.events.append((job_id, kind, payload))
+    for event in executor.poll():
+        work.store(*event)
+        return work.settle(*event)
+
+
+def test_restore_runs_a_key_shared_by_rotted_done_jobs_once(tmp_path):
+    work, journal, executor = _restored_twins(tmp_path)
+    started = work.dispatch(executor, now=1.0)
+    assert [job.id for job in started] == ["j000001"]  # the others ride it
+    assert executor.capacity == 1 and len(work.queue) == 0
+    # A duplicate submission still finds the running host.
+    twin, coalesced, _ = work.admit("k0", SCENARIOS["k0"])
+    assert coalesced and twin is started[0]
+
+    record = record_for("k0", 1)
+    assert _finish(work, executor, "j000001", "done", record) is started[0]
+    assert {job.state for job in work.jobs.values()} == {DONE}
+    assert work.cache.get("k0") == record
+    assert journal == [("done", "j000001"), ("done", "j000002"), ("done", "j000003")]
+    assert work.in_flight == 0 and work.dispatch(executor, now=2.0) == []
+    c = work.counters
+    assert (c["replayed"], c["completed"], c["submitted"], c["coalesced"]) == (3, 3, 1, 1)
+
+
+def test_a_restored_rider_takes_over_when_its_host_fails_or_is_cancelled(tmp_path):
+    work, journal, executor = _restored_twins(tmp_path)
+    first, second, third = (work.jobs[f"j{i:06d}"] for i in (1, 2, 3))
+    work.dispatch(executor, now=1.0)
+    assert _finish(work, executor, first.id, "failed", "ValueError: boom") is first
+    assert (first.state, second.state, third.state) == (FAILED, QUEUED, QUEUED)
+    assert [job.id for job in work.dispatch(executor, now=2.0)] == [second.id]
+
+    work.cancel(third)  # a rider leaves: the host is untouched
+    assert (second.state, third.state, work.in_flight) == (RUNNING, CANCELLED, 1)
+    executor.kill(second.id)
+    work.cancel(second)  # the host leaves with no rider left: key is free
+    assert work.in_flight == 0 and len(work.queue) == 0
+    assert journal == [("failed", first.id), ("cancelled", third.id),
+                       ("cancelled", second.id)]
+    c = work.counters
+    assert c["replayed"] == c["failed"] + c["cancelled"] == 3
 
 
 # ---------------------------------------------------------------------------
