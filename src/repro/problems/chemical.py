@@ -22,20 +22,25 @@ strips along z, nearest-neighbour halo exchange, multisplitting Newton
 
 Hot-path layout
 ---------------
-All RHS evaluations run through one *batched* kernel operating on a
-stack of ``k`` strip states in a preallocated ghost-padded buffer
-(:class:`_StripWorkspace`): interior views of the pad give the five
-stencil neighbours without the four ``np.concatenate`` copies the
-original per-call implementation paid, and every arithmetic step is an
-in-place ufunc.  The scalar path is the ``k = 1`` case of the same
-kernel, and Newton/GMRES are written as *generators*
-(:func:`scaled_newton_gen`, :func:`repro.linalg.gmres.gmres_gen`) that
-yield the points they need ``g`` evaluated at: a driver can pump one
-solver (scalar) or stack the yielded points of many solvers into a
-single kernel call (the batched engine mode and the sweep "mega-run").
-Because every per-member reduction (norms, dots, Givens rotations)
-stays inside that member's own generator and stacked ufuncs are
-element-wise, batched and scalar runs are bit-identical.
+All RHS evaluations run through one *batched* kernel on a stack of
+``k`` strip states in a preallocated ghost-padded buffer
+(:class:`_StripWorkspace`), read *flat* per member: the **window** from
+the first to the last interior cell holds every cell's five stencil
+neighbours at lane offsets ``0, +-(nx+2), +-1`` of the same buffer
+(:func:`_window`), so each ufunc sees contiguous operands.  The ghost
+cells and corners inside the window are **junk lanes** -- computed
+along, never read back, kept finite by zero-initialised buffers and
+coefficient windows that are ``0.0`` there -- and interior lanes see the
+operands, operations and order of the cell-by-cell stencil, so results
+are bitwise layout-independent (``DESIGN.md``, "The chemical strip
+kernel and the Krylov scalars").  The scalar path is the ``k = 1`` case,
+and Newton/GMRES are *generators* (:func:`scaled_newton_gen`,
+:func:`repro.linalg.gmres.gmres_gen`) yielding the points they need
+``g`` evaluated at: a driver pumps one solver or stacks the points of
+many into one kernel call (batched engine mode, sweep "mega-run").
+Every per-member reduction (norms, dots, Givens rotations) stays inside
+that member's generator and stacked ufuncs are element-wise, so batched
+and scalar runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -145,21 +150,24 @@ class _StripWorkspace:
     """Preallocated buffers for batched strip-RHS evaluation.
 
     ``pad`` is the ghost-padded state stack ``(k, 2, rows+2, nx+2)``;
-    interior slices of it provide the five stencil neighbours without
-    any copy.  ``out`` accumulates the RHS, ``t0``/``t1``/``t2`` are
-    scratch.  A workspace serves any batch width up to ``k`` by slicing
-    along the leading axis (C-contiguity is preserved).
+    ``out`` (the RHS accumulator) and ``t2`` (scratch) share its layout
+    and its flat windows, ``t0``/``t1`` cover one species' sub-window,
+    ``dtf`` is the contiguous ``dt * f`` the callers subtract.  Any
+    batch width up to ``k`` is a slice along the leading axis.  ``zeros``,
+    not ``empty``: the never-written corner ghosts are inside the window.
     """
 
     def __init__(self, k: int, rows: int, nx: int) -> None:
         self.k = k
         self.rows = rows
         self.nx = nx
-        self.pad = np.empty((k, 2, rows + 2, nx + 2))
-        self.out = np.empty((k, 2, rows, nx))
-        self.t0 = np.empty((k, rows, nx))
-        self.t1 = np.empty((k, rows, nx))
-        self.t2 = np.empty((k, 2, rows, nx))
+        self.pad = np.zeros((k, 2, rows + 2, nx + 2))
+        self.out = np.zeros((k, 2, rows + 2, nx + 2))
+        self.t2 = np.zeros((k, 2, rows + 2, nx + 2))
+        species = (rows + 2) * (nx + 2) - 2 * (nx + 3)
+        self.t0 = np.zeros((k, species))
+        self.t1 = np.zeros((k, species))
+        self.dtf = np.zeros((k, 2 * rows * nx))
         # The halo array whose bytes currently occupy each slot's ghost
         # rows (None = a mirror that must be refreshed every call).
         # Tracked per *workspace* slot, not per view width, so mixed
@@ -176,52 +184,63 @@ class _StripWorkspace:
         return v
 
 
+def _window(a: np.ndarray, shift: int = 0) -> np.ndarray:
+    """The kernel window of a padded ``(..., 2, rows+2, nx+2)`` stack:
+    flat per member, first to last interior cell, moved by ``shift``
+    lanes (``+-1`` the x neighbours, ``+-(nx+2)`` the z neighbours)."""
+    lo = a.shape[-1] + 1
+    flat = a.reshape(a.shape[:-3] + (-1,))
+    return flat[..., lo + shift : flat.shape[-1] - lo + shift]
+
+
 class _WsViews:
     """Precomputed array views for one batch width.
 
     Slicing tiny arrays costs as much as operating on them, so the
-    five stencil neighbours, the ghost rows/columns and the scratch
-    views are built once per (workspace, width) and reused by every
-    kernel call.
+    five stencil windows, the ghost rows/columns and the scratch views
+    are built once per (workspace, width) and reused by every kernel
+    call.
     """
 
     __slots__ = (
-        "ws", "pad", "interior", "c", "c_up", "c_down", "c_left", "c_right",
-        "out", "out_flat", "t0", "t1", "t2", "t2_flat",
+        "ws", "interior", "c", "up", "down", "left", "right",
+        "out", "out_interior", "dtf", "dtf_grid", "t0", "t1", "t2",
         "c1", "c2", "o1", "o2", "tr",
         "top_ghost", "top_row", "bot_ghost", "bot_row",
-        "left_ghost", "left_src", "right_ghost", "right_src",
+        "side_ghosts", "side_src",
     )
 
     def __init__(self, ws: _StripWorkspace, j: int) -> None:
         pad = ws.pad[:j]
+        width = ws.nx + 2
+        species = ws.t0.shape[1]  # one species' sub-window: window head and tail
         self.ws = ws
-        self.pad = pad
         self.interior = pad[:, :, 1:-1, 1:-1]
-        self.c = self.interior
-        self.c_up = pad[:, :, :-2, 1:-1]
-        self.c_down = pad[:, :, 2:, 1:-1]
-        self.c_left = pad[:, :, 1:-1, :-2]
-        self.c_right = pad[:, :, 1:-1, 2:]
-        self.out = ws.out[:j]
-        self.out_flat = self.out.reshape(j, -1)
+        self.c = _window(pad)
+        self.up = _window(pad, -width)
+        self.down = _window(pad, width)
+        self.left = _window(pad, -1)
+        self.right = _window(pad, 1)
+        self.out = _window(ws.out[:j])
+        self.out_interior = ws.out[:j, :, 1:-1, 1:-1]
+        self.dtf = ws.dtf[:j]
+        self.dtf_grid = self.dtf.reshape(j, 2, ws.rows, ws.nx)
         self.t0 = ws.t0[:j]
         self.t1 = ws.t1[:j]
-        self.t2 = ws.t2[:j]
-        self.t2_flat = self.t2.reshape(j, -1)
-        self.c1 = self.c[:, 0]
-        self.c2 = self.c[:, 1]
-        self.o1 = self.out[:, 0]
-        self.o2 = self.out[:, 1]
-        self.tr = self.t2[:, 0]
+        self.t2 = _window(ws.t2[:j])
+        self.c1 = self.c[:, :species]
+        self.c2 = self.c[:, -species:]
+        self.o1 = self.out[:, :species]
+        self.o2 = self.out[:, -species:]
+        self.tr = self.t2[:, :species]
         self.top_ghost = [pad[i, :, 0, 1:-1] for i in range(j)]
         self.top_row = [pad[i, :, 1, 1:-1] for i in range(j)]
         self.bot_ghost = [pad[i, :, -1, 1:-1] for i in range(j)]
         self.bot_row = [pad[i, :, -2, 1:-1] for i in range(j)]
-        self.left_ghost = pad[:, :, 1:-1, 0]
-        self.left_src = pad[:, :, 1:-1, 2]
-        self.right_ghost = pad[:, :, 1:-1, -1]
-        self.right_src = pad[:, :, 1:-1, -3]
+        # Columns (0, nx+1) mirror columns (2, nx-1).  At nx = 3 both
+        # read column 2: the slice is that one column, broadcast.
+        self.side_ghosts = pad[:, :, 1:-1, :: width - 1]
+        self.side_src = pad[:, :, 1:-1, 2 : width - 2 : max(width - 5, 1)]
 
 
 def _fill_ghosts(
@@ -243,50 +262,43 @@ def _fill_ghosts(
     payload is a fresh copy).  Mirror ghosts depend on the interior and
     are refreshed every call.
     """
-    last_top = v.ws.last_top
-    last_bot = v.ws.last_bot
-    for i, halo in enumerate(halos_top):
-        if halo is None:
-            np.copyto(v.top_ghost[i], v.top_row[i])
-            last_top[i] = None
-        elif halo is not last_top[i]:
-            np.copyto(v.top_ghost[i], halo)
-            last_top[i] = halo
-    for i, halo in enumerate(halos_bottom):
-        if halo is None:
-            np.copyto(v.bot_ghost[i], v.bot_row[i])
-            last_bot[i] = None
-        elif halo is not last_bot[i]:
-            np.copyto(v.bot_ghost[i], halo)
-            last_bot[i] = halo
-    np.copyto(v.left_ghost, v.left_src)
-    np.copyto(v.right_ghost, v.right_src)
+    for halos, ghost, edge, last in (
+        (halos_top, v.top_ghost, v.top_row, v.ws.last_top),
+        (halos_bottom, v.bot_ghost, v.bot_row, v.ws.last_bot),
+    ):
+        for i, halo in enumerate(halos):
+            if halo is None:
+                np.copyto(ghost[i], edge[i])
+                last[i] = None
+            elif halo is not last[i]:
+                np.copyto(ghost[i], halo)
+                last[i] = halo
+    np.copyto(v.side_ghosts, v.side_src)
 
 
 def _strip_rhs_kernel(
     v: _WsViews,
-    kva: np.ndarray,
-    kvb: np.ndarray,
-    kctr: np.ndarray,
+    windows: Sequence[np.ndarray],
     cl: float,
     cr: float,
-    r3term: np.ndarray,
-    r4: np.ndarray,
+    r3term: float | np.ndarray,
+    r4: float | np.ndarray,
     paper_signs: bool,
-) -> np.ndarray:
-    """Transport + reaction on the ghost-filled pad; returns ``v.out``.
+) -> None:
+    """Transport + reaction on the ghost-filled pad, into ``v.out``.
 
-    ``kva``/``kvb`` are the interface diffusivities already divided by
-    ``dz**2`` and ``kctr`` the combined centre coefficient
-    ``-2 Kh/dx^2 - kva - kvb``, all shaped ``(j, 1, rows, 1)``;
-    ``cl``/``cr`` are the combined horizontal advection-diffusion
-    neighbour weights; ``r3term`` is ``2 q3 c3`` and ``r4`` the
-    photolysis rate, both ``(j, 1, 1)``.  Every step is an in-place
-    ufunc on precomputed workspace views -- the kernel allocates and
-    slices nothing, and element-wise ops make the result per-member
-    bit-identical for any batch width.
+    ``windows`` holds the ``(j, L)`` coefficient windows ``kva``,
+    ``kvb``, ``kctr`` (:meth:`ChemicalProblem._coefficient_windows`):
+    the interface diffusivities already divided by ``dz**2`` and the
+    combined centre coefficient ``-2 Kh/dx^2 - kva - kvb``; ``cl``/``cr``
+    are the combined horizontal advection-diffusion neighbour weights;
+    ``r3term`` is ``2 q3 c3`` and ``r4`` the photolysis rate, floats at
+    width 1 and ``(j, 1)`` otherwise.  Every step is an in-place ufunc
+    on precomputed contiguous windows -- the kernel allocates and slices
+    nothing, and element-wise ops make the interior lanes per-member
+    bit-identical for any batch width (junk lanes: finite, never read).
     """
-    c = v.c
+    kva, kvb, kctr = windows
     out = v.out
     t1 = v.t1
     t2 = v.t2
@@ -294,16 +306,16 @@ def _strip_rhs_kernel(
     # Transport: kva c_down + kvb c_up + kctr c + cl c_left + cr c_right
     # (the centre terms of vertical diffusion and horizontal diffusion
     # are folded into the precomputed kctr).
-    np.multiply(v.c_down, kva, out=out)
-    np.multiply(v.c_up, kvb, out=t2)
+    np.multiply(v.down, kva, out=out)
+    np.multiply(v.up, kvb, out=t2)
     np.add(out, t2, out=out)
-    np.multiply(c, kctr, out=t2)
+    np.multiply(v.c, kctr, out=t2)
     np.add(out, t2, out=out)
-    np.multiply(v.c_left, cl, out=t2)
+    np.multiply(v.left, cl, out=t2)
     np.add(out, t2, out=out)
-    np.multiply(v.c_right, cr, out=t2)
+    np.multiply(v.right, cr, out=t2)
     np.add(out, t2, out=out)
-    # Reaction terms R1, R2 of Eq. (8).
+    # Reaction terms R1, R2 of Eq. (8), on the per-species sub-windows.
     c1 = v.c1
     c2 = v.c2
     o1 = v.o1
@@ -329,7 +341,6 @@ def _strip_rhs_kernel(
         np.add(o1, t1, out=o1)
         np.subtract(o2, t1, out=o2)
         np.add(o1, r3term, out=o1)
-    return out
 
 
 class ChemicalProblem:
@@ -354,17 +365,18 @@ class ChemicalProblem:
         # interface diffusivities pre-divided by dz^2 and the combined
         # horizontal weights cl*c_left + cr*c_right + cc*c.
         dz2 = self.dz**2
-        self._kva_scaled = self.kv_half[1:] / dz2   # rows g: interface above
-        self._kvb_scaled = self.kv_half[:-1] / dz2  # rows g: interface below
+        kva = self.kv_half[1:] / dz2   # rows g: interface above
+        kvb = self.kv_half[:-1] / dz2  # rows g: interface below
         hd = KH / self.dx**2
         ad = V_ADV / (2.0 * self.dx)
         self._cl = hd - ad
         self._cr = hd + ad
-        # Combined centre coefficient (vertical + horizontal diffusion),
-        # full z extent -- strips slice it, which keeps strip and
-        # full-grid evaluations bitwise identical.
-        self._kctr = -2.0 * hd - self._kva_scaled - self._kvb_scaled
+        # (kva, kvb, kctr) per row, kctr the combined centre coefficient
+        # (vertical + horizontal diffusion); full z extent -- strips slice
+        # it, which keeps strip and full-grid evaluations bitwise identical.
+        self._row_coefficients = np.stack([kva, kvb, -2.0 * hd - kva - kvb])
         self._tls: Optional[threading.local] = None
+        self._windows: Dict[Tuple[int, int], np.ndarray] = {}
         # Transport diagonal of dG/dy per strip geometry -- depends only
         # on (z_lo, rows, physical_top, physical_bottom), not on the
         # state or the time, so it is computed once per geometry.
@@ -373,7 +385,20 @@ class ChemicalProblem:
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_tls"] = None  # thread-local workspaces never travel
+        state["_windows"] = {}  # nor do the coefficient windows: rebuilt lazily
         return state
+
+    def _coefficient_windows(self, z_lo: int, rows: int) -> np.ndarray:
+        """``(kva, kvb, kctr)`` of rows ``[z_lo, z_lo + rows)`` as one
+        ``(3, L)`` array of kernel windows (:func:`_window`): each row's
+        coefficient repeated along x on interior lanes, ``0.0`` on junk
+        lanes."""
+        windows = self._windows.get((z_lo, rows))
+        if windows is None:
+            padded = np.zeros((3, 2, rows + 2, self.config.nx + 2))
+            padded[:, :, 1:-1, 1:-1] = self._row_coefficients[:, None, z_lo : z_lo + rows, None]
+            windows = self._windows[z_lo, rows] = _window(padded)
+        return windows
 
     def _workspace(self, k: int, rows: int) -> _StripWorkspace:
         """A per-thread cached workspace covering width ``k``."""
@@ -445,13 +470,6 @@ class ChemicalProblem:
         ``halo_top`` is the row at global index ``z_lo - 1`` (``None``
         at the physical boundary -> zero-flux mirror), ``halo_bottom``
         the row at ``z_lo + rows``.  ``c`` has shape ``(2, rows, nx)``.
-
-        The mirror ghost *is* the zero-flux boundary condition: with
-        ghost == edge row the boundary interface flux
-        ``kv_half * (c_edge - ghost)`` is identically zero, so no
-        separate boundary correction term exists (an earlier revision
-        carried one; it provably added zero and was removed -- the
-        flux-conservation test pins the property down).
         """
         cfg = self.config
         rows = c.shape[1]
@@ -460,16 +478,11 @@ class ChemicalProblem:
         v = self._workspace(1, rows).views(1)
         v.interior[0] = c
         _fill_ghosts(v, (halo_top,), (halo_bottom,))
-        kva = self._kva_scaled[z_lo : z_lo + rows].reshape(1, 1, rows, 1)
-        kvb = self._kvb_scaled[z_lo : z_lo + rows].reshape(1, 1, rows, 1)
-        kctr = self._kctr[z_lo : z_lo + rows].reshape(1, 1, rows, 1)
-        r3term = np.array(2.0 * C3 * q3(t)).reshape(1, 1, 1)
-        r4 = np.array(q4(t)).reshape(1, 1, 1)
-        out = _strip_rhs_kernel(
-            v, kva, kvb, kctr, self._cl, self._cr,
-            r3term, r4, cfg.paper_reaction_signs,
+        _strip_rhs_kernel(
+            v, self._coefficient_windows(z_lo, rows), self._cl, self._cr,
+            2.0 * C3 * q3(t), q4(t), cfg.paper_reaction_signs,
         )
-        return out[0].copy()
+        return v.out_interior[0].copy()
 
     def rhs(self, c: np.ndarray, t: float) -> np.ndarray:
         """``f`` on the full grid."""
@@ -602,38 +615,23 @@ class _StripBatch:
     ) -> None:
         cfg = problem.config
         k = len(members)
-        self.rows = rows
-        self.nx = cfg.nx
         self.dt = cfg.dt
         self.paper_signs = cfg.paper_reaction_signs
         self.cl = problem._cl
         self.cr = problem._cr
-        if k == 1:
-            # Hot scalar path: views, no stacking.
-            yp, sc, z_lo, _, _, t = members[0]
-            self.y_prev = yp[None]
-            self.scale = sc[None]
-            self.kva = problem._kva_scaled[z_lo : z_lo + rows][None, None, :, None]
-            self.kvb = problem._kvb_scaled[z_lo : z_lo + rows][None, None, :, None]
-            self.kctr = problem._kctr[z_lo : z_lo + rows][None, None, :, None]
-            self.r3term = np.array(2.0 * C3 * q3(t)).reshape(1, 1, 1)
-            self.r4 = np.array(q4(t)).reshape(1, 1, 1)
-        else:
-            self.y_prev = np.stack([m[0] for m in members])
-            self.scale = np.stack([m[1] for m in members])
-            self.kva = np.stack(
-                [problem._kva_scaled[m[2] : m[2] + rows] for m in members]
-            )[:, None, :, None]
-            self.kvb = np.stack(
-                [problem._kvb_scaled[m[2] : m[2] + rows] for m in members]
-            )[:, None, :, None]
-            self.kctr = np.stack(
-                [problem._kctr[m[2] : m[2] + rows] for m in members]
-            )[:, None, :, None]
-            self.r3term = np.array(
-                [2.0 * C3 * q3(m[5]) for m in members]
-            ).reshape(k, 1, 1)
-            self.r4 = np.array([q4(m[5]) for m in members]).reshape(k, 1, 1)
+        self.y_prev = np.stack([m[0] for m in members])
+        self.scale = np.stack([m[1] for m in members])
+        # A tuple of three (k, L) arrays: unpacking an array in the
+        # kernel would build three views per evaluation.
+        self.windows = tuple(np.stack(
+            [problem._coefficient_windows(m[2], rows) for m in members], axis=1
+        ))
+        r3term = [2.0 * C3 * q3(m[5]) for m in members]
+        r4 = [q4(m[5]) for m in members]
+        self.r3term = np.array(r3term).reshape(k, 1)
+        self.r4 = np.array(r4).reshape(k, 1)
+        # eval1 hands the width-1 kernel plain floats (same doubles).
+        self.r3term_1, self.r4_1 = r3term[0], r4[0]
         self.halos_top = [m[3] for m in members]
         self.halos_bottom = [m[4] for m in members]
         self.ws = problem._workspace(k, rows)
@@ -644,22 +642,21 @@ class _StripBatch:
         j = len(idx)
         y_prev = self.y_prev[idx]
         v = self.ws.views(j)
-        v.interior[...] = y_stack.reshape(j, 2, self.rows, self.nx)
+        v.interior[...] = y_stack.reshape(v.interior.shape)
         _fill_ghosts(
             v,
             [self.halos_top[i] for i in idx],
             [self.halos_bottom[i] for i in idx],
         )
         _strip_rhs_kernel(
-            v, self.kva[idx], self.kvb[idx], self.kctr[idx],
-            self.cl, self.cr,
+            v, [w[idx] for w in self.windows], self.cl, self.cr,
             self.r3term[idx], self.r4[idx], self.paper_signs,
         )
         # res = (y - y_prev - dt f(y)) / s, built in place on a fresh
         # array: callers own the result (it may outlive the workspace).
         res = y_stack - y_prev
-        np.multiply(v.out_flat, self.dt, out=v.t2_flat)
-        res -= v.t2_flat
+        np.multiply(v.out_interior, self.dt, out=v.dtf_grid)
+        res -= v.dtf
         res /= self.scale[idx]
         return res
 
@@ -670,15 +667,15 @@ class _StripBatch:
         so scalar and batched pumping stay bit-identical.
         """
         v = self.views1
-        v.interior[0] = y.reshape(2, self.rows, self.nx)
+        v.interior[...] = y.reshape(v.interior.shape)
         _fill_ghosts(v, (self.halos_top[0],), (self.halos_bottom[0],))
         _strip_rhs_kernel(
-            v, self.kva, self.kvb, self.kctr, self.cl, self.cr,
-            self.r3term, self.r4, self.paper_signs,
+            v, self.windows, self.cl, self.cr,
+            self.r3term_1, self.r4_1, self.paper_signs,
         )
         res = y - self.y_prev[0]
-        np.multiply(v.out_flat[0], self.dt, out=v.t2_flat[0])
-        res -= v.t2_flat[0]
+        np.multiply(v.out_interior, self.dt, out=v.dtf_grid)
+        res -= v.dtf[0]
         res /= self.scale[0]
         return res
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.problems.chemical import (
     A3,
@@ -359,3 +361,277 @@ def test_batched_iterate_bit_identical_to_scalar():
     assert scalar_log == batch_log
     for a, b in zip(scalar_states, batch_states):
         assert np.array_equal(a, b)
+
+
+# ----------------------------------------------------------------------
+# the strip kernel against a cell-by-cell oracle
+# ----------------------------------------------------------------------
+DAY, NIGHT = 10_800.0, 50_000.0  # q3, q4 > 0 / both zero
+
+
+def _oracle_rhs(p, c, t, z_lo, halo_top, halo_bottom):
+    """Oracle: the strip RHS on 4-D neighbour views of an ``np.pad``-style copy.
+
+    The formula ``_strip_rhs_kernel`` had before it moved to flat
+    windows -- neighbours as shifted interior views, row coefficients
+    broadcast along x, the same operations in the same order -- on a
+    fresh array whose never-read corners are NaN.  Not derived from
+    the current kernel: they must agree to the last bit.
+    """
+    from repro.problems import chemical as ch
+
+    rows = c.shape[1]
+    pad = np.full((2, rows + 2, p.config.nx + 2), np.nan)
+    pad[:, 1:-1, 1:-1] = c
+    pad[:, 0, 1:-1] = c[:, 0] if halo_top is None else halo_top
+    pad[:, -1, 1:-1] = c[:, -1] if halo_bottom is None else halo_bottom
+    pad[:, 1:-1, 0] = pad[:, 1:-1, 2]
+    pad[:, 1:-1, -1] = pad[:, 1:-1, -3]
+    hd, ad = ch.KH / p.dx**2, ch.V_ADV / (2.0 * p.dx)
+    kva = (p.kv_half[1:] / p.dz**2)[z_lo : z_lo + rows].reshape(1, rows, 1)
+    kvb = (p.kv_half[:-1] / p.dz**2)[z_lo : z_lo + rows].reshape(1, rows, 1)
+    out = pad[:, 2:, 1:-1] * kva
+    out = out + pad[:, :-2, 1:-1] * kvb
+    out = out + pad[:, 1:-1, 1:-1] * (-2.0 * hd - kva - kvb)
+    out = out + pad[:, 1:-1, :-2] * (hd - ad)
+    out = out + pad[:, 1:-1, 2:] * (hd + ad)
+    c1, c2 = c
+    o1, o2 = out
+    t0 = (c1 * c2) * ch.Q2
+    t1 = c2 * q4(t)
+    tr = c1 * (ch.Q1 * ch.C3)
+    r3term = 2.0 * ch.C3 * q3(t)
+    if p.config.paper_reaction_signs:
+        t1 = t1 - t0
+        o1 = ((o1 + t1) - tr) + r3term
+        o2 = (o2 + t1) + tr
+    else:
+        o1 = (((o1 - tr) - t0) + t1) + r3term
+        o2 = ((o2 + tr) - t0) - t1
+    return np.stack([o1, o2])
+
+
+def _oracle_ghat(p, y, member):
+    """``(y - y_prev - dt f(y)) / s`` with ``f`` from :func:`_oracle_rhs`."""
+    y_prev, scale, z_lo, halo_top, halo_bottom, t = member
+    c = y.reshape(2, -1, p.config.nx)
+    f = _oracle_rhs(p, c, t, z_lo, halo_top, halo_bottom)
+    return ((y - y_prev) - f.ravel() * p.config.dt) / scale
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_strip_kernel_is_bit_identical_to_the_cellwise_oracle(data):
+    """``rhs_strip``, ``_StripBatch.eval`` (any active subset of a stack)
+    and ``eval1`` reproduce the cell-by-cell formula bit for bit, for
+    every shape the flat-window layout distinguishes: ``nx`` from the
+    mirror edge case 3 up, one-row strips, halos present or mirrored
+    per side, both sign conventions, day and night, and workspaces
+    shared between widths."""
+    from repro.problems.chemical import _StripBatch
+
+    nx = data.draw(st.integers(3, 12), label="nx")
+    rows = data.draw(st.integers(1, 6), label="rows")
+    k = data.draw(st.integers(1, 4), label="k")
+    nz = max(3, rows + data.draw(st.integers(0, 4), label="extra rows"))
+    p = _problem(nx=nx, nz=nz, paper_reaction_signs=data.draw(st.booleans(), label="signs"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
+
+    def state(shape):
+        c = rng.uniform(0.5, 1.5, (2,) + shape)
+        c[0] *= 1.0e6
+        c[1] *= 1.0e12
+        return c
+
+    members, points = [], []
+    for _ in range(k):
+        halos = [
+            state((nx,)) if data.draw(st.booleans(), label="halo") else None
+            for _side in range(2)
+        ]
+        y_prev = state((rows, nx)).ravel()
+        members.append((
+            y_prev, p.config.rtol * np.abs(y_prev) + p.atol_vector(rows),
+            data.draw(st.integers(0, nz - rows), label="z_lo"), halos[0], halos[1],
+            data.draw(st.sampled_from([DAY, NIGHT]), label="t"),
+        ))
+        points.append(y_prev * rng.uniform(0.999, 1.001, y_prev.size))
+    idx = data.draw(
+        st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True), label="idx"
+    )
+
+    batch = _StripBatch(p, rows, members)
+    expected = [_oracle_ghat(p, y, m) for y, m in zip(points, members)]
+    stacked = batch.eval(np.array(idx), np.stack([points[i] for i in idx]))
+    assert np.array_equal(stacked, np.stack([expected[i] for i in idx]))
+    # Width-1 evaluators and rhs_strip share the thread's workspace
+    # with the stack above (slot 0, other halos): interleave them.
+    for i in idx:
+        _, _, z_lo, halo_top, halo_bottom, t = members[i]
+        assert np.array_equal(_StripBatch(p, rows, [members[i]]).eval1(points[i]), expected[i])
+        c = points[i].reshape(2, rows, nx)
+        assert np.array_equal(
+            p.rhs_strip(c, t, z_lo, halo_top, halo_bottom),
+            _oracle_rhs(p, c, t, z_lo, halo_top, halo_bottom),
+        )
+    again = batch.eval(np.array(idx), np.stack([points[i] for i in idx]))
+    assert np.array_equal(again, stacked)
+
+
+def test_interleaved_strips_on_a_shared_workspace_match_isolated_ones():
+    """Strips of one problem share the thread's workspace (same row
+    count, slot 0) and each skips re-copying a halo whose array already
+    sits in the ghost row.  Interleaving ``iterate()`` between them in
+    changing orders -- fresh halos after most rounds, the same halo
+    objects again after every third -- must give each strip exactly
+    what it computes alone on its own problem instance fed the same
+    payloads."""
+    cfg = dict(nx=7, nz=9, t_end=360.0, gmres_tol=1e-10, newton_tol=1e-9)
+    size = 3
+    shared = _problem(**cfg)
+    together = [shared.make_local(r, size) for r in range(size)]
+    alone = [_problem(**cfg).make_local(r, size) for r in range(size)]
+    orders = [(0, 1, 2), (1, 2, 1, 2, 0), (2, 2, 1, 0, 1)]
+
+    def deliver(solver, src, payload):
+        rank, which, row = payload
+        solver.integrate(src, (rank, which, row.copy()))  # payloads are fresh arrays
+
+    # Per strip, what the interleaved run did to it, in order: an
+    # iterate (residual, solution after) or a delivery (source, payload).
+    history = [[] for _ in range(size)]
+
+    def send(src, outgoing):
+        for dst, (payload, _) in outgoing.items():
+            deliver(together[dst], src, payload)
+            history[dst].append(("deliver", src, payload))
+
+    for solver in together:
+        send(solver.rank, solver.initial_outgoing())
+    for step in range(shared.config.n_steps):
+        for solver in together:
+            solver.begin_step(step)
+            history[solver.rank].append(("begin_step", step, None))
+        for round_ in range(9):
+            latest = {}
+            for rank in orders[round_ % len(orders)]:
+                latest[rank] = together[rank].iterate()
+                history[rank].append(
+                    ("iterate", latest[rank].residual, together[rank].local_solution())
+                )
+            if round_ % 3 != 2:
+                for rank, result in latest.items():
+                    send(rank, result.outgoing)
+
+    for solver, events in zip(alone, history):
+        for kind, first, second in events:
+            if kind == "deliver":
+                deliver(solver, first, second)
+            elif kind == "begin_step":
+                solver.begin_step(first)
+            else:
+                assert solver.iterate().residual == first
+                assert np.array_equal(solver.local_solution(), second)
+        assert any(kind == "iterate" and residual > 0.0 for kind, residual, _ in events)
+
+
+# ----------------------------------------------------------------------
+# whole runs: pinned results, junk lanes, pickles
+# ----------------------------------------------------------------------
+def _battery_run(name, problem=None):
+    """Run one member of ``tools/sim_identity.py``'s fixed chemical battery
+    on ``problem`` (default: a fresh one); returns ``(problem, result)``."""
+    import importlib.util
+    from pathlib import Path
+
+    from repro.api import SimulatedBackend
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "sim_identity.py"
+    spec = importlib.util.spec_from_file_location("sim_identity", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    (scenario,) = [s for s in tool.chemical_battery() if s.name == name]
+    if problem is None:
+        problem = scenario.build_problem()
+    result = SimulatedBackend(trace=False).run(scenario, make_solver=problem.make_local)
+    return problem, result
+
+
+def _solution_sha1(result):
+    import hashlib
+
+    return hashlib.sha1(result.solution().tobytes()).hexdigest()
+
+
+BENCH_SHA1 = "c229bb535ddc5631d1cadd5816a1956723414825"
+
+
+@pytest.mark.parametrize(
+    "name, sha1, makespan, iterations, messages, events",
+    [
+        # sim_lockstep_chem's scenario: nx = nz = 24 on 4 lock-step ranks
+        ("chem-bench", BENCH_SHA1, 0.24744137599999644, 168, 546, 2384),
+        ("chem-nx3", "e0fea010fab8ca105b6fa6affa0d1ef30e5a4233",
+         0.019301319999999997, 18, 42, None),
+        ("chem-restart4", "7c379748ce6c9affece388985036add1817c7419",
+         0.03882063999999999, 20, 46, None),
+    ],
+)
+def test_chemical_runs_are_pinned(name, sha1, makespan, iterations, messages, events):
+    """Literal results recorded at the revision *before* the flat-window
+    kernel and the Python-float Krylov scalars: a hot-path change that
+    moves one rounding moves these.  (The bytes are those of this
+    numpy/BLAS build's ``dot``; the counts and the makespan are not.)"""
+    _, result = _battery_run(name)
+    stats = result.backend_stats
+    assert result.converged
+    assert (result.total_iterations, stats["messages_sent"]) == (iterations, messages)
+    assert result.makespan == makespan
+    if events is not None:
+        assert stats["events"] == events
+    assert _solution_sha1(result) == sha1
+
+
+@pytest.mark.parametrize("name", ["chem-bench", "chem-nx3"])
+def test_junk_lanes_raise_nothing_and_stay_finite(name):
+    """The window arithmetic runs over ghost cells, corners and the gap
+    between the species planes.  Those lanes may hold garbage but never
+    a trap: no floating-point exception is raised anywhere in a run,
+    every workspace buffer is finite afterwards, and the coefficient
+    windows are exactly zero off the interior."""
+    with np.errstate(all="raise"):
+        problem, result = _battery_run(name)
+    assert result.converged
+    nx = problem.config.nx
+    workspaces = list(problem._tls.cache.values())
+    assert workspaces
+    for ws in workspaces:
+        for buffer in (ws.pad, ws.out, ws.t2, ws.t0, ws.t1, ws.dtf):
+            assert np.isfinite(buffer).all()
+        assert not ws.pad[:, :, ::ws.rows + 1, ::nx + 1].any()  # corners never written
+    assert problem._windows
+    for (z_lo, rows), windows in problem._windows.items():
+        interior = np.zeros((2, rows + 2, nx + 2), dtype=bool)
+        interior[:, 1:-1, 1:-1] = True
+        junk = ~interior.ravel()[nx + 3 : -(nx + 3)]
+        assert windows.shape == (3, junk.size)
+        assert not windows[:, junk].any() and windows[:, ~junk].all()
+
+
+def test_problem_pickles_stay_lean_and_reproduce_the_run():
+    """Every pool/process rank unpickles the problem: neither the
+    workspaces nor the coefficient-window cache travel, and what comes
+    out rebuilds both lazily and computes the same bytes."""
+    import pickle
+
+    problem, result = _battery_run("chem-bench")
+    assert _solution_sha1(result) == BENCH_SHA1
+    assert problem._windows and problem._tls is not None
+    payload = pickle.dumps(problem)
+    # 2 423 bytes at the revision before the window cache existed.
+    assert len(payload) <= 2423
+    clone = pickle.loads(payload)
+    assert not clone._windows and clone._tls is None
+    _, again = _battery_run("chem-bench", problem=clone)
+    assert _solution_sha1(again) == BENCH_SHA1
+    assert clone._windows.keys() == problem._windows.keys()

@@ -177,6 +177,9 @@ def test_sim_identity_reports_one_line_per_differing_scenario():
 def test_sim_identity_passes_a_tree_against_itself(capsys):
     tool = _sim_identity()
     assert tool.main(["--parent", str(tool.ROOT), "--n", "2", "--seeds", "3"]) == 0
-    assert "2 scenarios (n=2, seeds=3), 0 differ" in capsys.readouterr().out
-    fingerprint = next(iter(tool.fingerprints(1, [3]).values()))
+    total = 2 + len(tool.CHEMICAL_BATTERY)  # generated + the fixed chemical members
+    assert f"{total} scenarios (n=2, seeds=3), 0 differ" in capsys.readouterr().out
+    fingerprints = tool.fingerprints(1, [3])
+    assert set(tool.CHEMICAL_BATTERY) < set(fingerprints)
+    fingerprint = next(iter(fingerprints.values()))
     assert "events" not in fingerprint and len(fingerprint["solution_sha1"]) == 40

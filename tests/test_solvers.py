@@ -1,5 +1,7 @@
 """Tests for the iterative solvers: gradient descent, GMRES, Newton."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,136 @@ def test_gmres_property_diagonally_dominant(seed, n):
     result = gmres(lambda v: a @ v, b, tol=1e-11, max_iterations=500)
     assert result.converged
     assert np.allclose(result.x, x_true, atol=1e-6)
+
+
+def _reference_gmres(apply_a, b, x0=None, tol=1e-10, atol=0.0, restart=30,
+                     max_iterations=10_000):
+    """Oracle: restarted GMRES with every scalar a numpy scalar in an array.
+
+    The cycle body ``gmres_gen`` had before its Hessenberg/Givens
+    recurrences moved to Python floats (``H``, ``cs``, ``sn``, ``g`` as
+    ``np.empty`` arrays, ``V[i]`` sliced per inner product), written
+    against a plain operator.  Not derived from the current code: the
+    two must agree to the last bit or a rounding moved.
+    """
+    b = np.asarray(b, dtype=float)
+    n = b.shape[0]
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float, copy=True)
+    b_norm = math.sqrt(float(np.dot(b, b)))
+    target = max(tol * b_norm, atol)
+    if b_norm == 0.0 and atol == 0.0:
+        return np.zeros(n), 0, 0, 0.0, True
+    total_inner = restarts = 0
+    m = min(restart, n)
+    while total_inner < max_iterations:
+        r = b - apply_a(x)
+        residual_norm = math.sqrt(float(np.dot(r, r)))
+        if residual_norm <= target:
+            return x, total_inner, restarts, residual_norm, True
+        V = np.empty((m + 1, n))
+        H = np.empty((m + 1, m))
+        cs, sn, g = np.empty(m), np.empty(m), np.empty(m + 1)
+        V[0] = r / residual_norm
+        g[0] = residual_norm
+        k_used = 0
+        for k in range(m):
+            if total_inner >= max_iterations:
+                break
+            w = np.array(apply_a(V[k]), dtype=float)
+            total_inner += 1
+            for i in range(k + 1):
+                H[i, k] = float(np.dot(w, V[i]))
+                w -= V[i] * H[i, k]
+            H[k + 1, k] = math.sqrt(float(np.dot(w, w)))
+            happy_breakdown = H[k + 1, k] <= 1e-300
+            if not happy_breakdown:
+                V[k + 1] = w / H[k + 1, k]
+            h = H[: k + 2, k]
+            for i in range(k):
+                temp = cs[i] * h[i] + sn[i] * h[i + 1]
+                h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
+                h[i] = temp
+            denom = float(np.hypot(h[k], h[k + 1]))
+            if denom == 0.0:
+                cs[k], sn[k] = 1.0, 0.0
+            else:
+                cs[k] = h[k] / denom
+                sn[k] = h[k + 1] / denom
+            h[k] = cs[k] * h[k] + sn[k] * h[k + 1]
+            h[k + 1] = 0.0
+            g[k + 1] = -sn[k] * g[k]
+            g[k] = cs[k] * g[k]
+            k_used = k + 1
+            residual_norm = abs(float(g[k + 1]))
+            if residual_norm <= target or happy_breakdown:
+                break
+        if k_used > 0:
+            y = np.zeros(k_used)
+            for i in range(k_used - 1, -1, -1):
+                y[i] = (g[i] - float(np.dot(H[i, i + 1 : k_used], y[i + 1 : k_used]))) / H[i, i]
+            x = x + V[:k_used].T @ y
+        restarts += 1
+        if residual_norm <= target:
+            r = b - apply_a(x)
+            true_norm = math.sqrt(float(np.dot(r, r)))
+            return x, total_inner, restarts, true_norm, true_norm <= max(target, 10 * target)
+    r = b - apply_a(x)
+    true_norm = math.sqrt(float(np.dot(r, r)))
+    return x, total_inner, restarts, true_norm, true_norm <= target
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 40),
+    matrix=st.sampled_from(["dominant", "non_normal", "diagonal"]),
+    rhs=st.sampled_from(["random", "random", "zero", "eigenvector"]),
+    restart=st.integers(1, 8),
+    max_iterations=st.integers(1, 60),
+    with_x0=st.booleans(),
+    tol_exponent=st.integers(2, 14),
+)
+@settings(max_examples=150, deadline=None)
+def test_gmres_is_bit_identical_to_the_numpy_scalar_oracle(
+    seed, n, matrix, rhs, restart, max_iterations, with_x0, tol_exponent
+):
+    """Python-float Hessenberg/Givens recurrences round exactly like the
+    numpy-scalar ones: same ``x`` bytes and same counters on dominant,
+    non-normal (upper-triangular) and diagonal systems, through multiple
+    cycles, cycles cut short by ``max_iterations``, a given ``x0``,
+    ``b = 0`` and ``b`` an eigenvector (happy breakdown at step one)."""
+    rng = np.random.default_rng(seed)
+    if matrix == "dominant":
+        a = rng.standard_normal((n, n))
+        a += np.diag(np.abs(a).sum(axis=1) + 1.0)
+    elif matrix == "non_normal":
+        a = np.triu(rng.standard_normal((n, n)), 1) * 3.0 + np.diag(rng.uniform(1.0, 2.0, n))
+    else:
+        a = np.diag(rng.uniform(1.0, 2.0, n))
+    if rhs == "zero":
+        b = np.zeros(n)
+    elif rhs == "eigenvector":
+        b = np.zeros(n)
+        b[0] = rng.uniform(0.5, 2.0)  # e_0 is an eigenvector of all three kinds
+        if matrix == "dominant":
+            a[1:, 0] = 0.0
+    else:
+        b = rng.standard_normal(n)
+    kwargs = dict(
+        x0=rng.standard_normal(n) if with_x0 else None,
+        tol=10.0 ** -tol_exponent, restart=restart, max_iterations=max_iterations,
+    )
+
+    ours = gmres(lambda v: a @ v, b, **kwargs)
+    x, iterations, restarts, residual_norm, converged = _reference_gmres(
+        lambda v: a @ v, b, **kwargs
+    )
+
+    assert ours.x.tobytes() == x.tobytes()
+    assert (ours.iterations, ours.restarts) == (iterations, restarts)
+    assert ours.residual_norm == residual_norm
+    assert ours.converged == converged
+    if rhs == "eigenvector" and not with_x0:
+        assert ours.iterations == 1  # the Krylov space is invariant at once
 
 
 # ----------------------------------------------------------------------

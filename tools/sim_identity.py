@@ -2,8 +2,9 @@
 """Check that this tree simulates exactly what a parent revision does.
 
 Runs ``repro.testing.generator.generate_scenarios(n, seed)`` for every
-seed on the simulated backend of *both* trees (each in its own
-subprocess, ``PYTHONPATH`` pointing at that tree's ``src/``) and diffs,
+seed, then the fixed ``CHEMICAL_BATTERY`` below, on the simulated
+backend of *both* trees (each in its own subprocess, ``PYTHONPATH``
+pointing at that tree's ``src/``; both run *this* file) and diffs,
 per scenario, the deterministic ``work_counters`` minus ``events`` (the
 event total is a property of the implementation, not of the virtual
 run) plus the SHA-1 of the solution bytes.  Prints one line per
@@ -39,20 +40,54 @@ def fail(message: str) -> NoReturn:
     sys.exit(2)
 
 
+#: Fixed chemical members, run once after the generated scenarios
+#: (which only ever build ``nx = nz = 8`` two-step strips): one per
+#: shape the strip kernel and the GMRES cycle distinguish.  ``name:
+#: (problem_params, environment, n_ranks)``; a few seconds in total.
+CHEMICAL_BATTERY = {
+    # the sim_lockstep_chem benchmark scenario
+    "chem-bench": ({"nx": 24, "nz": 24, "t_end": 1080.0, "gmres_tol": 1e-12,
+                    "newton_tol": 1e-10}, "sync_mpi", 4),
+    "chem-async": ({"nx": 10, "nz": 9, "t_end": 360.0}, "pm2", 3),
+    # both ghost columns mirror the same source column
+    "chem-nx3": ({"nx": 3, "nz": 6, "t_end": 360.0, "gmres_tol": 1e-10}, "sync_mpi", 2),
+    "chem-row-per-rank": ({"nx": 7, "nz": 4, "t_end": 360.0}, "sync_mpi", 4),
+    # both strip boundaries physical
+    "chem-one-rank": ({"nx": 6, "nz": 5, "t_end": 360.0}, "sync_mpi", 1),
+    "chem-standard-signs": ({"nx": 8, "nz": 8, "t_end": 360.0,
+                             "paper_reaction_signs": False}, "sync_mpi", 2),
+    # multi-cycle GMRES, some solves cut by gmres_max_iterations
+    "chem-restart4": ({"nx": 8, "nz": 8, "t_end": 360.0, "gmres_restart": 4,
+                       "gmres_tol": 1e-12, "newton_tol": 1e-10}, "sync_mpi", 2),
+}
+
+
+def chemical_battery() -> list:
+    """``CHEMICAL_BATTERY`` as scenarios (the problem draws nothing: one seed)."""
+    from repro.api import Scenario
+
+    return [
+        Scenario(problem="chemical", problem_params=params, environment=environment,
+                 n_ranks=n_ranks, seed=1, name=name)
+        for name, (params, environment, n_ranks) in CHEMICAL_BATTERY.items()
+    ]
+
+
 def fingerprints(n: int, seeds: List[int]) -> Dict[str, dict]:
     """``{scenario name: counters + solution hash}`` on the importable ``repro``."""
     from repro.api import SimulatedBackend
     from repro.testing.generator import generate_scenarios
     from repro.testing.invariants import work_counters
 
+    scenarios = [s for seed in seeds for s in generate_scenarios(n, seed)]
+    scenarios += chemical_battery()
     out: Dict[str, dict] = {}
-    for seed in seeds:
-        for scenario in generate_scenarios(n, seed):
-            result = SimulatedBackend(trace=False).run(scenario)
-            row = {k: v for k, v in work_counters(result).items() if k != "events"}
-            row["solution_sha1"] = hashlib.sha1(result.solution().tobytes()).hexdigest()
-            # Through JSON so both sides compare the same (string-keyed) shape.
-            out[scenario.name] = json.loads(json.dumps(row, sort_keys=True))
+    for scenario in scenarios:
+        result = SimulatedBackend(trace=False).run(scenario)
+        row = {k: v for k, v in work_counters(result).items() if k != "events"}
+        row["solution_sha1"] = hashlib.sha1(result.solution().tobytes()).hexdigest()
+        # Through JSON so both sides compare the same (string-keyed) shape.
+        out[scenario.name] = json.loads(json.dumps(row, sort_keys=True))
     return out
 
 
