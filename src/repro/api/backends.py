@@ -169,25 +169,27 @@ def _wall_timeline(backend_name: str, outcome) -> Optional[Any]:
 class SimulatedBackend:
     """Run scenarios on the discrete-event simulator.
 
-    ``trace``/``max_events`` are forwarded to the simulator world;
-    ``makespan`` of the produced result is in *simulated* seconds and
-    is exactly reproducible run to run::
+    ``trace``/``max_events`` are forwarded to the simulator world
+    (the Gantt recorder behind ``result.world.trace`` is off unless
+    ``trace=True`` or ``timeline=True``); ``makespan`` of the produced
+    result is in *simulated* seconds and is exactly reproducible run
+    to run::
 
         result = SimulatedBackend().run(scenario)
         assert SimulatedBackend().run(scenario).makespan == result.makespan
 
     ``batched=True`` attaches the batched tick mode
-    (:mod:`repro.simgrid.batch`): solver iterations requested at the
-    same virtual tick are evaluated in stacked numpy calls.  Results
-    (counters, makespan, solutions, faults) are bit-identical to the
-    scalar mode; only wall-clock time and the engine's event total
-    change.  See ``docs/backends.md`` for what the simulator does and
+    (:mod:`repro.simgrid.batch`): stackable solver iterations requested
+    at the same virtual tick are evaluated in stacked numpy calls, every
+    other one inline.  Results (counters, makespan, solutions, faults)
+    are bit-identical to the scalar mode; only wall-clock time and the
+    engine's event total (one flush event per tick that parked) change.  See ``docs/backends.md`` for what the simulator does and
     does not model.
     """
 
     name: ClassVar[str] = "simulated"
 
-    trace: bool = True
+    trace: bool = False
     max_events: Optional[int] = None
     batched: bool = False
     #: Attach a :class:`repro.obs.trace.Timeline` (virtual clock) built

@@ -370,6 +370,8 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         f"{summary['scenarios']} scenario(s), {summary['faulty_scenarios']} with "
         f"fault plans ({summary['recovered_scenarios']} observed recoveries), "
         f"deterministic={summary['deterministic']}, "
+        f"batched_parity={summary['batched_parity']}, "
+        f"mega_parity={summary['mega_parity']}, "
         f"{summary['elapsed_s']:.1f}s"
     )
     if not report["passed"]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.api import Scenario
+from repro.api import Scenario, SimulatedBackend
 from repro.core.aiac import AIACOptions
 from repro.experiments.common import run_scenario_case
 
@@ -59,9 +59,10 @@ def run_execution_flows(config: FlowConfig = FlowConfig()) -> Dict[str, object]:
     from repro.obs import Timeline, utilisation_table
 
     base = _base_scenario(config)
+    backend = SimulatedBackend(trace=True)  # the figures are Gantt data
     flows: Dict[str, object] = {}
     for label, env_name in [("figure1_sisc", "sync_mpi"), ("figure2_aiac", "pm2")]:
-        result = run_scenario_case(base.derive(environment=env_name))
+        result = run_scenario_case(base.derive(environment=env_name), backend)
         trace = result.world.trace
         # The per-rank utilisation rows come from the shared obs layer:
         # the same table `repro report` prints for a traced run on any

@@ -132,8 +132,9 @@ class Iterate(Effect):
     interpreters call ``solver.iterate()`` inline, so the effect is
     just an annotated function call.  A simulator world carrying a
     :class:`~repro.simgrid.batch.ComputeBatcher` instead *parks* the
-    process and evaluates every iteration requested at the same virtual
-    tick in one stacked call (``solver.iterate_batch``), grouped by
+    process when another iteration can still be requested at the same
+    virtual tick, and evaluates the tick's parked iterations in one
+    stacked call (``solver.iterate_batch``), grouped by
     ``solver.batch_key`` -- bit-identical per member, so scalar and
     batched runs produce the same counters and solutions.
     """

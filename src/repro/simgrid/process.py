@@ -134,17 +134,18 @@ class Process:
                 continue
             if isinstance(effect, fx.Iterate):
                 batcher = self.world.compute_batcher
-                if batcher is None:
-                    # Scalar mode: the iteration is host-side numerics,
-                    # free in virtual time (the coroutine charges the
-                    # simulated cost with a following Compute).
+                if batcher is None or not batcher.park(self, effect.solver):
+                    # The iteration is host-side numerics, free in
+                    # virtual time (the coroutine charges the simulated
+                    # cost with a following Compute).  Batched mode
+                    # takes this path too when no sibling iteration can
+                    # join this one at the current tick.
                     value = effect.solver.iterate()
                     continue
-                # Batched mode: park until the batcher evaluates every
-                # same-tick iteration in one stacked call.
+                # Parked until the batcher evaluates every same-tick
+                # iteration in one stacked call.
                 self.state = ProcessState.BLOCKED
                 self._blocked_since = engine.now
-                batcher.enqueue(self, effect.solver)
                 return
             if isinstance(effect, fx.Compute):
                 self._do_compute(effect)

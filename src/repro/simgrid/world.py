@@ -67,9 +67,9 @@ class World:
         self._failure: Optional[BaseException] = None
         self._failed_process: Optional[Process] = None
         #: Optional :class:`~repro.simgrid.batch.ComputeBatcher`: when
-        #: set, ``Iterate`` effects park their process and are evaluated
-        #: in stacked groups instead of inline (see
-        #: :mod:`repro.simgrid.batch`).
+        #: set, an ``Iterate`` effect that a sibling can still join at
+        #: its tick parks its process and is evaluated in a stacked
+        #: group instead of inline (see :mod:`repro.simgrid.batch`).
         self.compute_batcher: Optional[Any] = None
 
     # ------------------------------------------------------------------

@@ -249,10 +249,6 @@ class MegaPlacement(Placement):
                 "the 'mega' placement needs a backend with run_many "
                 f"(the simulated backend); got {getattr(backend, 'name', backend)!r}"
             )
-        if getattr(backend, "batched", True) is False:
-            import dataclasses
-
-            backend = dataclasses.replace(backend, batched=True)
         self._backend = backend
 
     @property

@@ -12,7 +12,10 @@ For every generated scenario the driver:
    :mod:`repro.simgrid.batch`) on the same scenario and demands
    bit-identical work counters, makespan, faults and solutions --
    only the engine's event total may differ (flush events);
-4. runs the **threaded** and **process** backends on the *same
+4. once per sweep, runs the *whole battery* through one ``run_many``
+   (the ``mega`` placement's cross-world coordinator) and demands the
+   same of every member against its scalar run;
+5. runs the **threaded** and **process** backends on the *same
    scenario value* (three-way parity), checks the same invariants on
    each, and -- for scenarios whose plan carries no message-level
    adversity -- requires convergence agreement with the simulator
@@ -20,10 +23,10 @@ For every generated scenario the driver:
    concurrency must stay *sound* (no premature halt, success implies
    tolerance) but wall-clock fault windows are allowed to change
    whether it converges before the iteration cap;
-5. reaps any real-concurrency run that exceeds ``--timeout`` (threads
+6. reaps any real-concurrency run that exceeds ``--timeout`` (threads
    poisoned, worker processes terminated) and surfaces the timeout as
    that scenario's failure instead of stalling the sweep;
-6. across the sweep, requires that at least one windowed fault plan
+7. across the sweep, requires that at least one windowed fault plan
    demonstrably degraded and recovered (non-zero ``recoveries`` in the
    fault counters) whenever the generator emitted one.
 
@@ -35,10 +38,9 @@ any failure is reproducible in isolation (``docs/testing.md``).
 
 from __future__ import annotations
 
+import hashlib
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.api import ProcessBackend, Scenario, SimulatedBackend, ThreadedBackend
 from repro.api.faults import HostSlowdown, LinkDegradation, RankCrash
@@ -62,6 +64,19 @@ def _summary(result) -> Dict[str, Any]:
         "total_iterations": int(result.total_iterations),
         "faults": {str(k): int(v) for k, v in sorted(result.faults.items())},
     }
+
+
+def _parity_signature(result) -> Dict[str, Any]:
+    """What every engine mode must reproduce bit for bit: the work
+    counters minus the event total (flush events belong to the mode)
+    plus the solution bytes."""
+    signature = {k: v for k, v in work_counters(result).items() if k != "events"}
+    signature["solution"] = hashlib.sha1(result.solution().tobytes()).hexdigest()
+    return signature
+
+
+def _parity_diffs(reference: Dict[str, Any], other: Dict[str, Any]) -> List[str]:
+    return [k for k in reference if reference[k] != other[k]]
 
 
 def _has_windowed_plan(scenario: Scenario) -> bool:
@@ -90,6 +105,8 @@ def run_scenario_conformance(
         "simulated": None,
         "batched": None,
         "batched_parity": None,
+        "parity": None,
+        "mega_parity": None,
         "threaded": None,
         "process": None,
         "deterministic": None,
@@ -144,22 +161,11 @@ def run_scenario_conformance(
         record["ok"] = False
         return record
     record["batched"] = _summary(batched)
-    scalar_counters = {
-        k: v for k, v in work_counters(second).items() if k != "events"
-    }
-    batched_counters = {
-        k: v for k, v in work_counters(batched).items() if k != "events"
-    }
-    record["batched_parity"] = bool(
-        scalar_counters == batched_counters
-        and np.array_equal(second.solution(), batched.solution())
-    )
-    if not record["batched_parity"]:
-        diffs = [
-            k for k in scalar_counters if scalar_counters[k] != batched_counters[k]
-        ]
-        if not np.array_equal(second.solution(), batched.solution()):
-            diffs.append("solution")
+    # Kept on the record: the sweep-level mega leg compares against it.
+    record["parity"] = _parity_signature(second)
+    diffs = _parity_diffs(record["parity"], _parity_signature(batched))
+    record["batched_parity"] = not diffs
+    if diffs:
         violations.append(
             "batched/scalar parity broken: batched tick mode disagrees with "
             f"the scalar simulator on {diffs}"
@@ -217,6 +223,31 @@ def run_scenario_conformance(
     return record
 
 
+def _check_mega_parity(
+    scenarios: List[Scenario], records: List[Dict[str, Any]]
+) -> List[str]:
+    """Mark each record's ``mega_parity`` from one ``run_many`` of the
+    battery; a member that disagrees with its scalar run gets the
+    violation, ``run_many`` itself raising is returned for the sweep."""
+    members = [(s, r) for s, r in zip(scenarios, records) if r["parity"] is not None]
+    if not members:
+        return []
+    try:
+        results = SimulatedBackend(trace=False).run_many([s for s, _ in members])
+    except Exception as exc:  # noqa: BLE001 - reported for the sweep
+        return [f"mega run of the battery raised {type(exc).__name__}: {exc}"]
+    for (_scenario, record), result in zip(members, results):
+        diffs = _parity_diffs(record["parity"], _parity_signature(result))
+        record["mega_parity"] = not diffs
+        if diffs:
+            record["violations"].append(
+                "mega/scalar parity broken: the scenario inside one run_many "
+                f"of the whole battery disagrees with its scalar run on {diffs}"
+            )
+            record["ok"] = False
+    return []
+
+
 def run_conformance(
     n: int = 25,
     seed: int = 0,
@@ -252,12 +283,15 @@ def run_conformance(
         records.append(record)
         if progress is not None:
             progress(record)
+    mega_violations = _check_mega_parity(scenarios, records)
 
     failures = [
         {"name": r["name"], "violations": r["violations"]}
         for r in records
         if not r["ok"]
     ]
+    if mega_violations:
+        failures.append({"name": "<sweep>", "violations": mega_violations})
     if not records:
         # "0 scenarios, all green" must never happen silently: a typo'd
         # --filter in the reproduce-a-failure workflow would otherwise
@@ -300,6 +334,7 @@ def run_conformance(
         "timed_out_scenarios": sum(1 for r in records if r.get("timed_out")),
         "deterministic": all(r.get("deterministic") for r in records),
         "batched_parity": all(r.get("batched_parity") for r in records),
+        "mega_parity": all(r.get("mega_parity") for r in records),
         "elapsed_s": time.perf_counter() - started,
     }
     return {

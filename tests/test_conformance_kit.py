@@ -132,6 +132,8 @@ def test_small_conformance_sweep_passes():
     assert report["passed"], report["failures"]
     assert report["summary"]["scenarios"] == 4
     assert report["summary"]["deterministic"]
+    assert report["summary"]["batched_parity"]
+    assert report["summary"]["mega_parity"]
     assert report["summary"]["timed_out_scenarios"] == 0
     assert all(r["threaded"] is not None for r in report["scenarios"])
     assert all(r["process"] is not None for r in report["scenarios"])
@@ -156,6 +158,26 @@ def test_scenario_conformance_captures_backend_exceptions():
     record = run_scenario_conformance(scenario)
     assert not record["ok"]
     assert any("simulated backend raised" in v for v in record["violations"])
+
+
+def test_mega_leg_fails_the_run_on_a_member_that_disagrees(monkeypatch):
+    """The whole battery goes through one ``run_many``; a member whose
+    mega result is not its scalar result fails the run by name."""
+    from repro.api import SimulatedBackend
+
+    def rotated(self, scenarios, make_solver=None):
+        results = [self.run(s) for s in scenarios]
+        return results[1:] + results[:1]
+
+    monkeypatch.setattr(SimulatedBackend, "run_many", rotated)
+    report = run_conformance(n=3, seed=0, threaded=False, process=False)
+    assert not report["passed"]
+    assert report["summary"]["batched_parity"]
+    assert not report["summary"]["mega_parity"]
+    assert all(
+        any("mega/scalar parity broken" in v for v in failure["violations"])
+        for failure in report["failures"]
+    )
 
 
 def test_conformance_filter_keeps_named_scenarios_only():

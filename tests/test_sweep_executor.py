@@ -567,3 +567,47 @@ class TestResumedPacing:
         final = executed[-1][1]
         assert final["completed"] == final["distinct"] == 8
         assert final["eta_s"] in (None, 0.0)
+
+
+class TestMegaBatcherStats:
+    """Every ``mega`` record carries the batcher's account of its own
+    world -- the coordinator attributes cross-world group widths to the
+    members' batchers instead of dropping them."""
+
+    GRID = [
+        dict(
+            problem=problem,
+            problem_params=params,
+            environment=environment,
+            n_ranks=3,
+            cluster="local_cluster",
+            cluster_params={"speed_scale": 0.8 + 0.1 * i, "n_hosts": 3},
+        )
+        for i, (problem, params, environment) in enumerate([
+            ("chemical", {"nx": 6, "nz": 9, "t_end": 360.0}, "sync_mpi"),
+            ("chemical", {"nx": 6, "nz": 9, "t_end": 360.0}, "sync_mpi"),
+            ("chemical", {"nx": 6, "nz": 9, "t_end": 180.0}, "pm2"),
+            ("sparse_linear", {"n": 90}, "pm2"),
+            ("sparse_linear", {"n": 90}, "sync_mpi"),
+        ])
+    ]
+
+    def test_identities_hold_for_every_record(self):
+        outcome = run_sweep(self.GRID, placement="mega")
+        assert not outcome.errors
+        for record in outcome.records:
+            stats = record["backend_stats"]["batched"]
+            assert stats["parked"] == stats["stacked"] + stats["scalar"]
+            assert stats["inline"] + stats["parked"] == record["total_iterations"]
+
+    def test_cross_world_widths_reach_the_members(self):
+        outcome = run_sweep(self.GRID, placement="mega")
+        lockstep_a, lockstep_b, _async_chem, sparse_a, sparse_b = (
+            r["backend_stats"]["batched"] for r in outcome.records
+        )
+        # Two lock-step 3-rank worlds of one configuration ride together.
+        assert lockstep_a["max_width"] == lockstep_b["max_width"] == 6
+        assert lockstep_a["stacked"] > 0
+        # What cannot stack never parked.
+        for sparse in (sparse_a, sparse_b):
+            assert sparse["parked"] == sparse["max_width"] == 0
