@@ -7,15 +7,16 @@ This package is the paper's primary contribution rebuilt as a library:
   general asynchronous iteration executor, used to verify convergence
   theory (Bertsekas-Tsitsiklis / El Tarazi conditions) with
   property-based tests;
-* :mod:`repro.core.convergence` -- local convergence tracking with the
-  paper's oscillation guard ("we count a specified number of iterations
-  under local convergence before assuming it has actually been
-  reached") and the centralized global-convergence coordinator;
+* :mod:`repro.core.convergence` -- the termination protocol, whole: one
+  effect-free ``Detector`` per rank over the paper's oscillation guard
+  ("we count a specified number of iterations under local convergence
+  before assuming it has actually been reached") and the centralized
+  coordinator's panel;
 * :mod:`repro.core.comm` -- the asynchronous send scheduler with the
   skip-send rule ("data are actually sent only if any previous sending
   of the same data to the same destination is terminated");
 * :mod:`repro.core.aiac` -- the AIAC worker coroutines (single-level
-  and time-stepped variants, Section 4.3);
+  and time-stepped variants, Section 4.3): the effects around a Detector;
 * :mod:`repro.core.sisc` -- the synchronous (SISC) counterparts used as
   the paper's baseline;
 * :mod:`repro.core.run` -- helpers that bind workers, problems,
@@ -29,10 +30,7 @@ from repro.core.model import (
     run_synchronous,
     synchronous_schedule,
 )
-from repro.core.convergence import (
-    CoordinatorPanel,
-    LocalConvergenceTracker,
-)
+from repro.core.convergence import Detector
 from repro.core.comm import SendScheduler
 from repro.core.aiac import AIACOptions, WorkerReport, aiac_worker, aiac_stepped_worker
 from repro.core.sisc import sisc_worker, sisc_stepped_worker
@@ -44,8 +42,7 @@ __all__ = [
     "run_asynchronous",
     "run_synchronous",
     "synchronous_schedule",
-    "CoordinatorPanel",
-    "LocalConvergenceTracker",
+    "Detector",
     "SendScheduler",
     "AIACOptions",
     "WorkerReport",

@@ -3,11 +3,11 @@
 An AIAC worker "performs its iterations without caring about the
 progress of the other processors": it drains whatever data messages
 have become visible, integrates them, iterates on its block, offers
-updates to the send scheduler (skip-send rule), tracks its local
-convergence and participates in the centralized global-convergence
-protocol.  The coroutine yields :mod:`repro.simgrid.effects` objects,
-so the same code runs on the discrete-event simulator and on the
-real-thread runtime.
+updates to the send scheduler (skip-send rule) and sends what its
+:class:`repro.core.convergence.Detector` -- the one owner of the
+termination protocol -- tells it to.  The coroutine yields
+:mod:`repro.simgrid.effects` objects, so the same code runs on the
+discrete-event simulator and on the real-thread runtime.
 
 Two variants are provided:
 
@@ -21,12 +21,12 @@ Two variants are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Optional, Set
+from typing import Any, Dict, Generator, Optional
 
 import numpy as np
 
 from repro.core.comm import SendScheduler
-from repro.core.convergence import CoordinatorPanel, LocalConvergenceTracker
+from repro.core.convergence import Detector
 from repro.problems.base import LocalSolver, SteppedLocalSolver
 from repro.simgrid.effects import (
     Barrier,
@@ -58,17 +58,10 @@ class AIACOptions:
     stop_bytes: float = 8.0
     control_bytes: float = 16.0
     trace_iterations: bool = False
-    # A processor may only *believe* its local convergence after having
-    # received (and integrated) at least one data message from every
-    # one of its dependencies within the current iterative process.
-    # This closes the start-of-step race where a locally quiescent
-    # block declares convergence before its neighbours' transients have
-    # had any chance to reach it -- a strengthening of the paper's
-    # oscillation guard in the same spirit.
-    require_fresh_data: bool = True
-    # Optional sliding-window variant: convergence is only believed if
-    # every dependency has been heard from within the last
-    # ``freshness_window`` iterations.  Useful on the real-thread
+    # Optional sliding window on top of "every dependency heard from at
+    # least once" (always required): local convergence is only believed
+    # if each was heard from within the last ``freshness_window``
+    # iterations.  Useful on the real-thread
     # backend where OS scheduling can starve a thread for long bursts;
     # disabled by default because the iteration-to-wall-time ratio of
     # the simulated experiments varies by regime.
@@ -94,18 +87,6 @@ class WorkerReport:
     #: interpreters, not the coroutine.
     busy_time: float = 0.0
     meta: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
-class _InnerResult:
-    iterations: int
-    converged: bool
-    stopped: bool
-    residual: float
-    sends: int
-    skipped: int
-    state_messages: int
-    meta: Dict[str, Any]
 
 
 def _initial_exchange(solver: LocalSolver, tag: str) -> Generator:
@@ -135,13 +116,14 @@ def _aiac_inner(
 ) -> Generator:
     """One asynchronous iterative process, run to global convergence.
 
-    ``balancer`` is an optional
+    Every termination decision is the :class:`Detector`'s; this loop
+    turns its outputs into effects.  ``balancer`` is an optional
     :class:`repro.balancing.MigrationEngine`: its ``pump`` runs once
-    per iteration (in-band row migration), a handoff in flight holds
-    off local convergence, and a completed migration resets the
-    tracker -- the resized block must re-earn its stability streak.
+    per iteration (in-band row migration); the detector is told of a
+    handoff in flight and of a completed migration.
 
-    Returns an :class:`_InnerResult` (via StopIteration value).
+    Returns (via StopIteration value) the finished detector, the send
+    scheduler with its counters and the last iterate's meta.
     """
     tag_data = f"data{suffix}"
     tag_state = f"state{suffix}"
@@ -153,49 +135,29 @@ def _aiac_inner(
     drain_stop = Drain(tag_stop)
     iterate_effect = Iterate(solver)
     coord = opts.coordinator_rank
-    tracker = LocalConvergenceTracker(opts.eps, opts.stability_count)
+    detector = Detector(rank, size, solver.providers(), opts)
     scheduler = SendScheduler()
-    panel = CoordinatorPanel(size) if rank == coord else None
-    state_messages = 0
-    iterations = 0
-    stopped = False
-    last_meta: Dict[str, Any] = {}
-    providers = solver.providers()
-    last_heard: Dict[int, int] = {}
-    last_measured = float("inf")
+    meta: Dict[str, Any] = {}
 
-    while iterations < opts.max_iterations:
+    while detector.iterations < opts.max_iterations:
         # Receipts happen "at any time" in separate threads; by drain
         # time every message that became visible is incorporated --
         # "as soon as data are received, they are taken into account".
         for msg in (yield drain_data):
             solver.integrate(msg.src, msg.payload)
-            last_heard[msg.src] = iterations
+            detector.data(msg.src)
 
-        if balancer is not None:
-            migrated = yield from balancer.pump(solver, iterations)
-            if migrated:
-                was_converged = tracker.converged
-                tracker.reset()
-                if was_converged:
-                    # The coordinator believed this rank converged; the
-                    # resized block must explicitly take that back or a
-                    # stop signal could race the re-convergence.
-                    if rank == coord:
-                        panel.update(rank, iterations, False)
-                    else:
-                        yield Send(
-                            coord, tag_state,
-                            (rank, iterations, False), opts.state_bytes,
-                        )
-                        state_messages += 1
+        if balancer is not None and (yield from balancer.pump(solver, detector.iterations)):
+            report = detector.migrated()
+            if report is not None:
+                yield Send(coord, tag_state, report, opts.state_bytes)
 
         result = yield iterate_effect
-        iterations += 1
-        last_meta = result.meta
+        meta = result.meta
         yield Compute(result.flops)
         if opts.trace_iterations:
-            yield Trace("iteration", {"rank": rank, "k": iterations, "residual": result.residual})
+            k = detector.iterations + 1
+            yield Trace("iteration", {"rank": rank, "k": k, "residual": result.residual})
 
         # Asynchronous sends under the skip-send rule.
         for dst, (payload, nbytes) in sorted(result.outgoing.items()):
@@ -205,68 +167,27 @@ def _aiac_inner(
             else:
                 scheduler.skip()
 
-        residual = result.residual
-        last_measured = residual
-        if opts.require_fresh_data and not providers <= last_heard.keys():
-            residual = float("inf")  # dependencies not heard from yet
-        elif opts.freshness_window is not None and any(
-            iterations - last_heard.get(p, -10**9) > opts.freshness_window
-            for p in providers
-        ):
-            residual = float("inf")  # dependency data too stale to trust
-        if balancer is not None and balancer.holds_convergence():
-            residual = float("inf")  # rows in flight: hold off the halt
-        changed = tracker.update(residual)
-
+        held = balancer is not None and balancer.holds_convergence()  # rows in flight
+        report = detector.iterated(result.residual, held)
+        if report is not None:
+            yield Send(coord, tag_state, report, opts.state_bytes)
         if rank == coord:
-            if changed:
-                panel.update(rank, iterations, tracker.converged)
             for msg in (yield drain_state):
-                panel.update(*msg.payload)
-            if panel.all_converged():
+                detector.state(*msg.payload)
+            if detector.halt():
                 for other in range(size):
                     if other != rank:
                         yield Send(other, tag_stop, None, opts.stop_bytes)
-                stopped = True
                 break
-        else:
-            if changed:
-                yield Send(
-                    coord, tag_state,
-                    (rank, iterations, tracker.converged), opts.state_bytes,
-                )
-                state_messages += 1
-            if (yield drain_stop):
-                stopped = True
-                break
+        elif (yield drain_stop):
+            detector.stop()
+            break
 
     if balancer is not None:
         # Exit path (stop signal or iteration cap): resolve any handoff
         # still in flight so the global row set stays a partition.
         yield from balancer.finalize(solver)
-
-    # The tracker's residual can be an *artificial* infinity at exit: a
-    # migration in flight (or a freshness hold) overrides the measured
-    # value to veto convergence, and a stop signal can race that
-    # override -- the coordinator halted on this rank's earlier, honest
-    # convergence report.  Such a halt is legitimate (rows are resolved
-    # by the finalizer, the solution was converged when it moved), so
-    # report the last *measured* update norm rather than the protocol
-    # hold, keeping "success implies finite residual" truthful.
-    final_residual = tracker.last_residual
-    if stopped and not final_residual < float("inf"):
-        final_residual = last_measured
-
-    return _InnerResult(
-        iterations=iterations,
-        converged=tracker.converged or stopped,
-        stopped=stopped,
-        residual=final_residual,
-        sends=scheduler.sent,
-        skipped=scheduler.skipped,
-        state_messages=state_messages,
-        meta=last_meta,
-    )
+    return detector, scheduler, meta
 
 
 def aiac_worker(
@@ -288,26 +209,23 @@ def aiac_worker(
     start = yield Now()
     yield from _initial_exchange(solver, "init")
     yield Barrier()  # "only the first iteration begins at the same time"
-    inner = yield from _aiac_inner(
-        rank, size, solver, opts, suffix="", balancer=balancer
-    )
+    detector, scheduler, meta = yield from _aiac_inner(rank, size, solver, opts, "", balancer)
     end = yield Now()
-    meta = inner.meta
     if balancer is not None:
         meta = dict(meta)
         meta["rows"] = list(solver.row_range)
         meta["balancing"] = balancer.summary()
     return WorkerReport(
         rank=rank,
-        iterations=inner.iterations,
-        converged=inner.converged,
-        stopped_by_coordinator=inner.stopped,
+        iterations=detector.iterations,
+        converged=detector.converged,
+        stopped_by_coordinator=detector.stopped,
         elapsed=end - start,
-        residual=inner.residual,
+        residual=detector.residual,
         solution=solver.local_solution(),
-        sends=inner.sends,
-        skipped_sends=inner.skipped,
-        state_messages=inner.state_messages,
+        sends=scheduler.sent,
+        skipped_sends=scheduler.skipped,
+        state_messages=detector.reports,
         meta=meta,
     )
 
@@ -329,7 +247,6 @@ def aiac_stepped_worker(
     opts = opts or AIACOptions()
     start = yield Now()
     yield from _initial_exchange(solver, "halo:init")
-    total_iterations = 0
     all_stopped = True
     residual = float("inf")
     meta: Dict[str, Any] = {}
@@ -338,16 +255,14 @@ def aiac_stepped_worker(
     for step in range(solver.n_steps):
         yield Barrier()
         solver.begin_step(step)
-        inner = yield from _aiac_inner(rank, size, solver, opts, suffix=f":{step}")
+        detector, _, meta = yield from _aiac_inner(rank, size, solver, opts, suffix=f":{step}")
         # Make the converged boundary data of this step available to
         # the neighbours before anyone starts the next step.
         yield from _initial_exchange(solver, f"halo:{step}")
         solver.end_step(step)
-        total_iterations += inner.iterations
-        all_stopped = all_stopped and inner.stopped
-        residual = inner.residual
-        meta = inner.meta
-        per_step_iterations.append(inner.iterations)
+        all_stopped = all_stopped and detector.stopped
+        residual = detector.residual
+        per_step_iterations.append(detector.iterations)
 
     yield Barrier()
     end = yield Now()
@@ -355,7 +270,7 @@ def aiac_stepped_worker(
     meta["per_step_iterations"] = per_step_iterations
     return WorkerReport(
         rank=rank,
-        iterations=total_iterations,
+        iterations=sum(per_step_iterations),
         converged=all_stopped,
         stopped_by_coordinator=all_stopped,
         elapsed=end - start,

@@ -1,4 +1,4 @@
-"""Convergence detection: local trackers and the centralized coordinator.
+"""Termination detection: the whole AIAC stopping policy, in one place.
 
 The paper's protocol (Section 4.3):
 
@@ -15,24 +15,23 @@ The paper's protocol (Section 4.3):
   states; when every processor is locally converged it broadcasts a
   stop signal.  The detection work is "a very small computation", so
   the overloading of the central node is negligible.
+
+:class:`Detector` is that protocol for one rank as an effect-free,
+clock-free state machine; what it guarantees, and what it does not, is
+in DESIGN.md ("Termination detection").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+INF = float("inf")
 
 
 class LocalConvergenceTracker:
-    """Tracks one processor's local convergence with an oscillation guard.
-
-    Parameters
-    ----------
-    threshold:
-        Residual threshold (the paper's epsilon of Eq. 5).
-    stability_count:
-        Number of *consecutive* under-threshold iterations required
-        before local convergence is believed.
+    """Tracks one processor's local convergence with an oscillation guard:
+    it is believed after ``stability_count`` *consecutive* residuals
+    under ``threshold`` (the paper's epsilon of Eq. 5).
     """
 
     def __init__(self, threshold: float, stability_count: int = 1) -> None:
@@ -44,9 +43,8 @@ class LocalConvergenceTracker:
         self.stability_count = stability_count
         self.consecutive_under = 0
         self.converged = False
-        self.updates = 0
         self.state_changes = 0
-        self.last_residual = float("inf")
+        self.last_residual = INF
 
     def update(self, residual: float) -> bool:
         """Record a new residual; returns True when the state *changed*.
@@ -56,7 +54,6 @@ class LocalConvergenceTracker:
         """
         if residual < 0:
             raise ValueError("residual must be non-negative")
-        self.updates += 1
         self.last_residual = residual
         if residual < self.threshold:
             self.consecutive_under += 1
@@ -73,27 +70,15 @@ class LocalConvergenceTracker:
         """Re-arm the tracker (new time step of a stepped problem)."""
         self.consecutive_under = 0
         self.converged = False
-        self.last_residual = float("inf")
-
-
-@dataclass
-class StateUpdate:
-    """Payload of a state message sent to the coordinator."""
-
-    rank: int
-    iteration: int
-    converged: bool
-
-    def as_tuple(self) -> Tuple[int, int, bool]:
-        return (self.rank, self.iteration, self.converged)
+        self.last_residual = INF
 
 
 class CoordinatorPanel:
     """The central node's view of everyone's local convergence.
 
-    Keeps, per rank, the most recent (by iteration counter) state seen.
-    Out-of-order delivery is tolerated: stale updates (lower iteration
-    counter than already recorded) are ignored.
+    Keeps, per rank, the state with the highest stamp seen.  Reordered
+    and duplicated delivery is tolerated: an update whose stamp is not
+    above the recorded one is ignored.
     """
 
     def __init__(self, size: int) -> None:
@@ -109,7 +94,7 @@ class CoordinatorPanel:
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} out of range")
         self.messages_processed += 1
-        if iteration < self._iteration[rank]:
+        if iteration <= self._iteration[rank]:
             self.stale_messages += 1
             return
         self._iteration[rank] = iteration
@@ -129,4 +114,102 @@ class CoordinatorPanel:
         self._iteration = [-1] * self.size
 
 
-__all__ = ["LocalConvergenceTracker", "CoordinatorPanel", "StateUpdate"]
+class Detector:
+    """One rank's side of the termination protocol.
+
+    Inputs: :meth:`data` (a data message from ``src`` was integrated),
+    :meth:`iterated`, :meth:`migrated`, :meth:`state` (coordinator: a
+    report arrived) and :meth:`stop` (worker: the stop signal arrived).
+    ``iterated``/``migrated`` return the state report to send to the
+    coordinator -- ``(rank, stamp, flag)``, stamps strictly increasing
+    per rank -- or ``None``; the coordinator's own report goes straight
+    into its panel and is never on the wire.  ``opts`` is read for
+    ``eps``, ``stability_count``, ``coordinator_rank`` and
+    ``freshness_window``.
+    """
+
+    __slots__ = ("rank", "iterations", "reports", "stopped", "_providers", "_heard",
+                 "_all_heard", "_window", "_measured", "_stamp", "_tracker", "_panel")
+
+    def __init__(self, rank: int, size: int, providers: Iterable[int], opts: Any) -> None:
+        self.rank = rank
+        self.iterations = 0
+        self.reports = 0  # state messages handed to the caller to send
+        self.stopped = False
+        self._providers = frozenset(providers)
+        self._heard: Dict[int, int] = {}  # provider -> iteration count at its last arrival
+        self._all_heard = False
+        self._window: Optional[int] = opts.freshness_window
+        self._measured = INF
+        self._stamp = 0
+        self._tracker = LocalConvergenceTracker(opts.eps, opts.stability_count)
+        self._panel = CoordinatorPanel(size) if rank == opts.coordinator_rank else None
+
+    def data(self, src: int) -> None:
+        self._heard[src] = self.iterations
+
+    def iterated(self, residual: float, held: bool = False) -> Optional[Tuple[int, int, bool]]:
+        """One iteration ended with this update norm; ``held`` vetoes
+        convergence (rows of a migration in flight)."""
+        self.iterations = k = self.iterations + 1
+        self._measured = residual
+        # A flag is only believed once every dependency has been heard
+        # from in this iterative process -- or a quiescent block declares
+        # convergence before its neighbours' transients reach it -- which
+        # is monotone, hence the latch; and, under ``freshness_window``,
+        # only while each was heard within the last ``window`` iterations.
+        if not self._all_heard:
+            self._all_heard = self._providers <= self._heard.keys()
+        window = self._window
+        if held or not self._all_heard or (
+            window is not None
+            and any(k - self._heard[p] > window for p in self._providers)
+        ):
+            residual = INF
+        if self._tracker.update(residual):
+            return self._report(self._tracker.converged)
+        return None
+
+    def migrated(self) -> Optional[Tuple[int, int, bool]]:
+        """Rows moved: the resized block re-earns its streak, and a flag
+        the coordinator holds is taken back so no stop races the redo."""
+        was_converged = self._tracker.converged
+        self._tracker.reset()
+        return self._report(False) if was_converged else None
+
+    def _report(self, flag: bool) -> Optional[Tuple[int, int, bool]]:
+        self._stamp += 1
+        if self._panel is not None:
+            self._panel.update(self.rank, self._stamp, flag)
+            return None
+        self.reports += 1
+        return (self.rank, self._stamp, flag)
+
+    def state(self, rank: int, stamp: int, flag: bool) -> None:
+        self._panel.update(rank, stamp, flag)
+
+    def halt(self) -> bool:
+        """Coordinator: every rank's newest report is ``True`` -- broadcast the stop."""
+        self.stopped = self._panel.all_converged()
+        return self.stopped
+
+    def stop(self) -> None:
+        self.stopped = True
+
+    @property
+    def converged(self) -> bool:
+        """This rank's belief in its local convergence; ``True`` once stopped."""
+        return self._tracker.converged or self.stopped
+
+    @property
+    def residual(self) -> float:
+        """The update norm to report at exit.  The tracker's can be an
+        *artificial* infinity (hold, freshness veto) that a stop signal
+        raced -- the coordinator halted on this rank's earlier, honest
+        report -- so a stopped rank reports its last *measured* norm and
+        "success implies finite residual" stays truthful."""
+        residual = self._tracker.last_residual
+        return self._measured if self.stopped and not residual < INF else residual
+
+
+__all__ = ["LocalConvergenceTracker", "CoordinatorPanel", "Detector"]

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.aiac import AIACOptions
 from repro.core.comm import SendScheduler
-from repro.core.convergence import CoordinatorPanel, LocalConvergenceTracker
+from repro.core.convergence import CoordinatorPanel, Detector, LocalConvergenceTracker
 from repro.simgrid.effects import SendHandle
 
 
@@ -109,6 +110,68 @@ def test_panel_validation():
         CoordinatorPanel(0)
     with pytest.raises(ValueError):
         CoordinatorPanel(2).update(5, 1, True)
+
+
+# ----------------------------------------------------------------------
+# the detector: one rank's side of the whole protocol
+# ----------------------------------------------------------------------
+def converge(detector, providers=(), residual=1e-9):
+    """Hear every provider, then one stability streak; the reports emitted."""
+    for src in providers:
+        detector.data(src)
+    return [detector.iterated(residual) for _ in range(AIACOptions().stability_count)]
+
+
+def test_detector_worker_converge_migrate_reconverge_sequence():
+    worker = Detector(1, 2, {0}, AIACOptions())
+    assert converge(worker, {0}) == [None, None, (1, 1, True)]
+    assert worker.migrated() == (1, 2, False)      # takes the flag back
+    assert worker.migrated() is None               # nothing left to take back
+    assert converge(worker) == [None, None, (1, 3, True)]  # heard-all survives a migration
+    assert worker.iterated(1.0) == (1, 4, False)
+    assert worker.reports == 4 and worker.iterations == 7
+
+
+def test_detector_coordinator_reports_go_into_its_panel_not_on_the_wire():
+    coordinator = Detector(0, 2, {1}, AIACOptions())
+    coordinator.state(1, 1, True)
+    assert converge(coordinator, {1}) == [None, None, None]
+    assert coordinator.halt()
+    assert coordinator.migrated() is None          # retracted in the panel
+    assert not coordinator.halt() and not coordinator.converged
+    assert converge(coordinator) == [None, None, None]
+    assert coordinator.halt() and coordinator.stopped
+    assert coordinator.reports == 0                # state_messages counts the wire only
+
+
+def test_detector_flag_needs_every_provider_heard_and_no_hold():
+    worker = Detector(1, 3, {0, 2}, AIACOptions(stability_count=1))
+    worker.data(0)
+    assert worker.iterated(1e-9) is None           # rank 2 not heard from yet
+    worker.data(2)
+    assert worker.iterated(1e-9, held=True) is None
+    assert worker.iterated(1e-9) == (1, 1, True)
+    assert worker.iterated(1e-9, held=True) == (1, 2, False)
+
+
+def test_detector_freshness_window_expires_old_data():
+    worker = Detector(1, 2, {0}, AIACOptions(stability_count=1, freshness_window=2))
+    worker.data(0)                                 # heard at iteration 0
+    assert worker.iterated(1e-9) == (1, 1, True)
+    assert worker.iterated(1e-9) is None           # age 2: still inside the window
+    assert worker.iterated(1e-9) == (1, 2, False)  # age 3: too stale to trust
+    worker.data(0)
+    assert worker.iterated(1e-9) == (1, 3, True)
+
+
+def test_detector_final_residual_is_measured_after_a_stop_and_the_trackers_at_the_cap():
+    stopped, capped = Detector(1, 2, {0}, AIACOptions()), Detector(1, 2, {0}, AIACOptions())
+    for detector in (stopped, capped):
+        converge(detector, {0}, residual=2e-7)
+        detector.iterated(3e-7, held=True)         # hold: the tracker sees infinity
+    stopped.stop()                                 # the stop raced the hold
+    assert stopped.converged and stopped.residual == 3e-7
+    assert not capped.converged and capped.residual == float("inf")
 
 
 # ----------------------------------------------------------------------
