@@ -28,16 +28,7 @@ import numpy as np
 from repro.core.comm import SendScheduler
 from repro.core.convergence import Detector
 from repro.problems.base import LocalSolver, SteppedLocalSolver
-from repro.simgrid.effects import (
-    Barrier,
-    Compute,
-    Drain,
-    Iterate,
-    Now,
-    Recv,
-    Send,
-    Trace,
-)
+from repro.simgrid.effects import Barrier, Drain, Iterate, Now, Recv, Send, Trace
 
 
 @dataclass(frozen=True)
@@ -152,20 +143,20 @@ def _aiac_inner(
             if report is not None:
                 yield Send(coord, tag_state, report, opts.state_bytes)
 
-        result = yield iterate_effect
+        result = yield iterate_effect  # resumes with the flops charged
         meta = result.meta
-        yield Compute(result.flops)
         if opts.trace_iterations:
             k = detector.iterations + 1
             yield Trace("iteration", {"rank": rank, "k": k, "residual": result.residual})
 
-        # Asynchronous sends under the skip-send rule.
-        for dst, (payload, nbytes) in sorted(result.outgoing.items()):
-            if scheduler.can_send(dst, tag_data):
-                handle = yield Send(dst, tag_data, payload, nbytes)
-                scheduler.record(dst, tag_data, handle)
-            else:
-                scheduler.skip()
+        # Asynchronous sends under the skip-send rule.  One gate query
+        # per iteration is exact: nothing releases a sender inside a run
+        # of non-blocking sends, and under blocking sends every handle
+        # is released before the coroutine resumes.
+        outgoing = result.outgoing
+        for dst in scheduler.ready(outgoing):
+            payload, nbytes = outgoing[dst]
+            scheduler.record(dst, (yield Send(dst, tag_data, payload, nbytes)))
 
         held = balancer is not None and balancer.holds_convergence()  # rows in flight
         report = detector.iterated(result.residual, held)

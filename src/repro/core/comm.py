@@ -10,56 +10,46 @@ essential ingredient of AIAC robustness on ADSL-class networks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Set
 
 from repro.simgrid.effects import SendHandle
 
 
 class SendScheduler:
-    """Tracks in-flight sends per ``(destination, tag)`` channel."""
+    """The skip-send gate of one tag, keyed by destination.
+
+    A destination is *busy* from the send recorded for it until that
+    send's handle releases the sender.  "Terminated" is sender-side
+    completion (the write drained through the bottleneck link), as in
+    the paper's TCP-based implementations; because the transport holds
+    the sending thread until the message clears the whole serialisation
+    chain, this still bounds the in-flight messages per destination.
+    """
 
     def __init__(self) -> None:
-        self._in_flight: Dict[Tuple[int, str], SendHandle] = {}
+        self._in_flight: Dict[int, SendHandle] = {}
+        self._busy: Set[int] = set()
         self.sent = 0
         self.skipped = 0
 
-    def can_send(self, dest: int, tag: str) -> bool:
-        """True when no previous send to this channel is still running.
+    def ready(self, outgoing: Mapping[int, Any]) -> List[int]:
+        """The destinations of ``outgoing`` whose gate is open, sorted;
+        the others are counted as skipped (delayed to a later offer)."""
+        ready = sorted(outgoing.keys() - self._busy)
+        self.skipped += len(outgoing) - len(ready)
+        return ready
 
-        "Terminated" is sender-side completion (the write drained
-        through the bottleneck link), as in the paper's TCP-based
-        implementations.  Because the transport holds the sending
-        thread until the message clears the whole serialisation chain,
-        this still bounds the number of in-flight messages per channel
-        and cannot overload a slow link or receiver.
-        """
-        handle = self._in_flight.get((dest, tag))
-        return handle is None or handle.sender_done
-
-    def record(self, dest: int, tag: str, handle: SendHandle) -> None:
-        """Register a newly issued send for the skip-send rule."""
-        self._in_flight[(dest, tag)] = handle
+    def record(self, dest: int, handle: SendHandle) -> None:
+        """Close ``dest``'s gate until ``handle`` releases the sender
+        (at once for a handle that is already released)."""
+        self._in_flight[dest] = handle
+        self._busy.add(dest)
         self.sent += 1
-
-    def skip(self) -> None:
-        """Account for a send suppressed by the rule."""
-        self.skipped += 1
+        handle.on_sender_release(lambda _when: self._busy.discard(dest))
 
     def pending_count(self) -> int:
+        """Recorded sends not yet delivered."""
         return sum(1 for h in self._in_flight.values() if not h.done)
-
-    @property
-    def offered(self) -> int:
-        """Total sends offered (performed + skipped)."""
-        return self.sent + self.skipped
-
-    def stats(self) -> dict:
-        return {
-            "sent": self.sent,
-            "skipped": self.skipped,
-            "pending": self.pending_count(),
-        }
 
 
 __all__ = ["SendScheduler"]

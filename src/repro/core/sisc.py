@@ -19,7 +19,7 @@ from typing import Any, Dict, Generator, Optional
 
 from repro.core.aiac import AIACOptions, WorkerReport, _initial_exchange
 from repro.problems.base import LocalSolver, SteppedLocalSolver
-from repro.simgrid.effects import Barrier, Compute, Drain, Iterate, Now, Recv, Send
+from repro.simgrid.effects import Barrier, Iterate, Now, Recv, Send
 
 
 def _allreduce_max(
@@ -81,11 +81,10 @@ def _sisc_inner(
     iterate_effect = Iterate(solver)
 
     while iterations < opts.max_iterations:
-        result = yield iterate_effect
+        result = yield iterate_effect  # resumes with the flops charged
         iterations += 1
         residual = result.residual
         meta = result.meta
-        yield Compute(result.flops)
 
         # Synchronous end-of-iteration exchange: everyone sends, then
         # explicitly waits for all its dependencies (the receipts are

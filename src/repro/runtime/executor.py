@@ -3,9 +3,9 @@
 The same effect vocabulary as the simulator, interpreted against real
 threads:
 
-* ``Compute``/``Sleep`` -- the numerical work already ran inside the
-  coroutine; ``Compute`` is a no-op (wall time is real), ``Sleep``
-  sleeps a bounded amount;
+* ``Iterate``/``Compute``/``Sleep`` -- ``Iterate`` runs the solver
+  inline; both close the rank's work segment as busy time and yield
+  the GIL before resuming; ``Sleep`` sleeps a bounded amount;
 * ``Send`` -- posts to the :class:`~repro.runtime.channels.ChannelHub`
   immediately (an in-process channel never blocks), so the
   :class:`~repro.simgrid.effects.SendHandle` completes at once;
@@ -135,8 +135,8 @@ def _interpret(
     busy = 0.0
     # Start of the open work segment: everything since the last
     # blocking effect (or the run start).  Inline effect handling --
-    # sends, drains, the Iterate branch's solver call -- counts as
-    # work; blocked waits (Recv/Barrier/Sleep) close the segment.
+    # sends, drains, the solver call -- counts as work; Iterate/Compute
+    # close the segment as busy, blocked waits (Recv/Barrier/Sleep) not.
     segment = start
     try:
         while True:
@@ -149,19 +149,18 @@ def _interpret(
                 return
             if isinstance(effect, fx.Now):
                 value = time.monotonic() - start
-            elif isinstance(effect, fx.Iterate):
-                # Real-concurrency backends always iterate inline: each
-                # rank owns a thread/process, so there is no tick to
-                # stack across (the wall clock charges the time).
-                value = effect.solver.iterate()
-            elif isinstance(effect, fx.Compute):
-                # The flops already ran, in real time, inside the open
-                # segment (the Iterate branch above or the coroutine's
-                # own numerics): that span is the rank's busy time.
+            elif isinstance(effect, (fx.Iterate, fx.Compute)):
+                # Iterate runs inline (each rank owns a thread/process:
+                # no tick to stack across).  Either way the flops ran in
+                # the open segment, which closes as the rank's busy time.
+                if isinstance(effect, fx.Iterate):
+                    value, label = effect.solver.iterate(), "compute"
+                else:
+                    value, label = None, effect.label
                 now = time.monotonic()
                 busy += now - segment
                 if tracer is not None:
-                    tracer.span(rank, segment, now, "compute", effect.label)
+                    tracer.span(rank, segment, now, "compute", label)
                 # Yield the GIL at every iteration boundary: with
                 # vectorised kernels an iteration is far shorter than
                 # the interpreter's switch interval, and without an
@@ -170,7 +169,6 @@ def _interpret(
                 # never get scheduled.
                 time.sleep(0)
                 segment = time.monotonic()
-                value = None
             elif isinstance(effect, fx.Sleep):
                 waited = time.monotonic()
                 time.sleep(min(effect.seconds, _MAX_SLEEP))

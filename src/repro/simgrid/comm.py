@@ -184,8 +184,13 @@ class Mailbox:
             waiter()
 
     def drain(self, tag: Optional[str] = None) -> List[Message]:
-        """Remove and return visible messages (oldest first)."""
-        return drain_tagged(self._by_tag, tag)
+        """Remove and return visible messages (oldest first); a named
+        tag's queue is handed over inline, without the merge helper."""
+        messages = self._by_tag.get(tag)
+        if messages:
+            self._by_tag[tag] = []
+            return messages
+        return drain_tagged(self._by_tag) if tag is None else []
 
     def peek_count(self, tag: Optional[str] = None) -> int:
         if tag is None:

@@ -57,14 +57,13 @@ class SendHandle:
     Two milestones are tracked:
 
     * ``sender_done`` -- the message has fully left the sender (the
-      sending thread / socket buffer is released).  A *blocking* send
-      (mono-threaded MPI) resumes here.
-    * ``done`` -- the message reached the destination host.  The AIAC
-      communication manager gates on this for the paper's *skip-send*
-      rule ("data are actually sent only if any previous sending of the
-      same data to the same destination is terminated", Section 4.3):
-      gating on end-to-end completion is what keeps a fast sender from
-      overloading a slow link or receiver.
+      sending thread / socket buffer is released).  An *eager* blocking
+      send resumes here, and the AIAC skip-send gate
+      (:class:`repro.core.comm.SendScheduler`) reopens the destination:
+      "terminated" in Section 4.3 is the sender-side transfer, as in the
+      paper's TCP-based implementations.
+    * ``done`` -- the message reached the destination host (a
+      *rendezvous* blocking send resumes here).
     """
 
     done: bool = False
@@ -126,17 +125,18 @@ class Send(Effect):
 
 @dataclass(slots=True)
 class Iterate(Effect):
-    """Run one local-solver iteration (host-side numerics).
+    """Run one local-solver iteration and charge its ``flops``.
 
-    Resumes with the solver's ``LocalIteration``.  The default (scalar)
-    interpreters call ``solver.iterate()`` inline, so the effect is
-    just an annotated function call.  A simulator world carrying a
-    :class:`~repro.simgrid.batch.ComputeBatcher` instead *parks* the
-    process when another iteration can still be requested at the same
-    virtual tick, and evaluates the tick's parked iterations in one
-    stacked call (``solver.iterate_batch``), grouped by
-    ``solver.batch_key`` -- bit-identical per member, so scalar and
-    batched runs produce the same counters and solutions.
+    Resumes with the solver's ``LocalIteration`` (anything with a
+    ``flops`` attribute) once that is charged as ``Compute(result.flops)``
+    would be: virtual time and a ``"compute"`` span on the simulator,
+    the closed work segment on the wall-clock backends.  Scalar
+    interpreters call ``solver.iterate()`` inline; a simulator world
+    carrying a :class:`~repro.simgrid.batch.ComputeBatcher` *parks* the
+    process when another iteration can still join it at this tick and
+    evaluates the tick's parked iterations in stacked calls
+    (``solver.iterate_batch``, grouped by ``solver.batch_key``),
+    bit-identical per member to the scalar run.
     """
 
     solver: Any

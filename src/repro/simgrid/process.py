@@ -71,6 +71,7 @@ class Process:
         self._recv_timer = None
         self._advancing = False
         self._resume_value: Any = _PARKED
+        self._wake_value: Any = None  # what the next ``_wake`` resumes with
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -81,7 +82,8 @@ class Process:
 
     def _wake(self) -> None:
         """Engine event: a compute / sleep / barrier wait is over."""
-        self._advance(None)
+        value, self._wake_value = self._wake_value, None
+        self._advance(value)
 
     def _advance(self, value: Any) -> None:
         """Send ``value`` into the coroutine and run it until it parks."""
@@ -135,20 +137,20 @@ class Process:
             if isinstance(effect, fx.Iterate):
                 batcher = self.world.compute_batcher
                 if batcher is None or not batcher.park(self, effect.solver):
-                    # The iteration is host-side numerics, free in
-                    # virtual time (the coroutine charges the simulated
-                    # cost with a following Compute).  Batched mode
-                    # takes this path too when no sibling iteration can
-                    # join this one at the current tick.
-                    value = effect.solver.iterate()
-                    continue
+                    # Host-side numerics now, the simulated cost charged
+                    # before the coroutine sees the result.  Batched
+                    # mode takes this path too when no sibling iteration
+                    # can join this one at the current tick.
+                    result = effect.solver.iterate()
+                    self._compute(result.flops, "compute", result)
+                    return
                 # Parked until the batcher evaluates every same-tick
                 # iteration in one stacked call.
                 self.state = ProcessState.BLOCKED
                 self._blocked_since = engine.now
                 return
             if isinstance(effect, fx.Compute):
-                self._do_compute(effect)
+                self._compute(effect.flops, effect.label)
                 return
             if isinstance(effect, fx.Send):
                 handle = self._do_send(effect)
@@ -183,12 +185,14 @@ class Process:
     # ------------------------------------------------------------------
     # effect handlers
     # ------------------------------------------------------------------
-    def _do_compute(self, effect: fx.Compute) -> None:
+    def _compute(self, flops: float, label: str, value: Any = None) -> None:
+        """Charge ``flops`` to the host, then resume with ``value``."""
         engine = self.world.engine
-        duration = self.host.compute_time(effect.flops)
+        duration = self.host.compute_time(flops)
         self.busy_time += duration
         start = engine.now
-        self.world.trace.add_span(self.rank, start, start + duration, "compute", effect.label)
+        self.world.trace.add_span(self.rank, start, start + duration, "compute", label)
+        self._wake_value = value
         engine.post_after(duration, self._wake)
 
     def _do_sleep(self, effect: fx.Sleep) -> None:
@@ -286,7 +290,7 @@ class Process:
     # Called by the compute batcher with the outcome of a parked Iterate.
     def iterate_resume(self, result: Any) -> None:
         self.state = ProcessState.RUNNING
-        self._advance(result)
+        self._compute(result.flops, "compute", result)
 
     def iterate_failed(self, exc: BaseException) -> None:
         """Batched-iteration failure: mirror the scalar path, where an

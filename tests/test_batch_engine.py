@@ -13,6 +13,7 @@ parks only when a sibling can still join it.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -163,6 +164,14 @@ def test_flush_events_are_the_whole_event_difference():
     assert stats["inline"] + stats["parked"] == batched.total_iterations
 
 
+@dataclass(frozen=True)
+class _ToyIteration:
+    """The toy solver's result: its iteration count, costing no flops."""
+
+    k: int
+    flops: float = 0.0
+
+
 class _ToySolver:
     """A stackable stand-in that logs the width of every evaluation."""
 
@@ -173,13 +182,13 @@ class _ToySolver:
 
     def iterate(self):
         self.widths.append(1)
-        return len(self.widths)
+        return _ToyIteration(len(self.widths))
 
     @staticmethod
     def iterate_batch(solvers):
         for solver in solvers:
             solver.widths.append(len(solvers))
-        return [len(solver.widths) for solver in solvers]
+        return [_ToyIteration(len(solver.widths)) for solver in solvers]
 
 
 def _toy_world(programs, batched=True):
@@ -228,8 +237,9 @@ def test_ranks_one_ulp_apart_park_neither():
 
 
 def test_two_iterations_at_one_tick_are_served_in_order():
-    """A zero-flop ``Compute`` brings a rank back to ``Iterate`` at the
-    tick it was just served at: a second flush serves it again."""
+    """A zero-flop iteration and ``Compute`` bring a rank back to
+    ``Iterate`` at the tick it was just served at: a second flush
+    serves it again."""
 
     def program(solver):
         first = yield Iterate(solver)
@@ -239,7 +249,7 @@ def test_two_iterations_at_one_tick_are_served_in_order():
 
     world, solvers = _toy_world([program] * 2)
     world.run()
-    assert world.results == {0: [1, 2], 1: [1, 2]}
+    assert world.results == {r: [_ToyIteration(1), _ToyIteration(2)] for r in (0, 1)}
     assert [s.widths for s in solvers] == [[2, 2], [2, 2]]
     stats = world.compute_batcher.stats
     assert (stats["ticks"], stats["parked"], stats["stacked"]) == (2, 4, 4)

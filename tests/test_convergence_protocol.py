@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Scenario, SimulatedBackend
 from repro.core.aiac import AIACOptions
 from repro.core.comm import SendScheduler
 from repro.core.convergence import CoordinatorPanel, Detector, LocalConvergenceTracker
@@ -177,47 +178,89 @@ def test_detector_final_residual_is_measured_after_a_stop_and_the_trackers_at_th
 # ----------------------------------------------------------------------
 # skip-send scheduler
 # ----------------------------------------------------------------------
+OFFER = {3: ("x", 8.0), 1: ("x", 8.0), 2: ("x", 8.0)}
+
+
 def test_scheduler_allows_first_send():
     scheduler = SendScheduler()
-    assert scheduler.can_send(1, "data")
+    assert scheduler.ready(OFFER) == [1, 2, 3]     # sorted, every gate open
+    assert scheduler.ready({}) == []
+    assert scheduler.skipped == 0
 
 
 def test_scheduler_blocks_while_in_flight():
     scheduler = SendScheduler()
-    handle = SendHandle()
-    scheduler.record(1, "data", handle)
-    assert not scheduler.can_send(1, "data")
-    assert scheduler.can_send(2, "data")        # other destination free
-    assert scheduler.can_send(1, "other-tag")   # other channel free
+    scheduler.record(1, SendHandle())
+    assert scheduler.ready(OFFER) == [2, 3]        # other destinations free
+    assert scheduler.ready({1: ("x", 8.0)}) == []
 
 
 def test_scheduler_unblocks_on_sender_completion():
+    """The gate reopens at sender release, not at delivery."""
     scheduler = SendScheduler()
     handle = SendHandle()
-    scheduler.record(1, "data", handle)
+    scheduler.record(1, handle)
     handle.release_sender(1.0)
-    assert scheduler.can_send(1, "data")
+    assert not handle.done
+    assert scheduler.ready(OFFER) == [1, 2, 3]
+    handle.complete(2.0)                           # a late delivery changes nothing
+    assert scheduler.ready(OFFER) == [1, 2, 3]
 
 
 def test_scheduler_counts_sent_and_skipped():
     scheduler = SendScheduler()
-    scheduler.record(1, "d", SendHandle())
-    scheduler.skip()
-    scheduler.skip()
-    assert scheduler.sent == 1
-    assert scheduler.skipped == 2
-    assert scheduler.offered == 3
-    assert scheduler.stats()["pending"] == 1
+    for dst in scheduler.ready(OFFER):
+        scheduler.record(dst, SendHandle())
+    assert scheduler.ready(OFFER) == []
+    assert scheduler.ready({2: ("x", 8.0)}) == []
+    assert scheduler.sent == 3
+    assert scheduler.skipped == 4
 
 
 def test_scheduler_pending_count_tracks_completion():
     scheduler = SendScheduler()
     h1, h2 = SendHandle(), SendHandle()
-    scheduler.record(1, "d", h1)
-    scheduler.record(2, "d", h2)
+    scheduler.record(1, h1)
+    scheduler.record(2, h2)
+    assert scheduler.pending_count() == 2
+    h1.release_sender(1.0)                         # released, not yet delivered
     assert scheduler.pending_count() == 2
     h1.complete(1.0)
     assert scheduler.pending_count() == 1
+
+
+def test_scheduler_gate_never_closes_on_a_completed_handle():
+    """The wall-clock backends hand back handles that are already
+    complete: the destination stays open for the next offer."""
+    scheduler = SendScheduler()
+    handle = SendHandle()
+    handle.complete(0.0)
+    scheduler.record(1, handle)
+    assert scheduler.ready(OFFER) == [1, 2, 3]
+    assert scheduler.sent == 1 and scheduler.skipped == 0
+
+
+def test_blocking_sends_never_find_a_gate_closed():
+    """Under blocking sends every handle is released before the worker
+    resumes, so the once-per-iteration gate query skips nothing (the
+    counts are the ones of the per-offer gate it replaced)."""
+    scenario = Scenario.from_dict({
+        "problem": "sparse_linear",
+        "problem_params": {
+            "n": 120, "n_diagonals": 6, "sign_structure": "random", "eps": 1e-6,
+        },
+        "environment": "pm2",
+        "cluster": "uniform_cluster",
+        "cluster_params": {"speed": 3e4},
+        "n_ranks": 4,
+        "seed": 5,
+        "policy_overrides": {"blocking_send": True},
+    })
+    result = SimulatedBackend().run(scenario)
+    assert sum(r.skipped_sends for r in result.reports.values()) == 0
+    assert result.total_iterations == 189
+    assert result.backend_stats["messages_sent"] == 585
+    assert result.makespan == 0.5937928359999987
 
 
 # ----------------------------------------------------------------------

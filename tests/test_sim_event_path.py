@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.core.run as run_module
 import repro.simgrid.world as world_module
 from repro.api import Scenario, SimulatedBackend
 from repro.simgrid.engine import Engine
@@ -152,6 +153,79 @@ def test_timeline_wait_spans_are_unchanged():
     assert digest == "97f39c8bb9b37534d46758d05bd5a6488140ed50"
 
 
+#: environment -> (count, total length, digest) of the compute spans,
+#: recorded when the coroutines still charged an iteration with a
+#: separate ``Compute`` effect after ``Iterate``.
+COMPUTE_SPANS = {
+    "pm2": (146, 2.1478, "8ad8b53d12fa8ed2399d82f7caaf1af176c49539"),
+    "sync_mpi": (87, 1.279866666667, "e56040b41694a1de48adc6710880ae1f56093b61"),
+}
+
+
+@pytest.mark.parametrize("environment", sorted(COMPUTE_SPANS))
+def test_timeline_compute_spans_are_unchanged(environment):
+    """``Iterate`` charges its own flops: the compute spans are where,
+    and as long as, the separate ``Compute`` effect used to put them."""
+    result = SimulatedBackend(timeline=True).run(tiny_sparse(environment))
+    spans = result.timeline.to_dict()["spans"]
+    compute = sorted(s for s in spans if s[3] == "compute")
+    count, total, digest = COMPUTE_SPANS[environment]
+    assert len(compute) == count
+    assert sum(end - start for _r, start, end, _k, _l in compute) == pytest.approx(total)
+    assert hashlib.sha1(json.dumps(compute).encode()).hexdigest() == digest
+
+
+# ----------------------------------------------------------------------
+# (g) the worker loop's effect budget
+# ----------------------------------------------------------------------
+def run_counting_effects(scenario: Scenario, worker: str, monkeypatch):
+    """Run ``scenario`` with every rank's coroutine wrapped to log
+    ``(rank, effect type)`` per yield."""
+    log = []
+    inner = run_module.WORKERS[worker]
+
+    def counting(rank, size, solver, opts, **kwargs):
+        coroutine = inner(rank, size, solver, opts, **kwargs)
+        value = None
+        while True:
+            try:
+                effect = coroutine.send(value)
+            except StopIteration as stop:
+                return stop.value
+            log.append((rank, type(effect).__name__))
+            value = yield effect
+
+    monkeypatch.setitem(run_module.WORKERS, worker, counting)
+    return SimulatedBackend().run(scenario), log
+
+
+def test_aiac_iteration_that_sends_nothing_yields_three_effects(monkeypatch):
+    """Data drain, ``Iterate`` (flops charged), control drain: the
+    separate ``Compute`` made it four.  Hosts 100x faster than
+    ``tiny_sparse``'s make most offers find their gate closed."""
+    scenario = tiny_sparse("pm2").to_dict()
+    scenario["cluster_params"] = {"speed": 3e6}
+    result, log = run_counting_effects(Scenario.from_dict(scenario), "aiac", monkeypatch)
+    assert sum(r.skipped_sends for r in result.reports.values()) == 1912
+    silent = []
+    for rank in result.reports:
+        kinds = [kind for r, kind in log if r == rank]
+        starts = [i for i, kind in enumerate(kinds) if kind == "Iterate"]
+        # One window per iteration, Iterate to Iterate; the last one
+        # runs into the worker's exit and is left out.
+        windows = [kinds[a:b] for a, b in zip(starts, starts[1:])]
+        silent += [w for w in windows if "Send" not in w]
+    assert len(silent) > 700 and all(w == ["Iterate", "Drain", "Drain"] for w in silent)
+    # 5006 effects with the separate Compute: one per iteration fewer.
+    assert len(log) == 5006 - result.total_iterations == 3863
+
+
+def test_sisc_iteration_yields_one_effect_fewer(monkeypatch):
+    result, log = run_counting_effects(tiny_sparse("sync_mpi"), "sisc", monkeypatch)
+    assert "Compute" not in {kind for _rank, kind in log}
+    assert len(log) == 685 - result.total_iterations == 598
+
+
 # ----------------------------------------------------------------------
 # tools/sim_identity.py
 # ----------------------------------------------------------------------
@@ -183,3 +257,6 @@ def test_sim_identity_passes_a_tree_against_itself(capsys):
     assert set(tool.CHEMICAL_BATTERY) < set(fingerprints)
     fingerprint = next(iter(fingerprints.values()))
     assert "events" not in fingerprint and len(fingerprint["solution_sha1"]) == 40
+    # The Gantt output (a non-empty one) is part of what must match.
+    assert fingerprint["timeline_sha1"] != hashlib.sha1(b"[[], []]").hexdigest()
+    assert len(fingerprint["timeline_sha1"]) == 40

@@ -7,7 +7,8 @@ backend of *both* trees (each in its own subprocess, ``PYTHONPATH``
 pointing at that tree's ``src/``; both run *this* file) and diffs,
 per scenario, the deterministic ``work_counters`` minus ``events`` (the
 event total is a property of the implementation, not of the virtual
-run) plus the SHA-1 of the solution bytes.  Prints one line per
+run), the SHA-1 of the solution bytes and the SHA-1 of the Gantt
+timeline (every span and marker, sorted).  Prints one line per
 differing scenario and exits 1 when there is any (2 when a tree could
 not be checked out or run); a PR that *means* to change virtual results
 says so in ``CHANGES.md``.
@@ -74,7 +75,8 @@ def chemical_battery() -> list:
 
 
 def fingerprints(n: int, seeds: List[int]) -> Dict[str, dict]:
-    """``{scenario name: counters + solution hash}`` on the importable ``repro``."""
+    """``{scenario name: counters + solution and timeline hashes}`` on the
+    importable ``repro``."""
     from repro.api import SimulatedBackend
     from repro.testing.generator import generate_scenarios
     from repro.testing.invariants import work_counters
@@ -83,9 +85,13 @@ def fingerprints(n: int, seeds: List[int]) -> Dict[str, dict]:
     scenarios += chemical_battery()
     out: Dict[str, dict] = {}
     for scenario in scenarios:
-        result = SimulatedBackend(trace=False).run(scenario)
+        # The Gantt recorder observes the run without changing it.
+        result = SimulatedBackend(timeline=True).run(scenario)
         row = {k: v for k, v in work_counters(result).items() if k != "events"}
         row["solution_sha1"] = hashlib.sha1(result.solution().tobytes()).hexdigest()
+        timeline = result.timeline.to_dict()
+        gantt = json.dumps([timeline["spans"], timeline["markers"]], default=repr)
+        row["timeline_sha1"] = hashlib.sha1(gantt.encode()).hexdigest()
         # Through JSON so both sides compare the same (string-keyed) shape.
         out[scenario.name] = json.loads(json.dumps(row, sort_keys=True))
     return out
