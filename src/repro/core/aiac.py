@@ -242,11 +242,12 @@ def aiac_stepped_worker(
     residual = float("inf")
     meta: Dict[str, Any] = {}
     per_step_iterations = []
+    sends = skipped = state_messages = 0  # summed over the steps
 
     for step in range(solver.n_steps):
         yield Barrier()
         solver.begin_step(step)
-        detector, _, meta = yield from _aiac_inner(rank, size, solver, opts, suffix=f":{step}")
+        detector, scheduler, meta = yield from _aiac_inner(rank, size, solver, opts, f":{step}")
         # Make the converged boundary data of this step available to
         # the neighbours before anyone starts the next step.
         yield from _initial_exchange(solver, f"halo:{step}")
@@ -254,6 +255,8 @@ def aiac_stepped_worker(
         all_stopped = all_stopped and detector.stopped
         residual = detector.residual
         per_step_iterations.append(detector.iterations)
+        sends, skipped = sends + scheduler.sent, skipped + scheduler.skipped
+        state_messages += detector.reports
 
     yield Barrier()
     end = yield Now()
@@ -267,6 +270,9 @@ def aiac_stepped_worker(
         elapsed=end - start,
         residual=residual,
         solution=solver.local_solution(),
+        sends=sends,
+        skipped_sends=skipped,
+        state_messages=state_messages,
         meta=meta,
     )
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import Scenario, SimulatedBackend
 from repro.core.aiac import AIACOptions
 from repro.core.run import simulate
 from repro.clusters import uniform_cluster
@@ -187,6 +188,27 @@ def test_stepped_worker_reports_per_step_iterations():
     per_step = result.reports[0].meta["per_step_iterations"]
     assert len(per_step) == CHEMICAL.config.n_steps
     assert all(k >= 1 for k in per_step)
+
+
+def test_stepped_worker_sums_its_send_counters_over_the_steps():
+    """Each step's skip-send gate and detector count into the report:
+    every offer is a send or a skip, and data sends + state reports +
+    stops + halo exchanges are every message of the run."""
+    scenario = Scenario(
+        problem="chemical", problem_params={"nx": 10, "nz": 9, "t_end": 360.0},
+        environment="pm2", n_ranks=3, seed=1,
+    )
+    result = SimulatedBackend().run(scenario)
+    reports = result.reports
+    receivers = {0: 1, 1: 2, 2: 1}  # a strip's neighbours
+    for rank, report in reports.items():
+        assert report.sends > 0
+        assert report.sends + report.skipped_sends == receivers[rank] * report.iterations
+    assert reports[0].state_messages == 0 < reports[1].state_messages  # rank 0 coordinates
+    n_steps = len(reports[0].meta["per_step_iterations"])
+    stops, halo = 2 * n_steps, 4 * (n_steps + 1)
+    data_and_state = sum(r.sends + r.state_messages for r in reports.values())
+    assert data_and_state + stops + halo == result.backend_stats["messages_sent"] == 204
 
 
 # ----------------------------------------------------------------------
