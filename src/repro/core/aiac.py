@@ -255,7 +255,8 @@ def aiac_stepped_worker(
         all_stopped = all_stopped and detector.stopped
         residual = detector.residual
         per_step_iterations.append(detector.iterations)
-        sends, skipped = sends + scheduler.sent, skipped + scheduler.skipped
+        sends += scheduler.sent
+        skipped += scheduler.skipped
         state_messages += detector.reports
 
     yield Barrier()
