@@ -23,10 +23,12 @@ implements exactly that machinery:
   receive path, after which the message becomes *visible* in the
   destination :class:`Mailbox`.
 
-One message costs four engine events -- software done, sender
+One message costs at most four engine events -- software done, sender
 released, arrival, visible -- all of them methods of the message's
 :class:`_Flight` or of the pools, none a per-message closure (see "The
-simulator's event path" in ``DESIGN.md``).
+simulator's event path" in ``DESIGN.md``).  It costs three when the
+sender release cannot be observed: nothing to hold the thread for, or
+a rendezvous sender blocked until arrival with no job queued behind it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.simgrid.effects import SendHandle
 from repro.simgrid.engine import Engine
 from repro.simgrid.message import Message, drain_tagged
-from repro.simgrid.network import Network
+from repro.simgrid.network import Network, Route
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,10 @@ class CommPolicy:
     def recv_sw_time(self, size: float) -> float:
         return self.recv_base + self.recv_per_byte * size
 
+    def rendezvous(self, size: float) -> bool:
+        """True when a send of ``size`` bytes blocks its sender until delivery."""
+        return self.blocking_send and size >= self.rendezvous_threshold
+
     def with_overrides(self, **kwargs) -> "CommPolicy":
         """Return a copy with selected fields replaced."""
         return replace(self, **kwargs)
@@ -94,6 +100,8 @@ class _ServiceThreads:
     order)`` off a heap -- the key the engine orders the events by, so
     the job popped is the one whose event is firing.
     """
+
+    _queue: tuple = ()  # jobs waiting for a thread: none in an unbounded pool
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
@@ -217,6 +225,12 @@ class _Flight:
     software overhead) -> ``handle.release_sender`` (thread and links
     cleared) -> :meth:`arrive` (last byte at the destination host) ->
     :meth:`visible` (receive path done).
+
+    The release is an event of its own only when something can observe
+    it at that instant.  A rendezvous sender is blocked until arrival,
+    which is never earlier than the links clearing; with no release
+    callback and no job queued behind it on the sending thread, the
+    release is stamped at :meth:`software_done` without an event.
     """
 
     __slots__ = ("transport", "message", "handle", "route", "decision")
@@ -248,10 +262,15 @@ class _Flight:
         if decision is not None and decision.extra_delay > 0.0:
             arrival += decision.extra_delay
         transport = self.transport
-        if t > now:
-            transport._send_pools[message.src].hold(t - now, self.handle.release_sender)
+        handle = self.handle
+        pool = transport._send_pools[message.src]
+        if t > now and (
+            pool._queue or handle.release_observed()
+            or not transport.policy.rendezvous(message.size)
+        ):
+            pool.hold(t - now, handle.release_sender)
         else:
-            self.handle.release_sender(now)
+            handle.release_sender(t)
         # Delivery (and hence the skip-send gate) happens when the
         # last byte reaches the destination host.
         transport.engine.post_at(arrival, self.arrive)
@@ -305,6 +324,7 @@ class Transport:
             self._send_pools[rank] = self._make_pool(policy.n_send_threads, n)
             self._recv_pools[rank] = self._make_pool(policy.n_recv_threads, n)
         self.mailboxes: Dict[int, Mailbox] = {r: Mailbox() for r in self.rank_to_host}
+        self._routes: Dict[Tuple[int, int], Route] = {}
         self.messages_sent = 0
         self.bytes_sent = 0.0
         # Optional SimFaultInjector (set by World.run when the scenario
@@ -328,16 +348,19 @@ class Transport:
         destination host, the receive path starts; when *that*
         completes the message becomes visible in the mailbox.
         """
-        rank_to_host = self.rank_to_host
-        if message.dst not in rank_to_host:
-            raise KeyError(f"unknown destination rank {message.dst}")
+        # The Route object is cached per rank pair, never its latency: a
+        # fault window changes link latency and bandwidth in place.
+        pair = (message.src, message.dst)
+        route = self._routes.get(pair)
+        if route is None:
+            hosts = self.rank_to_host
+            if message.dst not in hosts:
+                raise KeyError(f"unknown destination rank {message.dst}")
+            route = self._routes[pair] = self.network.route(hosts[message.src], hosts[message.dst])
         self.messages_sent += 1
         self.bytes_sent += message.size
         now = self.engine.now
         message.sent_at = now
-        route = self.network.route(
-            rank_to_host[message.src], rank_to_host[message.dst]
-        )
         decision = self.faults.on_send(message, now) if self.faults is not None else None
         flight = _Flight(self, message, handle, route, decision)
         self._send_pools[message.src].submit(

@@ -50,7 +50,7 @@ class Sleep(Effect):
     label: str = "sleep"
 
 
-@dataclass
+@dataclass(slots=True)
 class SendHandle:
     """Completion handle returned by ``Send``.
 
@@ -64,14 +64,17 @@ class SendHandle:
       paper's TCP-based implementations.
     * ``done`` -- the message reached the destination host (a
       *rendezvous* blocking send resumes here).
+
+    A callback list exists only once a callback is registered on it, so
+    the simulator can ask whether anyone watches the sender release.
     """
 
     done: bool = False
     completed_at: float = float("nan")
     sender_done: bool = False
     sender_done_at: float = float("nan")
-    _callbacks: list = field(default_factory=list)
-    _sender_callbacks: list = field(default_factory=list)
+    _callbacks: Optional[list] = None
+    _sender_callbacks: Optional[list] = None
 
     def complete(self, when: float) -> None:
         """Mark delivery to the destination host."""
@@ -80,31 +83,35 @@ class SendHandle:
             self.release_sender(when)
         self.done = True
         self.completed_at = when
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
+        callbacks, self._callbacks = self._callbacks, None
+        for cb in callbacks or ():
             cb(when)
 
     def release_sender(self, when: float) -> None:
         """Mark the sender-side transfer as finished."""
         self.sender_done = True
         self.sender_done_at = when
-        callbacks, self._sender_callbacks = self._sender_callbacks, []
-        for cb in callbacks:
+        callbacks, self._sender_callbacks = self._sender_callbacks, None
+        for cb in callbacks or ():
             cb(when)
+
+    def release_observed(self) -> bool:
+        """True when a callback waits for the sender-side release."""
+        return self._sender_callbacks is not None
 
     def on_complete(self, callback) -> None:
         """Invoke ``callback(when)`` at delivery (or now if delivered)."""
         if self.done:
             callback(self.completed_at)
         else:
-            self._callbacks.append(callback)
+            self._callbacks = [*(self._callbacks or ()), callback]
 
     def on_sender_release(self, callback) -> None:
         """Invoke ``callback(when)`` at sender-side completion."""
         if self.sender_done:
             callback(self.sender_done_at)
         else:
-            self._sender_callbacks.append(callback)
+            self._sender_callbacks = [*(self._sender_callbacks or ()), callback]
 
 
 @dataclass(slots=True)

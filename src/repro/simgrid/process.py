@@ -154,9 +154,9 @@ class Process:
                 return
             if isinstance(effect, fx.Send):
                 handle = self._do_send(effect)
-                if self.world.policy.blocking_send:
-                    rendezvous = effect.size >= self.world.policy.rendezvous_threshold
-                    self._block_until_handle(handle, rendezvous=rendezvous)
+                policy = self.world.policy
+                if policy.blocking_send:
+                    self._block_until_handle(handle, policy.rendezvous(effect.size))
                     return
                 value = handle
                 continue

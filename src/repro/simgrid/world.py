@@ -201,39 +201,5 @@ class World:
             out["batched"] = dict(self.compute_batcher.stats)
         return out
 
-    def metrics(self):
-        """This run's counters as a :class:`repro.obs.MetricsRegistry`.
-
-        Engine event totals, transport message counts and (when the
-        batched tick mode ran) batcher stacking stats, on the same
-        registry vocabulary the serve scheduler exposes -- so a
-        dashboard can treat a simulation and a service identically.
-        """
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        engine_stats = self.engine.stats()
-        registry.counter("engine.events").inc(engine_stats["events"])
-        registry.gauge("engine.pending_events").set(engine_stats["pending_events"])
-        registry.gauge("world.makespan_s").set(self.makespan)
-        registry.gauge("world.ranks").set(len(self.processes))
-        if self.transport is not None:
-            for key, value in self.transport.stats().items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    continue
-                if isinstance(value, int) and value >= 0:
-                    registry.counter(f"transport.{key}").inc(value)
-                else:
-                    registry.gauge(f"transport.{key}").set(value)
-        if self.compute_batcher is not None:
-            for key, value in self.compute_batcher.stats.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    continue
-                if isinstance(value, int) and value >= 0:
-                    registry.counter(f"batch.{key}").inc(value)
-                else:
-                    registry.gauge(f"batch.{key}").set(value)
-        return registry
-
 
 __all__ = ["World", "ProcessFailure"]

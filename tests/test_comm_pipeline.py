@@ -215,6 +215,71 @@ def test_one_message_is_four_engine_events():
         assert engine.events_processed == 4 + 3
 
 
+RENDEZVOUS = CommPolicy(name="t", n_send_threads=1, blocking_send=True,
+                        rendezvous_threshold=500.0)
+
+
+def test_rendezvous_blocked_sender_costs_three_events():
+    """The sender of a rendezvous send is blocked until arrival, so
+    nothing observes its release: no event, but the release is still
+    stamped at the instant the links clear."""
+    engine, transport = _transport(RENDEZVOUS)
+    handle = SendHandle()
+    transport.send(Message(src=0, dst=1, tag="d", payload=None, size=1000.0), handle)
+    engine.run()
+    assert engine.events_processed == 3
+    assert handle.sender_done_at == 1e-4 + 1000.0 / 1e6  # software, then the lan
+    assert handle.completed_at == handle.sender_done_at + 1e-3
+
+
+@pytest.mark.parametrize("case", ["observer", "eager", "queued"])
+def test_an_observable_release_keeps_its_event(case):
+    """A release callback, an eager blocking send or a job queued behind
+    the message on the sending thread each keep the fourth event."""
+    engine, transport = _transport(RENDEZVOUS)
+    handle = SendHandle()
+    size = 100.0 if case == "eager" else 1000.0
+    if case == "observer":
+        handle.on_sender_release(lambda when: None)
+    transport.send(Message(src=0, dst=1, tag="d", payload=None, size=size), handle)
+    if case == "queued":
+        transport.send(Message(src=0, dst=2, tag="d", payload=None, size=size), SendHandle())
+    engine.run()
+    # The queued second message is the last on its thread: three events.
+    assert engine.events_processed == (4 + 3 if case == "queued" else 4)
+    assert handle.sender_done_at == 1e-4 + size / 1e6
+
+
+def test_route_cache_follows_a_degraded_link():
+    """Routes are cached per rank pair, their latency is not: a link
+    degraded in place slows the pair's next message by exactly the
+    added latency, and the pair recovers when the window closes."""
+    from types import SimpleNamespace
+
+    from repro.api.faults import FaultPlan, LinkDegradation
+    from repro.simgrid.faults import SimFaultInjector
+
+    engine, transport = _transport()
+    handles = {}
+
+    def send_at(when):
+        handles[when] = handle = SendHandle()
+        engine.post_at(when, lambda: transport.send(
+            Message(src=0, dst=1, tag="d", payload=None, size=1000.0), handle))
+
+    send_at(0.0)
+    engine.run()  # the pair's route is cached from here on
+    plan = FaultPlan(events=(LinkDegradation(start=10.0, end=20.0, latency_add=0.5),))
+    SimFaultInjector(plan).install(
+        SimpleNamespace(engine=engine, network=transport.network, hosts=[]))
+    send_at(12.0)
+    send_at(25.0)
+    engine.run()
+    nominal = handles[0.0].completed_at
+    assert handles[12.0].completed_at - 12.0 == pytest.approx(nominal + 0.5, abs=1e-12)
+    assert handles[25.0].completed_at - 25.0 == pytest.approx(nominal, abs=1e-12)
+
+
 def test_links_are_reserved_at_software_done_not_at_send():
     """A message queued behind another on the single sending thread
     books its links when the thread gets to it: the second message's

@@ -2,7 +2,8 @@
 
 ``backend_stats["events"]`` is a property of the implementation: the
 literals below are the cost of *this* engine / transport / process
-design (four events per message, no same-timestamp bounce events) and
+design (four events per message, three for a rendezvous-blocked
+sender, no same-timestamp bounce events) and
 are expected to change -- knowingly -- when that design does.  What a
 scenario *computes* must not: iterations, messages, makespan, spans.
 """
@@ -82,6 +83,35 @@ def test_sync_run_costs_four_events_per_message():
     stats = result.backend_stats
     floor = 4 * stats["messages_sent"]
     assert floor <= stats["events"] <= floor + 2 * result.total_iterations
+
+
+def benchmark_sparse(environment: str, n: int, n_ranks: int, **params) -> Scenario:
+    # The shape of benchmarks/perf's sim_sync_sparse / sim_async_sparse.
+    return Scenario.from_dict({
+        "problem": "sparse_linear", "problem_params": {"n": n, **params},
+        "environment": environment, "n_ranks": n_ranks, "seed": 1,
+    })
+
+
+#: (scenario, events, messages, makespan).  sync_mpi's sparse data
+#: messages are rendezvous sends: three events each, the sender release
+#: unobserved.  pm2 never blocks its sender and keeps all four.
+BENCHMARK_PINNED = [
+    (benchmark_sparse("sync_mpi", 2400, 16, dominance=0.6),
+     20440, 6450, 0.9868836519999542),
+    (benchmark_sparse("pm2", 1200, 8, dominance=0.6, eps=1e-3),
+     6584, 572, 0.04925038399999992),
+]
+
+
+@pytest.mark.parametrize("scenario, events, messages, makespan", BENCHMARK_PINNED,
+                         ids=["sync_mpi", "pm2"])
+def test_benchmark_event_budget_is_pinned(scenario, events, messages, makespan):
+    result = SimulatedBackend(trace=False).run(scenario)
+    stats = result.backend_stats
+    assert (stats["events"], stats["messages_sent"], result.makespan) == (
+        events, messages, makespan
+    )
 
 
 # ----------------------------------------------------------------------
@@ -252,8 +282,14 @@ def test_sim_identity_passes_a_tree_against_itself(capsys):
     tool = _sim_identity()
     assert tool.main(["--parent", str(tool.ROOT), "--n", "2", "--seeds", "3"]) == 0
     total = 2 + len(tool.CHEMICAL_BATTERY)  # generated + the fixed chemical members
-    assert f"{total} scenarios (n=2, seeds=3), 0 differ" in capsys.readouterr().out
-    fingerprints = tool.fingerprints(1, [3])
+    out = capsys.readouterr().out
+    assert f"{total} scenarios (n=2, seeds=3), 0 differ" in out
+    fingerprints, events = tool.fingerprints(1, [3])
+    # Engine events are printed parent -> change, never compared; the
+    # n=2 run is one generated scenario more than this n=1 one.
+    (line,) = [line for line in out.splitlines() if "engine events" in line]
+    before, after = line.split("engine events ")[1].split(" (")[0].split(" -> ")
+    assert before == after and int(after) > events > 0
     assert set(tool.CHEMICAL_BATTERY) < set(fingerprints)
     fingerprint = next(iter(fingerprints.values()))
     assert "events" not in fingerprint and len(fingerprint["solution_sha1"]) == 40

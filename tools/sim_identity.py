@@ -11,7 +11,9 @@ run), the SHA-1 of the solution bytes and the SHA-1 of the Gantt
 timeline (every span and marker, sorted).  Prints one line per
 differing scenario and exits 1 when there is any (2 when a tree could
 not be checked out or run); a PR that *means* to change virtual results
-says so in ``CHANGES.md``.
+says so in ``CHANGES.md``.  The total engine events of each tree are
+printed too, ``parent -> change``, for information only: a change to
+the event path shows its count there, and it is never compared.
 
 ``--parent`` is a git revision (checked out into a temporary
 ``git worktree``, removed afterwards) or a path to a checkout.
@@ -31,7 +33,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, NoReturn
+from typing import Dict, List, NoReturn, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,9 +76,9 @@ def chemical_battery() -> list:
     ]
 
 
-def fingerprints(n: int, seeds: List[int]) -> Dict[str, dict]:
+def fingerprints(n: int, seeds: List[int]) -> Tuple[Dict[str, dict], int]:
     """``{scenario name: counters + solution and timeline hashes}`` on the
-    importable ``repro``."""
+    importable ``repro``, and the engine events of all those runs."""
     from repro.api import SimulatedBackend
     from repro.testing.generator import generate_scenarios
     from repro.testing.invariants import work_counters
@@ -84,20 +86,22 @@ def fingerprints(n: int, seeds: List[int]) -> Dict[str, dict]:
     scenarios = [s for seed in seeds for s in generate_scenarios(n, seed)]
     scenarios += chemical_battery()
     out: Dict[str, dict] = {}
+    events = 0
     for scenario in scenarios:
         # The Gantt recorder observes the run without changing it.
         result = SimulatedBackend(timeline=True).run(scenario)
-        row = {k: v for k, v in work_counters(result).items() if k != "events"}
+        row = work_counters(result)
+        events += row.pop("events")
         row["solution_sha1"] = hashlib.sha1(result.solution().tobytes()).hexdigest()
         timeline = result.timeline.to_dict()
         gantt = json.dumps([timeline["spans"], timeline["markers"]], default=repr)
         row["timeline_sha1"] = hashlib.sha1(gantt.encode()).hexdigest()
         # Through JSON so both sides compare the same (string-keyed) shape.
         out[scenario.name] = json.loads(json.dumps(row, sort_keys=True))
-    return out
+    return out, events
 
 
-def run_tree(tree: Path, n: int, seeds: List[int]) -> Dict[str, dict]:
+def run_tree(tree: Path, n: int, seeds: List[int]) -> Tuple[Dict[str, dict], int]:
     """:func:`fingerprints` of the checkout at ``tree``, in a subprocess."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
@@ -107,7 +111,8 @@ def run_tree(tree: Path, n: int, seeds: List[int]) -> Dict[str, dict]:
     )
     if proc.returncode != 0:
         fail(f"running the scenarios of {tree} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    rows, events = json.loads(proc.stdout.splitlines()[-1])
+    return rows, events
 
 
 def diff(parent: Dict[str, dict], change: Dict[str, dict]) -> List[str]:
@@ -139,7 +144,7 @@ def main(argv=None) -> int:
         parser.error("--parent is required")
 
     if Path(args.parent).is_dir():
-        parent = run_tree(Path(args.parent).resolve(), args.n, seeds)
+        parent, parent_events = run_tree(Path(args.parent).resolve(), args.n, seeds)
     else:
         with tempfile.TemporaryDirectory(prefix="sim-identity-") as tmp:
             worktree = Path(tmp) / "parent"
@@ -150,17 +155,18 @@ def main(argv=None) -> int:
             if added.returncode != 0:
                 fail(f"cannot check out {args.parent!r}:\n{added.stderr}")
             try:
-                parent = run_tree(worktree, args.n, seeds)
+                parent, parent_events = run_tree(worktree, args.n, seeds)
             finally:
                 subprocess.run(
                     ["git", "worktree", "remove", "--force", str(worktree)],
                     cwd=ROOT, check=False, capture_output=True,
                 )
-    change = run_tree(ROOT, args.n, seeds)
+    change, change_events = run_tree(ROOT, args.n, seeds)
 
     lines = diff(parent, change)
     for line in lines:
         print(line)
+    print(f"sim-identity: engine events {parent_events} -> {change_events} (not compared)")
     print(
         f"sim-identity: {len(change)} scenarios "
         f"(n={args.n}, seeds={','.join(map(str, seeds))}), {len(lines)} differ"
