@@ -18,24 +18,21 @@ Quickstart (declarative API -- one scenario value, any backend)::
     result = run_scenario(scenario, backend="threaded")  # real threads
     print(result.makespan, result.converged)
 
-The legacy positional entry points (:func:`simulate`,
-:func:`repro.runtime.run_threaded`) remain as thin shims over the same
-machinery.  See DESIGN.md at the repository root for the
-Scenario/Backend architecture and the module inventory, and ROADMAP.md
-for the open items.
+See DESIGN.md at the repository root for the Scenario/Backend
+architecture and the module inventory, and ROADMAP.md for the open
+items.
 """
 
 from repro.core import (
     AIACOptions,
-    RunResult,
     WorkerReport,
     aiac_stepped_worker,
     aiac_worker,
-    simulate,
     sisc_stepped_worker,
     sisc_worker,
 )
 from repro.api import (
+    RunResult,
     Scenario,
     SimulatedBackend,
     ThreadedBackend,
@@ -55,7 +52,6 @@ __all__ = [
     "aiac_stepped_worker",
     "sisc_worker",
     "sisc_stepped_worker",
-    "simulate",
     "Scenario",
     "SimulatedBackend",
     "ThreadedBackend",

@@ -1,9 +1,7 @@
 """Execution backends: one :class:`Scenario`, three ways to run it.
 
 * :class:`SimulatedBackend` binds the scenario to the discrete-event
-  simulator (:mod:`repro.simgrid`) through the same machinery as the
-  legacy :func:`repro.core.run.simulate` shim, so the shim and the
-  backend stay makespan-identical by construction;
+  simulator (:mod:`repro.simgrid`);
 * :class:`ThreadedBackend` interprets the same worker coroutines on
   real Python threads (:mod:`repro.runtime`), validating protocol
   correctness outside the simulation;
@@ -28,13 +26,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, List, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.api.result import RunResult
 from repro.api.scenario import Scenario
-from repro.core.run import _simulate, _simulate_many, get_worker
+from repro.core.run import get_worker
 from repro.registry import Registry
-from repro.runtime.executor import _run_threaded
+from repro.runtime.executor import run_threads
 
 
 @runtime_checkable
@@ -142,25 +140,37 @@ def scenario_message_fault_injector(scenario: Scenario, stream: int = 0):
     )
 
 
-def _wall_timeline(backend_name: str, outcome) -> Optional[Any]:
-    """Wrap a real-concurrency run's wall-clock trace, if it has one.
+def _wall_result(
+    backend: str,
+    scenario: Scenario,
+    reports: Dict[int, Any],
+    elapsed: float,
+    messages_sent: int,
+    faults: Dict[str, int],
+    trace: Optional[Any],
+) -> RunResult:
+    """The result of a real-concurrency run, from what
+    :func:`~repro.runtime.executor.run_threads` and
+    :func:`~repro.runtime.process_hub.run_processes` return: the
+    makespan is wall-clock seconds, and a traced run's ``GanttTrace``
+    becomes a wall-clock :attr:`RunResult.timeline`."""
+    timeline = None
+    if trace is not None:
+        from repro.obs.trace import Timeline
 
-    Shared by the threaded and process backends: both return a
-    :class:`~repro.runtime.executor.ThreadRunResult` whose ``trace`` is
-    a ``GanttTrace`` (or ``None`` when the run was not traced).
-    """
-    if outcome.trace is None:
-        return None
-    from repro.obs.trace import Timeline
-
-    return Timeline.from_gantt(
-        outcome.trace,
-        backend=backend_name,
-        clock="wall",
-        meta={
-            "elapsed": outcome.elapsed,
-            "messages_sent": outcome.messages_sent,
-        },
+        timeline = Timeline.from_gantt(
+            trace, backend=backend, clock="wall",
+            meta={"elapsed": elapsed, "messages_sent": messages_sent},
+        )
+    return RunResult(
+        makespan=elapsed,
+        reports=reports,
+        backend=backend,
+        elapsed=elapsed,
+        scenario=scenario,
+        backend_stats={"messages_sent": messages_sent},
+        faults=faults,
+        timeline=timeline,
     )
 
 
@@ -169,29 +179,22 @@ def _wall_timeline(backend_name: str, outcome) -> Optional[Any]:
 class SimulatedBackend:
     """Run scenarios on the discrete-event simulator.
 
-    ``trace``/``max_events`` are forwarded to the simulator world
-    (the Gantt recorder behind ``result.world.trace`` is off unless
-    ``trace=True`` or ``timeline=True``); ``makespan`` of the produced
-    result is in *simulated* seconds and is exactly reproducible run
-    to run::
+    ``trace=True`` switches on the Gantt recorder behind
+    ``result.world.trace`` (off by default; ``timeline=True`` switches
+    it on itself); ``makespan`` of the produced result is in
+    *simulated* seconds and is exactly reproducible run to run::
 
         result = SimulatedBackend().run(scenario)
         assert SimulatedBackend().run(scenario).makespan == result.makespan
 
-    ``batched=True`` attaches the batched tick mode
-    (:mod:`repro.simgrid.batch`): stackable solver iterations requested
-    at the same virtual tick are evaluated in stacked numpy calls, every
-    other one inline.  Results (counters, makespan, solutions, faults)
-    are bit-identical to the scalar mode; only wall-clock time and the
-    engine's event total (one flush event per tick that parked) change.  See ``docs/backends.md`` for what the simulator does and
-    does not model.
+    :meth:`run_many` runs a whole grid side by side in the batched tick
+    mode (:mod:`repro.simgrid.batch`).  See ``docs/backends.md`` for
+    what the simulator does and does not model.
     """
 
     name: ClassVar[str] = "simulated"
 
     trace: bool = False
-    max_events: Optional[int] = None
-    batched: bool = False
     #: Attach a :class:`repro.obs.trace.Timeline` (virtual clock) built
     #: from the world's Gantt trace to :attr:`RunResult.timeline`.  The
     #: same flag name works on every backend, so ``repro trace`` and
@@ -199,13 +202,19 @@ class SimulatedBackend:
     timeline: bool = False
 
     def _bind(self, scenario: Scenario, make_solver: Optional[Callable]):
-        """Resolve a scenario into ``_build_world`` kwargs + injector."""
-        problem = scenario.build_problem()
-        environment = scenario.build_environment()
+        """Wire ``scenario`` into a ready-to-run world; returns the world
+        and the scenario's fault injector (``None`` without a plan)."""
+        from repro.simgrid.world import World
+
         network = scenario.build_network()
-        worker = scenario.resolve_worker(problem)
-        opts = scenario.resolved_options(problem)
-        policy = environment.comm_policy(scenario.kind, scenario.n_ranks)
+        if scenario.n_ranks > len(network.hosts):
+            raise ValueError(
+                f"{scenario.n_ranks} ranks but only {len(network.hosts)} "
+                "hosts in the network"
+            )
+        policy = scenario.build_environment().comm_policy(
+            scenario.kind, scenario.n_ranks
+        )
         if scenario.policy_overrides:
             policy = policy.with_overrides(**scenario.policy_overrides)
         injector = None
@@ -213,47 +222,38 @@ class SimulatedBackend:
             from repro.simgrid.faults import SimFaultInjector
 
             injector = SimFaultInjector(scenario.faults, default_seed=scenario.seed)
-        make_balancer = None
-        solver_factory = make_solver or problem.make_local
-        if scenario.balancer is not None:
-            from repro.balancing import compile_plan
-
-            solver_factory, make_balancer = compile_plan(
-                scenario, problem, make_solver
-            )
-        spec = dict(
-            make_solver=solver_factory,
-            n_ranks=scenario.n_ranks,
-            network=network,
-            policy=policy,
-            worker=worker,
-            opts=opts,
-            # A timeline needs the Gantt recorder even if trace=False.
-            trace=self.trace or self.timeline,
-            faults=injector,
-            make_balancer=make_balancer,
+        make_coroutine = scenario_coroutine_factory(scenario, make_solver)
+        # A timeline needs the Gantt recorder even if trace=False.
+        world = World(
+            network, policy, trace=self.trace or self.timeline, faults=injector
         )
-        return spec, injector
+        for rank in range(scenario.n_ranks):
+            world.spawn(make_coroutine(rank, scenario.n_ranks))
+        return world, injector
 
-    def _wrap(self, scenario, outcome, injector, started: float) -> RunResult:
-        stats = outcome.world.stats()
+    def _wrap(self, scenario, world, injector, started: float) -> RunResult:
+        """The result of a finished ``world`` (``world.finish()`` passed)."""
+        reports = world.results
+        for rank, report in reports.items():
+            if hasattr(report, "busy_time"):
+                report.busy_time = world.processes[rank].busy_time
+        stats = world.stats()
         timeline = None
         if self.timeline:
             from repro.obs.trace import Timeline
 
             timeline = Timeline.from_gantt(
-                outcome.world.trace, backend=self.name, clock="virtual",
-                meta=stats,
+                world.trace, backend=self.name, clock="virtual", meta=stats,
             )
         return RunResult(
-            makespan=outcome.makespan,
-            reports=dict(outcome.reports),
+            makespan=world.makespan,
+            reports=reports,
             backend=self.name,
             elapsed=time.perf_counter() - started,
             scenario=scenario,
             backend_stats=stats,
             faults={} if injector is None else dict(injector.counters),
-            world=outcome.world,
+            world=world,
             timeline=timeline,
         )
 
@@ -266,11 +266,9 @@ class SimulatedBackend:
         problem's ``(rank, size) -> LocalSolver`` factory (escape hatch
         for programmatic ablations such as load-balanced partitions)."""
         started = time.perf_counter()
-        spec, injector = self._bind(scenario, make_solver)
-        outcome = _simulate(
-            **spec, max_events=self.max_events, batched=self.batched
-        )
-        return self._wrap(scenario, outcome, injector, started)
+        world, injector = self._bind(scenario, make_solver)
+        world.run()
+        return self._wrap(scenario, world, injector, started)
 
     def run_many(
         self,
@@ -283,17 +281,23 @@ class SimulatedBackend:
         iterations are stacked *across* runs (see
         :func:`repro.simgrid.batch.run_worlds_batched`) -- a sweep grid
         of lockstep scenarios over the same problem becomes one very
-        wide kernel call per tick.  Each returned result is
-        bit-identical to ``run()`` of the same scenario.  A failed
+        wide kernel call per tick.  A single scenario runs in the
+        in-world batched mode.  Each returned result is bit-identical
+        to ``run()`` of the same scenario (the engine's event total
+        aside: one flush event per tick that parked).  A failed
         scenario raises (after the others have still run); sweeps
         wanting per-unit isolation catch and fall back to ``run()``.
         """
+        from repro.simgrid.batch import run_worlds_batched
+
         started = time.perf_counter()
         bound = [self._bind(s, make_solver) for s in scenarios]
-        outcomes = _simulate_many([spec for spec, _ in bound])
+        run_worlds_batched([world for world, _ in bound])
+        for world, _ in bound:
+            world.finish()
         return [
-            self._wrap(scenario, outcome, injector, started)
-            for scenario, (_, injector), outcome in zip(scenarios, bound, outcomes)
+            self._wrap(scenario, world, injector, started)
+            for scenario, (world, injector) in zip(scenarios, bound)
         ]
 
 
@@ -326,25 +330,14 @@ class ThreadedBackend:
         scenario: Scenario,
         make_solver: Optional[Callable] = None,
     ) -> RunResult:
-        make_coroutine = scenario_coroutine_factory(scenario, make_solver)
-        injector = scenario_message_fault_injector(scenario)
-        outcome = _run_threaded(
-            make_coroutine,
+        outcome = run_threads(
+            scenario_coroutine_factory(scenario, make_solver),
             scenario.n_ranks,
             timeout=self.timeout,
-            faults=injector,
+            faults=scenario_message_fault_injector(scenario),
             trace=self.timeline,
         )
-        return RunResult(
-            makespan=outcome.elapsed,
-            reports=dict(outcome.results),
-            backend=self.name,
-            elapsed=outcome.elapsed,
-            scenario=scenario,
-            backend_stats={"messages_sent": outcome.messages_sent},
-            faults=dict(outcome.faults),
-            timeline=_wall_timeline(self.name, outcome),
-        )
+        return _wall_result(self.name, scenario, *outcome)
 
 
 @register_backend("process")
@@ -396,16 +389,7 @@ class ProcessBackend:
             scenario, timeout=self.timeout, start_method=self.start_method,
             trace=self.timeline,
         )
-        return RunResult(
-            makespan=outcome.elapsed,
-            reports=dict(outcome.results),
-            backend=self.name,
-            elapsed=outcome.elapsed,
-            scenario=scenario,
-            backend_stats={"messages_sent": outcome.messages_sent},
-            faults=dict(outcome.faults),
-            timeline=_wall_timeline(self.name, outcome),
-        )
+        return _wall_result(self.name, scenario, *outcome)
 
 
 def run_scenario(

@@ -19,8 +19,8 @@ This package is the paper's primary contribution rebuilt as a library:
   and time-stepped variants, Section 4.3): the effects around a Detector;
 * :mod:`repro.core.sisc` -- the synchronous (SISC) counterparts used as
   the paper's baseline;
-* :mod:`repro.core.run` -- helpers that bind workers, problems,
-  environments and clusters into a simulated or threaded execution.
+* :mod:`repro.core.run` -- the worker registry every backend resolves
+  a scenario's algorithm through.
 """
 
 from repro.core.model import (
@@ -34,7 +34,6 @@ from repro.core.convergence import Detector
 from repro.core.comm import SendScheduler
 from repro.core.aiac import AIACOptions, WorkerReport, aiac_worker, aiac_stepped_worker
 from repro.core.sisc import sisc_worker, sisc_stepped_worker
-from repro.core.run import RunResult, simulate
 
 __all__ = [
     "AsyncSchedule",
@@ -50,6 +49,4 @@ __all__ = [
     "aiac_stepped_worker",
     "sisc_worker",
     "sisc_stepped_worker",
-    "RunResult",
-    "simulate",
 ]

@@ -1,26 +1,16 @@
-"""Binding workers to backends: the `simulate` entry point.
+"""The worker registry: AIAC/SISC coroutine factories by name.
 
-This is the highest-level programmatic API of the library: give it a
-problem, a worker kind, a cluster network and an environment policy and
-it returns the simulated execution time, the per-rank reports and the
-assembled global solution.
+A :class:`repro.api.Scenario` names its worker (or lets the environment
+choose one); every backend resolves that name here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
-import numpy as np
-
-from repro._deprecation import warn_once
-from repro.core.aiac import AIACOptions, WorkerReport, aiac_worker, aiac_stepped_worker
+from repro.core.aiac import aiac_worker, aiac_stepped_worker
 from repro.core.sisc import sisc_worker, sisc_stepped_worker
-from repro.problems.base import LocalSolver, SteppedLocalSolver
 from repro.registry import Registry
-from repro.simgrid.comm import CommPolicy
-from repro.simgrid.network import Network
-from repro.simgrid.world import World
 
 #: Legacy view of the worker registry; ``WORKER_REGISTRY`` writes into
 #: this dict, so both stay one source of truth.
@@ -34,7 +24,7 @@ def register_worker(name=None, **kwargs) -> Callable:
 
     A worker is a ``(rank, size, solver, opts) -> generator`` callable
     yielding :mod:`repro.simgrid.effects`; registered names are usable
-    in :class:`repro.api.Scenario` and :func:`simulate`.
+    in :class:`repro.api.Scenario`.
     """
     return WORKER_REGISTRY.register(name, **kwargs)
 
@@ -55,199 +45,7 @@ register_worker("aiac_stepped")(aiac_stepped_worker)
 register_worker("sisc_stepped")(sisc_stepped_worker)
 
 
-@dataclass
-class RunResult:
-    """Outcome of one simulated parallel execution."""
-
-    makespan: float
-    reports: Dict[int, WorkerReport]
-    world: World
-
-    @property
-    def converged(self) -> bool:
-        return all(r.converged for r in self.reports.values())
-
-    @property
-    def total_iterations(self) -> int:
-        return sum(r.iterations for r in self.reports.values())
-
-    @property
-    def max_iterations(self) -> int:
-        return max(r.iterations for r in self.reports.values())
-
-    def solution(self) -> np.ndarray:
-        """Concatenate the per-rank local solutions in rank order."""
-        parts = [self.reports[r].solution for r in sorted(self.reports)]
-        return np.concatenate(parts)
-
-    def stats(self) -> dict:
-        return {
-            **self.world.stats(),
-            "converged": self.converged,
-            "iterations_per_rank": {
-                r: rep.iterations for r, rep in sorted(self.reports.items())
-            },
-            "skipped_sends": sum(r.skipped_sends for r in self.reports.values()),
-        }
-
-
-def _build_world(
-    make_solver: Callable[[int, int], LocalSolver],
-    n_ranks: int,
-    network: Network,
-    policy: CommPolicy,
-    worker: str = "aiac",
-    opts: Optional[AIACOptions] = None,
-    trace: bool = True,
-    faults: Optional[Any] = None,
-    make_balancer: Optional[Callable[[int, int], Any]] = None,
-    batched: bool = False,
-) -> World:
-    """Validate the inputs and wire up a ready-to-run :class:`World`."""
-    if worker not in WORKERS:
-        raise ValueError(f"unknown worker {worker!r}; choose from {sorted(WORKERS)}")
-    if n_ranks < 1:
-        raise ValueError("n_ranks must be >= 1")
-    if n_ranks > len(network.hosts):
-        raise ValueError(
-            f"{n_ranks} ranks but only {len(network.hosts)} hosts in the network"
-        )
-    worker_fn = WORKERS[worker]
-    opts = opts or AIACOptions()
-    world = World(network, policy, trace=trace, faults=faults)
-    if batched:
-        from repro.simgrid.batch import ComputeBatcher
-
-        world.compute_batcher = ComputeBatcher(world)
-    for rank in range(n_ranks):
-        solver = make_solver(rank, n_ranks)
-        if make_balancer is not None:
-            coroutine = worker_fn(
-                rank, n_ranks, solver, opts,
-                balancer=make_balancer(rank, n_ranks),
-            )
-        else:
-            coroutine = worker_fn(rank, n_ranks, solver, opts)
-        world.spawn(coroutine)
-    return world
-
-
-def _collect_result(world: World, makespan: float) -> RunResult:
-    """Assemble a :class:`RunResult` from a finished world."""
-    reports = {rank: report for rank, report in world.results.items()}
-    for rank, report in reports.items():
-        if hasattr(report, "busy_time"):
-            report.busy_time = world.processes[rank].busy_time
-    return RunResult(makespan=makespan, reports=reports, world=world)
-
-
-def _simulate(
-    make_solver: Callable[[int, int], LocalSolver],
-    n_ranks: int,
-    network: Network,
-    policy: CommPolicy,
-    worker: str = "aiac",
-    opts: Optional[AIACOptions] = None,
-    trace: bool = True,
-    max_events: Optional[int] = None,
-    faults: Optional[Any] = None,
-    make_balancer: Optional[Callable[[int, int], Any]] = None,
-    batched: bool = False,
-) -> RunResult:
-    """Simulate a parallel run of ``n_ranks`` workers.
-
-    The internal (non-deprecated) entry point used by
-    :class:`repro.api.SimulatedBackend`.
-
-    Parameters
-    ----------
-    make_solver:
-        ``(rank, size) -> LocalSolver`` (e.g. ``problem.make_local``).
-    worker:
-        One of ``"aiac"``, ``"sisc"``, ``"aiac_stepped"``,
-        ``"sisc_stepped"``.
-    policy:
-        The communication policy of the programming environment (from
-        :mod:`repro.envs`).
-    faults:
-        Optional :class:`repro.simgrid.faults.SimFaultInjector`
-        compiled from a scenario's fault plan.
-    make_balancer:
-        ``(rank, size) -> MigrationEngine`` when the run balances load
-        dynamically (see :mod:`repro.balancing`); the worker must
-        accept a ``balancer`` keyword (the ``aiac`` worker does).
-    batched:
-        Attach a :class:`repro.simgrid.batch.ComputeBatcher`: solver
-        iterations requested at the same virtual tick are evaluated in
-        stacked groups (bit-identical results, fewer kernel calls).
-    """
-    world = _build_world(
-        make_solver, n_ranks, network, policy,
-        worker=worker, opts=opts, trace=trace, faults=faults,
-        make_balancer=make_balancer, batched=batched,
-    )
-    makespan = world.run(max_events=max_events)
-    return _collect_result(world, makespan)
-
-
-def _simulate_many(specs: List[Dict[str, Any]]) -> List[RunResult]:
-    """Run many simulations as one cross-world batched mega-run.
-
-    ``specs`` holds keyword dicts for :func:`_build_world` (one per
-    run).  All worlds advance side by side; compatible solver
-    iterations are stacked *across* worlds (see
-    :func:`repro.simgrid.batch.run_worlds_batched`).  Results come
-    back in input order; the first failed world raises (after every
-    other world has still been driven to completion).
-    """
-    from repro.simgrid.batch import run_worlds_batched
-
-    worlds = [_build_world(**spec, batched=True) for spec in specs]
-    run_worlds_batched(worlds)
-    return [_collect_result(world, world.finish()) for world in worlds]
-
-
-def simulate(
-    make_solver: Callable[[int, int], LocalSolver],
-    n_ranks: int,
-    network: Network,
-    policy: CommPolicy,
-    worker: str = "aiac",
-    opts: Optional[AIACOptions] = None,
-    trace: bool = True,
-    max_events: Optional[int] = None,
-) -> RunResult:
-    """Simulate a parallel run of ``n_ranks`` workers.
-
-    .. deprecated::
-        ``simulate`` is the legacy positional front door, kept for
-        backwards compatibility; it emits one :class:`DeprecationWarning`
-        per process.  New code should describe the run as a
-        :class:`repro.api.Scenario` and execute it through
-        :class:`repro.api.SimulatedBackend` (or
-        :func:`repro.api.run_scenario`), which wraps the same
-        machinery::
-
-            from repro.api import Scenario, run_scenario
-            result = run_scenario(Scenario(problem="sparse_linear", n_ranks=4))
-
-        See ``docs/scenarios.md`` and ``docs/backends.md``.
-    """
-    warn_once(
-        "repro.core.run.simulate",
-        "simulate() is deprecated; describe the run as a repro.api.Scenario "
-        "and execute it with SimulatedBackend / run_scenario(scenario) "
-        "(docs/backends.md)",
-    )
-    return _simulate(
-        make_solver, n_ranks, network, policy,
-        worker=worker, opts=opts, trace=trace, max_events=max_events,
-    )
-
-
 __all__ = [
-    "RunResult",
-    "simulate",
     "WORKERS",
     "WORKER_REGISTRY",
     "register_worker",

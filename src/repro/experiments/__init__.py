@@ -9,9 +9,7 @@ records paper-versus-measured values.
 from repro.experiments.common import (
     DEFAULT_BACKEND,
     EnvironmentRow,
-    ExperimentCase,
     render_table,
-    run_case,
     run_scenario_case,
 )
 from repro.experiments.table1 import run_table1, format_table1
@@ -33,9 +31,7 @@ from repro.experiments.figure3 import (
 __all__ = [
     "DEFAULT_BACKEND",
     "EnvironmentRow",
-    "ExperimentCase",
     "render_table",
-    "run_case",
     "run_scenario_case",
     "figure3_scenarios",
     "run_table1",

@@ -5,16 +5,9 @@ collect the numbers the paper reports."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.api import Scenario, SimulatedBackend
-from repro.api.result import RunResult as ScenarioRunResult
-from repro.core.aiac import AIACOptions
-from repro.core.run import RunResult, simulate
-from repro.envs import Environment, get_environment
-from repro.simgrid.network import Network
+from repro.api import RunResult, Scenario, SimulatedBackend
 
 #: Default backend shared by the experiment harnesses.
 DEFAULT_BACKEND = SimulatedBackend()
@@ -22,19 +15,9 @@ DEFAULT_BACKEND = SimulatedBackend()
 
 def run_scenario_case(
     scenario: Scenario, backend: Optional[SimulatedBackend] = None
-) -> ScenarioRunResult:
+) -> RunResult:
     """Run one scenario on the shared (or a caller-provided) backend."""
     return (backend or DEFAULT_BACKEND).run(scenario)
-
-
-@dataclass
-class ExperimentCase:
-    """One cell of an experiment grid."""
-
-    env: Environment
-    worker: str
-    problem_kind: str
-    n_ranks: int
 
 
 @dataclass
@@ -48,36 +31,6 @@ class EnvironmentRow:
     iterations: int         # max per-rank iteration count
     solution_error: Optional[float] = None
     extra: Dict[str, object] = field(default_factory=dict)
-
-
-def run_case(
-    make_solver: Callable,
-    env: Environment,
-    network: Network,
-    n_ranks: int,
-    problem_kind: str,
-    stepped: bool,
-    opts: AIACOptions,
-    max_events: Optional[int] = None,
-) -> RunResult:
-    """Run one environment on one cluster with the paper's conventions.
-
-    .. deprecated::
-        Legacy positional plumbing kept for backwards compatibility;
-        the experiment modules now build :class:`repro.api.Scenario`
-        values and run them through :func:`run_scenario_case`.
-
-    The worker kind follows the environment: the mono-threaded MPI
-    baseline runs the synchronous algorithm, the multi-threaded
-    environments run the AIAC version (Section 5: "for each problem,
-    keep the same algorithmic scheme between the implementations").
-    """
-    worker = env.default_worker(stepped)
-    policy = env.comm_policy(problem_kind, n_ranks)
-    return simulate(
-        make_solver, n_ranks, network, policy,
-        worker=worker, opts=opts, max_events=max_events,
-    )
 
 
 def speed_ratios(rows: List[EnvironmentRow], baseline: str = "sync MPI") -> None:
@@ -120,11 +73,9 @@ def _fmt(cell: object) -> str:
 
 
 __all__ = [
-    "ExperimentCase",
     "EnvironmentRow",
     "DEFAULT_BACKEND",
     "run_scenario_case",
-    "run_case",
     "speed_ratios",
     "render_table",
 ]

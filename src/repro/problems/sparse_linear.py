@@ -466,7 +466,7 @@ def balanced_local_factory(problem: SparseLinearProblem, speeds):
     Usage::
 
         factory = balanced_local_factory(problem, [h.speed for h in hosts])
-        simulate(factory, n_ranks, network, policy, ...)
+        SimulatedBackend().run(scenario, make_solver=factory)
     """
     from repro.linalg.partition import WeightedPartition
 

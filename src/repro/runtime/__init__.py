@@ -20,18 +20,16 @@ and both are reaped -- not leaked -- when a run exceeds its timeout.
 from repro.runtime.channels import ChannelClosed, ChannelHub
 from repro.runtime.executor import (
     BackendTimeoutError,
-    ThreadRunResult,
     ThreadTimeoutError,
     ThreadWorkerError,
-    run_threaded,
+    run_threads,
 )
 
 __all__ = [
     "ChannelHub",
     "ChannelClosed",
-    "ThreadRunResult",
     "ThreadWorkerError",
     "ThreadTimeoutError",
     "BackendTimeoutError",
-    "run_threaded",
+    "run_threads",
 ]

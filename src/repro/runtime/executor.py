@@ -20,12 +20,8 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
-import numpy as np
-
-from repro._deprecation import warn_once
 from repro.simgrid import effects as fx
 from repro.simgrid.message import Message
 
@@ -51,66 +47,13 @@ class ThreadTimeoutError(ThreadWorkerError, BackendTimeoutError):
     """The threaded run blew its timeout; the hub was closed to reap it."""
 
 
-@dataclass
-class ThreadRunResult:
-    """Outcome of a threaded run.
-
-    Mirrors the aggregate surface of :class:`repro.core.run.RunResult`
-    (``converged``, ``total_iterations``, ``max_iterations``,
-    ``solution()``, ``stats()``) so callers need not care which backend
-    produced their numbers; ``repro.api`` unifies both behind one
-    result type.
-    """
-
-    results: Dict[int, Any]
-    elapsed: float
-    messages_sent: int
-    #: Fault counters observed by the channel layer (empty when the run
-    #: carried no fault plan); see ``repro.runtime.faults``.
-    faults: Dict[str, int] = field(default_factory=dict)
-    #: Wall-clock span/marker trace (a ``GanttTrace`` anchored at the
-    #: run's start) when the run was traced; ``None`` otherwise.
-    trace: Optional[Any] = None
-
-    @property
-    def reports(self) -> Dict[int, Any]:
-        """Alias matching :class:`repro.core.run.RunResult` usage."""
-        return self.results
-
-    @property
-    def converged(self) -> bool:
-        return bool(self.results) and all(
-            r.converged for r in self.results.values()
-        )
-
-    @property
-    def total_iterations(self) -> int:
-        return sum(r.iterations for r in self.results.values())
-
-    @property
-    def max_iterations(self) -> int:
-        return max((r.iterations for r in self.results.values()), default=0)
-
-    def solution(self) -> np.ndarray:
-        """Concatenate the per-rank local solutions in rank order."""
-        parts = [self.results[r].solution for r in sorted(self.results)]
-        return np.concatenate(parts)
-
-    def stats(self) -> dict:
-        summary = {
-            "elapsed": self.elapsed,
-            "messages_sent": self.messages_sent,
-            "converged": self.converged,
-            "iterations_per_rank": {
-                r: rep.iterations for r, rep in sorted(self.results.items())
-            },
-            "skipped_sends": sum(
-                r.skipped_sends for r in self.results.values()
-            ),
-        }
-        if self.faults:
-            summary["faults"] = dict(self.faults)
-        return summary
+#: What a real-concurrency run returns (threads here, processes in
+#: :mod:`repro.runtime.process_hub`): per-rank coroutine return values,
+#: wall seconds, messages posted, fault counters (empty without a plan)
+#: and the wall-clock ``GanttTrace`` of a traced run (else ``None``).
+#: :class:`repro.api.ThreadedBackend` / ``ProcessBackend`` turn it into
+#: the unified :class:`repro.api.RunResult`.
+RunOutcome = Tuple[Dict[int, Any], float, int, Dict[str, int], Optional[Any]]
 
 
 def _interpret(
@@ -214,17 +157,17 @@ def _interpret(
         errors[rank] = exc
 
 
-def _run_threaded(
+def run_threads(
     make_coroutine: Callable[[int, int], Generator],
     n_ranks: int,
     timeout: float = 120.0,
     faults: Optional[Any] = None,
     trace: bool = False,
-) -> ThreadRunResult:
+) -> RunOutcome:
     """Execute ``n_ranks`` worker coroutines on real threads.
 
-    The internal (non-deprecated) entry point used by
-    :class:`repro.api.ThreadedBackend`.
+    The interpreter behind :class:`repro.api.ThreadedBackend`; returns
+    a :data:`RunOutcome`.
 
     Parameters
     ----------
@@ -242,8 +185,7 @@ def _run_threaded(
     trace:
         Record wall-clock compute/idle/comm spans per rank (one shared
         :class:`~repro.obs.trace.WallTracer`, anchored at the run
-        start); the resulting ``GanttTrace`` rides on
-        :attr:`ThreadRunResult.trace`.
+        start); the resulting ``GanttTrace`` is the outcome's last item.
     """
     from repro.runtime.channels import ChannelHub
 
@@ -305,47 +247,15 @@ def _run_threaded(
     if faults is not None:
         faults.finish()
         fault_counters = dict(faults.counters)
-    return ThreadRunResult(
-        results=results, elapsed=elapsed, messages_sent=hub.messages_sent,
-        faults=fault_counters,
-        trace=None if tracer is None else tracer.trace,
+    return (
+        results, elapsed, hub.messages_sent, fault_counters,
+        None if tracer is None else tracer.trace,
     )
-
-
-def run_threaded(
-    make_coroutine: Callable[[int, int], Generator],
-    n_ranks: int,
-    timeout: float = 120.0,
-) -> ThreadRunResult:
-    """Execute ``n_ranks`` worker coroutines on real threads.
-
-    .. deprecated::
-        ``run_threaded`` is the legacy positional front door, kept for
-        backwards compatibility; it emits one :class:`DeprecationWarning`
-        per process.  New code should describe the run as a
-        :class:`repro.api.Scenario` and execute it through
-        :class:`repro.api.ThreadedBackend` (or
-        ``run_scenario(scenario, backend="threaded")``), which wraps
-        the same machinery::
-
-            from repro.api import Scenario, run_scenario
-            result = run_scenario(Scenario(problem="sparse_linear", n_ranks=4),
-                                  backend="threaded")
-
-        See ``docs/scenarios.md`` and ``docs/backends.md``.
-    """
-    warn_once(
-        "repro.runtime.run_threaded",
-        "run_threaded() is deprecated; describe the run as a "
-        "repro.api.Scenario and execute it with ThreadedBackend / "
-        "run_scenario(scenario, backend='threaded') (docs/backends.md)",
-    )
-    return _run_threaded(make_coroutine, n_ranks, timeout=timeout)
 
 
 __all__ = [
-    "run_threaded",
-    "ThreadRunResult",
+    "run_threads",
+    "RunOutcome",
     "ThreadWorkerError",
     "ThreadTimeoutError",
     "BackendTimeoutError",

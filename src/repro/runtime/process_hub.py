@@ -55,7 +55,7 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.runtime.executor import BackendTimeoutError, ThreadRunResult
+from repro.runtime.executor import BackendTimeoutError, RunOutcome
 from repro.runtime.faults import _RECEIVE_SLICE, apply_fault_decision
 from repro.simgrid.message import drain_tagged
 
@@ -382,14 +382,13 @@ def run_processes(
     timeout: float = 120.0,
     start_method: Optional[str] = None,
     trace: bool = False,
-) -> ThreadRunResult:
+) -> RunOutcome:
     """Execute a scenario with one OS process per rank.
 
-    The internal entry point used by
-    :class:`repro.api.backends.ProcessBackend`.  Returns the same
-    :class:`~repro.runtime.executor.ThreadRunResult` shape as the
+    The interpreter behind :class:`repro.api.backends.ProcessBackend`.
+    Returns the same :data:`~repro.runtime.executor.RunOutcome` as the
     threaded executor (per-rank reports, elapsed wall time, message and
-    fault counters), so the backend assembles an identical
+    fault counters, trace), so the backend assembles an identical
     :class:`~repro.api.result.RunResult`.
 
     Parameters
@@ -405,7 +404,7 @@ def run_processes(
     trace:
         Record wall-clock compute/idle/comm spans in every child; the
         per-rank payloads ride home on the exit reports and are merged
-        into one ``GanttTrace`` on :attr:`ThreadRunResult.trace`.
+        into one ``GanttTrace``, the outcome's last item.
         Every rank anchors at the shared post-bootstrap barrier, so
         the merged spans share one time axis.
     """
@@ -495,13 +494,7 @@ def run_processes(
         from repro.obs.trace import WallTracer
 
         merged_trace = WallTracer.merge_payloads(trace_payloads)
-    return ThreadRunResult(
-        results=reports,
-        elapsed=elapsed,
-        messages_sent=messages_sent,
-        faults=fault_counters,
-        trace=merged_trace,
-    )
+    return reports, elapsed, messages_sent, fault_counters, merged_trace
 
 
 __all__ = [

@@ -8,14 +8,13 @@ For every generated scenario the driver:
 2. checks the :mod:`~repro.testing.invariants` on the simulated result
    and requires it to converge (the generator only emits survivable
    plans);
-3. runs the **batched** simulated engine (stacked compute ticks,
-   :mod:`repro.simgrid.batch`) on the same scenario and demands
-   bit-identical work counters, makespan, faults and solutions --
-   only the engine's event total may differ (flush events);
-4. once per sweep, runs the *whole battery* through one ``run_many``
-   (the ``mega`` placement's cross-world coordinator) and demands the
-   same of every member against its scalar run;
-5. runs the **threaded** and **process** backends on the *same
+3. once per sweep, runs the *whole battery* through one ``run_many``
+   (the ``mega`` placement's cross-world coordinator, stacked compute
+   ticks, :mod:`repro.simgrid.batch`) and demands bit-identical work
+   counters, makespan, faults and solutions of every member against
+   its scalar run -- only the engine's event total may differ (flush
+   events);
+4. runs the **threaded** and **process** backends on the *same
    scenario value* (three-way parity), checks the same invariants on
    each, and -- for scenarios whose plan carries no message-level
    adversity -- requires convergence agreement with the simulator
@@ -23,10 +22,10 @@ For every generated scenario the driver:
    concurrency must stay *sound* (no premature halt, success implies
    tolerance) but wall-clock fault windows are allowed to change
    whether it converges before the iteration cap;
-6. reaps any real-concurrency run that exceeds ``--timeout`` (threads
+5. reaps any real-concurrency run that exceeds ``--timeout`` (threads
    poisoned, worker processes terminated) and surfaces the timeout as
    that scenario's failure instead of stalling the sweep;
-7. across the sweep, requires that at least one windowed fault plan
+6. across the sweep, requires that at least one windowed fault plan
    demonstrably degraded and recovered (non-zero ``recoveries`` in the
    fault counters) whenever the generator emitted one.
 
@@ -103,8 +102,6 @@ def run_scenario_conformance(
         "scenario": scenario.to_dict(),
         "has_faults": scenario.faults is not None and not scenario.faults.is_empty,
         "simulated": None,
-        "batched": None,
-        "batched_parity": None,
         "parity": None,
         "mega_parity": None,
         "threaded": None,
@@ -149,27 +146,8 @@ def run_scenario_conformance(
             "seeded scenario disagree on work counters"
         )
 
-    # Batched-engine parity: the batched tick mode must be bit-identical
-    # to the scalar simulator on everything except the engine's event
-    # total (one extra flush event per stacked tick).
-    try:
-        batched = SimulatedBackend(trace=False, batched=True).run(scenario)
-    except Exception as exc:  # noqa: BLE001 - reported per scenario
-        violations.append(
-            f"batched simulated backend raised {type(exc).__name__}: {exc}"
-        )
-        record["ok"] = False
-        return record
-    record["batched"] = _summary(batched)
     # Kept on the record: the sweep-level mega leg compares against it.
     record["parity"] = _parity_signature(second)
-    diffs = _parity_diffs(record["parity"], _parity_signature(batched))
-    record["batched_parity"] = not diffs
-    if diffs:
-        violations.append(
-            "batched/scalar parity broken: batched tick mode disagrees with "
-            f"the scalar simulator on {diffs}"
-        )
     violations.extend(
         f"simulated: {v}" for v in check_invariants(scenario, first, problem)
     )
@@ -333,7 +311,6 @@ def run_conformance(
         "recovered_scenarios": len(recovered),
         "timed_out_scenarios": sum(1 for r in records if r.get("timed_out")),
         "deterministic": all(r.get("deterministic") for r in records),
-        "batched_parity": all(r.get("batched_parity") for r in records),
         "mega_parity": all(r.get("mega_parity") for r in records),
         "elapsed_s": time.perf_counter() - started,
     }

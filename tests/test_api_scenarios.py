@@ -2,7 +2,7 @@
 
 Covers the satellite requirements of the API redesign: scenario
 dict/JSON round-trips, record round-trips, registry error messages,
-shim/backend makespan parity, cross-backend unification and the
+solver-override parity, cross-backend unification and the
 multiprocessing sweep.
 """
 
@@ -30,11 +30,9 @@ from repro.api import (
 )
 from repro.clusters import CLUSTER_REGISTRY
 from repro.core.aiac import AIACOptions
-from repro.core.run import get_worker, simulate
-from repro.envs import get_environment
+from repro.core.run import get_worker
 from repro.problems import PROBLEM_REGISTRY
 from repro.problems.sparse_linear import SparseLinearConfig, SparseLinearProblem
-from repro.runtime import run_threaded
 
 FAST_LINEAR = dict(n=150, sign_structure="random", eps=1e-6)
 
@@ -252,22 +250,15 @@ def test_run_result_record_round_trips_all_counter_families_at_once():
         == record
 
 
-def test_simulate_shim_and_backend_parity():
+def test_make_solver_override_matches_the_scenario_problem():
     scenario = _fast_scenario()
     problem = SparseLinearProblem(SparseLinearConfig(seed=7, **FAST_LINEAR))
-    env = get_environment("pm2")
-    shim = simulate(
-        problem.make_local,
-        scenario.n_ranks,
-        scenario.build_network(),
-        env.comm_policy("sparse_linear", scenario.n_ranks),
-        worker="aiac",
-        opts=scenario.resolved_options(problem),
-    )
-    backend = SimulatedBackend().run(scenario)
-    assert backend.makespan == shim.makespan
-    assert backend.max_iterations == shim.max_iterations
-    np.testing.assert_allclose(backend.solution(), shim.solution())
+    backend = SimulatedBackend()
+    override = backend.run(scenario, make_solver=problem.make_local)
+    plain = backend.run(scenario)
+    assert plain.makespan == override.makespan
+    assert plain.max_iterations == override.max_iterations
+    np.testing.assert_array_equal(plain.solution(), override.solution())
 
 
 def test_same_scenario_runs_on_both_backends():
@@ -292,23 +283,6 @@ def test_threaded_backend_derives_stats():
     assert stats["backend"] == "threaded"
     assert stats["messages_sent"] > 0
     assert set(stats["iterations_per_rank"]) == {0, 1}
-
-
-def test_thread_run_result_unified_surface():
-    # Satellite: ThreadRunResult itself now mirrors RunResult.
-    problem = SparseLinearProblem(SparseLinearConfig(seed=7, **FAST_LINEAR))
-    opts = AIACOptions(eps=1e-6, stability_count=3, max_iterations=20_000)
-    worker = get_worker("sisc")
-    outcome = run_threaded(
-        lambda r, s: worker(r, s, problem.make_local(r, s), opts), 2
-    )
-    assert outcome.converged
-    assert outcome.total_iterations == sum(
-        r.iterations for r in outcome.results.values()
-    )
-    assert outcome.max_iterations > 0
-    assert outcome.solution().shape == (problem.n,)
-    assert outcome.stats()["converged"] is True
 
 
 # ----------------------------------------------------------------------

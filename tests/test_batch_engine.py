@@ -25,7 +25,6 @@ from repro.api.backends import SimulatedBackend
 from repro.api.faults import FaultPlan, MessageDuplication, MessageLoss
 from repro.clusters import uniform_cluster
 from repro.core.aiac import AIACOptions
-from repro.core.run import _build_world
 from repro.simgrid.batch import ComputeBatcher, run_worlds_batched
 from repro.simgrid.comm import CommPolicy
 from repro.simgrid.effects import Compute, Iterate
@@ -47,6 +46,11 @@ def _assert_parity(scalar, batched):
     assert np.array_equal(scalar.solution(), batched.solution())
 
 
+def _batched(scenario):
+    """One scenario alone under ``run_many``: the in-world batched mode."""
+    return SimulatedBackend(trace=False).run_many([scenario])[0]
+
+
 # ----------------------------------------------------------------------
 # in-world parity
 # ----------------------------------------------------------------------
@@ -60,7 +64,7 @@ def test_batched_parity_generated_scenarios(seed):
     """
     scenario = generate_scenarios(1, seed=seed)[0]
     scalar = SimulatedBackend(trace=False).run(scenario)
-    batched = SimulatedBackend(trace=False, batched=True).run(scenario)
+    batched = _batched(scenario)
     _assert_parity(scalar, batched)
 
 
@@ -72,7 +76,7 @@ def test_batched_parity_async_chemical():
         n_ranks=3,
     )
     scalar = SimulatedBackend(trace=False).run(scenario)
-    batched = SimulatedBackend(trace=False, batched=True).run(scenario)
+    batched = _batched(scenario)
     _assert_parity(scalar, batched)
 
 
@@ -86,7 +90,7 @@ def test_batched_lockstep_stacks_full_width():
         n_ranks=3,
     )
     scalar = SimulatedBackend(trace=False).run(scenario)
-    batched = SimulatedBackend(trace=False, batched=True).run(scenario)
+    batched = _batched(scenario)
     _assert_parity(scalar, batched)
     stats = batched.backend_stats["batched"]
     assert stats["max_width"] == 3
@@ -99,7 +103,7 @@ def test_batched_scalar_fallback_without_iterate_batch():
     never parks -- every iteration runs inline, results unchanged."""
     scenario = Scenario(problem="sparse_linear", environment="sync_mpi", n_ranks=3)
     scalar = SimulatedBackend(trace=False).run(scenario)
-    batched = SimulatedBackend(trace=False, batched=True).run(scenario)
+    batched = _batched(scenario)
     _assert_parity(scalar, batched)
     stats = batched.backend_stats["batched"]
     assert stats["stacked"] == 0
@@ -118,7 +122,7 @@ def test_unstackable_solvers_never_park(environment):
         environment=environment, n_ranks=3,
     )
     scalar = SimulatedBackend().run(scenario)
-    batched = SimulatedBackend(batched=True).run(scenario)
+    batched = _batched(scenario)
     _assert_parity(scalar, batched)
     stats = batched.backend_stats["batched"]
     assert stats["parked"] == stats["ticks"] == 0
@@ -131,10 +135,7 @@ def test_unstackable_worlds_finish_in_their_first_pump():
     coordinator: no cross-world round is ever evaluated."""
     backend = SimulatedBackend(trace=False)
     scenario = Scenario(problem="sparse_linear", environment="pm2", n_ranks=3)
-    worlds = [
-        _build_world(**backend._bind(scenario, None)[0], batched=True)
-        for _ in range(2)
-    ]
+    worlds = [backend._bind(scenario, None)[0] for _ in range(2)]
     assert run_worlds_batched(worlds) == 0
     reference = backend.run(scenario)
     for world in worlds:
@@ -152,7 +153,7 @@ def test_flush_events_are_the_whole_event_difference():
         n_ranks=3,
     )
     scalar = SimulatedBackend().run(scenario)
-    batched = SimulatedBackend(batched=True).run(scenario)
+    batched = _batched(scenario)
     _assert_parity(scalar, batched)
     stats = batched.backend_stats["batched"]
     assert (
@@ -315,7 +316,7 @@ def test_run_many_matches_run_per_scenario():
     singles = [
         SimulatedBackend(trace=False).run(s) for s in _speed_grid(4, **grid_kwargs)
     ]
-    many = SimulatedBackend(trace=False, batched=True).run_many(
+    many = SimulatedBackend(trace=False).run_many(
         _speed_grid(4, **grid_kwargs)
     )
     assert len(many) == 4
@@ -326,35 +327,29 @@ def test_run_many_matches_run_per_scenario():
 def test_run_many_isolates_failures():
     """A failing world must not poison its siblings: the good worlds'
     results are complete before the failure is raised."""
-    from repro.core.run import _simulate_many
-    from repro.simgrid.world import ProcessFailure
-
-    backend = SimulatedBackend(trace=False, batched=True)
+    backend = SimulatedBackend(trace=False)
     good = Scenario(problem="sparse_linear", environment="sync_mpi", n_ranks=2)
-    specs = []
-    for poisoned in (False, True):
-        spec, _ = backend._bind(good, None)
-        if poisoned:
-            inner = spec["make_solver"]
+    inner = good.build_problem().make_local
 
-            def make_failing(rank, size, _inner=inner):
-                solver = _inner(rank, size)
-                calls = {"n": 0}
-                original = solver.iterate
+    def make_failing(rank, size):
+        solver = inner(rank, size)
+        calls = {"n": 0}
+        original = solver.iterate
 
-                def iterate():
-                    calls["n"] += 1
-                    if calls["n"] > 2:
-                        raise RuntimeError("poisoned solver")
-                    return original()
+        def iterate():
+            calls["n"] += 1
+            if calls["n"] > 2:
+                raise RuntimeError("poisoned solver")
+            return original()
 
-                solver.iterate = iterate
-                return solver
+        solver.iterate = iterate
+        return solver
 
-            spec = dict(spec, make_solver=make_failing)
-        specs.append(spec)
+    worlds = [backend._bind(good, None)[0], backend._bind(good, make_failing)[0]]
+    run_worlds_batched(worlds)
+    assert worlds[0].finish() == backend.run(good).makespan
     with pytest.raises(ProcessFailure):
-        _simulate_many(specs)
+        worlds[1].finish()
 
 
 def _chem(t_end):
@@ -385,8 +380,7 @@ def test_run_many_isolates_a_failing_stackable_world(fails_last):
     # fires: at once, or near the end of a run twice as long as the
     # healthy world's.
     fuse = doomed_iterations - 10 if fails_last else 2
-    spec, _ = backend._bind(doomed, None)
-    inner = spec["make_solver"]
+    inner = doomed.build_problem().make_local
 
     def make_failing(rank, size):
         solver = inner(rank, size)
@@ -403,8 +397,8 @@ def test_run_many_isolates_a_failing_stackable_world(fails_last):
         return solver
 
     worlds = [
-        _build_world(**backend._bind(healthy, None)[0], batched=True),
-        _build_world(**dict(spec, make_solver=make_failing), batched=True),
+        backend._bind(healthy, None)[0],
+        backend._bind(doomed, make_failing)[0],
     ]
     run_worlds_batched(worlds)
     # Whichever world outlived the other was switched to in-world mode.

@@ -6,7 +6,7 @@
 * registry error paths name the known alternatives,
 * seed plumbing: identical seeds -> identical work counters through
   problem setup, fault RNG and sweep workers,
-* the deprecation shims warn exactly once per process.
+* the backends emit no deprecation warnings.
 """
 
 import json
@@ -15,7 +15,6 @@ import warnings
 import numpy as np
 import pytest
 
-import repro._deprecation as deprecation
 from repro.api import (
     FaultPlan,
     MessageLoss,
@@ -132,7 +131,6 @@ def test_small_conformance_sweep_passes():
     assert report["passed"], report["failures"]
     assert report["summary"]["scenarios"] == 4
     assert report["summary"]["deterministic"]
-    assert report["summary"]["batched_parity"]
     assert report["summary"]["mega_parity"]
     assert report["summary"]["timed_out_scenarios"] == 0
     assert all(r["threaded"] is not None for r in report["scenarios"])
@@ -172,7 +170,7 @@ def test_mega_leg_fails_the_run_on_a_member_that_disagrees(monkeypatch):
     monkeypatch.setattr(SimulatedBackend, "run_many", rotated)
     report = run_conformance(n=3, seed=0, threaded=False, process=False)
     assert not report["passed"]
-    assert report["summary"]["batched_parity"]
+    assert report["summary"]["deterministic"]
     assert not report["summary"]["mega_parity"]
     assert all(
         any("mega/scalar parity broken" in v for v in failure["violations"])
@@ -273,47 +271,9 @@ def test_fault_rng_falls_back_to_scenario_seed():
 
 
 # ----------------------------------------------------------------------
-# satellite: deprecation shims warn exactly once per process
+# satellite: the backends warn about nothing
 # ----------------------------------------------------------------------
-def _drain_worker(rank, size):
-    if False:  # pragma: no cover - generator with no effects
-        yield
-    return rank
-
-
-def test_simulate_shim_warns_exactly_once():
-    from repro.clusters import uniform_cluster
-    from repro.core.run import simulate
-    from repro.envs import get_environment
-    from repro.problems import get_problem
-
-    deprecation.reset("repro.core.run.simulate")
-    problem = get_problem("sparse_linear", n=60, sign_structure="random")
-    env = get_environment("pm2")
-    args = (problem.make_local, 2, uniform_cluster(2),
-            env.comm_policy("sparse_linear", 2))
-    with pytest.warns(DeprecationWarning, match="simulate.*deprecated"):
-        simulate(*args)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        simulate(*args)
-    assert [w for w in caught if w.category is DeprecationWarning] == []
-
-
-def test_run_threaded_shim_warns_exactly_once():
-    from repro.runtime import run_threaded
-
-    deprecation.reset("repro.runtime.run_threaded")
-    with pytest.warns(DeprecationWarning, match="run_threaded.*deprecated"):
-        run_threaded(_drain_worker, 2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        run_threaded(_drain_worker, 2)
-    assert [w for w in caught if w.category is DeprecationWarning] == []
-
-
 def test_backends_do_not_trigger_the_shim_warnings():
-    deprecation.reset()
     scenario = Scenario(
         problem="sparse_linear",
         problem_params={"n": 100, "sign_structure": "random"},

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import Scenario, SimulatedBackend
 from repro.core.aiac import AIACOptions
-from repro.core.run import simulate
 from repro.clusters import uniform_cluster
-from repro.envs import get_environment
 from repro.linalg.sparse import MultiDiagonalMatrix
 from repro.problems.sparse_linear import SparseLinearConfig, SparseLinearProblem
 from repro.simgrid.comm import CommPolicy
@@ -30,17 +29,28 @@ def _divergent_problem(n=60):
     return problem
 
 
+def _run(problem, environment, worker, opts, n_ranks=4, speed=1e7):
+    """Run ``problem``'s solvers on a uniform cluster of ``n_ranks`` hosts."""
+    scenario = Scenario(
+        problem="sparse_linear",
+        problem_params={"n": problem.n, "n_diagonals": 6},
+        environment=environment,
+        algorithm=worker,
+        n_ranks=n_ranks,
+        cluster_params={"speed": speed},
+        options=opts,
+    )
+    return SimulatedBackend().run(scenario, make_solver=problem.make_local)
+
+
 def test_divergent_system_hits_iteration_cap_not_infinite_loop():
     """The paper: "a limit is set over the number of iterations in order
     to avoid infinite execution when the process does not converge"."""
     problem = _divergent_problem()
     assert problem.spectral_bound() > 1.0
-    env = get_environment("pm2")
-    net = uniform_cluster(4, speed=1e7)
-    result = simulate(
-        problem.make_local, 4, net, env.comm_policy("sparse_linear", 4),
-        worker="aiac",
-        opts=AIACOptions(eps=1e-8, stability_count=3, max_iterations=80),
+    result = _run(
+        problem, "pm2", "aiac",
+        AIACOptions(eps=1e-8, stability_count=3, max_iterations=80),
     )
     assert not result.converged
     assert result.max_iterations == 80
@@ -48,12 +58,8 @@ def test_divergent_system_hits_iteration_cap_not_infinite_loop():
 
 def test_divergent_system_sisc_also_capped():
     problem = _divergent_problem()
-    env = get_environment("sync_mpi")
-    net = uniform_cluster(4, speed=1e7)
-    result = simulate(
-        problem.make_local, 4, net, env.comm_policy("sparse_linear", 4),
-        worker="sisc",
-        opts=AIACOptions(eps=1e-8, max_iterations=25),
+    result = _run(
+        problem, "sync_mpi", "sisc", AIACOptions(eps=1e-8, max_iterations=25)
     )
     assert not result.converged
     assert all(r.iterations == 25 for r in result.reports.values())
@@ -127,14 +133,12 @@ def test_freshness_window_blocks_convergence_without_messages():
     """With a freshness window, a rank that stops hearing from its
     dependencies cannot (falsely) report convergence forever."""
     problem = SparseLinearProblem(SparseLinearConfig(n=80, dominance=0.6))
-    env = get_environment("pm2")
-    net = uniform_cluster(2, speed=1e6)
-    result = simulate(
-        problem.make_local, 2, net, env.comm_policy("sparse_linear", 2),
-        worker="aiac",
-        opts=AIACOptions(
+    result = _run(
+        problem, "pm2", "aiac",
+        AIACOptions(
             eps=1e-8, stability_count=3, max_iterations=4000, freshness_window=30,
         ),
+        n_ranks=2, speed=1e6,
     )
     # Healthy network: the window never blocks a true convergence.
     assert result.converged

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Scenario, SimulatedBackend
 from repro.core.aiac import AIACOptions
-from repro.core.run import simulate
-from repro.clusters import ethernet_wan
-from repro.envs import get_environment
 from repro.linalg.partition import WeightedPartition
 from repro.problems.sparse_linear import (
     MigratableSparseLinearLocal,
@@ -146,7 +144,8 @@ def test_weighted_partition_properties(n, weights):
 # ----------------------------------------------------------------------
 # balanced runs
 # ----------------------------------------------------------------------
-PROBLEM = SparseLinearProblem(SparseLinearConfig(n=600, dominance=0.8, eps=1e-6))
+PROBLEM_PARAMS = dict(n=600, dominance=0.8, eps=1e-6)
+PROBLEM = SparseLinearProblem(SparseLinearConfig(**PROBLEM_PARAMS))
 
 
 def test_balanced_factory_produces_consistent_locals():
@@ -161,14 +160,19 @@ def test_balanced_factory_produces_consistent_locals():
 
 
 def test_balanced_run_converges_correctly():
-    opts = AIACOptions(eps=1e-6, stability_count=8, max_iterations=20_000)
-    env = get_environment("pm2")
-    net = ethernet_wan(n_hosts=6, n_sites=3, speed_scale=0.003, wan_latency=0.018)
-    factory = balanced_local_factory(PROBLEM, [h.speed for h in net.hosts])
-    result = simulate(
-        factory, 6, net, env.comm_policy("sparse_linear", 6),
-        worker="aiac", opts=opts,
+    scenario = Scenario(
+        problem="sparse_linear",
+        problem_params=PROBLEM_PARAMS,
+        environment="pm2",
+        algorithm="aiac",
+        cluster="ethernet_wan",
+        cluster_params=dict(n_sites=3, speed_scale=0.003, wan_latency=0.018),
+        n_ranks=6,
+        options=AIACOptions(eps=1e-6, stability_count=8, max_iterations=20_000),
     )
+    speeds = [h.speed for h in scenario.build_network().hosts]
+    factory = balanced_local_factory(PROBLEM, speeds)
+    result = SimulatedBackend().run(scenario, make_solver=factory)
     assert result.converged
     assert PROBLEM.solution_error(result.solution()) < 1e-3
 

@@ -7,7 +7,7 @@ from repro.core.aiac import AIACOptions, aiac_stepped_worker, aiac_worker
 from repro.core.sisc import sisc_worker
 from repro.problems.chemical import ChemicalConfig, ChemicalProblem
 from repro.problems.sparse_linear import SparseLinearConfig, SparseLinearProblem
-from repro.runtime import ChannelHub, run_threaded
+from repro.runtime import ChannelHub, run_threads
 from repro.runtime.executor import ThreadWorkerError
 from repro.simgrid.effects import Barrier, Compute, Drain, Now, Recv, Send
 from repro.simgrid.message import Message
@@ -64,9 +64,9 @@ def test_executor_runs_simple_exchange():
         yield Send(0, "pong", msgs[0].payload + " back", 8.0)
         return "done"
 
-    result = run_threaded(worker, 2)
-    assert result.results[0] == "hello back"
-    assert result.messages_sent == 2
+    reports, _, messages_sent, _, _ = run_threads(worker, 2)
+    assert reports[0] == "hello back"
+    assert messages_sent == 2
 
 
 def test_executor_barrier_and_effects():
@@ -77,8 +77,8 @@ def test_executor_barrier_and_effects():
         drained = yield Drain("nothing")
         return (t >= 0.0, drained)
 
-    result = run_threaded(worker, 3)
-    assert all(ok for ok, _ in result.results.values())
+    reports = run_threads(worker, 3)[0]
+    assert all(ok for ok, _ in reports.values())
 
 
 def test_executor_propagates_worker_exception():
@@ -87,12 +87,12 @@ def test_executor_propagates_worker_exception():
         raise RuntimeError("kaboom")
 
     with pytest.raises(ThreadWorkerError):
-        run_threaded(bad, 2)
+        run_threads(bad, 2)
 
 
 def test_executor_validation():
     with pytest.raises(ValueError):
-        run_threaded(lambda r, s: iter(()), 0)
+        run_threads(lambda r, s: iter(()), 0)
 
 
 # ----------------------------------------------------------------------
@@ -106,14 +106,12 @@ LINEAR = SparseLinearProblem(
 def test_threads_sisc_linear_matches_sequential():
     seq = LINEAR.solve_sequential(eps=1e-8)
     opts = AIACOptions(eps=1e-8, stability_count=3, max_iterations=5000)
-    result = run_threaded(
+    reports = run_threads(
         lambda r, s: sisc_worker(r, s, LINEAR.make_local(r, s), opts), 3
-    )
-    counts = {rep.iterations for rep in result.results.values()}
+    )[0]
+    counts = {rep.iterations for rep in reports.values()}
     assert counts == {seq.iterations}
-    solution = np.concatenate(
-        [result.results[r].solution for r in sorted(result.results)]
-    )
+    solution = np.concatenate([reports[r].solution for r in sorted(reports)])
     assert LINEAR.solution_error(solution) < 1e-5
 
 
@@ -127,14 +125,12 @@ def test_threads_aiac_linear_converges():
     )
     last_error = None
     for _ in range(3):
-        result = run_threaded(
+        reports = run_threads(
             lambda r, s: aiac_worker(r, s, LINEAR.make_local(r, s), opts), 3
-        )
-        solution = np.concatenate(
-            [result.results[r].solution for r in sorted(result.results)]
-        )
+        )[0]
+        solution = np.concatenate([reports[r].solution for r in sorted(reports)])
         last_error = LINEAR.solution_error(solution)
-        if all(rep.converged for rep in result.results.values()):
+        if all(rep.converged for rep in reports.values()):
             assert last_error < 1e-5
             return
     pytest.fail(f"no attempt converged; last solution error {last_error:.2e}")
@@ -146,12 +142,11 @@ def test_threads_aiac_chemical_matches_sequential():
     opts = AIACOptions(
         eps=problem.config.inner_eps, stability_count=5, max_iterations=10_000,
     )
-    result = run_threaded(
+    reports = run_threads(
         lambda r, s: aiac_stepped_worker(r, s, problem.make_local(r, s), opts), 3
-    )
+    )[0]
     solution = np.concatenate(
-        [result.results[r].solution.reshape(2, -1, 8) for r in sorted(result.results)],
-        axis=1,
+        [reports[r].solution.reshape(2, -1, 8) for r in sorted(reports)], axis=1,
     )
     rel = np.max(np.abs(solution - reference) / (np.abs(reference) + 1.0))
     assert rel < 1e-4

@@ -5,16 +5,13 @@ import pytest
 
 from repro.api import Scenario, SimulatedBackend
 from repro.core.aiac import AIACOptions
-from repro.core.run import simulate
-from repro.clusters import uniform_cluster
-from repro.envs import get_environment
 from repro.problems.chemical import ChemicalConfig, ChemicalProblem
 from repro.problems.sparse_linear import SparseLinearConfig, SparseLinearProblem
 
-LINEAR = SparseLinearProblem(
-    SparseLinearConfig(n=240, dominance=0.7, eps=1e-8, sign_structure="negative")
-)
-CHEMICAL = ChemicalProblem(ChemicalConfig(nx=8, nz=12, t_end=360.0))
+LINEAR_PARAMS = dict(n=240, dominance=0.7, eps=1e-8, sign_structure="negative")
+LINEAR = SparseLinearProblem(SparseLinearConfig(**LINEAR_PARAMS))
+CHEMICAL_PARAMS = dict(nx=8, nz=12, t_end=360.0)
+CHEMICAL = ChemicalProblem(ChemicalConfig(**CHEMICAL_PARAMS))
 CHEMICAL_REFERENCE, _ = CHEMICAL.solve_sequential()
 
 
@@ -24,8 +21,25 @@ def _linear_opts(**kw):
     return AIACOptions(**defaults)
 
 
-def _net(n=4, speed=1e6):
-    return uniform_cluster(n_hosts=n, speed=speed)
+def _scenario(environment, worker, opts, n_ranks=4, problem=LINEAR, **cluster_params):
+    """``problem`` on a uniform cluster of ``n_ranks`` hosts (speed 1e6
+    unless overridden), with an explicit worker and options."""
+    chemical = problem is CHEMICAL
+    return Scenario(
+        problem="chemical" if chemical else "sparse_linear",
+        problem_params=CHEMICAL_PARAMS if chemical else LINEAR_PARAMS,
+        environment=environment,
+        algorithm=worker,
+        n_ranks=n_ranks,
+        cluster_params={"speed": 1e6, **cluster_params},
+        options=opts,
+    )
+
+
+def _run(environment, worker, opts, n_ranks=4, problem=LINEAR, trace=False,
+         **cluster_params):
+    scenario = _scenario(environment, worker, opts, n_ranks, problem, **cluster_params)
+    return SimulatedBackend(trace=trace).run(scenario, make_solver=problem.make_local)
 
 
 def _chemical_solution(result):
@@ -41,11 +55,7 @@ def _chemical_solution(result):
 def test_sisc_matches_sequential_iteration_count():
     """SISC performs exactly the same iterations as the sequential run."""
     seq = LINEAR.solve_sequential(eps=1e-8)
-    env = get_environment("sync_mpi")
-    result = simulate(
-        LINEAR.make_local, 4, _net(), env.comm_policy("sparse_linear", 4),
-        worker="sisc", opts=_linear_opts(),
-    )
+    result = _run("sync_mpi", "sisc", _linear_opts())
     assert result.converged
     counts = {r.iterations for r in result.reports.values()}
     assert counts == {seq.iterations}
@@ -54,27 +64,19 @@ def test_sisc_matches_sequential_iteration_count():
 
 @pytest.mark.parametrize("env_name", ["pm2", "mpimad", "omniorb"])
 def test_aiac_converges_to_true_solution(env_name):
-    env = get_environment(env_name)
     # Host speed chosen so one local iteration takes longer than the
     # receive-path handling of one message -- the regime the paper's
     # full-size problems live in (see EXPERIMENTS.md calibration);
     # outside it, receivers with a single dedicated receiving thread
     # (MPI/Mad) would be flooded.
-    result = simulate(
-        LINEAR.make_local, 4, _net(speed=1e5), env.comm_policy("sparse_linear", 4),
-        worker="aiac", opts=_linear_opts(),
-    )
+    result = _run(env_name, "aiac", _linear_opts(), speed=1e5)
     assert result.converged
     assert LINEAR.solution_error(result.solution()) < 1e-4
 
 
 def test_aiac_single_rank_degenerates_to_sequential():
     seq = LINEAR.solve_sequential(eps=1e-8)
-    env = get_environment("pm2")
-    result = simulate(
-        LINEAR.make_local, 1, _net(1), env.comm_policy("sparse_linear", 1),
-        worker="aiac", opts=_linear_opts(stability_count=1),
-    )
+    result = _run("pm2", "aiac", _linear_opts(stability_count=1), n_ranks=1)
     assert result.converged
     assert np.allclose(result.solution(), seq.x, atol=1e-6)
 
@@ -85,22 +87,14 @@ def test_aiac_nondeterministic_iteration_counts_but_same_answer():
     solutions = {}
     iteration_counts = {}
     for env_name in ("pm2", "omniorb"):
-        env = get_environment(env_name)
-        result = simulate(
-            LINEAR.make_local, 4, _net(), env.comm_policy("sparse_linear", 4),
-            worker="aiac", opts=_linear_opts(),
-        )
+        result = _run(env_name, "aiac", _linear_opts())
         solutions[env_name] = result.solution()
         iteration_counts[env_name] = result.total_iterations
     assert np.allclose(solutions["pm2"], solutions["omniorb"], atol=1e-4)
 
 
 def test_aiac_reports_protocol_counters():
-    env = get_environment("pm2")
-    result = simulate(
-        LINEAR.make_local, 4, _net(), env.comm_policy("sparse_linear", 4),
-        worker="aiac", opts=_linear_opts(),
-    )
+    result = _run("pm2", "aiac", _linear_opts())
     report = result.reports[1]
     assert report.sends > 0
     assert report.elapsed > 0
@@ -110,11 +104,9 @@ def test_aiac_reports_protocol_counters():
 
 
 def test_skip_send_rule_engages_under_slow_network():
-    env = get_environment("pm2")
-    slow = uniform_cluster(n_hosts=4, speed=1e7, bandwidth=1e4, latency=5e-3)
-    result = simulate(
-        LINEAR.make_local, 4, slow, env.comm_policy("sparse_linear", 4),
-        worker="aiac", opts=_linear_opts(max_iterations=600),
+    result = _run(
+        "pm2", "aiac", _linear_opts(max_iterations=600),
+        speed=1e7, bandwidth=1e4, latency=5e-3,
     )
     skipped = sum(r.skipped_sends for r in result.reports.values())
     assert skipped > 0  # fast iterations over a slow net must skip sends
@@ -122,21 +114,13 @@ def test_skip_send_rule_engages_under_slow_network():
 
 def test_aiac_iteration_cap_respected_when_not_converging():
     # An unreachable threshold: runs to the cap and reports divergence.
-    env = get_environment("pm2")
-    result = simulate(
-        LINEAR.make_local, 4, _net(), env.comm_policy("sparse_linear", 4),
-        worker="aiac", opts=_linear_opts(eps=1e-300, max_iterations=50),
-    )
+    result = _run("pm2", "aiac", _linear_opts(eps=1e-300, max_iterations=50))
     assert not result.converged
     assert result.max_iterations == 50
 
 
 def test_sisc_iteration_cap_respected():
-    env = get_environment("sync_mpi")
-    result = simulate(
-        LINEAR.make_local, 4, _net(), env.comm_policy("sparse_linear", 4),
-        worker="sisc", opts=_linear_opts(eps=1e-300, max_iterations=7),
-    )
+    result = _run("sync_mpi", "sisc", _linear_opts(eps=1e-300, max_iterations=7))
     assert not result.converged
     assert result.max_iterations == 7
 
@@ -145,13 +129,9 @@ def test_sisc_iteration_cap_respected():
 # chemical problem (stepped workers)
 # ----------------------------------------------------------------------
 def test_sisc_stepped_matches_sequential():
-    env = get_environment("sync_mpi")
     opts = AIACOptions(eps=CHEMICAL.config.inner_eps, stability_count=2,
                        max_iterations=3000)
-    result = simulate(
-        CHEMICAL.make_local, 3, _net(3), env.comm_policy("chemical", 3),
-        worker="sisc_stepped", opts=opts,
-    )
+    result = _run("sync_mpi", "sisc_stepped", opts, n_ranks=3, problem=CHEMICAL)
     assert result.converged
     rel = np.max(
         np.abs(_chemical_solution(result) - CHEMICAL_REFERENCE)
@@ -162,13 +142,9 @@ def test_sisc_stepped_matches_sequential():
 
 @pytest.mark.parametrize("env_name", ["pm2", "mpimad", "omniorb"])
 def test_aiac_stepped_matches_sequential(env_name):
-    env = get_environment(env_name)
     opts = AIACOptions(eps=CHEMICAL.config.inner_eps, stability_count=2,
                        max_iterations=3000)
-    result = simulate(
-        CHEMICAL.make_local, 3, _net(3), env.comm_policy("chemical", 3),
-        worker="aiac_stepped", opts=opts,
-    )
+    result = _run(env_name, "aiac_stepped", opts, n_ranks=3, problem=CHEMICAL)
     assert result.converged
     rel = np.max(
         np.abs(_chemical_solution(result) - CHEMICAL_REFERENCE)
@@ -178,13 +154,9 @@ def test_aiac_stepped_matches_sequential(env_name):
 
 
 def test_stepped_worker_reports_per_step_iterations():
-    env = get_environment("pm2")
     opts = AIACOptions(eps=CHEMICAL.config.inner_eps, stability_count=2,
                        max_iterations=3000)
-    result = simulate(
-        CHEMICAL.make_local, 3, _net(3), env.comm_policy("chemical", 3),
-        worker="aiac_stepped", opts=opts,
-    )
+    result = _run("pm2", "aiac_stepped", opts, n_ranks=3, problem=CHEMICAL)
     per_step = result.reports[0].meta["per_step_iterations"]
     assert len(per_step) == CHEMICAL.config.n_steps
     assert all(k >= 1 for k in per_step)
@@ -215,22 +187,17 @@ def test_stepped_worker_sums_its_send_counters_over_the_steps():
 # API guards
 # ----------------------------------------------------------------------
 def test_simulate_validates_inputs():
-    env = get_environment("pm2")
-    policy = env.comm_policy("sparse_linear", 4)
+    opts = _linear_opts()
+    with pytest.raises(KeyError, match="nope"):
+        _scenario("pm2", "nope", opts)
     with pytest.raises(ValueError):
-        simulate(LINEAR.make_local, 4, _net(), policy, worker="nope")
-    with pytest.raises(ValueError):
-        simulate(LINEAR.make_local, 0, _net(), policy)
-    with pytest.raises(ValueError):
-        simulate(LINEAR.make_local, 10, _net(4), policy)
+        _scenario("pm2", "aiac", opts, n_ranks=0)
+    with pytest.raises(ValueError, match="hosts"):
+        SimulatedBackend().run(_scenario("pm2", "aiac", opts, n_ranks=10, n_hosts=4))
 
 
 def test_run_result_stats_structure():
-    env = get_environment("pm2")
-    result = simulate(
-        LINEAR.make_local, 2, _net(2), env.comm_policy("sparse_linear", 2),
-        worker="aiac", opts=_linear_opts(),
-    )
+    result = _run("pm2", "aiac", _linear_opts(), n_ranks=2)
     stats = result.stats()
     assert stats["policy"] == "pm2"
     assert stats["converged"] is True
@@ -238,11 +205,7 @@ def test_run_result_stats_structure():
 
 
 def test_trace_records_compute_spans_for_all_ranks():
-    env = get_environment("pm2")
-    result = simulate(
-        LINEAR.make_local, 3, _net(3), env.comm_policy("sparse_linear", 3),
-        worker="aiac", opts=_linear_opts(),
-    )
+    result = _run("pm2", "aiac", _linear_opts(), n_ranks=3, trace=True)
     trace = result.world.trace
     for rank in range(3):
         assert trace.busy_time(rank) > 0
