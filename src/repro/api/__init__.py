@@ -75,7 +75,7 @@ from repro.api.registry import (
 from repro.api.result import RankProgress, RunResult, jsonify
 from repro.balancing import BalancingPlan
 from repro.api.scenario import Scenario, scenario_matrix
-from repro.api.sweep import sweep, sweep_results
+from repro.api.sweep import sweep
 
 __all__ = [
     "Scenario",
@@ -104,7 +104,6 @@ __all__ = [
     "list_backends",
     "run_scenario",
     "sweep",
-    "sweep_results",
     "register_worker",
     "get_worker",
     "list_workers",

@@ -13,10 +13,9 @@ placement strategies, retry budgets) use :mod:`repro.sweep` directly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Union
 
 from repro.api.backends import Backend
-from repro.api.result import RunResult
 from repro.api.scenario import Scenario, scenario_matrix
 
 ScenarioLike = Union[Scenario, Mapping[str, Any]]
@@ -79,22 +78,4 @@ def sweep(
     return outcome.records
 
 
-def sweep_results(
-    scenarios: Iterable[ScenarioLike],
-    backend: Union[Backend, str, None] = None,
-    processes: int = 1,
-) -> List[Optional[RunResult]]:
-    """Like :func:`sweep`, but rebuild :class:`RunResult` values.
-
-    Convenience for callers that want objects rather than records;
-    failed scenarios come back as ``None``.  Solutions are included, so
-    prefer :func:`sweep` for very large grids.
-    """
-    records = sweep(scenarios, backend, processes=processes, include_solution=True)
-    return [
-        None if "error" in record else RunResult.from_record(record)
-        for record in records
-    ]
-
-
-__all__ = ["sweep", "sweep_results", "scenario_matrix"]
+__all__ = ["sweep", "scenario_matrix"]

@@ -21,7 +21,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.linalg.norms import max_norm
 from repro.linalg.sparse import MultiDiagonalMatrix
 from repro.linalg.splitting import jacobi_splitting
 
@@ -74,10 +73,8 @@ class FixedStepGradient:
         2 flops per stored non-zero in the block rows (multiply + add)
         plus 3 per row (subtract, divide, add).
         """
-        nnz_rows = 0
-        for clo, chi in self.matrix.column_dependencies(lo, hi):
-            nnz_rows += chi - clo
-        return 2.0 * nnz_rows + 3.0 * (hi - lo)
+        starts, stops = self.matrix.column_spans(lo, hi)
+        return 2.0 * int((stops - starts).sum()) + 3.0 * (hi - lo)
 
 
 class BlockUpdate:
@@ -107,15 +104,17 @@ class BlockUpdate:
         (Eq. 6).
         """
         # own + gamma * (b - A x) / diag, evaluated left to right in the
-        # product's buffer.
+        # product's buffer (a multiply by 1.0 is exact, so it is skipped).
         step = self.operator.matvec()
         np.subtract(self._b, step, out=step)
-        step *= self._gamma
+        if self._gamma != 1.0:
+            step *= self._gamma
         step /= self._diag
         new_block = self._own + step
         np.subtract(new_block, self._own, out=step)
         self._own[:] = new_block
-        return new_block, max_norm(step)
+        # ||new - old||_inf on the scratch difference (NaN propagates).
+        return new_block, float(np.maximum.reduce(np.abs(step, out=step), initial=0.0))
 
     def __reduce__(self):
         # ``x`` and the own-block slice alias the operator's buffer;

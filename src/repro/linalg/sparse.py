@@ -101,12 +101,6 @@ class MultiDiagonalMatrix:
         self.data[idx] = 0.0
         self.data[idx, lo:hi] = values
 
-    def diagonal_values(self, offset: int) -> np.ndarray:
-        idx = self._offset_index.get(offset)
-        if idx is None:
-            raise KeyError(f"matrix has no diagonal at offset {offset}")
-        return self.data[idx]
-
     def _valid_range(self, offset: int) -> Tuple[int, int]:
         """Rows for which ``A[i, i+offset]`` is inside the matrix."""
         lo = max(0, -offset)
@@ -144,16 +138,19 @@ class MultiDiagonalMatrix:
         """
         return self.row_block(lo, hi, x).matvec()
 
+    def column_spans(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`column_dependencies` as ``(starts, stops)`` arrays."""
+        k = self.offsets
+        # Each diagonal's rows inside the matrix, clipped to [lo, hi).
+        rlo = np.maximum(-k, max(lo, 0))
+        rhi = np.minimum(self.n - k, min(hi, self.n))
+        meets = rlo < rhi
+        return rlo[meets] + k[meets], rhi[meets] + k[meets]
+
     def column_dependencies(self, lo: int, hi: int) -> List[Tuple[int, int]]:
         """Global column ranges read by rows ``[lo, hi)``, one per diagonal."""
-        deps = []
-        for k in self.offsets:
-            k = int(k)
-            vlo, vhi = self._valid_range(k)
-            rlo, rhi = max(lo, vlo), min(hi, vhi)
-            if rlo < rhi:
-                deps.append((rlo + k, rhi + k))
-        return deps
+        starts, stops = self.column_spans(lo, hi)
+        return list(zip(starts.tolist(), stops.tolist()))
 
     # ------------------------------------------------------------------
     # conversions / analysis

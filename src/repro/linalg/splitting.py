@@ -39,14 +39,19 @@ def block_column_dependencies(
     each processor constructs in the first step of the paper's sparse
     linear algorithm (Section 4.3).
     """
+    bounds = list(partition)
+    m = len(bounds)
+    # Column c belongs to the first block ending after it (a zero-width
+    # block ends where its successor starts, so it owns nothing).
+    ends = np.array([hi for _, hi in bounds])
     deps: Dict[int, Set[int]] = {}
-    for block in range(partition.m):
-        lo, hi = partition.bounds(block)
-        needed: Set[int] = set()
-        for clo, chi in matrix.column_dependencies(lo, hi):
-            first_owner = partition.owner(clo)
-            last_owner = partition.owner(chi - 1)
-            needed.update(range(first_owner, last_owner + 1))
+    for block, (lo, hi) in enumerate(bounds):
+        starts, stops = matrix.column_spans(lo, hi)
+        # Each span reads every block from the owner of its first column
+        # to the owner of its last: +1 / -1 marks, then a running sum.
+        cover = np.bincount(ends.searchsorted(starts, "right"), minlength=m + 1)
+        cover -= np.bincount(ends.searchsorted(stops - 1, "right") + 1, minlength=m + 1)
+        needed = set(np.flatnonzero(cover.cumsum()[:m]).tolist())
         needed.discard(block)
         deps[block] = needed
     return deps

@@ -110,18 +110,24 @@ class SparseLinearProblem:
                 f"unknown sign_structure {config.sign_structure!r}; "
                 "expected 'negative' or 'random'"
             )
+        # One pass, no temporary larger than one diagonal.  The draw is
+        # |A[i, i+off]| under either sign structure, and ascending offsets
+        # add up in offdiagonal_row_sums' order: the same row sums, bit
+        # for bit, without a second sweep over the diagonals.
+        row_sums = np.zeros(config.n)
+        index = matrix._offset_index
         for off in offsets:
             lo = max(0, -off)
             hi = min(config.n, config.n - off)
             vals = rng.uniform(0.2, 1.0, hi - lo)
+            row_sums[lo:hi] += vals
             if config.sign_structure == "negative":
-                vals = -vals
+                np.negative(vals, out=vals)
             else:
                 vals *= rng.choice([-1.0, 1.0], hi - lo)
             # Storage starts zeroed: only the in-matrix span is written.
-            matrix.diagonal_values(off)[lo:hi] = vals
+            matrix.data[index[off], lo:hi] = vals
         # Strict diagonal dominance => Jacobi spectral radius <= dominance.
-        row_sums = matrix.offdiagonal_row_sums()
         floor = np.median(row_sums[row_sums > 0]) if np.any(row_sums > 0) else 1.0
         diag = np.maximum(row_sums, floor) / config.dominance
         matrix.set_diagonal(0, diag)

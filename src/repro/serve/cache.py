@@ -127,14 +127,22 @@ class ResultCache:
         return record
 
     def put(self, key: str, record: Dict[str, Any]) -> Path:
-        """Store a record atomically; last writer wins."""
+        """Store a record atomically; last writer wins.
+
+        One ``json.dumps`` call encodes the record (``json.dump`` would
+        stream it through the pure-Python encoder; the bytes are the
+        same) before the temp file exists, so a record that cannot be
+        encoded leaves no file behind.
+        """
+        data = json.dumps(record, separators=(",", ":")).encode("utf-8")
         path = self.path_for(key)
         fd, tmp_name = tempfile.mkstemp(
             prefix=f".{key[:16]}-", suffix=".tmp", dir=str(self.root)
         )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, separators=(",", ":"))
+            # A buffered binary file writes every byte or raises.
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp_name, path)
         except BaseException:
             try:

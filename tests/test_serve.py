@@ -253,6 +253,44 @@ class TestResultCache:
         assert not cache.path_for("k").exists()
         assert cache.stats()["corrupt"] == 1
 
+    def test_entry_bytes_are_the_compact_json_encoding(self, tmp_path):
+        record = run_scenario(
+            Scenario(problem="sparse_linear", problem_params={"n": 40}, seed=1)
+        ).to_record(include_solution=True)
+        record["label"] = "é ☃ \n\"quoted\""  # escaped, so still ASCII
+        data = ResultCache(tmp_path).put("k", record).read_bytes()
+        assert data == json.dumps(record, separators=(",", ":")).encode("utf-8")
+        # json.dump's streaming (pure-Python) encoder writes the same
+        # bytes: entries written before and after stay interchangeable.
+        streamed = json.JSONEncoder(separators=(",", ":")).iterencode(record)
+        assert data == "".join(streamed).encode("utf-8")
+
+    def test_a_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        with pytest.raises(TypeError):
+            cache.put("k", {"x": object()})  # cannot be encoded
+        assert list(tmp_path.iterdir()) == []
+
+        def no_rename(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", no_rename)
+        with pytest.raises(OSError):
+            cache.put("k", {"x": 1})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_megabyte_record_round_trips(self, tmp_path):
+        scenario = Scenario(
+            problem="sparse_linear",
+            problem_params={"n": 60_000, "n_diagonals": 4, "dominance": 0.3,
+                            "sign_structure": "random", "eps": 1e-3},
+            seed=2,
+        )
+        record = run_scenario(scenario).to_record(include_solution=True)
+        cache = ResultCache(tmp_path)
+        assert cache.put("k", record).stat().st_size >= 1 << 20
+        assert cache.get("k") == json.loads(json.dumps(record))
+
 
 # ---------------------------------------------------------------------------
 # scheduler state machine (stub pool -- no processes, fully deterministic)

@@ -281,7 +281,7 @@ def test_sim_identity_reports_one_line_per_differing_scenario():
 def test_sim_identity_passes_a_tree_against_itself(capsys):
     tool = _sim_identity()
     assert tool.main(["--parent", str(tool.ROOT), "--n", "2", "--seeds", "3"]) == 0
-    total = 2 + len(tool.CHEMICAL_BATTERY)  # generated + the fixed chemical members
+    total = 2 + len(tool.CHEMICAL_BATTERY) + len(tool.SPARSE_BATTERY)  # generated + fixed
     out = capsys.readouterr().out
     assert f"{total} scenarios (n=2, seeds=3), 0 differ" in out
     fingerprints, events = tool.fingerprints(1, [3])
@@ -290,7 +290,7 @@ def test_sim_identity_passes_a_tree_against_itself(capsys):
     (line,) = [line for line in out.splitlines() if "engine events" in line]
     before, after = line.split("engine events ")[1].split(" (")[0].split(" -> ")
     assert before == after and int(after) > events > 0
-    assert set(tool.CHEMICAL_BATTERY) < set(fingerprints)
+    assert set(tool.CHEMICAL_BATTERY) | set(tool.SPARSE_BATTERY) < set(fingerprints)
     fingerprint = next(iter(fingerprints.values()))
     assert "events" not in fingerprint and len(fingerprint["solution_sha1"]) == 40
     # The Gantt output (a non-empty one) is part of what must match.

@@ -82,11 +82,43 @@ def test_instance_generation_is_deterministic():
             "8fa5f27bfd23c60227df7b421c0877a885ac48c3",
             "e6961404e9856b853fa2714ec79da2fc33537e83",
         ),
+        (   # the benchmark's tiny sweep / serve unit
+            {"n": 40, "seed": 821},
+            "e74086f9786e3d377479864afa988f2ee6fd5a10",
+            "c2f4b60368876d599dbb344594e1adb813dfd2e8",
+            "b7d34b9ada64fbe9581f827933a7a95f2be71b4b",
+        ),
+        (   # sim_async_sparse's instance
+            {"n": 1200, "dominance": 0.6, "eps": 1e-3, "seed": 1},
+            "93df51fc3bee40dba67342dcff09fd0f5c32e199",
+            "61ceca37beafef1eb2e46a4b82b65228222bfb30",
+            "31a8aecae764fb73d3920737256937ec5d329bed",
+        ),
+        (   # threads_compute_sparse's instance
+            {"n": 20_000, "n_diagonals": 100, "dominance": 0.85, "seed": 1},
+            "ab51753e66ddee20c4ea49986e58b847715ad753",
+            "4b928565c5366ad0efa20ef23f6d86cb7634084b",
+            "3e25fe5768885e314a5a4c83a060c69cbc1db6b4",
+        ),
+        (
+            {"n": 130, "sign_structure": "random", "gamma": 0.9, "seed": 3},
+            "de84e61dd8a62d94100b58f69010079b842b2b41",
+            "26819057ff33ee21d8513a96a9f8aa7b37c806b0",
+            "b61e2eb6b33f69090628f12cb56f283ffbbb3b57",
+        ),
+        (   # n < n_diagonals: spread_offsets de-duplicates down to 22
+            {"n": 12, "n_diagonals": 30, "seed": 5},
+            "b8abf3e4fe215b32caeda2ef7b6ade8791f4609a",
+            "1f07b0de54aa9c19d927a1b99aa89c04af735811",
+            "f97b5b11070999b790df8259eaec891f6889b63b",
+        ),
     ],
-    ids=["default", "random_signs", "100_diagonals"],
+    ids=["default", "random_signs", "100_diagonals", "tiny_unit", "sim_async_sparse",
+         "threads_compute_sparse", "random_signs_gamma", "n_below_n_diagonals"],
 )
 def test_generated_instance_bytes_are_pinned(params, matrix_sha1, b_sha1, x_true_sha1):
-    """The instance a config names never changes (hashes taken before PR 17).
+    """The instance a config names never changes (the first three hashes
+    predate the first faster build, the other five the one-pass build).
 
     Every recorded makespan, cache key and sim-identity fingerprint is
     a function of these bytes, so construction may get faster but not

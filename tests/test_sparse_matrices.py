@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.linalg.gradient import FixedStepGradient
+from repro.linalg.partition import BlockPartition, WeightedPartition
 from repro.linalg.sparse import CSRMatrix, DiagonalMatrix, MultiDiagonalMatrix
+from repro.linalg.splitting import block_column_dependencies
 
 
 # ----------------------------------------------------------------------
@@ -60,9 +63,9 @@ def test_multidiag_nnz_counts_valid_entries():
 
 def test_multidiag_diagonal_accessors():
     m = _random_multidiag()
-    assert np.array_equal(m.diagonal(), m.diagonal_values(0))
+    assert np.array_equal(m.diagonal(), m.data[m.offsets.tolist().index(0)])
     with pytest.raises(KeyError):
-        m.diagonal_values(99)
+        m.set_diagonal(99, 1.0)
 
 
 def test_multidiag_no_main_diagonal_returns_zeros():
@@ -271,6 +274,86 @@ def test_row_block_pickles_without_the_window_view():
     assert clone.matvec().tobytes() == block.matvec().tobytes()
     clone.x[:] = 0.0  # still wired to its own buffer
     assert not clone.matvec().any()
+
+
+# ----------------------------------------------------------------------
+# dependency and flop maps against the dense pattern
+# ----------------------------------------------------------------------
+def _dense_column_spans(dense, lo, hi):
+    """Per diagonal meeting rows [lo, hi), in offset order, the columns
+    its non-zeros there occupy -- read off the dense matrix."""
+    rows, cols = np.nonzero(dense[lo:hi])
+    diagonal = cols - (rows + lo)
+    return [
+        (int(cols[diagonal == k].min()), int(cols[diagonal == k].max()) + 1)
+        for k in np.unique(diagonal)
+    ]
+
+
+def _owner_loop_dependencies(matrix, partition):
+    """The per-diagonal ``partition.owner`` loop the array form replaced."""
+    deps = {}
+    for block in range(partition.m):
+        needed = set()
+        for clo, chi in matrix.column_dependencies(*partition.bounds(block)):
+            needed.update(range(partition.owner(clo), partition.owner(chi - 1) + 1))
+        needed.discard(block)
+        deps[block] = needed
+    return deps
+
+
+@st.composite
+def _pattern_and_partition(draw):
+    n = draw(st.integers(1, 24))
+    offsets = draw(st.lists(st.integers(-(n - 1), n - 1), unique=True, max_size=7))
+    m = MultiDiagonalMatrix(n, offsets)
+    for off in offsets:
+        m.set_diagonal(off, 1.0)  # every stored entry non-zero
+    lo = draw(st.integers(0, n))
+    hi = draw(st.integers(lo, n))
+    # Up to n + 3 blocks: m > n leaves trailing zero-width blocks.
+    blocks = draw(st.integers(1, n + 3))
+    # Arbitrary cut points, repeats included: zero-width blocks anywhere.
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
+    sizes = np.diff([0] + cuts + [n]).tolist()
+    return m, lo, hi, BlockPartition(n, blocks), WeightedPartition.from_sizes(sizes)
+
+
+@given(case=_pattern_and_partition())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_structure_maps_match_the_dense_pattern(case):
+    m, lo, hi, balanced, cut = case
+    dense = m.to_dense()
+    assert m.column_dependencies(lo, hi) == _dense_column_spans(dense, lo, hi)
+    # Balanced blocks are contiguous with no zero-width block between
+    # two owners, so the maps are exactly the owners of the columns read.
+    providers = block_column_dependencies(m, balanced)
+    for block, (blo, bhi) in enumerate(balanced):
+        cols = np.nonzero(dense[blo:bhi])[1]
+        assert providers[block] == {balanced.owner(int(c)) for c in cols} - {block}
+    for partition in (balanced, cut):
+        assert block_column_dependencies(m, partition) == _owner_loop_dependencies(m, partition)
+    with_main = MultiDiagonalMatrix(m.n, sorted(set(m.offsets.tolist()) | {0}))
+    for off in with_main.offsets.tolist():
+        with_main.set_diagonal(off, 1.0)
+    flops = FixedStepGradient(with_main, np.zeros(m.n)).update_flops(lo, hi)
+    nnz = np.count_nonzero(with_main.to_dense()[lo:hi])
+    assert flops == 2.0 * nnz + 3.0 * (hi - lo)
+
+
+def test_structure_maps_of_a_block_no_diagonal_meets():
+    m = MultiDiagonalMatrix(10, (-9, 9))  # the two corners only
+    m.set_diagonal(-9, 1.0)
+    m.set_diagonal(9, 1.0)
+    assert m.column_dependencies(2, 8) == []
+    assert m.column_dependencies(0, 10) == [(0, 1), (9, 10)]
+    providers = block_column_dependencies(m, BlockPartition(10, 5))
+    assert providers == {0: {4}, 1: set(), 2: set(), 3: set(), 4: {0}}
+    # Seven blocks over three rows: four of them zero-width.
+    small = MultiDiagonalMatrix(3, (-2, 0, 1))
+    assert block_column_dependencies(small, BlockPartition(3, 7)) == {
+        0: {1}, 1: {2}, 2: {0}, 3: set(), 4: set(), 5: set(), 6: set(),
+    }
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,9 @@
 """Check that this tree simulates exactly what a parent revision does.
 
 Runs ``repro.testing.generator.generate_scenarios(n, seed)`` for every
-seed, then the fixed ``CHEMICAL_BATTERY`` below, on the simulated
+seed, then the fixed ``CHEMICAL_BATTERY`` and ``SPARSE_BATTERY`` below
+(the benchmark's tiny unit and asynchronous sparse scenario, and a
+``sync_mpi`` run whose data sends all go rendezvous), on the simulated
 backend of *both* trees (each in its own subprocess, ``PYTHONPATH``
 pointing at that tree's ``src/``; both run *this* file) and diffs,
 per scenario, the deterministic ``work_counters`` minus ``events`` (the
@@ -65,15 +67,33 @@ CHEMICAL_BATTERY = {
 }
 
 
-def chemical_battery() -> list:
-    """``CHEMICAL_BATTERY`` as scenarios (the problem draws nothing: one seed)."""
+#: Fixed sparse members: shapes the generated ones (4/6/8 diagonals,
+#: sub-threshold messages) never reach.  Same layout as above.
+SPARSE_BATTERY = {
+    # the sweep / serve tiny unit: 30 diagonals over 40 rows, one rank
+    "sparse-tiny": ({"n": 40}, "sync_mpi", 1),
+    # the sim_async_sparse benchmark scenario
+    "sparse-async-bench": ({"n": 1200, "dominance": 0.6, "eps": 1e-3}, "pm2", 8),
+    # 200-row (1.6 KB) blocks: every data send takes sync_mpi's
+    # rendezvous path (threshold 1 KB)
+    "sparse-rendezvous": ({"n": 800, "dominance": 0.6}, "sync_mpi", 4),
+}
+
+
+def battery(problem: str, members: dict) -> list:
+    """A fixed battery as scenarios, all on seed 1."""
     from repro.api import Scenario
 
     return [
-        Scenario(problem="chemical", problem_params=params, environment=environment,
+        Scenario(problem=problem, problem_params=params, environment=environment,
                  n_ranks=n_ranks, seed=1, name=name)
-        for name, (params, environment, n_ranks) in CHEMICAL_BATTERY.items()
+        for name, (params, environment, n_ranks) in members.items()
     ]
+
+
+def chemical_battery() -> list:
+    """``CHEMICAL_BATTERY`` as scenarios (the problem draws nothing: one seed)."""
+    return battery("chemical", CHEMICAL_BATTERY)
 
 
 def fingerprints(n: int, seeds: List[int]) -> Tuple[Dict[str, dict], int]:
@@ -84,7 +104,7 @@ def fingerprints(n: int, seeds: List[int]) -> Tuple[Dict[str, dict], int]:
     from repro.testing.invariants import work_counters
 
     scenarios = [s for seed in seeds for s in generate_scenarios(n, seed)]
-    scenarios += chemical_battery()
+    scenarios += chemical_battery() + battery("sparse_linear", SPARSE_BATTERY)
     out: Dict[str, dict] = {}
     events = 0
     for scenario in scenarios:
