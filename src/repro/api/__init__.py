@@ -32,7 +32,7 @@ Quickstart::
 
 Guides: ``docs/quickstart.md`` (first run), ``docs/scenarios.md``
 (field/registry reference), ``docs/backends.md`` (execution
-semantics), ``docs/benchmarking.md`` (the ``repro bench`` harness).
+semantics), ``docs/benchmarking.md`` (measuring performance).
 """
 
 from repro.api.backends import (

@@ -6,8 +6,8 @@ gets executed ``repeats`` times per scenario on a wall-clock backend
 with ``timeline=True``.  The median run of each scenario is distilled
 into a *reference*: makespan plus the per-rank compute/idle/comm shape
 from :func:`repro.obs.report.utilisation_table`, stamped with
-:func:`repro.bench.harness.environment_fingerprint` so a fit knows
-which machine produced its ground truth.
+:func:`environment_fingerprint` so a fit knows which machine produced
+its ground truth.
 
 Shape is recorded as ``compute_share`` -- each rank's fraction of the
 total compute time -- rather than absolute utilisation, because the
@@ -21,12 +21,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import platform
+import subprocess
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+import numpy
+
 from repro.api.backends import BACKEND_REGISTRY, get_backend
 from repro.api.scenario import Scenario
-from repro.bench.harness import environment_fingerprint
 from repro.calibrate.errors import CalibrationError
 from repro.obs.report import utilisation_table
 
@@ -105,6 +109,35 @@ BATTERIES: Dict[str, Callable[[], List[Scenario]]] = {
 # ----------------------------------------------------------------------
 # measurement
 # ----------------------------------------------------------------------
+def git_revision() -> Optional[str]:
+    """The current git commit hash, or ``None`` outside a checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=False,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    rev = out.stdout.strip()
+    return rev if out.returncode == 0 and rev else None
+
+
+def environment_fingerprint() -> Dict[str, Any]:
+    """Where a reference came from: interpreter, numpy, host, git rev."""
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "numpy": numpy.__version__,
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "git_rev": git_revision(),
+    }
+
+
 def _resolve_backend(backend: Any, timeout: float):
     """Accept a backend name or instance; force ``timeline=True``."""
     if isinstance(backend, str):

@@ -1,7 +1,7 @@
-"""Console entry point: run scenarios and benchmarks from the shell.
+"""Console entry point: run scenarios from the shell.
 
 Installed as the ``repro`` command (see ``setup.py``); also runnable as
-``python -m repro.cli``.  Three subcommands:
+``python -m repro.cli``.  Subcommands:
 
 ``repro list``
     Print every registered problem, environment, cluster, worker,
@@ -25,16 +25,6 @@ local|pool|serve] [--processes N] [--state-dir DIR] [--resume]
     ``--resume`` (completed units are free).  ``--conformance N``
     sweeps the seeded conformance grid instead of a file.  See
     ``docs/sweeping.md``.
-
-``repro bench [--quick] [--filter SUBSTR] [--repeats K]
-[--output PATH] [--compare BASELINE.json] [--threshold X] [--force]
-[--list]``
-    Run the curated benchmark suite (:mod:`repro.bench`) and emit a
-    ``BENCH_<n>.json`` speed ledger; with ``--compare`` the fresh run
-    is additionally checked against a baseline file and regressions
-    fail the command (baselines from a different machine settle as
-    ``env-mismatch`` advisories unless ``--force``).  See
-    ``docs/benchmarking.md``.
 
 ``repro conformance [--n N] [--seed S] [--filter SUBSTR]
 [--report PATH] [--timeout T] [--simulated-only] [--skip-process]``
@@ -86,7 +76,7 @@ local|pool|serve] [--processes N] [--state-dir DIR] [--resume]
     ``docs/calibration.md``.
 
 Exit status: 0 on success, 1 on scenario/conformance failures, 2 on
-bad input, 3 on benchmark regressions.
+bad input.
 """
 
 from __future__ import annotations
@@ -261,62 +251,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error in scenario {record['index']}: {record['error']}",
               file=sys.stderr)
     return 1 if failures else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        DEFAULT_THRESHOLD,
-        compare_payloads,
-        load_bench,
-        run_suite,
-        select_cases,
-        write_bench,
-    )
-
-    cases = select_cases(quick=args.quick, pattern=args.filter)
-    if args.list:
-        for case in cases:
-            tags = f" [{', '.join(case.tags)}]" if case.tags else ""
-            print(f"{case.name}  ({case.kind}){tags}")
-        return 0
-    if not cases:
-        print(f"error: no cases match filter {args.filter!r}", file=sys.stderr)
-        return 2
-    if args.repeats < 1:
-        print(f"error: --repeats must be >= 1, got {args.repeats}",
-              file=sys.stderr)
-        return 2
-    threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
-    if threshold <= 1.0:
-        print(f"error: --threshold must be > 1 (a slowdown factor), "
-              f"got {threshold}", file=sys.stderr)
-        return 2
-    baseline = None
-    if args.compare:
-        try:
-            baseline = load_bench(args.compare)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: cannot load baseline {args.compare}: {exc}",
-                  file=sys.stderr)
-            return 2
-
-    def progress(case, record) -> None:
-        marker = "" if record["counters_deterministic"] else "  (non-deterministic)"
-        print(f"{case.name:<36} median {record['median_s'] * 1e3:9.3f}ms"
-              f"  min {record['min_s'] * 1e3:9.3f}ms{marker}")
-
-    payload = run_suite(cases, repeats=args.repeats, progress=progress)
-    path = write_bench(payload, path=args.output)
-    print(f"wrote {len(payload['cases'])} case(s) to {path}")
-    if baseline is not None:
-        report = compare_payloads(
-            baseline, payload, threshold=threshold, force=args.force
-        )
-        print()
-        print(report.format())
-        if report.regressions:
-            return 3
-    return 0
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
@@ -841,54 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the counters/fingerprint summary JSON here",
     )
     sweep_parser.set_defaults(func=_cmd_sweep)
-
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="run the benchmark suite and emit a BENCH_<n>.json speed ledger",
-        description=(
-            "Run the curated benchmark suite (end-to-end scenarios plus "
-            "hot-path kernels), write a machine-readable BENCH_<n>.json "
-            "(median-of-k timings, deterministic work counters, environment "
-            "fingerprint, git revision), and optionally gate against a "
-            "baseline file. See docs/benchmarking.md."
-        ),
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true",
-        help="run only the smoke-tier cases (fast; used by CI)",
-    )
-    bench_parser.add_argument(
-        "--filter", default=None, metavar="SUBSTR",
-        help="keep only cases whose name contains this substring",
-    )
-    bench_parser.add_argument(
-        "--repeats", type=int, default=5, metavar="K",
-        help="repetitions per case; the report keeps the median (default: 5)",
-    )
-    bench_parser.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write the payload here instead of the next free BENCH_<n>.json",
-    )
-    bench_parser.add_argument(
-        "--compare", default=None, metavar="BASELINE",
-        help="after running, compare against this bench file; "
-        "regressions exit with status 3",
-    )
-    bench_parser.add_argument(
-        "--threshold", type=float, default=None, metavar="X",
-        help="slowdown factor that counts as a regression (default: 1.25)",
-    )
-    bench_parser.add_argument(
-        "--force", action="store_true",
-        help="classify against the baseline even when the environment "
-        "fingerprints differ (by default mismatched runs settle as "
-        "env-mismatch and never gate)",
-    )
-    bench_parser.add_argument(
-        "--list", action="store_true",
-        help="list the selected cases without running them",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
 
     conformance_parser = subparsers.add_parser(
         "conformance",

@@ -6,17 +6,13 @@ choose one); every backend resolves that name here.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 from repro.core.aiac import aiac_worker, aiac_stepped_worker
 from repro.core.sisc import sisc_worker, sisc_stepped_worker
 from repro.registry import Registry
 
-#: Legacy view of the worker registry; ``WORKER_REGISTRY`` writes into
-#: this dict, so both stay one source of truth.
-WORKERS: Dict[str, Callable] = {}
-
-WORKER_REGISTRY = Registry("worker", store=WORKERS)
+WORKER_REGISTRY = Registry("worker")
 
 
 def register_worker(name=None, **kwargs) -> Callable:
@@ -46,7 +42,6 @@ register_worker("sisc_stepped")(sisc_stepped_worker)
 
 
 __all__ = [
-    "WORKERS",
     "WORKER_REGISTRY",
     "register_worker",
     "get_worker",

@@ -9,8 +9,8 @@ Two layouts are provided:
   :class:`RowBlockOperator` per row block (the row-wise decomposition
   of Section 4.3): the diagonals that meet the block, each read as a
   contiguous window of a zero-padded ``x``, fused by one ``einsum``
-  with no per-diagonal Python loop (see ``kernel/sparse_matvec`` in
-  :mod:`repro.bench`).
+  with no per-diagonal Python loop (see the
+  ``linalg.dia_row_block_matvec_us`` layer metric of ``benchmarks/perf/``).
 * :class:`CSRMatrix` -- a general compressed-sparse-row matrix used as
   a fallback and as an independent implementation to cross-check the
   DIA code in tests.

@@ -14,16 +14,11 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 
 class Registry:
-    """Mapping from short names to registered objects.
+    """Mapping from short names to registered objects."""
 
-    ``store`` lets a registry adopt an existing dict (used by
-    :mod:`repro.core.run` to keep the legacy ``WORKERS`` dict and the
-    worker registry as one source of truth).
-    """
-
-    def __init__(self, kind: str, store: Optional[Dict[str, Any]] = None):
+    def __init__(self, kind: str):
         self.kind = kind
-        self._items: Dict[str, Any] = store if store is not None else {}
+        self._items: Dict[str, Any] = {}
 
     def register(
         self, name: Optional[str] = None, *, overwrite: bool = False

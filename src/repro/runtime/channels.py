@@ -5,8 +5,8 @@ One :class:`ChannelHub` serves a whole run: per-rank, per-tag queues of
 (condition variables) and non-blocking drain -- the thread-backed
 equivalents of the simulator's mailbox semantics.
 
-Performance notes (``kernel/channel_post_drain`` in
-:mod:`repro.bench`):
+Performance notes (the ``runtime.channel_post_drain_us`` layer metric
+of ``benchmarks/perf/``):
 
 * each rank has its *own* lock/condition, so senders to different
   destinations never contend with each other (the old single hub lock

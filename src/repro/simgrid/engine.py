@@ -6,8 +6,8 @@ fully deterministic: two events scheduled for the same virtual time fire
 in scheduling order.  All of the simulation (hosts, links, thread pools,
 processes) is driven by callbacks registered here.
 
-Performance notes (this is the simulator's hottest loop; see
-``kernel/engine_dispatch`` in :mod:`repro.bench`):
+Performance notes (this is the simulator's hottest loop; see the
+``simgrid.engine_dispatch_us`` layer metric of ``benchmarks/perf/``):
 
 * heap entries are plain ``(time, seq, callback, handle)`` tuples: the
   callback rides in the entry itself and every heap comparison happens

@@ -242,7 +242,7 @@ def generate_scenarios(
         if problem == "chemical":
             # The chemical problem's inner GMRES iterations are orders of
             # magnitude heavier; the default cluster speeds already put
-            # it in a sane regime (the bench suite runs it as-is).
+            # it in a sane regime (the benchmark workloads run it as-is).
             n_ranks = min(n_ranks, 3)
             cluster, cluster_params = "uniform_cluster", {}
         else:

@@ -28,7 +28,8 @@ PROBLEM = SparseLinearProblem(
 )
 
 #: The calibrated heterogeneous scenario of the acceptance criterion
-#: (also the bench ledger's LB pair and examples/load_balancing.py).
+#: (also the LB pair of the committed BENCH_2…5.json history and
+#: examples/load_balancing.py).
 HETERO = Scenario(
     problem="sparse_linear",
     problem_params={"n": 400, "dominance": 0.9},

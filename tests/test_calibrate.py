@@ -81,6 +81,12 @@ class TestMeasure:
             assert sum(entry["compute_share"]) == pytest.approx(1.0)
             Scenario.from_dict(entry["scenario"])  # round-trips
 
+    def test_environment_fingerprint_recorded(self, synthetic_reference):
+        env = synthetic_reference["environment"]
+        assert set(env) == {"python", "implementation", "numpy", "platform",
+                            "machine", "cpu_count", "git_rev"}
+        assert env["python"] and env["numpy"] and env["cpu_count"] >= 1
+
     def test_threaded_measure_smoke(self):
         battery = default_battery(sizes=(400,), n_ranks=2)
         ref = measure_battery(battery, backend="threaded", repeats=2,

@@ -24,22 +24,19 @@ def test_no_broken_relative_links():
 
 
 def test_help_matches_documented_surface(capsys):
-    """``repro --help``/``repro bench --help`` advertise what docs teach."""
+    """``repro --help``/``repro sweep --help`` advertise what docs teach."""
     from repro.cli import build_parser
 
     parser = build_parser()
     help_text = parser.format_help()
-    for subcommand in ("list", "run", "bench"):
+    for subcommand in ("list", "run", "sweep"):
         assert subcommand in help_text
-    bench_help = None
-    # Find the bench subparser through argparse's internals-free route:
-    # parse a --help-free invocation is impossible, so format usage of
-    # known options via a parse of '--list' instead.
+    sweep_help = None
     for action in parser._subparsers._group_actions:  # noqa: SLF001
-        bench_help = action.choices["bench"].format_help()
-    assert bench_help is not None
-    for option in ("--quick", "--filter", "--repeats", "--output",
-                   "--compare", "--threshold", "--list"):
-        assert option in bench_help
-    assert "BENCH_<n>.json" in bench_help
-    assert "docs/benchmarking.md" in bench_help
+        sweep_help = action.choices["sweep"].format_help()
+    assert sweep_help is not None
+    guide = (REPO_ROOT / "docs" / "sweeping.md").read_text()
+    for option in ("--placement", "--state-dir", "--resume", "--retries",
+                   "--timeout", "--report"):
+        assert option in sweep_help and option in guide
+    assert "docs/sweeping.md" in sweep_help

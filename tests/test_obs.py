@@ -365,6 +365,30 @@ class TestCrossBackendTimelines:
         assert result.timeline is None
         assert "timeline" not in result.to_record()
 
+    def test_recording_a_timeline_does_not_change_the_run(self):
+        """Observation never perturbs the simulation: the same scenario
+        with ``timeline=False`` and ``timeline=True`` does the same work
+        and ends at the same virtual time."""
+        scenario = Scenario(
+            problem="sparse_linear",
+            problem_params={"n": 600},
+            environment="pm2",
+            n_ranks=4,
+            seed=42,
+        )
+
+        def work(timeline):
+            result = run_scenario(scenario, backend="simulated", timeline=timeline)
+            assert (result.timeline is not None) == timeline
+            stats = result.backend_stats
+            return (stats["events"], stats["messages_sent"],
+                    result.total_iterations, result.max_iterations,
+                    result.converged, result.makespan)
+
+        off, on = work(False), work(True)
+        assert off == on
+        assert off[0] > 0 and off[2] > 0
+
     def test_record_round_trip_carries_timeline(self):
         result = traced_run("simulated")
         record = result.to_record()

@@ -212,7 +212,9 @@ def run_counting_effects(scenario: Scenario, worker: str, monkeypatch):
     """Run ``scenario`` with every rank's coroutine wrapped to log
     ``(rank, effect type)`` per yield."""
     log = []
-    inner = run_module.WORKERS[worker]
+    registry = run_module.WORKER_REGISTRY
+    inner = registry.get(worker)
+    lookup = registry.get
 
     def counting(rank, size, solver, opts, **kwargs):
         coroutine = inner(rank, size, solver, opts, **kwargs)
@@ -225,7 +227,9 @@ def run_counting_effects(scenario: Scenario, worker: str, monkeypatch):
             log.append((rank, type(effect).__name__))
             value = yield effect
 
-    monkeypatch.setitem(run_module.WORKERS, worker, counting)
+    monkeypatch.setattr(
+        registry, "get", lambda name: counting if name == worker else lookup(name)
+    )
     return SimulatedBackend().run(scenario), log
 
 
