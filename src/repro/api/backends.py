@@ -90,7 +90,9 @@ def list_backends() -> List[str]:
 
 
 def scenario_coroutine_factory(
-    scenario: Scenario, make_solver: Optional[Callable] = None
+    scenario: Scenario,
+    make_solver: Optional[Callable] = None,
+    memo: Optional[Any] = None,
 ) -> Callable:
     """Resolve a scenario into a ``(rank, size) -> worker generator``.
 
@@ -99,7 +101,8 @@ def scenario_coroutine_factory(
     worker process of the process backend calls it after rebuilding the
     scenario from its dict -- so the two real-concurrency backends can
     never drift in how they bind problems, workers, options and
-    balancing plans.
+    balancing plans.  ``memo`` is the solve memo
+    :meth:`SimulatedBackend.run_many` hands its worlds' chemical solvers.
     """
     problem = scenario.build_problem()
     worker = get_worker(scenario.resolve_worker(problem))
@@ -110,6 +113,16 @@ def scenario_coroutine_factory(
         from repro.balancing import compile_plan
 
         factory, make_balancer = compile_plan(scenario, problem, make_solver)
+    if memo is not None:
+        from repro.problems.chemical import ChemicalLocal
+
+        build = factory
+
+        def factory(rank: int, size: int):
+            solver = build(rank, size)
+            if isinstance(solver, ChemicalLocal):
+                solver.memo = memo
+            return solver
     if make_balancer is not None:
         def make_coroutine(rank: int, size: int):
             return worker(
@@ -187,9 +200,8 @@ class SimulatedBackend:
         result = SimulatedBackend().run(scenario)
         assert SimulatedBackend().run(scenario).makespan == result.makespan
 
-    :meth:`run_many` runs a whole grid side by side in the batched tick
-    mode (:mod:`repro.simgrid.batch`).  See ``docs/backends.md`` for
-    what the simulator does and does not model.
+    :meth:`run_many` runs a whole grid with one shared solve memo.  See
+    ``docs/backends.md`` for what the simulator does and does not model.
     """
 
     name: ClassVar[str] = "simulated"
@@ -201,9 +213,15 @@ class SimulatedBackend:
     #: sweeps can pass ``timeline=True`` regardless of backend.
     timeline: bool = False
 
-    def _bind(self, scenario: Scenario, make_solver: Optional[Callable]):
+    def _bind(
+        self,
+        scenario: Scenario,
+        make_solver: Optional[Callable],
+        memo: Optional[Any] = None,
+    ):
         """Wire ``scenario`` into a ready-to-run world; returns the world
-        and the scenario's fault injector (``None`` without a plan)."""
+        and the scenario's fault injector (``None`` without a plan).
+        ``memo`` (``run_many`` only) reaches the world's chemical solvers."""
         from repro.simgrid.world import World
 
         network = scenario.build_network()
@@ -222,7 +240,7 @@ class SimulatedBackend:
             from repro.simgrid.faults import SimFaultInjector
 
             injector = SimFaultInjector(scenario.faults, default_seed=scenario.seed)
-        make_coroutine = scenario_coroutine_factory(scenario, make_solver)
+        make_coroutine = scenario_coroutine_factory(scenario, make_solver, memo)
         # A timeline needs the Gantt recorder even if trace=False.
         world = World(
             network, policy, trace=self.trace or self.timeline, faults=injector
@@ -232,7 +250,7 @@ class SimulatedBackend:
         return world, injector
 
     def _wrap(self, scenario, world, injector, started: float) -> RunResult:
-        """The result of a finished ``world`` (``world.finish()`` passed)."""
+        """The result of a finished ``world`` (``world.run()`` returned)."""
         reports = world.results
         for rank, report in reports.items():
             if hasattr(report, "busy_time"):
@@ -275,30 +293,34 @@ class SimulatedBackend:
         scenarios: List[Scenario],
         make_solver: Optional[Callable] = None,
     ) -> List[RunResult]:
-        """Execute many scenarios as one cross-world batched mega-run.
+        """Execute many scenarios, one after another, sharing one memo.
 
-        All simulations advance side by side and compatible solver
-        iterations are stacked *across* runs (see
-        :func:`repro.simgrid.batch.run_worlds_batched`) -- a sweep grid
-        of lockstep scenarios over the same problem becomes one very
-        wide kernel call per tick.  A single scenario runs in the
-        in-world batched mode.  Each returned result is bit-identical
-        to ``run()`` of the same scenario (the engine's event total
-        aside: one flush event per tick that parked).  A failed
-        scenario raises (after the others have still run); sweeps
+        The worlds' chemical solvers share a
+        :class:`~repro.problems.chemical.SolveMemo`, so a grid whose
+        points advance the same trajectory on differently-timed hardware
+        (a cluster-parameter sweep) solves each Newton update once.
+        Each returned result is bit-identical to ``run()`` of the same
+        scenario, engine event total included.  A failed scenario raises
+        (the first failure, after the others have still run); sweeps
         wanting per-unit isolation catch and fall back to ``run()``.
         """
-        from repro.simgrid.batch import run_worlds_batched
+        from repro.problems.chemical import SolveMemo
 
-        started = time.perf_counter()
-        bound = [self._bind(s, make_solver) for s in scenarios]
-        run_worlds_batched([world for world, _ in bound])
-        for world, _ in bound:
-            world.finish()
-        return [
-            self._wrap(scenario, world, injector, started)
-            for scenario, (world, injector) in zip(scenarios, bound)
-        ]
+        memo = SolveMemo()
+        results: List[RunResult] = []
+        failure: Optional[Exception] = None
+        for scenario in scenarios:
+            started = time.perf_counter()
+            try:
+                world, injector = self._bind(scenario, make_solver, memo)
+                world.run()
+            except Exception as exc:  # noqa: BLE001 - raised after the rest
+                failure = failure or exc
+                continue
+            results.append(self._wrap(scenario, world, injector, started))
+        if failure is not None:
+            raise failure
+        return results
 
 
 @register_backend("threaded")

@@ -9,10 +9,9 @@ step without forming the solution.
 The algorithm body lives in :func:`gmres_gen`, a generator that *yields*
 every vector it needs multiplied by ``A`` and receives the product via
 ``send``.  :func:`gmres` pumps it against a plain callable operator;
-the batched chemical path (:mod:`repro.problems.chemical`) pumps many
-instances side by side and evaluates all their matvecs in one stacked
-numpy call.  Both drivers therefore execute the identical per-system
-arithmetic, which is what makes batched and scalar runs bit-identical.
+the chemical Newton update (:mod:`repro.problems.chemical`) runs it
+inside its own generator and answers each product with a
+finite-difference strip evaluation.
 
 Inside a cycle only the vectors are numpy: the Hessenberg column, the
 rotations and the rotated right-hand side are Python floats in lists --
@@ -62,8 +61,8 @@ def gmres_gen(
     Driver contract: a sent product is *consumed* -- the generator may
     mutate it in place (Gram-Schmidt), so it must be a fresh array that
     does not alias a previously yielded vector.  :func:`gmres` copies
-    defensively on behalf of arbitrary operators; the batched chemical
-    driver always sends freshly allocated evaluation results.
+    defensively on behalf of arbitrary operators; the chemical Newton
+    update always sends freshly allocated evaluation results.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]

@@ -44,7 +44,7 @@ class Timeline:
     ``clock`` says what the time axis means: ``"virtual"`` (simulated
     seconds, exactly reproducible) or ``"wall"`` (monotonic seconds
     since the run's anchor).  ``meta`` carries backend-specific
-    context -- engine event totals and batcher stacking stats on the
+    context -- engine event totals and transport counters on the
     simulator, message counts on the real-concurrency backends.
     """
 

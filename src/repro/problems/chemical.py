@@ -22,33 +22,35 @@ strips along z, nearest-neighbour halo exchange, multisplitting Newton
 
 Hot-path layout
 ---------------
-All RHS evaluations run through one *batched* kernel on a stack of
-``k`` strip states in a preallocated ghost-padded buffer
-(:class:`_StripWorkspace`), read *flat* per member: the **window** from
-the first to the last interior cell holds every cell's five stencil
-neighbours at lane offsets ``0, +-(nx+2), +-1`` of the same buffer
-(:func:`_window`), so each ufunc sees contiguous operands.  The ghost
-cells and corners inside the window are **junk lanes** -- computed
-along, never read back, kept finite by zero-initialised buffers and
-coefficient windows that are ``0.0`` there -- and interior lanes see the
-operands, operations and order of the cell-by-cell stencil, so results
-are bitwise layout-independent (``DESIGN.md``, "The chemical strip
-kernel and the Krylov scalars").  The scalar path is the ``k = 1`` case,
-and Newton/GMRES are *generators* (:func:`scaled_newton_gen`,
+All RHS evaluations run through one kernel on a strip state in a
+preallocated ghost-padded buffer (:class:`_StripWorkspace`), read
+*flat*: the **window** from the first to the last interior cell holds
+every cell's five stencil neighbours at lane offsets ``0, +-(nx+2),
++-1`` of the same buffer (:func:`_window`), so each ufunc sees
+contiguous operands.  The ghost cells and corners inside the window are
+**junk lanes** -- computed along, never read back, kept finite by
+zero-initialised buffers and coefficient windows that are ``0.0`` there
+-- and interior lanes see the operands, operations and order of the
+cell-by-cell stencil, so results are bitwise layout-independent
+(``DESIGN.md``, "The chemical strip kernel and the Krylov scalars").
+Newton/GMRES are *generators* (:func:`scaled_newton_gen`,
 :func:`repro.linalg.gmres.gmres_gen`) yielding the points they need
-``g`` evaluated at: a driver pumps one solver or stacks the points of
-many into one kernel call (batched engine mode, sweep "mega-run").
-Every per-member reduction (norms, dots, Givens rotations) stays inside
-that member's generator and stacked ufuncs are element-wise, so batched
-and scalar runs are bit-identical.
+``g`` evaluated at; :func:`_pump` drives one against a strip's
+:class:`_StripEvaluator`.
+
+One Newton update is a pure function of its inputs, so the worlds of
+one ``SimulatedBackend.run_many`` share a :class:`SolveMemo`: a grid
+whose points advance the same trajectory on differently-timed hardware
+solves each update once (``DESIGN.md``, "The solve memo").
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -147,181 +149,155 @@ PAPER_CHEMICAL = ChemicalConfig(nx=600, nz=600)
 
 
 class _StripWorkspace:
-    """Preallocated buffers for batched strip-RHS evaluation.
+    """Preallocated buffers and views for one strip's RHS evaluation.
 
-    ``pad`` is the ghost-padded state stack ``(k, 2, rows+2, nx+2)``;
-    ``out`` (the RHS accumulator) and ``t2`` (scratch) share its layout
-    and its flat windows, ``t0``/``t1`` cover one species' sub-window,
-    ``dtf`` is the contiguous ``dt * f`` the callers subtract.  Any
-    batch width up to ``k`` is a slice along the leading axis.  ``zeros``,
-    not ``empty``: the never-written corner ghosts are inside the window.
-    """
+    ``pad`` is the ghost-padded state ``(2, rows+2, nx+2)``; ``out``
+    (the RHS accumulator) and ``t2`` (scratch) share its layout and its
+    flat windows, ``t0``/``t1`` cover one species' sub-window, ``dtf``
+    is the contiguous ``dt * f`` the callers subtract.  ``zeros``, not
+    ``empty``: the never-written corner ghosts are inside the window.
 
-    def __init__(self, k: int, rows: int, nx: int) -> None:
-        self.k = k
-        self.rows = rows
-        self.nx = nx
-        self.pad = np.zeros((k, 2, rows + 2, nx + 2))
-        self.out = np.zeros((k, 2, rows + 2, nx + 2))
-        self.t2 = np.zeros((k, 2, rows + 2, nx + 2))
-        species = (rows + 2) * (nx + 2) - 2 * (nx + 3)
-        self.t0 = np.zeros((k, species))
-        self.t1 = np.zeros((k, species))
-        self.dtf = np.zeros((k, 2 * rows * nx))
-        # The halo array whose bytes currently occupy each slot's ghost
-        # rows (None = a mirror that must be refreshed every call).
-        # Tracked per *workspace* slot, not per view width, so mixed
-        # batch widths sharing the pad invalidate each other correctly.
-        self.last_top: List[Optional[np.ndarray]] = [None] * k
-        self.last_bot: List[Optional[np.ndarray]] = [None] * k
-        self._views: Dict[int, _WsViews] = {}
-
-    def views(self, j: int) -> "_WsViews":
-        """Cached stencil/scratch views for batch width ``j``."""
-        v = self._views.get(j)
-        if v is None:
-            v = self._views[j] = _WsViews(self, j)
-        return v
-
-
-def _window(a: np.ndarray, shift: int = 0) -> np.ndarray:
-    """The kernel window of a padded ``(..., 2, rows+2, nx+2)`` stack:
-    flat per member, first to last interior cell, moved by ``shift``
-    lanes (``+-1`` the x neighbours, ``+-(nx+2)`` the z neighbours)."""
-    lo = a.shape[-1] + 1
-    flat = a.reshape(a.shape[:-3] + (-1,))
-    return flat[..., lo + shift : flat.shape[-1] - lo + shift]
-
-
-class _WsViews:
-    """Precomputed array views for one batch width.
-
-    Slicing tiny arrays costs as much as operating on them, so the
-    five stencil windows, the ghost rows/columns and the scratch views
-    are built once per (workspace, width) and reused by every kernel
-    call.
+    Slicing tiny arrays costs as much as operating on them, so the five
+    stencil windows, the ghost rows/columns and the scratch views are
+    built once here and reused by every kernel call.  ``last_top`` /
+    ``last_bot`` name the halo arrays whose bytes occupy the ghost rows
+    (``None``: a mirror, refreshed every call).
     """
 
     __slots__ = (
-        "ws", "interior", "c", "up", "down", "left", "right",
-        "out", "out_interior", "dtf", "dtf_grid", "t0", "t1", "t2",
+        "rows", "pad", "out", "t2", "t0", "t1", "dtf", "last_top", "last_bot",
+        "interior", "c", "up", "down", "left", "right",
+        "acc", "out_interior", "dtf_grid", "tmp",
         "c1", "c2", "o1", "o2", "tr",
         "top_ghost", "top_row", "bot_ghost", "bot_row",
         "side_ghosts", "side_src",
     )
 
-    def __init__(self, ws: _StripWorkspace, j: int) -> None:
-        pad = ws.pad[:j]
-        width = ws.nx + 2
-        species = ws.t0.shape[1]  # one species' sub-window: window head and tail
-        self.ws = ws
-        self.interior = pad[:, :, 1:-1, 1:-1]
+    def __init__(self, rows: int, nx: int) -> None:
+        width = nx + 2
+        self.rows = rows
+        self.pad = pad = np.zeros((2, rows + 2, width))
+        self.out = np.zeros((2, rows + 2, width))
+        self.t2 = np.zeros((2, rows + 2, width))
+        species = (rows + 2) * width - 2 * (nx + 3)  # window head and tail
+        self.t0 = np.zeros(species)
+        self.t1 = np.zeros(species)
+        self.dtf = np.zeros(2 * rows * nx)
+        self.last_top: Optional[np.ndarray] = None
+        self.last_bot: Optional[np.ndarray] = None
+        self.interior = pad[:, 1:-1, 1:-1]
         self.c = _window(pad)
         self.up = _window(pad, -width)
         self.down = _window(pad, width)
         self.left = _window(pad, -1)
         self.right = _window(pad, 1)
-        self.out = _window(ws.out[:j])
-        self.out_interior = ws.out[:j, :, 1:-1, 1:-1]
-        self.dtf = ws.dtf[:j]
-        self.dtf_grid = self.dtf.reshape(j, 2, ws.rows, ws.nx)
-        self.t0 = ws.t0[:j]
-        self.t1 = ws.t1[:j]
-        self.t2 = _window(ws.t2[:j])
-        self.c1 = self.c[:, :species]
-        self.c2 = self.c[:, -species:]
-        self.o1 = self.out[:, :species]
-        self.o2 = self.out[:, -species:]
-        self.tr = self.t2[:, :species]
-        self.top_ghost = [pad[i, :, 0, 1:-1] for i in range(j)]
-        self.top_row = [pad[i, :, 1, 1:-1] for i in range(j)]
-        self.bot_ghost = [pad[i, :, -1, 1:-1] for i in range(j)]
-        self.bot_row = [pad[i, :, -2, 1:-1] for i in range(j)]
+        self.acc = _window(self.out)
+        self.out_interior = self.out[:, 1:-1, 1:-1]
+        self.dtf_grid = self.dtf.reshape(2, rows, nx)
+        self.tmp = _window(self.t2)
+        self.c1 = self.c[:species]
+        self.c2 = self.c[-species:]
+        self.o1 = self.acc[:species]
+        self.o2 = self.acc[-species:]
+        self.tr = self.tmp[:species]
+        self.top_ghost = pad[:, 0, 1:-1]
+        self.top_row = pad[:, 1, 1:-1]
+        self.bot_ghost = pad[:, -1, 1:-1]
+        self.bot_row = pad[:, -2, 1:-1]
         # Columns (0, nx+1) mirror columns (2, nx-1).  At nx = 3 both
         # read column 2: the slice is that one column, broadcast.
-        self.side_ghosts = pad[:, :, 1:-1, :: width - 1]
-        self.side_src = pad[:, :, 1:-1, 2 : width - 2 : max(width - 5, 1)]
+        self.side_ghosts = pad[:, 1:-1, :: width - 1]
+        self.side_src = pad[:, 1:-1, 2 : width - 2 : max(width - 5, 1)]
+
+
+def _window(a: np.ndarray, shift: int = 0) -> np.ndarray:
+    """The kernel window of a padded ``(..., 2, rows+2, nx+2)`` array:
+    flat over the last three axes, first to last interior cell, moved
+    by ``shift`` lanes (``+-1`` the x neighbours, ``+-(nx+2)`` the z
+    neighbours)."""
+    lo = a.shape[-1] + 1
+    flat = a.reshape(a.shape[:-3] + (-1,))
+    return flat[..., lo + shift : flat.shape[-1] - lo + shift]
 
 
 def _fill_ghosts(
-    v: _WsViews,
-    halos_top: Sequence[Optional[np.ndarray]],
-    halos_bottom: Sequence[Optional[np.ndarray]],
+    ws: _StripWorkspace,
+    halo_top: Optional[np.ndarray],
+    halo_bottom: Optional[np.ndarray],
 ) -> None:
-    """Fill the ghost frame of the padded stack (interior already written).
+    """Fill the ghost frame of the padded strip (interior already written).
 
-    Vertical ghosts are per member: the received halo row, or -- at a
-    physical boundary -- the mirror of the member's own edge row, which
-    *is* the zero-flux condition: the boundary face flux
-    ``kv_half * (c_edge - ghost)`` vanishes identically because ghost
-    equals the edge row.  Horizontal ghosts mirror across the edge
-    nodes (node-mirror stencil), stack-wide.
+    Vertical ghosts are the received halo row, or -- at a physical
+    boundary -- the mirror of the strip's own edge row, which *is* the
+    zero-flux condition: the boundary face flux ``kv_half * (c_edge -
+    ghost)`` vanishes identically because ghost equals the edge row.
+    Horizontal ghosts mirror across the edge nodes (node-mirror
+    stencil).
 
-    Halo-backed ghost rows are skipped when the slot already holds that
-    exact array's bytes (halo arrays are immutable by contract: every
-    payload is a fresh copy).  Mirror ghosts depend on the interior and
-    are refreshed every call.
+    A halo-backed ghost row is skipped when it already holds that exact
+    array's bytes (halo arrays are immutable by contract: every payload
+    is a fresh copy).  Mirror ghosts depend on the interior and are
+    refreshed every call.
     """
-    for halos, ghost, edge, last in (
-        (halos_top, v.top_ghost, v.top_row, v.ws.last_top),
-        (halos_bottom, v.bot_ghost, v.bot_row, v.ws.last_bot),
-    ):
-        for i, halo in enumerate(halos):
-            if halo is None:
-                np.copyto(ghost[i], edge[i])
-                last[i] = None
-            elif halo is not last[i]:
-                np.copyto(ghost[i], halo)
-                last[i] = halo
-    np.copyto(v.side_ghosts, v.side_src)
+    if halo_top is None:
+        np.copyto(ws.top_ghost, ws.top_row)
+    elif halo_top is not ws.last_top:
+        np.copyto(ws.top_ghost, halo_top)
+    ws.last_top = halo_top
+    if halo_bottom is None:
+        np.copyto(ws.bot_ghost, ws.bot_row)
+    elif halo_bottom is not ws.last_bot:
+        np.copyto(ws.bot_ghost, halo_bottom)
+    ws.last_bot = halo_bottom
+    np.copyto(ws.side_ghosts, ws.side_src)
 
 
 def _strip_rhs_kernel(
-    v: _WsViews,
+    ws: _StripWorkspace,
     windows: Sequence[np.ndarray],
     cl: float,
     cr: float,
-    r3term: float | np.ndarray,
-    r4: float | np.ndarray,
+    r3term: float,
+    r4: float,
     paper_signs: bool,
 ) -> None:
-    """Transport + reaction on the ghost-filled pad, into ``v.out``.
+    """Transport + reaction on the ghost-filled pad, into ``ws.out``.
 
-    ``windows`` holds the ``(j, L)`` coefficient windows ``kva``,
-    ``kvb``, ``kctr`` (:meth:`ChemicalProblem._coefficient_windows`):
-    the interface diffusivities already divided by ``dz**2`` and the
-    combined centre coefficient ``-2 Kh/dx^2 - kva - kvb``; ``cl``/``cr``
-    are the combined horizontal advection-diffusion neighbour weights;
-    ``r3term`` is ``2 q3 c3`` and ``r4`` the photolysis rate, floats at
-    width 1 and ``(j, 1)`` otherwise.  Every step is an in-place ufunc
-    on precomputed contiguous windows -- the kernel allocates and slices
-    nothing, and element-wise ops make the interior lanes per-member
-    bit-identical for any batch width (junk lanes: finite, never read).
+    ``windows`` holds the coefficient windows ``kva``, ``kvb``, ``kctr``
+    (:meth:`ChemicalProblem._coefficient_windows`): the interface
+    diffusivities already divided by ``dz**2`` and the combined centre
+    coefficient ``-2 Kh/dx^2 - kva - kvb``; ``cl``/``cr`` are the
+    combined horizontal advection-diffusion neighbour weights;
+    ``r3term`` is ``2 q3 c3`` and ``r4`` the photolysis rate.  Every
+    step is an in-place ufunc on precomputed contiguous windows -- the
+    kernel allocates and slices nothing, and element-wise ops give the
+    interior lanes the cell-by-cell results (junk lanes: finite, never
+    read).
     """
     kva, kvb, kctr = windows
-    out = v.out
-    t1 = v.t1
-    t2 = v.t2
+    out = ws.acc
+    t1 = ws.t1
+    t2 = ws.tmp
 
     # Transport: kva c_down + kvb c_up + kctr c + cl c_left + cr c_right
     # (the centre terms of vertical diffusion and horizontal diffusion
     # are folded into the precomputed kctr).
-    np.multiply(v.down, kva, out=out)
-    np.multiply(v.up, kvb, out=t2)
+    np.multiply(ws.down, kva, out=out)
+    np.multiply(ws.up, kvb, out=t2)
     np.add(out, t2, out=out)
-    np.multiply(v.c, kctr, out=t2)
+    np.multiply(ws.c, kctr, out=t2)
     np.add(out, t2, out=out)
-    np.multiply(v.left, cl, out=t2)
+    np.multiply(ws.left, cl, out=t2)
     np.add(out, t2, out=out)
-    np.multiply(v.right, cr, out=t2)
+    np.multiply(ws.right, cr, out=t2)
     np.add(out, t2, out=out)
     # Reaction terms R1, R2 of Eq. (8), on the per-species sub-windows.
-    c1 = v.c1
-    c2 = v.c2
-    o1 = v.o1
-    o2 = v.o2
-    t0 = v.t0
-    tr = v.tr
+    c1 = ws.c1
+    c2 = ws.c2
+    o1 = ws.o1
+    o2 = ws.o2
+    t0 = ws.t0
+    tr = ws.tr
     np.multiply(c1, c2, out=t0)
     np.multiply(t0, Q2, out=t0)          # t0 = q2 c1 c2
     np.multiply(c2, r4, out=t1)          # t1 = q4 c2
@@ -361,7 +337,7 @@ class ChemicalProblem:
         # Diffusivity at the vertical interfaces z_{g+1/2}, g = -1..nz-1.
         z_half = np.concatenate(([self.z[0] - self.dz / 2.0], self.z + self.dz / 2.0))
         self.kv_half = kv(z_half)
-        # Precomputed stencil coefficients of the batched RHS kernel:
+        # Precomputed stencil coefficients of the RHS kernel:
         # interface diffusivities pre-divided by dz^2 and the combined
         # horizontal weights cl*c_left + cr*c_right + cc*c.
         dz2 = self.dz**2
@@ -400,8 +376,8 @@ class ChemicalProblem:
             windows = self._windows[z_lo, rows] = _window(padded)
         return windows
 
-    def _workspace(self, k: int, rows: int) -> _StripWorkspace:
-        """A per-thread cached workspace covering width ``k``."""
+    def _workspace(self, rows: int) -> _StripWorkspace:
+        """The calling thread's cached workspace for ``rows``-row strips."""
         tls = self._tls
         if tls is None:
             tls = self._tls = threading.local()
@@ -409,8 +385,8 @@ class ChemicalProblem:
         if cache is None:
             cache = tls.cache = {}
         ws = cache.get(rows)
-        if ws is None or ws.k < k:
-            ws = cache[rows] = _StripWorkspace(k, rows, self.config.nx)
+        if ws is None:
+            ws = cache[rows] = _StripWorkspace(rows, self.config.nx)
         return ws
 
     # ------------------------------------------------------------------
@@ -475,14 +451,14 @@ class ChemicalProblem:
         rows = c.shape[1]
         if c.shape != (2, rows, cfg.nx):
             raise ValueError(f"bad strip shape {c.shape}")
-        v = self._workspace(1, rows).views(1)
-        v.interior[0] = c
-        _fill_ghosts(v, (halo_top,), (halo_bottom,))
+        ws = self._workspace(rows)
+        ws.interior[...] = c
+        _fill_ghosts(ws, halo_top, halo_bottom)
         _strip_rhs_kernel(
-            v, self._coefficient_windows(z_lo, rows), self._cl, self._cr,
+            ws, self._coefficient_windows(z_lo, rows), self._cl, self._cr,
             2.0 * C3 * q3(t), q4(t), cfg.paper_reaction_signs,
         )
-        return v.out_interior[0].copy()
+        return ws.out_interior.copy()
 
     def rhs(self, c: np.ndarray, t: float) -> np.ndarray:
         """``f`` on the full grid."""
@@ -595,88 +571,57 @@ class ChemicalProblem:
         return ChemicalLocal(self, rank, size)
 
 
-class _StripBatch:
-    """Stacked ``g_scaled`` evaluation context for ``k`` strip members.
+class _StripEvaluator:
+    """The scaled implicit-Euler residual of one strip for one Newton update.
 
-    Holds the per-member constants of one Newton update -- previous
-    state, scale vector, interface diffusivities, halos, photolysis
-    rates -- stacked along a leading axis, plus a cached workspace.
-    :meth:`eval` evaluates the scaled implicit-Euler residual
-    ``Ghat(u) = (y - y_prev - dt f(y)) / s`` with ``y = y_prev + s u``
-    for any active subset of members in one kernel call.
+    Holds the constants of the update -- previous state, scale vector,
+    coefficient windows, photolysis rates -- plus the thread's cached
+    workspace; the halo references are refreshed per iterate.  Calling
+    it at a y-space point evaluates ``Ghat(u) = (y - y_prev - dt f(y)) /
+    s`` with ``y = y_prev + s u``.
     """
 
     def __init__(
         self,
         problem: ChemicalProblem,
         rows: int,
-        members: Sequence[Tuple[np.ndarray, np.ndarray, int,
-                                Optional[np.ndarray], Optional[np.ndarray], float]],
+        y_prev: np.ndarray,
+        scale: np.ndarray,
+        z_lo: int,
+        halo_top: Optional[np.ndarray],
+        halo_bottom: Optional[np.ndarray],
+        t_new: float,
     ) -> None:
         cfg = problem.config
-        k = len(members)
         self.dt = cfg.dt
         self.paper_signs = cfg.paper_reaction_signs
         self.cl = problem._cl
         self.cr = problem._cr
-        self.y_prev = np.stack([m[0] for m in members])
-        self.scale = np.stack([m[1] for m in members])
-        # A tuple of three (k, L) arrays: unpacking an array in the
-        # kernel would build three views per evaluation.
-        self.windows = tuple(np.stack(
-            [problem._coefficient_windows(m[2], rows) for m in members], axis=1
-        ))
-        r3term = [2.0 * C3 * q3(m[5]) for m in members]
-        r4 = [q4(m[5]) for m in members]
-        self.r3term = np.array(r3term).reshape(k, 1)
-        self.r4 = np.array(r4).reshape(k, 1)
-        # eval1 hands the width-1 kernel plain floats (same doubles).
-        self.r3term_1, self.r4_1 = r3term[0], r4[0]
-        self.halos_top = [m[3] for m in members]
-        self.halos_bottom = [m[4] for m in members]
-        self.ws = problem._workspace(k, rows)
-        self.views1 = self.ws.views(1) if k == 1 else None
+        self.y_prev = y_prev
+        self.scale = scale
+        # A tuple: unpacking the (3, L) array in the kernel would build
+        # three views per evaluation.
+        self.windows = tuple(problem._coefficient_windows(z_lo, rows))
+        self.r3term = 2.0 * C3 * q3(t_new)
+        self.r4 = q4(t_new)
+        self.halo_top = halo_top
+        self.halo_bottom = halo_bottom
+        self.ws = problem._workspace(rows)
 
-    def eval(self, idx: np.ndarray, y_stack: np.ndarray) -> np.ndarray:
-        """``Ghat`` rows for members ``idx`` at y-space points ``(j, n)``."""
-        j = len(idx)
-        y_prev = self.y_prev[idx]
-        v = self.ws.views(j)
-        v.interior[...] = y_stack.reshape(v.interior.shape)
-        _fill_ghosts(
-            v,
-            [self.halos_top[i] for i in idx],
-            [self.halos_bottom[i] for i in idx],
-        )
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        ws = self.ws
+        ws.interior[...] = y.reshape(ws.interior.shape)
+        _fill_ghosts(ws, self.halo_top, self.halo_bottom)
         _strip_rhs_kernel(
-            v, [w[idx] for w in self.windows], self.cl, self.cr,
-            self.r3term[idx], self.r4[idx], self.paper_signs,
+            ws, self.windows, self.cl, self.cr,
+            self.r3term, self.r4, self.paper_signs,
         )
         # res = (y - y_prev - dt f(y)) / s, built in place on a fresh
         # array: callers own the result (it may outlive the workspace).
-        res = y_stack - y_prev
-        np.multiply(v.out_interior, self.dt, out=v.dtf_grid)
-        res -= v.dtf
-        res /= self.scale[idx]
-        return res
-
-    def eval1(self, y: np.ndarray) -> np.ndarray:
-        """Width-1 fast path of :meth:`eval` (views, no fancy indexing).
-
-        Elementwise arithmetic is identical to ``eval([0], y[None])``,
-        so scalar and batched pumping stay bit-identical.
-        """
-        v = self.views1
-        v.interior[...] = y.reshape(v.interior.shape)
-        _fill_ghosts(v, (self.halos_top[0],), (self.halos_bottom[0],))
-        _strip_rhs_kernel(
-            v, self.windows, self.cl, self.cr,
-            self.r3term_1, self.r4_1, self.paper_signs,
-        )
-        res = y - self.y_prev[0]
-        np.multiply(v.out_interior, self.dt, out=v.dtf_grid)
-        res -= v.dtf[0]
-        res /= self.scale[0]
+        res = y - self.y_prev
+        np.multiply(ws.out_interior, self.dt, out=ws.dtf_grid)
+        res -= ws.dtf
+        res /= self.scale
         return res
 
 
@@ -706,12 +651,8 @@ def scaled_newton_gen(
     photochemical stiffness of c1.
 
     Every ``yield p`` asks the driver for ``Ghat`` at the *unscaled*
-    state ``p``; each yield is one function evaluation.  The driver may
-    evaluate many generators' points in one stacked kernel call
-    (:class:`_StripBatch`) -- all per-member bookkeeping (norms, dots,
-    rotations) happens *here*, so scalar and batched drivers execute
-    identical arithmetic.  Returns ``(y_new, info)`` via
-    ``StopIteration``.
+    state ``p`` (:class:`_StripEvaluator`); each yield is one function
+    evaluation.  Returns ``(y_new, info)`` via ``StopIteration``.
 
     ``fu0`` is an optional precomputed ``Ghat(y_flat)``: the previous
     Newton update finished with exactly that evaluation, so when
@@ -799,53 +740,14 @@ def scaled_newton_gen(
     return y_new, info
 
 
-def _pump_one(gen, batch: _StripBatch):
-    """Drive a single Newton generator against a one-member evaluator."""
+def _pump(gen, g: _StripEvaluator):
+    """Drive a Newton generator against its strip evaluator."""
     try:
         point = next(gen)
         while True:
-            point = gen.send(batch.eval1(point))
+            point = gen.send(g(point))
     except StopIteration as stop:
         return stop.value
-
-
-def _pump_newton(gens: List, batch: _StripBatch) -> List:
-    """Drive ``k`` Newton generators against one stacked evaluator.
-
-    Each round stacks the points every still-active generator asked
-    for, evaluates them in one kernel call and distributes the rows
-    back.  Members finish independently (early exit, different GMRES
-    iteration counts); the returned list preserves input order.
-    """
-    k = len(gens)
-    if k == 1:
-        return [_pump_one(gens[0], batch)]
-    results: List = [None] * k
-    active: List[Tuple[int, object]] = []
-    points: List[np.ndarray] = []
-    for i, gen in enumerate(gens):
-        try:
-            points.append(next(gen))
-            active.append((i, gen))
-        except StopIteration as stop:
-            # Reachable: a generator primed with a carried residual may
-            # early-exit before asking for any evaluation.
-            results[i] = stop.value
-    while active:
-        idx = np.fromiter((i for i, _ in active), dtype=np.intp, count=len(active))
-        g_stack = batch.eval(idx, np.stack(points))
-        next_active: List[Tuple[int, object]] = []
-        next_points: List[np.ndarray] = []
-        for row, (i, gen) in enumerate(active):
-            try:
-                # g_stack is freshly allocated by eval(), so its rows
-                # can be handed out without copying.
-                next_points.append(gen.send(g_stack[row]))
-                next_active.append((i, gen))
-            except StopIteration as stop:
-                results[i] = stop.value
-        active, points = next_active, next_points
-    return results
 
 
 def scaled_newton_update(
@@ -862,19 +764,81 @@ def scaled_newton_update(
 ) -> Tuple[np.ndarray, Dict[str, float]]:
     """One Newton linearisation + GMRES correction, in scaled variables.
 
-    The scalar entry point: pumps :func:`scaled_newton_gen` against a
-    one-member :class:`_StripBatch`, i.e. the ``k = 1`` case of the
-    batched path.  Returns the updated (unscaled) state and an info
-    dict with the evaluation counts used for flop accounting.
+    Pumps :func:`scaled_newton_gen` against a fresh
+    :class:`_StripEvaluator`.  Returns the updated (unscaled) state and
+    an info dict with the evaluation counts used for flop accounting.
     """
-    batch = _StripBatch(
-        problem, rows, [(y_prev, scale, z_lo, halo_top, halo_bottom, t_new)]
+    g = _StripEvaluator(
+        problem, rows, y_prev, scale, z_lo, halo_top, halo_bottom, t_new
     )
     gen = scaled_newton_gen(
         problem, cfg, y_flat, y_prev, t_new,
         z_lo, rows, halo_top, halo_bottom, scale,
     )
-    return _pump_newton([gen], batch)[0]
+    return _pump(gen, g)
+
+
+#: Byte budget of one :class:`SolveMemo`: the key bytes and outcome
+#: arrays of its entries (interpreter overhead comes on top).
+MEMO_BYTES = 32 << 20
+
+#: A Newton update's result: the new state and its ``info`` dict.
+_Outcome = Tuple[np.ndarray, Dict[str, Any]]
+
+
+def _bytes(a: Optional[np.ndarray]) -> Optional[bytes]:
+    return None if a is None else a.tobytes()
+
+
+def _copied(outcome: _Outcome) -> _Outcome:
+    """A private copy of a Newton outcome ``(y_new, info)``: a consumer
+    keeps references to its arrays (the new state, the residual carry)."""
+    y_new, info = outcome
+    info = dict(info)
+    info["_fu"] = info["_fu"].copy()
+    return y_new.copy(), info
+
+
+class SolveMemo:
+    """Newton-update outcomes shared by the worlds of one ``run_many``.
+
+    Keyed by every input of one update (:meth:`ChemicalLocal._memo_key`),
+    and the update is a deterministic function of them, so a hit is
+    bit-identical to recomputing -- and charges the same flops, since
+    they follow from the stored ``info``.  Entries are dropped least
+    recently used once their bytes exceed :data:`MEMO_BYTES`; every
+    consumer gets copies.  Single-threaded, and never pickled with a
+    solver: a memo serves the simulated worlds of one process.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Tuple, Tuple[_Outcome, int]]" = OrderedDict()
+        self.nbytes = 0
+        self.hits = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Tuple) -> Optional[_Outcome]:
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return _copied(entry[0])
+
+    def put(self, key: Tuple, outcome: _Outcome) -> None:
+        y_new, info = outcome
+        size = y_new.nbytes + info["_fu"].nbytes + sum(
+            len(part) for part in key if isinstance(part, bytes)
+        )
+        if size > MEMO_BYTES:
+            return
+        self._entries[key] = (_copied(outcome), size)
+        self.nbytes += size
+        while self.nbytes > MEMO_BYTES:
+            _key, (_outcome, dropped) = self._entries.popitem(last=False)
+            self.nbytes -= dropped
 
 
 class ChemicalLocal(SteppedLocalSolver):
@@ -888,12 +852,9 @@ class ChemicalLocal(SteppedLocalSolver):
     this is why "the process actually continues to evolve between data
     receptions" in the non-linear case (Section 5.1).
 
-    :meth:`iterate` is the width-1 case of :meth:`iterate_batch`, which
-    advances many compatible strips (same config and row count -- see
-    :attr:`batch_key`) through one Newton update with every RHS
-    evaluation stacked into a single kernel call.  The batched engine
-    mode and the sweep mega-run group parked solvers by
-    :attr:`batch_key` and call :meth:`iterate_batch` directly.
+    ``memo`` is the :class:`SolveMemo` that ``SimulatedBackend.run_many``
+    hands the solvers of its worlds (``None`` everywhere else):
+    :meth:`iterate` looks each Newton update up there before solving it.
     """
 
     def __init__(self, problem: ChemicalProblem, rank: int, size: int) -> None:
@@ -915,7 +876,8 @@ class ChemicalLocal(SteppedLocalSolver):
         self._scale = np.ones_like(self._y_prev)
         self._t_new = cfg.t0
         self._atol = problem.atol_vector(self.rows)
-        self._batch1: Optional[_StripBatch] = None
+        self._evaluator: Optional[_StripEvaluator] = None
+        self.memo: Optional[SolveMemo] = None
         # Memoization of converged spins: an early-exit Newton result is
         # a pure function of (halos, state, step constants), so while a
         # converged worker keeps iterating without new receptions the
@@ -936,18 +898,14 @@ class ChemicalLocal(SteppedLocalSolver):
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_batch1"] = None  # rebuilt lazily; keeps pickles lean
+        state["_evaluator"] = None  # rebuilt lazily; keeps pickles lean
+        state["memo"] = None  # a memo never leaves its process
         return state
 
     # ------------------------------------------------------------------
     @property
     def n_steps(self) -> int:
         return self.problem.config.n_steps
-
-    @property
-    def batch_key(self) -> Tuple:
-        """Solvers sharing this key may ride one :meth:`iterate_batch`."""
-        return ("chemical", self.problem.config, self.rows)
 
     def providers(self) -> Set[int]:
         deps = set()
@@ -992,7 +950,7 @@ class ChemicalLocal(SteppedLocalSolver):
         self._t_new = cfg.t0 + (step + 1) * cfg.dt
         self._y_prev = self.c.ravel().copy()
         self._scale = cfg.rtol * np.abs(self._y_prev) + self._atol
-        self._batch1 = None   # y_prev/scale/t changed: invalidate
+        self._evaluator = None  # y_prev/scale/t changed: invalidate
         self._cache_key = None
         self._cache_li = None
         self._fu_carry = None  # Ghat depends on y_prev/scale/t_new
@@ -1002,30 +960,39 @@ class ChemicalLocal(SteppedLocalSolver):
         if step != self.step:
             raise RuntimeError(f"end_step({step}) without begin_step({step})")
 
-    def _step_batch(self) -> _StripBatch:
-        """The cached one-member evaluator for the current time step.
+    def _solve(self, fu0: Optional[np.ndarray]) -> _Outcome:
+        """One Newton update of the strip: ``(y_new, info)``.
 
-        ``y_prev``/``scale``/``t_new`` are step constants, so the batch
-        is built once per step; only the halo references (which change
-        on every reception) are refreshed per iterate.
+        ``y_prev``/``scale``/``t_new`` are step constants, so the
+        evaluator is built once per step; only the halo references
+        (which change on every reception) are refreshed per iterate.
         """
-        batch = self._batch1
-        if batch is None:
-            batch = self._batch1 = _StripBatch(
-                self.problem, self.rows,
-                [(self._y_prev, self._scale, self.z_lo,
-                  self.halo_top, self.halo_bottom, self._t_new)],
+        g = self._evaluator
+        if g is None:
+            g = self._evaluator = _StripEvaluator(
+                self.problem, self.rows, self._y_prev, self._scale, self.z_lo,
+                self.halo_top, self.halo_bottom, self._t_new,
             )
         else:
-            batch.halos_top[0] = self.halo_top
-            batch.halos_bottom[0] = self.halo_bottom
-        return batch
-
-    def _make_gen(self, fu0: Optional[np.ndarray] = None):
-        return scaled_newton_gen(
+            g.halo_top = self.halo_top
+            g.halo_bottom = self.halo_bottom
+        return _pump(scaled_newton_gen(
             self.problem, self.problem.config, self.c.ravel(), self._y_prev,
             self._t_new, self.z_lo, self.rows, self.halo_top,
             self.halo_bottom, self._scale, fu0=fu0,
+        ), g)
+
+    def _memo_key(self, fu0: Optional[np.ndarray]) -> Tuple:
+        """Every input of this iterate's Newton update: the config,
+        the strip's place, the step time, the state, both halos
+        (``None`` = a mirror) and the carried residual.  ``_scale`` is
+        left out because it follows from ``_y_prev``, the config and
+        ``rows`` (:meth:`begin_step`; before the first step it is all
+        ones and ``_t_new`` is ``t0``, which no step has)."""
+        return (
+            self.problem.config, self.rows, self.z_lo, self._t_new,
+            self.c.tobytes(), self._y_prev.tobytes(),
+            _bytes(self.halo_top), _bytes(self.halo_bottom), _bytes(fu0),
         )
 
     def _finish_iterate(self, outcome) -> LocalIteration:
@@ -1090,78 +1057,15 @@ class ChemicalLocal(SteppedLocalSolver):
         if key == self._cache_key and self._cache_li is not None:
             return self._finish_cached()
         fu0 = self._fu_carry if self._fu_key == key else None
-        outcome = _pump_one(self._make_gen(fu0), self._step_batch())
+        memo = self.memo
+        if memo is None:
+            return self._finish_outcome(key, self._solve(fu0))
+        memo_key = self._memo_key(fu0)
+        outcome = memo.get(memo_key)
+        if outcome is None:
+            outcome = self._solve(fu0)
+            memo.put(memo_key, outcome)
         return self._finish_outcome(key, outcome)
-
-    @staticmethod
-    def iterate_batch(solvers: Sequence["ChemicalLocal"]) -> List[LocalIteration]:
-        """One Newton update for every solver, RHS evaluations stacked.
-
-        All solvers must share a :attr:`batch_key` (same config, same
-        row count; ``z_lo``, halos and step time may differ -- they are
-        per-member constants of the stacked evaluator).  Per-member
-        arithmetic is bit-identical to ``k`` separate :meth:`iterate`
-        calls; only the kernel invocation count changes.
-        """
-        if len(solvers) == 1:
-            return [solvers[0].iterate()]
-        results: List[Optional[LocalIteration]] = [None] * len(solvers)
-        pending: List[Tuple[int, "ChemicalLocal", Tuple[int, int]]] = []
-        for i, s in enumerate(solvers):
-            key = (s._halo_rev, s._state_rev)
-            if key == s._cache_key and s._cache_li is not None:
-                results[i] = s._finish_cached()
-            else:
-                pending.append((i, s, key))
-        if pending:
-            # Content dedup: members whose solve inputs are bit-equal
-            # share one Newton solve.  Cluster-parameter sweeps hit this
-            # constantly -- every grid point advances the same numerical
-            # trajectory on differently-timed hardware -- and the shared
-            # outcome is bit-identical to recomputing it (the solve is a
-            # deterministic function of these inputs).
-            sig_to_rep: Dict[Tuple, int] = {}
-            assignment: List[int] = []
-            reps: List[Tuple["ChemicalLocal", Optional[np.ndarray]]] = []
-            for _i, s, key in pending:
-                fu0 = s._fu_carry if s._fu_key == key else None
-                sig = (
-                    s.z_lo, s._t_new,
-                    s.c.tobytes(), s._y_prev.tobytes(),
-                    None if s.halo_top is None else s.halo_top.tobytes(),
-                    None if s.halo_bottom is None else s.halo_bottom.tobytes(),
-                    None if fu0 is None else fu0.tobytes(),
-                )
-                rep = sig_to_rep.get(sig)
-                if rep is None:
-                    rep = sig_to_rep[sig] = len(reps)
-                    reps.append((s, fu0))
-                assignment.append(rep)
-            first = reps[0][0]
-            batch = _StripBatch(
-                first.problem, first.rows,
-                [(s._y_prev, s._scale, s.z_lo, s.halo_top, s.halo_bottom,
-                  s._t_new) for s, _ in reps],
-            )
-            gens = [s._make_gen(fu0) for s, fu0 in reps]
-            solved = _pump_newton(gens, batch)
-            uses = [0] * len(reps)
-            for rep in assignment:
-                uses[rep] += 1
-            for (i, s, key), rep in zip(pending, assignment):
-                y_new, info = solved[rep]
-                uses[rep] -= 1
-                if uses[rep] > 0:
-                    # More consumers follow: hand this one copies (each
-                    # ``_finish_outcome`` consumes its dict and keeps
-                    # references to the arrays).
-                    fu = info.get("_fu")
-                    info = dict(info)
-                    if fu is not None:
-                        info["_fu"] = fu.copy()
-                    y_new = y_new.copy()
-                results[i] = s._finish_outcome(key, (y_new, info))
-        return results
 
     def local_solution(self) -> np.ndarray:
         return self.c.ravel().copy()
@@ -1181,6 +1085,7 @@ __all__ = [
     "ChemicalProblem",
     "ChemicalLocal",
     "PAPER_CHEMICAL",
+    "SolveMemo",
     "make_chemical_problem",
     "scaled_newton_gen",
     "scaled_newton_update",

@@ -93,9 +93,8 @@ def _interpret(
             if isinstance(effect, fx.Now):
                 value = time.monotonic() - start
             elif isinstance(effect, (fx.Iterate, fx.Compute)):
-                # Iterate runs inline (each rank owns a thread/process:
-                # no tick to stack across).  Either way the flops ran in
-                # the open segment, which closes as the rank's busy time.
+                # Iterate runs inline.  Either way the flops ran in the
+                # open segment, which closes as the rank's busy time.
                 if isinstance(effect, fx.Iterate):
                     value, label = effect.solver.iterate(), "compute"
                 else:

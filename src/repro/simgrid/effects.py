@@ -137,13 +137,8 @@ class Iterate(Effect):
     Resumes with the solver's ``LocalIteration`` (anything with a
     ``flops`` attribute) once that is charged as ``Compute(result.flops)``
     would be: virtual time and a ``"compute"`` span on the simulator,
-    the closed work segment on the wall-clock backends.  Scalar
-    interpreters call ``solver.iterate()`` inline; a simulator world
-    carrying a :class:`~repro.simgrid.batch.ComputeBatcher` *parks* the
-    process when another iteration can still join it at this tick and
-    evaluates the tick's parked iterations in stacked calls
-    (``solver.iterate_batch``, grouped by ``solver.batch_key``),
-    bit-identical per member to the scalar run.
+    the closed work segment on the wall-clock backends.  Every
+    interpreter calls ``solver.iterate()`` inline.
     """
 
     solver: Any

@@ -106,13 +106,6 @@ class Engine:
         """Number of events still queued (including cancelled ones)."""
         return len(self._queue)
 
-    def event_due_now(self) -> bool:
-        """Whether an event is queued at the current instant (a
-        cancelled head counts, so only ``False`` is a promise: nothing
-        more happens at ``now`` unless the caller causes it)."""
-        queue = self._queue
-        return bool(queue) and queue[0][0] <= self.now
-
     def stats(self) -> dict:
         """Flat engine counters for observability surfaces.
 

@@ -135,19 +135,10 @@ class Process:
                 value = self.world.transport.mailboxes[self.rank].drain(effect.tag)
                 continue
             if isinstance(effect, fx.Iterate):
-                batcher = self.world.compute_batcher
-                if batcher is None or not batcher.park(self, effect.solver):
-                    # Host-side numerics now, the simulated cost charged
-                    # before the coroutine sees the result.  Batched
-                    # mode takes this path too when no sibling iteration
-                    # can join this one at the current tick.
-                    result = effect.solver.iterate()
-                    self._compute(result.flops, "compute", result)
-                    return
-                # Parked until the batcher evaluates every same-tick
-                # iteration in one stacked call.
-                self.state = ProcessState.BLOCKED
-                self._blocked_since = engine.now
+                # Host-side numerics now, the simulated cost charged
+                # before the coroutine sees the result.
+                result = effect.solver.iterate()
+                self._compute(result.flops, "compute", result)
                 return
             if isinstance(effect, fx.Compute):
                 self._compute(effect.flops, effect.label)
@@ -286,19 +277,6 @@ class Process:
         )
         self.state = ProcessState.RUNNING
         self._advance(messages)
-
-    # Called by the compute batcher with the outcome of a parked Iterate.
-    def iterate_resume(self, result: Any) -> None:
-        self.state = ProcessState.RUNNING
-        self._compute(result.flops, "compute", result)
-
-    def iterate_failed(self, exc: BaseException) -> None:
-        """Batched-iteration failure: mirror the scalar path, where an
-        exception from ``solver.iterate()`` fails the process and
-        leaves the coroutine suspended."""
-        self.state = ProcessState.FAILED
-        self.exception = exc
-        self.world._process_failed(self, exc)
 
     # Called by the barrier manager.
     def barrier_release(self, release_time: float) -> None:

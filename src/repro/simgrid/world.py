@@ -66,11 +66,6 @@ class World:
         self._finished = 0
         self._failure: Optional[BaseException] = None
         self._failed_process: Optional[Process] = None
-        #: Optional :class:`~repro.simgrid.batch.ComputeBatcher`: when
-        #: set, an ``Iterate`` effect that a sibling can still join at
-        #: its tick parks its process and is evaluated in a stacked
-        #: group instead of inline (see :mod:`repro.simgrid.batch`).
-        self.compute_batcher: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # setup
@@ -106,14 +101,12 @@ class World:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Wire the transport, install faults and start every process.
-
-        The setup half of :meth:`run`, exposed separately so a
-        cross-world coordinator (:func:`repro.simgrid.batch.
-        run_worlds_batched`) can start many worlds and pump their
-        engines itself.
-        """
+    def run(
+        self,
+        until: Optional[float] = None,
+        max_events: Optional[int] = None,
+    ) -> float:
+        """Run all processes to completion; returns final virtual time."""
         if not self.processes:
             raise SimulationError("no processes spawned")
         rank_to_host = {r: p.host.name for r, p in self.processes.items()}
@@ -123,13 +116,10 @@ class World:
             self.faults.install(self)
         for proc in self.processes.values():
             proc.start()
-
-    def finish(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
-        """Post-run checks (failure, deadlock); returns final virtual time."""
+        # Failures halt the loop via ``engine.halt()`` (a flag the hot
+        # loop checks per event) rather than a ``stop_when`` closure,
+        # which would cost a Python call per event.
+        self.engine.run(until=until, max_events=max_events)
         if self._failure is not None:
             proc = self._failed_process
             raise ProcessFailure(
@@ -140,19 +130,6 @@ class World:
             names = ", ".join(p.name for p in unfinished)
             raise SimulationError(f"deadlock: processes never finished: {names}")
         return self.engine.now
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
-        """Run all processes to completion; returns final virtual time."""
-        self.start()
-        # Failures halt the loop via ``engine.halt()`` (a flag the hot
-        # loop checks per event) rather than a ``stop_when`` closure,
-        # which would cost a Python call per event.
-        self.engine.run(until=until, max_events=max_events)
-        return self.finish(until=until, max_events=max_events)
 
     @property
     def results(self) -> Dict[int, Any]:
@@ -191,15 +168,12 @@ class World:
     def stats(self) -> dict:
         transport_stats = self.transport.stats() if self.transport else {}
         engine_stats = self.engine.stats()
-        out = {
+        return {
             "makespan": self.makespan,
             "events": engine_stats["events"],
             "policy": self.policy.name,
             **transport_stats,
         }
-        if self.compute_batcher is not None:
-            out["batched"] = dict(self.compute_batcher.stats)
-        return out
 
 
 __all__ = ["World", "ProcessFailure"]

@@ -10,9 +10,9 @@ placement-agnostic:
   path: it works inside pytest workers, other pools, and is the only
   placement that can host the ``process`` backend (whose per-rank
   children may not be spawned from a daemonic pool worker).
-* ``mega`` -- in-process, whole-grid batched: all buffered units run
-  through one ``SimulatedBackend.run_many`` mega-run with cross-world
-  stacked compute ticks; records are bit-identical to ``local``.
+* ``mega`` -- in-process, whole-grid: all buffered units run through
+  one ``SimulatedBackend.run_many``, which shares a solve memo among
+  their worlds; records are bit-identical to ``local``.
 * ``pool`` -- one OS process per worker slot via the serve layer's
   non-daemonic :class:`~repro.serve.workers.WorkerPool`, with per-unit
   deadline reaping (kill + respawn) in the parent.
@@ -210,24 +210,24 @@ class LocalPlacement(Placement):
 
 @register_placement("mega")
 class MegaPlacement(Placement):
-    """Whole-grid batched execution on the simulated backend.
+    """Whole-grid execution on the simulated backend: ``local`` plus a
+    shared solve memo.
 
     Instead of running units one at a time, submissions accumulate
     until the executor's queue drains (capacity stays high), then one
-    :meth:`~repro.api.backends.SimulatedBackend.run_many` call advances
-    *every* buffered scenario side by side with cross-world stacked
-    compute ticks (:func:`repro.simgrid.batch.run_worlds_batched`).
-    Records are bit-identical to the ``local`` placement's -- same
-    makespans, counters and solutions -- the grid just shares kernel
-    work: compatible solver iterations stack into single numpy calls,
-    and bit-equal Newton solves (ubiquitous in cluster-parameter
+    :meth:`~repro.api.backends.SimulatedBackend.run_many` call runs
+    *every* buffered scenario, its worlds sharing one
+    :class:`~repro.problems.chemical.SolveMemo`.  Records are
+    bit-identical to the ``local`` placement's -- same makespans,
+    counters, event totals and solutions -- the grid just computes each
+    bit-equal Newton solve once (ubiquitous in cluster-parameter
     sweeps, where every point advances the same trajectory on
-    differently-timed hardware) are computed once.
+    differently-timed hardware).
 
-    Simulated-backend only: the real-concurrency backends have no
-    virtual tick to stack across, so ``start`` refuses them.  If a
-    batch raises, the placement falls back to per-unit runs so errors
-    are attributed to the scenario that caused them.
+    Simulated-backend only (``start`` refuses a backend without
+    ``run_many``).  If a batch raises, the placement falls back to
+    per-unit runs so errors are attributed to the scenario that caused
+    them.
     """
 
     #: Units buffered per batch; grids beyond this run in chunks.

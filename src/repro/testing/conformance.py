@@ -9,11 +9,9 @@ For every generated scenario the driver:
    and requires it to converge (the generator only emits survivable
    plans);
 3. once per sweep, runs the *whole battery* through one ``run_many``
-   (the ``mega`` placement's cross-world coordinator, stacked compute
-   ticks, :mod:`repro.simgrid.batch`) and demands bit-identical work
-   counters, makespan, faults and solutions of every member against
-   its scalar run -- only the engine's event total may differ (flush
-   events);
+   (the ``mega`` placement's path: the worlds share one solve memo)
+   and demands bit-identical work counters, event totals, makespan,
+   faults and solutions of every member against its own run;
 4. runs the **threaded** and **process** backends on the *same
    scenario value* (three-way parity), checks the same invariants on
    each, and -- for scenarios whose plan carries no message-level
@@ -66,10 +64,9 @@ def _summary(result) -> Dict[str, Any]:
 
 
 def _parity_signature(result) -> Dict[str, Any]:
-    """What every engine mode must reproduce bit for bit: the work
-    counters minus the event total (flush events belong to the mode)
+    """What ``run_many`` must reproduce bit for bit: the work counters
     plus the solution bytes."""
-    signature = {k: v for k, v in work_counters(result).items() if k != "events"}
+    signature = dict(work_counters(result))
     signature["solution"] = hashlib.sha1(result.solution().tobytes()).hexdigest()
     return signature
 

@@ -1,19 +1,20 @@
-"""Batched tick mode: parity, the park rule, stats and the mega placement.
+"""``run_many`` and its solve memo: grid parity and the ``mega`` placement.
 
-The batched engine (:mod:`repro.simgrid.batch`) promises *bit-identical*
-results to the scalar simulator -- same iteration counts, virtual
-makespans, message counts, fault outcomes and solutions -- with only the
-engine's event total allowed to differ (one flush event per tick that
-parked).  These tests pin that promise across generated seeds, both
-worker families (async AIAC and lockstep SISC), the cross-world
-mega-run in every grid order, and the ``mega`` sweep placement; and
-they pin the park rule itself: what cannot stack never parks, what can
-parks only when a sibling can still join it.
+``SimulatedBackend.run_many`` runs its scenarios one after another, the
+chemical solvers of all its worlds sharing one
+:class:`~repro.problems.chemical.SolveMemo`, and promises results
+*bit-identical* to ``run()`` of each scenario -- iteration counts,
+virtual makespans, message and event counts, fault outcomes and
+solutions.  These tests pin that promise across generated seeds, both
+worker families (async AIAC and lockstep SISC), grids in every order
+(so the memo is filled by a different world each time), failing
+worlds, the ``mega`` sweep placement, and the process boundary a memo
+must never cross.
 """
 
 import itertools
-import math
-from dataclasses import dataclass
+import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,11 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Scenario
-from repro.api.backends import SimulatedBackend
+from repro.api.backends import ProcessBackend, SimulatedBackend
 from repro.api.faults import FaultPlan, MessageDuplication, MessageLoss
 from repro.clusters import uniform_cluster
 from repro.core.aiac import AIACOptions
-from repro.simgrid.batch import ComputeBatcher, run_worlds_batched
+from repro.problems import chemical
 from repro.simgrid.comm import CommPolicy
 from repro.simgrid.effects import Compute, Iterate
 from repro.simgrid.process import ProcessState
@@ -36,264 +37,116 @@ from repro.testing.generator import generate_scenarios
 from repro.testing.invariants import work_counters
 
 
-def _parity_counters(result):
-    """Work counters minus the event total (flush events differ)."""
-    return {k: v for k, v in work_counters(result).items() if k != "events"}
+def _assert_parity(single, many):
+    assert work_counters(single) == work_counters(many)
+    assert np.array_equal(single.solution(), many.solution())
 
 
-def _assert_parity(scalar, batched):
-    assert _parity_counters(scalar) == _parity_counters(batched)
-    assert np.array_equal(scalar.solution(), batched.solution())
+@pytest.fixture
+def memos(monkeypatch):
+    """Every memo ``run_many`` builds while the test runs, in order."""
+    built = []
+
+    class Recorded(chemical.SolveMemo):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(chemical, "SolveMemo", Recorded)
+    return built
 
 
-def _batched(scenario):
-    """One scenario alone under ``run_many``: the in-world batched mode."""
+def _alone(scenario):
+    """One scenario under ``run_many``: its world has the memo to itself."""
     return SimulatedBackend(trace=False).run_many([scenario])[0]
 
 
 # ----------------------------------------------------------------------
-# in-world parity
+# one world under run_many
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
 def test_batched_parity_generated_scenarios(seed):
-    """Each generator seed's first scenario: batched == scalar bitwise.
+    """Each generator seed's first scenario: ``run_many`` == ``run``
+    bitwise, event total included.
 
     Six seeds cover both problems, async and lockstep environments,
     fault plans and balancing -- the same grid ``repro conformance``
     sweeps.
     """
     scenario = generate_scenarios(1, seed=seed)[0]
-    scalar = SimulatedBackend(trace=False).run(scenario)
-    batched = _batched(scenario)
-    _assert_parity(scalar, batched)
+    _assert_parity(SimulatedBackend(trace=False).run(scenario), _alone(scenario))
 
 
-def test_batched_parity_async_chemical():
+def test_batched_parity_async_chemical(memos):
+    """Asynchronous ranks repeat solves inside one world too (a rank
+    spinning on unchanged inputs): those hit the memo, bit-identically."""
     scenario = Scenario(
         problem="chemical",
         problem_params={"nx": 8, "nz": 12, "t_end": 360.0},
         environment="pm2",
         n_ranks=3,
     )
-    scalar = SimulatedBackend(trace=False).run(scenario)
-    batched = _batched(scenario)
-    _assert_parity(scalar, batched)
-
-
-def test_batched_lockstep_stacks_full_width():
-    """Lockstep ranks park at the same tick: stacked groups reach
-    ``n_ranks`` width and the scalar path is never taken."""
-    scenario = Scenario(
-        problem="chemical",
-        problem_params={"nx": 8, "nz": 12, "t_end": 360.0},
-        environment="sync_mpi",
-        n_ranks=3,
-    )
-    scalar = SimulatedBackend(trace=False).run(scenario)
-    batched = _batched(scenario)
-    _assert_parity(scalar, batched)
-    stats = batched.backend_stats["batched"]
-    assert stats["max_width"] == 3
-    assert stats["parked"] == stats["stacked"] + stats["scalar"]
-    assert stats["ticks"] >= 1
-
-
-def test_batched_scalar_fallback_without_iterate_batch():
-    """sparse_linear has no ``iterate_batch``: it can never stack, so it
-    never parks -- every iteration runs inline, results unchanged."""
-    scenario = Scenario(problem="sparse_linear", environment="sync_mpi", n_ranks=3)
-    scalar = SimulatedBackend(trace=False).run(scenario)
-    batched = _batched(scenario)
-    _assert_parity(scalar, batched)
-    stats = batched.backend_stats["batched"]
-    assert stats["stacked"] == 0
-    assert stats["parked"] == 0
-    assert stats["inline"] == batched.total_iterations
-
-
-# ----------------------------------------------------------------------
-# the park rule
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("environment", ["sync_mpi", "pm2"])
-def test_unstackable_solvers_never_park(environment):
-    """A batched sparse run *is* the scalar run, event total included."""
-    scenario = Scenario(
-        problem="sparse_linear", problem_params={"n": 120},
-        environment=environment, n_ranks=3,
-    )
-    scalar = SimulatedBackend().run(scenario)
-    batched = _batched(scenario)
-    _assert_parity(scalar, batched)
-    stats = batched.backend_stats["batched"]
-    assert stats["parked"] == stats["ticks"] == 0
-    assert stats["inline"] == batched.total_iterations
-    assert batched.backend_stats["events"] == scalar.backend_stats["events"]
-
-
-def test_unstackable_worlds_finish_in_their_first_pump():
-    """Inside ``run_many`` a sparse world never halts for the
-    coordinator: no cross-world round is ever evaluated."""
-    backend = SimulatedBackend(trace=False)
-    scenario = Scenario(problem="sparse_linear", environment="pm2", n_ranks=3)
-    worlds = [backend._bind(scenario, None)[0] for _ in range(2)]
-    assert run_worlds_batched(worlds) == 0
-    reference = backend.run(scenario)
-    for world in worlds:
-        assert world.finish() == reference.makespan
-        assert world.engine.events_processed == reference.backend_stats["events"]
-
-
-def test_flush_events_are_the_whole_event_difference():
-    """An asynchronous chemical world parks only where ranks collide at
-    a tick; each flush is one event and nothing else differs."""
-    scenario = Scenario(
-        problem="chemical",
-        problem_params={"nx": 8, "nz": 12, "t_end": 360.0},
-        environment="pm2",
-        n_ranks=3,
-    )
-    scalar = SimulatedBackend().run(scenario)
-    batched = _batched(scenario)
-    _assert_parity(scalar, batched)
-    stats = batched.backend_stats["batched"]
-    assert (
-        batched.backend_stats["events"] - scalar.backend_stats["events"]
-        == stats["ticks"]
-    )
-    assert stats["inline"] > stats["parked"] > 0
-    assert stats["parked"] == stats["stacked"] + stats["scalar"]
-    assert stats["inline"] + stats["parked"] == batched.total_iterations
-
-
-@dataclass(frozen=True)
-class _ToyIteration:
-    """The toy solver's result: its iteration count, costing no flops."""
-
-    k: int
-    flops: float = 0.0
-
-
-class _ToySolver:
-    """A stackable stand-in that logs the width of every evaluation."""
-
-    batch_key = ("toy",)
-
-    def __init__(self):
-        self.widths = []
-
-    def iterate(self):
-        self.widths.append(1)
-        return _ToyIteration(len(self.widths))
-
-    @staticmethod
-    def iterate_batch(solvers):
-        for solver in solvers:
-            solver.widths.append(len(solvers))
-        return [_ToyIteration(len(solver.widths)) for solver in solvers]
-
-
-def _toy_world(programs, batched=True):
-    """One rank per program on unit-speed hosts (``Compute(f)`` lasts
-    exactly ``f`` virtual seconds); returns the world and its solvers."""
-    world = World(
-        uniform_cluster(n_hosts=len(programs), speed=1.0, latency=1e-3),
-        CommPolicy(name="test", send_base=1e-4, recv_base=1e-4),
-        trace=False,
-    )
-    if batched:
-        world.compute_batcher = ComputeBatcher(world)
-    solvers = [_ToySolver() for _ in programs]
-    for program, solver in zip(programs, solvers):
-        world.spawn(program(solver))
-    return world, solvers
-
-
-def _compute_then_iterate(flops):
-    def program(solver):
-        yield Compute(flops)
-        return (yield Iterate(solver))
-
-    return program
-
-
-def test_ranks_arriving_at_the_same_instant_stack():
-    world, solvers = _toy_world([_compute_then_iterate(1.0)] * 2)
-    world.run()
-    assert [s.widths for s in solvers] == [[2], [2]]
-    stats = world.compute_batcher.stats
-    assert (stats["parked"], stats["stacked"], stats["max_width"]) == (2, 2, 2)
-    assert stats["inline"] == 0 and stats["ticks"] == 1
-
-
-def test_ranks_one_ulp_apart_park_neither():
-    later = math.nextafter(1.0, 2.0)
-    world, solvers = _toy_world(
-        [_compute_then_iterate(1.0), _compute_then_iterate(later)]
-    )
-    world.run()
-    assert [s.widths for s in solvers] == [[1], [1]]
-    stats = world.compute_batcher.stats
-    assert stats["parked"] == stats["ticks"] == 0
-    assert stats["inline"] == 2
-
-
-def test_two_iterations_at_one_tick_are_served_in_order():
-    """A zero-flop iteration and ``Compute`` bring a rank back to
-    ``Iterate`` at the tick it was just served at: a second flush
-    serves it again."""
-
-    def program(solver):
-        first = yield Iterate(solver)
-        yield Compute(0.0)
-        second = yield Iterate(solver)
-        return [first, second]
-
-    world, solvers = _toy_world([program] * 2)
-    world.run()
-    assert world.results == {r: [_ToyIteration(1), _ToyIteration(2)] for r in (0, 1)}
-    assert [s.widths for s in solvers] == [[2, 2], [2, 2]]
-    stats = world.compute_batcher.stats
-    assert (stats["ticks"], stats["parked"], stats["stacked"]) == (2, 4, 4)
-    assert world.engine.now == 0.0
-    reference, _ = _toy_world([program] * 2, batched=False)
-    reference.run()
-    assert reference.results == world.results
+    single = SimulatedBackend(trace=False).run(scenario)
+    _assert_parity(single, _alone(scenario))
+    (memo,) = memos
+    assert memo.hits > 0
 
 
 class _Boom(RuntimeError):
     pass
 
 
-@pytest.mark.parametrize("batched", [False, True])
-def test_inline_iterate_failure_fails_the_process(batched):
-    """Batched mode's inline path is the scalar path: the exception
-    belongs to the iterating process and its coroutine stays suspended
-    at the ``Iterate`` (nothing is thrown into it)."""
+class _CountingSolver:
+    """Counts its iterates; each costs no flops."""
 
-    def program(solver):
-        yield Compute(1.0)
+    def __init__(self):
+        self.calls = 0
+
+    def iterate(self):
+        self.calls += 1
+        return SimpleNamespace(flops=0.0)
+
+
+@pytest.mark.parametrize("poisoned_first", [False, True])
+def test_inline_iterate_failure_fails_the_process(poisoned_first):
+    """An exception from ``solver.iterate()`` belongs to the iterating
+    process: it fails, its coroutine stays suspended at the ``Iterate``
+    (nothing is thrown into it) and the run stops at that tick --
+    whether the poisoned rank iterates first (t = 1) or after its
+    sibling (t = 2)."""
+
+    def program(seconds, solver):
+        yield Compute(seconds)  # unit-speed hosts: flops are seconds
         yield Iterate(solver)
-        return "unreachable"
+        return "unreachable for the poisoned rank"
 
-    world, solvers = _toy_world([program, _compute_then_iterate(2.0)], batched)
+    world = World(
+        uniform_cluster(n_hosts=2, speed=1.0, latency=1e-3),
+        CommPolicy(name="test", send_base=1e-4, recv_base=1e-4),
+        trace=False,
+    )
+    solvers = [_CountingSolver(), _CountingSolver()]
+    for rank, solver in enumerate(solvers):
+        world.spawn(program(1.0 + rank, solver))
+    poisoned = 0 if poisoned_first else 1
 
     def boom():
         raise _Boom("poisoned solver")
 
-    solvers[0].iterate = boom
-    with pytest.raises(ProcessFailure, match="p0@") as failure:
+    solvers[poisoned].iterate = boom
+    with pytest.raises(ProcessFailure, match=f"p{poisoned}@") as failure:
         world.run()
     assert isinstance(failure.value.__cause__, _Boom)
-    proc = world.processes[0]
+    proc = world.processes[poisoned]
     assert proc.state is ProcessState.FAILED
     assert isinstance(proc.exception, _Boom)
     assert proc.coroutine.gi_frame is not None  # suspended, not closed
-    assert world.engine.now == 1.0  # the sibling never got to run on
-    assert solvers[1].widths == []
+    assert world.engine.now == 1.0 + poisoned
+    assert solvers[1 - poisoned].calls == poisoned
 
 
 # ----------------------------------------------------------------------
-# cross-world mega-run
+# grids
 # ----------------------------------------------------------------------
 def _speed_grid(n, **scenario_kwargs):
     return [
@@ -306,7 +159,9 @@ def _speed_grid(n, **scenario_kwargs):
     ]
 
 
-def test_run_many_matches_run_per_scenario():
+def test_run_many_matches_run_per_scenario(memos):
+    """A lock-step grid advances one trajectory on four speeds: the
+    first world fills the memo and the other three only read it."""
     grid_kwargs = dict(
         problem="chemical",
         problem_params={"nx": 8, "nz": 12, "t_end": 360.0},
@@ -316,103 +171,92 @@ def test_run_many_matches_run_per_scenario():
     singles = [
         SimulatedBackend(trace=False).run(s) for s in _speed_grid(4, **grid_kwargs)
     ]
-    many = SimulatedBackend(trace=False).run_many(
-        _speed_grid(4, **grid_kwargs)
-    )
+    many = SimulatedBackend(trace=False).run_many(_speed_grid(4, **grid_kwargs))
     assert len(many) == 4
-    for scalar, mega in zip(singles, many):
-        _assert_parity(scalar, mega)
+    for single, mega in zip(singles, many):
+        _assert_parity(single, mega)
+    (memo,) = memos
+    assert len(memo) > 0 and memo.hits >= 3 * len(memo)
+
+
+class _Recording(SimulatedBackend):
+    """A simulated backend that keeps every result ``run_many`` built,
+    so a test can inspect the healthy worlds of a run that raised."""
+
+    def __init__(self):
+        super().__init__(trace=False)
+        self.wrapped = []
+
+    def _wrap(self, scenario, world, injector, started):
+        result = super()._wrap(scenario, world, injector, started)
+        self.wrapped.append(result)
+        return result
+
+
+def _poison_world(problem, index, after=2):
+    """A ``make_solver`` over ``problem`` whose ``index``-th world
+    (``run_many`` builds them in order, rank 0 first) has rank 0 raise
+    on its ``after + 1``-th iterate."""
+    worlds = [-1]
+
+    def make_solver(rank, size):
+        solver = problem.make_local(rank, size)
+        if rank == 0:
+            worlds[0] += 1
+            if worlds[0] == index:
+                original, calls = solver.iterate, [0]
+
+                def iterate():
+                    calls[0] += 1
+                    if calls[0] > after:
+                        raise _Boom("poisoned solver")
+                    return original()
+
+                solver.iterate = iterate
+        return solver
+
+    return make_solver
 
 
 def test_run_many_isolates_failures():
-    """A failing world must not poison its siblings: the good worlds'
-    results are complete before the failure is raised."""
-    backend = SimulatedBackend(trace=False)
+    """A failing world must not poison its siblings: the worlds after
+    it still run to completion before the failure is raised."""
     good = Scenario(problem="sparse_linear", environment="sync_mpi", n_ranks=2)
-    inner = good.build_problem().make_local
-
-    def make_failing(rank, size):
-        solver = inner(rank, size)
-        calls = {"n": 0}
-        original = solver.iterate
-
-        def iterate():
-            calls["n"] += 1
-            if calls["n"] > 2:
-                raise RuntimeError("poisoned solver")
-            return original()
-
-        solver.iterate = iterate
-        return solver
-
-    worlds = [backend._bind(good, None)[0], backend._bind(good, make_failing)[0]]
-    run_worlds_batched(worlds)
-    assert worlds[0].finish() == backend.run(good).makespan
-    with pytest.raises(ProcessFailure):
-        worlds[1].finish()
+    backend = _Recording()
+    with pytest.raises(ProcessFailure) as failure:
+        backend.run_many(
+            [good, good], make_solver=_poison_world(good.build_problem(), 0)
+        )
+    assert isinstance(failure.value.__cause__, _Boom)
+    (healthy,) = backend.wrapped
+    assert healthy.makespan == SimulatedBackend(trace=False).run(good).makespan
 
 
-def _chem(t_end):
-    # Two machines of different speeds: asynchronous ranks meet at a
-    # tick only a handful of times, everything else is evaluated alone.
-    return Scenario(
+@pytest.mark.parametrize("fails_last", [False, True])
+def test_run_many_isolates_a_failing_stackable_world(fails_last):
+    """Two worlds of one asynchronous chemical scenario share the memo.
+    The one whose rank 0 raises runs first (failing at once, after
+    filling the memo with its first solves) or last (failing near its
+    end, after reading the healthy world's entries).  Either way the
+    healthy world equals its own run."""
+    # Two machines of different speeds: asynchronous ranks.
+    scenario = Scenario(
         problem="chemical",
-        problem_params={"nx": 6, "nz": 8, "t_end": t_end},
+        problem_params={"nx": 6, "nz": 8, "t_end": 180.0},
         environment="pm2",
         n_ranks=2,
         cluster="ethernet_wan",
         cluster_params={"n_sites": 2, "machine_mix": ["duron_800", "p4_2400"]},
     )
-
-
-@pytest.mark.parametrize("fails_last", [False, True])
-def test_run_many_isolates_a_failing_stackable_world(fails_last):
-    """A chemical world whose solver raises stays isolated whether it
-    fails while its sibling is still live (the sibling then finishes
-    in-world) or as the last live world (it fails in-world, inline)."""
-    backend = SimulatedBackend(trace=False)
-    healthy, doomed = _chem(180.0), _chem(360.0)
-    reference = backend.run(healthy)
-    doomed_iterations = backend.run(doomed).reports[0].iterations
-
-    # A rank evaluated alone (inline, or as a width-1 group) goes through
-    # ``iterate``, so rank 0's own call count decides when the poison
-    # fires: at once, or near the end of a run twice as long as the
-    # healthy world's.
-    fuse = doomed_iterations - 10 if fails_last else 2
-    inner = doomed.build_problem().make_local
-
-    def make_failing(rank, size):
-        solver = inner(rank, size)
-        if rank == 0:
-            original, calls = solver.iterate, [0]
-
-            def iterate():
-                calls[0] += 1
-                if calls[0] > fuse:
-                    raise _Boom("poisoned solver")
-                return original()
-
-            solver.iterate = iterate
-        return solver
-
-    worlds = [
-        backend._bind(healthy, None)[0],
-        backend._bind(doomed, make_failing)[0],
-    ]
-    run_worlds_batched(worlds)
-    # Whichever world outlived the other was switched to in-world mode.
-    assert worlds[1].compute_batcher.external is not fails_last
-    assert worlds[0].compute_batcher.external is fails_last
-    worlds[0].finish()
-    assert worlds[0].makespan == reference.makespan
-    assert {
-        r: rep.iterations for r, rep in worlds[0].results.items()
-    } == {r: rep.iterations for r, rep in reference.reports.items()}
+    reference = SimulatedBackend(trace=False).run(scenario)
+    fuse = reference.reports[0].iterations - 10 if fails_last else 2
+    poisoned = _poison_world(scenario.build_problem(), int(fails_last), fuse)
+    backend = _Recording()
     with pytest.raises(ProcessFailure) as failure:
-        worlds[1].finish()
+        backend.run_many([scenario, scenario], make_solver=poisoned)
     assert isinstance(failure.value.__cause__, _Boom)
-    assert worlds[1].processes[0].coroutine.gi_frame is not None
+    (healthy,) = backend.wrapped
+    _assert_parity(reference, healthy)
 
 
 _FAULTS = FaultPlan(
@@ -452,7 +296,7 @@ _grid_points = st.builds(
 
 def _grid_orders(n):
     """Every order of a small grid; for a larger one every rotation and
-    its reversal, so each world is pumped first, last and in between."""
+    its reversal, so each world runs first, last and in between."""
     if n <= 3:
         return list(itertools.permutations(range(n)))
     rotations = [tuple(range(k, n)) + tuple(range(k)) for k in range(n)]
@@ -463,32 +307,54 @@ def _grid_orders(n):
 @given(grid=st.lists(_grid_points, min_size=1, max_size=6))
 def test_run_many_equals_per_scenario_runs_in_every_grid_order(grid):
     """``run_many(grid)`` == ``[run(s) for s in grid]`` member by member
-    (counters minus events, solution bytes), whatever the order: which
-    world is pumped first and which is left as the last live one must
-    not matter."""
+    (every work counter, solution bytes), whatever the order: which
+    world fills the memo and which reads it must not matter."""
     backend = SimulatedBackend(trace=False)
     singles = [backend.run(scenario) for scenario in grid]
     for order in _grid_orders(len(grid)):
         many = backend.run_many([grid[i] for i in order])
         for i, mega in zip(order, many):
             _assert_parity(singles[i], mega)
-            stats = mega.backend_stats["batched"]
-            assert stats["parked"] == stats["stacked"] + stats["scalar"]
-            assert stats["inline"] + stats["parked"] == mega.total_iterations
+
+
+# ----------------------------------------------------------------------
+# the process boundary
+# ----------------------------------------------------------------------
+def test_a_memo_never_crosses_a_process_boundary(monkeypatch):
+    """A pickled solver carries no memo, and neither the ``pool``
+    placement nor the ``process`` backend builds one: with the memo's
+    constructor poisoned (forked children inherit it) both still run,
+    while ``run_many`` -- the control -- raises."""
+    solver = chemical.make_chemical_problem(nx=6, nz=8, t_end=180.0).make_local(0, 2)
+    solver.memo = chemical.SolveMemo()
+    assert pickle.loads(pickle.dumps(solver)).memo is None
+
+    def refuse(self):
+        raise _Boom("a memo was built")
+
+    monkeypatch.setattr(chemical.SolveMemo, "__init__", refuse)
+    point = dict(
+        problem="chemical",
+        problem_params={"nx": 6, "nz": 8, "t_end": 180.0},
+        environment="pm2",
+        n_ranks=2,
+    )
+    with pytest.raises(_Boom):
+        SimulatedBackend(trace=False).run_many([Scenario.from_dict(point)])
+    pooled = run_sweep([point], placement="pool", processes=1, timeout=60.0)
+    assert not pooled.errors and pooled.records[0]["converged"]
+    result = ProcessBackend(timeout=60.0, start_method="fork").run(
+        Scenario.from_dict(point)
+    )
+    assert result.converged
 
 
 # ----------------------------------------------------------------------
 # mega placement
 # ----------------------------------------------------------------------
 def _record_essence(record):
-    """A record with every wall-clock/batched-only field removed."""
+    """A record with every wall-clock field removed."""
     rec = {k: v for k, v in record.items() if k != "elapsed"}
-    stats = {
-        k: v
-        for k, v in (rec.get("backend_stats") or {}).items()
-        if k not in ("events", "batched")
-    }
-    rec["backend_stats"] = stats
     rec["reports"] = [
         {k: v for k, v in rep.items() if k != "elapsed"}
         for rep in rec.get("reports", [])
@@ -541,8 +407,8 @@ def test_mega_placement_refuses_non_simulated_backends():
 
 
 def test_mega_placement_keeps_the_backend_it_was_given():
-    """``run_many`` always builds batched worlds; the placement has no
-    flag to force, and its per-unit fallback runs the backend as-is."""
+    """The placement has no flag to force, and its per-unit fallback
+    runs the backend as-is."""
     backend = SimulatedBackend(trace=False)
     placement = MegaPlacement(PlacementContext(backend=backend))
     placement.start()

@@ -317,11 +317,12 @@ def test_more_ranks_than_rows_rejected():
         p.make_local(0, 10)
 
 
-def _drive_lockstep(p, size, steps, batched):
-    """Run the strip solvers in lockstep; return states + iteration logs."""
-    from repro.problems.chemical import ChemicalLocal
-
+def _drive_lockstep(p, size, steps, memo=None):
+    """Run the strip solvers in lockstep (sharing ``memo`` if given);
+    return the final states' bytes and a log of every iterate."""
     locals_ = [p.make_local(r, size) for r in range(size)]
+    for solver in locals_:
+        solver.memo = memo
 
     def exchange():
         for solver in locals_:
@@ -334,11 +335,12 @@ def _drive_lockstep(p, size, steps, batched):
         for solver in locals_:
             solver.begin_step(step)
         for _ in range(40):
-            if batched:
-                results = ChemicalLocal.iterate_batch(locals_)
-            else:
-                results = [s.iterate() for s in locals_]
-            log.append([(r.residual, r.flops, sorted(r.outgoing)) for r in results])
+            results = [s.iterate() for s in locals_]
+            log.append([
+                (r.residual, r.flops, r.meta,
+                 {dst: payload[2].tobytes() for dst, (payload, _) in r.outgoing.items()})
+                for r in results
+            ])
             for solver, res in zip(locals_, results):
                 for dst, (payload, _) in res.outgoing.items():
                     locals_[dst].integrate(solver.rank, payload)
@@ -347,20 +349,109 @@ def _drive_lockstep(p, size, steps, batched):
         exchange()
         for solver in locals_:
             solver.end_step(step)
-    states = [s.local_state().copy() for s in locals_]
-    return states, log
+    return [s.local_state().tobytes() for s in locals_], log
 
 
-def test_batched_iterate_bit_identical_to_scalar():
-    """``iterate_batch`` must reproduce per-solver ``iterate`` exactly:
-    same residuals, same flop charges, same outgoing payload keys, and
-    bitwise-equal final states."""
+def test_memo_hit_is_bit_identical_to_recomputing():
+    """A second set of strips replaying the first's trajectory through a
+    shared memo solves nothing and reproduces every iterate exactly:
+    residuals, flop charges, ``meta``, outgoing rows and final states."""
+    from repro.problems.chemical import SolveMemo
+
     p = _problem(nx=8, nz=12, t_end=360.0)
-    scalar_states, scalar_log = _drive_lockstep(p, 3, p.config.n_steps, batched=False)
-    batch_states, batch_log = _drive_lockstep(p, 3, p.config.n_steps, batched=True)
-    assert scalar_log == batch_log
-    for a, b in zip(scalar_states, batch_states):
-        assert np.array_equal(a, b)
+    steps = p.config.n_steps
+    reference = _drive_lockstep(p, 3, steps)
+    memo = SolveMemo()
+    assert _drive_lockstep(p, 3, steps, memo) == reference
+    solved, hits = len(memo), memo.hits
+    assert _drive_lockstep(p, 3, steps, memo) == reference
+    assert len(memo) == solved  # nothing new was solved
+    assert memo.hits - hits >= solved
+
+
+def _stepped_strip(p, memo=None):
+    """Rank 1 of 3 after its first step began, halos received."""
+    solvers = [p.make_local(r, 3) for r in range(3)]
+    for solver in solvers:
+        for dst, (payload, _) in solver.initial_outgoing().items():
+            solvers[dst].integrate(solver.rank, payload)
+    strip = solvers[1]
+    strip.memo = memo
+    strip.begin_step(0)
+    return strip
+
+
+def test_memo_misses_a_mutated_halo_or_carry():
+    """Every solve input is in the key: one ulp in a halo row misses,
+    as do a missing halo (a mirror) and a changed carried residual."""
+    from repro.problems.chemical import SolveMemo
+
+    p = _problem(nx=6, nz=9, t_end=360.0)
+    memo = SolveMemo()
+    _stepped_strip(p, memo).iterate()
+    assert (len(memo), memo.hits) == (1, 0)
+    _stepped_strip(p, memo).iterate()
+    assert (len(memo), memo.hits) == (1, 1)
+
+    strip = _stepped_strip(p, memo)
+    halo = strip.halo_top.copy()
+    halo[0, 0] = np.nextafter(halo[0, 0], np.inf)
+    strip.halo_top = halo
+    strip.iterate()
+    assert (len(memo), memo.hits) == (2, 1)
+    strip = _stepped_strip(p, memo)
+    strip.halo_bottom = None
+    strip.iterate()
+    assert (len(memo), memo.hits) == (3, 1)
+
+    # The carry: the residual a full update ends with starts the next.
+    strip = _stepped_strip(p)
+    strip.iterate()
+    fu0 = strip._fu_carry
+    assert fu0 is not None
+    nudged = fu0.copy()
+    nudged[0] = np.nextafter(nudged[0], np.inf)
+    keys = {strip._memo_key(fu0), strip._memo_key(nudged), strip._memo_key(None)}
+    assert len(keys) == 3
+
+
+def test_memo_evicts_least_recently_used_within_its_bound(monkeypatch):
+    """The byte bound holds after every insertion, eviction drops the
+    least recently *used* entry, and an outcome larger than the whole
+    bound is not kept."""
+    from repro.problems import chemical
+
+    memo = chemical.SolveMemo()
+    y = np.zeros(10)
+    outcome = (y, {"_fu": y})
+    entry = 3 * y.nbytes  # two outcome arrays plus the key's bytes
+    monkeypatch.setattr(chemical, "MEMO_BYTES", 2 * entry)
+    for key in ("a", "b"):
+        memo.put((key, y.tobytes()), outcome)
+    assert memo.get(("a", y.tobytes())) is not None  # "b" is now the oldest
+    memo.put(("c", y.tobytes()), outcome)
+    assert memo.nbytes == 2 * entry and len(memo) == 2
+    assert memo.get(("b", y.tobytes())) is None
+    assert memo.get(("a", y.tobytes())) is not None
+    huge = np.zeros(100)
+    memo.put(("d",), (huge, {"_fu": huge}))
+    assert memo.get(("d",)) is None and len(memo) == 2
+
+
+def test_memo_key_may_leave_out_the_scale():
+    """The key omits ``_scale``: at every step it is exactly
+    ``rtol |y_prev| + atol(rows)``, and before the first step (all ones)
+    ``_t_new`` is ``t0``, which no step has."""
+    p = _problem(nx=6, nz=9, t_end=540.0)
+    strip = p.make_local(1, 3)
+    assert strip._t_new == p.config.t0 and (strip._scale == 1.0).all()
+    for step in range(p.config.n_steps):
+        strip.begin_step(step)
+        assert strip._t_new != p.config.t0
+        expected = p.config.rtol * np.abs(strip._y_prev) + p.atol_vector(strip.rows)
+        assert strip._scale.tobytes() == expected.tobytes()
+        strip.iterate()
+        strip.end_step(step)
 
 
 # ----------------------------------------------------------------------
@@ -422,17 +513,16 @@ def _oracle_ghat(p, y, member):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_strip_kernel_is_bit_identical_to_the_cellwise_oracle(data):
-    """``rhs_strip``, ``_StripBatch.eval`` (any active subset of a stack)
-    and ``eval1`` reproduce the cell-by-cell formula bit for bit, for
-    every shape the flat-window layout distinguishes: ``nx`` from the
-    mirror edge case 3 up, one-row strips, halos present or mirrored
-    per side, both sign conventions, day and night, and workspaces
-    shared between widths."""
-    from repro.problems.chemical import _StripBatch
+    """``rhs_strip`` and the strip evaluator reproduce the cell-by-cell
+    formula bit for bit, for every shape the flat-window layout
+    distinguishes: ``nx`` from the mirror edge case 3 up, one-row
+    strips, halos present or mirrored per side, both sign conventions,
+    day and night, and strips sharing the thread's workspace."""
+    from repro.problems.chemical import _StripEvaluator
 
     nx = data.draw(st.integers(3, 12), label="nx")
     rows = data.draw(st.integers(1, 6), label="rows")
-    k = data.draw(st.integers(1, 4), label="k")
+    k = data.draw(st.integers(1, 4), label="strips")
     nz = max(3, rows + data.draw(st.integers(0, 4), label="extra rows"))
     p = _problem(nx=nx, nz=nz, paper_reaction_signs=data.draw(st.booleans(), label="signs"))
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
@@ -456,26 +546,22 @@ def test_strip_kernel_is_bit_identical_to_the_cellwise_oracle(data):
             data.draw(st.sampled_from([DAY, NIGHT]), label="t"),
         ))
         points.append(y_prev * rng.uniform(0.999, 1.001, y_prev.size))
-    idx = data.draw(
-        st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True), label="idx"
+    order = data.draw(
+        st.lists(st.integers(0, k - 1), min_size=1, max_size=2 * k), label="order"
     )
 
-    batch = _StripBatch(p, rows, members)
+    evaluators = [_StripEvaluator(p, rows, *member) for member in members]
     expected = [_oracle_ghat(p, y, m) for y, m in zip(points, members)]
-    stacked = batch.eval(np.array(idx), np.stack([points[i] for i in idx]))
-    assert np.array_equal(stacked, np.stack([expected[i] for i in idx]))
-    # Width-1 evaluators and rhs_strip share the thread's workspace
-    # with the stack above (slot 0, other halos): interleave them.
-    for i in idx:
+    # The evaluators and rhs_strip share the thread's workspace (same
+    # rows, other halos): interleave them, repeats included.
+    for i in order:
+        assert np.array_equal(evaluators[i](points[i]), expected[i])
         _, _, z_lo, halo_top, halo_bottom, t = members[i]
-        assert np.array_equal(_StripBatch(p, rows, [members[i]]).eval1(points[i]), expected[i])
         c = points[i].reshape(2, rows, nx)
         assert np.array_equal(
             p.rhs_strip(c, t, z_lo, halo_top, halo_bottom),
             _oracle_rhs(p, c, t, z_lo, halo_top, halo_bottom),
         )
-    again = batch.eval(np.array(idx), np.stack([points[i] for i in idx]))
-    assert np.array_equal(again, stacked)
 
 
 def test_interleaved_strips_on_a_shared_workspace_match_isolated_ones():
@@ -608,7 +694,7 @@ def test_junk_lanes_raise_nothing_and_stay_finite(name):
     for ws in workspaces:
         for buffer in (ws.pad, ws.out, ws.t2, ws.t0, ws.t1, ws.dtf):
             assert np.isfinite(buffer).all()
-        assert not ws.pad[:, :, ::ws.rows + 1, ::nx + 1].any()  # corners never written
+        assert not ws.pad[:, ::ws.rows + 1, ::nx + 1].any()  # corners never written
     assert problem._windows
     for (z_lo, rows), windows in problem._windows.items():
         interior = np.zeros((2, rows + 2, nx + 2), dtype=bool)
