@@ -139,8 +139,8 @@ def scenario_message_fault_injector(scenario: Scenario, stream: int = 0):
     """The channel-layer fault injector a scenario calls for, or ``None``.
 
     Only the message-level subset applies to in-process/queue channels:
-    a plan holding nothing but link/host windows must not pay for the
-    fault-aware channel path (its receives poll instead of blocking).
+    a plan holding nothing but link/host windows must not pay for a
+    fault decision per message.
     ``stream`` selects a decorrelated per-rank RNG stream for the
     process backend; the threaded backend uses the default stream 0.
     """

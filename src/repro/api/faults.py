@@ -21,10 +21,11 @@ Execution semantics live with the backends:
 :class:`~repro.simgrid.faults.SimFaultInjector` compiles a plan onto
 the simulator's ``World``/``Network``/``Link`` layer (all six kinds);
 :class:`~repro.runtime.faults.ThreadFaultInjector` honours the
-loss/duplication/reorder/crash subset on the real-thread channel
-layer, so both interpreters face the same adversity.  Times are
+loss/duplication/reorder/crash subset on the channels of the threaded
+and process backends (a delayed message waits at its receiver's
+mailbox), so every interpreter faces the same adversity.  Times are
 expressed on the executing backend's clock: virtual seconds on the
-simulator, wall seconds since run start on threads.
+simulator, wall seconds since run start on threads and processes.
 
 Message-level events apply only to tags matching the event's ``tags``
 prefixes (default ``("data",)``): the startup/halo exchanges and the

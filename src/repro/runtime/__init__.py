@@ -13,8 +13,12 @@ real concurrency and the wall clock:
   multi-rank scenarios run genuinely in parallel, so this interpreter
   is about both semantics *and* real multi-core wall-clock speedups.
 
-Both honour the message-level fault subset (:mod:`repro.runtime.faults`)
-and both are reaped -- not leaked -- when a run exceeds its timeout.
+Both receive through one :class:`~repro.runtime.channels.Mailbox` per
+rank, fed under a ``Condition`` on threads and from the rank's inbox
+queue in a process.  Both honour the message-level fault subset
+(:mod:`repro.runtime.faults`): a delayed message waits at its
+receiver's mailbox until its due time.  Both are reaped -- not leaked
+-- when a run exceeds its timeout.
 """
 
 from repro.runtime.channels import ChannelClosed, ChannelHub

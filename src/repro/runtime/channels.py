@@ -1,26 +1,25 @@
-"""Thread-safe message channels for the real-thread backend.
+"""The mailbox of the two wall-clock backends, and the threaded hub.
 
-One :class:`ChannelHub` serves a whole run: per-rank, per-tag queues of
-:class:`~repro.simgrid.message.Message`, with blocking receive
-(condition variables) and non-blocking drain -- the thread-backed
-equivalents of the simulator's mailbox semantics.
-
-Performance notes (the ``runtime.channel_post_drain_us`` layer metric
-of ``benchmarks/perf/``):
-
-* each rank has its *own* lock/condition, so senders to different
-  destinations never contend with each other (the old single hub lock
-  serialised every post of the whole run);
-* drains hand over the queue list itself instead of copy-then-clear,
-  and posts notify only when someone is actually waiting, cutting the
-  per-message allocation and wakeup overhead.
+:class:`Mailbox` is one rank's receive side: per-tag queues of
+:class:`~repro.simgrid.message.Message` plus a heap of delayed
+messages, with no lock and no waiting of its own.  :class:`ChannelHub`
+feeds one per rank under the rank's own ``Condition`` (so senders to
+different destinations never contend); a process feeds its own from a
+``multiprocessing.Queue``
+(:class:`repro.runtime.process_hub.ProcessEndpoint`).  :func:`fates` is
+the one place a fault decision becomes deliveries.  A delayed message
+travels at once with its due time (``time.monotonic()``, system-wide
+across processes) and waits at its *receiver*, whose waits are capped
+at the next due time.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.simgrid.message import Message, drain_tagged
 
@@ -34,25 +33,119 @@ class ChannelClosed(RuntimeError):
     """
 
 
-class _RankBox:
-    """One rank's mailbox: per-tag queues behind the rank's own lock."""
+def fates(injector, message: Message) -> Tuple[Tuple[Message, float], ...]:
+    """The ``(message, due)`` deliveries ``injector`` makes of ``message``.
 
-    __slots__ = ("condition", "by_tag", "received", "waiters")
+    One without an injector; none for a dropped message; two for a
+    duplicated one (the copy under a fresh uid).  ``due`` is ``0.0``
+    (visible at once) unless the message is delayed.
+    """
+    if injector is None:
+        return ((message, 0.0),)
+    decision = injector.on_send(message, injector.now())
+    if decision.drop:
+        return ()
+    due = 0.0
+    if decision.extra_delay > 0.0:
+        due = time.monotonic() + decision.extra_delay
+    if decision.duplicate:
+        return ((message, due), (message.clone(), due))
+    return ((message, due),)
+
+
+class Mailbox:
+    """One rank's visible per-tag queues plus its delayed-message heap."""
+
+    __slots__ = ("by_tag", "delayed")
 
     def __init__(self) -> None:
-        self.condition = threading.Condition(threading.Lock())
         self.by_tag: Dict[str, List[Message]] = {}
+        self.delayed: List[Tuple[float, int, Message]] = []
+
+    def put(self, message: Message, due: float = 0.0) -> None:
+        """Deposit ``message``: visible now, or once ``due`` has passed."""
+        if due:
+            heapq.heappush(self.delayed, (due, message.uid, message))
+            return
+        message.delivered_at = time.monotonic()
+        queue = self.by_tag.get(message.tag)
+        if queue is None:
+            queue = self.by_tag[message.tag] = []
+        queue.append(message)
+
+    def _release(self) -> None:
+        """Make every delayed message whose due time has passed visible."""
+        delayed = self.delayed
+        now = time.monotonic()
+        while delayed and delayed[0][0] <= now:
+            message = heapq.heappop(delayed)[2]
+            message.delivered_at = now
+            self.by_tag.setdefault(message.tag, []).append(message)
+
+    def count(self, tag: Optional[str] = None) -> int:
+        """Visible message count (optionally of one tag)."""
+        if self.delayed:
+            self._release()
+        if tag is None:
+            return sum(len(v) for v in self.by_tag.values())
+        return len(self.by_tag.get(tag, ()))
+
+    def take(self, tag: Optional[str] = None) -> List[Message]:
+        """Remove and return every visible message (optionally of one tag)."""
+        if self.delayed:
+            self._release()
+        return drain_tagged(self.by_tag, tag)
+
+    def receive(
+        self,
+        tag: Optional[str],
+        count: int,
+        timeout: Optional[float],
+        wait: Callable[[Optional[float]], None],
+    ) -> List[Message]:
+        """Take the visible ``tag`` messages once there are ``count``.
+
+        ``wait(seconds)`` blocks the caller until its feed may have put
+        more (``seconds=None``: no bound).  Its bound is the time left
+        to ``timeout`` or to the next due time, whichever comes first.
+        Returns ``[]`` once ``timeout`` elapses.
+        """
+        deadline = math.inf if timeout is None else time.monotonic() + timeout
+        needed = max(1, count)
+        while self.count(tag) < needed:
+            now = time.monotonic()
+            if deadline <= now:
+                return []
+            until = min(deadline, self.delayed[0][0]) if self.delayed else deadline
+            wait(None if until == math.inf else max(0.0, until - now))
+        return self.take(tag)
+
+
+class _RankBox(Mailbox):
+    """A threaded rank's mailbox behind the rank's own lock."""
+
+    __slots__ = ("condition", "received", "waiters")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.condition = threading.Condition(threading.Lock())
         self.received = 0
         self.waiters = 0
 
 
 class ChannelHub:
-    """Per-rank mailboxes shared by all worker threads of a run."""
+    """Per-rank mailboxes shared by all worker threads of a run.
 
-    def __init__(self, size: int) -> None:
+    ``injector`` is an optional
+    :class:`~repro.runtime.faults.ThreadFaultInjector` deciding every
+    post's :func:`fates`.
+    """
+
+    def __init__(self, size: int, injector=None) -> None:
         if size < 1:
             raise ValueError("size must be >= 1")
         self.size = size
+        self.injector = injector
         self._closed = False
         self._boxes = [_RankBox() for _ in range(size)]
 
@@ -71,7 +164,7 @@ class ChannelHub:
 
     @property
     def messages_sent(self) -> int:
-        """Total messages posted so far (sum over all ranks)."""
+        """Total deliveries posted so far (sum over all ranks)."""
         return sum(box.received for box in self._boxes)
 
     # ------------------------------------------------------------------
@@ -81,26 +174,21 @@ class ChannelHub:
             raise KeyError(f"unknown destination rank {message.dst}")
         if self._closed:
             raise ChannelClosed("channel hub closed (run reaped)")
+        deliveries = fates(self.injector, message)
         box = self._boxes[message.dst]
         with box.condition:
-            message.delivered_at = time.monotonic()
-            queue = box.by_tag.get(message.tag)
-            if queue is None:
-                queue = box.by_tag[message.tag] = []
-            queue.append(message)
-            box.received += 1
-            if box.waiters:
+            for delivered, due in deliveries:
+                box.put(delivered, due)
+            box.received += len(deliveries)
+            # A delayed message wakes a waiter too: its wait bound moves.
+            if box.waiters and deliveries:
                 box.condition.notify_all()
 
     def drain(self, rank: int, tag: Optional[str] = None) -> List[Message]:
         """Non-blocking removal of all visible messages for ``rank``."""
         box = self._boxes[rank]
         with box.condition:
-            return self._drain_locked(box, tag)
-
-    @staticmethod
-    def _drain_locked(box: _RankBox, tag: Optional[str]) -> List[Message]:
-        return drain_tagged(box.by_tag, tag)
+            return box.take(tag)
 
     def receive(
         self,
@@ -113,36 +201,19 @@ class ChannelHub:
 
         Returns all visible matching messages (empty list on timeout).
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
         box = self._boxes[rank]
-        needed = max(1, count)
+
+        def wait(seconds: Optional[float]) -> None:
+            if self._closed:
+                raise ChannelClosed("channel hub closed (run reaped)")
+            box.waiters += 1
+            try:
+                box.condition.wait(seconds)
+            finally:
+                box.waiters -= 1
+
         with box.condition:
-            while self._count_locked(box, tag) < needed:
-                if self._closed:
-                    raise ChannelClosed("channel hub closed (run reaped)")
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return []
-                box.waiters += 1
-                try:
-                    box.condition.wait(remaining)
-                finally:
-                    box.waiters -= 1
-            return self._drain_locked(box, tag)
-
-    @staticmethod
-    def _count_locked(box: _RankBox, tag: Optional[str]) -> int:
-        if tag is None:
-            return sum(len(v) for v in box.by_tag.values())
-        return len(box.by_tag.get(tag, ()))
-
-    def pending(self, rank: int, tag: Optional[str] = None) -> int:
-        """Visible message count for ``rank`` (optionally one tag)."""
-        box = self._boxes[rank]
-        with box.condition:
-            return self._count_locked(box, tag)
+            return box.receive(tag, count, timeout, wait)
 
 
-__all__ = ["ChannelHub", "ChannelClosed"]
+__all__ = ["ChannelHub", "ChannelClosed", "Mailbox", "fates"]

@@ -191,12 +191,8 @@ def run_threads(
     if n_ranks < 1:
         raise ValueError("n_ranks must be >= 1")
     if faults is not None:
-        from repro.runtime.faults import FaultyChannelHub
-
         faults.start()
-        hub = FaultyChannelHub(n_ranks, faults)
-    else:
-        hub = ChannelHub(n_ranks)
+    hub = ChannelHub(n_ranks, faults)
     tracer = None
     if trace:
         from repro.obs.trace import WallTracer

@@ -1,19 +1,16 @@
-"""Fault injection for the real-thread backend: the channel-layer subset.
+"""Fault injection for the wall-clock backends: the message-level subset.
 
-The thread backend has no links or simulated hosts, but the
+Threads and processes have no links or simulated hosts, but the
 loss/duplication/reorder/crash subset of a
-:class:`~repro.api.faults.FaultPlan` is meaningful on its channel
-layer, and honouring it there keeps both interpreters of the algorithm
-coroutines facing the same adversity:
-
-* :class:`ThreadFaultInjector` makes the per-message decisions (same
-  decision vocabulary as the simulator's injector, wall-clock windows
-  measured from run start);
-* :class:`FaultyChannelHub` wraps the normal
-  :class:`~repro.runtime.channels.ChannelHub` semantics with those
-  decisions: dropped messages never reach a mailbox, duplicated ones
-  are posted twice, delayed ones sit in a per-run pending heap until
-  their wall-clock due time.
+:class:`~repro.api.faults.FaultPlan` is meaningful on their channels,
+and honouring it there keeps every interpreter of the algorithm
+coroutines facing the same adversity.  :class:`ThreadFaultInjector`
+makes the per-message decisions (same decision vocabulary as the
+simulator's injector, wall-clock windows measured from run start);
+:func:`repro.runtime.channels.fates` turns each decision into
+deliveries for both backends: a dropped message has none, a duplicated
+one two, and a delayed one travels at once and waits at its receiver's
+:class:`~repro.runtime.channels.Mailbox` until its due time.
 
 Topology-level events (link degradation, host slowdown) do not apply
 to in-process channels and are ignored here; counters only reflect
@@ -24,12 +21,10 @@ backend promises deterministic fault counters.
 
 from __future__ import annotations
 
-import heapq
+import random
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
-
-import random
+from typing import Dict, List, Optional
 
 from repro.api.faults import (
     FaultPlan,
@@ -38,36 +33,8 @@ from repro.api.faults import (
     MessageReorder,
     RankCrash,
 )
-from repro.runtime.channels import ChannelHub
 from repro.simgrid.faults import FaultDecision, decide_message_fate
 from repro.simgrid.message import Message
-
-#: Wait slice for blocking receives while delayed messages are pending
-#: (shared with the process backend's endpoint).
-_RECEIVE_SLICE = 0.02
-
-
-def apply_fault_decision(decision, message, deliver, delay) -> None:
-    """Apply one :class:`~repro.simgrid.faults.FaultDecision` to a message.
-
-    The single decision-application path shared by both channel layers
-    (:class:`FaultyChannelHub` and the process backend's
-    :class:`~repro.runtime.process_hub.ProcessEndpoint`), so drop/
-    duplicate/delay handling can never drift between them.  ``deliver``
-    posts a message now; ``delay(due, message)`` stashes it until the
-    wall-clock due time.
-    """
-    if decision.drop:
-        return
-    if decision.extra_delay > 0.0:
-        due = time.monotonic() + decision.extra_delay
-        delay(due, message)
-        if decision.duplicate:
-            delay(due, message.clone())
-        return
-    deliver(message)
-    if decision.duplicate:
-        deliver(message.clone())
 
 
 class ThreadFaultInjector:
@@ -145,82 +112,4 @@ class ThreadFaultInjector:
             )
 
 
-class FaultyChannelHub(ChannelHub):
-    """A :class:`ChannelHub` whose posts pass through a fault injector.
-
-    Delayed messages wait in a heap keyed by wall-clock due time and
-    are flushed into the real mailboxes on every hub interaction;
-    blocking receives wait in bounded slices so a stashed message is
-    released even when no further posts arrive.
-    """
-
-    def __init__(self, size: int, injector: ThreadFaultInjector) -> None:
-        super().__init__(size)
-        self.injector = injector
-        self._delayed_lock = threading.Lock()
-        self._delayed: List[Tuple[float, int, Message]] = []
-
-    # ------------------------------------------------------------------
-    def post(self, message: Message) -> None:
-        self._flush_due()
-        decision = self.injector.on_send(message, self.injector.now())
-        apply_fault_decision(decision, message, self._post_now, self._stash)
-
-    def _post_now(self, message: Message) -> None:
-        super().post(message)
-
-    def _stash(self, due: float, message: Message) -> None:
-        with self._delayed_lock:
-            heapq.heappush(self._delayed, (due, message.uid, message))
-
-    def _flush_due(self) -> None:
-        if not self._delayed:
-            return
-        now = time.monotonic()
-        ready: List[Message] = []
-        with self._delayed_lock:
-            while self._delayed and self._delayed[0][0] <= now:
-                ready.append(heapq.heappop(self._delayed)[2])
-        for message in ready:
-            super().post(message)
-
-    def _next_due_wait(self) -> Optional[float]:
-        with self._delayed_lock:
-            if not self._delayed:
-                return None
-            return max(0.0, self._delayed[0][0] - time.monotonic())
-
-    # ------------------------------------------------------------------
-    def drain(self, rank: int, tag: Optional[str] = None) -> List[Message]:
-        self._flush_due()
-        return super().drain(rank, tag)
-
-    def pending(self, rank: int, tag: Optional[str] = None) -> int:
-        self._flush_due()
-        return super().pending(rank, tag)
-
-    def receive(
-        self,
-        rank: int,
-        tag: Optional[str] = None,
-        count: int = 1,
-        timeout: Optional[float] = None,
-    ) -> List[Message]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            self._flush_due()
-            slice_timeout = _RECEIVE_SLICE
-            next_due = self._next_due_wait()
-            if next_due is not None:
-                slice_timeout = min(slice_timeout, max(1e-4, next_due))
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return []
-                slice_timeout = min(slice_timeout, remaining)
-            messages = super().receive(rank, tag, count=count, timeout=slice_timeout)
-            if messages:
-                return messages
-
-
-__all__ = ["ThreadFaultInjector", "FaultyChannelHub", "apply_fault_decision"]
+__all__ = ["ThreadFaultInjector"]

@@ -11,18 +11,21 @@ Architecture
 * one :class:`multiprocessing.Queue` **inbox per rank**; a send from
   rank *r* to rank *d* pickles the :class:`~repro.simgrid.message.Message`
   (numpy payloads included) straight into *d*'s inbox;
-* each child runs :class:`ProcessEndpoint`, a process-local mailbox
-  that mirrors :class:`~repro.runtime.channels.ChannelHub` semantics
-  (per-tag queues, blocking tag/count receive, non-blocking drain) on
-  top of its inbox, and feeds the *same* effect interpreter the
-  threaded backend uses (:func:`repro.runtime.executor._interpret`);
-* the message-level fault subset is honoured exactly as on threads,
-  except decisions are made sender-side by one
-  :class:`~repro.runtime.faults.ThreadFaultInjector` per rank
-  (decorrelated seed streams; every rank anchors its clock at a shared
-  post-bootstrap barrier, and ``CLOCK_MONOTONIC`` is system-wide, so
-  the plan's windows open and close together without charging child
-  start-up time against them), and counters are summed in the parent;
+* each child runs :class:`ProcessEndpoint`, which feeds the rank's
+  :class:`~repro.runtime.channels.Mailbox` -- the receive side the
+  threaded backend uses too (per-tag queues, blocking tag/count
+  receive, non-blocking drain) -- from its inbox, and serves the *same*
+  effect interpreter the threaded backend uses
+  (:func:`repro.runtime.executor._interpret`);
+* the message-level fault subset is honoured exactly as on threads
+  (:func:`~repro.runtime.channels.fates`), except decisions are made by
+  one :class:`~repro.runtime.faults.ThreadFaultInjector` per sending
+  rank (decorrelated seed streams; every rank anchors its clock at a
+  shared post-bootstrap barrier, and ``CLOCK_MONOTONIC`` is
+  system-wide, so the plan's windows open and close together without
+  charging child start-up time against them).  A delayed message
+  travels at once with its due time and waits in the receiver's
+  mailbox; counters are summed in the parent;
 * the parent enforces one wall-clock deadline for the whole run and
   **reaps** (terminates) every child on timeout or on a child error,
   so a hung scenario can never leak worker processes.
@@ -39,38 +42,30 @@ backend works identically under ``fork``, ``forkserver`` and ``spawn``.
 Exit protocol
 -------------
 ``multiprocessing.Queue`` flushes through a feeder thread into a pipe
-of bounded OS capacity.  A rank that converges and exits early must
-not let its inbox pipe fill up (a sender's feeder would block, and the
-sender would then hang in its own exit flush), so children keep
-draining their inbox until the parent signals that every rank has
-reported, then drop whatever is still queued toward them.
+of bounded OS capacity.  A rank that converges early keeps draining
+its inbox, so its peers' feeders do not stall on a full pipe, until
+the parent signals that every rank has reported.  By then the result
+is complete, so the parent reaps every rank still alive at once: a
+rank blocked in its drain on a half-written message from a peer that
+already exited is terminated, not awaited.
 """
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import queue as queue_mod
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
+from repro.runtime.channels import Mailbox, fates
 from repro.runtime.executor import BackendTimeoutError, RunOutcome
-from repro.runtime.faults import _RECEIVE_SLICE, apply_fault_decision
-from repro.simgrid.message import drain_tagged
 
 #: Poll slice of the parent's result collection loop.
 _COLLECT_SLICE = 0.25
 
 #: Poll slice of a finished child waiting for the all-done signal.
 _DRAIN_SLICE = 0.05
-
-#: How long the parent waits, once every rank has reported, for the
-#: ranks to leave on their own before reaping them.  Fixed, not the run
-#: deadline: the result is complete by then, and a rank stuck in its
-#: exit drain (reading a half-written message from a peer that already
-#: exited) must not hold a correct run back until ``timeout``.
-_EXIT_GRACE = 2.0
 
 
 class ProcessWorkerError(RuntimeError):
@@ -82,15 +77,15 @@ class ProcessTimeoutError(ProcessWorkerError, BackendTimeoutError):
 
 
 class ProcessEndpoint:
-    """One rank's process-local mailbox over the shared inbox queues.
+    """One rank's side of the process channels.
 
     Duck-types the hub surface :func:`repro.runtime.executor._interpret`
     uses (``post``/``drain``/``receive``), so the effect interpreter is
-    byte-for-byte shared with the threaded backend.  ``injector`` is an
-    optional per-rank :class:`~repro.runtime.faults.ThreadFaultInjector`;
-    its decisions are applied sender-side (a dropped message is never
-    pickled, a duplicated one is posted twice, a delayed one waits in a
-    local heap until its wall-clock due time).
+    byte-for-byte shared with the threaded backend.  A post puts each
+    of the message's :func:`~repro.runtime.channels.fates` -- decided by
+    the optional per-rank ``injector`` -- on the destination's inbox as
+    a ``(message, due)`` pair; the receiving endpoint feeds its
+    :class:`~repro.runtime.channels.Mailbox` from its own inbox.
     """
 
     def __init__(
@@ -104,72 +99,40 @@ class ProcessEndpoint:
         self.size = size
         self._inboxes = inboxes
         self._inbox = inboxes[rank]
-        self._by_tag: Dict[str, List[Any]] = {}
         self.injector = injector
-        self._delayed: List[Tuple[float, int, Any]] = []
+        self.mailbox = Mailbox()
         self.messages_sent = 0
 
-    # ------------------------------------------------------------------
-    # sending
-    # ------------------------------------------------------------------
     def post(self, message) -> None:
         if not 0 <= message.dst < self.size:
             raise KeyError(f"unknown destination rank {message.dst}")
-        self._flush_due()
-        if self.injector is None:
-            self._send(message)
+        deliveries = fates(self.injector, message)
+        inbox = self._inboxes[message.dst]
+        for delivery in deliveries:
+            inbox.put(delivery)
+        self.messages_sent += len(deliveries)
+
+    def _feed(self, seconds: Optional[float] = 0.0) -> None:
+        """Move the inbox into the mailbox, waiting ``seconds`` for a message.
+
+        ``None`` blocks on the inbox outright (the parent's reaper is
+        the safety net).
+        """
+        try:
+            delivery = self._inbox.get(timeout=seconds)
+            while True:
+                self.mailbox.put(*delivery)
+                delivery = self._inbox.get_nowait()
+        except queue_mod.Empty:
             return
-        decision = self.injector.on_send(message, self.injector.now())
-        apply_fault_decision(decision, message, self._send, self._stash_delayed)
-
-    def _send(self, message) -> None:
-        self._inboxes[message.dst].put(message)
-        self.messages_sent += 1
-
-    def _stash_delayed(self, due: float, message) -> None:
-        heapq.heappush(self._delayed, (due, message.uid, message))
-
-    def _flush_due(self) -> None:
-        if not self._delayed:
-            return
-        now = time.monotonic()
-        while self._delayed and self._delayed[0][0] <= now:
-            self._send(heapq.heappop(self._delayed)[2])
-
-    def _next_due_wait(self) -> Optional[float]:
-        if not self._delayed:
-            return None
-        return max(0.0, self._delayed[0][0] - time.monotonic())
-
-    # ------------------------------------------------------------------
-    # receiving
-    # ------------------------------------------------------------------
-    def _stash(self, message) -> None:
-        message.delivered_at = time.monotonic()
-        self._by_tag.setdefault(message.tag, []).append(message)
-
-    def _pull_ready(self) -> None:
-        while True:
-            try:
-                message = self._inbox.get_nowait()
-            except queue_mod.Empty:
-                return
-            self._stash(message)
-
-    def _count(self, tag: Optional[str]) -> int:
-        if tag is None:
-            return sum(len(v) for v in self._by_tag.values())
-        return len(self._by_tag.get(tag, ()))
 
     def drain(self, rank: int, tag: Optional[str] = None) -> List[Any]:
-        self._flush_due()
-        self._pull_ready()
-        return drain_tagged(self._by_tag, tag)
+        self._feed()
+        return self.mailbox.take(tag)
 
     def pending(self, rank: int, tag: Optional[str] = None) -> int:
-        self._flush_due()
-        self._pull_ready()
-        return self._count(tag)
+        self._feed()
+        return self.mailbox.count(tag)
 
     def receive(
         self,
@@ -178,47 +141,8 @@ class ProcessEndpoint:
         count: int = 1,
         timeout: Optional[float] = None,
     ) -> List[Any]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        needed = max(1, count)
-        while True:
-            self._flush_due()
-            self._pull_ready()
-            if self._count(tag) >= needed:
-                return drain_tagged(self._by_tag, tag)
-            slice_timeout: Optional[float] = None
-            next_due = self._next_due_wait()
-            if next_due is not None:
-                slice_timeout = min(_RECEIVE_SLICE, max(1e-4, next_due))
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return []
-                slice_timeout = (
-                    remaining if slice_timeout is None
-                    else min(slice_timeout, remaining)
-                )
-            try:
-                # No deadline and nothing delayed: block on the inbox
-                # outright (the parent's reaper is the safety net).
-                message = self._inbox.get(timeout=slice_timeout)
-            except queue_mod.Empty:
-                continue
-            self._stash(message)
-
-    # ------------------------------------------------------------------
-    def flush_delayed(self) -> None:
-        """Deliver every still-pending delayed message, due or not.
-
-        Called when this rank's worker has finished: on the threaded
-        backend any *peer's* hub interaction would eventually flush the
-        shared delay heap, but this heap is per-rank and dies with the
-        process -- and the messages in it were already counted as
-        ``messages_delayed``.  Delivering them (a few milliseconds
-        early at worst; reorder delays are that small) keeps the
-        counters honest and the peers fed.
-        """
-        while self._delayed:
-            self._send(heapq.heappop(self._delayed)[2])
+        self._feed()
+        return self.mailbox.receive(tag, count, timeout, self._feed)
 
     def discard_inbox(self) -> None:
         """Throw away whatever is queued toward this rank (exit drain)."""
@@ -312,7 +236,6 @@ def _child_main(
             )
             results.put(("error", rank, f"{type(exc).__name__}: {exc}", detail))
             return
-        endpoint.flush_delayed()
         counters = {} if injector is None else dict(injector.counters)
         # Spans ship home as plain tuples (picklable, numpy-free) in the
         # exit report; the parent merges them into one GanttTrace.
@@ -478,11 +401,12 @@ def run_processes(
         _reap(processes)
         raise
     elapsed = time.monotonic() - start
+    # Every report is in, so the result is complete and nothing a rank
+    # still does can change it: reap at once.  A rank stuck in its exit
+    # drain (reading a half-written message from a peer that already
+    # exited) is terminated, not awaited.
     done.set()
-    grace_ends = time.monotonic() + _EXIT_GRACE
-    for process in processes:
-        process.join(max(0.0, grace_ends - time.monotonic()))
-    _reap(processes)  # no-op on the happy path; a rank stuck in its drain otherwise
+    _reap(processes)
     # Window accounting on the same axis the children used: the
     # earliest post-bootstrap anchor any rank reported.
     fault_counters: Dict[str, int] = _window_counters(scenario, min(anchors))

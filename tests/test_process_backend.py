@@ -221,7 +221,7 @@ def test_a_rank_stuck_after_reporting_does_not_hold_the_result_back(monkeypatch)
     elapsed = time.monotonic() - started
     assert sorted(reports) == [0, 1]
     assert all(report.converged for report in reports.values())
-    # The run itself, a fixed exit grace and the reap -- not the deadline.
+    # The run itself and the reap -- not the deadline.
     assert elapsed < timeout / 4
     assert multiprocessing.active_children() == []
 
@@ -342,12 +342,37 @@ def test_endpoint_releases_delayed_messages_at_their_due_time():
     sender.post(_msg(0, 1, "data", "late"))
     sender.post(_msg(0, 1, "data", "later"))
     assert injector.counters["messages_delayed"] == 2
-    assert receiver.pending(1) == 0  # still sitting in the sender heap
+    assert receiver.pending(1) == 0  # not yet due at the receiver
     time.sleep(0.09)
-    # Any hub interaction of the *sender* flushes its due messages.
+    # The sender's own calls release nothing; the receiver's mailbox does.
     sender.drain(0)
     got = receiver.receive(1, "data", count=2, timeout=1.0)
     assert sorted(m.payload for m in got) == ["late", "later"]
+
+
+@pytest.mark.parametrize("feed", ["threads", "processes"])
+def test_a_delayed_message_is_released_by_its_receiver_alone(feed):
+    from repro.api.faults import FaultPlan, MessageReorder
+    from repro.runtime.channels import ChannelHub
+
+    plan = FaultPlan(events=(
+        MessageReorder(probability=1.0, max_delay=0.05),
+    ), seed=2)
+    injector = ThreadFaultInjector(plan)
+    injector.start()
+    if feed == "threads":
+        sender = receiver = ChannelHub(2, injector)
+    else:
+        sender, receiver = _endpoint_pair(injector)
+    sender.post(_msg(0, 1, "data", "a"))
+    sender.post(_msg(0, 1, "data", "b"))
+    # A delayed message is sent (and counted) when it is posted...
+    assert sender.messages_sent == 2
+    assert injector.counters["messages_delayed"] == 2
+    # ...and from here on the sender does nothing: the receiver's own
+    # wait, capped at the next due time, releases both.
+    got = receiver.receive(1, "data", count=2, timeout=1.0)
+    assert sorted(m.payload for m in got) == ["a", "b"]
 
 
 # ----------------------------------------------------------------------

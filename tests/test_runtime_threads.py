@@ -1,5 +1,7 @@
 """Tests of the real-thread backend (channels + executor)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.sisc import sisc_worker
 from repro.problems.chemical import ChemicalConfig, ChemicalProblem
 from repro.problems.sparse_linear import SparseLinearConfig, SparseLinearProblem
 from repro.runtime import ChannelHub, run_threads
+from repro.runtime.channels import Mailbox
 from repro.runtime.executor import ThreadWorkerError
 from repro.simgrid.effects import Barrier, Compute, Drain, Now, Recv, Send
 from repro.simgrid.message import Message
@@ -49,6 +52,21 @@ def test_hub_validation():
     hub = ChannelHub(1)
     with pytest.raises(KeyError):
         hub.post(Message(src=0, dst=5, tag="a", payload=None))
+
+
+def test_mailbox_take_orders_a_released_delayed_message_by_visibility():
+    mailbox = Mailbox()
+    posted = time.monotonic()
+    late = Message(src=0, dst=1, tag="data", payload="late")
+    mailbox.put(late, due=posted + 0.1)
+    early = Message(src=0, dst=1, tag="state", payload="early")
+    mailbox.put(early)
+    assert mailbox.count() == 1  # the delayed one is not visible yet
+    time.sleep(0.12)
+    # ``late`` was posted first (lower uid) but became visible second.
+    assert [m.payload for m in mailbox.take()] == ["early", "late"]
+    assert early.delivered_at < posted + 0.1 <= late.delivered_at
+    assert mailbox.take() == [] and mailbox.delayed == []
 
 
 # ----------------------------------------------------------------------
