@@ -6,13 +6,6 @@ orthogonalisation and Givens rotations applied incrementally to the
 Hessenberg matrix, so the residual norm is available at every inner
 step without forming the solution.
 
-The algorithm body lives in :func:`gmres_gen`, a generator that *yields*
-every vector it needs multiplied by ``A`` and receives the product via
-``send``.  :func:`gmres` pumps it against a plain callable operator;
-the chemical Newton update (:mod:`repro.problems.chemical`) runs it
-inside its own generator and answers each product with a
-finite-difference strip evaluation.
-
 Inside a cycle only the vectors are numpy: the Hessenberg column, the
 rotations and the rotated right-hand side are Python floats in lists --
 the same IEEE double products and sums, without boxing a numpy scalar
@@ -26,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -44,25 +37,33 @@ class GMRESResult:
     converged: bool
 
 
-def gmres_gen(
+def gmres(
+    apply_a: Operator,
     b: np.ndarray,
     x0: Optional[np.ndarray] = None,
     tol: float = 1e-10,
     atol: float = 0.0,
     restart: int = 30,
     max_iterations: int = 10_000,
-) -> Generator[np.ndarray, np.ndarray, GMRESResult]:
-    """Inverted-control GMRES: yields vectors, receives ``A v`` products.
+) -> GMRESResult:
+    """Solve ``A x = b`` with restarted GMRES.
 
-    Every ``yield v`` asks the driver for ``A v``; the generator's
-    return value (the ``StopIteration`` payload) is the
-    :class:`GMRESResult`.  Parameters match :func:`gmres`.
-
-    Driver contract: a sent product is *consumed* -- the generator may
-    mutate it in place (Gram-Schmidt), so it must be a fresh array that
-    does not alias a previously yielded vector.  :func:`gmres` copies
-    defensively on behalf of arbitrary operators; the chemical Newton
-    update always sends freshly allocated evaluation results.
+    Parameters
+    ----------
+    apply_a:
+        Matrix-free operator returning ``A v``.  Its result is copied
+        before the in-place Gram-Schmidt, so it may return (a view of) a
+        buffer it reuses or its own input.
+    b:
+        Right-hand side.
+    x0:
+        Initial guess (zeros by default).
+    tol, atol:
+        Convergence when ``||r||_2 <= max(tol * ||b||_2, atol)``.
+    restart:
+        Krylov subspace dimension per cycle (GMRES(m)).
+    max_iterations:
+        Cap on total inner iterations.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -89,10 +90,7 @@ def gmres_gen(
     scratch = np.empty(n)
 
     while total_inner < max_iterations:
-        # The sent product is consumed (driver contract), so the
-        # residual can overwrite it in place.
-        p = np.asarray((yield x), dtype=float)
-        r = np.subtract(b, p, out=p)
+        r = b - apply_a(x)
         residual_norm = math.sqrt(float(np.dot(r, r)))
         if residual_norm <= target:
             return GMRESResult(
@@ -114,10 +112,9 @@ def gmres_gen(
         for k in range(m):
             if total_inner >= max_iterations:
                 break
-            w = np.asarray((yield rows[k]), dtype=float)
+            # A copy: the modified Gram-Schmidt below works in place.
+            w = np.array(apply_a(rows[k]), dtype=float)
             total_inner += 1
-            # Modified Gram-Schmidt (mutates ``w`` -- see the driver
-            # contract in the docstring).
             h = []
             for v in rows[: k + 1]:
                 hik = float(np.dot(w, v))
@@ -173,7 +170,7 @@ def gmres_gen(
 
     # Recompute the true residual to report an honest norm; a cycle
     # whose estimate met the target is allowed a factor 10 on it.
-    r = b - (yield x)
+    r = b - apply_a(x)
     true_norm = math.sqrt(float(np.dot(r, r)))
     slack = 10.0 if residual_norm <= target else 1.0
     return GMRESResult(
@@ -182,45 +179,4 @@ def gmres_gen(
     )
 
 
-def gmres(
-    apply_a: Operator,
-    b: np.ndarray,
-    x0: Optional[np.ndarray] = None,
-    tol: float = 1e-10,
-    atol: float = 0.0,
-    restart: int = 30,
-    max_iterations: int = 10_000,
-) -> GMRESResult:
-    """Solve ``A x = b`` with restarted GMRES.
-
-    Parameters
-    ----------
-    apply_a:
-        Matrix-free operator returning ``A v``.
-    b:
-        Right-hand side.
-    x0:
-        Initial guess (zeros by default).
-    tol, atol:
-        Convergence when ``||r||_2 <= max(tol * ||b||_2, atol)``.
-    restart:
-        Krylov subspace dimension per cycle (GMRES(m)).
-    max_iterations:
-        Cap on total inner iterations.
-    """
-    gen = gmres_gen(
-        b, x0=x0, tol=tol, atol=atol, restart=restart,
-        max_iterations=max_iterations,
-    )
-    try:
-        v = next(gen)
-        while True:
-            # Copy defensively: an arbitrary operator may return (a
-            # view of) a shared buffer, and the generator consumes the
-            # product in place (see the gmres_gen driver contract).
-            v = gen.send(np.array(apply_a(v), dtype=float, copy=True))
-    except StopIteration as stop:
-        return stop.value
-
-
-__all__ = ["gmres", "gmres_gen", "GMRESResult"]
+__all__ = ["gmres", "GMRESResult"]

@@ -1,7 +1,7 @@
 """Sparse matrix implementations (from scratch, numpy-backed).
 
-Two layouts are provided:
-
+* :class:`DiagonalMatrix` -- a diagonal matrix (the ``D`` of a Jacobi
+  splitting).
 * :class:`MultiDiagonalMatrix` -- the structure used by the paper's
   sparse linear problem ("repartition of non-zero values: 30
   sub-diagonals", Table 1).  Diagonals are stored densely (DIA layout)
@@ -11,15 +11,11 @@ Two layouts are provided:
   contiguous window of a zero-padded ``x``, fused by one ``einsum``
   with no per-diagonal Python loop (see the
   ``linalg.dia_row_block_matvec_us`` layer metric of ``benchmarks/perf/``).
-* :class:`CSRMatrix` -- a general compressed-sparse-row matrix used as
-  a fallback and as an independent implementation to cross-check the
-  DIA code in tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -258,99 +254,4 @@ class RowBlockOperator:
         return (RowBlockOperator, (self.matrix, self.lo, self.hi, self.x))
 
 
-class CSRMatrix:
-    """Compressed sparse row matrix (independent cross-check implementation)."""
-
-    def __init__(self, n_rows: int, n_cols: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> None:
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.data = np.asarray(data, dtype=float)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        if len(self.indptr) != n_rows + 1:
-            raise ValueError("indptr must have n_rows + 1 entries")
-        if self.indptr[0] != 0 or self.indptr[-1] != len(self.data):
-            raise ValueError("inconsistent indptr")
-        if len(self.indices) != len(self.data):
-            raise ValueError("indices/data length mismatch")
-        if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= n_cols):
-            raise ValueError("column index out of range")
-        # Row id of every stored value, precomputed once: the mat-vec
-        # reduces products per row with one C-level bincount.
-        self._row_ids = np.repeat(
-            np.arange(n_rows, dtype=np.int64), np.diff(self.indptr).astype(np.int64)
-        )
-
-    @classmethod
-    def from_coo(
-        cls,
-        n_rows: int,
-        n_cols: int,
-        rows: Iterable[int],
-        cols: Iterable[int],
-        values: Iterable[float],
-    ) -> "CSRMatrix":
-        rows = np.asarray(list(rows), dtype=np.int64)
-        cols = np.asarray(list(cols), dtype=np.int64)
-        values = np.asarray(list(values), dtype=float)
-        if not (len(rows) == len(cols) == len(values)):
-            raise ValueError("rows/cols/values must have equal length")
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        # Sum duplicates.
-        if len(rows):
-            keep = np.ones(len(rows), dtype=bool)
-            same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-            # accumulate forward
-            for i in np.flatnonzero(same):
-                values[i + 1] += values[i]
-                keep[i] = False
-            rows, cols, values = rows[keep], cols[keep], values[keep]
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        indptr = np.cumsum(indptr)
-        return cls(n_rows, n_cols, values, cols, indptr)
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, tol: float = 0.0) -> "CSRMatrix":
-        dense = np.asarray(dense, dtype=float)
-        rows, cols = np.nonzero(np.abs(dense) > tol)
-        return cls.from_coo(dense.shape[0], dense.shape[1], rows, cols, dense[rows, cols])
-
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_cols,):
-            raise ValueError(f"vector length {x.shape} != ({self.n_cols},)")
-        if not len(self.data):
-            # bincount with empty weights would return int64 zeros.
-            return np.zeros(self.n_rows, dtype=float)
-        products = self.data * x[self.indices]
-        # reduceat misbehaves on empty rows; bincount over precomputed
-        # row ids handles them and runs entirely in C.
-        return np.bincount(
-            self._row_ids, weights=products, minlength=self.n_rows
-        )
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_rows, self.n_cols), dtype=float)
-        for i in range(self.n_rows):
-            sl = slice(self.indptr[i], self.indptr[i + 1])
-            dense[i, self.indices[sl]] = self.data[sl]
-        return dense
-
-    def row_block(self, lo: int, hi: int) -> "CSRMatrix":
-        """Extract rows ``[lo, hi)`` as a new CSR matrix (same columns)."""
-        if not 0 <= lo <= hi <= self.n_rows:
-            raise ValueError(f"bad row range [{lo}, {hi})")
-        start, end = self.indptr[lo], self.indptr[hi]
-        indptr = self.indptr[lo : hi + 1] - start
-        return CSRMatrix(
-            hi - lo, self.n_cols, self.data[start:end], self.indices[start:end], indptr
-        )
-
-
-__all__ = ["DiagonalMatrix", "MultiDiagonalMatrix", "RowBlockOperator", "CSRMatrix"]
+__all__ = ["DiagonalMatrix", "MultiDiagonalMatrix", "RowBlockOperator"]

@@ -33,10 +33,9 @@ zero-initialised buffers and coefficient windows that are ``0.0`` there
 -- and interior lanes see the operands, operations and order of the
 cell-by-cell stencil, so results are bitwise layout-independent
 (``DESIGN.md``, "The chemical strip kernel and the Krylov scalars").
-Newton/GMRES are *generators* (:func:`scaled_newton_gen`,
-:func:`repro.linalg.gmres.gmres_gen`) yielding the points they need
-``g`` evaluated at; :func:`_pump` drives one against a strip's
-:class:`_StripEvaluator`.
+One Newton update (:func:`scaled_newton_update`) calls a strip's
+:class:`_StripEvaluator` directly and hands :func:`repro.linalg.gmres.gmres`
+a closure for the finite-difference Jacobian action.
 
 One Newton update is a pure function of its inputs, so the worlds of
 one ``SimulatedBackend.run_many`` share a :class:`SolveMemo`: a grid
@@ -54,8 +53,7 @@ from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.linalg.gmres import gmres_gen
-from repro.linalg.newton import fd_epsilon
+from repro.linalg.gmres import gmres
 from repro.linalg.partition import BlockPartition
 from repro.problems.base import LocalIteration, SteppedLocalSolver
 
@@ -530,6 +528,7 @@ class ChemicalProblem:
         cfg = self.config
         y_prev = c.ravel().copy()
         scale = cfg.rtol * np.abs(y_prev) + self.atol_vector(cfg.nz)
+        g = _StripEvaluator(self, cfg.nz, y_prev, scale, 0, None, None, t_new)
         y = y_prev.copy()
         fevals = 0
         gmres_iters = 0
@@ -537,8 +536,7 @@ class ChemicalProblem:
         scaled_res = float("inf")
         for _ in range(cfg.max_newton_iterations):
             y, info = scaled_newton_update(
-                self, cfg, y, y_prev, t_new,
-                z_lo=0, rows=cfg.nz, halo_top=None, halo_bottom=None, scale=scale,
+                self, g, y, y_prev, t_new, z_lo=0, rows=cfg.nz, scale=scale,
             )
             fevals += info["function_evaluations"]
             gmres_iters += info["gmres_iterations"]
@@ -625,20 +623,34 @@ class _StripEvaluator:
         return res
 
 
-def scaled_newton_gen(
-    problem: "ChemicalProblem",
-    cfg: "ChemicalConfig",
+#: A Newton update's result: the new state and its ``info`` dict.
+_Outcome = Tuple[np.ndarray, Dict[str, Any]]
+
+#: sqrt(machine epsilon): the base step of the FD directional derivative.
+SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+
+
+def fd_epsilon(x_norm: float, v_norm: float) -> float:
+    """The FD perturbation size ``e = sqrt(eps) * (1 + ||x||) / ||v||``.
+
+    The standard scaling keeps the perturbation well conditioned across
+    the huge dynamic range of the chemical concentrations.
+    """
+    return SQRT_EPS * (1.0 + x_norm) / v_norm
+
+
+def scaled_newton_update(
+    problem: ChemicalProblem,
+    g: _StripEvaluator,
     y_flat: np.ndarray,
     y_prev: np.ndarray,
     t_new: float,
     z_lo: int,
     rows: int,
-    halo_top: Optional[np.ndarray],
-    halo_bottom: Optional[np.ndarray],
     scale: np.ndarray,
     fu0: Optional[np.ndarray] = None,
-):
-    """One Newton linearisation + GMRES correction as a generator.
+) -> _Outcome:
+    """One Newton linearisation + GMRES correction, in scaled variables.
 
     The implicit-Euler residual ``G(y) = y - y_prev - dt f(y)`` is
     transformed with ``y = y_prev + S u`` and ``Ghat(u) = G(y)/s``
@@ -650,25 +662,22 @@ def scaled_newton_gen(
     (:meth:`ChemicalProblem.g_diag_strip`), which absorbs the
     photochemical stiffness of c1.
 
-    Every ``yield p`` asks the driver for ``Ghat`` at the *unscaled*
-    state ``p`` (:class:`_StripEvaluator`); each yield is one function
-    evaluation.  Returns ``(y_new, info)`` via ``StopIteration``.
+    ``g`` is the strip's :class:`_StripEvaluator` (``Ghat`` at an
+    *unscaled* state, with its halos); each call is one function
+    evaluation.  Returns the updated (unscaled) state and an info dict
+    with the evaluation counts used for flop accounting.
 
     ``fu0`` is an optional precomputed ``Ghat(y_flat)``: the previous
     Newton update finished with exactly that evaluation, so when
-    neither the state nor the halos changed since, the driver passes
+    neither the state nor the halos changed since, the caller passes
     it in and the host-side evaluation is skipped.  Like the
     memoization in :class:`ChemicalLocal`, this is purely a host
     optimization: the evaluation is still *charged* (``fevals``
     counts it), so simulated flops -- and therefore every counter of
     the run -- are bit-identical with and without the carry.
     """
-    physical_top = z_lo == 0
-    physical_bottom = z_lo + rows == cfg.nz
-    if fu0 is None:
-        fu = yield y_flat
-    else:
-        fu = fu0
+    cfg = problem.config
+    fu = g(y_flat) if fu0 is None else fu0
     fevals = 1
     scaled_res_before = math.sqrt(float(np.dot(fu, fu)) / fu.size)
     info: Dict[str, Any] = {
@@ -690,100 +699,53 @@ def scaled_newton_gen(
     # same diagonal as dG/dy because the scalings cancel entrywise.
     diag = problem.g_diag_strip(
         y_flat.reshape((2, rows, cfg.nx)),
-        t_new, z_lo, physical_top, physical_bottom,
+        t_new, z_lo, z_lo == 0, z_lo + rows == cfg.nz,
     )
     un = (y_flat - y_prev) / scale
     u_norm = math.sqrt(float(np.dot(un, un)))
-    lin_gen = gmres_gen(
-        -fu, tol=cfg.gmres_tol, restart=cfg.gmres_restart,
+
+    def jacobian(v: np.ndarray) -> np.ndarray:
+        # Right-preconditioned FD Jacobian action: A v = J (v/diag),
+        # J w ~ (Ghat(u + e w) - Ghat(u)) / e, evaluated at the unscaled
+        # point y + e (s * w).  A zero direction short-circuits to zeros
+        # without an evaluation.
+        nonlocal fevals
+        vp = v / diag
+        v_norm = math.sqrt(float(np.dot(vp, vp)))
+        if v_norm == 0.0:
+            return vp  # already all zeros
+        e = fd_epsilon(u_norm, v_norm)
+        # vp is ours: finish the step in place (scale, then perturb off
+        # y); gu is a fresh evaluation result, so the difference
+        # quotient can reuse it too.
+        vp *= scale
+        vp *= e
+        vp += y_flat
+        gu = g(vp)
+        fevals += 1
+        np.subtract(gu, fu, out=gu)
+        gu /= e
+        return gu
+
+    lin = gmres(
+        jacobian, -fu, tol=cfg.gmres_tol, restart=cfg.gmres_restart,
         max_iterations=cfg.gmres_max_iterations,
     )
-    try:
-        v = next(lin_gen)
-        while True:
-            # Right-preconditioned FD Jacobian action: A v = J (v/diag),
-            # J w ~ (Ghat(u + e w) - Ghat(u)) / e, evaluated at the
-            # unscaled point y + e (s * w).  A zero direction
-            # short-circuits to zeros without an evaluation, exactly as
-            # fd_jacobian_operator does.
-            vp = v / diag
-            v_norm = math.sqrt(float(np.dot(vp, vp)))
-            if v_norm == 0.0:
-                av = vp  # already all zeros
-            else:
-                e = fd_epsilon(u_norm, v_norm)
-                # vp is ours: finish the step in place (scale, then
-                # perturb off y); gu is a fresh evaluation result, so
-                # the difference quotient can reuse it too.
-                vp *= scale
-                vp *= e
-                vp += y_flat
-                gu = yield vp
-                fevals += 1
-                np.subtract(gu, fu, out=gu)
-                gu /= e
-                av = gu
-            v = lin_gen.send(av)
-    except StopIteration as stop:
-        lin = stop.value
-    du = scale * (lin.x / diag)
-    y_new = y_flat + du
-    fu_new = yield y_new
+    y_new = y_flat + scale * (lin.x / diag)
+    fu_new = g(y_new)
     fevals += 1
-    scaled_res_after = math.sqrt(float(np.dot(fu_new, fu_new)) / fu_new.size)
     info.update(
         gmres_iterations=lin.iterations,
         function_evaluations=fevals,
-        scaled_residual_after=scaled_res_after,
+        scaled_residual_after=math.sqrt(float(np.dot(fu_new, fu_new)) / fu_new.size),
         _fu=fu_new,
     )
     return y_new, info
 
 
-def _pump(gen, g: _StripEvaluator):
-    """Drive a Newton generator against its strip evaluator."""
-    try:
-        point = next(gen)
-        while True:
-            point = gen.send(g(point))
-    except StopIteration as stop:
-        return stop.value
-
-
-def scaled_newton_update(
-    problem: "ChemicalProblem",
-    cfg: "ChemicalConfig",
-    y_flat: np.ndarray,
-    y_prev: np.ndarray,
-    t_new: float,
-    z_lo: int,
-    rows: int,
-    halo_top: Optional[np.ndarray],
-    halo_bottom: Optional[np.ndarray],
-    scale: np.ndarray,
-) -> Tuple[np.ndarray, Dict[str, float]]:
-    """One Newton linearisation + GMRES correction, in scaled variables.
-
-    Pumps :func:`scaled_newton_gen` against a fresh
-    :class:`_StripEvaluator`.  Returns the updated (unscaled) state and
-    an info dict with the evaluation counts used for flop accounting.
-    """
-    g = _StripEvaluator(
-        problem, rows, y_prev, scale, z_lo, halo_top, halo_bottom, t_new
-    )
-    gen = scaled_newton_gen(
-        problem, cfg, y_flat, y_prev, t_new,
-        z_lo, rows, halo_top, halo_bottom, scale,
-    )
-    return _pump(gen, g)
-
-
 #: Byte budget of one :class:`SolveMemo`: the key bytes and outcome
 #: arrays of its entries (interpreter overhead comes on top).
 MEMO_BYTES = 32 << 20
-
-#: A Newton update's result: the new state and its ``info`` dict.
-_Outcome = Tuple[np.ndarray, Dict[str, Any]]
 
 
 def _bytes(a: Optional[np.ndarray]) -> Optional[bytes]:
@@ -976,11 +938,10 @@ class ChemicalLocal(SteppedLocalSolver):
         else:
             g.halo_top = self.halo_top
             g.halo_bottom = self.halo_bottom
-        return _pump(scaled_newton_gen(
-            self.problem, self.problem.config, self.c.ravel(), self._y_prev,
-            self._t_new, self.z_lo, self.rows, self.halo_top,
-            self.halo_bottom, self._scale, fu0=fu0,
-        ), g)
+        return scaled_newton_update(
+            self.problem, g, self.c.ravel(), self._y_prev, self._t_new,
+            self.z_lo, self.rows, self._scale, fu0=fu0,
+        )
 
     def _memo_key(self, fu0: Optional[np.ndarray]) -> Tuple:
         """Every input of this iterate's Newton update: the config,
@@ -996,7 +957,8 @@ class ChemicalLocal(SteppedLocalSolver):
         )
 
     def _finish_iterate(self, outcome) -> LocalIteration:
-        """Turn a Newton-generator result into a :class:`LocalIteration`."""
+        """Turn a Newton update's ``(y_new, info)`` into a
+        :class:`LocalIteration`."""
         y_new, info = outcome
         y = self.c.ravel()
         d = y_new - y
@@ -1087,7 +1049,6 @@ __all__ = [
     "PAPER_CHEMICAL",
     "SolveMemo",
     "make_chemical_problem",
-    "scaled_newton_gen",
     "scaled_newton_update",
     "kv",
     "q3",

@@ -454,6 +454,53 @@ def test_memo_key_may_leave_out_the_scale():
         strip.end_step(step)
 
 
+def test_residual_carry_skips_one_evaluation_and_charges_it():
+    """Passing the residual a previous update ended with as ``fu0``
+    saves exactly one strip evaluation and changes nothing else: the
+    same ``y_new`` bytes and the same ``info``, ``function_evaluations``
+    included -- on a full update and on an early exit."""
+    from repro.problems.chemical import _StripEvaluator, scaled_newton_update
+
+    p = _problem(nx=6, nz=9, t_end=360.0)
+    strip = _stepped_strip(p)
+    evaluator = _StripEvaluator(
+        p, strip.rows, strip._y_prev, strip._scale, strip.z_lo,
+        strip.halo_top, strip.halo_bottom, strip._t_new,
+    )
+    calls = [0]
+
+    def counted(y):
+        calls[0] += 1
+        return evaluator(y)
+
+    def update(y, fu0):
+        before = calls[0]
+        y_new, info = scaled_newton_update(
+            p, counted, y, strip._y_prev, strip._t_new, strip.z_lo,
+            strip.rows, strip._scale, fu0=fu0,
+        )
+        return y_new, info, calls[0] - before
+
+    def same_outcome(y, fu0):
+        y_new, info, evaluations = update(y, None)
+        carried_y, carried, carried_evaluations = update(y, fu0.copy())
+        assert carried_y.tobytes() == y_new.tobytes()
+        assert carried["_fu"].tobytes() == info["_fu"].tobytes()
+        assert {**carried, "_fu": None} == {**info, "_fu": None}
+        assert carried_evaluations == evaluations - 1
+        return y_new, info
+
+    y, info, _ = update(strip.c.ravel(), None)
+    assert not info["early_exit"]
+    seen = set()
+    for _ in range(p.config.max_newton_iterations):
+        y, info = same_outcome(y, info["_fu"])
+        seen.add(info["early_exit"])
+        if info["early_exit"]:
+            break
+    assert seen == {False, True}
+
+
 # ----------------------------------------------------------------------
 # the strip kernel against a cell-by-cell oracle
 # ----------------------------------------------------------------------

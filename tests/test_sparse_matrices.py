@@ -1,4 +1,4 @@
-"""Tests for the sparse matrix layouts (DIA and CSR cross-checks)."""
+"""Tests for the sparse matrix layouts (diagonal and DIA)."""
 
 import pickle
 import sys
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.linalg.gradient import FixedStepGradient
 from repro.linalg.partition import BlockPartition, WeightedPartition
-from repro.linalg.sparse import CSRMatrix, DiagonalMatrix, MultiDiagonalMatrix
+from repro.linalg.sparse import DiagonalMatrix, MultiDiagonalMatrix
 from repro.linalg.splitting import block_column_dependencies
 
 
@@ -43,9 +43,12 @@ def _random_multidiag(n=20, offsets=(-7, -2, 0, 3, 11), seed=0):
 
 
 def test_multidiag_matvec_matches_dense():
-    m = _random_multidiag()
-    x = np.random.default_rng(1).standard_normal(m.n)
-    assert np.allclose(m.matvec(x), m.to_dense() @ x)
+    for m, seed in (
+        (_random_multidiag(), 1),
+        (_random_multidiag(n=25, offsets=(-9, -1, 0, 4, 17), seed=9), 10),
+    ):
+        x = np.random.default_rng(seed).standard_normal(m.n)
+        assert np.allclose(m.matvec(x), m.to_dense() @ x)
 
 
 def test_multidiag_row_block_matches_full():
@@ -354,66 +357,3 @@ def test_structure_maps_of_a_block_no_diagonal_meets():
     assert block_column_dependencies(small, BlockPartition(3, 7)) == {
         0: {1}, 1: {2}, 2: {0}, 3: set(), 4: set(), 5: set(), 6: set(),
     }
-
-
-# ----------------------------------------------------------------------
-# CSRMatrix
-# ----------------------------------------------------------------------
-def test_csr_from_dense_roundtrip():
-    rng = np.random.default_rng(3)
-    dense = rng.standard_normal((6, 8))
-    dense[np.abs(dense) < 0.7] = 0.0
-    csr = CSRMatrix.from_dense(dense)
-    assert np.allclose(csr.to_dense(), dense)
-
-
-def test_csr_matvec_matches_dense():
-    rng = np.random.default_rng(4)
-    dense = rng.standard_normal((7, 7))
-    dense[np.abs(dense) < 0.5] = 0.0
-    csr = CSRMatrix.from_dense(dense)
-    x = rng.standard_normal(7)
-    assert np.allclose(csr.matvec(x), dense @ x)
-
-
-def test_csr_from_coo_sums_duplicates():
-    csr = CSRMatrix.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [1.0, 2.0, 5.0])
-    dense = csr.to_dense()
-    assert dense[0, 1] == pytest.approx(3.0)
-    assert dense[1, 0] == pytest.approx(5.0)
-
-
-def test_csr_row_block_extraction():
-    rng = np.random.default_rng(5)
-    dense = rng.standard_normal((8, 5))
-    dense[np.abs(dense) < 0.6] = 0.0
-    csr = CSRMatrix.from_dense(dense)
-    block = csr.row_block(2, 6)
-    assert np.allclose(block.to_dense(), dense[2:6])
-
-
-def test_csr_handles_empty_rows():
-    dense = np.zeros((4, 4))
-    dense[1, 2] = 3.0
-    csr = CSRMatrix.from_dense(dense)
-    assert np.allclose(csr.matvec(np.ones(4)), [0.0, 3.0, 0.0, 0.0])
-
-
-def test_csr_validation():
-    with pytest.raises(ValueError):
-        CSRMatrix(2, 2, np.ones(1), np.array([5]), np.array([0, 1, 1]))
-    with pytest.raises(ValueError):
-        CSRMatrix(2, 2, np.ones(1), np.array([0]), np.array([0, 1]))
-    csr = CSRMatrix.from_dense(np.eye(3))
-    with pytest.raises(ValueError):
-        csr.matvec(np.zeros(5))
-    with pytest.raises(ValueError):
-        csr.row_block(2, 1)
-
-
-def test_csr_cross_checks_multidiag():
-    """Two independent sparse implementations must agree."""
-    m = _random_multidiag(n=25, offsets=(-9, -1, 0, 4, 17), seed=9)
-    csr = CSRMatrix.from_dense(m.to_dense())
-    x = np.random.default_rng(10).standard_normal(25)
-    assert np.allclose(m.matvec(x), csr.matvec(x))
