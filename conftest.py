@@ -4,8 +4,13 @@ Everything under ``benchmarks/`` is tagged with the ``benchmark``
 marker so environments without the paper-scale time budget (CI, quick
 local loops) can exclude it with ``-m "not benchmark"``; a plain
 ``pytest`` run still collects the full suite.
+
+Every test starts with no problem instance held by
+``Scenario.build_problem``, so no outcome depends on which test ran
+before it.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +33,10 @@ def pytest_collection_modifyitems(config, items):
             continue
         if relative.parts and relative.parts[0] == "benchmarks":
             item.add_marker(pytest.mark.benchmark)
+
+
+@pytest.fixture(autouse=True)
+def _empty_problem_slot():
+    scenario = sys.modules.get("repro.api.scenario")
+    if scenario is not None:
+        scenario._LAST_BUILT = None

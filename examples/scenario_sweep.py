@@ -2,7 +2,7 @@
 """Declarative sweeps: a grid of runs as plain data.
 
 Builds an (environment x problem size) scenario grid from one base
-value, fans it out over a process pool with :func:`repro.api.sweep`,
+value, fans it out over a process pool with :func:`repro.sweep.run_sweep`,
 and prints the resulting records -- then re-runs one scenario of the
 grid, unchanged, on the real-thread backend.  This is the paper's
 comparison methodology as a data structure: scenarios round-trip
@@ -15,8 +15,9 @@ Illustrates:  docs/scenarios.md
 
 import json
 
-from repro.api import Scenario, run_scenario, scenario_matrix, sweep
+from repro.api import Scenario, run_scenario, scenario_matrix
 from repro.core.aiac import AIACOptions
+from repro.sweep import run_sweep
 
 
 def main() -> None:
@@ -34,7 +35,7 @@ def main() -> None:
         problem_params__n=[600, 1200],
     )
     print(f"sweeping {len(grid)} scenarios over 2 processes...")
-    records = sweep(grid, processes=2)
+    records = run_sweep(grid, placement="pool", processes=2).records
     for record in records:
         scenario = record["scenario"]
         print(f"  {scenario['environment']:<9s} n={scenario['problem_params']['n']:<5d} "

@@ -39,7 +39,6 @@ from repro.api import (
     get_backend,
     run_scenario,
     scenario_matrix,
-    sweep,
 )
 
 __version__ = "1.2.0"
@@ -58,6 +57,5 @@ __all__ = [
     "get_backend",
     "run_scenario",
     "scenario_matrix",
-    "sweep",
     "__version__",
 ]

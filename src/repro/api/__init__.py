@@ -11,12 +11,13 @@ comparison first-class:
   :class:`ProcessBackend` -- three interpreters of the same scenario
   value (discrete-event simulation, real threads, real multi-core OS
   processes), all returning the unified :class:`RunResult`;
-* :func:`sweep` -- the grid runner fanning scenario lists over a
-  ``multiprocessing`` pool into JSON-serializable records.
+* :func:`scenario_matrix` -- a scenario grid, which
+  :func:`repro.sweep.run_sweep` runs into JSON-serializable records.
 
 Quickstart::
 
-    from repro.api import Scenario, run_scenario, sweep, scenario_matrix
+    from repro.api import Scenario, run_scenario, scenario_matrix
+    from repro.sweep import run_sweep
 
     base = Scenario(problem="sparse_linear",
                     problem_params={"n": 1200, "dominance": 0.9},
@@ -25,10 +26,10 @@ Quickstart::
                     environment="pm2", n_ranks=6)
     result = run_scenario(base)                      # simulated
     result = run_scenario(base, backend="threaded")  # same value, real threads
-    records = sweep(scenario_matrix(base,
-                                    environment=["sync_mpi", "pm2"],
-                                    problem_params__n=[600, 1200]),
-                    processes=4)
+    records = run_sweep(scenario_matrix(base,
+                                        environment=["sync_mpi", "pm2"],
+                                        problem_params__n=[600, 1200]),
+                        placement="pool", processes=4).records
 
 Guides: ``docs/quickstart.md`` (first run), ``docs/scenarios.md``
 (field/registry reference), ``docs/backends.md`` (execution
@@ -75,7 +76,6 @@ from repro.api.registry import (
 from repro.api.result import RankProgress, RunResult, jsonify
 from repro.balancing import BalancingPlan
 from repro.api.scenario import Scenario, scenario_matrix
-from repro.api.sweep import sweep
 
 __all__ = [
     "Scenario",
@@ -103,7 +103,6 @@ __all__ = [
     "get_backend",
     "list_backends",
     "run_scenario",
-    "sweep",
     "register_worker",
     "get_worker",
     "list_workers",

@@ -5,7 +5,7 @@ threads, callers get the same object: ``makespan`` (simulated seconds
 or wall seconds), the per-rank :class:`~repro.core.aiac.WorkerReport`
 mapping, convergence/iteration aggregates, the assembled global
 ``solution()`` and a JSON-serializable ``to_record()`` /
-``from_record()`` round-trip -- the currency of :func:`repro.api.sweep`.
+``from_record()`` round-trip -- the currency of :func:`repro.sweep.run_sweep`.
 """
 
 from __future__ import annotations

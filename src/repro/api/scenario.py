@@ -6,7 +6,7 @@ A :class:`Scenario` names a problem, an environment, a cluster preset
 and an algorithm -- all as registry strings plus plain parameter dicts
 -- so the identical value can be executed on the discrete-event
 simulator or on real threads (:mod:`repro.api.backends`), swept over a
-grid (:mod:`repro.api.sweep`), serialized to JSON and rebuilt on the
+grid (:mod:`repro.sweep`), serialized to JSON and rebuilt on the
 other side of a process pool.
 """
 
@@ -17,7 +17,7 @@ import hashlib
 import inspect
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.api.faults import FaultPlan
 from repro.balancing.policy import BalancingPlan
@@ -26,6 +26,11 @@ from repro.core.aiac import AIACOptions
 from repro.core.run import WORKER_REGISTRY
 from repro.envs import Environment, get_environment
 from repro.problems import get_problem_factory
+
+
+#: ``(factory, params_json, instance)`` of the last problem
+#: :meth:`Scenario.build_problem` built in this process, or ``None``.
+_LAST_BUILT: Optional[Tuple[Any, str, Any]] = None
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,12 +197,33 @@ class Scenario:
     # builders
     # ------------------------------------------------------------------
     def build_problem(self) -> Any:
-        """Instantiate the problem from the registry."""
+        """The problem instance: built from the registry, or the last one.
+
+        The key is the registered factory object plus the resolved
+        parameters (the scenario ``seed`` injected) as canonical JSON.
+        When it matches the instance this process built last, that
+        instance is returned instead of building again -- so scenarios
+        derived over environment, cluster, rank count or algorithm
+        share one instance.  Parameters that cannot be JSON-encoded are
+        built every time.  A built instance is shared and must be
+        treated as read-only (DESIGN.md "Problem instances are built
+        once per process").
+        """
+        global _LAST_BUILT
         factory = get_problem_factory(self.problem)
         params = dict(self.problem_params)
         if self.seed is not None and "seed" not in params and _accepts(factory, "seed"):
             params["seed"] = self.seed
-        return factory(**params)
+        try:
+            key = json.dumps(params, sort_keys=True, separators=(",", ":"))
+        except (TypeError, ValueError):
+            return factory(**params)
+        last = _LAST_BUILT
+        if last is not None and last[0] is factory and last[1] == key:
+            return last[2]
+        problem = factory(**params)
+        _LAST_BUILT = (factory, key, problem)
+        return problem
 
     def build_environment(self) -> Environment:
         """Look up the environment model."""

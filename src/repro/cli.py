@@ -10,7 +10,7 @@ Installed as the ``repro`` command (see ``setup.py``); also runnable as
 ``repro run scenarios.json [--backend NAME] [--processes N]
 [--include-solution] [--output records.json]``
     Execute the scenario(s) in a JSON file through
-    :func:`repro.api.sweep` and print (or write) one record per
+    :func:`repro.sweep.run_sweep` and print (or write) one record per
     scenario.  The file holds one scenario dict or a list of them, in
     :meth:`repro.api.Scenario.to_dict` form -- minimally just
     ``{"problem": "sparse_linear"}``.  See ``docs/scenarios.md``.
@@ -86,7 +86,6 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.api import sweep
 from repro.api.registry import (
     list_backends,
     list_balancers,
@@ -132,16 +131,19 @@ def _load_scenario_list(path: str):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.sweep import run_sweep
+
     data = _load_scenario_list(args.scenarios)
     if data is None:
         return 2
     try:
-        records = sweep(
+        records = run_sweep(
             data,
             backend=args.backend,
+            placement="pool" if args.processes > 1 else "local",
             processes=args.processes,
             include_solution=args.include_solution,
-        )
+        ).records
     except (KeyError, ValueError) as exc:
         # Bad backend name or malformed scenario: the registry/scenario
         # errors already name the offender and the known alternatives.

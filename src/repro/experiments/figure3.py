@@ -24,11 +24,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.api import Scenario, sweep
+from repro.api import Scenario
 from repro.core.aiac import AIACOptions
 from repro.envs import all_environments
 from repro.experiments.common import DEFAULT_BACKEND, render_table
 from repro.problems.chemical import ChemicalConfig, ChemicalProblem
+from repro.sweep import run_sweep
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,11 @@ def figure3_scenarios(config: Figure3Config = Figure3Config()) -> List[Scenario]
 
 def run_figure3(config: Figure3Config = Figure3Config()) -> Dict[str, object]:
     scenarios = figure3_scenarios(config)
-    records = sweep(scenarios, DEFAULT_BACKEND, processes=config.processes)
+    records = run_sweep(
+        scenarios, DEFAULT_BACKEND,
+        placement="pool" if config.processes > 1 else "local",
+        processes=config.processes,
+    ).records
     failures = [r for r in records if "error" in r]
     if failures:
         raise RuntimeError(

@@ -35,7 +35,6 @@ from repro.experiments.common import (
     run_scenario_case,
     speed_ratios,
 )
-from repro.problems.sparse_linear import SparseLinearConfig, SparseLinearProblem
 
 #: Paper reference values for EXPERIMENTS.md comparisons.
 PAPER_TABLE2 = {
@@ -64,11 +63,6 @@ class Table2Config:
 
 def run_table2(config: Table2Config = Table2Config()) -> Dict[str, object]:
     """Run all four environments; returns rows + the problem instance."""
-    problem = SparseLinearProblem(
-        SparseLinearConfig(
-            n=config.n, eps=config.eps, dominance=config.dominance, seed=config.seed
-        )
-    )
     opts = AIACOptions(
         eps=config.eps,
         stability_count=config.stability_count,
@@ -89,6 +83,7 @@ def run_table2(config: Table2Config = Table2Config()) -> Dict[str, object]:
         options=opts,
         name="table2",
     )
+    problem = base.build_problem()  # the instance every environment's run shares
     rows: List[EnvironmentRow] = []
     for env in all_environments():
         result = run_scenario_case(base.derive(environment=env.name))

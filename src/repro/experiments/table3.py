@@ -41,7 +41,6 @@ from repro.experiments.common import (
     run_scenario_case,
     speed_ratios,
 )
-from repro.problems.chemical import ChemicalConfig, ChemicalProblem
 
 PAPER_TABLE3 = {
     "Ethernet": {
@@ -95,9 +94,9 @@ def _cluster_spec(name: str, config: Table3Config):
 
 
 def run_table3(config: Table3Config = Table3Config()) -> Dict[str, object]:
-    problem = ChemicalProblem(
-        ChemicalConfig(nx=config.nx, nz=config.nz, t_end=config.t_end)
-    )
+    params = dict(nx=config.nx, nz=config.nz, t_end=config.t_end)
+    # The instance every run below shares (Scenario.build_problem).
+    problem = Scenario(problem="chemical", problem_params=params).build_problem()
     c_reference, _ = problem.solve_sequential()
     opts = AIACOptions(
         eps=problem.config.inner_eps,
@@ -109,7 +108,7 @@ def run_table3(config: Table3Config = Table3Config()) -> Dict[str, object]:
         cluster, cluster_params = _cluster_spec(cluster_name, config)
         base = Scenario(
             problem="chemical",
-            problem_params=dict(nx=config.nx, nz=config.nz, t_end=config.t_end),
+            problem_params=params,
             cluster=cluster,
             cluster_params=cluster_params,
             n_ranks=config.n_ranks,

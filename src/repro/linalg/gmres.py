@@ -51,9 +51,9 @@ def gmres(
     Parameters
     ----------
     apply_a:
-        Matrix-free operator returning ``A v``.  Its result is copied
-        before the in-place Gram-Schmidt, so it may return (a view of) a
-        buffer it reuses or its own input.
+        Matrix-free operator returning ``A v``.  Its result is only
+        read, never written, so it may return (a view of) a buffer it
+        reuses or its own input.
     b:
         Right-hand side.
     x0:
@@ -112,11 +112,17 @@ def gmres(
         for k in range(m):
             if total_inner >= max_iterations:
                 break
-            # A copy: the modified Gram-Schmidt below works in place.
-            w = np.array(apply_a(rows[k]), dtype=float)
+            # Modified Gram-Schmidt into row ``k + 1``: the first
+            # projection reads the product out of place, the rest and
+            # the normalisation work in place there.
+            p = np.asarray(apply_a(rows[k]), dtype=float)
             total_inner += 1
-            h = []
-            for v in rows[: k + 1]:
+            w = rows[k + 1]
+            h0 = float(np.dot(p, rows[0]))
+            h = [h0]
+            np.multiply(rows[0], h0, out=scratch)
+            np.subtract(p, scratch, out=w)
+            for v in rows[1 : k + 1]:
                 hik = float(np.dot(w, v))
                 h.append(hik)
                 np.multiply(v, hik, out=scratch)
@@ -124,10 +130,10 @@ def gmres(
             sub = math.sqrt(float(np.dot(w, w)))
             # "Happy breakdown": the Krylov space became invariant.
             # Tested on the subdiagonal itself, which the new rotation
-            # below eliminates.
+            # below eliminates.  Row ``k + 1`` is then never read.
             happy_breakdown = sub <= 1e-300
             if not happy_breakdown:
-                np.divide(w, sub, out=rows[k + 1])
+                w /= sub
             # Apply previous rotations, then compute the new one.
             hi = h[0]
             for i in range(k):

@@ -1,7 +1,6 @@
 """Sharded, resumable scenario sweeps with pluggable placement.
 
-The work-queue successor to the classic :func:`repro.api.sweep` grid
-runner (which now delegates here).  A grid of scenarios is validated
+The one grid runner of the package.  A grid of scenarios is validated
 up front, coalesced into distinct units by ``content_hash + seed``,
 admitted to the work queue it shares with ``repro serve`` (settled
 units come back from the on-disk cache + journal), and the remainder

@@ -62,8 +62,8 @@ SOURCE_RESUMED = "resumed"
 class SweepOutcome:
     """What a sweep produced, beyond the records themselves.
 
-    ``records`` is one dict per input index, in input order, in the
-    classic :func:`repro.api.sweep` vocabulary (``index`` plus either
+    ``records`` is one dict per input index, in input order (``index``
+    plus either
     :meth:`~repro.api.RunResult.to_record` fields or ``error`` /
     ``traceback``).  ``counters`` accounts for every distinct unit:
     ``executed + cache_hits + resumed + failed`` covers them all, with
@@ -199,8 +199,7 @@ def run_sweep(
     if placement == "pool" and backend_name == "process":
         # The process backend spawns one child per rank and already
         # parallelises internally; hosting it inside pool workers would
-        # nest process trees for no throughput gain.  Same reroute the
-        # classic sweep() applied.
+        # nest process trees for no throughput gain.
         placement, placement_cls = "local", get_placement("local")
 
     counters = {

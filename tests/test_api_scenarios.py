@@ -26,13 +26,13 @@ from repro.api import (
     register_problem,
     run_scenario,
     scenario_matrix,
-    sweep,
 )
 from repro.clusters import CLUSTER_REGISTRY
 from repro.core.aiac import AIACOptions
 from repro.core.run import get_worker
 from repro.problems import PROBLEM_REGISTRY
 from repro.problems.sparse_linear import SparseLinearConfig, SparseLinearProblem
+from repro.sweep import run_sweep
 
 FAST_LINEAR = dict(n=150, sign_structure="random", eps=1e-6)
 
@@ -298,11 +298,11 @@ def test_sweep_grid_across_processes():
         n_ranks=[2, 3],
     )
     assert len(grid) == 12
-    records = sweep(grid, processes=2)
+    records = run_sweep(grid, placement="pool", processes=2).records
     assert [r["index"] for r in records] == list(range(12))
     json.dumps(records)  # fully serializable
     assert all(r["converged"] for r in records)
-    serial = sweep(grid, processes=1)
+    serial = run_sweep(grid, placement="local", processes=1).records
     assert [r["makespan"] for r in records] == [r["makespan"] for r in serial]
 
 
@@ -310,12 +310,26 @@ def test_sweep_accepts_dicts_and_captures_failures():
     good = _fast_scenario().to_dict()
     bad = _fast_scenario(cluster="no_such_cluster").to_dict()
     malformed = dict(good, algorithm="no_such_worker")  # fails from_dict itself
-    records = sweep([good, bad, malformed])
+    records = run_sweep([good, bad, malformed]).records
     assert "error" not in records[0]
     assert "no_such_cluster" in records[1]["error"]
     assert "no_such_worker" in records[2]["error"]
     assert [r["index"] for r in records] == [0, 1, 2]
     json.dumps(records)
+
+
+def test_repro_sweep_stays_the_package_after_a_sweep():
+    import repro
+    import repro.sweep as package
+
+    assert "sweep" not in repro.__all__
+    unit = Scenario(problem="sparse_linear", problem_params={"n": 40},
+                    environment="sync_mpi", n_ranks=1, seed=1)
+    for _ in range(2):
+        assert repro.sweep is package
+        (record,) = repro.sweep.run_sweep([unit]).records
+        assert record["converged"]
+    assert repro.sweep is package
 
 
 def test_run_scenario_rejects_kwargs_for_backend_instances():

@@ -24,9 +24,9 @@ from repro.api import (
     get_backend,
     get_cluster,
     get_environment,
-    sweep,
 )
 from repro.core.aiac import WorkerReport
+from repro.sweep import run_sweep
 from repro.testing import (
     check_invariants,
     generate_scenarios,
@@ -233,8 +233,8 @@ def test_identical_seeds_identical_records_through_sweep_workers():
         seed=99,
         faults=FaultPlan(events=(MessageLoss(probability=0.1),)),
     ).to_dict()
-    serial = sweep([scenario, scenario], processes=1)
-    pooled = sweep([scenario, scenario], processes=2)
+    serial = run_sweep([scenario, scenario], placement="local", processes=1).records
+    pooled = run_sweep([scenario, scenario], placement="pool", processes=2).records
     records = [dict(r) for r in serial + pooled]
     for record in records:
         assert "error" not in record, record

@@ -412,10 +412,11 @@ def test_sweep_routes_process_backend_grids_in_process():
     # Pool workers are daemonic and may not spawn the backend's
     # per-rank children; sweep must route process-backend grids
     # serially instead of failing every job.
-    from repro.api import sweep
+    from repro.sweep import run_sweep
 
     small = SMALL.derive(n_ranks=2).to_dict()
-    records = sweep([small, small], backend="process", processes=2)
+    records = run_sweep([small, small], backend="process", placement="pool",
+                        processes=2).records
     assert len(records) == 2
     for record in records:
         assert "error" not in record, record.get("error")

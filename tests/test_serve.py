@@ -29,7 +29,7 @@ import time
 
 import pytest
 
-from repro.api import Scenario, run_scenario, sweep
+from repro.api import Scenario, run_scenario
 from repro.api.result import RunResult
 from repro.serve import (
     CANCELLED,
@@ -55,6 +55,7 @@ from repro.serve.protocol import (
     ok_frame,
     parse_request,
 )
+from repro.sweep import run_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +135,8 @@ class TestSweepPerItemErrors:
     def test_worker_death_is_one_error_record(self):
         base = Scenario(problem="sparse_linear", seed=3)
         grid = [base.derive(problem_params__n=n) for n in (60, 66, 70, 80)]
-        records = sweep(grid, backend=_ExplodingBackend(), processes=2)
+        records = run_sweep(grid, backend=_ExplodingBackend(), placement="pool",
+                            processes=2).records
         assert [r["index"] for r in records] == [0, 1, 2, 3]
         assert "error" not in records[0] and records[0]["converged"]
         # The pool-placement vocabulary for a worker that died mid-unit
@@ -146,7 +148,8 @@ class TestSweepPerItemErrors:
     def test_in_process_sweep_unchanged(self):
         base = Scenario(problem="sparse_linear", seed=3)
         grid = [base.derive(problem_params__n=n) for n in (60, 70)]
-        records = sweep(grid, backend=_ExplodingBackend(), processes=1)
+        records = run_sweep(grid, backend=_ExplodingBackend(), placement="local",
+                            processes=1).records
         assert "error" not in records[0]
         assert "deliberate failure" in records[1]["error"]
 

@@ -288,6 +288,7 @@ def test_sim_identity_passes_a_tree_against_itself(capsys):
     total = 2 + len(tool.CHEMICAL_BATTERY) + len(tool.SPARSE_BATTERY)  # generated + fixed
     out = capsys.readouterr().out
     assert f"{total} scenarios (n=2, seeds=3), 0 differ" in out
+    assert "battery repeats: 0 differ on the parent, 0 on the change" in out
     fingerprints, events = tool.fingerprints(1, [3])
     # Engine events are printed parent -> change, never compared; the
     # n=2 run is one generated scenario more than this n=1 one.

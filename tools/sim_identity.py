@@ -17,6 +17,13 @@ says so in ``CHANGES.md``.  The total engine events of each tree are
 printed too, ``parent -> change``, for information only: a change to
 the event path shows its count there, and it is never compared.
 
+Each tree then checks that its runs are repeatable in one process:
+after the first pass it runs every battery member again, twice in a
+row -- the second time on the problem instance the first one used
+(``Scenario.build_problem`` keeps the last instance it built) -- and
+exits 1 when any compared field differs from the first pass.  That
+catches a run that writes into a shared problem instance.
+
 ``--parent`` is a git revision (checked out into a temporary
 ``git worktree``, removed afterwards) or a path to a checkout.
 
@@ -96,33 +103,59 @@ def chemical_battery() -> list:
     return battery("chemical", CHEMICAL_BATTERY)
 
 
-def fingerprints(n: int, seeds: List[int]) -> Tuple[Dict[str, dict], int]:
-    """``{scenario name: counters + solution and timeline hashes}`` on the
-    importable ``repro``, and the engine events of all those runs."""
+def batteries() -> list:
+    """Both fixed batteries, chemical first."""
+    return chemical_battery() + battery("sparse_linear", SPARSE_BATTERY)
+
+
+def fingerprint(scenario) -> Tuple[dict, int]:
+    """Counters + solution and timeline hashes of one simulated run of
+    ``scenario`` on the importable ``repro``, and its engine events."""
     from repro.api import SimulatedBackend
-    from repro.testing.generator import generate_scenarios
     from repro.testing.invariants import work_counters
 
+    # The Gantt recorder observes the run without changing it.
+    result = SimulatedBackend(timeline=True).run(scenario)
+    row = work_counters(result)
+    events = row.pop("events")
+    row["solution_sha1"] = hashlib.sha1(result.solution().tobytes()).hexdigest()
+    timeline = result.timeline.to_dict()
+    gantt = json.dumps([timeline["spans"], timeline["markers"]], default=repr)
+    row["timeline_sha1"] = hashlib.sha1(gantt.encode()).hexdigest()
+    # Through JSON so both sides compare the same (string-keyed) shape.
+    return json.loads(json.dumps(row, sort_keys=True)), events
+
+
+def fingerprints(n: int, seeds: List[int]) -> Tuple[Dict[str, dict], int]:
+    """``{scenario name: fingerprint}`` on the importable ``repro``, and
+    the engine events of all those runs."""
+    from repro.testing.generator import generate_scenarios
+
     scenarios = [s for seed in seeds for s in generate_scenarios(n, seed)]
-    scenarios += chemical_battery() + battery("sparse_linear", SPARSE_BATTERY)
+    scenarios += batteries()
     out: Dict[str, dict] = {}
     events = 0
     for scenario in scenarios:
-        # The Gantt recorder observes the run without changing it.
-        result = SimulatedBackend(timeline=True).run(scenario)
-        row = work_counters(result)
-        events += row.pop("events")
-        row["solution_sha1"] = hashlib.sha1(result.solution().tobytes()).hexdigest()
-        timeline = result.timeline.to_dict()
-        gantt = json.dumps([timeline["spans"], timeline["markers"]], default=repr)
-        row["timeline_sha1"] = hashlib.sha1(gantt.encode()).hexdigest()
-        # Through JSON so both sides compare the same (string-keyed) shape.
-        out[scenario.name] = json.loads(json.dumps(row, sort_keys=True))
+        out[scenario.name], count = fingerprint(scenario)
+        events += count
     return out, events
 
 
-def run_tree(tree: Path, n: int, seeds: List[int]) -> Tuple[Dict[str, dict], int]:
-    """:func:`fingerprints` of the checkout at ``tree``, in a subprocess."""
+def repeat_differences(first: Dict[str, dict]) -> List[str]:
+    """Run every battery member twice more in this process -- the second
+    time on the instance the first used -- against its ``first`` row."""
+    lines: List[str] = []
+    for scenario in batteries():
+        before = {scenario.name: first[scenario.name]}
+        for attempt in ("rerun", "rerun on a used instance"):
+            again = {scenario.name: fingerprint(scenario)[0]}
+            lines += [f"{line} ({attempt})" for line in diff(before, again)]
+    return lines
+
+
+def run_tree(tree: Path, n: int, seeds: List[int]) -> Tuple[Dict[str, dict], int, List[str]]:
+    """:func:`fingerprints` and :func:`repeat_differences` of the
+    checkout at ``tree``, in a subprocess."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--emit",
@@ -131,8 +164,8 @@ def run_tree(tree: Path, n: int, seeds: List[int]) -> Tuple[Dict[str, dict], int
     )
     if proc.returncode != 0:
         fail(f"running the scenarios of {tree} failed:\n{proc.stderr}")
-    rows, events = json.loads(proc.stdout.splitlines()[-1])
-    return rows, events
+    rows, events, repeats = json.loads(proc.stdout.splitlines()[-1])
+    return rows, events, repeats
 
 
 def diff(parent: Dict[str, dict], change: Dict[str, dict]) -> List[str]:
@@ -158,13 +191,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     if args.emit:
-        print(json.dumps(fingerprints(args.n, seeds)))
+        rows, events = fingerprints(args.n, seeds)
+        print(json.dumps([rows, events, repeat_differences(rows)]))
         return 0
     if not args.parent:
         parser.error("--parent is required")
 
     if Path(args.parent).is_dir():
-        parent, parent_events = run_tree(Path(args.parent).resolve(), args.n, seeds)
+        parent, parent_events, parent_repeats = run_tree(
+            Path(args.parent).resolve(), args.n, seeds)
     else:
         with tempfile.TemporaryDirectory(prefix="sim-identity-") as tmp:
             worktree = Path(tmp) / "parent"
@@ -175,23 +210,31 @@ def main(argv=None) -> int:
             if added.returncode != 0:
                 fail(f"cannot check out {args.parent!r}:\n{added.stderr}")
             try:
-                parent, parent_events = run_tree(worktree, args.n, seeds)
+                parent, parent_events, parent_repeats = run_tree(worktree, args.n, seeds)
             finally:
                 subprocess.run(
                     ["git", "worktree", "remove", "--force", str(worktree)],
                     cwd=ROOT, check=False, capture_output=True,
                 )
-    change, change_events = run_tree(ROOT, args.n, seeds)
+    change, change_events, change_repeats = run_tree(ROOT, args.n, seeds)
 
     lines = diff(parent, change)
     for line in lines:
+        print(line)
+    repeats = [f"parent {line}" for line in parent_repeats]
+    repeats += [f"change {line}" for line in change_repeats]
+    for line in repeats:
         print(line)
     print(f"sim-identity: engine events {parent_events} -> {change_events} (not compared)")
     print(
         f"sim-identity: {len(change)} scenarios "
         f"(n={args.n}, seeds={','.join(map(str, seeds))}), {len(lines)} differ"
     )
-    return 1 if lines else 0
+    print(
+        f"sim-identity: in-process battery repeats: {len(parent_repeats)} differ "
+        f"on the parent, {len(change_repeats)} on the change"
+    )
+    return 1 if lines or repeats else 0
 
 
 if __name__ == "__main__":
