@@ -1,5 +1,9 @@
 """Tests for the environment models, registry and cluster presets."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.clusters import (
@@ -107,6 +111,36 @@ def test_thread_policy_describe_wording():
     assert ThreadPolicy(None, 1, per_peer_senders=True).describe().startswith(
         "N sending threads"
     )
+
+
+#: SHA-1 of every environment's policies and traits; any changed
+#: calibration constant, thread count or trait changes it.
+ENVIRONMENT_TABLE_SHA1 = "ec2e10bb516a34c02d738645290479ba1a9912b4"
+
+
+def test_environment_table_is_pinned():
+    rows = []
+    for name in ("sync_mpi", "pm2", "mpimad", "omniorb"):
+        env = get_environment(name)
+        for problem in PROBLEM_KINDS:
+            policies = [
+                dataclasses.asdict(env.comm_policy(problem, n_ranks))
+                for n_ranks in (1, 2, 3, 4, 6, 8, 12, 16, 32)
+            ]
+            rows.append([env.name, problem, policies,
+                         dataclasses.asdict(env.thread_policy(problem))])
+        rows.append([
+            env.name,
+            env.display_name,
+            env.multithreaded,
+            env.supports_asynchronous,
+            env.default_worker(stepped=False),
+            env.default_worker(stepped=True),
+            dataclasses.asdict(env.deployment),
+            dataclasses.asdict(env.ergonomics),
+        ])
+    canonical = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha1(canonical.encode()).hexdigest() == ENVIRONMENT_TABLE_SHA1
 
 
 # ----------------------------------------------------------------------
