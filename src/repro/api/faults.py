@@ -42,8 +42,10 @@ import math
 from dataclasses import asdict, dataclass, fields
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple, Type
 
+from repro.registry import Registry
+
 #: Registry of event kinds for (de)serialization.
-_EVENT_KINDS: Dict[str, Type["FaultEvent"]] = {}
+_EVENT_KINDS = Registry("fault kind")
 
 #: Default tag prefixes message-level faults apply to.
 DATA_TAGS: Tuple[str, ...] = ("data",)
@@ -70,8 +72,7 @@ def _event(kind: str):
 
     def add(cls: Type[FaultEvent]) -> Type[FaultEvent]:
         cls.kind = kind
-        _EVENT_KINDS[kind] = cls
-        return cls
+        return _EVENT_KINDS.register(kind)(cls)
 
     return add
 
@@ -352,15 +353,15 @@ class FaultPlan:
             kind = payload.pop("kind", None)
             if kind not in _EVENT_KINDS:
                 raise ValueError(
-                    f"unknown fault kind {kind!r}; known: {sorted(_EVENT_KINDS)}"
+                    f"unknown fault kind {kind!r}; known: {_EVENT_KINDS.names()}"
                 )
-            events.append(_EVENT_KINDS[kind](**payload))
+            events.append(_EVENT_KINDS.get(kind)(**payload))
         return cls(events=tuple(events), seed=data.get("seed"))
 
 
 def fault_kinds() -> List[str]:
     """Sorted names of every registered fault-event kind."""
-    return sorted(_EVENT_KINDS)
+    return _EVENT_KINDS.names()
 
 
 __all__ = [

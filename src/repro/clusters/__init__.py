@@ -38,7 +38,8 @@ CLUSTER_REGISTRY = Registry("cluster")
 def register_cluster(name=None, **kwargs) -> Callable:
     """Register a cluster builder (``(**params) -> Network``) by name.
 
-    Mirrors :func:`repro.envs.register`; registered names are usable in
+    Like every registry here a taken name raises ``ValueError``
+    (unless ``overwrite=True``); registered names are usable in
     :class:`repro.api.Scenario` dicts.
     """
     return CLUSTER_REGISTRY.register(name, **kwargs)
@@ -47,8 +48,9 @@ def register_cluster(name=None, **kwargs) -> Callable:
 def get_cluster(name: str, **params: Any):
     """Build a :class:`~repro.simgrid.network.Network` from a preset name.
 
-    Mirrors :func:`repro.envs.get_environment`, but cluster presets are
-    builders, so keyword parameters are forwarded to them.  A
+    Unlike an environment, which :func:`repro.envs.get_environment`
+    returns as a value, a cluster preset is a builder, so keyword
+    parameters are forwarded to it.  A
     ``machine_mix`` given as machine *names* (e.g. ``["duron_800",
     "p4_2400"]``) is resolved through the machine catalogue so scenarios
     stay describable as plain JSON dicts.

@@ -1,12 +1,13 @@
 """Models of the parallel programming environments compared in the paper.
 
-* :class:`~repro.envs.environments.SyncMPI` -- classical mono-threaded
-  MPI, the synchronous baseline;
-* :class:`~repro.envs.environments.PM2` -- Marcel threads + Madeleine
-  RPC;
-* :class:`~repro.envs.environments.MPIMadeleine` -- the multi-protocol,
-  thread-safe MPICH;
-* :class:`~repro.envs.environments.OmniORB` -- the CORBA ORB.
+Each environment is one :class:`~repro.envs.base.Environment` value, a
+row of :data:`~repro.envs.environments.PAPER_ENVIRONMENTS`:
+
+* ``sync_mpi`` -- classical mono-threaded MPI, the synchronous
+  baseline;
+* ``pm2`` -- Marcel threads + Madeleine RPC;
+* ``mpimad`` -- the multi-protocol, thread-safe MPICH;
+* ``omniorb`` -- the CORBA ORB.
 
 Plus the qualitative sections of the paper as executable code:
 :mod:`repro.envs.deployment` (Section 5.3),
@@ -14,7 +15,7 @@ Plus the qualitative sections of the paper as executable code:
 each environment (Section 5.2).
 """
 
-from typing import Dict, List
+from typing import List
 
 from repro.envs.base import (
     DeploymentTraits,
@@ -23,41 +24,34 @@ from repro.envs.base import (
     ThreadPolicy,
     PROBLEM_KINDS,
 )
-from repro.envs.environments import MPIMadeleine, OmniORB, PM2, SyncMPI
+from repro.envs.environments import PAPER_ENVIRONMENTS
 from repro.envs.deployment import (
     DeploymentPlan,
     deployment_ranking,
     validate_deployment,
 )
 from repro.envs.features import FeatureChecklist, aiac_suitability, checklist_for
+from repro.registry import Registry
 
-_REGISTRY: Dict[str, Environment] = {}
+ENVIRONMENT_REGISTRY = Registry("environment")
+_PAPER_ORDER = [env.name for env in PAPER_ENVIRONMENTS]
 
 
 def register(env: Environment) -> Environment:
     """Add an environment to the global registry (used by get/all)."""
-    if env.name in _REGISTRY:
-        raise ValueError(f"environment {env.name!r} already registered")
-    _REGISTRY[env.name] = env
-    return env
+    return ENVIRONMENT_REGISTRY.register(env.name)(env)
 
 
 def get_environment(name: str) -> Environment:
     """Look up an environment model by its short name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown environment {name!r}; known: {sorted(_REGISTRY)}"
-        ) from None
+    return ENVIRONMENT_REGISTRY.get(name)
 
 
 def all_environments() -> List[Environment]:
     """All registered environments, paper baseline first."""
-    order = ["sync_mpi", "pm2", "mpimad", "omniorb"]
-    known = [get_environment(n) for n in order if n in _REGISTRY]
-    extras = [e for n, e in sorted(_REGISTRY.items()) if n not in order]
-    return known + extras
+    known = [n for n in _PAPER_ORDER if n in ENVIRONMENT_REGISTRY]
+    extras = [n for n in ENVIRONMENT_REGISTRY.names() if n not in _PAPER_ORDER]
+    return [get_environment(n) for n in known + extras]
 
 
 def asynchronous_environments() -> List[Environment]:
@@ -65,10 +59,8 @@ def asynchronous_environments() -> List[Environment]:
     return [e for e in all_environments() if e.supports_asynchronous]
 
 
-register(SyncMPI())
-register(PM2())
-register(MPIMadeleine())
-register(OmniORB())
+for _env in PAPER_ENVIRONMENTS:
+    register(_env)
 
 __all__ = [
     "Environment",
@@ -76,10 +68,7 @@ __all__ = [
     "DeploymentTraits",
     "ErgonomicsTraits",
     "PROBLEM_KINDS",
-    "SyncMPI",
-    "PM2",
-    "MPIMadeleine",
-    "OmniORB",
+    "ENVIRONMENT_REGISTRY",
     "register",
     "get_environment",
     "all_environments",

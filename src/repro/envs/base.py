@@ -1,8 +1,8 @@
-"""Programming-environment model base class.
+"""Programming-environment model: one value per environment.
 
-An :class:`Environment` bundles everything the paper compares about
-PM2, MPICH/Madeleine and OmniORB 4 (plus the classical synchronous MPI
-baseline):
+An :class:`Environment` is a frozen record of everything the paper
+compares about PM2, MPICH/Madeleine and OmniORB 4 (plus the classical
+synchronous MPI baseline):
 
 * a :class:`~repro.simgrid.comm.CommPolicy` per problem kind -- the
   thread and communication management of Table 4 plus per-message
@@ -20,9 +20,8 @@ Problem kinds are the paper's two communication regimes:
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.simgrid.comm import CommPolicy
 
@@ -85,50 +84,74 @@ class ErgonomicsTraits:
     notes: str = ""
 
 
-class Environment(abc.ABC):
-    """A parallel programming environment under comparison."""
+@dataclass(frozen=True)
+class Environment:
+    """A parallel programming environment under comparison.
+
+    One row of the table in :mod:`repro.envs.environments`: per problem
+    kind, a Table 4 :class:`ThreadPolicy` and the per-message software
+    costs (seconds) of the send and receive paths; per byte, one
+    packing/copy cost for both paths; per spawned thread, one cost.
+    """
 
     #: short identifier, e.g. ``"pm2"``
-    name: str = ""
+    name: str
     #: display name used in tables, e.g. ``"async PM2"``
-    display_name: str = ""
+    display_name: str
+    threads: Dict[str, ThreadPolicy]
+    send_base: Dict[str, float]
+    recv_base: Dict[str, float]
+    per_byte: float
+    spawn: float
+    deployment: DeploymentTraits
+    ergonomics: ErgonomicsTraits
     #: whether the environment provides multi-threading (Section 2's
     #: conclusion: this is *essential* for AIAC)
     multithreaded: bool = True
     #: whether the AIAC (asynchronous) workers can run on it; the
     #: classical mono-threaded MPI baseline runs SISC only.
     supports_asynchronous: bool = True
+    #: per problem kind, the message size from which a blocking send
+    #: waits for delivery (MPI rendezvous); absent means never
+    rendezvous: Dict[str, float] = field(default_factory=dict)
 
-    @abc.abstractmethod
     def thread_policy(self, problem: str) -> ThreadPolicy:
         """Table 4 row for ``problem`` in ``PROBLEM_KINDS``."""
+        if problem not in PROBLEM_KINDS:
+            raise ValueError(
+                f"unknown problem kind {problem!r}; expected one of {PROBLEM_KINDS}"
+            )
+        return self.threads[problem]
 
-    @abc.abstractmethod
     def comm_policy(self, problem: str, n_ranks: int) -> CommPolicy:
         """Build the simulator communication policy for a run."""
+        threads = self.thread_policy(problem)
+        if threads.per_peer_senders:
+            n_send: Optional[int] = max(1, n_ranks - 1)  # "N sending threads"
+        else:
+            n_send = threads.sending_threads
+        return CommPolicy(
+            name=self.name,
+            n_send_threads=n_send,
+            n_recv_threads=threads.receiving_threads,
+            send_base=self.send_base[problem],
+            send_per_byte=self.per_byte,
+            recv_base=self.recv_base[problem],
+            recv_per_byte=self.per_byte,
+            thread_spawn_cost=self.spawn,
+            fair=True,  # every compared thread scheduler is fair (Section 6)
+            # the defining constraint of Section 2: mono-threaded
+            # communications block the computation
+            blocking_send=not self.multithreaded,
+            blocking_recv=not self.multithreaded,
+            rendezvous_threshold=self.rendezvous.get(problem, float("inf")),
+        )
 
-    @property
-    @abc.abstractmethod
-    def deployment(self) -> DeploymentTraits:
-        ...
-
-    @property
-    @abc.abstractmethod
-    def ergonomics(self) -> ErgonomicsTraits:
-        ...
-
-    # ------------------------------------------------------------------
     def default_worker(self, stepped: bool) -> str:
         """Worker kind this environment is benchmarked with."""
         if self.supports_asynchronous:
             return "aiac_stepped" if stepped else "aiac"
         return "sisc_stepped" if stepped else "sisc"
-
-    def _check_problem(self, problem: str) -> None:
-        if problem not in PROBLEM_KINDS:
-            raise ValueError(
-                f"unknown problem kind {problem!r}; expected one of {PROBLEM_KINDS}"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Environment {self.name}>"

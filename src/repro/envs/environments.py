@@ -1,4 +1,4 @@
-"""The four concrete environment models.
+"""The four environment models, one row each, in the paper's order.
 
 Calibration philosophy: every number below is a *software* cost (thread
 spawn, message packing, RPC dispatch, ORB marshalling) of the kind the
@@ -20,65 +20,42 @@ Thread counts per problem are **exactly** Table 4 of the paper.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.envs.base import (
     DeploymentTraits,
     Environment,
     ErgonomicsTraits,
     ThreadPolicy,
 )
-from repro.simgrid.comm import CommPolicy
 
-
-class SyncMPI(Environment):
-    """Classical mono-threaded MPI running the synchronous algorithm."""
-
-    name = "sync_mpi"
-    display_name = "sync MPI"
-    multithreaded = False
-    supports_asynchronous = False
-
-    # Per-problem software costs: the paper-scale messages differ by two
-    # orders of magnitude (sparse-linear data blocks ~1.3 MB, chemical
-    # halo rows ~10 KB), so the per-message stand-in costs of the
-    # scaled-down experiments are calibrated per problem kind (see
-    # EXPERIMENTS.md).
-    SEND_BASE = {"sparse_linear": 3.0e-4, "chemical": 3.0e-4}
-    RECV_BASE = {"sparse_linear": 1.0e-3, "chemical": 3.0e-4}
-    PER_BYTE = 1.0e-9
-
-    def thread_policy(self, problem: str) -> ThreadPolicy:
-        self._check_problem(problem)
+#: The rows, in the paper's order (synchronous baseline first).
+PAPER_ENVIRONMENTS = (
+    # Classical mono-threaded MPI running the synchronous algorithm.
+    Environment(
+        name="sync_mpi",
+        display_name="sync MPI",
+        multithreaded=False,
+        supports_asynchronous=False,
         # Mono-threaded: the main thread does everything.
-        return ThreadPolicy(sending_threads=1, receiving_threads=1)
-
-    def comm_policy(self, problem: str, n_ranks: int) -> CommPolicy:
-        self._check_problem(problem)
-        # At paper scale the sparse-linear data blocks are ~1.3 MB --
-        # deep in MPI rendezvous territory -- while the chemical halo
-        # rows (~10 KB) and the control messages stay eager.  The
-        # scaled reproduction keeps that semantic split: data messages
-        # of the linear problem are the only ones above the threshold.
-        rendezvous = 1.0e3 if problem == "sparse_linear" else float("inf")
-        return CommPolicy(
-            name=self.name,
-            n_send_threads=1,
-            n_recv_threads=1,
-            send_base=self.SEND_BASE[problem],
-            send_per_byte=self.PER_BYTE,
-            recv_base=self.RECV_BASE[problem],
-            recv_per_byte=self.PER_BYTE,
-            thread_spawn_cost=0.0,
-            fair=True,
-            blocking_send=True,   # the defining constraint of Section 2
-            blocking_recv=True,
-            rendezvous_threshold=rendezvous,
-        )
-
-    @property
-    def deployment(self) -> DeploymentTraits:
-        return DeploymentTraits(
+        threads={
+            "sparse_linear": ThreadPolicy(sending_threads=1, receiving_threads=1),
+            "chemical": ThreadPolicy(sending_threads=1, receiving_threads=1),
+        },
+        # Per-problem software costs: the paper-scale messages differ by two
+        # orders of magnitude (sparse-linear data blocks ~1.3 MB, chemical
+        # halo rows ~10 KB), so the per-message stand-in costs of the
+        # scaled-down experiments are calibrated per problem kind (see
+        # EXPERIMENTS.md).
+        send_base={"sparse_linear": 3.0e-4, "chemical": 3.0e-4},
+        recv_base={"sparse_linear": 1.0e-3, "chemical": 3.0e-4},
+        per_byte=1.0e-9,
+        spawn=0.0,
+        # At paper scale the sparse-linear data blocks are ~1.3 MB -- deep
+        # in MPI rendezvous territory -- while the chemical halo rows
+        # (~10 KB) and the control messages stay eager.  The scaled
+        # reproduction keeps that semantic split: data messages of the
+        # linear problem are the only ones above the threshold.
+        rendezvous={"sparse_linear": 1.0e3},
+        deployment=DeploymentTraits(
             requires_complete_graph=True,
             requires_naming_service=False,
             handles_data_conversion=False,
@@ -87,11 +64,8 @@ class SyncMPI(Environment):
             config_files=("machines",),
             launch_command="mpirun -np <n> <prog>",
             portability_notes="single protocol per run; homogeneous data layouts",
-        )
-
-    @property
-    def ergonomics(self) -> ErgonomicsTraits:
-        return ErgonomicsTraits(
+        ),
+        ergonomics=ErgonomicsTraits(
             communication_style="explicit message passing",
             explicit_packing=False,
             thread_library="none",
@@ -99,56 +73,65 @@ class SyncMPI(Environment):
             idl_required=False,
             relative_verbosity=2,
             notes="receipts must be explicitly localized in the program sequence",
-        )
-
-
-class MPIMadeleine(Environment):
-    """MPICH/Madeleine: thread-safe MPI over Marcel + Madeleine."""
-
-    name = "mpimad"
-    display_name = "async MPI/Mad"
-
-    # Receive-path handling (unpack + copy + handoff).  At paper scale
-    # this cost is per-byte dominated (~1.3 MB data blocks for the
-    # linear problem, ~10 KB halo rows for the chemical one); in the
-    # scaled-down experiments it is carried by the per-message term,
-    # hence the per-problem calibration.  With a single dedicated
-    # receiving thread (Table 4, sparse linear problem) the all-to-all
-    # receive path serialises, which is what puts MPI/Mad behind the
-    # other asynchronous versions in Table 2.
-    SEND_BASE = {"sparse_linear": 3.0e-4, "chemical": 3.0e-4}
-    RECV_BASE = {"sparse_linear": 4.5e-3, "chemical": 4.0e-4}
-    PER_BYTE = 1.0e-9
-    SPAWN = 2.0e-4
-
-    # Table 4 of the paper.
-    _THREADS = {
-        "sparse_linear": ThreadPolicy(sending_threads=1, receiving_threads=1),
-        "chemical": ThreadPolicy(sending_threads=2, receiving_threads=2),
-    }
-
-    def thread_policy(self, problem: str) -> ThreadPolicy:
-        self._check_problem(problem)
-        return self._THREADS[problem]
-
-    def comm_policy(self, problem: str, n_ranks: int) -> CommPolicy:
-        self._check_problem(problem)
-        tp = self._THREADS[problem]
-        return CommPolicy(
-            name=self.name,
-            n_send_threads=tp.sending_threads,
-            n_recv_threads=tp.receiving_threads,
-            send_base=self.SEND_BASE[problem],
-            send_per_byte=self.PER_BYTE,
-            recv_base=self.RECV_BASE[problem],
-            recv_per_byte=self.PER_BYTE,
-            thread_spawn_cost=self.SPAWN,
-            fair=True,  # Marcel is a fair POSIX-compliant scheduler
-        )
-
-    @property
-    def deployment(self) -> DeploymentTraits:
-        return DeploymentTraits(
+        ),
+    ),
+    # PM2: Marcel threads + Madeleine RPC-based communications.
+    Environment(
+        name="pm2",
+        display_name="async PM2",
+        threads={
+            "sparse_linear": ThreadPolicy(sending_threads=1, receiving_threads=None),
+            "chemical": ThreadPolicy(sending_threads=2, receiving_threads=1),
+        },
+        # RPC with explicit data packing; receive path cheaper than
+        # MPI/Mad's on the linear problem because reception threads are
+        # created on demand (Table 4) and unpack concurrently.
+        send_base={"sparse_linear": 4.0e-4, "chemical": 4.0e-4},
+        recv_base={"sparse_linear": 1.3e-3, "chemical": 5.0e-4},
+        per_byte=1.5e-9,
+        spawn=2.0e-4,
+        deployment=DeploymentTraits(
+            requires_complete_graph=True,   # Section 5.3
+            requires_naming_service=False,
+            handles_data_conversion=False,  # "no auto-conversion of data"
+            multi_protocol=False,
+            runtime_daemons=(),
+            config_files=("machine_list",),
+            launch_command="pm2load <prog> (one command on one machine)",
+            portability_notes="incomplete support of mixed OS/architectures",
+        ),
+        ergonomics=ErgonomicsTraits(
+            communication_style="RPC",
+            explicit_packing=True,   # "explicit data packing before the call"
+            thread_library="Marcel",
+            needs_network_bootstrap=False,
+            idl_required=False,
+            relative_verbosity=3,
+            notes="RPC + pack/unpack around every remote call",
+        ),
+    ),
+    # MPICH/Madeleine: thread-safe MPI over Marcel + Madeleine.
+    Environment(
+        name="mpimad",
+        display_name="async MPI/Mad",
+        # Table 4 of the paper.
+        threads={
+            "sparse_linear": ThreadPolicy(sending_threads=1, receiving_threads=1),
+            "chemical": ThreadPolicy(sending_threads=2, receiving_threads=2),
+        },
+        # Receive-path handling (unpack + copy + handoff).  At paper scale
+        # this cost is per-byte dominated (~1.3 MB data blocks for the
+        # linear problem, ~10 KB halo rows for the chemical one); in the
+        # scaled-down experiments it is carried by the per-message term,
+        # hence the per-problem calibration.  With a single dedicated
+        # receiving thread (Table 4, sparse linear problem) the all-to-all
+        # receive path serialises, which is what puts MPI/Mad behind the
+        # other asynchronous versions in Table 2.
+        send_base={"sparse_linear": 3.0e-4, "chemical": 3.0e-4},
+        recv_base={"sparse_linear": 4.5e-3, "chemical": 4.0e-4},
+        per_byte=1.0e-9,
+        spawn=2.0e-4,
+        deployment=DeploymentTraits(
             requires_complete_graph=True,
             requires_naming_service=False,
             handles_data_conversion=False,  # "data representations must be
@@ -158,11 +141,8 @@ class MPIMadeleine(Environment):
             config_files=("protocols_available", "protocols_used"),
             launch_command="mad3load <prog> (one command on one machine)",
             portability_notes="multi-protocol (TCP/Myrinet/SCI) in one application",
-        )
-
-    @property
-    def ergonomics(self) -> ErgonomicsTraits:
-        return ErgonomicsTraits(
+        ),
+        ergonomics=ErgonomicsTraits(
             communication_style="explicit message passing",
             explicit_packing=False,
             thread_library="Marcel",
@@ -170,121 +150,27 @@ class MPIMadeleine(Environment):
             idl_required=False,
             relative_verbosity=1,  # "probably the easiest to program" (5.2)
             notes="well-known MPI form + easily managed Marcel threads",
-        )
-
-
-class PM2(Environment):
-    """PM2: Marcel threads + Madeleine RPC-based communications."""
-
-    name = "pm2"
-    display_name = "async PM2"
-
-    # RPC with explicit data packing; receive path cheaper than
-    # MPI/Mad's on the linear problem because reception threads are
-    # created on demand (Table 4) and unpack concurrently.
-    SEND_BASE = {"sparse_linear": 4.0e-4, "chemical": 4.0e-4}
-    RECV_BASE = {"sparse_linear": 1.3e-3, "chemical": 5.0e-4}
-    PER_BYTE = 1.5e-9
-    SPAWN = 2.0e-4
-
-    _THREADS = {
-        "sparse_linear": ThreadPolicy(sending_threads=1, receiving_threads=None),
-        "chemical": ThreadPolicy(sending_threads=2, receiving_threads=1),
-    }
-
-    def thread_policy(self, problem: str) -> ThreadPolicy:
-        self._check_problem(problem)
-        return self._THREADS[problem]
-
-    def comm_policy(self, problem: str, n_ranks: int) -> CommPolicy:
-        self._check_problem(problem)
-        tp = self._THREADS[problem]
-        return CommPolicy(
-            name=self.name,
-            n_send_threads=tp.sending_threads,
-            n_recv_threads=tp.receiving_threads,
-            send_base=self.SEND_BASE[problem],
-            send_per_byte=self.PER_BYTE,
-            recv_base=self.RECV_BASE[problem],
-            recv_per_byte=self.PER_BYTE,
-            thread_spawn_cost=self.SPAWN,
-            fair=True,
-        )
-
-    @property
-    def deployment(self) -> DeploymentTraits:
-        return DeploymentTraits(
-            requires_complete_graph=True,   # Section 5.3
-            requires_naming_service=False,
-            handles_data_conversion=False,  # "no auto-conversion of data"
-            multi_protocol=False,
-            runtime_daemons=(),
-            config_files=("machine_list",),
-            launch_command="pm2load <prog> (one command on one machine)",
-            portability_notes="incomplete support of mixed OS/architectures",
-        )
-
-    @property
-    def ergonomics(self) -> ErgonomicsTraits:
-        return ErgonomicsTraits(
-            communication_style="RPC",
-            explicit_packing=True,   # "explicit data packing before the call"
-            thread_library="Marcel",
-            needs_network_bootstrap=False,
-            idl_required=False,
-            relative_verbosity=3,
-            notes="RPC + pack/unpack around every remote call",
-        )
-
-
-class OmniORB(Environment):
-    """OmniORB 4: a CORBA ORB pressed into AIAC service."""
-
-    name = "omniorb"
-    display_name = "async OmniOrb 4"
-
-    # ORB dispatch + CORBA marshalling: the per-invocation cost is
-    # size-independent, so it is *relatively* heavier on the chemical
-    # problem's small halo messages -- which is why OmniORB trails by
-    # 5-10% there (Table 3) while leading on the all-to-all problem.
-    SEND_BASE = {"sparse_linear": 8.0e-4, "chemical": 1.5e-3}
-    RECV_BASE = {"sparse_linear": 1.1e-3, "chemical": 1.5e-3}
-    PER_BYTE = 3.0e-9
-    SPAWN = 1.5e-4       # omnithread pool is quick to hand out threads
-
-    _THREADS = {
-        "sparse_linear": ThreadPolicy(
-            sending_threads=None, receiving_threads=None, per_peer_senders=True
         ),
-        "chemical": ThreadPolicy(sending_threads=2, receiving_threads=None),
-    }
-
-    def thread_policy(self, problem: str) -> ThreadPolicy:
-        self._check_problem(problem)
-        return self._THREADS[problem]
-
-    def comm_policy(self, problem: str, n_ranks: int) -> CommPolicy:
-        self._check_problem(problem)
-        tp = self._THREADS[problem]
-        if tp.per_peer_senders:
-            n_send: Optional[int] = max(1, n_ranks - 1)  # "N sending threads"
-        else:
-            n_send = tp.sending_threads
-        return CommPolicy(
-            name=self.name,
-            n_send_threads=n_send,
-            n_recv_threads=tp.receiving_threads,
-            send_base=self.SEND_BASE[problem],
-            send_per_byte=self.PER_BYTE,
-            recv_base=self.RECV_BASE[problem],
-            recv_per_byte=self.PER_BYTE,
-            thread_spawn_cost=self.SPAWN,
-            fair=True,
-        )
-
-    @property
-    def deployment(self) -> DeploymentTraits:
-        return DeploymentTraits(
+    ),
+    # OmniORB 4: a CORBA ORB pressed into AIAC service.
+    Environment(
+        name="omniorb",
+        display_name="async OmniOrb 4",
+        threads={
+            "sparse_linear": ThreadPolicy(
+                sending_threads=None, receiving_threads=None, per_peer_senders=True
+            ),
+            "chemical": ThreadPolicy(sending_threads=2, receiving_threads=None),
+        },
+        # ORB dispatch + CORBA marshalling: the per-invocation cost is
+        # size-independent, so it is *relatively* heavier on the chemical
+        # problem's small halo messages -- which is why OmniORB trails by
+        # 5-10% there (Table 3) while leading on the all-to-all problem.
+        send_base={"sparse_linear": 8.0e-4, "chemical": 1.5e-3},
+        recv_base={"sparse_linear": 1.1e-3, "chemical": 1.5e-3},
+        per_byte=3.0e-9,
+        spawn=1.5e-4,  # omnithread pool is quick to hand out threads
+        deployment=DeploymentTraits(
             requires_complete_graph=False,  # client/server: firewalls bypassed
             requires_naming_service=True,
             handles_data_conversion=True,   # CORBA marshalling is portable
@@ -293,11 +179,8 @@ class OmniORB(Environment):
             config_files=("omniORB.cfg",),
             launch_command="one instance launched per processor",
             portability_notes="wide portability; transparent on heterogeneous machines",
-        )
-
-    @property
-    def ergonomics(self) -> ErgonomicsTraits:
-        return ErgonomicsTraits(
+        ),
+        ergonomics=ErgonomicsTraits(
             communication_style="object RPC (CORBA method invocation)",
             explicit_packing=False,  # data passed as arguments of the call
             thread_library="omnithread",
@@ -305,7 +188,8 @@ class OmniORB(Environment):
             idl_required=True,
             relative_verbosity=4,
             notes="client/server initialization phase reusable as a small library",
-        )
+        ),
+    ),
+)
 
-
-__all__ = ["SyncMPI", "MPIMadeleine", "PM2", "OmniORB"]
+__all__ = ["PAPER_ENVIRONMENTS"]

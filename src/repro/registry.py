@@ -10,7 +10,7 @@ rest of the library so it can sit below every other package.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 
 class Registry:
@@ -57,15 +57,6 @@ class Registry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._items
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._items))
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def items(self):
-        return self._items.items()
 
 
 __all__ = ["Registry"]

@@ -58,11 +58,6 @@ class FaultDecision:
         self.duplicate = duplicate
         self.extra_delay = extra_delay
 
-    @property
-    def boring(self) -> bool:
-        """True when the message passes through untouched."""
-        return not (self.drop or self.duplicate or self.extra_delay > 0.0)
-
 
 #: Shared "nothing happens" decision (read-only by convention).
 NO_FAULT = FaultDecision()

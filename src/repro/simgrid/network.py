@@ -165,10 +165,6 @@ class Network:
         g.add_edges_from(self._routes)
         return g
 
-    def reset_stats(self) -> None:
-        for link in self._links.values():
-            link.reset_stats()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Network(hosts={len(self._hosts)}, links={len(self._links)}, "

@@ -8,7 +8,7 @@ them, and exposes results, traces and transport statistics.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.simgrid.comm import CommPolicy, Transport
 from repro.simgrid.engine import Engine, SimulationError
@@ -92,11 +92,6 @@ class World:
         proc = Process(self, rank, host, coroutine)
         self.processes[rank] = proc
         return proc
-
-    def spawn_all(self, factory: Callable[[int, int], Generator], n: int) -> None:
-        """Spawn ``n`` ranks from ``factory(rank, size)``."""
-        for rank in range(n):
-            self.spawn(factory(rank, n))
 
     # ------------------------------------------------------------------
     # execution

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Type, Union
 
 from repro.api.scenario import Scenario
+from repro.registry import Registry
 from repro.runtime.executor import BackendTimeoutError
 from repro.serve.workers import WorkerPool
 
@@ -108,7 +109,7 @@ class Placement:
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-PLACEMENT_REGISTRY: Dict[str, Type[Placement]] = {}
+PLACEMENT_REGISTRY = Registry("placement")
 
 
 def register_placement(name: str):
@@ -116,11 +117,13 @@ def register_placement(name: str):
 
         @register_placement("my_grid")
         class MyGridPlacement(Placement): ...
+
+    A name registered twice raises ``ValueError``.
     """
 
     def decorate(cls: Type[Placement]) -> Type[Placement]:
+        PLACEMENT_REGISTRY.register(name)(cls)
         cls.name = name
-        PLACEMENT_REGISTRY[name] = cls
         return cls
 
     return decorate
@@ -129,17 +132,12 @@ def register_placement(name: str):
 def get_placement(name: str) -> Type[Placement]:
     """The placement class registered under ``name`` (KeyError names
     the known strategies)."""
-    try:
-        return PLACEMENT_REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown placement {name!r}; known: {list_placements()}"
-        ) from None
+    return PLACEMENT_REGISTRY.get(name)
 
 
 def list_placements() -> List[str]:
     """Sorted names of all registered placement strategies."""
-    return sorted(PLACEMENT_REGISTRY)
+    return PLACEMENT_REGISTRY.names()
 
 
 # ----------------------------------------------------------------------

@@ -849,6 +849,19 @@ TINY = Scenario(
 )
 
 
+class _BlockingBackend:
+    """Blocks on grid point ``n == 66`` until its worker is killed."""
+
+    name = "_blocking"
+
+    def run(self, scenario):
+        if scenario.problem_params.get("n") == 66:
+            time.sleep(600)
+        from repro.api.backends import SimulatedBackend
+
+        return SimulatedBackend().run(scenario)
+
+
 def poll_until_event(pool, budget=60.0):
     deadline = time.monotonic() + budget
     while time.monotonic() < deadline:
@@ -987,6 +1000,32 @@ class TestEventDrivenPool:
             pool.submit("j2", TINY.to_dict())
             [(got, kind, _)] = poll_until_event(pool)
             assert (got, kind) == ("j2", "done")
+        finally:
+            pool.shutdown()
+
+    def test_kill_replaces_the_worker_running_the_job(self):
+        """The cancel path of a running job on a real pool: the worker
+        is terminated, a fresh one takes its place and runs the next
+        job."""
+        from repro.serve import WorkerPool
+
+        pool = WorkerPool(backend=_BlockingBackend(), size=1)
+        try:
+            pool.submit("stuck", TINY.derive(problem_params__n=66).to_dict())
+            [victim] = pool._workers.values()
+            pid = victim.process.pid
+            respawns = pool.stats()["respawns"]
+            assert pool.kill("stuck")
+            assert pool.stats()["respawns"] == respawns + 1
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)  # terminated and reaped
+            assert not pool.kill("nope")
+            assert pool.capacity == 1
+            pool.submit("next", TINY.to_dict())
+            [(got, kind, _)] = poll_until_event(pool)
+            assert (got, kind) == ("next", "done")
+            [replacement] = pool._workers.values()
+            assert replacement.id != victim.id
         finally:
             pool.shutdown()
 

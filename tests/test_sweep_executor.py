@@ -23,9 +23,13 @@ from repro.runtime.executor import BackendTimeoutError
 from repro.serve import ServeDaemon
 from repro.serve.cache import ResultCache
 from repro.sweep import (
+    LocalPlacement,
+    Placement,
     SweepStateError,
+    get_placement,
     list_placements,
     plan_fingerprint,
+    register_placement,
     run_sweep,
 )
 from repro.testing import check_invariants, work_counters
@@ -231,6 +235,9 @@ class TestUpFrontValidation:
         assert "cloud" in str(info.value)
         for name in ("local", "pool", "serve"):
             assert name in list_placements()
+        with pytest.raises(ValueError, match="already registered"):
+            register_placement("local")(type("Again", (Placement,), {}))
+        assert get_placement("local") is LocalPlacement
 
     def test_serve_placement_refuses_include_solution(self):
         with pytest.raises(ValueError, match="serve"):
