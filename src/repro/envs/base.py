@@ -139,7 +139,7 @@ class Environment:
             recv_base=self.recv_base[problem],
             recv_per_byte=self.per_byte,
             thread_spawn_cost=self.spawn,
-            fair=True,  # every compared thread scheduler is fair (Section 6)
+            fair=True,  # all four are modelled fair, as Marcel (POSIX) is
             # the defining constraint of Section 2: mono-threaded
             # communications block the computation
             blocking_send=not self.multithreaded,
