@@ -314,6 +314,56 @@ def test_threaded_backend_crash_blackout_recovers():
 
 
 # ----------------------------------------------------------------------
+# the per-message decision stream, pinned
+# ----------------------------------------------------------------------
+def test_message_fate_decisions_are_pinned():
+    """Both injectors' decisions for a fixed message stream, as one SHA-1.
+
+    Pins the fault RNG's draw order (one draw per eligible event, plan
+    order, one more per reorder delay), the crash blackout precedence,
+    the counters, and the thread injector's per-stream seed.  A change
+    to any of them changes the digest.
+    """
+    import hashlib
+    import time
+    from types import SimpleNamespace
+
+    from repro.runtime.faults import ThreadFaultInjector
+    from repro.simgrid.faults import SimFaultInjector
+
+    plan = FaultPlan(events=(
+        MessageLoss(probability=0.1),
+        MessageDuplication(probability=0.2, start=0.1, end=0.9, tags=None),
+        MessageReorder(probability=0.3, max_delay=2e-3, tags=("data:1", "stop")),
+        RankCrash(rank=1, at=0.2, downtime=0.1),
+    ))
+    tags = ("data", "data:1", "stop")
+    messages = [
+        (SimpleNamespace(src=i % 3, dst=(i + 1 + i // 3) % 3, tag=tags[(i // 7) % 3]),
+         i * 5e-4)
+        for i in range(2000)
+    ]
+
+    def decisions(injector) -> list:
+        out = []
+        for message, now in messages:
+            fate = injector.on_send(message, now)
+            out.append((fate.drop, fate.duplicate, repr(fate.extra_delay)))
+        return out
+
+    digest = hashlib.sha1()
+    sim = SimFaultInjector(plan, default_seed=7)
+    digest.update(repr((decisions(sim), sorted(sim.counters.items()))).encode())
+    for stream in (0, 3):
+        threaded = ThreadFaultInjector(plan, 7, stream=stream)
+        fates = decisions(threaded)
+        threaded.start(time.monotonic() - 0.5)  # crash [0.2, 0.3) lived through
+        threaded.finish()
+        digest.update(repr((fates, sorted(threaded.counters.items()))).encode())
+    assert digest.hexdigest() == "f7d4e911310ec0795892b3190bf7c7da793763cc"
+
+
+# ----------------------------------------------------------------------
 # results carry the counters
 # ----------------------------------------------------------------------
 def test_run_result_record_round_trips_fault_counters():
