@@ -150,6 +150,7 @@ def _interpret(
                 segment = time.monotonic()
                 if tracer is not None:
                     tracer.span(rank, waited, segment, "idle", "barrier")
+                value = None
             else:
                 raise ThreadWorkerError(f"rank {rank}: unknown effect {effect!r}")
     except BaseException as exc:  # noqa: BLE001 - propagate to the join

@@ -12,7 +12,7 @@ from repro.problems.sparse_linear import SparseLinearConfig, SparseLinearProblem
 from repro.runtime import ChannelHub, run_threads
 from repro.runtime.channels import Mailbox
 from repro.runtime.executor import ThreadWorkerError
-from repro.simgrid.effects import Barrier, Compute, Drain, Now, Recv, Send
+from repro.simgrid.effects import Barrier, Compute, Drain, Now, Recv, Send, Sleep, Trace
 from repro.simgrid.message import Message
 
 
@@ -97,6 +97,33 @@ def test_executor_barrier_and_effects():
 
     reports = run_threads(worker, 3)[0]
     assert all(ok for ok, _ in reports.values())
+
+
+def test_effects_resume_with_the_same_value_types_as_the_simulator():
+    """Every effect resumes the coroutine with the same kind of value on
+    threads as on the simulator (``Barrier`` with ``None``, never the
+    previous effect's result)."""
+    from repro.clusters import uniform_cluster
+    from repro.simgrid.comm import CommPolicy
+    from repro.simgrid.world import World
+
+    def worker(rank, size):
+        seen = []
+        for effect in (Now(), Barrier(), Trace("mark"), Compute(1e3), Sleep(0.0),
+                       Send(rank, "self", rank, 8.0), Drain(), Barrier()):
+            value = yield effect
+            seen.append(type(value).__name__)
+        return seen
+
+    expected = ["float", "NoneType", "NoneType", "NoneType", "NoneType",
+                "SendHandle", "list", "NoneType"]
+    world = World(uniform_cluster(n_hosts=2, speed=1e6, latency=1e-3),
+                  CommPolicy(name="test"))
+    for rank in range(2):
+        world.spawn(worker(rank, 2))
+    world.run()
+    assert world.results == {0: expected, 1: expected}
+    assert run_threads(worker, 2)[0] == {0: expected, 1: expected}
 
 
 def test_executor_propagates_worker_exception():
