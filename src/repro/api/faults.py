@@ -17,13 +17,15 @@ first-class, JSON-round-trippable part of a
   eligible traffic is dropped) and optionally recovers after
   ``downtime`` (crash-restart of a volatile node that kept its state).
 
-Execution semantics live with the backends:
-:class:`~repro.simgrid.faults.SimFaultInjector` compiles a plan onto
-the simulator's ``World``/``Network``/``Link`` layer (all six kinds);
-:class:`~repro.runtime.faults.ThreadFaultInjector` honours the
+The per-message rule is one class, :class:`MessageFates`, so every
+interpreter faces the same adversity.  The backends subclass it:
+:class:`~repro.simgrid.faults.SimFaultInjector` also compiles the
+topology windows onto the simulator's ``World``/``Network``/``Link``
+layer (all six kinds), and
+:class:`~repro.runtime.faults.ThreadFaultInjector` applies the
 loss/duplication/reorder/crash subset on the channels of the threaded
 and process backends (a delayed message waits at its receiver's
-mailbox), so every interpreter faces the same adversity.  Times are
+mailbox).  Times are
 expressed on the executing backend's clock: virtual seconds on the
 simulator, wall seconds since run start on threads and processes.
 
@@ -39,8 +41,11 @@ JSON vocabulary and examples: ``docs/testing.md``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple, Type
+import random
+from dataclasses import dataclass, fields
+from typing import (
+    Any, ClassVar, Dict, List, Mapping, NamedTuple, Optional, Tuple, Type,
+)
 
 from repro.registry import Registry
 
@@ -359,6 +364,86 @@ class FaultPlan:
         return cls(events=tuple(events), seed=data.get("seed"))
 
 
+# ----------------------------------------------------------------------
+# the per-message fate rule (every backend)
+# ----------------------------------------------------------------------
+class FaultDecision(NamedTuple):
+    """Outcome of consulting :meth:`MessageFates.decide` for one message."""
+
+    drop: bool = False
+    duplicate: bool = False
+    extra_delay: float = 0.0
+
+
+#: Shared "nothing happens" decision.
+NO_FAULT = FaultDecision()
+
+
+class MessageFates:
+    """The message-level events of one plan, decided message by message.
+
+    Owns the fault RNG (seeded with ``seed``), the plan's message events
+    and crashes, and the counters that end up in
+    :attr:`repro.api.result.RunResult.faults`.  :meth:`decide` consumes
+    exactly one RNG draw per *eligible* probabilistic event, in plan
+    order (plus one per granted reorder delay), so on the simulator
+    (deterministic event order) the decision stream -- and therefore
+    every counter -- is reproducible for a fixed seed.
+    """
+
+    def __init__(self, plan: FaultPlan, seed: int) -> None:
+        self.plan = plan
+        self._rng = random.Random(seed)
+        self.counters: Dict[str, int] = {}
+        self._message_events = plan.select(
+            MessageLoss, MessageDuplication, MessageReorder
+        )
+        self._crashes: List[RankCrash] = plan.select(RankCrash)
+
+    def _count(self, key: str) -> None:
+        self.counters[key] = self.counters.get(key, 0) + 1
+
+    def decide(self, message: Any, now: float) -> FaultDecision:
+        """The fate of ``message`` (``src``, ``dst``, ``tag``) sent at ``now``."""
+        for crash in self._crashes:
+            if not crash.dark(now):
+                continue
+            if message.src != crash.rank and message.dst != crash.rank:
+                continue
+            if not matches_tag(crash.tags, message.tag):
+                continue
+            self._count("messages_dropped")
+            self._count("crash_dropped")
+            return FaultDecision(drop=True)
+
+        drop = False
+        duplicate = False
+        extra_delay = 0.0
+        for event in self._message_events:
+            if not in_window(event.start, event.end, now):
+                continue
+            if not matches_tag(event.tags, message.tag):
+                continue
+            if self._rng.random() >= event.probability:
+                continue
+            if isinstance(event, MessageLoss):
+                drop = True
+            elif isinstance(event, MessageDuplication):
+                duplicate = True
+            else:  # MessageReorder
+                extra_delay += self._rng.random() * event.max_delay
+        if drop:
+            self._count("messages_dropped")
+            return FaultDecision(drop=True)
+        if duplicate:
+            self._count("messages_duplicated")
+        if extra_delay > 0.0:
+            self._count("messages_delayed")
+        if duplicate or extra_delay > 0.0:
+            return FaultDecision(duplicate=duplicate, extra_delay=extra_delay)
+        return NO_FAULT
+
+
 def fault_kinds() -> List[str]:
     """Sorted names of every registered fault-event kind."""
     return _EVENT_KINDS.names()
@@ -373,6 +458,9 @@ __all__ = [
     "MessageDuplication",
     "MessageReorder",
     "RankCrash",
+    "MessageFates",
+    "FaultDecision",
+    "NO_FAULT",
     "DATA_TAGS",
     "fault_kinds",
     "in_window",

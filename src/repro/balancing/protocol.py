@@ -5,7 +5,7 @@ ordinary AIAC message stream -- no global pause, no out-of-band
 channel.  One :class:`MigrationEngine` per rank drives the exchange
 from inside the worker loop (:mod:`repro.core.aiac` calls
 :meth:`~MigrationEngine.pump` once per iteration), yielding the same
-:mod:`repro.simgrid.effects` vocabulary as the algorithms themselves,
+:mod:`repro.core.effects` vocabulary as the algorithms themselves,
 so the identical protocol runs on the simulator and on real threads.
 
 Two-phase handoff
@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.balancing.estimator import RateEstimator
 from repro.balancing.policy import BalancingPlan, RankLoad, get_balancer
-from repro.simgrid.effects import Drain, Now, Recv, Send
+from repro.core.effects import Drain, Now, Recv, Send
 
 #: Tag all migration traffic travels on.  Deliberately not a ``data``
 #: prefix: fault plans scope message faults to data tags by default,

@@ -6,7 +6,7 @@ have become visible, integrates them, iterates on its block, offers
 updates to the send scheduler (skip-send rule) and sends what its
 :class:`repro.core.convergence.Detector` -- the one owner of the
 termination protocol -- tells it to.  The coroutine yields
-:mod:`repro.simgrid.effects` objects, so the same code runs on the
+:mod:`repro.core.effects` objects, so the same code runs on the
 discrete-event simulator and on the real-thread runtime.
 
 Two variants are provided:
@@ -27,8 +27,8 @@ import numpy as np
 
 from repro.core.comm import SendScheduler
 from repro.core.convergence import Detector
+from repro.core.effects import Barrier, Drain, Iterate, Now, Recv, Send, Trace
 from repro.problems.base import LocalSolver, SteppedLocalSolver
-from repro.simgrid.effects import Barrier, Drain, Iterate, Now, Recv, Send, Trace
 
 
 @dataclass(frozen=True)

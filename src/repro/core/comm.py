@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Set
 
-from repro.simgrid.effects import SendHandle
+from repro.core.effects import SendHandle
 
 
 class SendScheduler:

@@ -1,26 +1,33 @@
-"""Effect vocabulary yielded by algorithm coroutines.
+"""Effect vocabulary yielded by algorithm coroutines, and what it resumes with.
 
 The AIAC and SISC algorithm implementations in :mod:`repro.core` are
 written once as generator coroutines that ``yield`` the effect objects
-defined here.  Two interpreters execute them:
+defined here.  Three interpreters execute them:
 
 * the discrete-event simulator (:mod:`repro.simgrid.process`) charges
   virtual time for ``Compute`` and routes ``Send`` through the
   environment's communication model;
-* the real-thread runtime (:mod:`repro.runtime`) executes them against
-  thread-safe channels and the wall clock.
+* the real-thread and real-process runtime (:mod:`repro.runtime`)
+  executes them against channels and the wall clock.
 
 This is how the paper's comparison discipline (Section 5: same
 computation scheme, same communication scheme, same convergence
 detection, same halting procedure in every environment) is enforced
 structurally: the algorithm code cannot differ between environments
 because there is only one copy of it.
+
+The values effects resume with live here too: the :class:`SendHandle`
+of a ``Send`` and the :class:`Message` records a ``Drain`` or ``Recv``
+hands over, merged across tags by :func:`drain_tagged` in
+:data:`DELIVERY_ORDER` on every backend.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from operator import attrgetter
+from typing import Any, Dict, List, Optional
 
 
 class Effect:
@@ -148,7 +155,7 @@ class Iterate(Effect):
 class Drain(Effect):
     """Collect every message currently *visible* to this rank.
 
-    Non-blocking.  Resumes with a list of :class:`~repro.simgrid.message.Message`
+    Non-blocking.  Resumes with a list of :class:`Message`
     whose tag matches ``tag`` (or all tags when ``tag`` is ``None``).
     This models the paper's reception threads: received data "are taken
     into account in the computations" as soon as they have been handled
@@ -198,6 +205,101 @@ class Trace(Effect):
     info: dict = field(default_factory=dict)
 
 
+# ----------------------------------------------------------------------
+# messages: what Drain and Recv resume with
+# ----------------------------------------------------------------------
+_MESSAGE_IDS = itertools.count()
+
+#: Merge order when draining across tags: visibility time, then uid.
+DELIVERY_ORDER = attrgetter("delivered_at", "uid")
+
+
+@dataclass
+class Message:
+    """A tagged message between two ranks.
+
+    Attributes
+    ----------
+    src, dst:
+        Sender / receiver ranks.
+    tag:
+        Application-level tag (``"data"``, ``"state"``, ``"stop"``...).
+    payload:
+        Arbitrary Python object; for data messages this is typically a
+        ``(block_index, numpy array)`` pair.
+    size:
+        Size in bytes used by the transport model.  For the wall-clock
+        backends this is informational only.
+    sent_at:
+        Virtual (or wall) time at which the send was issued.
+    delivered_at:
+        Time at which the message became *visible* to the receiver,
+        i.e. after network transfer and receive-path handling.  Filled
+        by the transport.
+    """
+
+    src: int
+    dst: int
+    tag: str
+    payload: Any
+    size: float = 0.0
+    sent_at: float = 0.0
+    delivered_at: float = float("nan")
+    uid: int = field(default_factory=lambda: next(_MESSAGE_IDS))
+
+    def clone(self) -> "Message":
+        """A fresh-uid copy (a duplicated delivery must be two messages)."""
+        return Message(
+            src=self.src, dst=self.dst, tag=self.tag,
+            payload=self.payload, size=self.size, sent_at=self.sent_at,
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"Message(#{self.uid} {self.src}->{self.dst} tag={self.tag!r} "
+            f"size={self.size:g} sent={self.sent_at:.6f})"
+        )
+
+
+def drain_tagged(
+    by_tag: Dict[str, List[Message]], tag: Optional[str] = None
+) -> List[Message]:
+    """Remove and return visible messages from a per-tag queue dict.
+
+    The one merge algorithm behind both mailbox flavours (the
+    simulator's :class:`repro.simgrid.comm.Mailbox` and the wall-clock
+    backends' :class:`repro.runtime.channels.Mailbox`): with a
+    ``tag``, hand over that queue in deposit order; without one, merge
+    every non-empty queue in :data:`DELIVERY_ORDER` (sorted even for a
+    single queue -- deposit order and uid order can differ when
+    transports deliver at equal times).  Queues are handed over
+    (replaced by fresh lists) rather than copied -- callers own the
+    result, and per-message allocation stays minimal.  Not thread-safe;
+    callers hold their own locks.
+    """
+    if tag is None:
+        non_empty = [(key, messages) for key, messages in by_tag.items() if messages]
+        if not non_empty:
+            return []
+        if len(non_empty) == 1:
+            key, messages = non_empty[0]
+            by_tag[key] = []
+            # Near-sorted already: timsort makes this ~O(n).
+            messages.sort(key=DELIVERY_ORDER)
+            return messages
+        out: List[Message] = []
+        for key, messages in non_empty:
+            out.extend(messages)
+            by_tag[key] = []
+        out.sort(key=DELIVERY_ORDER)
+        return out
+    messages = by_tag.get(tag)
+    if not messages:
+        return []
+    by_tag[tag] = []
+    return messages
+
+
 __all__ = [
     "Effect",
     "Compute",
@@ -210,4 +312,7 @@ __all__ = [
     "Barrier",
     "Now",
     "Trace",
+    "Message",
+    "DELIVERY_ORDER",
+    "drain_tagged",
 ]

@@ -19,7 +19,7 @@ def register_worker(name=None, **kwargs) -> Callable:
     """Register a worker coroutine factory under a short name.
 
     A worker is a ``(rank, size, solver, opts) -> generator`` callable
-    yielding :mod:`repro.simgrid.effects`; registered names are usable
+    yielding :mod:`repro.core.effects`; registered names are usable
     in :class:`repro.api.Scenario`.
     """
     return WORKER_REGISTRY.register(name, **kwargs)

@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Optional
 
 from repro.core.aiac import AIACOptions, WorkerReport, _initial_exchange
+from repro.core.effects import Barrier, Iterate, Now, Recv, Send
 from repro.problems.base import LocalSolver, SteppedLocalSolver
-from repro.simgrid.effects import Barrier, Iterate, Now, Recv, Send
 
 
 def _allreduce_max(

@@ -1,11 +1,13 @@
-"""Gantt-style execution traces.
+"""Gantt-style execution traces: the span record of every backend.
 
 Figures 1 and 2 of the paper contrast the execution flow of a SISC
 algorithm (computation blocks separated by idle waits) with an AIAC
 algorithm (back-to-back computation, communications overlapped).  The
-simulator records per-rank activity spans here so the experiment
-harness can regenerate those figures as data (span tables, utilisation
-percentages and an ASCII rendering).
+simulator (on its virtual clock) and :class:`repro.obs.trace.WallTracer`
+(on the wall clock of the threaded and process backends) record
+per-rank activity spans here, so the experiment harness can regenerate
+those figures as data (span tables, utilisation percentages and an
+ASCII rendering) from any backend.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ An :class:`Environment` is a frozen record of everything the paper
 compares about PM2, MPICH/Madeleine and OmniORB 4 (plus the classical
 synchronous MPI baseline):
 
-* a :class:`~repro.simgrid.comm.CommPolicy` per problem kind -- the
-  thread and communication management of Table 4 plus per-message
-  software costs;
+* a :class:`CommPolicy` per problem kind -- the thread and
+  communication management of Table 4 plus per-message software
+  costs, which the simulator's transport (:mod:`repro.simgrid.comm`)
+  runs;
 * :class:`DeploymentTraits` -- the constraints of Section 5.3
   (connection-graph completeness, naming service, heterogeneous data
   conversion, configuration files, launch procedure);
@@ -20,12 +21,53 @@ Problem kinds are the paper's two communication regimes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
-from repro.simgrid.comm import CommPolicy
-
 PROBLEM_KINDS = ("sparse_linear", "chemical")
+
+
+@dataclass(frozen=True)
+class CommPolicy:
+    """Communication behaviour of one environment for one problem.
+
+    ``n_send_threads`` / ``n_recv_threads`` use ``None`` to mean
+    "created on demand" (one thread per message / per peer), matching
+    the wording of Table 4 in the paper.
+    """
+
+    name: str
+    n_send_threads: Optional[int] = 1
+    n_recv_threads: Optional[int] = None
+    send_base: float = 1e-4       # seconds of sender-side software overhead
+    send_per_byte: float = 0.0    # additional packing cost per byte
+    recv_base: float = 1e-4       # seconds of receive-path handling
+    recv_per_byte: float = 0.0
+    thread_spawn_cost: float = 5e-5
+    fair: bool = True
+    blocking_send: bool = False   # mono-threaded MPI semantics
+    blocking_recv: bool = False
+    barrier_beta: float = 2.0     # barrier cost = beta * ceil(log2 n) * max latency
+    # Blocking sends of messages at least this large complete only at
+    # *delivery* (MPI rendezvous protocol); smaller ones are eager
+    # (buffered) and resume when the sender-side transfer finishes.
+    # The paper's sparse-linear data blocks (~1.3 MB) are far above any
+    # 2004 MPI rendezvous threshold.
+    rendezvous_threshold: float = float("inf")
+
+    def send_sw_time(self, size: float) -> float:
+        return self.send_base + self.send_per_byte * size
+
+    def recv_sw_time(self, size: float) -> float:
+        return self.recv_base + self.recv_per_byte * size
+
+    def rendezvous(self, size: float) -> bool:
+        """True when a send of ``size`` bytes blocks its sender until delivery."""
+        return self.blocking_send and size >= self.rendezvous_threshold
+
+    def with_overrides(self, **kwargs) -> "CommPolicy":
+        """Return a copy with selected fields replaced."""
+        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -158,6 +200,7 @@ class Environment:
 
 
 __all__ = [
+    "CommPolicy",
     "Environment",
     "ThreadPolicy",
     "DeploymentTraits",

@@ -1,6 +1,6 @@
 """repro.obs -- the shared observability layer.
 
-One span/marker vocabulary (reused from :mod:`repro.simgrid.trace`)
+One span/marker vocabulary (:mod:`repro.core.trace`)
 across all three backends, a metrics registry for the serve/sweep
 layers, and exporters to NDJSON, Chrome trace-event JSON (Perfetto)
 and ASCII reports.  See ``docs/observability.md``.

@@ -3,7 +3,7 @@
 One rendering path for every consumer: the figure harness
 (:mod:`repro.experiments.figures12`) and ``repro report`` both build
 their per-rank utilisation summaries here and both render the Gantt
-rows through :meth:`~repro.simgrid.trace.GanttTrace.ascii_gantt`, so
+rows through :meth:`~repro.core.trace.GanttTrace.ascii_gantt`, so
 "the paper's Figure 1/2 view" and "what the tracer saw on a real
 backend" are the same picture on different clocks.
 """
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Union
 
+from repro.core.trace import GanttTrace
 from repro.obs.trace import SPAN_KINDS, Timeline
-from repro.simgrid.trace import GanttTrace
 
 TraceLike = Union[Timeline, GanttTrace]
 

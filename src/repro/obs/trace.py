@@ -1,8 +1,8 @@
 """Timelines and tracers: one span vocabulary for every backend.
 
-The simulator has always recorded a :class:`~repro.simgrid.trace.
-GanttTrace` on its virtual clock; the threaded and process backends ran
-dark.  This module closes the gap with two pieces:
+The simulator has always recorded a
+:class:`~repro.core.trace.GanttTrace` on its virtual clock; the
+threaded and process backends ran dark.  This module closes the gap with two pieces:
 
 * :class:`WallTracer` -- a wall-clock recorder with the same
   ``Span``/``Marker`` vocabulary, cheap enough to sit inside the
@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.simgrid.trace import GanttTrace, Marker, Span
+from repro.core.trace import GanttTrace, Marker, Span
 
 #: Schema tag stamped into every serialized timeline.
 TIMELINE_SCHEMA = "repro.timeline/1"

@@ -1,7 +1,7 @@
 """The mailbox of the two wall-clock backends, and the threaded hub.
 
 :class:`Mailbox` is one rank's receive side: per-tag queues of
-:class:`~repro.simgrid.message.Message` plus a heap of delayed
+:class:`~repro.core.effects.Message` plus a heap of delayed
 messages, with no lock and no waiting of its own.  :class:`ChannelHub`
 feeds one per rank under the rank's own ``Condition`` (so senders to
 different destinations never contend); a process feeds its own from a
@@ -21,7 +21,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.simgrid.message import Message, drain_tagged
+from repro.core.effects import Message, drain_tagged
 
 
 class ChannelClosed(RuntimeError):

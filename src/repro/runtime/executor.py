@@ -8,7 +8,7 @@ threads:
   the GIL before resuming; ``Sleep`` sleeps a bounded amount;
 * ``Send`` -- posts to the :class:`~repro.runtime.channels.ChannelHub`
   immediately (an in-process channel never blocks), so the
-  :class:`~repro.simgrid.effects.SendHandle` completes at once;
+  :class:`~repro.core.effects.SendHandle` completes at once;
 * ``Drain``/``Recv`` -- non-blocking / blocking channel reads;
 * ``Barrier`` -- a real ``threading.Barrier``.
 
@@ -22,8 +22,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
-from repro.simgrid import effects as fx
-from repro.simgrid.message import Message
+from repro.core import effects as fx
 
 #: Cap on simulated Sleep effects so a buggy coroutine cannot hang a test run.
 _MAX_SLEEP = 0.1
@@ -124,7 +123,7 @@ def _interpret(
                 value = None
             elif isinstance(effect, fx.Send):
                 handle = fx.SendHandle()
-                message = Message(
+                message = fx.Message(
                     src=rank, dst=effect.dest, tag=effect.tag,
                     payload=effect.payload, size=effect.size,
                     sent_at=time.monotonic(),

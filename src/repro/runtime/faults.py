@@ -5,8 +5,9 @@ loss/duplication/reorder/crash subset of a
 :class:`~repro.api.faults.FaultPlan` is meaningful on their channels,
 and honouring it there keeps every interpreter of the algorithm
 coroutines facing the same adversity.  :class:`ThreadFaultInjector`
-makes the per-message decisions (same decision vocabulary as the
-simulator's injector, wall-clock windows measured from run start);
+makes the per-message decisions (the simulator's
+:class:`~repro.api.faults.MessageFates` rule, wall-clock windows
+measured from run start);
 :func:`repro.runtime.channels.fates` turns each decision into
 deliveries for both backends: a dropped message has none, a duplicated
 one two, and a delayed one travels at once and waits at its receiver's
@@ -21,23 +22,15 @@ backend promises deterministic fault counters.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.api.faults import (
-    FaultPlan,
-    MessageDuplication,
-    MessageLoss,
-    MessageReorder,
-    RankCrash,
-)
-from repro.simgrid.faults import FaultDecision, decide_message_fate
-from repro.simgrid.message import Message
+from repro.api.faults import FaultDecision, FaultPlan, MessageFates
+from repro.core.effects import Message
 
 
-class ThreadFaultInjector:
+class ThreadFaultInjector(MessageFates):
     """Wall-clock interpretation of the message-level fault subset.
 
     ``stream`` selects a decorrelated RNG stream derived from the
@@ -54,18 +47,9 @@ class ThreadFaultInjector:
         default_seed: Optional[int] = None,
         stream: int = 0,
     ) -> None:
-        self.plan = plan
-        self._rng = random.Random(plan.rng_seed(default_seed) + 1_000_003 * stream)
+        super().__init__(plan, plan.rng_seed(default_seed) + 1_000_003 * stream)
         self._lock = threading.Lock()
-        self.counters: Dict[str, int] = {}
-        self._message_events = plan.select(
-            MessageLoss, MessageDuplication, MessageReorder
-        )
-        self._crashes: List[RankCrash] = plan.select(RankCrash)
         self._t0: Optional[float] = None
-
-    def _count(self, key: str, by: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + by
 
     def start(self, t0: Optional[float] = None) -> None:
         """Anchor the plan's time axis to the run's wall-clock start.
@@ -100,16 +84,11 @@ class ThreadFaultInjector:
     def on_send(self, message: Message, now: float) -> FaultDecision:
         """Decide the fate of one message posted to the channel hub.
 
-        The decision procedure itself is
-        :func:`repro.simgrid.faults.decide_message_fate` -- one shared
-        implementation for both backends -- wrapped in this injector's
-        lock (many sender threads, one RNG stream).
+        :meth:`~repro.api.faults.MessageFates.decide` under this
+        injector's lock (many sender threads, one RNG stream).
         """
         with self._lock:
-            return decide_message_fate(
-                self._crashes, self._message_events, self._rng, self.counters,
-                message, now,
-            )
+            return self.decide(message, now)
 
 
 __all__ = ["ThreadFaultInjector"]

@@ -9,7 +9,7 @@ windows, real wall-clock speedups for compute-bound scenarios.
 Architecture
 ------------
 * one :class:`multiprocessing.Queue` **inbox per rank**; a send from
-  rank *r* to rank *d* pickles the :class:`~repro.simgrid.message.Message`
+  rank *r* to rank *d* pickles the :class:`~repro.core.effects.Message`
   (numpy payloads included) straight into *d*'s inbox;
 * each child runs :class:`ProcessEndpoint`, which feeds the rank's
   :class:`~repro.runtime.channels.Mailbox` -- the receive side the

@@ -9,65 +9,18 @@ provides:
 * :mod:`repro.simgrid.host` / :mod:`repro.simgrid.link` /
   :mod:`repro.simgrid.network` -- resource models (CPU speed, latency,
   bandwidth, FIFO link contention, multi-hop routes),
-* :mod:`repro.simgrid.effects` -- the effect vocabulary that algorithm
-  coroutines yield (``Compute``, ``Send``, ``Drain``, ``Recv``,
-  ``Barrier``, ...),
 * :mod:`repro.simgrid.process` -- the coroutine interpreter binding
-  processes to hosts,
+  processes to hosts; it runs the effect vocabulary of
+  :mod:`repro.core.effects`,
 * :mod:`repro.simgrid.comm` -- the message transport pipeline
   (sending-thread pools, link transfers, receive-path handling modelled
   after the environments of the paper),
-* :mod:`repro.simgrid.trace` -- Gantt-style span recording used to
-  regenerate Figures 1 and 2 of the paper,
-* :mod:`repro.simgrid.world` -- the top-level :class:`World` object tying
-  everything together.
+* :mod:`repro.simgrid.faults` -- a fault plan compiled onto the engine,
+* :mod:`repro.simgrid.world` -- the top-level ``World`` tying
+  everything together; it records a :mod:`repro.core.trace` Gantt trace.
 
 Numerical work performed by the algorithms is *real*; only time and
-message transport are simulated.
+message transport are simulated.  The package root is empty: name the
+submodule you need, so a wall-clock run that only builds a cluster
+topology loads ``host``, ``link`` and ``network`` and no more.
 """
-
-from repro.simgrid.engine import Engine, Event
-from repro.simgrid.host import Host
-from repro.simgrid.link import Link
-from repro.simgrid.network import Network, Route
-from repro.simgrid.effects import (
-    Barrier,
-    Compute,
-    Drain,
-    Effect,
-    Now,
-    Recv,
-    Send,
-    SendHandle,
-    Sleep,
-    Trace,
-)
-from repro.simgrid.message import Message
-from repro.simgrid.process import Process, ProcessState
-from repro.simgrid.trace import GanttTrace, Span
-from repro.simgrid.world import World
-
-__all__ = [
-    "Engine",
-    "Event",
-    "Host",
-    "Link",
-    "Network",
-    "Route",
-    "Effect",
-    "Compute",
-    "Sleep",
-    "Send",
-    "SendHandle",
-    "Drain",
-    "Recv",
-    "Barrier",
-    "Now",
-    "Trace",
-    "Message",
-    "Process",
-    "ProcessState",
-    "GanttTrace",
-    "Span",
-    "World",
-]

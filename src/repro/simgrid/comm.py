@@ -5,13 +5,14 @@ PM2, MPICH/Madeleine and OmniORB to *the way the threads are managed*
 around communications (Sections 5.1 and 6, Table 4).  This module
 implements exactly that machinery:
 
-* a :class:`CommPolicy` describes, for one programming environment and
-  one problem, how many sending threads exist, whether reception uses a
-  dedicated thread pool or threads created on demand, the per-message
-  software overheads (packing for PM2, MPI envelope for MPI/Mad, ORB
-  marshalling/dispatch for OmniORB), thread spawn cost, scheduler
-  fairness, and whether the communications block the main thread
-  (classical mono-threaded MPI);
+* a :class:`~repro.envs.base.CommPolicy` (built by
+  ``Environment.comm_policy``) describes, for one programming
+  environment and one problem, how many sending threads exist, whether
+  reception uses a dedicated thread pool or threads created on demand,
+  the per-message software overheads (packing for PM2, MPI envelope
+  for MPI/Mad, ORB marshalling/dispatch for OmniORB), thread spawn
+  cost, scheduler fairness, and whether the communications block the
+  main thread (classical mono-threaded MPI);
 * :class:`ThreadPoolModel` simulates a fixed pool of threads serving a
   job queue in FIFO (fair scheduler, e.g. Marcel) or LIFO (unfair)
   order; :class:`OnDemandPool` simulates thread-per-message creation;
@@ -35,57 +36,13 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.simgrid.effects import SendHandle
+from repro.core.effects import Message, SendHandle, drain_tagged
+from repro.envs.base import CommPolicy
 from repro.simgrid.engine import Engine
-from repro.simgrid.message import Message, drain_tagged
 from repro.simgrid.network import Network, Route
-
-
-@dataclass(frozen=True)
-class CommPolicy:
-    """Communication behaviour of one environment for one problem.
-
-    ``n_send_threads`` / ``n_recv_threads`` use ``None`` to mean
-    "created on demand" (one thread per message / per peer), matching
-    the wording of Table 4 in the paper.
-    """
-
-    name: str
-    n_send_threads: Optional[int] = 1
-    n_recv_threads: Optional[int] = None
-    send_base: float = 1e-4       # seconds of sender-side software overhead
-    send_per_byte: float = 0.0    # additional packing cost per byte
-    recv_base: float = 1e-4       # seconds of receive-path handling
-    recv_per_byte: float = 0.0
-    thread_spawn_cost: float = 5e-5
-    fair: bool = True
-    blocking_send: bool = False   # mono-threaded MPI semantics
-    blocking_recv: bool = False
-    barrier_beta: float = 2.0     # barrier cost = beta * ceil(log2 n) * max latency
-    # Blocking sends of messages at least this large complete only at
-    # *delivery* (MPI rendezvous protocol); smaller ones are eager
-    # (buffered) and resume when the sender-side transfer finishes.
-    # The paper's sparse-linear data blocks (~1.3 MB) are far above any
-    # 2004 MPI rendezvous threshold.
-    rendezvous_threshold: float = float("inf")
-
-    def send_sw_time(self, size: float) -> float:
-        return self.send_base + self.send_per_byte * size
-
-    def recv_sw_time(self, size: float) -> float:
-        return self.recv_base + self.recv_per_byte * size
-
-    def rendezvous(self, size: float) -> bool:
-        """True when a send of ``size`` bytes blocks its sender until delivery."""
-        return self.blocking_send and size >= self.rendezvous_threshold
-
-    def with_overrides(self, **kwargs) -> "CommPolicy":
-        """Return a copy with selected fields replaced."""
-        return replace(self, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +346,6 @@ class Transport:
 
 
 __all__ = [
-    "CommPolicy",
     "ThreadPoolModel",
     "OnDemandPool",
     "Mailbox",

@@ -12,7 +12,8 @@ starts:
   :class:`~repro.simgrid.host.Host` speeds, geometrically ramped when
   ``steps > 1``;
 * the message-level events (loss, duplication, reorder,
-  crash-blackout) are consulted by the
+  crash-blackout) are the :class:`~repro.api.faults.MessageFates` rule
+  every backend shares, consulted by the
   :class:`~repro.simgrid.comm.Transport` for every eligible message via
   :meth:`SimFaultInjector.on_send`.
 
@@ -26,98 +27,18 @@ never extends the makespan.
 
 from __future__ import annotations
 
-import random
 from fnmatch import fnmatch
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from repro.api.faults import (
     FaultPlan,
     HostSlowdown,
     LinkDegradation,
-    MessageDuplication,
-    MessageLoss,
-    MessageReorder,
-    RankCrash,
-    in_window,
-    matches_tag,
+    MessageFates,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.simgrid.message import Message
     from repro.simgrid.world import World
-
-
-class FaultDecision:
-    """Outcome of consulting the injector for one message."""
-
-    __slots__ = ("drop", "duplicate", "extra_delay")
-
-    def __init__(self, drop: bool = False, duplicate: bool = False,
-                 extra_delay: float = 0.0) -> None:
-        self.drop = drop
-        self.duplicate = duplicate
-        self.extra_delay = extra_delay
-
-
-#: Shared "nothing happens" decision (read-only by convention).
-NO_FAULT = FaultDecision()
-
-
-def decide_message_fate(
-    crashes: List[RankCrash],
-    message_events: List,
-    rng: random.Random,
-    counters: Dict[str, int],
-    message: "Message",
-    now: float,
-) -> FaultDecision:
-    """The one message-fault decision procedure, shared by both backends.
-
-    Consumes exactly one RNG draw per *eligible* probabilistic event,
-    in plan order, so on the simulator (deterministic event order) the
-    decision stream -- and therefore every counter -- is reproducible
-    for a fixed seed.  The thread injector wraps this in its lock.
-    """
-    def count(key: str) -> None:
-        counters[key] = counters.get(key, 0) + 1
-
-    for crash in crashes:
-        if not crash.dark(now):
-            continue
-        if message.src != crash.rank and message.dst != crash.rank:
-            continue
-        if not matches_tag(crash.tags, message.tag):
-            continue
-        count("messages_dropped")
-        count("crash_dropped")
-        return FaultDecision(drop=True)
-
-    drop = False
-    duplicate = False
-    extra_delay = 0.0
-    for event in message_events:
-        if not in_window(event.start, event.end, now):
-            continue
-        if not matches_tag(event.tags, message.tag):
-            continue
-        if rng.random() >= event.probability:
-            continue
-        if isinstance(event, MessageLoss):
-            drop = True
-        elif isinstance(event, MessageDuplication):
-            duplicate = True
-        else:  # MessageReorder
-            extra_delay += rng.random() * event.max_delay
-    if drop:
-        count("messages_dropped")
-        return FaultDecision(drop=True)
-    if duplicate:
-        count("messages_duplicated")
-    if extra_delay > 0.0:
-        count("messages_delayed")
-    if duplicate or extra_delay > 0.0:
-        return FaultDecision(duplicate=duplicate, extra_delay=extra_delay)
-    return NO_FAULT
 
 
 def _matching(objects, patterns: Optional[Sequence[str]]) -> List:
@@ -127,27 +48,18 @@ def _matching(objects, patterns: Optional[Sequence[str]]) -> List:
     return [o for o in objects if any(fnmatch(o.name, p) for p in patterns)]
 
 
-class SimFaultInjector:
+class SimFaultInjector(MessageFates):
     """Runtime state of one fault plan during one simulated run.
 
-    One injector serves one run: it owns the fault RNG, the counters
-    that end up in :attr:`repro.api.result.RunResult.faults`, and the
-    pending window events (for cancellation when the run ends early).
+    One injector serves one run: on top of the shared message rule (the
+    fault RNG, the counters) it owns the pending window events (for
+    cancellation when the run ends early).
     """
 
     def __init__(self, plan: FaultPlan, default_seed: Optional[int] = None) -> None:
-        self.plan = plan
-        self._rng = random.Random(plan.rng_seed(default_seed))
-        self.counters: Dict[str, int] = {}
-        self._message_events = plan.select(
-            MessageLoss, MessageDuplication, MessageReorder
-        )
-        self._crashes: List[RankCrash] = plan.select(RankCrash)
+        super().__init__(plan, plan.rng_seed(default_seed))
         self._pending_events: List = []
         self._installed = False
-
-    def _count(self, key: str, by: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + by
 
     # ------------------------------------------------------------------
     # window compilation (called by World.run)
@@ -236,15 +148,9 @@ class SimFaultInjector:
             event.cancel()
         self._pending_events.clear()
 
-    # ------------------------------------------------------------------
-    # message path (called by Transport.send)
-    # ------------------------------------------------------------------
-    def on_send(self, message: "Message", now: float) -> FaultDecision:
-        """Decide the fate of one message entering the transport."""
-        return decide_message_fate(
-            self._crashes, self._message_events, self._rng, self.counters,
-            message, now,
-        )
+    #: Decide the fate of one message entering the transport
+    #: (called by ``Transport.send``).
+    on_send = MessageFates.decide
 
 
-__all__ = ["SimFaultInjector", "FaultDecision", "NO_FAULT", "decide_message_fate"]
+__all__ = ["SimFaultInjector"]

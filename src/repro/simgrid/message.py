@@ -1,102 +1,3 @@
-"""Message record shared by the simulated and real-thread backends."""
+"""Alias of :mod:`repro.core.effects`, where ``Message`` lives."""
 
-from __future__ import annotations
-
-import itertools
-from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Any, Dict, List, Optional
-
-_MESSAGE_IDS = itertools.count()
-
-#: Merge order when draining across tags: visibility time, then uid.
-DELIVERY_ORDER = attrgetter("delivered_at", "uid")
-
-
-@dataclass
-class Message:
-    """A tagged message between two ranks.
-
-    Attributes
-    ----------
-    src, dst:
-        Sender / receiver ranks.
-    tag:
-        Application-level tag (``"data"``, ``"state"``, ``"stop"``...).
-    payload:
-        Arbitrary Python object; for data messages this is typically a
-        ``(block_index, numpy array)`` pair.
-    size:
-        Size in bytes used by the transport model.  For the real-thread
-        backend this is informational only.
-    sent_at:
-        Virtual (or wall) time at which the send was issued.
-    delivered_at:
-        Time at which the message became *visible* to the receiver,
-        i.e. after network transfer and receive-path handling.  Filled
-        by the transport.
-    """
-
-    src: int
-    dst: int
-    tag: str
-    payload: Any
-    size: float = 0.0
-    sent_at: float = 0.0
-    delivered_at: float = float("nan")
-    uid: int = field(default_factory=lambda: next(_MESSAGE_IDS))
-
-    def clone(self) -> "Message":
-        """A fresh-uid copy (a duplicated delivery must be two messages)."""
-        return Message(
-            src=self.src, dst=self.dst, tag=self.tag,
-            payload=self.payload, size=self.size, sent_at=self.sent_at,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Message(#{self.uid} {self.src}->{self.dst} tag={self.tag!r} "
-            f"size={self.size:g} sent={self.sent_at:.6f})"
-        )
-
-
-def drain_tagged(
-    by_tag: Dict[str, List["Message"]], tag: Optional[str] = None
-) -> List["Message"]:
-    """Remove and return visible messages from a per-tag queue dict.
-
-    The one merge algorithm behind both mailbox flavours (the
-    simulator's :class:`repro.simgrid.comm.Mailbox` and the thread
-    backend's :class:`repro.runtime.channels.ChannelHub`): with a
-    ``tag``, hand over that queue in deposit order; without one, merge
-    every non-empty queue in :data:`DELIVERY_ORDER` (sorted even for a
-    single queue -- deposit order and uid order can differ when
-    transports deliver at equal times).  Queues are handed over
-    (replaced by fresh lists) rather than copied -- callers own the
-    result, and per-message allocation stays minimal.  Not thread-safe;
-    callers hold their own locks.
-    """
-    if tag is None:
-        non_empty = [(key, messages) for key, messages in by_tag.items() if messages]
-        if not non_empty:
-            return []
-        if len(non_empty) == 1:
-            key, messages = non_empty[0]
-            by_tag[key] = []
-            # Near-sorted already: timsort makes this ~O(n).
-            messages.sort(key=DELIVERY_ORDER)
-            return messages
-        out: List[Message] = []
-        for key, messages in non_empty:
-            out.extend(messages)
-            by_tag[key] = []
-        out.sort(key=DELIVERY_ORDER)
-        return out
-    messages = by_tag.get(tag)
-    if not messages:
-        return []
-    by_tag[tag] = []
-    return messages
-
-
-__all__ = ["Message", "DELIVERY_ORDER", "drain_tagged"]
+from repro.core.effects import DELIVERY_ORDER, Message, drain_tagged  # noqa: F401

@@ -1,7 +1,7 @@
 """Coroutine interpreter: runs algorithm generators on simulated hosts.
 
 A :class:`Process` owns one algorithm coroutine (a generator yielding
-:mod:`repro.simgrid.effects` objects) bound to one host and one rank.
+:mod:`repro.core.effects` objects) bound to one host and one rank.
 The interpreter advances the generator, translating each effect into
 engine events, trace spans and transport calls.
 
@@ -21,10 +21,9 @@ from __future__ import annotations
 import enum
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
-from repro.simgrid import effects as fx
+from repro.core import effects as fx
 from repro.simgrid.engine import SimulationError
 from repro.simgrid.host import Host
-from repro.simgrid.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simgrid.world import World
@@ -197,7 +196,7 @@ class Process:
 
     def _do_send(self, effect: fx.Send) -> fx.SendHandle:
         handle = fx.SendHandle()
-        message = Message(
+        message = fx.Message(
             src=self.rank,
             dst=effect.dest,
             tag=effect.tag,

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional
 
-from repro.simgrid.comm import CommPolicy, Transport
+from repro.core.trace import GanttTrace
+from repro.envs.base import CommPolicy
+from repro.simgrid.comm import Transport
 from repro.simgrid.engine import Engine, SimulationError
 from repro.simgrid.host import Host
 from repro.simgrid.network import Network
 from repro.simgrid.process import Process, ProcessState
-from repro.simgrid.trace import GanttTrace
 
 
 class ProcessFailure(RuntimeError):
@@ -30,7 +31,7 @@ class World:
     network:
         The topology (hosts, links, routes).
     policy:
-        The :class:`~repro.simgrid.comm.CommPolicy` of the programming
+        The :class:`~repro.envs.base.CommPolicy` of the programming
         environment under test.
     hosts:
         Hosts to place ranks on, in rank order.  Defaults to

@@ -552,8 +552,7 @@ class _Wire:
         return self.inboxes.setdefault(rank, [])
 
     def run(self, rank, gen):
-        from repro.simgrid.effects import Drain, Now, Recv, Send
-        from repro.simgrid.message import Message
+        from repro.core.effects import Drain, Message, Now, Recv, Send
 
         value = None
         while True:
@@ -622,7 +621,7 @@ def test_full_handshake_moves_rows_and_clears_state():
 
 
 def test_busy_receiver_rejects_and_donor_cools_down():
-    from repro.simgrid.message import Message
+    from repro.core.effects import Message
 
     wire = _Wire()
     receiver = _hot_engine(1, 3)
@@ -644,7 +643,7 @@ def test_busy_receiver_rejects_and_donor_cools_down():
 
 
 def test_stale_replies_and_unmatched_commits_are_safe():
-    from repro.simgrid.message import Message
+    from repro.core.effects import Message
 
     wire = _Wire()
     engine = _hot_engine(1, 3)
@@ -672,7 +671,7 @@ def test_stale_replies_and_unmatched_commits_are_safe():
 
 
 def test_shrunken_donor_calls_off_an_accepted_offer():
-    from repro.simgrid.message import Message
+    from repro.core.effects import Message
 
     wire = _Wire()
     donor = _hot_engine(0, 2, min_rows=1)
@@ -707,7 +706,7 @@ def test_finalize_safety_valve_when_the_peer_never_resolves():
 
 
 def test_finalize_withdraws_offers_and_collects_commits():
-    from repro.simgrid.message import Message
+    from repro.core.effects import Message
 
     wire = _Wire()
     engine = _hot_engine(1, 3)
@@ -743,7 +742,7 @@ def test_finalize_withdraws_offers_and_collects_commits():
 
 def test_engine_pump_is_effect_pure():
     """The engine never touches backend state directly -- only effects."""
-    from repro.simgrid.effects import Effect
+    from repro.core.effects import Effect
 
     plan = BalancingPlan(policy="none")
     engine = MigrationEngine(plan, rank=0, size=2)

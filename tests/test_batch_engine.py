@@ -26,9 +26,9 @@ from repro.api.backends import ProcessBackend, SimulatedBackend
 from repro.api.faults import FaultPlan, MessageDuplication, MessageLoss
 from repro.clusters import uniform_cluster
 from repro.core.aiac import AIACOptions
+from repro.core.effects import Compute, Iterate
+from repro.envs.base import CommPolicy
 from repro.problems import chemical
-from repro.simgrid.comm import CommPolicy
-from repro.simgrid.effects import Compute, Iterate
 from repro.simgrid.process import ProcessState
 from repro.simgrid.world import ProcessFailure, World
 from repro.sweep import run_sweep

@@ -3,16 +3,15 @@
 import pytest
 
 from repro.clusters import uniform_cluster
+from repro.core.effects import Message, SendHandle
+from repro.envs.base import CommPolicy
 from repro.simgrid.comm import (
-    CommPolicy,
     Mailbox,
     OnDemandPool,
     ThreadPoolModel,
     Transport,
 )
-from repro.simgrid.effects import SendHandle
 from repro.simgrid.engine import Engine
-from repro.simgrid.message import Message
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ from repro.api import Scenario, SimulatedBackend
 from repro.core.aiac import AIACOptions
 from repro.core.comm import SendScheduler
 from repro.core.convergence import CoordinatorPanel, Detector, LocalConvergenceTracker
-from repro.simgrid.effects import SendHandle
+from repro.core.effects import SendHandle
 
 
 # ----------------------------------------------------------------------

@@ -6,15 +6,15 @@ import pytest
 from repro.api import Scenario, SimulatedBackend
 from repro.core.aiac import AIACOptions
 from repro.clusters import uniform_cluster
+from repro.core.effects import Compute, Send
+from repro.envs.base import CommPolicy
 from repro.linalg.sparse import MultiDiagonalMatrix
 from repro.problems.sparse_linear import SparseLinearConfig, SparseLinearProblem
-from repro.simgrid.comm import CommPolicy
 from repro.simgrid.engine import SimulationError
 from repro.simgrid.host import Host
 from repro.simgrid.link import Link
 from repro.simgrid.network import Network, NoRouteError
 from repro.simgrid.world import ProcessFailure, World
-from repro.simgrid.effects import Compute, Send
 
 
 def _divergent_problem(n=60):
@@ -88,7 +88,7 @@ def test_unfair_scheduler_starves_old_messages():
 
         def receiver(rank, size):
             yield Compute(1e12)  # wait long enough for all handling
-            from repro.simgrid.effects import Drain
+            from repro.core.effects import Drain
             msgs = yield Drain("d")
             return [m.payload for m in sorted(msgs, key=lambda m: m.delivered_at)]
 

@@ -72,6 +72,24 @@ for export in (network.connectivity_graph,
 """
 
 
+WALL_CLOCK_RUNS_WITH_FAULTS = """
+import sys
+from repro.api import FaultPlan, MessageLoss, ProcessBackend, Scenario, ThreadedBackend
+from repro.core.aiac import AIACOptions
+scenario = Scenario(
+    problem="sparse_linear",
+    problem_params=dict(n=60, sign_structure="random", eps=1e-6),
+    environment="pm2", cluster="uniform_cluster", n_ranks=2,
+    options=AIACOptions(eps=1e-6, max_iterations=300),
+    faults=FaultPlan(events=(MessageLoss(probability=0.1),), seed=1),
+)
+for backend in (ThreadedBackend(timeout=60.0), ProcessBackend(timeout=60.0)):
+    assert backend.run(scenario).reports
+assert "repro.runtime.faults" in sys.modules
+print("\\n".join(sorted(name for name in sys.modules if name.startswith("repro.simgrid."))))
+"""
+
+
 def run_clean(code: str) -> str:
     """Stdout of ``code`` in a clean interpreter that sees this checkout's ``src/``."""
     proc = subprocess.run(
@@ -115,3 +133,22 @@ def test_only_numpy_stdlib_and_repro_are_loaded(case, allowed):
 
 def test_runs_and_deployment_checks_work_without_networkx():
     run_clean(WITHOUT_NETWORKX)
+
+
+def test_wall_clock_runs_load_only_the_cluster_topology_of_the_simulator():
+    """The effect vocabulary, the trace record and the fault rule live
+    outside :mod:`repro.simgrid`; a threaded or process run (fault
+    injector included) needs the simulator's hosts, links and network
+    to build its cluster, and nothing else of it."""
+    loaded = run_clean(WALL_CLOCK_RUNS_WITH_FAULTS).split()
+    assert loaded == ["repro.simgrid.host", "repro.simgrid.link", "repro.simgrid.network"]
+
+
+def test_importing_the_api_loads_no_simulator_machinery():
+    loaded = run_clean(
+        "import sys, repro.api\n"
+        "print('\\n'.join(sorted(sys.modules)))"
+    ).split()
+    machinery = {f"repro.simgrid.{name}"
+                 for name in ("engine", "world", "process", "comm", "faults")}
+    assert sorted(machinery.intersection(loaded)) == []

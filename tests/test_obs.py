@@ -18,6 +18,7 @@ import pytest
 
 from repro.api import Scenario, run_scenario
 from repro.api.result import RunResult
+from repro.core.trace import GanttTrace
 from repro.obs import (
     SPAN_KINDS,
     TIMELINE_SCHEMA,
@@ -36,7 +37,6 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram
-from repro.simgrid.trace import GanttTrace
 
 
 def small_trace():

@@ -25,6 +25,7 @@ from repro.api import (
 )
 from repro.balancing import BalancingPlan
 from repro.core.aiac import AIACOptions
+from repro.core.effects import Message
 from repro.runtime.executor import BackendTimeoutError, ThreadTimeoutError
 from repro.runtime.faults import ThreadFaultInjector
 from repro.runtime import process_hub
@@ -35,7 +36,6 @@ from repro.runtime.process_hub import (
     _child_main,
     run_processes,
 )
-from repro.simgrid.message import Message
 from repro.testing import check_invariants, check_row_partition
 from repro.testing.conformance import run_scenario_conformance
 

@@ -5,8 +5,7 @@ import sys
 import pytest
 
 from repro.clusters import uniform_cluster
-from repro.envs import get_environment
-from repro.simgrid.effects import (
+from repro.core.effects import (
     Barrier,
     Compute,
     Drain,
@@ -17,8 +16,9 @@ from repro.simgrid.effects import (
     Sleep,
     Trace,
 )
+from repro.envs import get_environment
+from repro.envs.base import CommPolicy
 from repro.simgrid.engine import SimulationError
-from repro.simgrid.comm import CommPolicy
 from repro.simgrid.world import ProcessFailure, World
 
 POLICY = CommPolicy(name="test", send_base=1e-4, recv_base=1e-4)

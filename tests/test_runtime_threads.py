@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core.aiac import AIACOptions, aiac_stepped_worker, aiac_worker
+from repro.core.effects import (
+    Barrier, Compute, Drain, Message, Now, Recv, Send, Sleep, Trace,
+)
 from repro.core.sisc import sisc_worker
 from repro.problems.chemical import ChemicalConfig, ChemicalProblem
 from repro.problems.sparse_linear import SparseLinearConfig, SparseLinearProblem
 from repro.runtime import ChannelHub, run_threads
 from repro.runtime.channels import Mailbox
 from repro.runtime.executor import ThreadWorkerError
-from repro.simgrid.effects import Barrier, Compute, Drain, Now, Recv, Send, Sleep, Trace
-from repro.simgrid.message import Message
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +105,7 @@ def test_effects_resume_with_the_same_value_types_as_the_simulator():
     threads as on the simulator (``Barrier`` with ``None``, never the
     previous effect's result)."""
     from repro.clusters import uniform_cluster
-    from repro.simgrid.comm import CommPolicy
+    from repro.envs.base import CommPolicy
     from repro.simgrid.world import World
 
     def worker(rank, size):

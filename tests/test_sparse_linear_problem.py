@@ -6,8 +6,8 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.effects import Message
 from repro.linalg.partition import BlockPartition, WeightedPartition
-from repro.simgrid.message import Message
 from repro.problems.sparse_linear import (
     PAPER_SPARSE_LINEAR,
     SparseLinearConfig,

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.core.trace import GanttTrace
 from repro.experiments.common import render_table
 from repro.experiments.figures12 import FlowConfig, format_flows, run_execution_flows
 from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table4 import PAPER_TABLE4, format_table4, run_table4
-from repro.simgrid.trace import GanttTrace
 
 
 # ----------------------------------------------------------------------
