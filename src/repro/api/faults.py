@@ -25,9 +25,9 @@ layer (all six kinds), and
 :class:`~repro.runtime.faults.ThreadFaultInjector` applies the
 loss/duplication/reorder/crash subset on the channels of the threaded
 and process backends (a delayed message waits at its receiver's
-mailbox).  Times are
-expressed on the executing backend's clock: virtual seconds on the
-simulator, wall seconds since run start on threads and processes.
+mailbox).  Times are expressed on the executing backend's clock:
+virtual seconds on the simulator, wall seconds since run start on
+threads and processes.
 
 Message-level events apply only to tags matching the event's ``tags``
 prefixes (default ``("data",)``): the startup/halo exchanges and the

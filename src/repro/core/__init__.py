@@ -3,9 +3,8 @@
 This package is the paper's primary contribution rebuilt as a library:
 
 * :mod:`repro.core.effects` -- the effect vocabulary every worker
-  coroutine yields and every backend interprets (the simulator, threads,
-  processes), with the ``SendHandle`` and ``Message`` values effects
-  resume with;
+  yields and every backend interprets, with the values effects resume
+  with (``SendHandle``, ``Message``);
 * :mod:`repro.core.trace` -- the Gantt span record every backend writes;
 * :mod:`repro.core.model` -- the formal model of Section 1.2
   (Algorithm 1): activation sets ``J(t)``, per-block delays and the

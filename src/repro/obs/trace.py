@@ -2,7 +2,8 @@
 
 The simulator has always recorded a
 :class:`~repro.core.trace.GanttTrace` on its virtual clock; the
-threaded and process backends ran dark.  This module closes the gap with two pieces:
+threaded and process backends ran dark.  This module closes the gap
+with two pieces:
 
 * :class:`WallTracer` -- a wall-clock recorder with the same
   ``Span``/``Marker`` vocabulary, cheap enough to sit inside the
