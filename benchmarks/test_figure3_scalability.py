@@ -7,11 +7,17 @@ curves tighten at the largest processor count (limit of parallel
 efficiency).
 """
 
+import hashlib
+
 import pytest
 
 from repro.experiments.figure3 import Figure3Config, format_figure3, run_figure3
 
 BENCH_CONFIG = Figure3Config(processor_counts=(4, 8, 12, 20, 40))
+
+#: SHA-1 over the 20 (version, processor count, makespan) samples of
+#: the four series, environment-major.
+FIGURE3_PIN = "8ccde1ab77ef0bb1a966646dd35100b80308d8c0"
 
 
 def _shape_checks(outcome):
@@ -47,6 +53,12 @@ def _shape_checks(outcome):
 def test_figure3_benchmark(benchmark):
     outcome = benchmark.pedantic(run_figure3, args=(BENCH_CONFIG,), rounds=1, iterations=1)
     _shape_checks(outcome)
+    pinned = [
+        (label, n, float(t))
+        for label, times in outcome["series"].items()
+        for n, t in zip(outcome["processor_counts"], times)
+    ]
+    assert hashlib.sha1(repr(pinned).encode()).hexdigest() == FIGURE3_PIN
     benchmark.extra_info["figure3"] = {
         label: [round(t, 4) for t in times]
         for label, times in outcome["series"].items()

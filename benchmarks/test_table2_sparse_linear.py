@@ -7,12 +7,19 @@ synchronous baseline; OmniORB leads the asynchronous pack; all runs
 converge to the true solution.
 """
 
+import hashlib
+
 import pytest
 
 from repro.experiments.table2 import Table2Config, format_table2, run_table2
 
 #: Smaller instance so the benchmark repeats in reasonable time.
 BENCH_CONFIG = Table2Config(n=1200, n_ranks=6, stability_count=10)
+
+#: SHA-1 over every row's makespan, max iterations, convergence flag and
+#: solution error, in the table's row order: any change to a simulated
+#: number of Table 2 fails it.
+TABLE2_PIN = "156b5bc16e323afed32a8b615cad556f3d3b0555"
 
 
 def _shape_checks(outcome):
@@ -36,6 +43,12 @@ def _shape_checks(outcome):
 def test_table2_benchmark(benchmark):
     outcome = benchmark.pedantic(run_table2, args=(BENCH_CONFIG,), rounds=1, iterations=1)
     rows = _shape_checks(outcome)
+    pinned = [
+        (r.version, float(r.execution_time), int(r.iterations),
+         bool(r.converged), float(r.solution_error))
+        for r in outcome["rows"]
+    ]
+    assert hashlib.sha1(repr(pinned).encode()).hexdigest() == TABLE2_PIN
     benchmark.extra_info["table2"] = {
         version: {
             "sim_time_s": round(row.execution_time, 3),

@@ -7,11 +7,17 @@ Shape asserted: async >> sync on both clusters; OmniORB trails PM2 and
 MPI/Mad on the Ethernet cluster; everything slows down behind ADSL.
 """
 
+import hashlib
+
 import pytest
 
 from repro.experiments.table3 import Table3Config, format_table3, run_table3
 
 BENCH_CONFIG = Table3Config(nx=24, nz=36, t_end=540.0, n_ranks=6)
+
+#: SHA-1 over every (cluster, version) row's makespan, max iterations,
+#: convergence flag and solution error, in the table's row order.
+TABLE3_PIN = "867f9a4b2fcea4ddd29f9450a359b512a35c0488"
 
 
 def _shape_checks(outcome):
@@ -42,6 +48,12 @@ def _shape_checks(outcome):
 def test_table3_benchmark(benchmark):
     outcome = benchmark.pedantic(run_table3, args=(BENCH_CONFIG,), rounds=1, iterations=1)
     _shape_checks(outcome)
+    pinned = [
+        (cluster, r.version, float(r.execution_time), int(r.iterations),
+         bool(r.converged), float(r.solution_error))
+        for cluster, rows in outcome["clusters"].items() for r in rows
+    ]
+    assert hashlib.sha1(repr(pinned).encode()).hexdigest() == TABLE3_PIN
     benchmark.extra_info["table3"] = {
         cluster: {
             r.version: {

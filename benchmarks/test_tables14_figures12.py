@@ -1,6 +1,8 @@
 """Benchmarks for Table 1 (parameters), Table 4 (thread policies) and
 Figures 1-2 (execution flows), plus the qualitative sections 5.2/5.3/6."""
 
+import hashlib
+
 import pytest
 
 from repro.clusters import local_cluster
@@ -13,6 +15,10 @@ from repro.envs import (
 from repro.experiments.figures12 import FlowConfig, format_flows, run_execution_flows
 from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table4 import format_table4, run_table4
+
+#: SHA-1 over each figure's per-rank idle gaps and utilisation, its
+#: ASCII Gantt text and its makespan (Figure 1, then Figure 2).
+FIGURES12_PIN = "48ec1341dc817edb54ee26e736291d4ccf86c14c"
 
 
 def test_table1_parameters_benchmark(benchmark):
@@ -48,6 +54,17 @@ def test_figures12_execution_flows_benchmark(benchmark):
     assert all(len(g) == 0 for g in aiac["idle_gaps"].values())
     assert min(aiac["utilisation"].values()) > 0.85
     assert max(sisc["utilisation"].values()) < 0.60
+    pinned = [
+        (
+            {r: [(float(a), float(b)) for a, b in gaps]
+             for r, gaps in sorted(flow["idle_gaps"].items())},
+            {r: float(u) for r, u in sorted(flow["utilisation"].items())},
+            flow["gantt"],
+            float(flow["makespan"]),
+        )
+        for flow in (sisc, aiac)
+    ]
+    assert hashlib.sha1(repr(pinned).encode()).hexdigest() == FIGURES12_PIN
     benchmark.extra_info["utilisation"] = {
         "sisc": {str(r): round(u, 3) for r, u in sisc["utilisation"].items()},
         "aiac": {str(r): round(u, 3) for r, u in aiac["utilisation"].items()},
