@@ -1,16 +1,10 @@
-"""Shared fixtures for the benchmark suite.
+"""Benchmark suite configuration.
 
-Each benchmark regenerates one table or figure of the paper (scaled
-instance, see EXPERIMENTS.md), records the produced rows in
-``benchmark.extra_info`` and asserts the paper's *shape* claims (who
-wins, ordering, crossovers).  Run with::
+Each paper benchmark runs one spec of :mod:`repro.experiments` (one
+scaled instance; the package docstring explains the scaling), records
+its rows and claim verdicts in ``benchmark.extra_info`` and fails on
+any false shape claim (who wins, ordering, crossovers), naming it.
+Run with::
 
     pytest benchmarks/ --benchmark-only
 """
-
-import pytest
-
-
-def record_rows(benchmark, label, rows):
-    """Attach experiment rows to the benchmark report."""
-    benchmark.extra_info[label] = rows

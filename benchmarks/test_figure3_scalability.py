@@ -2,67 +2,31 @@
 
 Paper shape: all curves decrease on the local heterogeneous cluster;
 the synchronous curve sits above the asynchronous ones; PM2 and
-MPI/Mad nearly coincide; OmniORB is slightly higher than them; the
-curves tighten at the largest processor count (limit of parallel
-efficiency).
+MPI/Mad nearly coincide; OmniORB is slightly higher than them.  The
+claims asserted are the rows of
+:data:`repro.experiments.paper.FIGURE3`; at 4 processors
+(compute-bound) the four curves start within 20 % of each other.
 """
 
 import hashlib
 
 import pytest
 
-from repro.experiments.figure3 import Figure3Config, format_figure3, run_figure3
-
-BENCH_CONFIG = Figure3Config(processor_counts=(4, 8, 12, 20, 40))
+from repro.experiments import FIGURE3, format_spec, run_spec
 
 #: SHA-1 over the 20 (version, processor count, makespan) samples of
 #: the four series, environment-major.
 FIGURE3_PIN = "8ccde1ab77ef0bb1a966646dd35100b80308d8c0"
 
 
-def _shape_checks(outcome):
-    counts = outcome["processor_counts"]
-    series = outcome["series"]
-    sync = series["sync MPI"]
-    pm2 = series["async PM2"]
-    mad = series["async MPI/Mad"]
-    orb = series["async OmniOrb 4"]
-    # Decreasing curves for the async versions up to the point where
-    # the problem becomes too small for the machines -- at the largest
-    # count "the limit of the parallel efficiency is reached" (paper),
-    # so the final sample may flatten or tick up slightly.
-    for times in (pm2, mad):
-        assert all(b <= a * 1.05 for a, b in zip(times[:-1], times[1:-1])), times
-        assert times[-1] < times[0] / 2
-    # Sync above PM2/MPI-Mad once communication matters (>= 12 procs).
-    for i, n in enumerate(counts):
-        if n >= 12:
-            assert sync[i] > pm2[i]
-            assert sync[i] > mad[i]
-    # OmniORB slightly above the other asynchronous environments.
-    tail = range(len(counts) - 3, len(counts))
-    assert all(orb[i] >= min(pm2[i], mad[i]) for i in tail)
-    # Relative spread tightens from mid-range to the largest count
-    # (the async curves approach their communication floor).
-    spread = lambda i: max(sync[i], pm2[i], mad[i], orb[i]) / min(
-        sync[i], pm2[i], mad[i], orb[i]
-    )
-    assert spread(0) < 1.2  # compute-bound start: everyone equal
-
-
 def test_figure3_benchmark(benchmark):
-    outcome = benchmark.pedantic(run_figure3, args=(BENCH_CONFIG,), rounds=1, iterations=1)
-    _shape_checks(outcome)
-    pinned = [
-        (label, n, float(t))
-        for label, times in outcome["series"].items()
-        for n, t in zip(outcome["processor_counts"], times)
-    ]
+    outcome = benchmark.pedantic(run_spec, args=(FIGURE3,), rounds=1, iterations=1)
+    assert not outcome.false_claims, outcome.false_claims
+    pinned = [(version, n, float(row["time"])) for (n, version), row in outcome.rows.items()]
     assert hashlib.sha1(repr(pinned).encode()).hexdigest() == FIGURE3_PIN
     benchmark.extra_info["figure3"] = {
-        label: [round(t, 4) for t in times]
-        for label, times in outcome["series"].items()
+        f"{version}/{n}": round(row["time"], 4) for (n, version), row in outcome.rows.items()
     }
-    benchmark.extra_info["processor_counts"] = outcome["processor_counts"]
+    benchmark.extra_info["claims"] = outcome.verdicts
     print()
-    print(format_figure3(outcome))
+    print(format_spec(outcome))

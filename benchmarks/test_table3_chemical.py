@@ -3,68 +3,35 @@
 Paper (Ethernet): sync 2510 s vs async 563-595 s (ratios 4.22-4.46),
 OmniORB slowest of the asynchronous trio.
 Paper (Ethernet+ADSL): sync 3042 s vs async 605-664 s (4.58-5.03).
-Shape asserted: async >> sync on both clusters; OmniORB trails PM2 and
-MPI/Mad on the Ethernet cluster; everything slows down behind ADSL.
+The shape claims (async >> sync on both clusters; OmniORB trails PM2
+and MPI/Mad on the Ethernet cluster; everything slows down behind
+ADSL) are rows of :data:`repro.experiments.paper.TABLE3`.
 """
 
 import hashlib
 
 import pytest
 
-from repro.experiments.table3 import Table3Config, format_table3, run_table3
-
-BENCH_CONFIG = Table3Config(nx=24, nz=36, t_end=540.0, n_ranks=6)
+from repro.experiments import TABLE3, format_spec, run_spec
 
 #: SHA-1 over every (cluster, version) row's makespan, max iterations,
 #: convergence flag and solution error, in the table's row order.
 TABLE3_PIN = "867f9a4b2fcea4ddd29f9450a359b512a35c0488"
 
 
-def _shape_checks(outcome):
-    for cluster, rows in outcome["clusters"].items():
-        by_version = {r.version: r for r in rows}
-        sync = by_version["sync MPI"]
-        for row in rows:
-            assert row.converged, f"{cluster}/{row.version} did not converge"
-            assert row.solution_error < 1e-3
-            if row.version != "sync MPI":
-                # The asynchronous versions win by a clear margin.
-                assert row.speed_ratio > 1.5, (
-                    f"{cluster}/{row.version} ratio {row.speed_ratio}"
-                )
-    ethernet = {r.version: r for r in outcome["clusters"]["Ethernet"]}
-    # OmniORB trails the other asynchronous versions on the
-    # neighbour-exchange problem (paper: 595 vs 563/565).
-    assert ethernet["async OmniOrb 4"].execution_time >= min(
-        ethernet["async PM2"].execution_time,
-        ethernet["async MPI/Mad"].execution_time,
-    )
-    # The ADSL cluster is slower for everyone.
-    adsl = {r.version: r for r in outcome["clusters"]["Ethernet+ADSL"]}
-    for version in ethernet:
-        assert adsl[version].execution_time > ethernet[version].execution_time
-
-
 def test_table3_benchmark(benchmark):
-    outcome = benchmark.pedantic(run_table3, args=(BENCH_CONFIG,), rounds=1, iterations=1)
-    _shape_checks(outcome)
+    outcome = benchmark.pedantic(run_spec, args=(TABLE3,), rounds=1, iterations=1)
+    assert not outcome.false_claims, outcome.false_claims
     pinned = [
-        (cluster, r.version, float(r.execution_time), int(r.iterations),
-         bool(r.converged), float(r.solution_error))
-        for cluster, rows in outcome["clusters"].items() for r in rows
+        (cluster, version, float(row["time"]), int(row["iterations"]),
+         bool(row["converged"]), float(row["error"]))
+        for (cluster, version), row in outcome.rows.items()
     ]
     assert hashlib.sha1(repr(pinned).encode()).hexdigest() == TABLE3_PIN
     benchmark.extra_info["table3"] = {
-        cluster: {
-            r.version: {
-                "sim_time_s": round(r.execution_time, 3),
-                "speed_ratio": round(r.speed_ratio, 3),
-                "paper_time_s": outcome["paper"][cluster][r.version][0],
-                "paper_ratio": outcome["paper"][cluster][r.version][1],
-            }
-            for r in rows
-        }
-        for cluster, rows in outcome["clusters"].items()
+        f"{cluster}/{version}": round(row["time"], 3)
+        for (cluster, version), row in outcome.rows.items()
     }
+    benchmark.extra_info["claims"] = outcome.verdicts
     print()
-    print(format_table3(outcome))
+    print(format_spec(outcome))

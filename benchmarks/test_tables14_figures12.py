@@ -12,7 +12,7 @@ from repro.envs import (
     deployment_ranking,
     validate_deployment,
 )
-from repro.experiments.figures12 import FlowConfig, format_flows, run_execution_flows
+from repro.experiments import FIGURES12, format_spec, run_spec
 from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table4 import format_table4, run_table4
 
@@ -43,34 +43,27 @@ def test_table4_thread_policies_benchmark(benchmark):
 
 
 def test_figures12_execution_flows_benchmark(benchmark):
-    outcome = benchmark.pedantic(
-        run_execution_flows, args=(FlowConfig(),), rounds=1, iterations=1
-    )
-    sisc = outcome["figure1_sisc"]
-    aiac = outcome["figure2_aiac"]
-    # Figure 1: idle gaps between SISC iterations on every processor.
-    assert all(len(g) > 3 for g in sisc["idle_gaps"].values())
-    # Figure 2: no idle gaps between AIAC iterations.
-    assert all(len(g) == 0 for g in aiac["idle_gaps"].values())
-    assert min(aiac["utilisation"].values()) > 0.85
-    assert max(sisc["utilisation"].values()) < 0.60
+    outcome = benchmark.pedantic(run_spec, args=(FIGURES12,), rounds=1, iterations=1)
+    assert not outcome.false_claims, outcome.false_claims
+    sisc, aiac = outcome.rows.values()
     pinned = [
         (
-            {r: [(float(a), float(b)) for a, b in gaps]
-             for r, gaps in sorted(flow["idle_gaps"].items())},
-            {r: float(u) for r, u in sorted(flow["utilisation"].items())},
-            flow["gantt"],
+            {r: [(float(a), float(b)) for a, b in flow["trace"].idle_gaps(r, min_gap=1e-6)]
+             for r in flow["trace"].ranks()},
+            {r: float(u) for r, u in enumerate(flow["utilisation"])},
+            flow["trace"].ascii_gantt(width=72),
             float(flow["makespan"]),
         )
         for flow in (sisc, aiac)
     ]
     assert hashlib.sha1(repr(pinned).encode()).hexdigest() == FIGURES12_PIN
     benchmark.extra_info["utilisation"] = {
-        "sisc": {str(r): round(u, 3) for r, u in sisc["utilisation"].items()},
-        "aiac": {str(r): round(u, 3) for r, u in aiac["utilisation"].items()},
+        "sisc": [round(u, 3) for u in sisc["utilisation"]],
+        "aiac": [round(u, 3) for u in aiac["utilisation"]],
     }
+    benchmark.extra_info["claims"] = outcome.verdicts
     print()
-    print(format_flows(outcome))
+    print(format_spec(outcome))
 
 
 def test_section53_deployment_benchmark(benchmark):

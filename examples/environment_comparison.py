@@ -1,40 +1,37 @@
 #!/usr/bin/env python
 """Regenerate the paper's comparison tables and figures in one go.
 
-Runs scaled versions of Table 2 (sparse linear problem), Table 3
-(non-linear problem on two clusters), Table 4 (thread policies),
-Figures 1-2 (execution flows) and the qualitative sections
-(deployment validation, AIAC feature checklist).
+Runs the specs of Table 2 (sparse linear problem), Table 3
+(non-linear problem on two clusters) and Figures 1-2 (execution
+flows), each with the verdict on the paper's shape claims, then
+Table 4 (thread policies) and the qualitative sections (deployment
+validation, AIAC feature checklist).
 
-Run:  python examples/environment_comparison.py        (~1-2 minutes)
+Run:  python examples/environment_comparison.py        (~5 s)
 Illustrates:  docs/backends.md (simulated semantics at paper scale)
 """
 
 from repro.clusters import local_cluster
 from repro.envs import all_environments, aiac_suitability, validate_deployment
 from repro.experiments import (
-    FlowConfig,
-    Table2Config,
-    Table3Config,
-    format_flows,
-    format_table2,
-    format_table3,
+    FIGURES12,
+    TABLE2,
+    TABLE3,
+    format_spec,
     format_table4,
-    run_execution_flows,
-    run_table2,
-    run_table3,
+    run_spec,
     run_table4,
 )
 
 
 def main() -> None:
-    print(format_table2(run_table2(Table2Config(n=1200, n_ranks=6))))
+    print(format_spec(run_spec(TABLE2)))
     print()
-    print(format_table3(run_table3(Table3Config(nx=24, nz=36, t_end=540.0, n_ranks=6))))
+    print(format_spec(run_spec(TABLE3)))
     print()
     print(format_table4(run_table4()))
     print()
-    print(format_flows(run_execution_flows(FlowConfig())))
+    print(format_spec(run_spec(FIGURES12)))
     print()
 
     print("Section 5.3 -- deployment effort on the local cluster:")

@@ -5,31 +5,27 @@ Fixed problem size, 4 to 40 processors, all four environments -- shows
 that asynchronism reaches the best execution time with fewer
 processors ("less resources demanding for the same efficiency").
 
-Run:  python examples/scalability_study.py     (~30 s)
+Run:  python examples/scalability_study.py     (~10 s)
 Illustrates:  docs/scenarios.md (grids + sweeps over a process pool)
 """
 
-from repro.experiments.figure3 import Figure3Config, format_figure3, run_figure3
+from repro.experiments import format_spec, run_spec
+from repro.experiments.paper import COUNTS, FIGURE3
 
 
 def main() -> None:
     # The 20-cell (environment x processor count) grid is a scenario
     # sweep; processes=2 fans it over a small process pool (results are
     # deterministic regardless of the pool size).
-    config = Figure3Config(processor_counts=(4, 8, 12, 20, 40), processes=2)
-    outcome = run_figure3(config)
-    print(format_figure3(outcome))
+    outcome = run_spec(FIGURE3, placement="pool", processes=2)
+    print(format_spec(outcome))
 
-    counts = outcome["processor_counts"]
-    series = outcome["series"]
-    sync = series["sync MPI"]
-    best_async = [
-        min(series[k][i] for k in series if k != "sync MPI")
-        for i in range(len(counts))
-    ]
+    rows = outcome.rows
+    sync = [rows[(n, "sync MPI")]["time"] for n in COUNTS]
+    target = min(row["time"] for (n, version), row in rows.items()
+                 if n == 12 and version != "sync MPI")
     print("\nResources needed to reach the asynchronous 12-processor time:")
-    target = best_async[counts.index(12)]
-    reached = next((n for n, t in zip(counts, sync) if t <= target), None)
+    reached = next((n for n, t in zip(COUNTS, sync) if t <= target), None)
     if reached is None:
         print(f"  async with 12 procs: {target:.3f} s -- the synchronous "
               "version never reaches it in this sweep")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.common import render_table
+from repro.experiments.spec import render_table
 from repro.problems.chemical import PAPER_CHEMICAL, ChemicalConfig
 from repro.problems.sparse_linear import (
     PAPER_SPARSE_LINEAR,

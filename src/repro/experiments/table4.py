@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.envs import PROBLEM_KINDS, asynchronous_environments
-from repro.experiments.common import render_table
+from repro.experiments.spec import render_table
 
 #: The paper's Table 4, verbatim, for the verification tests.
 PAPER_TABLE4 = {

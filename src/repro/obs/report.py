@@ -1,9 +1,10 @@
 """ASCII Gantt / utilization reports over timelines and traces.
 
-One rendering path for every consumer: the figure harness
-(:mod:`repro.experiments.figures12`) and ``repro report`` both build
-their per-rank utilisation summaries here and both render the Gantt
-rows through :meth:`~repro.core.trace.GanttTrace.ascii_gantt`, so
+One rendering path for every consumer: the Figures 1-2 spec
+(:data:`repro.experiments.paper.FIGURES12`, from each run's
+recorded timeline) and ``repro report`` both build their per-rank
+utilisation summaries here and both render the Gantt rows through
+:meth:`~repro.core.trace.GanttTrace.ascii_gantt`, so
 "the paper's Figure 1/2 view" and "what the tracer saw on a real
 backend" are the same picture on different clocks.
 """

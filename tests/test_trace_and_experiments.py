@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.trace import GanttTrace
-from repro.experiments.common import render_table
-from repro.experiments.figures12 import FlowConfig, format_flows, run_execution_flows
+from repro.experiments import FIGURES12, format_spec, render_table, run_spec
 from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table4 import PAPER_TABLE4, format_table4, run_table4
 
@@ -115,14 +114,11 @@ def test_table4_matches_paper_exactly():
 # Figures 1-2 harness
 # ----------------------------------------------------------------------
 def test_execution_flows_contrast():
-    flows = run_execution_flows(FlowConfig(n=300, max_iterations=2000))
-    sisc = flows["figure1_sisc"]
-    aiac = flows["figure2_aiac"]
-    # Figure 1: idle gaps between iterations on every processor.
-    assert all(len(gaps) > 3 for gaps in sisc["idle_gaps"].values())
-    # Figure 2: no idle time between AIAC iterations.
-    assert all(len(gaps) == 0 for gaps in aiac["idle_gaps"].values())
+    outcome = run_spec(FIGURES12)
+    # Figure 1's idle gaps on every processor, none in Figure 2's.
+    assert not outcome.false_claims, outcome.false_claims
+    sisc, aiac = outcome.rows.values()
     # AIAC keeps the processors far busier than SISC.
-    assert min(aiac["utilisation"].values()) > max(sisc["utilisation"].values())
-    text = format_flows(flows)
+    assert min(aiac["utilisation"]) > max(sisc["utilisation"])
+    text = format_spec(outcome)
     assert "Figure 1" in text and "Figure 2" in text
