@@ -5,8 +5,8 @@ Section 5.1 names three kinds of machines: Duron 800 MHz, Pentium IV
 the simulator's normalised flop/s, keeping the relative factors of the
 real processors (a P4 2.4 is roughly 3x a Duron 800 on this kind of
 memory-bound sparse kernel).  Absolute values only matter relative to
-the link speeds of the cluster presets; EXPERIMENTS.md documents the
-calibration.
+the link speeds of the cluster presets; the :mod:`repro.experiments`
+package docstring documents the calibration.
 """
 
 from __future__ import annotations

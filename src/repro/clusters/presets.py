@@ -35,8 +35,8 @@ def _interleaved_hosts(
 
     ``speed_scale`` uniformly rescales machine speeds: experiments use
     it to keep the computation/communication ratio of a scaled-down
-    problem in the same regime as the paper's full-size runs (see
-    EXPERIMENTS.md, calibration).
+    problem in the same regime as the paper's full-size runs (see the
+    :mod:`repro.experiments` package docstring).
     """
     if speed_scale <= 0:
         raise ValueError("speed_scale must be positive")

@@ -3,8 +3,8 @@
 Calibration philosophy: every number below is a *software* cost (thread
 spawn, message packing, RPC dispatch, ORB marshalling) of the kind the
 paper blames for the inter-environment differences; network costs live
-in the cluster presets.  The constants were chosen so that the
-simulated experiments land in the paper's regimes (see EXPERIMENTS.md):
+in the cluster presets.  The constants were chosen so that the scaled
+experiments land in the paper's regimes (see :mod:`repro.experiments`):
 
 * MPI-family explicit messages are the cheapest per message;
 * PM2's RPC requires explicit packing (slightly dearer per byte);
@@ -44,7 +44,7 @@ PAPER_ENVIRONMENTS = (
         # orders of magnitude (sparse-linear data blocks ~1.3 MB, chemical
         # halo rows ~10 KB), so the per-message stand-in costs of the
         # scaled-down experiments are calibrated per problem kind (see
-        # EXPERIMENTS.md).
+        # the repro.experiments package docstring).
         send_base={"sparse_linear": 3.0e-4, "chemical": 3.0e-4},
         recv_base={"sparse_linear": 1.0e-3, "chemical": 3.0e-4},
         per_byte=1.0e-9,

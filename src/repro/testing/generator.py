@@ -126,11 +126,11 @@ def _pick_cluster(
     Host speeds are calibrated so one iteration of the generated
     problem costs milliseconds of virtual time, the same
     computation/communication regime the paper's full-size runs (and
-    this repo's experiment calibrations, see EXPERIMENTS.md) operate
-    in.  Without this, a toy-size block iterates microseconds apart
-    while per-message software costs are milliseconds: data exchange
-    starves, every rank spins to the iteration cap on stale data, and
-    the runs say nothing about the protocol.
+    this repo's experiment calibrations, see :mod:`repro.experiments`)
+    operate in.  Without this, a toy-size block iterates microseconds
+    apart while per-message software costs are milliseconds: data
+    exchange starves, every rank spins to the iteration cap on stale
+    data, and the runs say nothing about the protocol.
     """
     # One iteration must also outlast the *receive path* of a full
     # fan-in (the slowest environment serialises ~4.5 ms per message on

@@ -1,5 +1,6 @@
 """Documentation invariants: link integrity, docs/CLI agreement."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,15 @@ def test_no_broken_relative_links():
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_markdown_files_named_in_code_exist():
+    """Every ``.md`` file a module, test, tool or example cites exists."""
+    spec = importlib.util.spec_from_file_location(
+        "check_doc_links", REPO_ROOT / "tools" / "check_doc_links.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    assert check.dangling_markdown_names(REPO_ROOT) == []
 
 
 def test_help_matches_documented_surface(capsys):

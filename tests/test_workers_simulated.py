@@ -66,7 +66,7 @@ def test_sisc_matches_sequential_iteration_count():
 def test_aiac_converges_to_true_solution(env_name):
     # Host speed chosen so one local iteration takes longer than the
     # receive-path handling of one message -- the regime the paper's
-    # full-size problems live in (see EXPERIMENTS.md calibration);
+    # full-size problems live in (see the repro.experiments docstring);
     # outside it, receivers with a single dedicated receiving thread
     # (MPI/Mad) would be flooded.
     result = _run(env_name, "aiac", _linear_opts(), speed=1e5)

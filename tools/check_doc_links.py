@@ -4,9 +4,13 @@
 Scans ``README.md``, ``DESIGN.md``, ``ROADMAP.md``, ``CHANGES.md`` and
 everything under ``docs/`` for inline markdown links ``[text](target)``
 and verifies that every *relative* target exists on disk (anchors are
-stripped; ``http(s):``/``mailto:`` targets are skipped).  Exits 1 and
-lists the offenders when any link is broken -- CI runs this, and
-``tests/test_docs.py`` runs it as part of the tier-1 suite.
+stripped; ``http(s):``/``mailto:`` targets are skipped).  It also
+checks the other direction: every markdown file a ``.py`` file under
+``src/``, ``tests/``, ``benchmarks/``, ``tools/`` or ``examples/``
+names must exist at the repository root, under ``docs/``, or as a path
+relative to the root.  Exits 1 and lists the offenders when anything
+dangles -- CI runs this, and ``tests/test_docs.py`` runs it as part of
+the tier-1 suite.
 
 Usage::
 
@@ -26,6 +30,12 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: Schemes that are not filesystem targets.
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
+
+#: A markdown file named in code, bare or with a relative directory.
+_MD_NAME = re.compile(r"\w[\w./-]*\.md\b")
+
+#: The code trees whose markdown mentions must resolve.
+CODE_DIRS = ("src", "tests", "benchmarks", "tools", "examples")
 
 
 def iter_doc_files(root: Path) -> List[Path]:
@@ -58,6 +68,19 @@ def broken_links(path: Path) -> List[Tuple[str, str]]:
     return problems
 
 
+def dangling_markdown_names(root: Path) -> List[Tuple[Path, str]]:
+    """``(file, name)`` for every markdown file named in code that
+    exists neither at ``root``, nor under ``root/docs``."""
+    problems: List[Tuple[Path, str]] = []
+    for top in CODE_DIRS:
+        for path in sorted((root / top).glob("**/*.py")):
+            names = set(_MD_NAME.findall(path.read_text(encoding="utf-8")))
+            for name in sorted(names):
+                if not any((base / name).exists() for base in (root, root / "docs")):
+                    problems.append((path.relative_to(root), name))
+    return problems
+
+
 def main(argv: List[str]) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path.cwd()
     files = iter_doc_files(root)
@@ -70,10 +93,14 @@ def main(argv: List[str]) -> int:
             failures += 1
             print(f"{path.relative_to(root)}: broken link ({target}): {reason}",
                   file=sys.stderr)
+    for path, name in dangling_markdown_names(root):
+        failures += 1
+        print(f"{path}: names {name}, which exists nowhere", file=sys.stderr)
     if failures:
-        print(f"{failures} broken link(s)", file=sys.stderr)
+        print(f"{failures} broken link(s) or dangling name(s)", file=sys.stderr)
         return 1
-    print(f"checked {len(files)} file(s): all relative links resolve")
+    print(f"checked {len(files)} file(s): all relative links resolve, "
+          "and every markdown file named in code exists")
     return 0
 
 
