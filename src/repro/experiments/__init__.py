@@ -25,12 +25,12 @@ numbers deviate from the paper's.
 """
 
 from repro.experiments.paper import FIGURE3, FIGURES12, TABLE2, TABLE3
-from repro.experiments.spec import Claim, Spec, SpecResult, format_spec, render_table, run_spec
+from repro.experiments.spec import format_spec, render_table, run_spec
 from repro.experiments.table1 import run_table1, format_table1
 from repro.experiments.table4 import run_table4, format_table4
 
 __all__ = [
-    "Claim", "Spec", "SpecResult", "run_spec", "format_spec", "render_table",
+    "run_spec", "format_spec", "render_table",
     "TABLE2", "TABLE3", "FIGURE3", "FIGURES12",
     "run_table1", "format_table1", "run_table4", "format_table4",
 ]

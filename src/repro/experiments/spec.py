@@ -89,7 +89,7 @@ def format_spec(result: SpecResult) -> str:
     (a Gantt chart) as a block, then the verdict on every claim."""
     rows, paper = result.rows, result.spec.paper
     columns = [c for c, v in next(iter(rows.values())).items()
-               if isinstance(v, (int, float, tuple)) or isinstance(v, str) and "\n" not in v]
+               if isinstance(v, (int, float, tuple)) or (isinstance(v, str) and "\n" not in v)]
     with_ratio = "time" in columns and all((case, SYNC) in rows for case, _ in rows)
     paper_columns = list(next(iter(paper.values()), {}))
     table = [
