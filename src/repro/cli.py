@@ -7,24 +7,21 @@ Installed as the ``repro`` command (see ``setup.py``); also runnable as
     Print every registered problem, environment, cluster, worker,
     backend and balancer name -- the vocabulary of scenario JSON files.
 
-``repro run scenarios.json [--backend NAME] [--processes N]
-[--include-solution] [--output records.json]``
-    Execute the scenario(s) in a JSON file through
-    :func:`repro.sweep.run_sweep` and print (or write) one record per
-    scenario.  The file holds one scenario dict or a list of them, in
-    :meth:`repro.api.Scenario.to_dict` form -- minimally just
-    ``{"problem": "sparse_linear"}``.  See ``docs/scenarios.md``.
-
 ``repro sweep (scenarios.json | --conformance N) [--placement
 local|pool|serve] [--processes N] [--state-dir DIR] [--resume]
 [--retries K] [--timeout T] [--output PATH] [--report PATH]``
-    Run a scenario grid through the sharded executor
-    (:mod:`repro.sweep`): the grid is validated up front, duplicate
-    points coalesce into one execution, and with ``--state-dir`` every
+    Run the scenario(s) in a JSON file through :func:`repro.sweep.run_sweep`
+    and print (or write) one record per scenario; ``repro run`` is an
+    alias.  The file holds one scenario dict or a list of them, in
+    :meth:`repro.api.Scenario.to_dict` form -- minimally just
+    ``{"problem": "sparse_linear"}`` (see ``docs/scenarios.md``).
+    Without ``--placement`` the grid runs in a process pool when
+    ``--processes`` > 1, else in-process; ``--placement serve`` submits
+    it to a running ``repro serve`` daemon.  With ``--state-dir`` every
     settled unit is journaled + cached so a killed sweep resumes with
-    ``--resume`` (completed units are free).  ``--conformance N``
-    sweeps the seeded conformance grid instead of a file.  See
-    ``docs/sweeping.md``.
+    ``--resume``.  ``--conformance N`` sweeps the seeded conformance
+    grid instead of a file.  Stdout carries only the records; progress
+    and counters go to stderr.  See ``docs/sweeping.md``.
 
 ``repro conformance [--n N] [--seed S] [--filter SUBSTR]
 [--report PATH] [--timeout T] [--simulated-only] [--skip-process]``
@@ -43,13 +40,6 @@ local|pool|serve] [--processes N] [--state-dir DIR] [--resume]
     worker processes, caching results by scenario content-hash and
     journaling the queue for resume-after-kill.  Blocks until
     SIGTERM/SIGINT or a client ``shutdown``.  See ``docs/serving.md``.
-
-``repro submit scenarios.json [--host H] [--port P] [--priority N]
-[--no-wait] [--timeout T] [--output records.json]``
-    Submit the scenario(s) in a JSON file (same format as ``repro
-    run``) to a running daemon; by default waits for every job and
-    prints one record per scenario.  With ``--no-wait`` prints the
-    submission acks (job ids) instead.
 
 ``repro trace scenario.json [--backend NAME] [--out trace.json]
 [--format chrome|ndjson] [--index I] [--no-markers]``
@@ -76,7 +66,7 @@ local|pool|serve] [--processes N] [--state-dir DIR] [--resume]
     ``docs/calibration.md``.
 
 Exit status: 0 on success, 1 on scenario/conformance failures, 2 on
-bad input.
+bad input (an unwritable output path included).
 """
 
 from __future__ import annotations
@@ -130,38 +120,17 @@ def _load_scenario_list(path: str):
     return data
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.sweep import run_sweep
-
-    data = _load_scenario_list(args.scenarios)
-    if data is None:
-        return 2
+def _write_text(path: str, text: str, what: str) -> bool:
+    """Write ``text`` and a newline to ``path``, noting it on stderr;
+    ``False`` (with the error printed) when the path is unwritable."""
     try:
-        records = run_sweep(
-            data,
-            backend=args.backend,
-            placement="pool" if args.processes > 1 else "local",
-            processes=args.processes,
-            include_solution=args.include_solution,
-        ).records
-    except (KeyError, ValueError) as exc:
-        # Bad backend name or malformed scenario: the registry/scenario
-        # errors already name the offender and the known alternatives.
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-    payload = json.dumps(records, indent=2, default=str)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-        print(f"wrote {len(records)} record(s) to {args.output}")
-    else:
-        print(payload)
-    failures = [r for r in records if "error" in r]
-    for record in failures:
-        print(f"error in scenario {record['index']}: {record['error']}",
-              file=sys.stderr)
-    return 1 if failures else 0
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    print(f"wrote {what} to {path}", file=sys.stderr)
+    return True
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -198,11 +167,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             flush=True,
         )
 
+    placement = args.placement or ("pool" if args.processes > 1 else "local")
     try:
         outcome = run_sweep(
             data,
             backend=args.backend,
-            placement=args.placement,
+            placement=placement,
             processes=args.processes,
             state_dir=args.state_dir,
             resume=args.resume,
@@ -217,6 +187,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except SweepStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        where = f" (daemon {args.host}:{args.port})" if placement == "serve" else ""
+        print(f"error: {exc}{where}", file=sys.stderr)
+        return 2
     except (KeyError, ValueError) as exc:
         # Unknown backend/placement name or an invalid option combo;
         # the messages already name the offender and the alternatives.
@@ -224,30 +198,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 2
     payload = json.dumps(outcome.records, indent=2, default=str)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-        print(f"wrote {len(outcome.records)} record(s) to {args.output}")
-    else:
+    if not args.output:
         print(payload)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "counters": outcome.counters,
-                    "fingerprint": outcome.fingerprint,
-                    "journal": None if outcome.journal_path is None
-                    else str(outcome.journal_path),
-                    "records": len(outcome.records),
-                    "errors": len(outcome.errors),
-                },
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-        print(f"wrote sweep report to {args.report}")
-    print(f"sweep counters: {json.dumps(outcome.counters)}")
+    elif not _write_text(args.output, payload,
+                         f"{len(outcome.records)} record(s)"):
+        return 2
+    report = {
+        "counters": outcome.counters,
+        "fingerprint": outcome.fingerprint,
+        "journal": None if outcome.journal_path is None
+        else str(outcome.journal_path),
+        "records": len(outcome.records),
+        "errors": len(outcome.errors),
+    }
+    if args.report and not _write_text(
+        args.report, json.dumps(report, indent=2, sort_keys=True), "sweep report"
+    ):
+        return 2
+    print(f"sweep counters: {json.dumps(outcome.counters)}", file=sys.stderr)
     failures = outcome.errors
     for record in failures:
         print(f"error in scenario {record['index']}: {record['error']}",
@@ -296,11 +264,11 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         process=not (args.simulated_only or args.skip_process),
         progress=progress,
     )
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote conformance report to {args.report}")
+    if args.report and not _write_text(
+        args.report, json.dumps(report, indent=2, sort_keys=True),
+        "conformance report",
+    ):
+        return 2
     summary = report["summary"]
     print(
         f"{summary['scenarios']} scenario(s), {summary['faulty_scenarios']} with "
@@ -377,79 +345,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.serve import ServeClient, ServeError
-    from repro.serve.protocol import DONE
-
-    data = _load_scenario_list(args.scenarios)
-    if data is None:
-        return 2
-    try:
-        client = ServeClient(host=args.host, port=args.port)
-    except OSError as exc:
-        print(f"error: cannot reach daemon at {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-    failures = 0
-    outputs = []
-    with client:
-        acks = []
-        for index, scenario in enumerate(data):
-            try:
-                acks.append((index, client.submit(scenario, priority=args.priority)))
-            except ServeError as exc:
-                failures += 1
-                outputs.append({"index": index, "error": str(exc), "code": exc.code})
-                print(f"error in scenario {index}: {exc}", file=sys.stderr)
-        if args.no_wait:
-            outputs.extend(
-                {"index": index, **{k: v for k, v in ack.items() if k != "ok"}}
-                for index, ack in acks
-            )
-        else:
-            for index, ack in acks:
-                try:
-                    frame = client.wait(ack["id"], timeout=args.timeout)
-                except TimeoutError as exc:
-                    failures += 1
-                    outputs.append(
-                        {"index": index, "id": ack["id"], "error": str(exc)}
-                    )
-                    print(f"error in scenario {index}: {exc}", file=sys.stderr)
-                    continue
-                entry = {
-                    "index": index,
-                    "id": ack["id"],
-                    "state": frame["state"],
-                    "cached": ack["cached"],
-                    "coalesced": ack["coalesced"],
-                }
-                if frame["state"] == DONE:
-                    entry["record"] = frame.get("record")
-                else:
-                    failures += 1
-                    entry["error"] = frame.get("error", frame["state"])
-                    print(
-                        f"error in scenario {index}: job {ack['id']} "
-                        f"{frame['state']}: {frame.get('error', '')}",
-                        file=sys.stderr,
-                    )
-                outputs.append(entry)
-    payload = json.dumps(outputs, indent=2, default=str)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-        print(f"wrote {len(outputs)} record(s) to {args.output}")
-    else:
-        print(payload)
-    return 1 if failures else 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from dataclasses import replace as dc_replace
 
     from repro.api import Scenario, run_scenario
-    from repro.obs import render_report, write_trace
+    from repro.obs import write_trace
 
     data = _load_scenario_list(args.scenarios)
     if data is None:
@@ -477,16 +377,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 2
     timeline = result.timeline
-    path = write_trace(timeline, args.out, format=args.format)
+    try:
+        path = write_trace(timeline, args.out, format=args.format)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 2
     print(
         f"wrote {args.format} trace to {path} "
         f"(backend={timeline.backend}, clock={timeline.clock}, "
         f"{len(timeline.spans)} span(s), {len(timeline.markers)} marker(s), "
         f"makespan {timeline.makespan():.4f}s)"
     )
-    if args.summary:
-        print()
-        print(render_report(timeline, width=args.width))
     return 0
 
 
@@ -601,11 +502,11 @@ def _cmd_calibrate_fit(args: argparse.Namespace) -> int:
         f"(uncalibrated baseline {result.baseline_max_makespan_error:.2%}); "
         f"wrote {path}"
     )
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote fit report to {args.report}")
+    if args.report and not _write_text(
+        args.report, json.dumps(result.to_dict(), indent=2, sort_keys=True),
+        "fit report",
+    ):
+        return 2
     if result.max_makespan_error > args.makespan_tolerance:
         print(
             f"error: fitted makespan error {result.max_makespan_error:.2%} "
@@ -641,11 +542,11 @@ def _cmd_calibrate_check(args: argparse.Namespace) -> int:
         f"max makespan error {report['max_makespan_error']:.2%} "
         f"(tolerance {report['makespan_tolerance']:.0%})"
     )
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote drift report to {args.report}")
+    if args.report and not _write_text(
+        args.report, json.dumps(report, indent=2, sort_keys=True),
+        "drift report",
+    ):
+        return 2
     if not report["ok"]:
         print(f"error: preset {report['name']!r} drifted out of tolerance",
               file=sys.stderr)
@@ -669,31 +570,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     list_parser.set_defaults(func=_cmd_list)
 
-    run_parser = subparsers.add_parser(
-        "run", help="run the scenario(s) described in a JSON file"
-    )
-    run_parser.add_argument("scenarios", help="path to a scenario JSON file")
-    run_parser.add_argument(
-        "--backend", default="simulated",
-        help="backend name (default: simulated)",
-    )
-    run_parser.add_argument(
-        "--processes", type=int, default=1,
-        help="process-pool size for the sweep (default: 1)",
-    )
-    run_parser.add_argument(
-        "--include-solution", action="store_true",
-        help="store per-rank solution vectors in the records",
-    )
-    run_parser.add_argument(
-        "--output", default=None, help="write records to a file instead of stdout"
-    )
-    run_parser.set_defaults(func=_cmd_run)
-
     sweep_parser = subparsers.add_parser(
         "sweep",
-        help="run a scenario grid through the sharded, resumable sweep "
-        "executor",
+        aliases=["run"],
+        help="run the scenario(s) in a JSON file and print one record "
+        "per scenario",
         description=(
             "Run a scenario grid through the repro.sweep work-queue "
             "executor: validate every item up front, coalesce duplicate "
@@ -702,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--state-dir every settled unit is journaled and its record "
             "cached by content-hash + seed, so a killed sweep resumes "
             "with --resume and completed units are never re-executed. "
-            "See docs/sweeping.md."
+            "`repro run` is an alias. See docs/sweeping.md."
         ),
     )
     sweep_parser.add_argument(
@@ -723,13 +604,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--placement serve)",
     )
     sweep_parser.add_argument(
-        "--placement", default="local",
+        "--placement", default=None,
         help="placement strategy: local, pool, serve, or a registered "
-        "custom name (default: local)",
+        "custom name (default: pool when --processes > 1, else local)",
     )
     sweep_parser.add_argument(
         "--processes", type=int, default=1,
-        help="worker count for --placement pool (default: 1)",
+        help="worker count for the pool placement (default: 1)",
     )
     sweep_parser.add_argument(
         "--state-dir", default=None, metavar="DIR",
@@ -872,41 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.set_defaults(func=_cmd_serve)
 
-    submit_parser = subparsers.add_parser(
-        "submit",
-        help="submit scenario(s) in a JSON file to a running daemon",
-        description=(
-            "Submit the scenario(s) in a JSON file (repro run format) to a "
-            "running repro serve daemon, wait for the results and print "
-            "one record per scenario. Duplicate submissions are served "
-            "from the daemon's cache. See docs/serving.md."
-        ),
-    )
-    submit_parser.add_argument("scenarios", help="path to a scenario JSON file")
-    submit_parser.add_argument(
-        "--host", default="127.0.0.1", help="daemon address (default: 127.0.0.1)"
-    )
-    submit_parser.add_argument(
-        "--port", type=int, default=7341, help="daemon port (default: 7341)"
-    )
-    submit_parser.add_argument(
-        "--priority", type=int, default=0,
-        help="integer priority for every submitted scenario; higher runs "
-        "first (default: 0)",
-    )
-    submit_parser.add_argument(
-        "--no-wait", action="store_true",
-        help="print submission acks (job ids) instead of waiting for results",
-    )
-    submit_parser.add_argument(
-        "--timeout", type=float, default=300.0, metavar="T",
-        help="per-job wait deadline in seconds (default: 300)",
-    )
-    submit_parser.add_argument(
-        "--output", default=None, help="write records to a file instead of stdout"
-    )
-    submit_parser.set_defaults(func=_cmd_submit)
-
     trace_parser = subparsers.add_parser(
         "trace",
         help="run one scenario with tracing on and write its timeline",
@@ -939,14 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument(
         "--no-markers", action="store_true",
         help="do not force per-iteration Trace markers on",
-    )
-    trace_parser.add_argument(
-        "--summary", action="store_true",
-        help="also print the ASCII utilization report",
-    )
-    trace_parser.add_argument(
-        "--width", type=int, default=72,
-        help="Gantt width in characters for --summary (default: 72)",
     )
     trace_parser.set_defaults(func=_cmd_trace)
 

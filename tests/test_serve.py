@@ -1214,6 +1214,23 @@ class TestDaemonEndToEnd:
             assert stats["counters"]["cache_hits"] == 1
             assert stats["counters"]["completed"] == 2
 
+    def test_cli_sweep_with_serve_placement(self, daemon, tmp_path, capsys):
+        from repro.cli import main
+
+        scenario = Scenario(
+            problem="sparse_linear", problem_params={"n": 80}, seed=2
+        )
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps([scenario.to_dict()] * 2))
+        assert main(["sweep", str(path), "--placement", "serve",
+                     "--port", str(daemon.port), "--priority", "3"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [r["index"] for r in records] == [0, 1]
+        assert all(r["converged"] for r in records)
+        assert records[0]["scenario_hash"] == scenario.content_hash()
+        with ServeClient(port=daemon.port) as client:
+            assert client.stats()["counters"]["completed"] == 1
+
     def test_malformed_line_keeps_connection_alive(self, daemon):
         import socket as socket_module
 
