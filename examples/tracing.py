@@ -14,7 +14,7 @@ Illustrates:  docs/observability.md
 CLI equivalent::
 
     repro trace examples/trace_scenario.json --backend simulated \
-        --out trace.json --summary
+        --out trace.json
     repro report trace.json
 """
 

@@ -1,6 +1,9 @@
 """Documentation invariants: link integrity, docs/CLI agreement."""
 
+import ast
 import importlib.util
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -50,3 +53,55 @@ def test_help_matches_documented_surface(capsys):
                    "--timeout", "--report"):
         assert option in sweep_help and option in guide
     assert "docs/sweeping.md" in sweep_help
+
+
+#: ``repro ARGS`` or ``python -m repro.cli ARGS`` at the start of a line,
+#: after an optional ``$`` prompt and ``VAR=value`` assignments.
+COMMAND_LINE = re.compile(
+    r"^\s*(?:\$\s+)?(?:\w+=\S*\s+)*(?:repro|python3? -m repro\.cli)\s+(.*)$")
+
+
+def _documented_command_lines():
+    """``(where, argv)`` for every ``repro`` command line the docs teach:
+    README, ``docs/``, the ``.claude/skills/`` notes and ``examples/*.py``
+    docstrings, with backslash continuations joined."""
+    texts = [
+        (path, path.read_text(encoding="utf-8"))
+        for path in [REPO_ROOT / "README.md",
+                     *sorted((REPO_ROOT / "docs").glob("*.md")),
+                     *sorted((REPO_ROOT / ".claude").glob("skills/*/*.md"))]
+    ]
+    for path in sorted((REPO_ROOT / "examples").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        texts.append((path, ast.get_docstring(tree) or ""))
+    for path, text in texts:
+        for line in re.sub(r"\\\n\s*", " ", text).splitlines():
+            match = COMMAND_LINE.match(line)
+            # Usage synopses ([--opt], (a | b)) and arrow diagrams are
+            # grammar, not command lines.
+            if match is None or re.search(r"[\[\](){}]|[^\x00-\x7f]",
+                                          match.group(1)):
+                continue
+            argv = shlex.split(match.group(1), comments=True)
+            for i, token in enumerate(argv):
+                if token.startswith(tuple("|&;<>")):  # the shell's from here
+                    argv = argv[:i]
+                    break
+            yield f"{path.relative_to(REPO_ROOT)}: {line.strip()}", argv
+
+
+def test_documented_command_lines_parse(capsys):
+    """Every ``repro`` command line in the docs parses: a removed verb
+    or option cannot linger in a guide."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    lines = list(_documented_command_lines())
+    assert len(lines) >= 20
+    rejected = []
+    for where, argv in lines:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            rejected.append(f"{where}\n    {capsys.readouterr().err.strip()}")
+    assert rejected == [], "\n".join(rejected)
