@@ -50,7 +50,7 @@ def main() -> None:
     # The browser view: load trace.json at ui.perfetto.dev (or
     # chrome://tracing).  One track per rank, spans by kind,
     # iteration markers as instants.
-    write_trace(timeline, "trace.json", format="chrome")
+    write_trace(timeline, "trace.json")
     events = timeline_to_chrome(timeline)["traceEvents"]
     print(f"\nwrote trace.json ({len(events)} Chrome trace events)")
 

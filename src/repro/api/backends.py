@@ -31,6 +31,7 @@ from typing import Any, Callable, ClassVar, Dict, List, Optional, Protocol, runt
 from repro.api.result import RunResult
 from repro.api.scenario import Scenario
 from repro.core.run import get_worker
+from repro.core.trace import Timeline
 from repro.registry import Registry
 from repro.runtime.executor import run_threads
 
@@ -160,21 +161,16 @@ def _wall_result(
     elapsed: float,
     messages_sent: int,
     faults: Dict[str, int],
-    trace: Optional[Any],
+    timeline: Optional[Timeline],
 ) -> RunResult:
     """The result of a real-concurrency run, from what
     :func:`~repro.runtime.executor.run_threads` and
     :func:`~repro.runtime.process_hub.run_processes` return: the
-    makespan is wall-clock seconds, and a traced run's ``GanttTrace``
-    becomes a wall-clock :attr:`RunResult.timeline`."""
-    timeline = None
-    if trace is not None:
-        from repro.obs.trace import Timeline
-
-        timeline = Timeline.from_gantt(
-            trace, backend=backend, clock="wall",
-            meta={"elapsed": elapsed, "messages_sent": messages_sent},
-        )
+    makespan is wall-clock seconds, and a traced run's wall-clock
+    :class:`~repro.core.trace.Timeline` becomes :attr:`RunResult.timeline`."""
+    if timeline is not None:
+        timeline.backend = backend
+        timeline.meta.update(elapsed=elapsed, messages_sent=messages_sent)
     return RunResult(
         makespan=elapsed,
         reports=reports,
@@ -192,10 +188,11 @@ def _wall_result(
 class SimulatedBackend:
     """Run scenarios on the discrete-event simulator.
 
-    ``trace=True`` switches on the Gantt recorder behind
-    ``result.world.trace`` (off by default; ``timeline=True`` switches
-    it on itself); ``makespan`` of the produced result is in
-    *simulated* seconds and is exactly reproducible run to run::
+    ``timeline=True`` records the run's virtual-clock
+    :class:`~repro.core.trace.Timeline` (``result.world.trace``, handed
+    on as :attr:`RunResult.timeline`); ``makespan`` of the produced
+    result is in *simulated* seconds and is exactly reproducible run to
+    run::
 
         result = SimulatedBackend().run(scenario)
         assert SimulatedBackend().run(scenario).makespan == result.makespan
@@ -206,11 +203,9 @@ class SimulatedBackend:
 
     name: ClassVar[str] = "simulated"
 
-    trace: bool = False
-    #: Attach a :class:`repro.obs.trace.Timeline` (virtual clock) built
-    #: from the world's Gantt trace to :attr:`RunResult.timeline`.  The
-    #: same flag name works on every backend, so ``repro trace`` and
-    #: sweeps can pass ``timeline=True`` regardless of backend.
+    #: Record the world's virtual-clock timeline and attach it as
+    #: :attr:`RunResult.timeline`.  The same flag works on every backend,
+    #: so ``repro trace`` and sweeps pass ``timeline=True`` regardless.
     timeline: bool = False
 
     def _bind(
@@ -241,10 +236,7 @@ class SimulatedBackend:
 
             injector = SimFaultInjector(scenario.faults, default_seed=scenario.seed)
         make_coroutine = scenario_coroutine_factory(scenario, make_solver, memo)
-        # A timeline needs the Gantt recorder even if trace=False.
-        world = World(
-            network, policy, trace=self.trace or self.timeline, faults=injector
-        )
+        world = World(network, policy, trace=self.timeline, faults=injector)
         for rank in range(scenario.n_ranks):
             world.spawn(make_coroutine(rank, scenario.n_ranks))
         return world, injector
@@ -258,11 +250,8 @@ class SimulatedBackend:
         stats = world.stats()
         timeline = None
         if self.timeline:
-            from repro.obs.trace import Timeline
-
-            timeline = Timeline.from_gantt(
-                world.trace, backend=self.name, clock="virtual", meta=stats,
-            )
+            timeline = world.trace
+            timeline.meta.update(stats)
         return RunResult(
             makespan=world.makespan,
             reports=reports,

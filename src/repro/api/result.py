@@ -91,7 +91,7 @@ class RunResult:
     #: ``recoveries``.  See ``docs/testing.md``.
     faults: Dict[str, int] = field(default_factory=dict)
     world: Optional[Any] = None
-    #: Per-rank span/marker timeline (a :class:`repro.obs.trace.Timeline`)
+    #: Per-rank span/marker timeline (a :class:`repro.core.trace.Timeline`)
     #: when the backend ran with tracing on; ``None`` otherwise.  Unlike
     #: ``world`` it *does* serialize: ``to_record`` emits it as a
     #: ``"timeline"`` section and ``from_record`` rebuilds it.
@@ -255,7 +255,7 @@ class RunResult:
         scenario = record.get("scenario")
         timeline = None
         if record.get("timeline") is not None:
-            from repro.obs.trace import Timeline
+            from repro.core.trace import Timeline
 
             timeline = Timeline.from_dict(record["timeline"])
         return cls(

@@ -31,7 +31,7 @@ from repro.calibrate.errors import CalibrationError
 from repro.calibrate.measure import REFERENCE_SCHEMA, load_reference
 from repro.clusters.presets import LAN_LATENCY
 from repro.obs.report import utilisation_table
-from repro.obs.trace import Timeline
+from repro.core.trace import Timeline
 from repro.simgrid.link import mbit
 
 #: The ``calibrated`` cluster's own defaults -- the uncalibrated

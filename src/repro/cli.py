@@ -42,18 +42,17 @@ local|pool|serve] [--processes N] [--state-dir DIR] [--resume]
     SIGTERM/SIGINT or a client ``shutdown``.  See ``docs/serving.md``.
 
 ``repro trace scenario.json [--backend NAME] [--out trace.json]
-[--format chrome|ndjson] [--index I] [--no-markers]``
+[--index I] [--no-markers]``
     Run one scenario with tracing on and write its per-rank
-    compute/idle/comm timeline: ``chrome`` is the trace-event JSON
-    Perfetto (https://ui.perfetto.dev) loads directly, ``ndjson`` the
-    line-oriented archival form.  Works on every backend (virtual
-    clock on ``simulated``, wall clock on ``threaded``/``process``).
-    See ``docs/observability.md``.
+    compute/idle/comm timeline as Chrome trace-event JSON, which
+    Perfetto (https://ui.perfetto.dev) loads directly.  Works on every
+    backend (virtual clock on ``simulated``, wall clock on
+    ``threaded``/``process``).  See ``docs/observability.md``.
 
 ``repro report trace.json [--width N]``
-    Render a trace file written by ``repro trace`` (either format) as
-    the ASCII report: per-rank utilization table, Gantt chart,
-    iteration-marker counts.
+    Render a trace file written by ``repro trace`` as the ASCII
+    report: per-rank utilization table, Gantt chart, iteration-marker
+    counts.
 
 ``repro calibrate (measure | fit | check) ...``
     Fit the simulator to this machine (:mod:`repro.calibrate`):
@@ -378,12 +377,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 2
     timeline = result.timeline
     try:
-        path = write_trace(timeline, args.out, format=args.format)
+        path = write_trace(timeline, args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
     print(
-        f"wrote {args.format} trace to {path} "
+        f"wrote chrome trace to {path} "
         f"(backend={timeline.backend}, clock={timeline.clock}, "
         f"{len(timeline.spans)} span(s), {len(timeline.markers)} marker(s), "
         f"makespan {timeline.makespan():.4f}s)"
@@ -758,9 +757,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one scenario with tracing on and write its timeline",
         description=(
             "Run one scenario on any backend with span tracing enabled "
-            "and write the per-rank compute/idle/comm timeline: Chrome "
-            "trace-event JSON (load it at https://ui.perfetto.dev) or "
-            "NDJSON. The simulated backend records virtual-clock spans, "
+            "and write the per-rank compute/idle/comm timeline as Chrome "
+            "trace-event JSON (load it at https://ui.perfetto.dev). "
+            "The simulated backend records virtual-clock spans, "
             "the threaded and process backends wall-clock spans -- same "
             "schema either way. See docs/observability.md."
         ),
@@ -773,10 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument(
         "--out", default="trace.json", metavar="PATH",
         help="output trace file (default: trace.json)",
-    )
-    trace_parser.add_argument(
-        "--format", default="chrome", choices=("chrome", "ndjson"),
-        help="trace file format (default: chrome)",
     )
     trace_parser.add_argument(
         "--index", type=int, default=0, metavar="I",
@@ -792,8 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="render a trace file as an ASCII utilization/Gantt report",
         description=(
-            "Render a trace written by `repro trace` (Chrome trace-event "
-            "JSON or NDJSON; the format is sniffed) as an ASCII report: "
+            "Render a trace written by `repro trace` as an ASCII report: "
             "per-rank compute/idle/comm seconds and utilization, the "
             "Gantt chart, and iteration-marker counts."
         ),

@@ -5,7 +5,8 @@ This package is the paper's primary contribution rebuilt as a library:
 * :mod:`repro.core.effects` -- the effect vocabulary every worker
   yields and every backend interprets, with the values effects resume
   with (``SendHandle``, ``Message``);
-* :mod:`repro.core.trace` -- the Gantt span record every backend writes;
+* :mod:`repro.core.trace` -- the ``Timeline`` span record every backend
+  writes, with the Gantt analysis of Figures 1-2;
 * :mod:`repro.core.model` -- the formal model of Section 1.2
   (Algorithm 1): activation sets ``J(t)``, per-block delays and the
   general asynchronous iteration executor, used to verify convergence

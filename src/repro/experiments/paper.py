@@ -201,7 +201,7 @@ FIGURE = {"sync_mpi": SISC[0], "pm2": AIAC[0]}
 
 
 def _flow_row(record):
-    trace = RunResult.from_record(record).timeline.as_gantt()
+    trace = RunResult.from_record(record).timeline
     util = utilisation_table(trace)
     return (FIGURE[record["scenario"]["environment"]], version(record)), {
         "makespan": record["makespan"],

@@ -1,19 +1,13 @@
-"""Timeline exporters: NDJSON trace files and Chrome trace-event JSON.
+"""The trace file: a timeline as Chrome trace-event JSON.
 
-Two wire forms, one loader:
-
-* **NDJSON** -- a ``meta`` line followed by one line per span/marker.
-  Append-friendly, greppable, the service-side archival form.
-* **Chrome trace-event JSON** -- the ``{"traceEvents": [...]}`` format
-  Perfetto (https://ui.perfetto.dev) and ``chrome://tracing`` load
-  directly: one ``"ph": "X"`` complete event per span (microsecond
-  ``ts``/``dur``, ``tid`` = rank), one ``"ph": "i"`` instant per
-  marker, plus ``"M"`` metadata events naming the process and rank
-  rows.  :func:`validate_chrome_trace` checks that shape and is what
-  the CI trace-smoke job runs against every backend's output.
-
-:func:`load_trace` sniffs the format, so ``repro report`` renders
-whichever file ``repro trace`` wrote.
+The ``{"traceEvents": [...]}`` format Perfetto (https://ui.perfetto.dev)
+and ``chrome://tracing`` load directly: one ``"ph": "X"`` complete event
+per span (microsecond ``ts``/``dur``, ``tid`` = rank), one ``"ph": "i"``
+instant per marker, plus ``"M"`` metadata events naming the process and
+rank rows.  :func:`validate_chrome_trace` checks that shape and is what
+the CI trace-smoke job runs against every backend's output.
+:func:`write_trace` writes the file ``repro trace`` produces and
+:func:`load_trace` reads it back for ``repro report``.
 """
 
 from __future__ import annotations
@@ -22,84 +16,10 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Union
 
-from repro.obs.trace import TIMELINE_SCHEMA, Timeline
+from repro.core.trace import TIMELINE_SCHEMA, Timeline
 
 #: Allowed Chrome trace-event phases in our emitted files.
 _PHASES = {"X", "i", "M"}
-
-
-# ---------------------------------------------------------------------------
-# NDJSON
-# ---------------------------------------------------------------------------
-def timeline_to_ndjson(timeline: Timeline) -> str:
-    """One ``meta`` line, then one line per span and marker (sorted)."""
-    data = timeline.to_dict()
-    lines = [
-        json.dumps(
-            {
-                "type": "meta",
-                "schema": data["schema"],
-                "backend": data["backend"],
-                "clock": data["clock"],
-                "meta": data["meta"],
-            },
-            separators=(",", ":"),
-        )
-    ]
-    for rank, start, end, kind, label in data["spans"]:
-        lines.append(
-            json.dumps(
-                {"type": "span", "rank": rank, "start": start, "end": end,
-                 "kind": kind, "label": label},
-                separators=(",", ":"),
-            )
-        )
-    for rank, at, kind, info in data["markers"]:
-        lines.append(
-            json.dumps(
-                {"type": "marker", "rank": rank, "time": at, "kind": kind,
-                 "info": info},
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def timeline_from_ndjson(text: str) -> Timeline:
-    header: Dict[str, Any] = {}
-    spans: List[list] = []
-    markers: List[list] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"trace NDJSON line {lineno} is not JSON: {exc}") from exc
-        kind = event.get("type")
-        if kind == "meta":
-            header = event
-        elif kind == "span":
-            spans.append(
-                [event["rank"], event["start"], event["end"],
-                 event["kind"], event.get("label", "")]
-            )
-        elif kind == "marker":
-            markers.append(
-                [event["rank"], event["time"], event["kind"],
-                 event.get("info", {})]
-            )
-        # unknown line types are skipped: forward compatibility
-    return Timeline.from_dict(
-        {
-            "schema": header.get("schema", TIMELINE_SCHEMA),
-            "backend": header.get("backend", "?"),
-            "clock": header.get("clock", "wall"),
-            "meta": header.get("meta", {}),
-            "spans": spans,
-            "markers": markers,
-        }
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +29,11 @@ def timeline_to_chrome(timeline: Timeline) -> Dict[str, Any]:
     """The ``{"traceEvents": [...]}`` object Perfetto loads.
 
     Span times are seconds on the timeline's clock; Chrome wants
-    microseconds, so virtual and wall clocks both scale by 1e6.  The
-    timeline header rides in ``otherData`` so the reverse conversion
-    (:func:`chrome_to_timeline`) is lossless minus span ordering.
+    microseconds, so virtual and wall clocks both scale by 1e6 and
+    keep three decimals: the file holds every time to the nanosecond.
+    The timeline header rides in ``otherData`` and each span's label
+    in its ``args``, so :func:`chrome_to_timeline` gives back every
+    span and marker, in time order, with its times to within 1 ns.
     """
     data = timeline.to_dict()
     pid = 1
@@ -137,6 +59,7 @@ def timeline_to_chrome(timeline: Timeline) -> Dict[str, Any]:
             }
         )
     for rank, start, end, kind, label in data["spans"]:
+        ts = round(start * 1e6, 3)
         events.append(
             {
                 "name": label or kind,
@@ -144,9 +67,10 @@ def timeline_to_chrome(timeline: Timeline) -> Dict[str, Any]:
                 "ph": "X",
                 "pid": pid,
                 "tid": rank,
-                "ts": round(start * 1e6, 3),
-                "dur": round((end - start) * 1e6, 3),
-                "args": {"kind": kind},
+                "ts": ts,
+                # from the rounded start, so ts + dur is the rounded end
+                "dur": round(end * 1e6 - ts, 3),
+                "args": {"kind": kind, "label": label},
             }
         )
     for rank, at, kind, info in data["markers"]:
@@ -218,11 +142,11 @@ def chrome_to_timeline(obj: Mapping[str, Any]) -> Timeline:
     for event in obj["traceEvents"]:
         phase = event.get("ph")
         if phase == "X":
-            start = float(event["ts"]) / 1e6
-            end = start + float(event["dur"]) / 1e6
-            kind = event.get("cat") or event.get("args", {}).get("kind", "compute")
-            label = event["name"] if event["name"] != kind else ""
-            spans.append([event["tid"], start, end, kind, label])
+            args = event.get("args", {})
+            ts = float(event["ts"])
+            kind = event.get("cat") or args.get("kind", "compute")
+            spans.append([event["tid"], ts / 1e6, (ts + float(event["dur"])) / 1e6,
+                          kind, args.get("label", "")])
         elif phase == "i":
             markers.append(
                 [event["tid"], float(event["ts"]) / 1e6, event["name"],
@@ -243,49 +167,22 @@ def chrome_to_timeline(obj: Mapping[str, Any]) -> Timeline:
 # ---------------------------------------------------------------------------
 # files
 # ---------------------------------------------------------------------------
-def write_trace(
-    timeline: Timeline,
-    path: Union[str, Path],
-    format: str = "chrome",
-) -> Path:
-    """Serialize ``timeline`` to ``path`` as ``chrome`` or ``ndjson``."""
+def write_trace(timeline: Timeline, path: Union[str, Path]) -> Path:
+    """Write ``timeline`` to ``path`` as Chrome trace-event JSON."""
     path = Path(path)
-    if format == "chrome":
-        payload = timeline_to_chrome(timeline)
-        validate_chrome_trace(payload)  # never emit what we would refuse
-        path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    elif format == "ndjson":
-        path.write_text(timeline_to_ndjson(timeline), encoding="utf-8")
-    else:
-        raise ValueError(f"unknown trace format {format!r}; use 'chrome' or 'ndjson'")
+    payload = timeline_to_chrome(timeline)
+    validate_chrome_trace(payload)  # never emit what we would refuse
+    path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     return path
 
 
 def load_trace(path: Union[str, Path]) -> Timeline:
-    """Load a trace file in any form ``repro trace`` writes.
-
-    Sniffs the content: a JSON object with ``traceEvents`` is a Chrome
-    trace, a JSON object with the timeline schema is a plain timeline
-    dict, anything line-oriented is NDJSON.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError:
-            obj = None
-        if isinstance(obj, dict):
-            if "traceEvents" in obj:
-                return chrome_to_timeline(obj)
-            if "spans" in obj:
-                return Timeline.from_dict(obj)
-    return timeline_from_ndjson(text)
+    """Read a trace file :func:`write_trace` wrote (``ValueError`` if it
+    is not one)."""
+    return chrome_to_timeline(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 __all__ = [
-    "timeline_to_ndjson",
-    "timeline_from_ndjson",
     "timeline_to_chrome",
     "chrome_to_timeline",
     "validate_chrome_trace",

@@ -1,45 +1,34 @@
-"""ASCII Gantt / utilization reports over timelines and traces.
+"""ASCII Gantt / utilization reports over timelines.
 
 One rendering path for every consumer: the Figures 1-2 spec
 (:data:`repro.experiments.paper.FIGURES12`, from each run's
 recorded timeline) and ``repro report`` both build their per-rank
 utilisation summaries here and both render the Gantt rows through
-:meth:`~repro.core.trace.GanttTrace.ascii_gantt`, so
+:meth:`~repro.core.trace.Timeline.ascii_gantt`, so
 "the paper's Figure 1/2 view" and "what the tracer saw on a real
 backend" are the same picture on different clocks.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List
 
-from repro.core.trace import GanttTrace
-from repro.obs.trace import SPAN_KINDS, Timeline
-
-TraceLike = Union[Timeline, GanttTrace]
+from repro.core.trace import SPAN_KINDS, Timeline
 
 
-def _as_parts(source: TraceLike):
-    if isinstance(source, Timeline):
-        return source, source.as_gantt()
-    timeline = Timeline.from_gantt(source, backend="?", clock="virtual")
-    return timeline, source
-
-
-def utilisation_table(source: TraceLike) -> List[Dict[str, Any]]:
+def utilisation_table(timeline: Timeline) -> List[Dict[str, Any]]:
     """One row per rank: seconds by span kind + compute utilisation.
 
-    ``utilisation`` is :meth:`GanttTrace.utilisation` -- the fraction
+    ``utilisation`` is :meth:`Timeline.utilisation` -- the fraction
     of the global makespan the rank spent computing -- i.e. the number
     the paper's Figure 1 vs Figure 2 comparison turns on.
     """
-    timeline, gantt = _as_parts(source)
     rows = []
     for rank in timeline.ranks():
         row: Dict[str, Any] = {"rank": rank}
         for kind in SPAN_KINDS:
             row[f"{kind}_s"] = timeline.kind_time(rank, kind)
-        row["utilisation"] = gantt.utilisation(rank)
+        row["utilisation"] = timeline.utilisation(rank)
         row["markers"] = len(timeline.markers_for(rank))
         rows.append(row)
     return rows
@@ -61,9 +50,8 @@ def format_utilisation(rows: List[Dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-def render_report(source: TraceLike, width: int = 72) -> str:
+def render_report(timeline: Timeline, width: int = 72) -> str:
     """The full ``repro report`` body: header, table, Gantt, markers."""
-    timeline, gantt = _as_parts(source)
     lines = [
         f"backend: {timeline.backend}   clock: {timeline.clock}   "
         f"makespan: {timeline.makespan():.4f}s   "
@@ -81,7 +69,7 @@ def render_report(source: TraceLike, width: int = 72) -> str:
     lines.append("")
     lines.append(format_utilisation(utilisation_table(timeline)))
     lines.append("")
-    lines.append(gantt.ascii_gantt(width=width))
+    lines.append(timeline.ascii_gantt(width=width))
     iteration_markers = [m for m in timeline.markers if m.kind == "iteration"]
     if iteration_markers:
         by_rank: Dict[int, int] = {}

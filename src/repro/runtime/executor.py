@@ -23,6 +23,7 @@ import time
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.core import effects as fx
+from repro.core.trace import Timeline
 
 #: Cap on simulated Sleep effects so a buggy coroutine cannot hang a test run.
 _MAX_SLEEP = 0.1
@@ -49,10 +50,34 @@ class ThreadTimeoutError(ThreadWorkerError, BackendTimeoutError):
 #: What a real-concurrency run returns (threads here, processes in
 #: :mod:`repro.runtime.process_hub`): per-rank coroutine return values,
 #: wall seconds, messages posted, fault counters (empty without a plan)
-#: and the wall-clock ``GanttTrace`` of a traced run (else ``None``).
+#: and the wall-clock ``Timeline`` of a traced run (else ``None``).
 #: :class:`repro.api.ThreadedBackend` / ``ProcessBackend`` turn it into
 #: the unified :class:`repro.api.RunResult`.
-RunOutcome = Tuple[Dict[int, Any], float, int, Dict[str, int], Optional[Any]]
+RunOutcome = Tuple[Dict[int, Any], float, int, Dict[str, int], Optional[Timeline]]
+
+
+class WallTracer:
+    """A wall-clock :class:`~repro.core.trace.Timeline` recorder.
+
+    ``anchor`` is the monotonic instant that becomes ``t = 0`` -- the
+    threaded run's start, or (on the process backend) each child's
+    post-barrier anchor, the same instant the fault-plan clock uses, so
+    per-rank axes line up across processes.  Recording is two float
+    subtractions and a list append; list appends are atomic under the
+    GIL, so one tracer may be shared by every thread of a threaded run.
+    """
+
+    def __init__(self, anchor: Optional[float] = None) -> None:
+        self.anchor = time.monotonic() if anchor is None else anchor
+        self.timeline = Timeline(clock="wall")
+
+    def span(self, rank: int, start: float, end: float, kind: str, label: str = "") -> None:
+        """Record one span; ``start``/``end`` are raw monotonic readings."""
+        anchor = self.anchor
+        self.timeline.add_span(rank, start - anchor, end - anchor, kind, label)
+
+    def marker(self, rank: int, at: float, kind: str, info: Optional[dict] = None) -> None:
+        self.timeline.add_marker(rank, at - self.anchor, kind, info)
 
 
 def _interpret(
@@ -62,11 +87,11 @@ def _interpret(
     barrier: threading.Barrier,
     results: Dict[int, Any],
     errors: Dict[int, BaseException],
-    tracer: Optional[Any] = None,
+    tracer: Optional[WallTracer] = None,
 ) -> None:
     """Drive one rank's coroutine against real channels/barriers.
 
-    ``tracer`` is an optional :class:`repro.obs.trace.WallTracer`; when
+    ``tracer`` is an optional :class:`WallTracer`; when
     present the interpreter records compute/idle/comm spans around the
     effect boundaries (and ``Trace`` effects as markers) on the same
     vocabulary the simulator uses.  With ``tracer=None`` the hot path
@@ -183,8 +208,8 @@ def run_threads(
         crash subset.
     trace:
         Record wall-clock compute/idle/comm spans per rank (one shared
-        :class:`~repro.obs.trace.WallTracer`, anchored at the run
-        start); the resulting ``GanttTrace`` is the outcome's last item.
+        :class:`WallTracer`, anchored at the run start); its
+        ``Timeline`` is the outcome's last item.
     """
     from repro.runtime.channels import ChannelHub
 
@@ -193,11 +218,7 @@ def run_threads(
     if faults is not None:
         faults.start()
     hub = ChannelHub(n_ranks, faults)
-    tracer = None
-    if trace:
-        from repro.obs.trace import WallTracer
-
-        tracer = WallTracer()  # anchored now: spans measure the run
+    tracer = WallTracer() if trace else None  # anchored now: spans measure the run
     barrier = threading.Barrier(n_ranks)
     results: Dict[int, Any] = {}
     errors: Dict[int, BaseException] = {}
@@ -244,7 +265,7 @@ def run_threads(
         fault_counters = dict(faults.counters)
     return (
         results, elapsed, hub.messages_sent, fault_counters,
-        None if tracer is None else tracer.trace,
+        None if tracer is None else tracer.timeline,
     )
 
 

@@ -58,6 +58,7 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional
 
+from repro.core.trace import Timeline
 from repro.runtime.channels import Mailbox, fates
 from repro.runtime.executor import BackendTimeoutError, RunOutcome
 
@@ -193,7 +194,7 @@ def _child_main(
             scenario_message_fault_injector,
         )
         from repro.api.scenario import Scenario
-        from repro.runtime.executor import _interpret
+        from repro.runtime.executor import WallTracer, _interpret
 
         scenario = Scenario.from_dict(scenario_dict)
         make_coroutine = scenario_coroutine_factory(scenario)
@@ -210,14 +211,10 @@ def _child_main(
         t0 = time.monotonic()
         if injector is not None:
             injector.start(t0)
-        tracer = None
-        if trace:
-            from repro.obs.trace import WallTracer
-
-            # Anchor at the shared post-bootstrap barrier: every rank's
-            # spans then live on one common axis (CLOCK_MONOTONIC is
-            # system-wide), the same axis the fault plan uses.
-            tracer = WallTracer(anchor=t0)
+        # Anchor at the shared post-bootstrap barrier: every rank's
+        # spans then live on one common axis (CLOCK_MONOTONIC is
+        # system-wide), the same axis the fault plan uses.
+        tracer = WallTracer(anchor=t0) if trace else None
         reports: Dict[int, Any] = {}
         errors: Dict[int, BaseException] = {}
         _interpret(
@@ -237,12 +234,12 @@ def _child_main(
             results.put(("error", rank, f"{type(exc).__name__}: {exc}", detail))
             return
         counters = {} if injector is None else dict(injector.counters)
-        # Spans ship home as plain tuples (picklable, numpy-free) in the
-        # exit report; the parent merges them into one GanttTrace.
-        payload = None if tracer is None else tracer.payload()
+        # Spans ship home as timeline rows (picklable, numpy-free) in
+        # the exit report; the parent concatenates every rank's rows.
+        rows = None if tracer is None else tracer.timeline.to_dict()
         results.put(
             ("ok", rank, reports[rank], counters, endpoint.messages_sent, t0,
-             payload)
+             rows)
         )
     except BaseException as exc:  # noqa: BLE001 - must reach the parent
         results.put(
@@ -326,8 +323,8 @@ def run_processes(
         backend is spawn-safe by construction (see module docstring).
     trace:
         Record wall-clock compute/idle/comm spans in every child; the
-        per-rank payloads ride home on the exit reports and are merged
-        into one ``GanttTrace``, the outcome's last item.
+        per-rank rows ride home on the exit reports and are joined
+        into one ``Timeline``, the outcome's last item.
         Every rank anchors at the shared post-bootstrap barrier, so
         the merged spans share one time axis.
     """
@@ -355,7 +352,8 @@ def run_processes(
     reports: Dict[int, Any] = {}
     counters_per_rank: Dict[int, Dict[str, int]] = {}
     anchors: List[float] = []
-    trace_payloads: List[Any] = []
+    spans: List[list] = []
+    markers: List[list] = []
     messages_sent = 0
     try:
         # Starting is inside the reaping scope: if spawning rank k
@@ -389,13 +387,14 @@ def run_processes(
                     f"rank {rank} failed: {summary}\n--- child traceback ---\n"
                     f"{detail}"
                 )
-            _, rank, report, counters, sent, child_t0, span_payload = outcome
+            _, rank, report, counters, sent, child_t0, rows = outcome
             reports[rank] = report
             counters_per_rank[rank] = counters
             messages_sent += sent
             anchors.append(child_t0)
-            if span_payload is not None:
-                trace_payloads.append(span_payload)
+            if rows is not None:
+                spans += rows["spans"]
+                markers += rows["markers"]
     except BaseException:
         done.set()
         _reap(processes)
@@ -413,12 +412,10 @@ def run_processes(
     for counters in counters_per_rank.values():
         for key, value in counters.items():
             fault_counters[key] = fault_counters.get(key, 0) + int(value)
-    merged_trace = None
-    if trace_payloads:
-        from repro.obs.trace import WallTracer
-
-        merged_trace = WallTracer.merge_payloads(trace_payloads)
-    return reports, elapsed, messages_sent, fault_counters, merged_trace
+    timeline = None
+    if trace:
+        timeline = Timeline.from_dict({"spans": spans, "markers": markers})
+    return reports, elapsed, messages_sent, fault_counters, timeline
 
 
 __all__ = [

@@ -17,7 +17,7 @@ provides:
   after the environments of the paper),
 * :mod:`repro.simgrid.faults` -- a fault plan compiled onto the engine,
 * :mod:`repro.simgrid.world` -- the top-level ``World`` tying
-  everything together; it records a :mod:`repro.core.trace` Gantt trace.
+  everything together; it records a :class:`repro.core.trace.Timeline`.
 
 Numerical work performed by the algorithms is *real*; only time and
 message transport are simulated.  The package root is empty: name the

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional
 
-from repro.core.trace import GanttTrace
+from repro.core.trace import Timeline
 from repro.envs.base import CommPolicy
 from repro.simgrid.comm import Transport
 from repro.simgrid.engine import Engine, SimulationError
@@ -37,7 +37,8 @@ class World:
         Hosts to place ranks on, in rank order.  Defaults to
         ``network.hosts`` order.
     trace:
-        Record Gantt spans (small overhead; on by default).
+        Record the run's :class:`~repro.core.trace.Timeline` (small
+        overhead; on by default).
     faults:
         Optional :class:`~repro.simgrid.faults.SimFaultInjector`
         compiled from a scenario's fault plan; installed when the run
@@ -59,7 +60,7 @@ class World:
         self.hosts = list(hosts) if hosts is not None else list(network.hosts)
         if not self.hosts:
             raise ValueError("world needs at least one host")
-        self.trace = GanttTrace(enabled=trace)
+        self.trace = Timeline("simulated", "virtual", enabled=trace)
         self.faults = faults
         self.processes: Dict[int, Process] = {}
         self.transport: Optional[Transport] = None

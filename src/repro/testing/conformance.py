@@ -122,7 +122,7 @@ def run_scenario_conformance(
     try:
         outcome = run_sweep(
             [scenario],
-            backend=SimulatedBackend(trace=False),
+            backend=SimulatedBackend(),
             placement="local",
             include_solution=True,
         )
@@ -130,7 +130,7 @@ def run_scenario_conformance(
         if "error" in sweep_record:
             raise RuntimeError(sweep_record["error"])
         first = RunResult.from_record(sweep_record)
-        second = SimulatedBackend(trace=False).run(scenario)
+        second = SimulatedBackend().run(scenario)
     except Exception as exc:  # noqa: BLE001 - reported per scenario
         violations.append(f"simulated backend raised {type(exc).__name__}: {exc}")
         record["ok"] = False
@@ -208,7 +208,7 @@ def _check_mega_parity(
     if not members:
         return []
     try:
-        results = SimulatedBackend(trace=False).run_many([s for s, _ in members])
+        results = SimulatedBackend().run_many([s for s, _ in members])
     except Exception as exc:  # noqa: BLE001 - reported for the sweep
         return [f"mega run of the battery raised {type(exc).__name__}: {exc}"]
     for (_scenario, record), result in zip(members, results):

@@ -215,7 +215,7 @@ def _probe_run(scenario: Scenario) -> Tuple[float, int]:
     """
     from repro.api import SimulatedBackend
 
-    result = SimulatedBackend(trace=False).run(scenario)
+    result = SimulatedBackend().run(scenario)
     return result.makespan, result.max_iterations
 
 

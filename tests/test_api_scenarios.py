@@ -228,7 +228,7 @@ def test_run_result_record_round_trips_all_counter_families_at_once():
             {"kind": "message_duplication", "probability": 0.1},
         ]},
     )
-    result = SimulatedBackend(trace=False).run(scenario)
+    result = SimulatedBackend().run(scenario)
     assert result.faults["messages_dropped"] > 0
     assert result.balancing["migrations_out"] >= 1
     record = json.loads(json.dumps(result.to_record(include_solution=True)))

@@ -123,7 +123,7 @@ def test_balancer_requires_the_aiac_worker():
     scenario = HETERO.derive(environment="sync_mpi",
                              balancer=BalancingPlan(policy="diffusion"))
     with pytest.raises(ValueError, match="aiac"):
-        SimulatedBackend(trace=False).run(scenario)
+        SimulatedBackend().run(scenario)
 
 
 def test_balancer_requires_a_migratable_problem():
@@ -131,7 +131,7 @@ def test_balancer_requires_a_migratable_problem():
                         algorithm="aiac",
                         balancer=BalancingPlan(policy="diffusion"))
     with pytest.raises(ValueError, match="migration"):
-        SimulatedBackend(trace=False).run(scenario)
+        SimulatedBackend().run(scenario)
 
 
 # ----------------------------------------------------------------------
@@ -278,12 +278,9 @@ def test_migratable_payloads_are_self_describing():
 # ----------------------------------------------------------------------
 def test_diffusion_beats_noop_on_heterogeneous_cluster():
     """Acceptance: strictly smaller makespan for the same seed."""
-    off = run_scenario(
-        HETERO.derive(balancer=BalancingPlan(policy="none")), trace=False
-    )
+    off = run_scenario(HETERO.derive(balancer=BalancingPlan(policy="none")))
     on = run_scenario(
-        HETERO.derive(balancer=BalancingPlan(policy="diffusion", period=10)),
-        trace=False,
+        HETERO.derive(balancer=BalancingPlan(policy="diffusion", period=10))
     )
     assert off.converged and on.converged
     assert on.makespan < off.makespan
@@ -307,14 +304,11 @@ def test_diffusion_absorbs_a_host_slowdown_window():
             "kind": "host_slowdown", "start": 0.5, "end": 8.0,
             "factor": 0.2, "hosts": ["node2"]}]},
     )
-    off = run_scenario(
-        perturbed.derive(balancer=BalancingPlan(policy="none")), trace=False
-    )
+    off = run_scenario(perturbed.derive(balancer=BalancingPlan(policy="none")))
     on = run_scenario(
         perturbed.derive(
             balancer=BalancingPlan(policy="diffusion", period=5, threshold=0.05)
-        ),
-        trace=False,
+        )
     )
     assert off.converged and on.converged
     assert on.makespan < off.makespan
@@ -324,8 +318,8 @@ def test_diffusion_absorbs_a_host_slowdown_window():
 
 def test_migration_counters_are_reproducible_per_seed():
     scenario = HETERO.derive(balancer=BalancingPlan(policy="diffusion", period=10))
-    first = run_scenario(scenario, trace=False)
-    second = run_scenario(scenario, trace=False)
+    first = run_scenario(scenario)
+    second = run_scenario(scenario)
     assert work_counters(first) == work_counters(second)
     assert first.balancing == second.balancing
     assert _row_spans(first) == _row_spans(second)
@@ -341,7 +335,7 @@ def test_balancing_survives_message_faults():
             {"kind": "message_reorder", "probability": 0.2, "max_delay": 5e-3},
         ]},
     )
-    result = run_scenario(scenario, trace=False)
+    result = run_scenario(scenario)
     assert result.converged
     assert result.faults["messages_dropped"] > 0
     assert result.balancing["migrations_out"] >= 1
@@ -393,8 +387,7 @@ def test_migration_handoff_stress_under_message_faults(backend_name):
                  "max_delay": 2e-3},
             ]},
         )
-        kwargs = ({"trace": False} if backend_name == "simulated"
-                  else {"timeout": 60.0})
+        kwargs = {} if backend_name == "simulated" else {"timeout": 60.0}
         result = run_scenario(scenario, backend=backend_name, **kwargs)
         problem = scenario.build_problem()
         assert check_row_partition(result, problem) == [], (
@@ -434,7 +427,7 @@ def test_handoff_payloads_survive_the_process_wire_format():
 # ----------------------------------------------------------------------
 def test_per_rank_progress_and_busy_time_round_trip():
     scenario = HETERO.derive(balancer=BalancingPlan(policy="diffusion", period=10))
-    result = run_scenario(scenario, trace=False)
+    result = run_scenario(scenario)
     progress = result.per_rank
     assert sorted(progress) == list(range(6))
     for rank, entry in progress.items():
@@ -455,7 +448,7 @@ def test_busy_time_is_reported_without_balancing_too():
     scenario = Scenario(problem="sparse_linear",
                         problem_params={"n": 200, "sign_structure": "random"},
                         n_ranks=3, seed=1)
-    result = run_scenario(scenario, trace=False)
+    result = run_scenario(scenario)
     for entry in result.per_rank.values():
         assert entry.busy_time > 0.0
         assert entry.rows is None

@@ -58,7 +58,7 @@ def memos(monkeypatch):
 
 def _alone(scenario):
     """One scenario under ``run_many``: its world has the memo to itself."""
-    return SimulatedBackend(trace=False).run_many([scenario])[0]
+    return SimulatedBackend().run_many([scenario])[0]
 
 
 # ----------------------------------------------------------------------
@@ -74,7 +74,7 @@ def test_batched_parity_generated_scenarios(seed):
     sweeps.
     """
     scenario = generate_scenarios(1, seed=seed)[0]
-    _assert_parity(SimulatedBackend(trace=False).run(scenario), _alone(scenario))
+    _assert_parity(SimulatedBackend().run(scenario), _alone(scenario))
 
 
 def test_batched_parity_async_chemical(memos):
@@ -86,7 +86,7 @@ def test_batched_parity_async_chemical(memos):
         environment="pm2",
         n_ranks=3,
     )
-    single = SimulatedBackend(trace=False).run(scenario)
+    single = SimulatedBackend().run(scenario)
     _assert_parity(single, _alone(scenario))
     (memo,) = memos
     assert memo.hits > 0
@@ -169,9 +169,9 @@ def test_run_many_matches_run_per_scenario(memos):
         n_ranks=4,
     )
     singles = [
-        SimulatedBackend(trace=False).run(s) for s in _speed_grid(4, **grid_kwargs)
+        SimulatedBackend().run(s) for s in _speed_grid(4, **grid_kwargs)
     ]
-    many = SimulatedBackend(trace=False).run_many(_speed_grid(4, **grid_kwargs))
+    many = SimulatedBackend().run_many(_speed_grid(4, **grid_kwargs))
     assert len(many) == 4
     for single, mega in zip(singles, many):
         _assert_parity(single, mega)
@@ -184,7 +184,7 @@ class _Recording(SimulatedBackend):
     so a test can inspect the healthy worlds of a run that raised."""
 
     def __init__(self):
-        super().__init__(trace=False)
+        super().__init__()
         self.wrapped = []
 
     def _wrap(self, scenario, world, injector, started):
@@ -229,7 +229,7 @@ def test_run_many_isolates_failures():
         )
     assert isinstance(failure.value.__cause__, _Boom)
     (healthy,) = backend.wrapped
-    assert healthy.makespan == SimulatedBackend(trace=False).run(good).makespan
+    assert healthy.makespan == SimulatedBackend().run(good).makespan
 
 
 @pytest.mark.parametrize("fails_last", [False, True])
@@ -248,7 +248,7 @@ def test_run_many_isolates_a_failing_stackable_world(fails_last):
         cluster="ethernet_wan",
         cluster_params={"n_sites": 2, "machine_mix": ["duron_800", "p4_2400"]},
     )
-    reference = SimulatedBackend(trace=False).run(scenario)
+    reference = SimulatedBackend().run(scenario)
     fuse = reference.reports[0].iterations - 10 if fails_last else 2
     poisoned = _poison_world(scenario.build_problem(), int(fails_last), fuse)
     backend = _Recording()
@@ -309,7 +309,7 @@ def test_run_many_equals_per_scenario_runs_in_every_grid_order(grid):
     """``run_many(grid)`` == ``[run(s) for s in grid]`` member by member
     (every work counter, solution bytes), whatever the order: which
     world fills the memo and which reads it must not matter."""
-    backend = SimulatedBackend(trace=False)
+    backend = SimulatedBackend()
     singles = [backend.run(scenario) for scenario in grid]
     for order in _grid_orders(len(grid)):
         many = backend.run_many([grid[i] for i in order])
@@ -340,7 +340,7 @@ def test_a_memo_never_crosses_a_process_boundary(monkeypatch):
         n_ranks=2,
     )
     with pytest.raises(_Boom):
-        SimulatedBackend(trace=False).run_many([Scenario.from_dict(point)])
+        SimulatedBackend().run_many([Scenario.from_dict(point)])
     pooled = run_sweep([point], placement="pool", processes=1, timeout=60.0)
     assert not pooled.errors and pooled.records[0]["converged"]
     result = ProcessBackend(timeout=60.0, start_method="fork").run(
@@ -409,7 +409,7 @@ def test_mega_placement_refuses_non_simulated_backends():
 def test_mega_placement_keeps_the_backend_it_was_given():
     """The placement has no flag to force, and its per-unit fallback
     runs the backend as-is."""
-    backend = SimulatedBackend(trace=False)
+    backend = SimulatedBackend()
     placement = MegaPlacement(PlacementContext(backend=backend))
     placement.start()
     assert placement._backend is backend

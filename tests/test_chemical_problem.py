@@ -686,7 +686,7 @@ def _battery_run(name, problem=None):
     (scenario,) = [s for s in tool.chemical_battery() if s.name == name]
     if problem is None:
         problem = scenario.build_problem()
-    result = SimulatedBackend(trace=False).run(scenario, make_solver=problem.make_local)
+    result = SimulatedBackend().run(scenario, make_solver=problem.make_local)
     return problem, result
 
 

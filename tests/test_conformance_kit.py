@@ -89,7 +89,7 @@ def _fake_result(scenario, *, converged=True, stopped=True, residual=1e-9,
 
 def test_invariants_accept_a_real_run():
     scenario = generate_scenarios(1, seed=0)[0]
-    result = SimulatedBackend(trace=False).run(scenario)
+    result = SimulatedBackend().run(scenario)
     assert check_invariants(scenario, result, scenario.build_problem()) == []
 
 
@@ -264,7 +264,7 @@ def test_fault_rng_falls_back_to_scenario_seed():
             cluster_params={"speed": 2e5},
             n_ranks=3, seed=seed, faults=plan,
         )
-        return work_counters(SimulatedBackend(trace=False).run(scenario))
+        return work_counters(SimulatedBackend().run(scenario))
 
     assert counters(7) == counters(7)
     assert counters(7) != counters(1234)
@@ -281,6 +281,6 @@ def test_backends_do_not_trigger_the_shim_warnings():
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        SimulatedBackend(trace=False).run(scenario)
+        SimulatedBackend().run(scenario)
         get_backend("threaded", timeout=60.0).run(scenario)
     assert [w for w in caught if w.category is DeprecationWarning] == []

@@ -108,7 +108,7 @@ def test_fault_plan_validation():
 def test_loss_drops_messages_and_run_stays_sound():
     faulty = _scenario(faults=FaultPlan(events=(MessageLoss(probability=0.15),),
                                         seed=3))
-    result = SimulatedBackend(trace=False).run(faulty)
+    result = SimulatedBackend().run(faulty)
     assert result.faults["messages_dropped"] > 0
     assert result.converged
     problem = faulty.build_problem()
@@ -120,8 +120,8 @@ def test_fault_counters_deterministic_for_fixed_seed():
                                                 MessageReorder(probability=0.3,
                                                                max_delay=2e-3)),
                                         seed=3))
-    first = SimulatedBackend(trace=False).run(faulty)
-    second = SimulatedBackend(trace=False).run(faulty)
+    first = SimulatedBackend().run(faulty)
+    second = SimulatedBackend().run(faulty)
     assert work_counters(first) == work_counters(second)
     assert first.faults["messages_dropped"] > 0
 
@@ -129,20 +129,20 @@ def test_fault_counters_deterministic_for_fixed_seed():
 def test_fault_seed_changes_decisions():
     def drops(seed):
         plan = FaultPlan(events=(MessageLoss(probability=0.15),), seed=seed)
-        return work_counters(SimulatedBackend(trace=False).run(_scenario(faults=plan)))
+        return work_counters(SimulatedBackend().run(_scenario(faults=plan)))
 
     assert drops(3) != drops(12345)
 
 
 def test_link_degradation_degrades_then_recovers():
-    baseline = SimulatedBackend(trace=False).run(_scenario())
+    baseline = SimulatedBackend().run(_scenario())
     window = LinkDegradation(
         start=0.2 * baseline.makespan,
         end=0.6 * baseline.makespan,
         bandwidth_factor=0.02,
         latency_add=2e-3,
     )
-    result = SimulatedBackend(trace=False).run(
+    result = SimulatedBackend().run(
         _scenario(faults=FaultPlan(events=(window,)))
     )
     assert result.faults == {"link_degradations": 1, "recoveries": 1}
@@ -151,11 +151,11 @@ def test_link_degradation_degrades_then_recovers():
 
 
 def test_host_slowdown_and_crash_windows_count():
-    baseline = SimulatedBackend(trace=False).run(_scenario())
+    baseline = SimulatedBackend().run(_scenario())
     span = baseline.makespan
     slow = HostSlowdown(start=0.2 * span, end=0.6 * span, factor=0.25, steps=3)
     crash = RankCrash(rank=1, at=0.2 * span, downtime=0.3 * span)
-    result = SimulatedBackend(trace=False).run(
+    result = SimulatedBackend().run(
         _scenario(faults=FaultPlan(events=(slow, crash), seed=5))
     )
     assert result.faults["host_slowdowns"] == 1
@@ -230,13 +230,13 @@ def test_overlapping_link_windows_compose():
 
 def test_open_ended_window_does_not_stretch_makespan():
     """A window ending long after the run must not inflate virtual time."""
-    baseline = SimulatedBackend(trace=False).run(_scenario())
+    baseline = SimulatedBackend().run(_scenario())
     window = HostSlowdown(
         start=baseline.makespan * 1000.0,
         end=baseline.makespan * 2000.0,
         factor=0.5,
     )
-    result = SimulatedBackend(trace=False).run(
+    result = SimulatedBackend().run(
         _scenario(faults=FaultPlan(events=(window,)))
     )
     assert result.makespan == pytest.approx(baseline.makespan)
@@ -245,7 +245,7 @@ def test_open_ended_window_does_not_stretch_makespan():
 
 def test_duplication_delivers_extra_messages():
     plan = FaultPlan(events=(MessageDuplication(probability=0.3),), seed=5)
-    result = SimulatedBackend(trace=False).run(_scenario(faults=plan))
+    result = SimulatedBackend().run(_scenario(faults=plan))
     duplicated = result.faults["messages_duplicated"]
     assert duplicated > 0
     received = sum(result.backend_stats["mailbox_received"].values())
@@ -262,7 +262,7 @@ def test_sisc_rendezvous_tags_are_not_touched():
         environment="sync_mpi",
         faults=FaultPlan(events=(MessageLoss(probability=0.5),), seed=1),
     )
-    result = SimulatedBackend(trace=False).run(scenario)
+    result = SimulatedBackend().run(scenario)
     assert result.converged
     assert result.faults.get("messages_dropped", 0) == 0
 
@@ -368,7 +368,7 @@ def test_message_fate_decisions_are_pinned():
 # ----------------------------------------------------------------------
 def test_run_result_record_round_trips_fault_counters():
     plan = FaultPlan(events=(MessageLoss(probability=0.15),), seed=3)
-    result = SimulatedBackend(trace=False).run(_scenario(faults=plan))
+    result = SimulatedBackend().run(_scenario(faults=plan))
     record = result.to_record()
     assert record["faults"] == result.faults
     rebuilt = RunResult.from_record(json.loads(json.dumps(record)))

@@ -6,42 +6,39 @@ that agree *structurally* -- same schema, same rank set, compute and
 idle and comm coverage, iteration markers where the algorithm emits
 them -- even though the clocks (virtual vs wall) and the absolute
 numbers differ.  Everything else is units: deterministic export order,
-utilisation arithmetic, histogram buckets, round-trips through NDJSON
-and Chrome trace-event JSON, and the serve scheduler's ``metrics``
-verb.
+utilisation arithmetic, histogram buckets, round-trips through Chrome
+trace-event JSON, and the serve scheduler's ``metrics`` verb.
 """
 
-import json
 import math
 
 import pytest
 
 from repro.api import Scenario, run_scenario
 from repro.api.result import RunResult
-from repro.core.trace import GanttTrace
+from repro.core.aiac import AIACOptions
+from repro.core.trace import Span
 from repro.obs import (
     SPAN_KINDS,
     TIMELINE_SCHEMA,
     MetricsRegistry,
     Timeline,
-    WallTracer,
     chrome_to_timeline,
     format_utilisation,
     load_trace,
     render_report,
-    timeline_from_ndjson,
     timeline_to_chrome,
-    timeline_to_ndjson,
     utilisation_table,
     validate_chrome_trace,
     write_trace,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.runtime.executor import WallTracer
 
 
-def small_trace():
+def small_trace(**header):
     """Two ranks, hand-placed spans, inserted *out* of time order."""
-    trace = GanttTrace()
+    trace = Timeline(**header)
     trace.add_span(1, 2.0, 3.0, "compute", "iter1")
     trace.add_span(0, 0.0, 2.0, "compute", "iter0")
     trace.add_span(0, 2.0, 2.5, "idle")
@@ -59,28 +56,26 @@ def small_trace():
 class TestExportOrder:
     def test_export_spans_sorted_regardless_of_insertion(self):
         trace = small_trace()
-        exported = trace.export_spans()
-        keys = [(s.start, s.end, s.rank) for s in exported]
+        exported = trace.to_dict()["spans"]
+        keys = [(start, end, rank) for rank, start, end, _, _ in exported]
         assert keys == sorted(keys)
         # Insertion order above was NOT time order -- the sort did work.
-        assert [s.start for s in trace.spans] != [s.start for s in exported]
+        assert [s.start for s in trace.spans] != [row[1] for row in exported]
 
     def test_export_markers_sorted(self):
         trace = small_trace()
-        times = [(m.time, m.rank) for m in trace.export_markers()]
+        times = [(at, rank) for rank, at, _, _ in trace.to_dict()["markers"]]
         assert times == sorted(times)
 
     def test_two_insertion_orders_serialize_identically(self):
-        forward = GanttTrace()
-        backward = GanttTrace()
+        forward = Timeline(backend="x")
+        backward = Timeline(backend="x")
         spans = [(0, 0.0, 1.0, "compute"), (1, 0.5, 2.0, "comm"), (0, 1.0, 1.5, "idle")]
         for s in spans:
             forward.add_span(*s)
         for s in reversed(spans):
             backward.add_span(*s)
-        a = Timeline.from_gantt(forward, backend="x", clock="virtual").to_dict()
-        b = Timeline.from_gantt(backward, backend="x", clock="virtual").to_dict()
-        assert a == b
+        assert forward.to_dict() == backward.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +84,7 @@ class TestExportOrder:
 
 class TestTimeline:
     def test_round_trip_dict(self):
-        timeline = Timeline.from_gantt(
-            small_trace(), backend="simulated", clock="virtual", meta={"n": 3}
-        )
+        timeline = small_trace(backend="simulated", meta={"n": 3})
         data = timeline.to_dict()
         assert data["schema"] == TIMELINE_SCHEMA
         back = Timeline.from_dict(data)
@@ -100,23 +93,17 @@ class TestTimeline:
         assert back.meta == {"n": 3}
 
     def test_schema_mismatch_rejected(self):
-        data = Timeline.from_gantt(small_trace(), backend="x", clock="wall").to_dict()
+        data = small_trace(backend="x", clock="wall").to_dict()
         data["schema"] = "someone.else/9"
         with pytest.raises(ValueError):
             Timeline.from_dict(data)
 
     def test_kind_time_and_makespan(self):
-        timeline = Timeline.from_gantt(small_trace(), backend="x", clock="virtual")
+        timeline = small_trace()
         assert timeline.kind_time(0, "compute") == pytest.approx(3.5)
         assert timeline.kind_time(0, "idle") == pytest.approx(0.5)
         assert timeline.kind_time(1, "comm") == pytest.approx(2.0)
         assert timeline.makespan() == pytest.approx(4.0)
-
-    def test_as_gantt_round_trip(self):
-        timeline = Timeline.from_gantt(small_trace(), backend="x", clock="virtual")
-        gantt = timeline.as_gantt()
-        assert gantt.ranks() == [0, 1]
-        assert gantt.utilisation(0) == pytest.approx(3.5 / 4.0)
 
 
 class TestWallTracer:
@@ -124,17 +111,24 @@ class TestWallTracer:
         tracer = WallTracer(anchor=100.0)
         tracer.span(0, 100.5, 101.0, "compute", "a")
         tracer.marker(0, 101.0, "iteration", {"k": 0})
-        (spans, markers) = tracer.payload()
-        assert spans == [(0, 0.5, 1.0, "compute", "a")]
-        assert markers[0][1] == pytest.approx(1.0)
+        assert tracer.timeline.clock == "wall"
+        assert tracer.timeline.spans == [Span(0, 0.5, 1.0, "compute", "a")]
+        assert tracer.timeline.markers[0].time == pytest.approx(1.0)
 
-    def test_merge_payloads(self):
+    def test_rank_rows_join_into_one_timeline(self):
+        """The process backend's join: each rank ships ``to_dict()`` rows
+        and the parent concatenates them into one timeline."""
         a = WallTracer(anchor=0.0)
         a.span(0, 0.0, 1.0, "compute")
         b = WallTracer(anchor=0.0)
         b.span(1, 0.5, 2.0, "compute")
         b.marker(1, 2.0, "iteration")
-        merged = WallTracer.merge_payloads([a.payload(), b.payload()])
+        rows = [a.timeline.to_dict(), b.timeline.to_dict()]
+        merged = Timeline.from_dict({
+            "spans": [row for r in rows for row in r["spans"]],
+            "markers": [row for r in rows for row in r["markers"]],
+        })
+        assert merged.clock == "wall"
         assert merged.ranks() == [0, 1]
         assert merged.makespan() == pytest.approx(2.0)
         assert len(merged.markers) == 1
@@ -161,20 +155,13 @@ class TestUtilisationReport:
         assert r1["utilisation"] == pytest.approx(1.0 / 4.0)
         assert r0["markers"] == 1 and r1["markers"] == 1
 
-    def test_table_accepts_timeline_and_gantt(self):
-        trace = small_trace()
-        timeline = Timeline.from_gantt(trace, backend="x", clock="virtual")
-        assert utilisation_table(trace) == utilisation_table(timeline)
-
     def test_format_utilisation(self):
         text = format_utilisation(utilisation_table(small_trace()))
         assert "rank" in text and "util" in text
         assert "87.5%" in text  # rank 0: 3.5 / 4.0
 
     def test_render_report_sections(self):
-        timeline = Timeline.from_gantt(
-            small_trace(), backend="threaded", clock="wall", meta={"elapsed": 4.0}
-        )
+        timeline = small_trace(backend="threaded", clock="wall", meta={"elapsed": 4.0})
         text = render_report(timeline)
         assert "backend: threaded" in text and "clock: wall" in text
         assert "elapsed=4.0" in text
@@ -258,22 +245,12 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# exporters: NDJSON + Chrome trace-event JSON
+# exporters: Chrome trace-event JSON
 # ---------------------------------------------------------------------------
 
 class TestExporters:
     def _timeline(self):
-        return Timeline.from_gantt(
-            small_trace(), backend="simulated", clock="virtual", meta={"events": 12}
-        )
-
-    def test_ndjson_round_trip(self):
-        timeline = self._timeline()
-        text = timeline_to_ndjson(timeline)
-        lines = [json.loads(line) for line in text.splitlines()]
-        assert lines[0]["type"] == "meta"
-        back = timeline_from_ndjson(text)
-        assert back.to_dict() == timeline.to_dict()
+        return small_trace(backend="simulated", meta={"events": 12})
 
     def test_chrome_round_trip_and_validation(self):
         timeline = self._timeline()
@@ -309,12 +286,43 @@ class TestExporters:
 
     def test_write_and_load_both_formats(self, tmp_path):
         timeline = self._timeline()
-        chrome_path = tmp_path / "t.json"
-        ndjson_path = tmp_path / "t.ndjson"
-        write_trace(timeline, chrome_path, format="chrome")
-        write_trace(timeline, ndjson_path, format="ndjson")
-        assert load_trace(chrome_path).to_dict() == timeline.to_dict()
-        assert load_trace(ndjson_path).to_dict() == timeline.to_dict()
+        path = write_trace(timeline, tmp_path / "t.json")
+        assert load_trace(path).to_dict() == timeline.to_dict()
+
+    def test_load_rejects_a_file_that_is_not_a_chrome_trace(self, tmp_path):
+        path = tmp_path / "t.json"
+        for text in ("not json", "[]", '{"spans": []}'):
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                load_trace(path)
+
+    @pytest.mark.parametrize("backend", ["simulated", "threaded"])
+    def test_trace_file_keeps_every_span_label_and_marker(self, backend, tmp_path):
+        """The file holds each span's rank, kind and label and each
+        marker exactly, and every time to within 1 ns."""
+        scenario = Scenario(
+            problem="sparse_linear", problem_params={"n": 60}, environment="pm2",
+            n_ranks=2, seed=3, options=AIACOptions(trace_iterations=True),
+        )
+        timeline = run_scenario(scenario, backend=backend, timeline=True).timeline
+        back = load_trace(write_trace(timeline, tmp_path / "t.json"))
+        assert (back.backend, back.clock) == (timeline.backend, timeline.clock)
+
+        def spans(t):
+            return sorted(t.to_dict()["spans"], key=lambda r: (r[0], r[3], r[4], r[1]))
+
+        def markers(t):
+            return sorted(t.to_dict()["markers"], key=lambda r: (r[0], r[2], r[1]))
+
+        assert any(row[3:] == ["compute", "compute"] for row in spans(timeline))
+        assert len(spans(back)) == len(spans(timeline))
+        for got, want in zip(spans(back), spans(timeline)):
+            assert [got[0], got[3], got[4]] == [want[0], want[3], want[4]]
+            assert got[1:3] == pytest.approx(want[1:3], rel=0, abs=1e-9)
+        assert timeline.markers and len(back.markers) == len(timeline.markers)
+        for got, want in zip(markers(back), markers(timeline)):
+            assert [got[0], got[2], got[3]] == [want[0], want[2], want[3]]
+            assert got[1] == pytest.approx(want[1], rel=0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +352,7 @@ class TestCrossBackendTimelines:
         assert timeline.backend == backend
         assert timeline.clock == ("virtual" if backend == "simulated" else "wall")
         assert timeline.ranks() == [0, 1]
-        kinds = set(timeline.span_kinds())
-        assert kinds <= set(SPAN_KINDS)
+        assert {s.kind for s in timeline.spans} <= set(SPAN_KINDS)
         for rank in timeline.ranks():
             assert timeline.kind_time(rank, "compute") > 0.0
         # Synchronous iterations block on the exchange: every backend

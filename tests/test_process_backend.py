@@ -428,7 +428,7 @@ def test_sweep_routes_process_backend_grids_in_process():
 # three-way agreement on one value
 # ----------------------------------------------------------------------
 def test_all_three_backends_agree_on_the_same_scenario_value():
-    reference = SimulatedBackend(trace=False).run(SMALL)
+    reference = SimulatedBackend().run(SMALL)
     threaded = ThreadedBackend(timeout=60.0).run(SMALL)
     process = ProcessBackend(timeout=60.0).run(SMALL)
     problem = SMALL.build_problem()

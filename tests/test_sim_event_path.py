@@ -67,7 +67,7 @@ PINNED = {
 
 @pytest.mark.parametrize("environment", sorted(PINNED))
 def test_event_totals_are_pinned_per_environment(environment):
-    result = SimulatedBackend(trace=False).run(tiny_sparse(environment))
+    result = SimulatedBackend().run(tiny_sparse(environment))
     stats = result.backend_stats
     assert (
         stats["events"], stats["messages_sent"],
@@ -79,7 +79,7 @@ def test_sync_run_costs_four_events_per_message():
     """4 per message (software done, sender released, arrival, visible)
     plus the per-iteration compute events and the start/barrier wake-ups;
     one bounce event per blocking send or per Recv wake would break it."""
-    result = SimulatedBackend(trace=False).run(tiny_sparse("sync_mpi"))
+    result = SimulatedBackend().run(tiny_sparse("sync_mpi"))
     stats = result.backend_stats
     floor = 4 * stats["messages_sent"]
     assert floor <= stats["events"] <= floor + 2 * result.total_iterations
@@ -107,7 +107,7 @@ BENCHMARK_PINNED = [
 @pytest.mark.parametrize("scenario, events, messages, makespan", BENCHMARK_PINNED,
                          ids=["sync_mpi", "pm2"])
 def test_benchmark_event_budget_is_pinned(scenario, events, messages, makespan):
-    result = SimulatedBackend(trace=False).run(scenario)
+    result = SimulatedBackend().run(scenario)
     stats = result.backend_stats
     assert (stats["events"], stats["messages_sent"], result.makespan) == (
         events, messages, makespan
@@ -135,7 +135,7 @@ def run_with_shuffled_ties(scenario: Scenario, seed: int, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(world_module, "Engine", ShuffledEngine)
-        return SimulatedBackend(trace=False).run(scenario)
+        return SimulatedBackend().run(scenario)
 
 
 @pytest.mark.parametrize("make", [tiny_sparse, tiny_chemical])
@@ -147,7 +147,7 @@ def test_sisc_results_do_not_depend_on_tie_order(make, monkeypatch):
     iterates on whatever has arrived -- and are deliberately not
     asserted here.)"""
     scenario = make("sync_mpi")
-    reference = SimulatedBackend(trace=False).run(scenario)
+    reference = SimulatedBackend().run(scenario)
     event_deltas = set()
     for seed in range(8):
         shuffled = run_with_shuffled_ties(scenario, seed, monkeypatch)

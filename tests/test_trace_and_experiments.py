@@ -1,8 +1,8 @@
-"""Tests for the Gantt trace module and the fast experiment harnesses."""
+"""Tests for the timeline record and the fast experiment harnesses."""
 
 import pytest
 
-from repro.core.trace import GanttTrace
+from repro.core.trace import Timeline
 from repro.experiments import FIGURES12, format_spec, render_table, run_spec
 from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table4 import PAPER_TABLE4, format_table4, run_table4
@@ -12,7 +12,7 @@ from repro.experiments.table4 import PAPER_TABLE4, format_table4, run_table4
 # trace
 # ----------------------------------------------------------------------
 def _sample_trace():
-    trace = GanttTrace()
+    trace = Timeline()
     trace.add_span(0, 0.0, 1.0, "compute")
     trace.add_span(0, 1.5, 2.5, "compute")
     trace.add_span(0, 1.0, 1.5, "comm", "wait")
@@ -22,9 +22,19 @@ def _sample_trace():
 
 def test_trace_busy_and_idle_accounting():
     trace = _sample_trace()
-    assert trace.busy_time(0) == pytest.approx(2.0)
+    assert trace.kind_time(0, "compute") == pytest.approx(2.0)
     assert trace.idle_time(0, horizon=2.5) == pytest.approx(0.5)
     assert trace.idle_time(1, horizon=2.5) == pytest.approx(0.0)
+
+
+def test_trace_idle_time_stops_at_the_horizon():
+    """A compute span that starts after the horizon adds no busy time."""
+    trace = Timeline()
+    trace.add_span(0, 0.0, 0.5, "compute")
+    trace.add_span(0, 2.0, 3.0, "compute")
+    assert trace.idle_time(0, horizon=1.0) == pytest.approx(0.5)
+    assert trace.idle_time(0, horizon=2.0) == pytest.approx(1.5)
+    assert trace.idle_time(0) == pytest.approx(1.5)
 
 
 def test_trace_utilisation():
@@ -42,7 +52,7 @@ def test_trace_idle_gaps_match_figure1_semantics():
 def test_trace_no_overlap_invariant():
     trace = _sample_trace()
     assert trace.check_no_overlap(0)
-    bad = GanttTrace()
+    bad = Timeline()
     bad.add_span(0, 0.0, 2.0, "compute")
     bad.add_span(0, 1.0, 3.0, "compute")
     assert not bad.check_no_overlap(0)
@@ -50,17 +60,17 @@ def test_trace_no_overlap_invariant():
 
 def test_trace_rejects_negative_span():
     with pytest.raises(ValueError):
-        GanttTrace().add_span(0, 2.0, 1.0, "compute")
+        Timeline().add_span(0, 2.0, 1.0, "compute")
 
 
 def test_trace_zero_length_spans_dropped():
-    trace = GanttTrace()
+    trace = Timeline()
     trace.add_span(0, 1.0, 1.0, "compute")
     assert trace.spans == []
 
 
 def test_trace_disabled_records_nothing():
-    trace = GanttTrace(enabled=False)
+    trace = Timeline(enabled=False)
     trace.add_span(0, 0.0, 1.0, "compute")
     trace.add_marker(0, 0.5, "x")
     assert trace.spans == [] and trace.markers == []
@@ -69,7 +79,7 @@ def test_trace_disabled_records_nothing():
 def test_ascii_gantt_renders():
     art = _sample_trace().ascii_gantt(width=40)
     assert "P0" in art and "P1" in art and "#" in art
-    assert GanttTrace().ascii_gantt() == "(empty trace)"
+    assert Timeline().ascii_gantt() == "(empty trace)"
 
 
 # ----------------------------------------------------------------------

@@ -36,10 +36,10 @@ def _scenario(environment, worker, opts, n_ranks=4, problem=LINEAR, **cluster_pa
     )
 
 
-def _run(environment, worker, opts, n_ranks=4, problem=LINEAR, trace=False,
+def _run(environment, worker, opts, n_ranks=4, problem=LINEAR, timeline=False,
          **cluster_params):
     scenario = _scenario(environment, worker, opts, n_ranks, problem, **cluster_params)
-    return SimulatedBackend(trace=trace).run(scenario, make_solver=problem.make_local)
+    return SimulatedBackend(timeline=timeline).run(scenario, make_solver=problem.make_local)
 
 
 def _chemical_solution(result):
@@ -205,8 +205,8 @@ def test_run_result_stats_structure():
 
 
 def test_trace_records_compute_spans_for_all_ranks():
-    result = _run("pm2", "aiac", _linear_opts(), n_ranks=3, trace=True)
+    result = _run("pm2", "aiac", _linear_opts(), n_ranks=3, timeline=True)
     trace = result.world.trace
     for rank in range(3):
-        assert trace.busy_time(rank) > 0
+        assert trace.kind_time(rank, "compute") > 0
         assert trace.check_no_overlap(rank)
