@@ -8,6 +8,7 @@ the reference structure, not fit quality, which needs the full-size
 compute-dominated battery).
 """
 
+import hashlib
 import json
 
 import pytest
@@ -227,6 +228,23 @@ class TestSearch:
         payload = result.to_dict()
         assert payload["params"] == result.params
         json.dumps(payload)  # JSON-safe
+
+    def test_fit_result_is_pinned(self, synthetic_reference):
+        # The whole fit outcome on the synthetic reference, as one
+        # digest: a change to any search stage that moves a parameter,
+        # a score, the evaluation count or the stage list shows here.
+        result = fit(synthetic_reference, seed=0, rounds=4)
+        pinned = {
+            "params": result.params,
+            "score": result.score,
+            "max_makespan_error": result.max_makespan_error,
+            "evaluations": result.evaluations,
+            "stages": [[s["stage"], s["score"]] for s in result.stages],
+        }
+        digest = hashlib.sha1(
+            json.dumps(pinned, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == "c2f4261afceda320b43cb004a82b64d88e73db41", pinned
 
     def test_fit_is_seeded_deterministic(self, synthetic_reference):
         kwargs = dict(seed=11, rounds=2, use_optuna=False)
