@@ -47,10 +47,6 @@ setup(
         # and import networkx when called; nothing else does.
         "graph": ["networkx"],
         "test": ["pytest", "hypothesis", "pytest-benchmark", "networkx"],
-        # `repro calibrate fit` upgrades its local-search stage to TPE
-        # when optuna is importable; everything degrades cleanly to the
-        # built-in coordinate descent without it.
-        "optuna": ["optuna>=3.0"],
     },
     entry_points={
         "console_scripts": ["repro=repro.cli:main"],

@@ -9,9 +9,7 @@ and what this machine actually does:
 * :mod:`repro.calibrate.objective` scores candidate ``calibrated``
   cluster parameters by replaying the battery on the simulator;
 * :mod:`repro.calibrate.search` is the staged fit -- validate, closed
-  form warm start, seeded coordinate descent (or Optuna when the
-  ``[optuna]`` extra is installed), optional distributed candidate
-  sweeps through :func:`repro.sweep.run_sweep`;
+  form warm start, seeded coordinate descent;
 * :mod:`repro.calibrate.presets` turns a fit into a preset file that
   registers as a named cluster (``get_cluster("calibrated_...")``)
   and re-scores it later to detect drift.
@@ -58,13 +56,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.calibrate.search import (  # noqa: F401
         BOUNDS,
         FitResult,
-        candidate_grid,
         clamp_params,
         coordinate_descent,
-        distributed_search,
         fit,
-        have_optuna,
-        optuna_search,
         validate_single,
         warm_start_speed,
     )
@@ -83,13 +77,9 @@ _LAZY = {
     "BOUNDS": "search",
     "FitResult": "search",
     "clamp_params": "search",
-    "have_optuna": "search",
     "validate_single": "search",
     "warm_start_speed": "search",
     "coordinate_descent": "search",
-    "optuna_search": "search",
-    "candidate_grid": "search",
-    "distributed_search": "search",
     "fit": "search",
 }
 
@@ -138,12 +128,8 @@ __all__ = [
     "BOUNDS",
     "FitResult",
     "clamp_params",
-    "have_optuna",
     "validate_single",
     "warm_start_speed",
     "coordinate_descent",
-    "optuna_search",
-    "candidate_grid",
-    "distributed_search",
     "fit",
 ]

@@ -21,9 +21,8 @@ freely.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Union
 
 from repro.api.backends import SimulatedBackend
 from repro.api.scenario import Scenario
@@ -31,7 +30,6 @@ from repro.calibrate.errors import CalibrationError
 from repro.calibrate.measure import REFERENCE_SCHEMA, load_reference
 from repro.clusters.presets import LAN_LATENCY
 from repro.obs.report import utilisation_table
-from repro.core.trace import Timeline
 from repro.simgrid.link import mbit
 
 #: The ``calibrated`` cluster's own defaults -- the uncalibrated
@@ -44,7 +42,7 @@ DEFAULT_PARAMS: Dict[str, float] = {
 
 
 class CalibrationObjective:
-    """Callable scorer binding a reference to the simulator.
+    """Scorer binding a reference to the simulator.
 
     ::
 
@@ -82,9 +80,6 @@ class CalibrationObjective:
         ]
         self.evaluations = 0
 
-    # ------------------------------------------------------------------
-    # scenario plumbing (shared with the distributed search stage)
-    # ------------------------------------------------------------------
     def scenario_for(
         self, index: int, params: Mapping[str, float]
     ) -> Scenario:
@@ -96,13 +91,6 @@ class CalibrationObjective:
             cluster_params={k: float(v) for k, v in params.items()},
         )
 
-    def scenarios(self, params: Mapping[str, float]) -> List[Scenario]:
-        """The whole battery under one candidate, in entry order."""
-        return [self.scenario_for(i, params) for i in range(len(self.entries))]
-
-    # ------------------------------------------------------------------
-    # scoring
-    # ------------------------------------------------------------------
     def evaluate(self, params: Mapping[str, float]) -> Dict[str, Any]:
         """Replay the battery in-process and return the full report."""
         backend = SimulatedBackend(timeline=True)
@@ -113,52 +101,6 @@ class CalibrationObjective:
                 self._entry_detail(entry, float(result.makespan), result.timeline)
             )
         self.evaluations += 1
-        return self._aggregate(params, details)
-
-    def score(self, params: Mapping[str, float]) -> float:
-        """Scalar objective value (lower is better)."""
-        return self.evaluate(params)["score"]
-
-    __call__ = score
-
-    def evaluate_records(
-        self,
-        params: Mapping[str, float],
-        records: Sequence[Optional[Mapping[str, Any]]],
-    ) -> Dict[str, Any]:
-        """Score from sweep records instead of fresh runs.
-
-        ``records`` must line up with the battery entries (the order
-        :meth:`scenarios` produced them in).  A missing or failed
-        record makes the candidate infeasible (score ``inf``) rather
-        than raising, so a distributed search survives degenerate
-        parameter corners.
-        """
-        if len(records) != len(self.entries):
-            raise CalibrationError(
-                f"got {len(records)} records for {len(self.entries)} "
-                "battery entries"
-            )
-        details = []
-        for entry, record in zip(self.entries, records):
-            if record is None or record.get("error") is not None:
-                reason = record.get("error") if record else "missing record"
-                report = self._aggregate(params, [])
-                report.update(score=math.inf, error=reason)
-                return report
-            timeline_data = record.get("timeline")
-            if timeline_data is None:
-                raise CalibrationError(
-                    "sweep record carries no timeline; run candidate sweeps "
-                    "with SimulatedBackend(timeline=True)"
-                )
-            details.append(
-                self._entry_detail(
-                    entry,
-                    float(record["makespan"]),
-                    Timeline.from_dict(timeline_data),
-                )
-            )
         return self._aggregate(params, details)
 
     # ------------------------------------------------------------------
@@ -201,13 +143,10 @@ class CalibrationObjective:
     def _aggregate(
         self, params: Mapping[str, float], details: List[Dict[str, Any]]
     ) -> Dict[str, Any]:
-        n = len(details)
         return {
             "params": {k: float(v) for k, v in params.items()},
-            "score": sum(d["score"] for d in details) / n if n else math.inf,
-            "max_makespan_error": max(
-                (d["makespan_error"] for d in details), default=math.inf
-            ),
+            "score": sum(d["score"] for d in details) / len(details),
+            "max_makespan_error": max(d["makespan_error"] for d in details),
             "entries": details,
         }
 

@@ -1,4 +1,4 @@
-"""Staged calibration search: validate, warm-start, local, distributed.
+"""Staged calibration search: validate, warm start, coordinate descent.
 
 The workflow follows the LASER calibration recipe (see SNIPPETS.md):
 
@@ -8,13 +8,8 @@ The workflow follows the LASER calibration recipe (see SNIPPETS.md):
 2. **warm start** -- a closed-form speed estimate: simulated makespan
    is affine in ``1/speed`` for a lockstep battery, so two probe
    evaluations solve for the speed that hits the measured makespan;
-3. **local search** -- seeded coordinate descent over the (log-scale)
-   parameters; or, when Optuna is installed (``pip install
-   repro-aiac[optuna]``), a seeded TPE study followed by a short
-   descent polish.  Both paths are deterministic for a fixed seed;
-4. **distributed search** (optional) -- fan a candidate grid through
-   :func:`repro.sweep.run_sweep`, one simulated unit per
-   (candidate, battery entry), and keep the best-scoring candidate.
+3. **descent** -- seeded coordinate descent over the (log-scale)
+   parameters, deterministic for a fixed seed.
 
 Every stage only ever perturbs *parameter values*; the battery's
 scenario structure is fixed by the reference.
@@ -48,15 +43,6 @@ def clamp_params(params: Mapping[str, float]) -> Dict[str, float]:
         lo, hi = BOUNDS.get(key, (1.0e-12, 1.0e15))
         out[key] = min(max(float(value), lo), hi)
     return out
-
-
-def have_optuna():
-    """The ``optuna`` module, or ``None`` when the extra is absent."""
-    try:
-        import optuna  # type: ignore[import-not-found]
-    except ImportError:
-        return None
-    return optuna
 
 
 @dataclass
@@ -152,7 +138,7 @@ def warm_start_speed(
 
 
 # ----------------------------------------------------------------------
-# stage 3a: coordinate descent
+# stage 3: coordinate descent
 # ----------------------------------------------------------------------
 def coordinate_descent(
     objective: CalibrationObjective,
@@ -203,131 +189,6 @@ def coordinate_descent(
 
 
 # ----------------------------------------------------------------------
-# stage 3b: optuna (optional)
-# ----------------------------------------------------------------------
-def optuna_search(
-    objective: CalibrationObjective,
-    center: Mapping[str, float],
-    n_trials: int = 32,
-    seed: int = 0,
-    spread: float = 16.0,
-) -> Tuple[Dict[str, float], Dict[str, Any]]:
-    """Seeded TPE study over a log-uniform box around ``center``.
-
-    Raises :class:`CalibrationError` when optuna is not installed --
-    callers that merely *prefer* optuna should check
-    :func:`have_optuna` first (as :func:`fit` does).
-    """
-    optuna = have_optuna()
-    if optuna is None:
-        raise CalibrationError(
-            "optuna is not installed; install the extra "
-            "(pip install repro-aiac[optuna]) or drop --optuna to use "
-            "the built-in coordinate descent"
-        )
-    optuna.logging.set_verbosity(optuna.logging.WARNING)
-    center = clamp_params(center)
-    keys = sorted(center)
-    study = optuna.create_study(
-        direction="minimize",
-        sampler=optuna.samplers.TPESampler(seed=seed),
-    )
-
-    def objective_fn(trial):
-        params = {}
-        for key in keys:
-            lo, hi = BOUNDS.get(key, (1.0e-12, 1.0e15))
-            params[key] = trial.suggest_float(
-                key,
-                max(center[key] / spread, lo),
-                min(center[key] * spread, hi),
-                log=True,
-            )
-        return objective.score(params)
-
-    study.optimize(objective_fn, n_trials=n_trials)
-    best = clamp_params({key: study.best_params[key] for key in keys})
-    return best, objective.evaluate(best)
-
-
-# ----------------------------------------------------------------------
-# stage 4: distributed search through the sweep executor
-# ----------------------------------------------------------------------
-def candidate_grid(
-    center: Mapping[str, float],
-    n_candidates: int,
-    seed: int = 0,
-    spread: float = 4.0,
-) -> List[Dict[str, float]]:
-    """``n_candidates`` log-uniform perturbations of ``center``.
-
-    The center itself is always candidate 0, so a distributed stage can
-    never return something worse than its input.
-    """
-    if n_candidates < 1:
-        raise ValueError("need at least one candidate")
-    rng = random.Random(seed)
-    center = clamp_params(center)
-    keys = sorted(center)
-    candidates = [dict(center)]
-    while len(candidates) < n_candidates:
-        candidates.append(
-            clamp_params(
-                {
-                    key: center[key] * spread ** rng.uniform(-1.0, 1.0)
-                    for key in keys
-                }
-            )
-        )
-    return candidates
-
-
-def distributed_search(
-    objective: CalibrationObjective,
-    center: Mapping[str, float],
-    n_candidates: int = 16,
-    seed: int = 0,
-    spread: float = 4.0,
-    placement: str = "local",
-    processes: int = 1,
-    state_dir: Optional[Union[str, Path]] = None,
-) -> Tuple[Dict[str, float], Dict[str, Any], List[Dict[str, Any]]]:
-    """Score a candidate grid through :func:`repro.sweep.run_sweep`.
-
-    Builds one simulated unit per (candidate, battery entry) -- all
-    distinct content hashes, since each candidate's ``cluster_params``
-    differ -- and reassembles per-candidate scores from the records via
-    :meth:`CalibrationObjective.evaluate_records`.  With a
-    ``state_dir`` the sweep journals and resumes like any other.
-    """
-    from repro.api.backends import SimulatedBackend
-    from repro.sweep import run_sweep
-
-    candidates = candidate_grid(center, n_candidates, seed=seed, spread=spread)
-    grid = [
-        objective.scenario_for(index, candidate).derive(
-            name=f"cal-c{c_index:03d}-e{index}"
-        )
-        for c_index, candidate in enumerate(candidates)
-        for index in range(len(objective.entries))
-    ]
-    outcome = run_sweep(
-        grid,
-        backend=SimulatedBackend(timeline=True),
-        placement=placement,
-        processes=processes,
-        state_dir=state_dir,
-    )
-    per_entry = len(objective.entries)
-    scored = []
-    for c_index, candidate in enumerate(candidates):
-        records = outcome.records[c_index * per_entry : (c_index + 1) * per_entry]
-        scored.append(objective.evaluate_records(candidate, records))
-    best = min(scored, key=lambda report: report["score"])
-    return dict(best["params"]), best, scored
-
-
-# ----------------------------------------------------------------------
 # the staged driver
 # ----------------------------------------------------------------------
 def fit(
@@ -336,24 +197,11 @@ def fit(
     seed: int = 0,
     rounds: int = 12,
     step: float = 2.0,
-    candidates: int = 0,
-    spread: float = 4.0,
-    placement: str = "local",
-    processes: int = 1,
-    state_dir: Optional[Union[str, Path]] = None,
-    use_optuna: Optional[bool] = None,
-    optuna_trials: int = 32,
     util_weight: float = 0.5,
     cluster: str = "calibrated",
     log: Optional[Callable[[str], None]] = None,
 ) -> FitResult:
-    """Run the full staged workflow and return a :class:`FitResult`.
-
-    ``use_optuna``: ``None`` (default) uses optuna when importable,
-    ``True`` requires it (raising :class:`CalibrationError` when
-    absent), ``False`` never touches it.  ``candidates > 0`` enables
-    the distributed stage with that grid size.
-    """
+    """Run the staged workflow and return a :class:`FitResult`."""
     emit = log or (lambda message: None)
     if isinstance(reference, CalibrationObjective):
         objective = reference
@@ -378,57 +226,13 @@ def fit(
     )
     emit(f"warm start: speed={params['speed']:.3e} score={current['score']:.4f}")
 
-    optuna_module = have_optuna()
-    if use_optuna is True and optuna_module is None:
-        raise CalibrationError(
-            "optuna was explicitly requested but is not installed; "
-            "pip install repro-aiac[optuna]"
-        )
-    if optuna_module is not None and use_optuna is not False:
-        params, current = optuna_search(
-            objective, params, n_trials=optuna_trials, seed=seed
-        )
-        stages.append(
-            {"stage": "optuna", "score": current["score"], "params": dict(params)}
-        )
-        emit(f"optuna: score={current['score']:.4f} ({optuna_trials} trials)")
-        polish_rounds = max(2, rounds // 3)
-    else:
-        polish_rounds = rounds
-
     params, current = coordinate_descent(
-        objective, params, seed=seed, max_rounds=polish_rounds, step=step, log=log
+        objective, params, seed=seed, max_rounds=rounds, step=step, log=log
     )
     stages.append(
         {"stage": "descent", "score": current["score"], "params": dict(params)}
     )
     emit(f"descent: score={current['score']:.4f}")
-
-    if candidates > 0:
-        best_params, best_report, _ = distributed_search(
-            objective,
-            params,
-            n_candidates=candidates,
-            seed=seed,
-            spread=spread,
-            placement=placement,
-            processes=processes,
-            state_dir=state_dir,
-        )
-        if best_report["score"] < current["score"]:
-            # The sweep scored from records; re-evaluate in-process so
-            # the final report and evaluation counter stay consistent.
-            params, current = coordinate_descent(
-                objective, best_params, seed=seed, max_rounds=2, step=step
-            )
-        stages.append(
-            {
-                "stage": "distributed",
-                "score": current["score"],
-                "candidates": candidates,
-            }
-        )
-        emit(f"distributed: score={current['score']:.4f} ({candidates} candidates)")
 
     return FitResult(
         params=dict(params),
@@ -448,12 +252,8 @@ __all__ = [
     "BOUNDS",
     "FitResult",
     "clamp_params",
-    "have_optuna",
     "validate_single",
     "warm_start_speed",
     "coordinate_descent",
-    "optuna_search",
-    "candidate_grid",
-    "distributed_search",
     "fit",
 ]

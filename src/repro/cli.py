@@ -58,10 +58,10 @@ local|pool|serve] [--processes N] [--state-dir DIR] [--resume]
     Fit the simulator to this machine (:mod:`repro.calibrate`):
     ``measure`` runs a calibration battery on a wall-clock backend and
     writes the environment-fingerprinted reference JSON; ``fit`` runs
-    the staged search (validate, warm start, coordinate descent or
-    Optuna, optional distributed candidate sweeps) against a reference
-    and emits a fitted cluster preset; ``check`` re-scores a preset
-    against its embedded reference and fails on drift.  See
+    the staged search (validate, warm start, coordinate descent)
+    against a reference and emits a fitted cluster preset; ``check``
+    re-scores a preset against its embedded reference and fails on
+    drift.  See
     ``docs/calibration.md``.
 
 Exit status: 0 on success, 1 on scenario/conformance failures, 2 on
@@ -468,18 +468,12 @@ def _cmd_calibrate_fit(args: argparse.Namespace) -> int:
         print(f"error: cannot load reference {args.reference}: {exc}",
               file=sys.stderr)
         return 2
-    use_optuna = {"auto": None, "yes": True, "no": False}[args.optuna]
     try:
         result = fit(
             reference,
             seed=args.seed,
             rounds=args.rounds,
             step=args.step,
-            candidates=args.candidates,
-            placement=args.placement,
-            processes=args.processes,
-            use_optuna=use_optuna,
-            optuna_trials=args.optuna_trials,
             util_weight=args.util_weight,
             log=lambda message: print(message, file=sys.stderr, flush=True),
         )
@@ -869,28 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_parser.add_argument(
         "--step", type=float, default=2.0, metavar="X",
         help="initial multiplicative descent step (default: 2.0)",
-    )
-    fit_parser.add_argument(
-        "--candidates", type=int, default=0, metavar="N",
-        help="enable the distributed stage with an N-candidate grid "
-        "through repro.sweep (default: 0 = off)",
-    )
-    fit_parser.add_argument(
-        "--placement", default="local",
-        help="sweep placement for --candidates (default: local)",
-    )
-    fit_parser.add_argument(
-        "--processes", type=int, default=1,
-        help="sweep worker count for --candidates (default: 1)",
-    )
-    fit_parser.add_argument(
-        "--optuna", choices=("auto", "yes", "no"), default="auto",
-        help="use Optuna TPE for the local stage: auto = when installed, "
-        "yes = require it, no = coordinate descent only (default: auto)",
-    )
-    fit_parser.add_argument(
-        "--optuna-trials", type=int, default=32, metavar="N",
-        help="TPE trial budget when Optuna runs (default: 32)",
     )
     fit_parser.add_argument(
         "--util-weight", type=float, default=0.5, metavar="W",

@@ -23,12 +23,9 @@ from repro.calibrate import (
     build_preset,
     check_drift,
     clamp_params,
-    candidate_grid,
     coordinate_descent,
     default_battery,
-    distributed_search,
     fit,
-    have_optuna,
     load_preset,
     load_reference,
     measure_battery,
@@ -146,36 +143,6 @@ class TestObjective:
         wrong = objective.evaluate({**GROUND_TRUTH, "speed": 3.0e5})
         assert wrong["score"] > 0.1
 
-    def test_evaluate_records_matches_in_process(self, synthetic_reference):
-        objective = CalibrationObjective(synthetic_reference)
-        backend = SimulatedBackend(timeline=True)
-        records = [
-            backend.run(s).to_record()
-            for s in objective.scenarios(GROUND_TRUTH)
-        ]
-        report = objective.evaluate_records(GROUND_TRUTH, records)
-        assert report["score"] == pytest.approx(
-            objective.evaluate(GROUND_TRUTH)["score"], abs=1e-12
-        )
-
-    def test_evaluate_records_failed_record_is_infeasible(
-        self, synthetic_reference
-    ):
-        objective = CalibrationObjective(synthetic_reference)
-        records = [{"error": "boom"}, None]
-        report = objective.evaluate_records(GROUND_TRUTH, records)
-        assert report["score"] == float("inf")
-
-    def test_evaluate_records_requires_timelines(self, synthetic_reference):
-        objective = CalibrationObjective(synthetic_reference)
-        backend = SimulatedBackend()  # timeline=False
-        records = [
-            backend.run(s).to_record()
-            for s in objective.scenarios(GROUND_TRUTH)
-        ]
-        with pytest.raises(CalibrationError):
-            objective.evaluate_records(GROUND_TRUTH, records)
-
 
 # ---------------------------------------------------------------------------
 # search
@@ -210,15 +177,8 @@ class TestSearch:
         assert runs[0][0] == runs[1][0]
         assert runs[0][1]["score"] == runs[1][1]["score"]
 
-    def test_candidate_grid_seeded_and_centered(self):
-        a = candidate_grid(GROUND_TRUTH, 5, seed=3)
-        b = candidate_grid(GROUND_TRUTH, 5, seed=3)
-        assert a == b
-        assert a[0] == clamp_params(GROUND_TRUTH)
-        assert candidate_grid(GROUND_TRUTH, 5, seed=4)[1] != a[1]
-
     def test_fit_recovers_synthetic_reference(self, synthetic_reference):
-        result = fit(synthetic_reference, seed=0, rounds=4, use_optuna=False)
+        result = fit(synthetic_reference, seed=0, rounds=4)
         assert result.score < result.baseline_score
         assert result.max_makespan_error < 0.05
         assert result.evaluations > 0
@@ -247,64 +207,11 @@ class TestSearch:
         assert digest == "c2f4261afceda320b43cb004a82b64d88e73db41", pinned
 
     def test_fit_is_seeded_deterministic(self, synthetic_reference):
-        kwargs = dict(seed=11, rounds=2, use_optuna=False)
+        kwargs = dict(seed=11, rounds=2)
         a = fit(synthetic_reference, **kwargs)
         b = fit(synthetic_reference, **kwargs)
         assert a.params == b.params
         assert a.score == b.score
-
-    def test_distributed_search_through_sweep(self, synthetic_reference):
-        objective = CalibrationObjective(synthetic_reference)
-        off = {**GROUND_TRUTH, "speed": GROUND_TRUTH["speed"] * 3.0}
-        best_params, best, scored = distributed_search(
-            objective, off, n_candidates=4, seed=0, spread=3.0,
-        )
-        assert len(scored) == 4
-        # The center is always candidate 0, so the best candidate can
-        # only improve on the starting point.
-        assert best["score"] <= scored[0]["score"]
-        assert best_params == best["params"]
-
-    def test_fit_distributed_stage(self, synthetic_reference, tmp_path):
-        result = fit(
-            synthetic_reference, seed=0, rounds=2, use_optuna=False,
-            candidates=3, state_dir=tmp_path / "sweep-state",
-        )
-        assert "distributed" in [s["stage"] for s in result.stages]
-        assert result.max_makespan_error < 0.1
-
-
-# ---------------------------------------------------------------------------
-# optuna (optional dependency)
-# ---------------------------------------------------------------------------
-
-class TestOptuna:
-    def test_explicit_optuna_without_install_raises(
-        self, synthetic_reference, monkeypatch
-    ):
-        import repro.calibrate.search as search
-
-        monkeypatch.setattr(search, "have_optuna", lambda: None)
-        with pytest.raises(CalibrationError, match="optuna"):
-            search.fit(synthetic_reference, use_optuna=True)
-
-    def test_fit_falls_back_cleanly_without_optuna(
-        self, synthetic_reference, monkeypatch
-    ):
-        import repro.calibrate.search as search
-
-        monkeypatch.setattr(search, "have_optuna", lambda: None)
-        result = search.fit(synthetic_reference, seed=0, rounds=2)
-        assert "optuna" not in [s["stage"] for s in result.stages]
-
-    def test_optuna_stage_when_installed(self, synthetic_reference):
-        pytest.importorskip("optuna")
-        result = fit(
-            synthetic_reference, seed=0, rounds=2, use_optuna=True,
-            optuna_trials=5,
-        )
-        assert "optuna" in [s["stage"] for s in result.stages]
-
 
 # ---------------------------------------------------------------------------
 # presets + drift
@@ -313,7 +220,7 @@ class TestOptuna:
 class TestPresets:
     @pytest.fixture(scope="class")
     def fitted(self, synthetic_reference):
-        result = fit(synthetic_reference, seed=0, rounds=3, use_optuna=False)
+        result = fit(synthetic_reference, seed=0, rounds=3)
         return build_preset(
             "calibrated_test_fit", result, synthetic_reference
         )

@@ -141,7 +141,7 @@ def calibration(tmp_path_factory):
     )
     preset = root / "preset.json"
     assert main(["calibrate", "fit", str(reference), "--rounds", "1",
-                 "--optuna", "no", "--out", str(preset)]) == 0
+                 "--out", str(preset)]) == 0
     return {"reference": reference, "preset": preset}
 
 
@@ -150,7 +150,7 @@ def calibration(tmp_path_factory):
     ["sweep", "{grid}", "--report", UNWRITABLE],
     ["trace", "{trace}", "--out", UNWRITABLE],
     ["conformance", "--n", "1", "--simulated-only", "--report", UNWRITABLE],
-    ["calibrate", "fit", "{reference}", "--rounds", "1", "--optuna", "no",
+    ["calibrate", "fit", "{reference}", "--rounds", "1",
      "--out", "preset.json", "--report", UNWRITABLE],
     ["calibrate", "check", "{preset}", "--report", UNWRITABLE],
 ], ids=["sweep-output", "sweep-report", "trace-out", "conformance-report",
