@@ -64,14 +64,16 @@ local|pool|serve] [--processes N] [--state-dir DIR] [--resume]
     drift.  See
     ``docs/calibration.md``.
 
-Exit status: 0 on success, 1 on scenario/conformance failures, 2 on
-bad input (an unwritable output path included).
+Exit status: 0 on success, 1 on scenario/conformance failures or a
+reader that closed stdout early, 2 on bad input (an unwritable output
+path included).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -908,7 +910,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     installed ``repro`` command both funnel through here.
     """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``repro list | head -1``).  Point
+        # stdout at devnull so the interpreter's exit flush cannot
+        # raise again, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

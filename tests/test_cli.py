@@ -1,7 +1,10 @@
 """The ``repro`` verbs, entered in-process through ``main([...])``."""
 
 import json
+import os
 import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,3 +165,19 @@ def test_unwritable_output_path_exits_2(argv, grid, calibration, tmp_path,
             for a in argv]
     assert main(argv) == 2
     assert f"error: cannot write {UNWRITABLE}:" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "list"],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 1
