@@ -336,11 +336,13 @@ class Transport:
         return self.policy.barrier_beta * stages * max_latency
 
     def stats(self) -> dict:
+        # Rank keys are strings so the stats survive a JSON round trip
+        # (run records, trace files) unchanged.
         return {
             "messages_sent": self.messages_sent,
             "bytes_sent": self.bytes_sent,
             "mailbox_received": {
-                r: mb.total_received for r, mb in self.mailboxes.items()
+                str(r): mb.total_received for r, mb in self.mailboxes.items()
             },
         }
 

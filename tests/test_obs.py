@@ -10,6 +10,7 @@ utilisation arithmetic, histogram buckets, round-trips through Chrome
 trace-event JSON, and the serve scheduler's ``metrics`` verb.
 """
 
+import json
 import math
 
 import pytest
@@ -296,17 +297,21 @@ class TestExporters:
             with pytest.raises(ValueError):
                 load_trace(path)
 
-    @pytest.mark.parametrize("backend", ["simulated", "threaded"])
+    @pytest.mark.parametrize("backend", ["simulated", "threaded", "process"])
     def test_trace_file_keeps_every_span_label_and_marker(self, backend, tmp_path):
-        """The file holds each span's rank, kind and label and each
-        marker exactly, and every time to within 1 ns."""
+        """The file holds each span's rank, kind and label, each marker
+        and the run metadata exactly, and every time to within 1 ns."""
         scenario = Scenario(
             problem="sparse_linear", problem_params={"n": 60}, environment="pm2",
             n_ranks=2, seed=3, options=AIACOptions(trace_iterations=True),
         )
-        timeline = run_scenario(scenario, backend=backend, timeline=True).timeline
+        result = run_scenario(scenario, backend=backend, timeline=True)
+        timeline = result.timeline
         back = load_trace(write_trace(timeline, tmp_path / "t.json"))
         assert (back.backend, back.clock) == (timeline.backend, timeline.clock)
+        assert back.meta == timeline.meta
+        record = json.loads(json.dumps(result.to_record()))
+        assert RunResult.from_record(record).timeline.meta == timeline.meta
 
         def spans(t):
             return sorted(t.to_dict()["spans"], key=lambda r: (r[0], r[3], r[4], r[1]))
