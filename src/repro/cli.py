@@ -61,8 +61,7 @@ local|pool|serve] [--processes N] [--state-dir DIR] [--resume]
     the staged search (validate, warm start, coordinate descent)
     against a reference and emits a fitted cluster preset; ``check``
     re-scores a preset against its embedded reference and fails on
-    drift.  See
-    ``docs/calibration.md``.
+    drift.  See ``docs/calibration.md``.
 
 Exit status: 0 on success, 1 on scenario/conformance failures or a
 reader that closed stdout early, 2 on bad input (an unwritable output
