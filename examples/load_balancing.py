@@ -1,5 +1,8 @@
 #!/usr/bin/env python
-"""The paper's central comparison: AIAC with and without load balancing.
+"""AIAC with and without dynamic load balancing, an extension of the paper.
+
+Section 6 of the paper only points to load balancing; coupling it with
+asynchronism is the authors' companion IPDPS'03 work.
 
 A heterogeneous cluster (the paper's Duron 800 / P4 1.7 / P4 2.4 mix)
 runs the same asynchronous sparse-linear scenario twice:

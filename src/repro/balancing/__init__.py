@@ -1,8 +1,10 @@
 """Dynamic load balancing coupled with asynchronous iterations.
 
-The paper's central comparison -- AIAC with and without dynamic load
-balancing on a heterogeneous/perturbed grid -- needs three pieces, and
-this package provides all of them as declarative, backend-agnostic
+AIAC with and without dynamic load balancing on a heterogeneous or
+perturbed grid is an extension, not a result of the paper: its Section 6
+only points to balancing, and coupling it with asynchronism is the
+authors' companion IPDPS'03 work.  The comparison needs three pieces,
+and this package provides all of them as declarative, backend-agnostic
 values:
 
 * :class:`BalancingPlan` -- the JSON-round-trippable policy knob

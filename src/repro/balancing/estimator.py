@@ -39,11 +39,6 @@ class RateEstimator:
         self._rate: Optional[float] = None
 
     @property
-    def work(self) -> float:
-        """Total rows updated since the run started."""
-        return self._work
-
-    @property
     def rate(self) -> float:
         """Current smoothed throughput estimate (0.0 while unknown)."""
         return self._rate if self._rate is not None else 0.0

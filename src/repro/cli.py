@@ -313,8 +313,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             state_dir=args.state_dir,
         )
     except (KeyError, OSError) as exc:
-        # Unknown backend name, or the port is taken.
-        message = exc.args[0] if exc.args else exc
+        # Unknown backend name (its message without KeyError's quotes),
+        # or the port is taken.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
     replayed = daemon.scheduler.counters["replayed"]

@@ -21,7 +21,6 @@ from repro.clusters.machines import (
     P4_2400,
     PAPER_MACHINE_MIX,
     get_machine,
-    list_machines,
 )
 from repro.clusters.presets import (
     calibrated_cluster,
@@ -90,7 +89,6 @@ __all__ = [
     "get_cluster",
     "list_clusters",
     "get_machine",
-    "list_machines",
     "MachineSpec",
     "DURON_800",
     "P4_1700",

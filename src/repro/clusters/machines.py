@@ -61,11 +61,6 @@ def get_machine(name: str) -> MachineSpec:
         ) from None
 
 
-def list_machines():
-    """Sorted names of the machine catalogue."""
-    return sorted(MACHINES)
-
-
 __all__ = [
     "MachineSpec",
     "DURON_800",
@@ -74,5 +69,4 @@ __all__ = [
     "PAPER_MACHINE_MIX",
     "MACHINES",
     "get_machine",
-    "list_machines",
 ]

@@ -51,7 +51,7 @@ class FixedStepGradient:
         self.matrix = matrix
         self.b = b
         self.gamma = gamma
-        self.diag = jacobi_splitting(matrix).diagonal
+        self.diag = jacobi_splitting(matrix)
 
     def block(self, lo: int, hi: int, x=None) -> "BlockUpdate":
         """Prepared in-place update of rows ``[lo, hi)``; build once per rank.

@@ -1,7 +1,5 @@
 """Sparse matrix implementations (from scratch, numpy-backed).
 
-* :class:`DiagonalMatrix` -- a diagonal matrix (the ``D`` of a Jacobi
-  splitting).
 * :class:`MultiDiagonalMatrix` -- the structure used by the paper's
   sparse linear problem ("repartition of non-zero values: 30
   sub-diagonals", Table 1).  Diagonals are stored densely (DIA layout)
@@ -18,27 +16,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-
-
-class DiagonalMatrix:
-    """A diagonal matrix ``D`` with O(n) apply/solve."""
-
-    def __init__(self, diagonal: np.ndarray) -> None:
-        self.diagonal = np.asarray(diagonal, dtype=float).copy()
-        if self.diagonal.ndim != 1:
-            raise ValueError("diagonal must be a vector")
-
-    @property
-    def n(self) -> int:
-        return len(self.diagonal)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.diagonal * x
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        if np.any(self.diagonal == 0):
-            raise ZeroDivisionError("singular diagonal matrix")
-        return b / self.diagonal
 
 
 class MultiDiagonalMatrix:
@@ -106,10 +83,6 @@ class MultiDiagonalMatrix:
     # ------------------------------------------------------------------
     # products
     # ------------------------------------------------------------------
-    @property
-    def nnz(self) -> int:
-        return int(sum(hi - lo for lo, hi in (self._valid_range(int(k)) for k in self.offsets)))
-
     def row_block(self, lo: int, hi: int, x=None) -> "RowBlockOperator":
         """Prepared product ``x -> (A x)[lo:hi]`` for rows ``[lo, hi)``.
 
@@ -254,4 +227,4 @@ class RowBlockOperator:
         return (RowBlockOperator, (self.matrix, self.lo, self.hi, self.x))
 
 
-__all__ = ["DiagonalMatrix", "MultiDiagonalMatrix", "RowBlockOperator"]
+__all__ = ["MultiDiagonalMatrix", "RowBlockOperator"]

@@ -10,16 +10,16 @@ dependency-graph construction of Section 4.3.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 import numpy as np
 
 from repro.linalg.partition import BlockPartition
-from repro.linalg.sparse import DiagonalMatrix, MultiDiagonalMatrix
+from repro.linalg.sparse import MultiDiagonalMatrix
 
 
-def jacobi_splitting(matrix: MultiDiagonalMatrix) -> DiagonalMatrix:
-    """Return ``M = diag(A)`` as an invertible operator.
+def jacobi_splitting(matrix: MultiDiagonalMatrix) -> np.ndarray:
+    """Return ``M = diag(A)`` as a fresh vector of its entries.
 
     Raises if any diagonal entry vanishes (the splitting would be
     singular and the iteration undefined).
@@ -27,7 +27,7 @@ def jacobi_splitting(matrix: MultiDiagonalMatrix) -> DiagonalMatrix:
     diag = matrix.diagonal()
     if np.any(diag == 0.0):
         raise ZeroDivisionError("matrix has zeros on the main diagonal")
-    return DiagonalMatrix(diag)
+    return diag
 
 
 def block_column_dependencies(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 #: Default histogram bucket upper bounds, in seconds: 1ms .. 60s,
 #: roughly x2.5 per step, plus the implicit +inf overflow bucket.
@@ -70,9 +70,7 @@ class Histogram:
     """Fixed-bucket histogram with count/sum/min/max.
 
     ``buckets`` are upper bounds in ascending order; observations above
-    the last bound land in the implicit overflow bucket.  ``quantile``
-    interpolates within the winning bucket -- coarse by construction,
-    but stable and dependency-free.
+    the last bound land in the implicit overflow bucket.
     """
 
     def __init__(self, buckets: Optional[Sequence[float]] = None) -> None:
@@ -100,37 +98,6 @@ class Histogram:
             self.sum += value
             self.min = min(self.min, value)
             self.max = max(self.max, value)
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate ``q``-quantile (0..1) from the bucket counts.
-
-        The interpolated value is clamped to ``[self.min, self.max]``:
-        bucket bounds only say which *range* an observation fell in, so
-        without the clamp a single 0.9s observation in the (0.5, 1.0]
-        bucket would report p50 = 0.75 -- below anything ever observed.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            if self.count == 0:
-                return 0.0
-            target = q * self.count
-            seen = 0
-            for i, n in enumerate(self._counts):
-                if n == 0:
-                    continue
-                seen += n
-                if seen >= target:
-                    lo = self.bounds[i - 1] if i > 0 else 0.0
-                    hi = self.bounds[i] if i < len(self.bounds) else self.max
-                    fraction = 1.0 - (seen - target) / n
-                    value = lo + (hi - lo) * fraction
-                    return min(max(value, self.min), self.max)
-            return self.max
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
@@ -192,10 +159,6 @@ class MetricsRegistry:
         if buckets is not None:
             return self._get(name, Histogram, buckets)
         return self._get(name, Histogram)
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._instruments)
 
     def snapshot(self) -> Dict[str, Any]:
         """Everything, grouped by instrument type, JSON-safe."""

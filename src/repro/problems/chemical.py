@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -137,9 +137,6 @@ class ChemicalConfig:
         if abs(steps - n) > 1e-9 or n < 1:
             raise ValueError("t_end - t0 must be a positive multiple of dt")
         return n
-
-    def scaled(self, **kwargs) -> "ChemicalConfig":
-        return replace(self, **kwargs)
 
 
 #: The paper's experiment used a 600 x 600 grid (Table 1).

@@ -44,8 +44,10 @@ are requeued by the next daemon pointed at the same state dir.
 
 from __future__ import annotations
 
+import shutil
 import socket
 import socketserver
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -414,27 +416,29 @@ class ServeDaemon:
         backend_kwargs: Optional[Dict[str, Any]] = None,
         scheduler: Optional[Scheduler] = None,
     ) -> None:
+        # Bind first: a taken port fails before any worker process (which
+        # would keep the interpreter from exiting) or cache dir exists.
+        self._server = _Server((host, port), _RequestHandler)
+        self._server.daemon = self  # type: ignore[attr-defined]
+        self.host, self.port = self._server.server_address[:2]
+        #: The cache dir of a stateless daemon, removed when it stops.
+        self._throwaway_dir: Optional[str] = None
         if scheduler is None:
-            cache_root = (
-                Path(state_dir) / "cache" if state_dir is not None else None
-            )
             pool = WorkerPool(
                 backend=backend,
                 size=workers,
                 job_timeout=job_timeout,
                 backend_kwargs=backend_kwargs,
             )
+            if state_dir is None:
+                self._throwaway_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
             scheduler = Scheduler(
                 pool,
-                ResultCache(cache_root) if cache_root is not None
-                else ResultCache(Path(tempfile_cache_dir())),
+                ResultCache(Path(self._throwaway_dir or Path(state_dir) / "cache")),
                 state_dir=state_dir,
                 max_attempts=max_attempts,
             )
         self.scheduler = scheduler
-        self._server = _Server((host, port), _RequestHandler)
-        self._server.daemon = self  # type: ignore[attr-defined]
-        self.host, self.port = self._server.server_address[:2]
         self._stop_event = threading.Event()
         self._stopped = threading.Event()
         self._shutdown_lock = threading.Lock()
@@ -506,6 +510,8 @@ class ServeDaemon:
                 pass
             self.scheduler.close()
             self.scheduler.pool.shutdown()
+            if self._throwaway_dir is not None:
+                shutil.rmtree(self._throwaway_dir, ignore_errors=True)
             self._stopped.set()
 
 
@@ -517,13 +523,6 @@ def _pool_utilization(pool_stats: Dict[str, Any]) -> float:
     except (TypeError, ValueError):
         return 0.0
     return busy / workers if workers else 0.0
-
-
-def tempfile_cache_dir() -> str:
-    """A fresh throwaway cache dir for stateless (state_dir-less) daemons."""
-    import tempfile
-
-    return tempfile.mkdtemp(prefix="repro-serve-cache-")
 
 
 def wait_for_daemon(

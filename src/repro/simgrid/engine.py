@@ -247,18 +247,4 @@ class Engine:
         )
 
 
-def poisson_like_jitter(seed: int, index: int, scale: float) -> float:
-    """Deterministic pseudo-random jitter in ``[0, scale)``.
-
-    A tiny splitmix-style hash keeps runs reproducible without carrying a
-    numpy RNG through the transport layer.  Used to avoid pathological
-    phase-locking of identical hosts.
-    """
-    x = (seed * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 31
-    x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    x ^= x >> 29
-    return (x / 2**64) * scale
-
-
-__all__ = ["Engine", "Event", "SimulationError", "poisson_like_jitter"]
+__all__ = ["Engine", "Event", "SimulationError"]

@@ -10,10 +10,6 @@ links so punishing for synchronous algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.simgrid.engine import Engine
 
 
 def mbit(x: float) -> float:
@@ -80,12 +76,6 @@ class Link:
         self.bytes_carried += size
         self.transfers += 1
         return start, start + occupancy
-
-    def reset_stats(self) -> None:
-        """Clear accounting (used between experiment repetitions)."""
-        self.busy_until = 0.0
-        self.bytes_carried = 0.0
-        self.transfers = 0
 
 
 __all__ = ["Link", "mbit", "kbit"]

@@ -19,7 +19,7 @@ analysis (it needs the ``graph`` extra).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.simgrid.host import Host
 from repro.simgrid.link import Link
@@ -41,10 +41,6 @@ class Route:
     def latency(self) -> float:
         """Total one-way latency along the route."""
         return sum(link.latency for link in self.links)
-
-    def transmission_time(self, size: float) -> float:
-        """Pure serialisation time (no queueing) along the route."""
-        return sum(link.transmission_time(size) for link in self.links)
 
 
 class Network:
@@ -86,13 +82,6 @@ class Network:
         self._routes[(src_name, dst_name)] = route
         return route
 
-    def add_symmetric_route(
-        self, a: Host | str, b: Host | str, links: Iterable[Link]
-    ) -> Tuple[Route, Route]:
-        """Declare the same links in both directions."""
-        links = tuple(links)
-        return (self.add_route(a, b, links), self.add_route(b, a, links))
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -117,11 +106,6 @@ class Network:
             return self._routes[(src_name, dst_name)]
         except KeyError:
             raise NoRouteError(f"no route {src_name!r} -> {dst_name!r}") from None
-
-    def has_route(self, src: Host | str, dst: Host | str) -> bool:
-        src_name = src.name if isinstance(src, Host) else src
-        dst_name = dst.name if isinstance(dst, Host) else dst
-        return (src_name, dst_name) in self._routes
 
     def is_complete(self) -> bool:
         """True when every ordered pair of distinct hosts has a route.

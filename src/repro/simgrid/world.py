@@ -72,10 +72,6 @@ class World:
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        return len(self.processes)
-
     def spawn(
         self,
         coroutine: Generator,

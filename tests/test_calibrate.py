@@ -56,6 +56,14 @@ def synthetic_reference():
     return measure_battery(battery, backend="simulated", repeats=1)
 
 
+def test_dir_lists_the_lazily_loaded_names():
+    import repro.calibrate as calibrate
+
+    names = dir(calibrate)
+    assert {"fit", "measure_battery", "CalibrationObjective"} <= set(names)
+    assert names == sorted(names)
+
+
 # ---------------------------------------------------------------------------
 # batteries + measurement
 # ---------------------------------------------------------------------------

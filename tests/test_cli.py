@@ -167,6 +167,14 @@ def test_unwritable_output_path_exits_2(argv, grid, calibration, tmp_path,
     assert f"error: cannot write {UNWRITABLE}:" in capsys.readouterr().err
 
 
+def test_serve_on_a_taken_port_exits_2_naming_the_error(capsys):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        assert main(["serve", "--port", str(taken.getsockname()[1])]) == 2
+    assert "Address already in use" in capsys.readouterr().err
+
+
 def test_closed_stdout_exits_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)

@@ -27,9 +27,11 @@ def _incomplete_network(reach_naming_host=True):
     b = net.add_host(Host(name="b", speed=1.0))
     c = net.add_host(Host(name="c", speed=1.0))
     link = net.add_link(Link(name="l", latency=1e-3, bandwidth=1e6))
-    net.add_symmetric_route(a, b, [link])
+    net.add_route(a, b, [link])
+    net.add_route(b, a, [link])
     if reach_naming_host:
-        net.add_symmetric_route(c, a, [link])
+        net.add_route(c, a, [link])
+        net.add_route(a, c, [link])
     return net
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simgrid.engine import Engine, SimulationError, poisson_like_jitter
+from repro.simgrid.engine import Engine, SimulationError
 
 
 def test_initial_time_defaults_to_zero():
@@ -217,10 +217,3 @@ def test_determinism_across_runs():
         return order
 
     assert build_and_run() == build_and_run()
-
-
-def test_jitter_is_deterministic_and_bounded():
-    values = [poisson_like_jitter(42, i, 0.25) for i in range(100)]
-    assert values == [poisson_like_jitter(42, i, 0.25) for i in range(100)]
-    assert all(0.0 <= v < 0.25 for v in values)
-    assert len(set(values)) > 50  # actually spreads out

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg.norms import (
-    error_weights,
-    max_norm,
-    max_norm_diff,
-    relative_max_norm_diff,
-    weighted_rms,
-)
+from repro.linalg.norms import max_norm, max_norm_diff
 from repro.linalg.partition import BlockPartition
 from repro.linalg.splitting import (
     block_column_dependencies,
@@ -47,27 +41,6 @@ def test_max_norm_diff_is_paper_residual():
 def test_max_norm_diff_shape_mismatch():
     with pytest.raises(ValueError):
         max_norm_diff(np.zeros(3), np.zeros(4))
-
-
-def test_weighted_rms_and_weights():
-    y = np.array([1.0, 100.0])
-    w = error_weights(y, rtol=0.1, atol=1.0)
-    assert w == pytest.approx([1 / 1.1, 1 / 11.0])
-    assert weighted_rms(np.zeros(2), w) == 0.0
-
-
-def test_error_weights_require_positive():
-    with pytest.raises(ValueError):
-        error_weights(np.zeros(2), rtol=0.0, atol=0.0)
-    with pytest.raises(ValueError):
-        error_weights(np.ones(2), rtol=-1.0, atol=1.0)
-
-
-def test_relative_max_norm_diff_floor():
-    x = np.array([1e-12, 2.0])
-    y = np.array([0.0, 1.0])
-    # First component damped by the floor, second dominates.
-    assert relative_max_norm_diff(x, y, floor=1.0) == pytest.approx(1.0)
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
@@ -164,9 +137,8 @@ def _small_problem(n=60, m=4):
 
 def test_jacobi_splitting_inverts_diagonal():
     problem, _ = _small_problem()
-    splitting = jacobi_splitting(problem.matrix)
-    x = np.ones(problem.n)
-    assert np.allclose(splitting.solve(splitting.matvec(x)), x)
+    diag = jacobi_splitting(problem.matrix)
+    assert np.array_equal(diag, problem.matrix.diagonal()) and np.all(diag != 0.0)
 
 
 def test_dependencies_are_consistent_both_ways():

@@ -33,6 +33,13 @@ def test_host_rejects_negative_flops():
         Host(name="h", speed=1.0).compute_time(-5.0)
 
 
+def test_host_hashes_by_name():
+    a, twin = Host(name="a", speed=1.0), Host(name="a", speed=1.0)
+    assert hash(a) == hash(twin) == hash("a")
+    assert {a: 1}[twin] == 1
+    assert len({a, twin, Host(name="b", speed=1.0)}) == 2
+
+
 # ----------------------------------------------------------------------
 # links
 # ----------------------------------------------------------------------
@@ -68,14 +75,12 @@ def test_link_idle_gap_not_double_counted():
     assert s == 5.0 and e == 6.0
 
 
-def test_link_stats_and_reset():
+def test_link_counts_transfers_and_bytes():
     link = Link(name="l", latency=0.0, bandwidth=1e6)
     link.reserve(0.0, 100.0)
     link.reserve(0.0, 200.0)
     assert link.transfers == 2
     assert link.bytes_carried == 300.0
-    link.reset_stats()
-    assert link.transfers == 0 and link.bytes_carried == 0.0 and link.busy_until == 0.0
 
 
 def test_link_validation():
@@ -104,7 +109,6 @@ def test_route_lookup_and_latency():
     route = net.route("a", "b")
     assert route.links == (link,)
     assert route.latency == pytest.approx(1e-3)
-    assert route.transmission_time(1e6) == pytest.approx(1.0)
 
 
 def test_missing_route_raises():
@@ -112,14 +116,6 @@ def test_missing_route_raises():
     net.add_route(a, b, [link])
     with pytest.raises(NoRouteError):
         net.route("b", "a")
-    assert net.has_route("a", "b")
-    assert not net.has_route("b", "a")
-
-
-def test_symmetric_route_helper():
-    net, a, b, link = _two_host_network()
-    net.add_symmetric_route(a, b, [link])
-    assert net.has_route("a", "b") and net.has_route("b", "a")
 
 
 def test_completeness_detection():

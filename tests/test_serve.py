@@ -1158,6 +1158,23 @@ class TestLongPoll:
         scheduler.cancel(ack["id"])
         assert waiter.joined()["state"] == CANCELLED
 
+    def test_client_cancel_over_the_socket(self, tmp_path):
+        scheduler, pool = make_scheduler(tmp_path, size=1)
+        pool.blocking = True
+        daemon = ServeDaemon(port=0, scheduler=scheduler)
+        daemon.start()
+        try:
+            with ServeClient(port=daemon.port) as client:
+                client.submit(SCENARIO)  # takes the one worker, never finishes
+                queued = client.submit(OTHER)
+                frame = client.cancel(queued["id"])
+                assert frame["state"] == CANCELLED and frame["changed"]
+                with pytest.raises(ServeError) as info:
+                    client.cancel("j999999")
+                assert info.value.code == "unknown-job"
+        finally:
+            daemon.stop()
+
     def test_held_connection_blocks_nobody_and_stop_releases_it(self, tmp_path):
         scheduler, pool = make_scheduler(tmp_path)
         pool.blocking = True
@@ -1283,3 +1300,54 @@ class TestDaemonEndToEnd:
         assert frame["state"] == DONE
         # Paced, not spinning: about one request per ``poll`` interval.
         assert calls.count("result") <= elapsed / 0.05 + 2
+
+
+class TestDaemonLifecycle:
+    def test_a_stateless_daemon_removes_its_cache_dir_on_stop(self):
+        daemon = ServeDaemon(port=0, workers=1)
+        cache_dir = daemon.scheduler.cache.root
+        daemon.start()
+        try:
+            assert cache_dir.is_dir()
+        finally:
+            daemon.stop()
+        assert not cache_dir.exists()
+
+    def test_a_taken_port_fails_before_any_worker_or_cache_dir(self, monkeypatch):
+        import socket as socket_module
+
+        made = []
+        monkeypatch.setattr(daemon_module, "WorkerPool", lambda **kw: made.append(kw))
+        monkeypatch.setattr(daemon_module.tempfile, "mkdtemp", lambda **kw: made.append(kw))
+        with socket_module.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            with pytest.raises(OSError):
+                ServeDaemon(port=taken.getsockname()[1])
+        assert made == []
+
+    def test_cli_serve_stops_cleanly_on_sigterm(self):
+        import re
+        import subprocess
+        import sys
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        try:
+            line = proc.stdout.readline()
+            match = re.search(r"listening on ([\w.]+):(\d+)", line)
+            assert match, line
+            # An answered ping means serve_forever runs, so the SIGTERM
+            # handler, installed just before it, is in place.
+            with ServeClient(host=match[1], port=int(match[2])) as client:
+                assert client.ping()
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0, err
+        assert "repro serve: stopped; final stats" in out

@@ -1,4 +1,4 @@
-"""Tests for the sparse matrix layouts (diagonal and DIA)."""
+"""Tests for the DIA sparse matrix layout."""
 
 import pickle
 import sys
@@ -11,22 +11,18 @@ from hypothesis import strategies as st
 
 from repro.linalg.gradient import FixedStepGradient
 from repro.linalg.partition import BlockPartition, WeightedPartition
-from repro.linalg.sparse import DiagonalMatrix, MultiDiagonalMatrix
-from repro.linalg.splitting import block_column_dependencies
+from repro.linalg.sparse import MultiDiagonalMatrix
+from repro.linalg.splitting import block_column_dependencies, jacobi_splitting
 
 
 # ----------------------------------------------------------------------
-# DiagonalMatrix
+# the Jacobi splitting M = diag(A)
 # ----------------------------------------------------------------------
-def test_diagonal_matvec_solve_roundtrip():
-    d = DiagonalMatrix(np.array([2.0, 4.0, -1.0]))
-    x = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(d.solve(d.matvec(x)), x)
-
-
 def test_diagonal_singular_solve_raises():
+    m = MultiDiagonalMatrix(2, (0, 1))
+    m.set_diagonal(0, np.array([1.0, 0.0]))
     with pytest.raises(ZeroDivisionError):
-        DiagonalMatrix(np.array([1.0, 0.0])).solve(np.ones(2))
+        jacobi_splitting(m)
 
 
 # ----------------------------------------------------------------------
@@ -65,11 +61,6 @@ def test_multidiag_row_block_matches_full():
     full = m.matvec(x)
     for lo, hi in [(0, 5), (5, 13), (13, 20), (0, 20)]:
         assert np.allclose(m.row_block_matvec(lo, hi, x), full[lo:hi])
-
-
-def test_multidiag_nnz_counts_valid_entries():
-    m = MultiDiagonalMatrix(5, (0, 2, -1))
-    assert m.nnz == 5 + 3 + 4
 
 
 def test_multidiag_diagonal_accessors():
