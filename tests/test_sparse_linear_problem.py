@@ -2,6 +2,7 @@
 
 import hashlib
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,9 +113,16 @@ def test_instance_generation_is_deterministic():
             "1f07b0de54aa9c19d927a1b99aa89c04af735811",
             "f97b5b11070999b790df8259eaec891f6889b63b",
         ),
+        (   # an odd count of positive row sums: the median is one middle value
+            {"n": 41},
+            "c8c5e80090cec6db9045bac19228c45f5068bb81",
+            "33f63f71992c1000d1817692fa99f0f152d71f1f",
+            "e54761c7397eb98fe51b7f3a53afa56af1e7ada2",
+        ),
     ],
     ids=["default", "random_signs", "100_diagonals", "tiny_unit", "sim_async_sparse",
-         "threads_compute_sparse", "random_signs_gamma", "n_below_n_diagonals"],
+         "threads_compute_sparse", "random_signs_gamma", "n_below_n_diagonals",
+         "odd_row_count"],
 )
 def test_generated_instance_bytes_are_pinned(params, matrix_sha1, b_sha1, x_true_sha1):
     """The instance a config names never changes (the first three hashes
@@ -130,6 +138,19 @@ def test_generated_instance_bytes_are_pinned(params, matrix_sha1, b_sha1, x_true
         for a in (p.matrix.data, p.b, p.x_true)
     ]
     assert digests == [matrix_sha1, b_sha1, x_true_sha1]
+
+
+def test_instance_build_holds_no_whole_matrix_temporary():
+    """Building an instance peaks at the matrix plus one product's
+    gathered operand (for ``b``), never at a second whole-matrix copy."""
+    config = SparseLinearConfig(n=20_000, n_diagonals=100)
+    tracemalloc.start()
+    try:
+        p = SparseLinearProblem(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * p.matrix.data.nbytes, peak / p.matrix.data.nbytes
 
 
 def test_local_solver_dependency_lists():
