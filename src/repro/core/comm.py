@@ -35,7 +35,11 @@ class SendScheduler:
     def ready(self, outgoing: Mapping[int, Any]) -> List[int]:
         """The destinations of ``outgoing`` whose gate is open, sorted;
         the others are counted as skipped (delayed to a later offer)."""
-        ready = sorted(outgoing.keys() - self._busy)
+        keys = outgoing.keys()
+        if keys <= self._busy:  # every gate closed: most offers, no set built
+            self.skipped += len(outgoing)
+            return []
+        ready = sorted(keys - self._busy)
         self.skipped += len(outgoing) - len(ready)
         return ready
 

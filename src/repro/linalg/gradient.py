@@ -110,11 +110,14 @@ class BlockUpdate:
         if self._gamma != 1.0:
             step *= self._gamma
         step /= self._diag
-        new_block = self._own + step
-        np.subtract(new_block, self._own, out=step)
-        self._own[:] = new_block
-        # ||new - old||_inf on the scratch difference (NaN propagates).
-        return new_block, float(np.maximum.reduce(np.abs(step, out=step), initial=0.0))
+        own = self._own
+        new_block = own + step
+        np.subtract(new_block, own, out=step)
+        own[...] = new_block
+        # ||new - old||_inf on the scratch difference: argmax finds the first
+        # NaN or the largest entry, without a reduction's set-up cost.
+        np.abs(step, out=step)
+        return new_block, float(step[step.argmax()])
 
     def __reduce__(self):
         # ``x`` and the own-block slice alias the operator's buffer;

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 
 class MultiDiagonalMatrix:
@@ -27,7 +28,7 @@ class MultiDiagonalMatrix:
     ``n``; they are never touched by the mat-vec).
     """
 
-    def __init__(self, n: int, offsets: Sequence[int], data: np.ndarray | None = None) -> None:
+    def __init__(self, n: int, offsets: Sequence[int]) -> None:
         if n < 1:
             raise ValueError("n must be >= 1")
         offsets = list(offsets)
@@ -38,23 +39,7 @@ class MultiDiagonalMatrix:
                 raise ValueError(f"offset {k} out of range for n={n}")
         self.n = n
         self.offsets = np.array(sorted(offsets), dtype=int)
-        if data is None:
-            self.data = np.zeros((len(offsets), n), dtype=float)
-        else:
-            data = np.asarray(data, dtype=float)
-            if data.shape != (len(offsets), n):
-                raise ValueError(
-                    f"data shape {data.shape} != ({len(offsets)}, {n})"
-                )
-            # ``data`` rows must follow the sorted offset order.
-            order = np.argsort(offsets)
-            self.data = data[order].copy()
-            # Enforce the documented contract: positions outside the
-            # matrix are kept as zeros.
-            for idx, k in enumerate(self.offsets):
-                lo, hi = self._valid_range(int(k))
-                self.data[idx, :lo] = 0.0
-                self.data[idx, hi:] = 0.0
+        self.data = np.zeros((len(offsets), n), dtype=float)
         self._offset_index: Dict[int, int] = {
             int(k): i for i, k in enumerate(self.offsets)
         }
@@ -219,7 +204,9 @@ class RowBlockOperator:
 
     def matvec(self) -> np.ndarray:
         """``(A x)[lo:hi]`` for the current contents of :attr:`x`."""
-        return np.einsum("ij,ij->j", self._data, self._windows[self._starts])
+        # The C function ``np.einsum`` forwards these operands to (no
+        # ``optimize``, no ``out``): the same product, minus the wrapper.
+        return c_einsum("ij,ij->j", self._data, self._windows[self._starts])
 
     def __reduce__(self):
         # Rebuild instead of pickling the window view, which would be

@@ -18,9 +18,9 @@ from typing import Any, Dict, Set, Tuple
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class LocalIteration:
-    """Result of one local iteration.
+    """Result of one local iteration (one per solver call: slotted).
 
     Attributes
     ----------

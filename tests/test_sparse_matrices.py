@@ -205,6 +205,45 @@ def test_row_block_never_reads_outside_its_column_dependencies(poison):
             assert np.allclose(got, expected)
 
 
+@st.composite
+def _wide_block_and_poison(draw):
+    n = draw(st.integers(1, 340))
+    offsets = draw(st.lists(st.integers(-(n - 1), n - 1), min_size=1,
+                            max_size=min(40, 2 * n - 1), unique=True))
+    lo = draw(st.integers(0, n))
+    hi = lo + draw(st.integers(0, min(300, n - lo)))
+    poison = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    m = MultiDiagonalMatrix(n, offsets)
+    for off in offsets:
+        vlo, vhi = max(0, -off), min(n, n - off)
+        m.set_diagonal(off, rng.standard_normal(vhi - vlo))
+    return m, lo, hi, rng.standard_normal(n), poison
+
+
+@given(case=_wide_block_and_poison())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_row_block_matvec_is_public_einsum_bit_for_bit(case):
+    """The product calls einsum's C entry point directly; it must equal
+    ``np.einsum`` over the same operands -- the diagonals meeting the
+    block and their windows of ``x`` -- in every byte, with a poisoned
+    ``x`` outside the block's column dependencies.  A numpy whose
+    private entry point drifts from the public function fails here."""
+    m, lo, hi, x, poison = case
+    needed = np.zeros(m.n, dtype=bool)
+    for clo, chi in m.column_dependencies(lo, hi):
+        needed[clo:chi] = True
+    poisoned = np.where(needed, x, poison)
+    meets = (m.offsets >= 1 - hi) & (m.offsets <= m.n - 1 - lo)
+    columns = np.arange(lo, hi)[None, :] + m.offsets[meets][:, None]
+    inside = (columns >= 0) & (columns < m.n)
+    gathered = np.where(inside, poisoned[np.clip(columns, 0, m.n - 1)], 0.0)
+    expected = np.einsum("ij,ij->j", m.data[meets, lo:hi], gathered)
+    assert np.all(np.isfinite(expected))
+    for got in (m.row_block(lo, hi, poisoned).matvec(), m.row_block_matvec(lo, hi, poisoned)):
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_row_block_sees_set_diagonal_made_after_it_was_built():
     m = _random_multidiag()
     x = np.random.default_rng(4).standard_normal(m.n)
