@@ -312,9 +312,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_attempts=args.max_attempts,
             state_dir=args.state_dir,
         )
-    except (KeyError, OSError) as exc:
+    except (KeyError, OSError, ValueError) as exc:
         # Unknown backend name (its message without KeyError's quotes),
-        # or the port is taken.
+        # the port is taken, or the journal is corrupt.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

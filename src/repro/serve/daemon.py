@@ -432,12 +432,17 @@ class ServeDaemon:
             )
             if state_dir is None:
                 self._throwaway_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
-            scheduler = Scheduler(
-                pool,
-                ResultCache(Path(self._throwaway_dir or Path(state_dir) / "cache")),
-                state_dir=state_dir,
-                max_attempts=max_attempts,
-            )
+            try:
+                cache = ResultCache(Path(self._throwaway_dir or Path(state_dir) / "cache"))
+                scheduler = Scheduler(pool, cache, state_dir=state_dir, max_attempts=max_attempts)
+            except BaseException:
+                # A journal the replay refuses: the non-daemonic workers
+                # would keep the interpreter alive after the error.
+                pool.shutdown()
+                self._server.server_close()
+                if self._throwaway_dir is not None:
+                    shutil.rmtree(self._throwaway_dir, ignore_errors=True)
+                raise
         self.scheduler = scheduler
         self._stop_event = threading.Event()
         self._stopped = threading.Event()

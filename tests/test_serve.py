@@ -1326,6 +1326,23 @@ class TestDaemonLifecycle:
                 ServeDaemon(port=taken.getsockname()[1])
         assert made == []
 
+    def test_cli_serve_exits_on_a_journal_it_refuses_to_replay(self, tmp_path):
+        import subprocess
+        import sys
+
+        # Two lines, the first torn: not the final line, so no replay.
+        (tmp_path / "journal.ndjson").write_text('{"event": "submit"\n{"event": "done", "id": "j1"}\n')
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--workers", "1",
+             "--state-dir", str(tmp_path)],
+            capture_output=True, text=True, timeout=20,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: journal ") and "is corrupt" in proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
     def test_cli_serve_stops_cleanly_on_sigterm(self):
         import re
         import subprocess
