@@ -39,8 +39,8 @@ setup(
     # `calibrated_threaded_local` cluster (and any future fits) are
     # available at import time; see docs/calibration.md.
     package_data={"repro.calibrate": ["data/*.json"]},
-    python_requires=">=3.9",
-    install_requires=["numpy>=1.21"],
+    python_requires=">=3.10",
+    install_requires=["numpy>=2.0"],
     extras_require={
         # The two graph-export helpers (`Network.connectivity_graph`,
         # `linalg.splitting.dependency_graph`) return an `nx.DiGraph`
