@@ -109,15 +109,15 @@ class SparseLinearProblem:
             lo, hi = max(0, -off), min(config.n, config.n - off)
             vals = rng.uniform(0.2, 1.0, hi - lo)
             if negative:
-                data[index[off], lo:hi] = vals  # summed and negated below
+                np.negative(vals, out=data[index[off], lo:hi])  # summed below
             else:
                 row_sums[lo:hi] += vals
                 np.multiply(vals, rng.choice([-1.0, 1.0], hi - lo), out=data[index[off], lo:hi])
         if negative:
             # Column sums run down the diagonals in that order (the zeros
-            # around them add nothing); 0 - v negates in place, zeros stay +0.
-            np.add.reduce(data, axis=0, out=row_sums)
-            np.subtract(0.0, data, out=data)
+            # around them add nothing), and rounding is symmetric in sign:
+            # the negated sum of the stored -v is the sum of the draws.
+            np.negative(np.add.reduce(data, axis=0, out=row_sums), out=row_sums)
         # Strict diagonal dominance => Jacobi spectral radius <= dominance,
         # above a floor of np.median's value: the middle sum (x + x is
         # exactly 2x) or the mean of the two middle ones.
