@@ -225,20 +225,22 @@ def _wide_block_and_poison(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_row_block_matvec_is_public_einsum_bit_for_bit(case):
     """The product calls einsum's C entry point directly; it must equal
-    ``np.einsum`` over the same operands -- the diagonals meeting the
-    block and their windows of ``x`` -- in every byte, with a poisoned
-    ``x`` outside the block's column dependencies.  A numpy whose
-    private entry point drifts from the public function fails here."""
+    ``np.einsum`` over the same operands -- the view of the diagonals
+    meeting the block and a fresh array of their windows of ``x`` (einsum
+    picks its loop from the strides, so the layout is part of the
+    operands) -- in every byte, with a poisoned ``x`` outside the block's
+    column dependencies.  A numpy whose private entry point drifts from
+    the public function fails here."""
     m, lo, hi, x, poison = case
     needed = np.zeros(m.n, dtype=bool)
     for clo, chi in m.column_dependencies(lo, hi):
         needed[clo:chi] = True
     poisoned = np.where(needed, x, poison)
-    meets = (m.offsets >= 1 - hi) & (m.offsets <= m.n - 1 - lo)
-    columns = np.arange(lo, hi)[None, :] + m.offsets[meets][:, None]
+    d0, d1 = np.searchsorted(m.offsets, [1 - hi, m.n - lo])
+    columns = np.arange(lo, hi)[None, :] + m.offsets[d0:d1, None]
     inside = (columns >= 0) & (columns < m.n)
     gathered = np.where(inside, poisoned[np.clip(columns, 0, m.n - 1)], 0.0)
-    expected = np.einsum("ij,ij->j", m.data[meets, lo:hi], gathered)
+    expected = np.einsum("ij,ij->j", m.data[d0:d1, lo:hi], gathered)
     assert np.all(np.isfinite(expected))
     for got in (m.row_block(lo, hi, poisoned).matvec(), m.row_block_matvec(lo, hi, poisoned)):
         assert got.tobytes() == expected.tobytes()
