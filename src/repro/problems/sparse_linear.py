@@ -17,7 +17,6 @@ data dependencies", Section 5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Any, Dict, Set, Tuple
 
 import numpy as np
@@ -76,10 +75,19 @@ def spread_offsets(n: int, n_diagonals: int) -> Tuple[int, ...]:
     if n_diagonals < 2:
         raise ValueError("need at least 2 off-diagonals")
     half = n_diagonals // 2
-    spread = {max(1, round(j * (n - 1) / (half + 1))) for j in range(1, half + 1)}
-    # De-duplicate (tiny n): the smallest free offsets fill up to ``half``.
-    free = islice((k for k in range(1, n) if k not in spread), half - len(spread))
-    offsets = sorted(spread.union(free))
+    max_offset = n - 1
+    offsets = []
+    for j in range(1, half + 1):
+        off = max(1, round(j * max_offset / (half + 1)))
+        offsets.append(off)
+    offsets = sorted(set(offsets))
+    # De-duplicate (tiny n) by perturbing until we have ``half`` distinct.
+    candidate = 1
+    while len(offsets) < half and candidate < n:
+        if candidate not in offsets:
+            offsets.append(candidate)
+        candidate += 1
+    offsets = sorted(offsets[:half])
     return tuple([-o for o in reversed(offsets)] + offsets)
 
 
@@ -102,30 +110,32 @@ class SparseLinearProblem:
         # No temporary larger than one diagonal.  The draws are the
         # |A[i, i+off]|; the row sums add them up in ascending offset
         # order, as offdiagonal_row_sums does, bit for bit.
-        data, index = matrix.data, matrix._offset_index
-        negative = config.sign_structure == "negative"
         row_sums = np.zeros(config.n)
+        index = matrix._offset_index
         for off in offsets:
-            lo, hi = max(0, -off), min(config.n, config.n - off)
+            lo = max(0, -off)
+            hi = min(config.n, config.n - off)
             vals = rng.uniform(0.2, 1.0, hi - lo)
-            if negative:
-                np.negative(vals, out=data[index[off], lo:hi])  # summed below
+            if config.sign_structure == "negative":
+                np.negative(vals, out=matrix.data[index[off], lo:hi])  # summed below
             else:
                 row_sums[lo:hi] += vals
-                np.multiply(vals, rng.choice([-1.0, 1.0], hi - lo), out=data[index[off], lo:hi])
-        if negative:
+                vals *= rng.choice([-1.0, 1.0], hi - lo)
+                matrix.data[index[off], lo:hi] = vals
+        if config.sign_structure == "negative":
             # Column sums run down the diagonals in that order (the zeros
             # around them add nothing), and rounding is symmetric in sign:
             # the negated sum of the stored -v is the sum of the draws.
-            np.negative(np.add.reduce(data, axis=0, out=row_sums), out=row_sums)
+            np.negative(np.add.reduce(matrix.data, axis=0, out=row_sums), out=row_sums)
         # Strict diagonal dominance => Jacobi spectral radius <= dominance,
         # above a floor of np.median's value: the middle sum (x + x is
-        # exactly 2x) or the mean of the two middle ones.
+        # exactly 2x) or the mean of the two middle ones.  Some sum is
+        # positive: every diagonal has an entry, and the draws are >= 0.2.
         positive = row_sums[row_sums > 0]
         positive.sort()
         half = len(positive) // 2
-        floor = (positive[half - 1 + len(positive) % 2] + positive[half]) / 2 if len(positive) else 1.0
-        data[index[0]] = np.maximum(row_sums, floor) / config.dominance
+        floor = (positive[half - 1 + len(positive) % 2] + positive[half]) / 2
+        matrix.data[index[0]] = np.maximum(row_sums, floor) / config.dominance
 
         self.matrix = matrix
         self.x_true = rng.standard_normal(config.n)
@@ -258,7 +268,11 @@ class SparseLinearLocal(LocalSolver):
         self.iterations_done += 1
         # ``new_block`` is fresh and not retained here: it is the payload.
         item = ((self.rank, new_block), self._size_bytes)
-        return LocalIteration(residual, self._flops_per_iter, dict.fromkeys(self._receivers, item))
+        return LocalIteration(
+            residual=residual,
+            flops=self._flops_per_iter,
+            outgoing=dict.fromkeys(self._receivers, item),
+        )
 
     def local_solution(self) -> np.ndarray:
         return self.x[self.lo : self.hi].copy()
@@ -388,7 +402,11 @@ class MigratableSparseLinearLocal(LocalSolver):
             new_block, residual = _EMPTY_ROWS, 0.0
         self.iterations_done += 1
         item = ((self.rank, self.lo, new_block), self._size_bytes)
-        return LocalIteration(residual, self._flops_per_iter, dict.fromkeys(self._others, item))
+        return LocalIteration(
+            residual=residual,
+            flops=self._flops_per_iter,
+            outgoing=dict.fromkeys(self._others, item),
+        )
 
     def local_solution(self) -> np.ndarray:
         return self.x[self.lo : self.hi].copy()
