@@ -60,13 +60,6 @@ class FixedStepGradient:
         """
         return BlockUpdate(self, lo, hi, x)
 
-    def update_block(self, lo: int, hi: int, x_global: np.ndarray) -> np.ndarray:
-        """New values for rows ``[lo, hi)`` given the current global x.
-
-        One-shot form of :meth:`block`; ``x_global`` is left untouched.
-        """
-        return self.block(lo, hi, x_global).step()[0]
-
     def update_flops(self, lo: int, hi: int) -> float:
         """Analytic flop count of one block update (used for time charging).
 
@@ -97,7 +90,7 @@ class BlockUpdate:
         self._gamma = kernel.gamma
 
     def step(self) -> Tuple[np.ndarray, float]:
-        """Advance the own block once; returns ``(new_block, residual)``.
+        """Advance the (non-empty) own block; returns ``(new_block, residual)``.
 
         ``new_block`` is a fresh array the caller may give away (it is
         not retained here); ``residual`` is ``||new - old||_inf``
@@ -110,10 +103,9 @@ class BlockUpdate:
         if self._gamma != 1.0:
             step *= self._gamma
         step /= self._diag
-        own = self._own
-        new_block = own + step
-        np.subtract(new_block, own, out=step)
-        own[...] = new_block
+        new_block = self._own + step
+        np.subtract(new_block, self._own, out=step)
+        self._own[...] = new_block
         # ||new - old||_inf on the scratch difference: argmax finds the first
         # NaN or the largest entry, without a reduction's set-up cost.
         np.abs(step, out=step)

@@ -37,16 +37,26 @@ def test_gradient_descent_gamma_one_is_jacobi():
     diag = np.diag(dense)
     off = dense - np.diag(diag)
     jacobi = (p.b - off @ x) / diag
-    assert np.allclose(kernel.update_block(0, 40, x), jacobi)
+    assert np.allclose(kernel.block(0, 40, x).step()[0], jacobi)
 
 
 def test_gradient_block_updates_compose_to_full_update():
     p = _problem(n=50)
     kernel = p.kernel
     x = np.random.default_rng(2).standard_normal(50)
-    full = kernel.update_block(0, 50, x)
-    pieces = [kernel.update_block(lo, hi, x) for lo, hi in [(0, 17), (17, 34), (34, 50)]]
+    full = kernel.block(0, 50, x).step()[0]
+    pieces = [kernel.block(lo, hi, x).step()[0]
+              for lo, hi in [(0, 17), (17, 34), (34, 50)]]
     assert np.allclose(np.concatenate(pieces), full)
+
+
+def test_gradient_block_update_needs_a_non_empty_block():
+    """The residual is the difference at its argmax, which an empty block
+    does not have; no solver steps one (the static one refuses it, the
+    migratable one skips the step)."""
+    p = _problem(n=20)
+    with pytest.raises(ValueError, match="empty"):
+        p.kernel.block(7, 7).step()
 
 
 def test_gradient_descent_iteration_cap():

@@ -169,7 +169,7 @@ def test_local_iterate_matches_sequential_block():
     size = 3
     locals_ = [p.make_local(r, size) for r in range(size)]
     x = np.zeros(p.n)
-    global_next = p.kernel.update_block(0, p.n, x)
+    global_next = p.kernel.block(0, p.n, x).step()[0]
     results = [s.iterate() for s in locals_]
     part = BlockPartition(p.n, size)
     for r, (solver, res) in enumerate(zip(locals_, results)):
