@@ -153,16 +153,22 @@ def _gather_oracle(m, lo, hi, x):
 
 @st.composite
 def _matrix_and_block(draw):
-    n = draw(st.integers(1, 24))
+    # Up to the benchmark's shapes: 150-row blocks of 30 diagonals.
+    n = draw(st.integers(1, 340))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
     # Extremes first: |k| = n-1 overhangs by a whole block on each side.
     candidates = [n - 1, -(n - 1)] + list(range(-(n - 2), n - 1))
-    offsets = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=7))
-    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        offsets = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=7))
+    else:
+        # Up to 40 diagonals, spread at random.
+        offsets = rng.permutation(sorted(set(candidates)))[: rng.integers(1, 41)].tolist()
     lo = draw(st.integers(0, n))
-    hi = draw(st.sampled_from([lo, min(n, lo + 1), n]) | st.integers(lo, n))
+    top = min(n, lo + 300)
+    hi = draw(st.sampled_from([lo, min(n, lo + 1), top]) | st.integers(lo, top))
     if draw(st.booleans()):
         lo, hi = 0, n
-    rng = np.random.default_rng(seed)
     m = MultiDiagonalMatrix(n, offsets)
     for off in offsets:
         vlo, vhi = max(0, -off), min(n, n - off)
@@ -173,6 +179,9 @@ def _matrix_and_block(draw):
 @given(case=_matrix_and_block())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_row_block_operator_matches_dense_and_gather_oracle(case):
+    # The product calls einsum's C entry point directly: the oracle's
+    # public ``np.einsum`` pins it, so a numpy whose private entry point
+    # drifts fails here.
     m, lo, hi, x = case
     block = m.row_block(lo, hi)
     block.x[:] = x
@@ -189,7 +198,10 @@ def test_row_block_operator_matches_dense_and_gather_oracle(case):
 def test_row_block_never_reads_outside_its_column_dependencies(poison):
     # Windows of the kept diagonals overhang both ends of x, and some
     # diagonals miss the block entirely: neither may leak a foreign
-    # entry into the rows through 0 * inf.
+    # entry into the rows through 0 * inf.  The product must be
+    # ``np.einsum`` over the kept operands -- the diagonals meeting the
+    # block, as a view (einsum picks its loop from the strides), and
+    # their windows of x with 0.0 off the matrix -- in every byte.
     m = _random_multidiag(n=20, offsets=(-19, -12, -3, 0, 4, 9, 19))
     x = np.random.default_rng(3).standard_normal(m.n)
     for lo, hi in [(0, 4), (6, 11), (10, 11), (15, 20), (0, 20)]:
@@ -197,53 +209,16 @@ def test_row_block_never_reads_outside_its_column_dependencies(poison):
         for clo, chi in m.column_dependencies(lo, hi):
             needed[clo:chi] = True
         poisoned = np.where(needed, x, poison)
-        expected = (m.to_dense() @ np.where(needed, x, 0.0))[lo:hi]
+        d0, d1 = np.searchsorted(m.offsets, [1 - hi, m.n - lo])
+        columns = np.arange(lo, hi)[None, :] + m.offsets[d0:d1, None]
+        inside = (columns >= 0) & (columns < m.n)
+        windows = np.where(inside, poisoned[np.clip(columns, 0, m.n - 1)], 0.0)
+        expected = np.einsum("ij,ij->j", m.data[d0:d1, lo:hi], windows)
+        assert np.allclose(expected, (m.to_dense() @ np.where(needed, x, 0.0))[lo:hi])
         block = m.row_block(lo, hi)
         block.x[:] = poisoned
         for got in (block.matvec(), m.row_block_matvec(lo, hi, poisoned)):
-            assert np.all(np.isfinite(got))
-            assert np.allclose(got, expected)
-
-
-@st.composite
-def _wide_block_and_poison(draw):
-    n = draw(st.integers(1, 340))
-    offsets = draw(st.lists(st.integers(-(n - 1), n - 1), min_size=1,
-                            max_size=min(40, 2 * n - 1), unique=True))
-    lo = draw(st.integers(0, n))
-    hi = lo + draw(st.integers(0, min(300, n - lo)))
-    poison = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    m = MultiDiagonalMatrix(n, offsets)
-    for off in offsets:
-        vlo, vhi = max(0, -off), min(n, n - off)
-        m.set_diagonal(off, rng.standard_normal(vhi - vlo))
-    return m, lo, hi, rng.standard_normal(n), poison
-
-
-@given(case=_wide_block_and_poison())
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_row_block_matvec_is_public_einsum_bit_for_bit(case):
-    """The product calls einsum's C entry point directly; it must equal
-    ``np.einsum`` over the same operands -- the view of the diagonals
-    meeting the block and a fresh array of their windows of ``x`` (einsum
-    picks its loop from the strides, so the layout is part of the
-    operands) -- in every byte, with a poisoned ``x`` outside the block's
-    column dependencies.  A numpy whose private entry point drifts from
-    the public function fails here."""
-    m, lo, hi, x, poison = case
-    needed = np.zeros(m.n, dtype=bool)
-    for clo, chi in m.column_dependencies(lo, hi):
-        needed[clo:chi] = True
-    poisoned = np.where(needed, x, poison)
-    d0, d1 = np.searchsorted(m.offsets, [1 - hi, m.n - lo])
-    columns = np.arange(lo, hi)[None, :] + m.offsets[d0:d1, None]
-    inside = (columns >= 0) & (columns < m.n)
-    gathered = np.where(inside, poisoned[np.clip(columns, 0, m.n - 1)], 0.0)
-    expected = np.einsum("ij,ij->j", m.data[d0:d1, lo:hi], gathered)
-    assert np.all(np.isfinite(expected))
-    for got in (m.row_block(lo, hi, poisoned).matvec(), m.row_block_matvec(lo, hi, poisoned)):
-        assert got.tobytes() == expected.tobytes()
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_row_block_sees_set_diagonal_made_after_it_was_built():
