@@ -35,11 +35,10 @@ class SendScheduler:
     def ready(self, outgoing: Mapping[int, Any]) -> List[int]:
         """The destinations of ``outgoing`` whose gate is open, sorted;
         the others are counted as skipped (delayed to a later offer)."""
-        keys = outgoing.keys()
-        if keys <= self._busy:  # every gate closed: most offers, no set built
+        if outgoing.keys() <= self._busy:  # every gate closed: no set, no sort
             self.skipped += len(outgoing)
             return []
-        ready = sorted(keys - self._busy)
+        ready = sorted(outgoing.keys() - self._busy)
         self.skipped += len(outgoing) - len(ready)
         return ready
 
