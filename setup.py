@@ -42,11 +42,7 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy>=2.0"],
     extras_require={
-        # The two graph-export helpers (`Network.connectivity_graph`,
-        # `linalg.splitting.dependency_graph`) return an `nx.DiGraph`
-        # and import networkx when called; nothing else does.
-        "graph": ["networkx"],
-        "test": ["pytest", "hypothesis", "pytest-benchmark", "networkx"],
+        "test": ["pytest", "hypothesis", "pytest-benchmark"],
     },
     entry_points={
         "console_scripts": ["repro=repro.cli:main"],

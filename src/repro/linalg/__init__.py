@@ -16,7 +16,7 @@ Contents:
 """
 
 from repro.linalg.norms import max_norm, max_norm_diff
-from repro.linalg.partition import BlockPartition, WeightedPartition
+from repro.linalg.partition import BlockPartition
 from repro.linalg.sparse import MultiDiagonalMatrix
 from repro.linalg.splitting import jacobi_splitting, block_ranges_dependencies
 from repro.linalg.gradient import FixedStepGradient, gradient_descent
@@ -26,7 +26,6 @@ __all__ = [
     "max_norm",
     "max_norm_diff",
     "BlockPartition",
-    "WeightedPartition",
     "MultiDiagonalMatrix",
     "jacobi_splitting",
     "block_ranges_dependencies",

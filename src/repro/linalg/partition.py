@@ -2,234 +2,97 @@
 
 The paper decomposes vectors/matrices "vertically" (by rows) over the
 processors (Section 4.3).  :class:`BlockPartition` owns that mapping:
-block sizes are balanced to within one element, and helpers translate
-between global and local indices.
+``BlockPartition(n, m)`` balances block sizes to within one element,
+:meth:`BlockPartition.weighted` sizes them in proportion to processor
+speeds, and :meth:`BlockPartition.from_sizes` takes the sizes as given,
+zero-width blocks included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from itertools import accumulate
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
 class BlockPartition:
     """Partition of ``range(n)`` into ``m`` contiguous blocks.
 
     ``m > n`` is legal: the trailing blocks are empty (zero-width
-    ``[lo, lo)`` bounds).  Empty blocks arise naturally once rows can
-    migrate between processors (:mod:`repro.balancing`): a donor that
-    gave everything away still owns a well-defined, empty slice of the
-    index range.
+    ``[lo, lo)`` bounds).  A block can also be empty in the middle of
+    the range (:meth:`from_sizes`): a rank that gave all its rows away
+    still owns a well-defined, empty slice of the index range.
     """
 
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-
-    # ------------------------------------------------------------------
-    def bounds(self, block: int) -> Tuple[int, int]:
-        """Half-open global index range ``[lo, hi)`` of ``block``."""
-        if not 0 <= block < self.m:
-            raise IndexError(f"block {block} out of range [0, {self.m})")
-        base, extra = divmod(self.n, self.m)
-        lo = block * base + min(block, extra)
-        hi = lo + base + (1 if block < extra else 0)
-        return lo, hi
-
-    def size(self, block: int) -> int:
-        lo, hi = self.bounds(block)
-        return hi - lo
-
-    def owner(self, index: int) -> int:
-        """Block owning global ``index``."""
-        if not 0 <= index < self.n:
-            raise IndexError(f"index {index} out of range [0, {self.n})")
-        base, extra = divmod(self.n, self.m)
-        # First ``extra`` blocks have size base+1.
-        threshold = extra * (base + 1)
-        if index < threshold:
-            return index // (base + 1)
-        return extra + (index - threshold) // base if base else self.m - 1
-
-    def to_local(self, block: int, index: int) -> int:
-        lo, hi = self.bounds(block)
-        if not lo <= index < hi:
-            raise IndexError(f"index {index} not in block {block} [{lo}, {hi})")
-        return index - lo
-
-    def sizes(self) -> List[int]:
-        """Per-block element counts, in block order."""
-        return [self.size(b) for b in range(self.m)]
-
-    def slices(self) -> List[slice]:
-        return [slice(*self.bounds(b)) for b in range(self.m)]
-
-    def scatter(self, x: np.ndarray) -> List[np.ndarray]:
-        """Split a global vector into per-block copies."""
-        x = np.asarray(x)
-        if x.shape[0] != self.n:
-            raise ValueError(f"vector length {x.shape[0]} != n={self.n}")
-        return [x[s].copy() for s in self.slices()]
-
-    def gather(self, blocks: List[np.ndarray]) -> np.ndarray:
-        """Concatenate per-block vectors back into a global vector."""
-        if len(blocks) != self.m:
-            raise ValueError(f"expected {self.m} blocks, got {len(blocks)}")
-        for b, piece in enumerate(blocks):
-            if len(piece) != self.size(b):
-                raise ValueError(
-                    f"block {b} has length {len(piece)}, expected {self.size(b)}"
-                )
-        return np.concatenate(blocks) if self.n else np.empty(0)
-
-    def __iter__(self) -> Iterator[Tuple[int, int]]:
-        return (self.bounds(b) for b in range(self.m))
-
-
-class WeightedPartition:
-    """Partition of ``range(n)`` into blocks proportional to weights.
-
-    The static load-balancing extension the paper points to (Section 6
-    mentions AIAC "especially when the algorithms use load balancing";
-    the authors' companion IPDPS'03 work couples dynamic balancing with
-    asynchronism): on a heterogeneous cluster, give each processor a
-    block proportional to its speed so the synchronous version stops
-    waiting for the slowest machine and the asynchronous one converges
-    with fewer wasted iterations.
-
-    Interface-compatible with :class:`BlockPartition` (``bounds``,
-    ``size``, ``owner``, ``scatter``, ``gather``), so the local solvers
-    accept either.
-
-    Two construction paths:
-
-    * ``WeightedPartition(n, weights)`` apportions ``n`` elements
-      proportionally to positive ``weights`` (at least one element per
-      block -- static speed-proportional balancing);
-    * :meth:`from_sizes` takes explicit per-block row counts, zeros
-      included -- the form dynamic rebalancing
-      (:mod:`repro.balancing`) produces after rows have migrated.
-    """
-
-    def __init__(self, n: int, weights) -> None:
-        import numpy as _np
-
-        weights = _np.asarray(list(weights), dtype=float)
+    def __init__(self, n: int, m: int) -> None:
         if n < 0:
             raise ValueError("n must be >= 0")
-        if weights.ndim != 1 or len(weights) < 1:
-            raise ValueError("need at least one weight")
-        if _np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        if len(weights) > n > 0:
-            raise ValueError(f"more blocks ({len(weights)}) than elements ({n})")
-        self.n = n
-        self.m = len(weights)
-        self.weights = weights / weights.sum()
-        # Largest-remainder apportionment with a minimum of one element
-        # per block (every processor must own something).
-        ideal = self.weights * n
-        sizes = _np.maximum(1, _np.floor(ideal).astype(int))
-        while sizes.sum() > n:
-            # Shrink the most over-allocated block that can still shrink.
-            candidates = _np.flatnonzero(sizes > 1)
-            over = candidates[int(_np.argmax((sizes - ideal)[candidates]))]
-            sizes[over] -= 1
-        while sizes.sum() < n:
-            under = int(_np.argmin(sizes - ideal))
-            sizes[under] += 1
-        self._bounds = []
-        lo = 0
-        for size in sizes:
-            self._bounds.append((lo, lo + int(size)))
-            lo += int(size)
-        if lo != n:
-            raise AssertionError("apportionment failed to cover the range")
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        base, extra = divmod(n, m)
+        self._cover([base + 1] * extra + [base] * (m - extra))
 
     @classmethod
-    def from_sizes(cls, sizes) -> "WeightedPartition":
+    def from_sizes(cls, sizes: Sequence[int]) -> "BlockPartition":
         """Partition from explicit per-block element counts.
 
-        Unlike the weight constructor, zero-size blocks are allowed
-        (``from_sizes([3, 0, 2])`` is a valid partition of ``range(5)``
-        with an empty middle block) -- exactly what row migration can
-        legitimately produce.
+        Zero-size blocks are allowed anywhere (``from_sizes([3, 0, 2])``
+        partitions ``range(5)`` with an empty middle block).
         """
-        import numpy as _np
-
         sizes = [int(s) for s in sizes]
         if not sizes:
             raise ValueError("need at least one block size")
         if any(s < 0 for s in sizes):
             raise ValueError(f"sizes must be >= 0, got {sizes}")
-        self = cls.__new__(cls)
-        self.n = sum(sizes)
-        self.m = len(sizes)
-        total = max(1, self.n)
-        self.weights = _np.asarray([s / total for s in sizes], dtype=float)
-        self._bounds = []
-        lo = 0
-        for size in sizes:
-            self._bounds.append((lo, lo + size))
-            lo += size
-        return self
+        partition = cls.__new__(cls)
+        partition._cover(sizes)
+        return partition
 
-    def sizes(self) -> List[int]:
-        """Per-block element counts, in block order."""
-        return [hi - lo for lo, hi in self._bounds]
+    @classmethod
+    def weighted(cls, n: int, weights: Sequence[float]) -> "BlockPartition":
+        """Partition of ``range(n)`` into blocks proportional to ``weights``.
+
+        The static load-balancing extension the paper points to (Section
+        6 mentions AIAC "especially when the algorithms use load
+        balancing"): on a heterogeneous cluster each processor gets a
+        block proportional to its speed.  Largest-remainder
+        apportionment with at least one element per block.
+        """
+        weights = np.asarray(list(weights), dtype=float)
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        if weights.ndim != 1 or len(weights) < 1:
+            raise ValueError("need at least one weight")
+        if np.any(weights <= 0):
+            raise ValueError("weights must be positive")
+        if len(weights) > n > 0:
+            raise ValueError(f"more blocks ({len(weights)}) than elements ({n})")
+        ideal = weights / weights.sum() * n
+        sizes = np.maximum(1, np.floor(ideal).astype(int))
+        while sizes.sum() > n:
+            # Shrink the most over-allocated block that can still shrink.
+            candidates = np.flatnonzero(sizes > 1)
+            over = candidates[int(np.argmax((sizes - ideal)[candidates]))]
+            sizes[over] -= 1
+        while sizes.sum() < n:
+            under = int(np.argmin(sizes - ideal))
+            sizes[under] += 1
+        return cls.from_sizes(sizes)
+
+    def _cover(self, sizes: Sequence[int]) -> None:
+        ends = list(accumulate(sizes, initial=0))
+        self.n, self.m = ends[-1], len(sizes)
+        self._bounds = tuple(zip(ends[:-1], ends[1:]))
 
     def bounds(self, block: int) -> Tuple[int, int]:
+        """Half-open global index range ``[lo, hi)`` of ``block``."""
         if not 0 <= block < self.m:
             raise IndexError(f"block {block} out of range [0, {self.m})")
         return self._bounds[block]
-
-    def size(self, block: int) -> int:
-        lo, hi = self.bounds(block)
-        return hi - lo
-
-    def owner(self, index: int) -> int:
-        if not 0 <= index < self.n:
-            raise IndexError(f"index {index} out of range [0, {self.n})")
-        for block, (lo, hi) in enumerate(self._bounds):
-            if lo <= index < hi:
-                return block
-        raise AssertionError("unreachable")
-
-    def to_local(self, block: int, index: int) -> int:
-        lo, hi = self.bounds(block)
-        if not lo <= index < hi:
-            raise IndexError(f"index {index} not in block {block} [{lo}, {hi})")
-        return index - lo
-
-    def slices(self) -> List[slice]:
-        return [slice(lo, hi) for lo, hi in self._bounds]
-
-    def scatter(self, x: np.ndarray) -> List[np.ndarray]:
-        x = np.asarray(x)
-        if x.shape[0] != self.n:
-            raise ValueError(f"vector length {x.shape[0]} != n={self.n}")
-        return [x[s].copy() for s in self.slices()]
-
-    def gather(self, blocks: List[np.ndarray]) -> np.ndarray:
-        if len(blocks) != self.m:
-            raise ValueError(f"expected {self.m} blocks, got {len(blocks)}")
-        for b, piece in enumerate(blocks):
-            if len(piece) != self.size(b):
-                raise ValueError(
-                    f"block {b} has length {len(piece)}, expected {self.size(b)}"
-                )
-        return np.concatenate(blocks) if self.n else np.empty(0)
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return iter(self._bounds)
 
 
-__all__ = ["BlockPartition", "WeightedPartition"]
+__all__ = ["BlockPartition"]

@@ -75,32 +75,8 @@ def block_ranges_dependencies(
     return providers, receivers
 
 
-def dependency_graph(
-    matrix: MultiDiagonalMatrix, partition: BlockPartition
-) -> "nx.DiGraph":
-    """The directed dependency graph of Section 1.1 (``graph`` extra).
-
-    Edge ``u -> v`` means block ``v`` depends on data owned by ``u``.
-    """
-    try:
-        import networkx as nx
-    except ImportError as exc:
-        raise ImportError(
-            "dependency_graph() needs the 'graph' extra: "
-            "pip install 'repro-aiac[graph]'"
-        ) from exc
-    providers = block_column_dependencies(matrix, partition)
-    g = nx.DiGraph()
-    g.add_nodes_from(range(partition.m))
-    for consumer, sources in providers.items():
-        for src in sources:
-            g.add_edge(src, consumer)
-    return g
-
-
 __all__ = [
     "jacobi_splitting",
     "block_column_dependencies",
     "block_ranges_dependencies",
-    "dependency_graph",
 ]

@@ -54,10 +54,6 @@ class LocalSolver(abc.ABC):
         """Ranks whose data this rank reads (its dependency list)."""
 
     @abc.abstractmethod
-    def receivers(self) -> Set[int]:
-        """Ranks that read this rank's data (must be sent updates)."""
-
-    @abc.abstractmethod
     def initial_outgoing(self) -> Dict[int, Tuple[Any, float]]:
         """Initial data to communicate before the first iteration.
 

@@ -874,9 +874,6 @@ class ChemicalLocal(SteppedLocalSolver):
             deps.add(self.rank + 1)
         return deps
 
-    def receivers(self) -> Set[int]:
-        return self.providers()  # symmetric neighbour dependencies
-
     def _boundary_payloads(self) -> Dict[int, Tuple[object, float]]:
         cfg = self.problem.config
         size_bytes = BYTES_PER_VALUE * 2 * cfg.nx
@@ -1028,10 +1025,6 @@ class ChemicalLocal(SteppedLocalSolver):
 
     def local_solution(self) -> np.ndarray:
         return self.c.ravel().copy()
-
-    def local_state(self) -> np.ndarray:
-        """The strip in its natural ``(2, rows, nx)`` shape."""
-        return self.c.copy()
 
 
 def make_chemical_problem(nx: int = 20, nz: int = 20, **kwargs) -> ChemicalProblem:

@@ -29,6 +29,7 @@ from repro.linalg.splitting import block_ranges_dependencies
 from repro.problems.base import LocalIteration, LocalSolver
 
 BYTES_PER_VALUE = 8.0
+_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,9 @@ class SparseLinearProblem:
                 np.negative(vals, out=matrix.data[index[off], lo:hi])  # summed below
             else:
                 row_sums[lo:hi] += vals
-                vals *= rng.choice([-1.0, 1.0], hi - lo)
+                # The draw rng.choice([-1.0, 1.0], k) makes, without its
+                # per-call argument checks.
+                vals *= _SIGNS[rng.integers(0, 2, hi - lo)]
                 matrix.data[index[off], lo:hi] = vals
         if config.sign_structure == "negative":
             # Column sums run down the diagonals in that order (the zeros
@@ -245,9 +248,6 @@ class SparseLinearLocal(LocalSolver):
 
     def providers(self) -> Set[int]:
         return set(self._providers)
-
-    def receivers(self) -> Set[int]:
-        return set(self._receivers)
 
     def initial_outgoing(self) -> Dict[int, Tuple[np.ndarray, float]]:
         block = self.x[self.lo : self.hi].copy()
@@ -376,9 +376,6 @@ class MigratableSparseLinearLocal(LocalSolver):
     def providers(self) -> Set[int]:
         return set(self._others)
 
-    def receivers(self) -> Set[int]:  # pragma: no cover - the LocalSolver ABC requires it
-        return set(self._others)
-
     def initial_outgoing(self) -> Dict[int, Tuple[Any, float]]:
         payload = (self.rank, self.lo, self.x[self.lo : self.hi].copy())
         return dict.fromkeys(self._others, (payload, self._size_bytes))
@@ -479,8 +476,6 @@ def balanced_local_factory(problem: SparseLinearProblem, speeds):
         factory = balanced_local_factory(problem, [h.speed for h in hosts])
         SimulatedBackend().run(scenario, make_solver=factory)
     """
-    from repro.linalg.partition import WeightedPartition
-
     speeds = list(speeds)
 
     def make_local(rank: int, size: int) -> "SparseLinearLocal":
@@ -488,7 +483,7 @@ def balanced_local_factory(problem: SparseLinearProblem, speeds):
             raise ValueError(
                 f"factory built for {len(speeds)} ranks, asked for {size}"
             )
-        partition = WeightedPartition(problem.n, speeds)
+        partition = BlockPartition.weighted(problem.n, speeds)
         return SparseLinearLocal(problem, rank, size, partition=partition)
 
     return make_local

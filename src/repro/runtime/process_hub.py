@@ -131,10 +131,6 @@ class ProcessEndpoint:
         self._feed()
         return self.mailbox.take(tag)
 
-    def pending(self, rank: int, tag: Optional[str] = None) -> int:
-        self._feed()
-        return self.mailbox.count(tag)
-
     def receive(
         self,
         rank: int,

@@ -152,9 +152,6 @@ class ResultCache:
             raise
         return path
 
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists()
-
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
 

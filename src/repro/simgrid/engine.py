@@ -101,11 +101,6 @@ class Engine:
         """Number of callbacks executed so far."""
         return self._events_processed
 
-    @property
-    def pending(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
-        return len(self._queue)
-
     def stats(self) -> dict:
         """Flat engine counters for observability surfaces.
 

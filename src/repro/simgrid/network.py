@@ -11,9 +11,7 @@ Connection graphs may be *incomplete*: the paper's Section 5.3 discusses
 how PM2 requires a complete interconnection graph while OmniORB
 tolerates partial visibility (e.g. firewalls);
 :meth:`Network.is_complete` and :meth:`Network.reaches` answer the two
-questions the deployment validators in :mod:`repro.envs` ask, and
-:meth:`Network.connectivity_graph` exports the visibility graph for
-analysis (it needs the ``graph`` extra).
+questions the deployment validators in :mod:`repro.envs` ask.
 """
 
 from __future__ import annotations
@@ -134,20 +132,6 @@ class Network:
             }
             seen = seen | frontier
         return dst in seen
-
-    def connectivity_graph(self) -> "nx.DiGraph":
-        """Directed visibility graph over host names (``graph`` extra)."""
-        try:
-            import networkx as nx
-        except ImportError as exc:
-            raise ImportError(
-                "Network.connectivity_graph() needs the 'graph' extra: "
-                "pip install 'repro-aiac[graph]'"
-            ) from exc
-        g = nx.DiGraph()
-        g.add_nodes_from(self._hosts)
-        g.add_edges_from(self._routes)
-        return g
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -247,7 +247,7 @@ def test_local_neighbour_dependencies():
     assert p.make_local(0, 4).providers() == {1}
     assert p.make_local(1, 4).providers() == {0, 2}
     assert p.make_local(3, 4).providers() == {2}
-    assert p.make_local(2, 4).receivers() == {1, 3}
+    assert set(p.make_local(2, 4).initial_outgoing()) == {1, 3}
 
 
 def test_local_boundary_payloads_shapes():
@@ -299,7 +299,7 @@ def test_multisplitting_fixed_point_matches_sequential():
         exchange()
         for solver in locals_:
             solver.end_step(step)
-    parallel = np.concatenate([s.local_state() for s in locals_], axis=1)
+    parallel = np.concatenate([s.local_solution().reshape(2, -1, p.config.nx) for s in locals_], axis=1)
     rel = np.max(np.abs(parallel - reference) / (np.abs(reference) + 1.0))
     assert rel < 1e-8
 
@@ -349,7 +349,7 @@ def _drive_lockstep(p, size, steps, memo=None):
         exchange()
         for solver in locals_:
             solver.end_step(step)
-    return [s.local_state().tobytes() for s in locals_], log
+    return [s.local_solution().tobytes() for s in locals_], log
 
 
 def test_memo_hit_is_bit_identical_to_recomputing():

@@ -85,7 +85,7 @@ def test_cancelled_events_neither_count_nor_advance_the_clock():
     engine.run()
     assert engine.events_processed == 1
     assert engine.now == 1.0  # a fault window cancelled at the end of a run
-    assert engine.pending == 0
+    assert engine.stats()["pending_events"] == 0
 
 
 @pytest.mark.parametrize("form", ["at", "post_at"])
@@ -97,7 +97,7 @@ def test_both_scheduling_forms_make_the_same_time_checks(form):
             schedule(bad, lambda: None)
     with pytest.raises(SimulationError, match="before now"):
         schedule(5.0 - 1e-9, lambda: None)
-    assert engine.pending == 0
+    assert engine.stats()["pending_events"] == 0
     # Floating-point noise below the 1e-12 relative clamp fires at `now`.
     seen = []
     schedule(5.0 - 1e-13, lambda: seen.append(engine.now))
@@ -115,7 +115,7 @@ def test_both_relative_forms_reject_negative_and_non_finite_delays(form):
     for bad in (float("inf"), float("nan")):
         with pytest.raises(SimulationError, match="non-finite"):
             schedule(bad, lambda: None)
-    assert engine.pending == 0
+    assert engine.stats()["pending_events"] == 0
 
 
 def test_only_the_handle_form_returns_something_to_cancel():

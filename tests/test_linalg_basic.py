@@ -10,7 +10,6 @@ from repro.linalg.partition import BlockPartition
 from repro.linalg.splitting import (
     block_column_dependencies,
     block_ranges_dependencies,
-    dependency_graph,
     jacobi_splitting,
 )
 from repro.problems.sparse_linear import SparseLinearConfig, SparseLinearProblem
@@ -61,69 +60,89 @@ def test_max_norm_diff_symmetry(a, b):
 
 
 # ----------------------------------------------------------------------
-# partition
+# partition: the uniform, speed-weighted and explicit-sizes constructors
 # ----------------------------------------------------------------------
-def test_partition_bounds_cover_range():
-    part = BlockPartition(10, 3)
-    assert [part.bounds(b) for b in range(3)] == [(0, 4), (4, 7), (7, 10)]
+def _sizes(part):
+    return [hi - lo for lo, hi in part]
 
 
-def test_partition_balanced_within_one():
-    part = BlockPartition(11, 4)
-    sizes = [part.size(b) for b in range(4)]
-    assert max(sizes) - min(sizes) <= 1
-    assert sum(sizes) == 11
+@st.composite
+def _partitions(draw):
+    """A partition from any of the three constructors."""
+    n = draw(st.integers(0, 200))
+    build = draw(st.sampled_from(["uniform", "weighted", "sizes"]))
+    if build == "uniform":
+        return BlockPartition(n, draw(st.integers(1, 20)))
+    if build == "weighted":
+        n = max(n, 1)
+        weights = st.floats(0.1, 10.0)
+        return BlockPartition.weighted(n, draw(st.lists(weights, min_size=1, max_size=min(n, 8))))
+    return BlockPartition.from_sizes(draw(st.lists(st.integers(0, 30), min_size=1, max_size=8)))
 
 
-def test_partition_owner_and_local():
-    part = BlockPartition(10, 3)
-    for idx in range(10):
-        b = part.owner(idx)
-        lo, hi = part.bounds(b)
-        assert lo <= idx < hi
-        assert part.to_local(b, idx) == idx - lo
+@given(part=_partitions())
+def test_partition_bounds_cover_range(part):
+    """Blocks tile ``range(n)`` in order: contiguous, no gap, no overlap."""
+    assert list(part) == [part.bounds(b) for b in range(part.m)]
+    cursor = 0
+    for lo, hi in part:
+        assert lo == cursor <= hi
+        cursor = hi
+    assert cursor == part.n
 
 
-def test_partition_scatter_gather_roundtrip():
-    part = BlockPartition(9, 4)
-    x = np.arange(9.0)
-    assert np.array_equal(part.gather(part.scatter(x)), x)
+@given(st.integers(0, 200), st.integers(1, 20))
+def test_partition_balanced_within_one(n, m):
+    sizes = _sizes(BlockPartition(n, m))
+    assert len(sizes) == m and sum(sizes) == n
+    # The larger blocks come first; m > n leaves zero-width trailing blocks.
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+    assert list(BlockPartition(10, 3)) == [(0, 4), (4, 7), (7, 10)]
+    assert list(BlockPartition(3, 5)) == [(0, 1), (1, 2), (2, 3), (3, 3), (3, 3)]
+
+
+@given(
+    n=st.integers(1, 300),
+    weights=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=5),
+)
+@settings(max_examples=60, deadline=None)
+def test_partition_weighted_blocks_follow_the_weights(n, weights):
+    weights = weights[:n]
+    sizes = _sizes(BlockPartition.weighted(n, weights))
+    assert sum(sizes) == n and all(s >= 1 for s in sizes)
+    # Proportionality within rounding: |size - ideal| <= m + 1.
+    for size, w in zip(sizes, weights):
+        assert abs(size - n * w / sum(weights)) <= len(weights) + 1
+    # Equal weights give exactly the uniform bounds.
+    m = len(weights)
+    assert list(BlockPartition.weighted(n, [weights[0]] * m)) == list(BlockPartition(n, m))
+    assert _sizes(BlockPartition.weighted(100, [1.0, 2.0, 1.0])) == [25, 50, 25]
+    assert _sizes(BlockPartition.weighted(5, [1000.0, 1.0, 1.0])) == [3, 1, 1]
+
+
+def test_partition_from_sizes_keeps_zero_width_blocks():
+    # A middle block emptied by row migration: m > n cannot give this.
+    part = BlockPartition.from_sizes([3, 0, 2])
+    assert (part.n, part.m) == (5, 3)
+    assert list(part) == [(0, 3), (3, 3), (3, 5)]
 
 
 def test_partition_validation():
-    # m > n is legal since row migration can empty a block: the extra
-    # blocks are zero-width (see tests/test_load_balancing.py).
-    assert BlockPartition(3, 5).sizes() == [1, 1, 1, 0, 0]
-    with pytest.raises(ValueError):
-        BlockPartition(3, 0)
-    with pytest.raises(ValueError):
-        BlockPartition(-1, 2)
-    with pytest.raises(IndexError):
-        BlockPartition(10, 2).bounds(2)
-    with pytest.raises(IndexError):
-        BlockPartition(10, 2).owner(10)
-
-
-@given(st.integers(1, 200), st.integers(1, 20))
-def test_partition_owner_consistent_with_bounds(n, m):
-    if m > n:
-        m = n
-    part = BlockPartition(n, m)
-    # Owners are monotone and every index belongs to its block.
-    owners = [part.owner(i) for i in range(n)]
-    assert owners == sorted(owners)
-    for i, b in enumerate(owners):
-        lo, hi = part.bounds(b)
-        assert lo <= i < hi
-
-
-@given(st.integers(1, 100), st.integers(1, 10))
-def test_partition_gather_inverse_of_scatter(n, m):
-    if m > n:
-        m = n
-    part = BlockPartition(n, m)
-    x = np.arange(float(n))
-    assert np.array_equal(part.gather(part.scatter(x)), x)
+    for build in (
+        lambda: BlockPartition(3, 0),
+        lambda: BlockPartition(-1, 2),
+        lambda: BlockPartition.weighted(10, []),
+        lambda: BlockPartition.weighted(10, [1.0, -1.0]),
+        lambda: BlockPartition.weighted(2, [1.0, 1.0, 1.0]),
+        lambda: BlockPartition.from_sizes([]),
+        lambda: BlockPartition.from_sizes([2, -1]),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    for part in (BlockPartition(10, 2), BlockPartition.weighted(10, [1.0, 3.0])):
+        for block in (-1, 2):
+            with pytest.raises(IndexError):
+                part.bounds(block)
 
 
 # ----------------------------------------------------------------------
@@ -156,28 +175,16 @@ def test_dependencies_match_matrix_structure():
     problem, part = _small_problem()
     providers = block_column_dependencies(problem.matrix, part)
     dense = problem.matrix.to_dense()
+    starts = [lo for lo, _ in part]
     for block, sources in providers.items():
         lo, hi = part.bounds(block)
         truth = set()
         rows, cols = np.nonzero(dense[lo:hi])
         for col in cols:
-            owner = part.owner(int(col))
+            owner = int(np.searchsorted(starts, col, side="right")) - 1
             if owner != block:
                 truth.add(owner)
         assert truth <= sources  # model may be conservative, never missing
-
-
-def test_dependency_graph_nodes_and_edges():
-    nx = pytest.importorskip("networkx")
-    problem, part = _small_problem()
-    graph = dependency_graph(problem.matrix, part)
-    assert isinstance(graph, nx.DiGraph)
-    assert set(graph.nodes) == set(range(part.m))
-    providers = block_column_dependencies(problem.matrix, part)
-    for consumer, sources in providers.items():
-        for src in sources:
-            assert graph.has_edge(src, consumer)
-    assert graph.number_of_edges() == sum(len(s) for s in providers.values())
 
 
 def test_spread_offsets_give_all_to_all_dependencies():

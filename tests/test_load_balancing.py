@@ -2,143 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.api import Scenario, SimulatedBackend
 from repro.core.aiac import AIACOptions
-from repro.linalg.partition import WeightedPartition
+from repro.linalg.partition import BlockPartition
 from repro.problems.sparse_linear import (
     MigratableSparseLinearLocal,
     SparseLinearConfig,
     SparseLinearProblem,
     balanced_local_factory,
 )
-
-
-# ----------------------------------------------------------------------
-# weighted partition
-# ----------------------------------------------------------------------
-def test_weighted_partition_proportional_sizes():
-    part = WeightedPartition(100, [1.0, 2.0, 1.0])
-    sizes = [part.size(b) for b in range(3)]
-    assert sum(sizes) == 100
-    assert sizes[1] == 50
-    assert sizes[0] == sizes[2] == 25
-
-
-def test_weighted_partition_covers_range_contiguously():
-    part = WeightedPartition(37, [3.0, 1.0, 2.0, 5.0])
-    cursor = 0
-    for b in range(part.m):
-        lo, hi = part.bounds(b)
-        assert lo == cursor and hi > lo
-        cursor = hi
-    assert cursor == 37
-
-
-def test_weighted_partition_minimum_one_element():
-    part = WeightedPartition(5, [1000.0, 1.0, 1.0])
-    assert all(part.size(b) >= 1 for b in range(3))
-    assert sum(part.size(b) for b in range(3)) == 5
-
-
-def test_weighted_partition_owner_and_local():
-    part = WeightedPartition(30, [1.0, 3.0])
-    for idx in range(30):
-        b = part.owner(idx)
-        lo, hi = part.bounds(b)
-        assert lo <= idx < hi
-        assert part.to_local(b, idx) == idx - lo
-
-
-def test_weighted_partition_scatter_gather():
-    part = WeightedPartition(20, [2.0, 1.0, 1.0])
-    x = np.arange(20.0)
-    assert np.array_equal(part.gather(part.scatter(x)), x)
-
-
-def test_weighted_partition_equal_weights_match_block_partition():
-    from repro.linalg.partition import BlockPartition
-
-    weighted = WeightedPartition(22, [1.0] * 4)
-    uniform = BlockPartition(22, 4)
-    sizes_w = sorted(weighted.size(b) for b in range(4))
-    sizes_u = sorted(uniform.size(b) for b in range(4))
-    assert sizes_w == sizes_u
-
-
-def test_weighted_partition_validation():
-    with pytest.raises(ValueError):
-        WeightedPartition(10, [])
-    with pytest.raises(ValueError):
-        WeightedPartition(10, [1.0, -1.0])
-    with pytest.raises(ValueError):
-        WeightedPartition(2, [1.0, 1.0, 1.0])
-    with pytest.raises(IndexError):
-        WeightedPartition(10, [1.0]).bounds(1)
-
-
-# ----------------------------------------------------------------------
-# empty blocks (what dynamic migration can legitimately produce)
-# ----------------------------------------------------------------------
-def test_block_partition_allows_more_blocks_than_elements():
-    from repro.linalg.partition import BlockPartition
-
-    part = BlockPartition(3, 5)
-    assert part.sizes() == [1, 1, 1, 0, 0]
-    assert part.bounds(3) == (3, 3) and part.bounds(4) == (3, 3)
-    # Translation around a zero-width block stays coherent.
-    for idx in range(3):
-        owner = part.owner(idx)
-        assert part.to_local(owner, idx) == idx - part.bounds(owner)[0]
-    with pytest.raises(IndexError):
-        part.to_local(3, 3)  # nothing is local to an empty block
-    x = np.arange(3.0)
-    pieces = part.scatter(x)
-    assert [len(p) for p in pieces] == [1, 1, 1, 0, 0]
-    assert np.array_equal(part.gather(pieces), x)
-
-
-def test_block_partition_still_rejects_bad_shapes():
-    from repro.linalg.partition import BlockPartition
-
-    with pytest.raises(ValueError):
-        BlockPartition(-1, 2)
-    with pytest.raises(ValueError):
-        BlockPartition(5, 0)
-
-
-def test_weighted_partition_from_sizes_with_zero_blocks():
-    part = WeightedPartition.from_sizes([3, 0, 2])
-    assert part.n == 5 and part.m == 3
-    assert part.sizes() == [3, 0, 2]
-    assert part.bounds(1) == (3, 3)
-    assert part.owner(3) == 2  # empty block owns nothing
-    x = np.arange(5.0)
-    assert np.array_equal(part.gather(part.scatter(x)), x)
-    with pytest.raises(ValueError):
-        WeightedPartition.from_sizes([])
-    with pytest.raises(ValueError):
-        WeightedPartition.from_sizes([2, -1])
-
-
-@given(
-    n=st.integers(5, 300),
-    weights=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=5),
-)
-@settings(max_examples=40, deadline=None)
-def test_weighted_partition_properties(n, weights):
-    if len(weights) > n:
-        weights = weights[:n]
-    part = WeightedPartition(n, weights)
-    sizes = [part.size(b) for b in range(part.m)]
-    assert sum(sizes) == n
-    assert all(s >= 1 for s in sizes)
-    # Proportionality within rounding: |size - ideal| <= m.
-    total_w = sum(weights)
-    for size, w in zip(sizes, weights):
-        assert abs(size - n * w / total_w) <= len(weights) + 1
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +66,7 @@ def test_balanced_equalises_per_iteration_compute():
 # ----------------------------------------------------------------------
 def _fresh_migratable(problem, rank, size, sizes, x):
     solver = MigratableSparseLinearLocal(
-        problem, rank, size, partition=WeightedPartition.from_sizes(sizes)
+        problem, rank, size, partition=BlockPartition.from_sizes(sizes)
     )
     solver.x[:] = x
     return solver

@@ -243,7 +243,7 @@ class TestResultCache:
         assert cache.get(key) is None
         cache.put(key, {"makespan": 1.0})
         assert cache.get(key) == {"makespan": 1.0}
-        assert key in cache and len(cache) == 1
+        assert len(cache) == 1
         assert cache.stats() == {
             "entries": 1, "hits": 1, "misses": 1, "corrupt": 0,
         }

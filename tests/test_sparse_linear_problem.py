@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.effects import Message
-from repro.linalg.partition import BlockPartition, WeightedPartition
+from repro.linalg.partition import BlockPartition
 from repro.problems.sparse_linear import (
     PAPER_SPARSE_LINEAR,
     SparseLinearConfig,
@@ -157,7 +157,7 @@ def test_local_solver_dependency_lists():
     p = SparseLinearProblem(SparseLinearConfig(n=240))
     local = p.make_local(1, 4)
     assert 1 not in local.providers()
-    assert 1 not in local.receivers()
+    assert 1 not in local.initial_outgoing()
     assert local.providers() <= set(range(4))
 
 
@@ -203,14 +203,13 @@ def test_dependency_maps_are_computed_once_per_partition():
     p = SparseLinearProblem(SparseLinearConfig(n=240))
     maps = p.block_dependencies(BlockPartition(p.n, 4))
     assert p.block_dependencies(BlockPartition(p.n, 4)) is maps
-    assert p.block_dependencies(WeightedPartition(p.n, [1, 1, 1, 1])) is maps
+    assert p.block_dependencies(BlockPartition.weighted(p.n, [1, 1, 1, 1])) is maps
     assert p.block_dependencies(BlockPartition(p.n, 3)) is not maps
-    assert p.block_dependencies(WeightedPartition(p.n, [3, 1, 1, 1])) is not maps
+    assert p.block_dependencies(BlockPartition.weighted(p.n, [3, 1, 1, 1])) is not maps
     # Solvers hand out fresh sets: mutating one must not reach the shared maps.
     local = p.make_local(1, 4)
     expected = set(maps[0][1])
     local.providers().clear()
-    local.receivers().clear()
     assert local.providers() == expected == p.make_local(1, 4).providers()
 
 
@@ -265,7 +264,7 @@ def test_local_outgoing_payload_sizes():
         block_id, values = payload
         assert block_id == 0
         assert nbytes == 8.0 * len(values)
-        assert dst in local.receivers()
+        assert dst in p.block_dependencies(local.partition)[1][0]
 
 
 def test_emulated_synchronous_exchange_converges():
