@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Scenario, SimulatedBackend
 from repro.core.aiac import AIACOptions
@@ -12,6 +14,78 @@ from repro.problems.sparse_linear import (
     SparseLinearProblem,
     balanced_local_factory,
 )
+
+
+def _sizes(part):
+    return [hi - lo for lo, hi in part]
+
+
+# ----------------------------------------------------------------------
+# speed-weighted partition
+# ----------------------------------------------------------------------
+def test_weighted_partition_proportional_sizes():
+    assert _sizes(BlockPartition.weighted(100, [1.0, 2.0, 1.0])) == [25, 50, 25]
+
+
+def test_weighted_partition_covers_range_contiguously():
+    part = BlockPartition.weighted(37, [3.0, 1.0, 2.0, 5.0])
+    cursor = 0
+    for b in range(part.m):
+        lo, hi = part.bounds(b)
+        assert lo == cursor and hi > lo
+        cursor = hi
+    assert cursor == 37
+
+
+def test_weighted_partition_minimum_one_element():
+    assert _sizes(BlockPartition.weighted(5, [1000.0, 1.0, 1.0])) == [3, 1, 1]
+
+
+def test_weighted_partition_equal_weights_match_block_partition():
+    for n, m in ((22, 4), (7, 7), (100, 3)):
+        assert list(BlockPartition.weighted(n, [2.5] * m)) == list(BlockPartition(n, m))
+
+
+def test_weighted_partition_validation():
+    for weights, n in (([], 10), ([1.0, -1.0], 10), ([1.0, 1.0, 1.0], 2)):
+        with pytest.raises(ValueError):
+            BlockPartition.weighted(n, weights)
+    part = BlockPartition.weighted(10, [1.0, 3.0])
+    for block in (-1, 2):
+        with pytest.raises(IndexError):
+            part.bounds(block)
+
+
+@given(
+    n=st.integers(1, 300),
+    weights=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=5),
+)
+@settings(max_examples=60, deadline=None)
+def test_weighted_partition_properties(n, weights):
+    weights = weights[:n]
+    sizes = _sizes(BlockPartition.weighted(n, weights))
+    assert sum(sizes) == n and all(s >= 1 for s in sizes)
+    # Proportionality within rounding: |size - ideal| <= m + 1.
+    for size, w in zip(sizes, weights):
+        assert abs(size - n * w / sum(weights)) <= len(weights) + 1
+    # Equal weights give exactly the uniform bounds.
+    m = len(weights)
+    assert list(BlockPartition.weighted(n, [weights[0]] * m)) == list(BlockPartition(n, m))
+
+
+# ----------------------------------------------------------------------
+# uniform partition: empty trailing blocks and bad shapes
+# ----------------------------------------------------------------------
+def test_block_partition_allows_more_blocks_than_elements():
+    part = BlockPartition(3, 5)
+    assert list(part) == [(0, 1), (1, 2), (2, 3), (3, 3), (3, 3)]
+    assert part.bounds(3) == (3, 3) and part.bounds(4) == (3, 3)
+
+
+def test_block_partition_still_rejects_bad_shapes():
+    for n, m in ((-1, 2), (5, 0)):
+        with pytest.raises(ValueError):
+            BlockPartition(n, m)
 
 
 # ----------------------------------------------------------------------
