@@ -91,9 +91,7 @@ def list_backends() -> List[str]:
 
 
 def scenario_coroutine_factory(
-    scenario: Scenario,
-    make_solver: Optional[Callable] = None,
-    memo: Optional[Any] = None,
+    scenario: Scenario, make_solver: Optional[Callable] = None
 ) -> Callable:
     """Resolve a scenario into a ``(rank, size) -> worker generator``.
 
@@ -102,8 +100,7 @@ def scenario_coroutine_factory(
     worker process of the process backend calls it after rebuilding the
     scenario from its dict -- so the two real-concurrency backends can
     never drift in how they bind problems, workers, options and
-    balancing plans.  ``memo`` is the solve memo
-    :meth:`SimulatedBackend.run_many` hands its worlds' chemical solvers.
+    balancing plans.
     """
     problem = scenario.build_problem()
     worker = get_worker(scenario.resolve_worker(problem))
@@ -114,16 +111,6 @@ def scenario_coroutine_factory(
         from repro.balancing import compile_plan
 
         factory, make_balancer = compile_plan(scenario, problem, make_solver)
-    if memo is not None:
-        from repro.problems.chemical import ChemicalLocal
-
-        build = factory
-
-        def factory(rank: int, size: int):
-            solver = build(rank, size)
-            if isinstance(solver, ChemicalLocal):
-                solver.memo = memo
-            return solver
     if make_balancer is not None:
         def make_coroutine(rank: int, size: int):
             return worker(
@@ -197,8 +184,8 @@ class SimulatedBackend:
         result = SimulatedBackend().run(scenario)
         assert SimulatedBackend().run(scenario).makespan == result.makespan
 
-    :meth:`run_many` runs a whole grid with one shared solve memo.  See
-    ``docs/backends.md`` for what the simulator does and does not model.
+    See ``docs/backends.md`` for what the simulator does and does not
+    model.
     """
 
     name: ClassVar[str] = "simulated"
@@ -208,17 +195,18 @@ class SimulatedBackend:
     #: so ``repro trace`` and sweeps pass ``timeline=True`` regardless.
     timeline: bool = False
 
-    def _bind(
+    def run(
         self,
         scenario: Scenario,
-        make_solver: Optional[Callable],
-        memo: Optional[Any] = None,
-    ):
-        """Wire ``scenario`` into a ready-to-run world; returns the world
-        and the scenario's fault injector (``None`` without a plan).
-        ``memo`` (``run_many`` only) reaches the world's chemical solvers."""
+        make_solver: Optional[Callable] = None,
+    ) -> RunResult:
+        """Execute ``scenario``; ``make_solver`` optionally overrides the
+        problem's ``(rank, size) -> LocalSolver`` factory (escape hatch
+        for programmatic ablations such as load-balanced partitions, and
+        the ``local`` sweep placement's shared solve memo)."""
         from repro.simgrid.world import World
 
+        started = time.perf_counter()
         network = scenario.build_network()
         if scenario.n_ranks > len(network.hosts):
             raise ValueError(
@@ -235,14 +223,11 @@ class SimulatedBackend:
             from repro.simgrid.faults import SimFaultInjector
 
             injector = SimFaultInjector(scenario.faults, default_seed=scenario.seed)
-        make_coroutine = scenario_coroutine_factory(scenario, make_solver, memo)
+        make_coroutine = scenario_coroutine_factory(scenario, make_solver)
         world = World(network, policy, trace=self.timeline, faults=injector)
         for rank in range(scenario.n_ranks):
             world.spawn(make_coroutine(rank, scenario.n_ranks))
-        return world, injector
-
-    def _wrap(self, scenario, world, injector, started: float) -> RunResult:
-        """The result of a finished ``world`` (``world.run()`` returned)."""
+        world.run()
         reports = world.results
         for rank, report in reports.items():
             if hasattr(report, "busy_time"):
@@ -263,53 +248,6 @@ class SimulatedBackend:
             world=world,
             timeline=timeline,
         )
-
-    def run(
-        self,
-        scenario: Scenario,
-        make_solver: Optional[Callable] = None,
-    ) -> RunResult:
-        """Execute ``scenario``; ``make_solver`` optionally overrides the
-        problem's ``(rank, size) -> LocalSolver`` factory (escape hatch
-        for programmatic ablations such as load-balanced partitions)."""
-        started = time.perf_counter()
-        world, injector = self._bind(scenario, make_solver)
-        world.run()
-        return self._wrap(scenario, world, injector, started)
-
-    def run_many(
-        self,
-        scenarios: List[Scenario],
-        make_solver: Optional[Callable] = None,
-    ) -> List[RunResult]:
-        """Execute many scenarios, one after another, sharing one memo.
-
-        The worlds' chemical solvers share a
-        :class:`~repro.problems.chemical.SolveMemo`, so a grid whose
-        points advance the same trajectory on differently-timed hardware
-        (a cluster-parameter sweep) solves each Newton update once.
-        Each returned result is bit-identical to ``run()`` of the same
-        scenario, engine event total included.  A failed scenario raises
-        (the first failure, after the others have still run); sweeps
-        wanting per-unit isolation catch and fall back to ``run()``.
-        """
-        from repro.problems.chemical import SolveMemo
-
-        memo = SolveMemo()
-        results: List[RunResult] = []
-        failure: Optional[Exception] = None
-        for scenario in scenarios:
-            started = time.perf_counter()
-            try:
-                world, injector = self._bind(scenario, make_solver, memo)
-                world.run()
-            except Exception as exc:  # noqa: BLE001 - raised after the rest
-                failure = failure or exc
-                continue
-            results.append(self._wrap(scenario, world, injector, started))
-        if failure is not None:
-            raise failure
-        return results
 
 
 @register_backend("threaded")

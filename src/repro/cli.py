@@ -274,7 +274,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         f"{summary['scenarios']} scenario(s), {summary['faulty_scenarios']} with "
         f"fault plans ({summary['recovered_scenarios']} observed recoveries), "
         f"deterministic={summary['deterministic']}, "
-        f"mega_parity={summary['mega_parity']}, "
+        f"memo_parity={summary['memo_parity']}, "
         f"{summary['elapsed_s']:.1f}s"
     )
     if not report["passed"]:
@@ -409,12 +409,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate_measure(args: argparse.Namespace) -> int:
-    from repro.calibrate import (
-        BATTERIES,
-        CalibrationError,
-        measure_battery,
-        write_reference,
-    )
+    from repro.calibrate import CalibrationError
+    from repro.calibrate.measure import BATTERIES, measure_battery, write_reference
 
     if args.repeats < 1:
         print(f"error: --repeats must be >= 1, got {args.repeats}",
@@ -456,13 +452,9 @@ def _cmd_calibrate_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate_fit(args: argparse.Namespace) -> int:
-    from repro.calibrate import (
-        CalibrationError,
-        build_preset,
-        fit,
-        load_reference,
-        write_preset,
-    )
+    from repro.calibrate import CalibrationError, build_preset, write_preset
+    from repro.calibrate.measure import load_reference
+    from repro.calibrate.search import fit
 
     try:
         reference = load_reference(args.reference)

@@ -66,7 +66,7 @@ class BlockPartition:
             raise ValueError("need at least one weight")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
-        if len(weights) > n > 0:
+        if len(weights) > n:
             raise ValueError(f"more blocks ({len(weights)}) than elements ({n})")
         ideal = weights / weights.sum() * n
         sizes = np.maximum(1, np.floor(ideal).astype(int))

@@ -37,10 +37,11 @@ One Newton update (:func:`scaled_newton_update`) calls a strip's
 :class:`_StripEvaluator` directly and hands :func:`repro.linalg.gmres.gmres`
 a closure for the finite-difference Jacobian action.
 
-One Newton update is a pure function of its inputs, so the worlds of
-one ``SimulatedBackend.run_many`` share a :class:`SolveMemo`: a grid
-whose points advance the same trajectory on differently-timed hardware
-solves each update once (``DESIGN.md``, "The solve memo").
+One Newton update is a pure function of its inputs, so the chemical
+units of one ``local`` sweep on the simulated backend share a
+:class:`SolveMemo`: a grid whose points advance the same trajectory on
+differently-timed hardware solves each update once (``DESIGN.md``,
+"The solve memo").
 """
 
 from __future__ import annotations
@@ -759,7 +760,7 @@ def _copied(outcome: _Outcome) -> _Outcome:
 
 
 class SolveMemo:
-    """Newton-update outcomes shared by the worlds of one ``run_many``.
+    """Newton-update outcomes shared by the worlds of one ``local`` sweep.
 
     Keyed by every input of one update (:meth:`ChemicalLocal._memo_key`),
     and the update is a deterministic function of them, so a hit is
@@ -811,9 +812,10 @@ class ChemicalLocal(SteppedLocalSolver):
     this is why "the process actually continues to evolve between data
     receptions" in the non-linear case (Section 5.1).
 
-    ``memo`` is the :class:`SolveMemo` that ``SimulatedBackend.run_many``
-    hands the solvers of its worlds (``None`` everywhere else):
-    :meth:`iterate` looks each Newton update up there before solving it.
+    ``memo`` is the :class:`SolveMemo` that the ``local`` sweep placement
+    hands the solvers of its simulated worlds (``None`` everywhere
+    else): :meth:`iterate` looks each Newton update up there before
+    solving it.
     """
 
     def __init__(self, problem: ChemicalProblem, rank: int, size: int) -> None:

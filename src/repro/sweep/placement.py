@@ -9,10 +9,9 @@ placement-agnostic:
 * ``local`` -- in-process, one unit at a time.  The daemonic-safe
   path: it works inside pytest workers, other pools, and is the only
   placement that can host the ``process`` backend (whose per-rank
-  children may not be spawned from a daemonic pool worker).
-* ``mega`` -- in-process, whole-grid: all buffered units run through
-  one ``SimulatedBackend.run_many``, which shares a solve memo among
-  their worlds; records are bit-identical to ``local``.
+  children may not be spawned from a daemonic pool worker).  On the
+  simulated backend the sweep's chemical units share one solve memo.
+  ``mega`` is a second name for it.
 * ``pool`` -- one OS process per worker slot via the serve layer's
   non-daemonic :class:`~repro.serve.workers.WorkerPool`, with per-unit
   deadline reaping (kill + respawn) in the parent.
@@ -41,6 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Type, Union
 
 from repro.api.scenario import Scenario
+from repro.problems import chemical
 from repro.registry import Registry
 from repro.runtime.executor import BackendTimeoutError
 from repro.serve.workers import WorkerPool
@@ -143,26 +143,6 @@ def list_placements() -> List[str]:
 # ----------------------------------------------------------------------
 # strategies
 # ----------------------------------------------------------------------
-def _run_unit(
-    backend: Any, key: str, scenario_dict: Dict[str, Any], include_solution: bool
-) -> PlacementEvent:
-    """Run one unit in-process; the settlement event it amounts to."""
-    try:
-        result = backend.run(Scenario.from_dict(scenario_dict))
-        return (key, "done", result.to_record(include_solution=include_solution))
-    except BackendTimeoutError as exc:
-        return (key, "timeout", f"{type(exc).__name__}: {exc}")
-    except Exception as exc:  # noqa: BLE001 - settled per unit
-        return (
-            key,
-            "failed",
-            {
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-            },
-        )
-
-
 @register_placement("local")
 class LocalPlacement(Placement):
     """Run units in-process, serially, one settlement per pump turn.
@@ -173,17 +153,27 @@ class LocalPlacement(Placement):
     whatever the backend itself enforces: a ``timeout`` in the context
     is forwarded to name-resolved backends that accept one (threaded /
     process); the simulated backend is deterministic and needs none.
+
+    On the simulated backend the chemical solvers of every unit share
+    one :class:`~repro.problems.chemical.SolveMemo` for the life of the
+    placement (one sweep), handed to them through ``run``'s
+    ``make_solver`` hook: a grid whose points advance the same
+    trajectory on differently-timed hardware solves each Newton update
+    once.  A hit is bit-identical and charges the same flops, so every
+    record equals ``run()`` of its scenario.  Balanced units keep the
+    plain path (``compile_plan`` owns their solver factory).
     """
 
     def __init__(self, context: PlacementContext) -> None:
         super().__init__(context)
         self._backend: Any = None
+        self._memo: Optional[chemical.SolveMemo] = None
 
     def start(self) -> None:
+        from repro.api.backends import SimulatedBackend, get_backend
+
         backend = self.context.backend
         if isinstance(backend, str):
-            from repro.api.backends import get_backend
-
             kwargs: Dict[str, Any] = {}
             if self.context.timeout is not None:
                 factory = type(get_backend(backend))
@@ -195,90 +185,49 @@ class LocalPlacement(Placement):
                     kwargs["timeout"] = self.context.timeout
             backend = get_backend(backend, **kwargs)
         self._backend = backend
+        if isinstance(backend, SimulatedBackend):
+            self._memo = chemical.SolveMemo()
 
     @property
     def capacity(self) -> int:
         return 0 if self._events else 1
 
-    def submit(self, key: str, scenario_dict: Dict[str, Any]) -> None:
-        self._events.append(
-            _run_unit(self._backend, key, scenario_dict, self.context.include_solution)
-        )
+    def _run(self, scenario: Scenario) -> Any:
+        memo = self._memo
+        if memo is None or scenario.balancer is not None:
+            return self._backend.run(scenario)
+        problem = scenario.build_problem()
+        if not isinstance(problem, chemical.ChemicalProblem):
+            return self._backend.run(scenario)
 
+        def make_solver(rank: int, size: int):
+            solver = problem.make_local(rank, size)
+            solver.memo = memo
+            return solver
 
-@register_placement("mega")
-class MegaPlacement(Placement):
-    """Whole-grid execution on the simulated backend: ``local`` plus a
-    shared solve memo.
-
-    Instead of running units one at a time, submissions accumulate
-    until the executor's queue drains (capacity stays high), then one
-    :meth:`~repro.api.backends.SimulatedBackend.run_many` call runs
-    *every* buffered scenario, its worlds sharing one
-    :class:`~repro.problems.chemical.SolveMemo`.  Records are
-    bit-identical to the ``local`` placement's -- same makespans,
-    counters, event totals and solutions -- the grid just computes each
-    bit-equal Newton solve once (ubiquitous in cluster-parameter
-    sweeps, where every point advances the same trajectory on
-    differently-timed hardware).
-
-    Simulated-backend only (``start`` refuses a backend without
-    ``run_many``).  If a batch raises, the placement falls back to
-    per-unit runs so errors are attributed to the scenario that caused
-    them.
-    """
-
-    #: Units buffered per batch; grids beyond this run in chunks.
-    MAX_BATCH = 256
-
-    def __init__(self, context: PlacementContext) -> None:
-        super().__init__(context)
-        self._backend: Any = None
-        self._buffer: List[Tuple[str, Dict[str, Any]]] = []
-
-    def start(self) -> None:
-        backend = self.context.backend
-        if isinstance(backend, str):
-            from repro.api.backends import get_backend
-
-            backend = get_backend(backend)
-        if not hasattr(backend, "run_many"):
-            raise ValueError(
-                "the 'mega' placement needs a backend with run_many "
-                f"(the simulated backend); got {getattr(backend, 'name', backend)!r}"
-            )
-        self._backend = backend
-
-    @property
-    def capacity(self) -> int:
-        return max(0, self.MAX_BATCH - len(self._buffer))
+        return self._backend.run(scenario, make_solver)
 
     def submit(self, key: str, scenario_dict: Dict[str, Any]) -> None:
-        self._buffer.append((key, scenario_dict))
-
-    def poll(self, timeout: Optional[float] = None) -> List[PlacementEvent]:
-        events = super().poll(timeout)
-        if not self._buffer:
-            return events
-        batch, self._buffer = self._buffer, []
-        include_solution = self.context.include_solution
         try:
-            results = self._backend.run_many(
-                [Scenario.from_dict(scenario_dict) for _, scenario_dict in batch]
+            result = self._run(Scenario.from_dict(scenario_dict))
+            record = result.to_record(include_solution=self.context.include_solution)
+            event: PlacementEvent = (key, "done", record)
+        except BackendTimeoutError as exc:
+            event = (key, "timeout", f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # noqa: BLE001 - settled per unit
+            event = (
+                key,
+                "failed",
+                {
+                    "error": f"{type(exc).__name__}: {exc}",
+                    "traceback": traceback.format_exc(),
+                },
             )
-        except Exception:  # noqa: BLE001 - re-attribute per unit below
-            # One poisoned unit fails run_many as a whole (results of
-            # the healthy worlds are not recoverable from it), so
-            # re-run individually: errors land on the unit that caused
-            # them, everyone else still settles ``done``.
-            return events + [
-                _run_unit(self._backend, key, scenario_dict, include_solution)
-                for key, scenario_dict in batch
-            ]
-        return events + [
-            (key, "done", result.to_record(include_solution=include_solution))
-            for (key, _), result in zip(batch, results)
-        ]
+        self._events.append(event)
+
+
+# A second name: the benchmark's ``mega_async_grid`` workload asks for it.
+PLACEMENT_REGISTRY.register("mega")(LocalPlacement)
 
 
 @register_placement("pool")
@@ -401,7 +350,6 @@ __all__ = [
     "get_placement",
     "list_placements",
     "LocalPlacement",
-    "MegaPlacement",
     "PoolPlacement",
     "ServePlacement",
 ]

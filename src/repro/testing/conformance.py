@@ -8,10 +8,10 @@ For every generated scenario the driver:
 2. checks the :mod:`~repro.testing.invariants` on the simulated result
    and requires it to converge (the generator only emits survivable
    plans);
-3. once per sweep, runs the *whole battery* through one ``run_many``
-   (the ``mega`` placement's path: the worlds share one solve memo)
-   and demands bit-identical work counters, event totals, makespan,
-   faults and solutions of every member against its own run;
+3. once per sweep, runs the *whole battery* through one ``local``
+   sweep (its chemical members share one solve memo) and demands
+   bit-identical work counters, event totals, makespan, faults and
+   solutions of every member against its own run;
 4. runs the **threaded** and **process** backends on the *same
    scenario value* (three-way parity), checks the same invariants on
    each, and -- for scenarios whose plan carries no message-level
@@ -64,8 +64,8 @@ def _summary(result) -> Dict[str, Any]:
 
 
 def _parity_signature(result) -> Dict[str, Any]:
-    """What ``run_many`` must reproduce bit for bit: the work counters
-    plus the solution bytes."""
+    """What the battery's one sweep must reproduce bit for bit: the work
+    counters plus the solution bytes."""
     signature = dict(work_counters(result))
     signature["solution"] = hashlib.sha1(result.solution().tobytes()).hexdigest()
     return signature
@@ -100,7 +100,7 @@ def run_scenario_conformance(
         "has_faults": scenario.faults is not None and not scenario.faults.is_empty,
         "simulated": None,
         "parity": None,
-        "mega_parity": None,
+        "memo_parity": None,
         "threaded": None,
         "process": None,
         "deterministic": None,
@@ -143,7 +143,7 @@ def run_scenario_conformance(
             "seeded scenario disagree on work counters"
         )
 
-    # Kept on the record: the sweep-level mega leg compares against it.
+    # Kept on the record: the sweep-level memo leg compares against it.
     record["parity"] = _parity_signature(second)
     violations.extend(
         f"simulated: {v}" for v in check_invariants(scenario, first, problem)
@@ -198,26 +198,39 @@ def run_scenario_conformance(
     return record
 
 
-def _check_mega_parity(
+def _check_memo_parity(
     scenarios: List[Scenario], records: List[Dict[str, Any]]
 ) -> List[str]:
-    """Mark each record's ``mega_parity`` from one ``run_many`` of the
-    battery; a member that disagrees with its scalar run gets the
-    violation, ``run_many`` itself raising is returned for the sweep."""
+    """Mark each record's ``memo_parity`` from one ``local`` sweep of
+    the battery, whose chemical members share one solve memo; a member
+    that disagrees with its own run gets the violation, the sweep itself
+    raising is returned for the sweep."""
+    from repro.api.result import RunResult
+    from repro.sweep import run_sweep
+
     members = [(s, r) for s, r in zip(scenarios, records) if r["parity"] is not None]
     if not members:
         return []
     try:
-        results = SimulatedBackend().run_many([s for s, _ in members])
+        outcome = run_sweep(
+            [s for s, _ in members],
+            backend=SimulatedBackend(),
+            placement="local",
+            include_solution=True,
+        )
     except Exception as exc:  # noqa: BLE001 - reported for the sweep
-        return [f"mega run of the battery raised {type(exc).__name__}: {exc}"]
-    for (_scenario, record), result in zip(members, results):
-        diffs = _parity_diffs(record["parity"], _parity_signature(result))
-        record["mega_parity"] = not diffs
+        return [f"one sweep of the battery raised {type(exc).__name__}: {exc}"]
+    for (_scenario, record), swept in zip(members, outcome.records):
+        if "error" in swept:
+            diffs = [f"error {swept['error']!r}"]
+        else:
+            signature = _parity_signature(RunResult.from_record(swept))
+            diffs = _parity_diffs(record["parity"], signature)
+        record["memo_parity"] = not diffs
         if diffs:
             record["violations"].append(
-                "mega/scalar parity broken: the scenario inside one run_many "
-                f"of the whole battery disagrees with its scalar run on {diffs}"
+                "memo parity broken: the scenario inside one sweep of the "
+                f"whole battery disagrees with its own run on {diffs}"
             )
             record["ok"] = False
     return []
@@ -258,15 +271,15 @@ def run_conformance(
         records.append(record)
         if progress is not None:
             progress(record)
-    mega_violations = _check_mega_parity(scenarios, records)
+    memo_violations = _check_memo_parity(scenarios, records)
 
     failures = [
         {"name": r["name"], "violations": r["violations"]}
         for r in records
         if not r["ok"]
     ]
-    if mega_violations:
-        failures.append({"name": "<sweep>", "violations": mega_violations})
+    if memo_violations:
+        failures.append({"name": "<sweep>", "violations": memo_violations})
     if not records:
         # "0 scenarios, all green" must never happen silently: a typo'd
         # --filter in the reproduce-a-failure workflow would otherwise
@@ -308,7 +321,7 @@ def run_conformance(
         "recovered_scenarios": len(recovered),
         "timed_out_scenarios": sum(1 for r in records if r.get("timed_out")),
         "deterministic": all(r.get("deterministic") for r in records),
-        "mega_parity": all(r.get("mega_parity") for r in records),
+        "memo_parity": all(r.get("memo_parity") for r in records),
         "elapsed_s": time.perf_counter() - started,
     }
     return {

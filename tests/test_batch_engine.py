@@ -1,22 +1,20 @@
-"""``run_many`` and its solve memo: grid parity and the ``mega`` placement.
+"""The ``local`` placement's solve memo: grid parity and failure isolation.
 
-``SimulatedBackend.run_many`` runs its scenarios one after another, the
-chemical solvers of all its worlds sharing one
-:class:`~repro.problems.chemical.SolveMemo`, and promises results
+A ``local`` sweep on the simulated backend runs its units one after
+another, the chemical solvers of all their worlds sharing one
+:class:`~repro.problems.chemical.SolveMemo`, and promises records
 *bit-identical* to ``run()`` of each scenario -- iteration counts,
 virtual makespans, message and event counts, fault outcomes and
 solutions.  These tests pin that promise across generated seeds, both
-worker families (async AIAC and lockstep SISC), grids in every order
+worker families (async AIAC and lockstep SISC), grids in both orders
 (so the memo is filled by a different world each time), failing
-worlds, the ``mega`` sweep placement, and the process boundary a memo
-must never cross.
+worlds, the ``mega`` name of the placement, and the process boundary a
+memo must never cross.
 """
 
-import itertools
 import pickle
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,19 +30,37 @@ from repro.problems import chemical
 from repro.simgrid.process import ProcessState
 from repro.simgrid.world import ProcessFailure, World
 from repro.sweep import run_sweep
-from repro.sweep.placement import MegaPlacement, PlacementContext
+from repro.sweep.placement import LocalPlacement, PlacementContext, get_placement
 from repro.testing.generator import generate_scenarios
-from repro.testing.invariants import work_counters
 
 
-def _assert_parity(single, many):
-    assert work_counters(single) == work_counters(many)
-    assert np.array_equal(single.solution(), many.solution())
+def _essence(record):
+    """A record with every wall-clock field and the sweep index removed."""
+    rec = {k: v for k, v in record.items() if k not in ("elapsed", "index")}
+    rec["reports"] = [
+        {k: v for k, v in rep.items() if k != "elapsed"}
+        for rep in rec.get("reports", [])
+    ]
+    return rec
+
+
+def _assert_parity(scenario, record):
+    """A swept ``record`` equals ``run()`` of ``scenario`` (no memo) in
+    every field but wall time: work counters, events, makespan, faults
+    and solution bytes."""
+    single = SimulatedBackend().run(scenario).to_record(include_solution=True)
+    assert "error" not in record, record["error"]
+    assert _essence(record) == _essence(single)
+
+
+def _swept(scenarios, placement="local"):
+    """The records of one sweep of ``scenarios``: one shared memo."""
+    return run_sweep(scenarios, placement=placement, include_solution=True).records
 
 
 @pytest.fixture
 def memos(monkeypatch):
-    """Every memo ``run_many`` builds while the test runs, in order."""
+    """Every memo a ``local`` placement builds while the test runs, in order."""
     built = []
 
     class Recorded(chemical.SolveMemo):
@@ -56,25 +72,20 @@ def memos(monkeypatch):
     return built
 
 
-def _alone(scenario):
-    """One scenario under ``run_many``: its world has the memo to itself."""
-    return SimulatedBackend().run_many([scenario])[0]
-
-
 # ----------------------------------------------------------------------
-# one world under run_many
+# one world under a memo
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
 def test_batched_parity_generated_scenarios(seed):
-    """Each generator seed's first scenario: ``run_many`` == ``run``
-    bitwise, event total included.
+    """Each generator seed's first scenario: its ``local`` sweep record
+    == ``run()`` bitwise, event total included.
 
     Six seeds cover both problems, async and lockstep environments,
     fault plans and balancing -- the same grid ``repro conformance``
     sweeps.
     """
     scenario = generate_scenarios(1, seed=seed)[0]
-    _assert_parity(SimulatedBackend().run(scenario), _alone(scenario))
+    _assert_parity(scenario, *_swept([scenario]))
 
 
 def test_batched_parity_async_chemical(memos):
@@ -86,8 +97,7 @@ def test_batched_parity_async_chemical(memos):
         environment="pm2",
         n_ranks=3,
     )
-    single = SimulatedBackend().run(scenario)
-    _assert_parity(single, _alone(scenario))
+    _assert_parity(scenario, *_swept([scenario]))
     (memo,) = memos
     assert memo.hits > 0
 
@@ -148,6 +158,14 @@ def test_inline_iterate_failure_fails_the_process(poisoned_first):
 # ----------------------------------------------------------------------
 # grids
 # ----------------------------------------------------------------------
+_LOCKSTEP_CHEMICAL = dict(
+    problem="chemical",
+    problem_params={"nx": 8, "nz": 12, "t_end": 360.0},
+    environment="sync_mpi",
+    n_ranks=4,
+)
+
+
 def _speed_grid(n, **scenario_kwargs):
     return [
         Scenario(
@@ -161,46 +179,50 @@ def _speed_grid(n, **scenario_kwargs):
 
 def test_run_many_matches_run_per_scenario(memos):
     """A lock-step grid advances one trajectory on four speeds: the
-    first world fills the memo and the other three only read it."""
-    grid_kwargs = dict(
-        problem="chemical",
-        problem_params={"nx": 8, "nz": 12, "t_end": 360.0},
-        environment="sync_mpi",
-        n_ranks=4,
-    )
-    singles = [
-        SimulatedBackend().run(s) for s in _speed_grid(4, **grid_kwargs)
-    ]
-    many = SimulatedBackend().run_many(_speed_grid(4, **grid_kwargs))
-    assert len(many) == 4
-    for single, mega in zip(singles, many):
-        _assert_parity(single, mega)
+    first world fills the sweep's memo and the other three only read
+    it, and every record is still its scenario's own ``run()``."""
+    grid = _speed_grid(4, **_LOCKSTEP_CHEMICAL)
+    records = _swept(grid)
     (memo,) = memos
     assert len(memo) > 0 and memo.hits >= 3 * len(memo)
+    for scenario, record in zip(grid, records):
+        _assert_parity(scenario, record)
 
 
-class _Recording(SimulatedBackend):
-    """A simulated backend that keeps every result ``run_many`` built,
-    so a test can inspect the healthy worlds of a run that raised."""
+def test_local_chemical_cluster_sweep_shares_solves(memos):
+    """A chemical sweep over cluster latencies shares its Newton solves
+    through one memo per sweep: a second sweep of the same grid starts
+    from an empty memo of its own, and solves the same updates again."""
+    grid = [
+        Scenario(
+            problem="chemical",
+            problem_params={"nx": 6, "nz": 8, "t_end": 360.0},
+            environment="sync_mpi",
+            n_ranks=2,
+            cluster="uniform_cluster",
+            cluster_params={"latency": latency},
+        )
+        for latency in (1e-4, 1e-3, 1e-2)
+    ]
+    first = _swept(grid)
+    second = _swept(grid)
+    assert len(memos) == 2
+    for memo in memos:
+        assert len(memo) > 0 and memo.hits >= 2 * len(memo)
+    assert len(memos[0]) == len(memos[1]) and memos[0].hits == memos[1].hits
+    assert [_essence(r) for r in first] == [_essence(r) for r in second]
 
-    def __init__(self):
-        super().__init__()
-        self.wrapped = []
 
-    def _wrap(self, scenario, world, injector, started):
-        result = super()._wrap(scenario, world, injector, started)
-        self.wrapped.append(result)
-        return result
+def _poison_world(monkeypatch, scenario, index, after=2):
+    """Make the ``index``-th world built on ``scenario``'s problem
+    (counted by rank 0, so in sweep order) have rank 0 raise on its
+    ``after + 1``-th iterate: the shared problem instance's
+    ``make_local`` is patched for the test."""
+    problem = scenario.build_problem()
+    build, worlds = problem.make_local, [-1]
 
-
-def _poison_world(problem, index, after=2):
-    """A ``make_solver`` over ``problem`` whose ``index``-th world
-    (``run_many`` builds them in order, rank 0 first) has rank 0 raise
-    on its ``after + 1``-th iterate."""
-    worlds = [-1]
-
-    def make_solver(rank, size):
-        solver = problem.make_local(rank, size)
+    def make_local(rank, size):
+        solver = build(rank, size)
         if rank == 0:
             worlds[0] += 1
             if worlds[0] == index:
@@ -215,30 +237,32 @@ def _poison_world(problem, index, after=2):
                 solver.iterate = iterate
         return solver
 
-    return make_solver
+    monkeypatch.setattr(problem, "make_local", make_local)
 
 
-def test_run_many_isolates_failures():
-    """A failing world must not poison its siblings: the worlds after
-    it still run to completion before the failure is raised."""
+def _assert_poisoned(record):
+    assert record["error"].startswith("ProcessFailure")
+    assert "_Boom: poisoned solver" in record["traceback"]
+
+
+def test_run_many_isolates_failures(monkeypatch):
+    """A failing world must not poison its siblings: the unit after it
+    still runs to completion, and each settles on its own."""
     good = Scenario(problem="sparse_linear", environment="sync_mpi", n_ranks=2)
-    backend = _Recording()
-    with pytest.raises(ProcessFailure) as failure:
-        backend.run_many(
-            [good, good], make_solver=_poison_world(good.build_problem(), 0)
-        )
-    assert isinstance(failure.value.__cause__, _Boom)
-    (healthy,) = backend.wrapped
-    assert healthy.makespan == SimulatedBackend().run(good).makespan
+    other = good.derive(seed=1)
+    _poison_world(monkeypatch, good, 0)
+    poisoned, healthy = _swept([good, other])
+    _assert_poisoned(poisoned)
+    _assert_parity(other, healthy)
 
 
 @pytest.mark.parametrize("fails_last", [False, True])
-def test_run_many_isolates_a_failing_stackable_world(fails_last):
-    """Two worlds of one asynchronous chemical scenario share the memo.
-    The one whose rank 0 raises runs first (failing at once, after
-    filling the memo with its first solves) or last (failing near its
-    end, after reading the healthy world's entries).  Either way the
-    healthy world equals its own run."""
+def test_run_many_isolates_a_failing_stackable_world(monkeypatch, fails_last):
+    """Two units of one asynchronous chemical run share the memo.  The
+    one whose rank 0 raises runs first (failing at once, after filling
+    the memo with its first solves) or last (failing near its end,
+    after reading the healthy world's entries).  Either way the healthy
+    unit equals its own run."""
     # Two machines of different speeds: asynchronous ranks.
     scenario = Scenario(
         problem="chemical",
@@ -248,15 +272,15 @@ def test_run_many_isolates_a_failing_stackable_world(fails_last):
         cluster="ethernet_wan",
         cluster_params={"n_sites": 2, "machine_mix": ["duron_800", "p4_2400"]},
     )
+    twin = scenario.derive(seed=1)  # the same run as a distinct unit
     reference = SimulatedBackend().run(scenario)
     fuse = reference.reports[0].iterations - 10 if fails_last else 2
-    poisoned = _poison_world(scenario.build_problem(), int(fails_last), fuse)
-    backend = _Recording()
-    with pytest.raises(ProcessFailure) as failure:
-        backend.run_many([scenario, scenario], make_solver=poisoned)
-    assert isinstance(failure.value.__cause__, _Boom)
-    (healthy,) = backend.wrapped
-    _assert_parity(reference, healthy)
+    _poison_world(monkeypatch, scenario, int(fails_last), fuse)
+    units = [scenario, twin]
+    records = _swept(units)
+    _assert_poisoned(records[int(fails_last)])
+    monkeypatch.undo()
+    _assert_parity(units[1 - int(fails_last)], records[1 - int(fails_last)])
 
 
 _FAULTS = FaultPlan(
@@ -294,27 +318,20 @@ _grid_points = st.builds(
 )
 
 
-def _grid_orders(n):
-    """Every order of a small grid; for a larger one every rotation and
-    its reversal, so each world runs first, last and in between."""
-    if n <= 3:
-        return list(itertools.permutations(range(n)))
-    rotations = [tuple(range(k, n)) + tuple(range(k)) for k in range(n)]
-    return rotations + [order[::-1] for order in rotations]
-
-
-@settings(max_examples=12, deadline=None, derandomize=True)
-@given(grid=st.lists(_grid_points, min_size=1, max_size=6))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(grid=st.lists(_grid_points, min_size=1, max_size=4))
 def test_run_many_equals_per_scenario_runs_in_every_grid_order(grid):
-    """``run_many(grid)`` == ``[run(s) for s in grid]`` member by member
-    (every work counter, solution bytes), whatever the order: which
-    world fills the memo and which reads it must not matter."""
-    backend = SimulatedBackend()
-    singles = [backend.run(scenario) for scenario in grid]
-    for order in _grid_orders(len(grid)):
-        many = backend.run_many([grid[i] for i in order])
-        for i, mega in zip(order, many):
-            _assert_parity(singles[i], mega)
+    """Memo on == memo off: a ``local`` sweep of ``grid``, forwards and
+    backwards, gives each member its own ``run()`` record (every work
+    counter, solution bytes).  Which world fills the memo and which
+    reads it must not matter."""
+    singles = [
+        SimulatedBackend().run(s).to_record(include_solution=True) for s in grid
+    ]
+    for order in (list(range(len(grid))), list(reversed(range(len(grid))))):
+        records = _swept([grid[i] for i in order])
+        for i, record in zip(order, records):
+            assert _essence(record) == _essence(singles[i])
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +341,7 @@ def test_a_memo_never_crosses_a_process_boundary(monkeypatch):
     """A pickled solver carries no memo, and neither the ``pool``
     placement nor the ``process`` backend builds one: with the memo's
     constructor poisoned (forked children inherit it) both still run,
-    while ``run_many`` -- the control -- raises."""
+    while a ``local`` sweep -- the control -- raises."""
     solver = chemical.make_chemical_problem(nx=6, nz=8, t_end=180.0).make_local(0, 2)
     solver.memo = chemical.SolveMemo()
     assert pickle.loads(pickle.dumps(solver)).memo is None
@@ -333,58 +350,44 @@ def test_a_memo_never_crosses_a_process_boundary(monkeypatch):
         raise _Boom("a memo was built")
 
     monkeypatch.setattr(chemical.SolveMemo, "__init__", refuse)
-    point = dict(
-        problem="chemical",
-        problem_params={"nx": 6, "nz": 8, "t_end": 180.0},
-        environment="pm2",
-        n_ranks=2,
-    )
+    points = [
+        dict(
+            problem="chemical",
+            problem_params={"nx": 6, "nz": 8, "t_end": 180.0},
+            environment="pm2",
+            n_ranks=2,
+            seed=seed,
+        )
+        for seed in (0, 1)
+    ]
     with pytest.raises(_Boom):
-        SimulatedBackend().run_many([Scenario.from_dict(point)])
-    pooled = run_sweep([point], placement="pool", processes=1, timeout=60.0)
-    assert not pooled.errors and pooled.records[0]["converged"]
+        run_sweep(points, placement="local")
+    # Two distinct units: a pool sweep of one unit runs it locally.
+    pooled = run_sweep(points, placement="pool", processes=1, timeout=60.0)
+    assert not pooled.errors and all(r["converged"] for r in pooled.records)
     result = ProcessBackend(timeout=60.0, start_method="fork").run(
-        Scenario.from_dict(point)
+        Scenario.from_dict(points[0])
     )
     assert result.converged
 
 
 # ----------------------------------------------------------------------
-# mega placement
+# the placement
 # ----------------------------------------------------------------------
-def _record_essence(record):
-    """A record with every wall-clock field removed."""
-    rec = {k: v for k, v in record.items() if k != "elapsed"}
-    rec["reports"] = [
-        {k: v for k, v in rep.items() if k != "elapsed"}
-        for rep in rec.get("reports", [])
-    ]
-    return rec
-
-
 def test_mega_placement_records_match_local():
-    grid = [
-        dict(
-            problem="chemical",
-            problem_params={"nx": 8, "nz": 12, "t_end": 360.0},
-            environment="sync_mpi",
-            n_ranks=4,
-            cluster="local_cluster",
-            cluster_params={"speed_scale": 0.8 + 0.05 * i, "n_hosts": 4},
-        )
-        for i in range(4)
-    ]
-    local = run_sweep(grid, placement="local", include_solution=True)
+    """``mega`` -- the name the benchmark's grid sweep uses -- is the
+    ``local`` placement: its records are each scenario's ``run()``."""
+    grid = _speed_grid(4, **_LOCKSTEP_CHEMICAL)
     mega = run_sweep(grid, placement="mega", include_solution=True)
     assert mega.counters["executed"] == 4
     assert not mega.errors
-    for a, b in zip(local.records, mega.records):
-        assert _record_essence(a) == _record_essence(b)
+    for scenario, record in zip(grid, mega.records):
+        _assert_parity(scenario, record)
 
 
 def test_mega_placement_attributes_failures_per_unit():
-    """A unit that breaks the whole batch settles as *its* error; the
-    healthy units still settle done through the per-unit fallback."""
+    """A unit that fails settles as *its* error; the healthy units
+    still settle done."""
     good = dict(problem="sparse_linear", environment="sync_mpi", n_ranks=2)
     # Valid at validation time, fails inside the backend: more ranks
     # than hosts is only detected when the world is built.
@@ -394,22 +397,22 @@ def test_mega_placement_attributes_failures_per_unit():
         n_ranks=6,
         cluster_params={"n_hosts": 2},
     )
-    outcome = run_sweep([good, bad], placement="mega")
+    outcome = run_sweep([good, bad], placement="local")
     assert "error" not in outcome.records[0]
     assert "error" in outcome.records[1]
     assert "hosts" in outcome.records[1]["error"]
 
 
-def test_mega_placement_refuses_non_simulated_backends():
-    placement = MegaPlacement(PlacementContext(backend="threaded"))
-    with pytest.raises(ValueError, match="run_many"):
-        placement.start()
-
-
 def test_mega_placement_keeps_the_backend_it_was_given():
-    """The placement has no flag to force, and its per-unit fallback
-    runs the backend as-is."""
+    """``mega`` is a second name of ``local``, which runs the backend
+    it was given as-is and builds a memo only for a simulated one."""
+    assert get_placement("mega") is LocalPlacement
+    assert LocalPlacement.name == "local"
     backend = SimulatedBackend()
-    placement = MegaPlacement(PlacementContext(backend=backend))
+    placement = LocalPlacement(PlacementContext(backend=backend))
     placement.start()
     assert placement._backend is backend
+    assert isinstance(placement._memo, chemical.SolveMemo)
+    threaded = LocalPlacement(PlacementContext(backend="threaded"))
+    threaded.start()
+    assert threaded._memo is None

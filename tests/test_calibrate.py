@@ -18,24 +18,23 @@ from repro.api.backends import SimulatedBackend
 from repro.calibrate import (
     CalibrationDriftError,
     CalibrationError,
-    CalibrationObjective,
     assert_no_drift,
     build_preset,
     check_drift,
-    clamp_params,
-    coordinate_descent,
-    default_battery,
-    fit,
     load_preset,
+    register_preset,
+    write_preset,
+)
+from repro.calibrate.measure import (
+    REFERENCE_SCHEMA,
+    default_battery,
     load_reference,
     measure_battery,
-    register_preset,
     tiny_battery,
-    warm_start_speed,
-    write_preset,
     write_reference,
 )
-from repro.calibrate.measure import REFERENCE_SCHEMA
+from repro.calibrate.objective import CalibrationObjective
+from repro.calibrate.search import clamp_params, coordinate_descent, fit, warm_start_speed
 from repro.clusters import get_cluster, list_clusters
 
 GROUND_TRUTH = {"speed": 3.0e7, "latency": 2.0e-4, "bandwidth": 5.0e6}
@@ -54,14 +53,6 @@ def synthetic_reference():
         for s in _synthetic_battery()
     ]
     return measure_battery(battery, backend="simulated", repeats=1)
-
-
-def test_dir_lists_the_lazily_loaded_names():
-    import repro.calibrate as calibrate
-
-    names = dir(calibrate)
-    assert {"fit", "measure_battery", "CalibrationObjective"} <= set(names)
-    assert names == sorted(names)
 
 
 # ---------------------------------------------------------------------------

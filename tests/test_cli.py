@@ -129,7 +129,7 @@ def test_bad_input_exits_2(argv, message, grid, closed_port, capsys):
 @pytest.fixture(scope="module")
 def calibration(tmp_path_factory):
     """A one-entry simulated reference and the preset fitted to it."""
-    from repro.calibrate import default_battery, measure_battery, write_reference
+    from repro.calibrate.measure import default_battery, measure_battery, write_reference
 
     root = tmp_path_factory.mktemp("calibration")
     battery = [

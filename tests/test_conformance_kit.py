@@ -131,7 +131,7 @@ def test_small_conformance_sweep_passes():
     assert report["passed"], report["failures"]
     assert report["summary"]["scenarios"] == 4
     assert report["summary"]["deterministic"]
-    assert report["summary"]["mega_parity"]
+    assert report["summary"]["memo_parity"]
     assert report["summary"]["timed_out_scenarios"] == 0
     assert all(r["threaded"] is not None for r in report["scenarios"])
     assert all(r["process"] is not None for r in report["scenarios"])
@@ -159,21 +159,24 @@ def test_scenario_conformance_captures_backend_exceptions():
 
 
 def test_mega_leg_fails_the_run_on_a_member_that_disagrees(monkeypatch):
-    """The whole battery goes through one ``run_many``; a member whose
-    mega result is not its scalar result fails the run by name."""
-    from repro.api import SimulatedBackend
+    """The whole battery goes through one ``local`` sweep; a member whose
+    swept record is not its own run fails the run by name."""
+    import repro.sweep
 
-    def rotated(self, scenarios, make_solver=None):
-        results = [self.run(s) for s in scenarios]
-        return results[1:] + results[:1]
+    sweep = repro.sweep.run_sweep
 
-    monkeypatch.setattr(SimulatedBackend, "run_many", rotated)
+    def rotated(scenarios, **kwargs):
+        outcome = sweep(scenarios, **kwargs)
+        outcome.records[:] = outcome.records[1:] + outcome.records[:1]
+        return outcome
+
+    monkeypatch.setattr(repro.sweep, "run_sweep", rotated)
     report = run_conformance(n=3, seed=0, threaded=False, process=False)
     assert not report["passed"]
     assert report["summary"]["deterministic"]
-    assert not report["summary"]["mega_parity"]
+    assert not report["summary"]["memo_parity"]
     assert all(
-        any("mega/scalar parity broken" in v for v in failure["violations"])
+        any("memo parity broken" in v for v in failure["violations"])
         for failure in report["failures"]
     )
 

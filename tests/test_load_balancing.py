@@ -47,8 +47,13 @@ def test_weighted_partition_equal_weights_match_block_partition():
 
 
 def test_weighted_partition_validation():
-    for weights, n in (([], 10), ([1.0, -1.0], 10), ([1.0, 1.0, 1.0], 2)):
-        with pytest.raises(ValueError):
+    for weights, n, message in (
+        ([], 10, "at least one weight"),
+        ([1.0, -1.0], 10, "positive"),
+        ([1.0, 1.0, 1.0], 2, "more blocks"),
+        ([1.0], 0, r"more blocks \(1\) than elements \(0\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
             BlockPartition.weighted(n, weights)
     part = BlockPartition.weighted(10, [1.0, 3.0])
     for block in (-1, 2):
