@@ -4,8 +4,8 @@
 Solves the two-species advection-diffusion system (stratospheric ozone
 photochemistry) with implicit Euler + multisplitting Newton + GMRES:
 first sequentially, then in parallel via a declarative
-:class:`repro.api.Scenario` with the AIAC stepped workers on a
-simulated grid, comparing the two solutions.
+:class:`repro.api.Scenario` with the AIAC worker, driven time step by
+time step, on a simulated grid, comparing the two solutions.
 
 Run:  python examples/chemical_kinetics.py
 Illustrates:  docs/scenarios.md (problem registry + options derivation)
@@ -33,8 +33,9 @@ def main() -> None:
     print(f"final: c1 max {reference[0].max():.3e} (photochemical quenching), "
           f"c2 max {reference[1].max():.3e}\n")
 
-    # The parallel run as a value: algorithm="auto" resolves to the
-    # stepped AIAC worker because the chemical problem is time-stepped.
+    # The parallel run as a value: algorithm="auto" resolves to the AIAC
+    # worker, which runs one barrier-separated inner process per time
+    # step because the chemical solver has n_steps.
     scenario = Scenario(
         problem="chemical",
         problem_params=dict(nx=16, nz=24, t_end=540.0),

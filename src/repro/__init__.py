@@ -26,9 +26,7 @@ items.
 from repro.core import (
     AIACOptions,
     WorkerReport,
-    aiac_stepped_worker,
     aiac_worker,
-    sisc_stepped_worker,
     sisc_worker,
 )
 from repro.api import (
@@ -48,9 +46,7 @@ __all__ = [
     "RunResult",
     "WorkerReport",
     "aiac_worker",
-    "aiac_stepped_worker",
     "sisc_worker",
-    "sisc_stepped_worker",
     "Scenario",
     "SimulatedBackend",
     "ThreadedBackend",

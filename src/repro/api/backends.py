@@ -103,7 +103,7 @@ def scenario_coroutine_factory(
     balancing plans.
     """
     problem = scenario.build_problem()
-    worker = get_worker(scenario.resolve_worker(problem))
+    worker = get_worker(scenario.resolve_worker())
     opts = scenario.resolved_options(problem)
     factory = make_solver or problem.make_local
     make_balancer = None

@@ -67,9 +67,10 @@ class Scenario:
         Name in the cluster-preset registry plus builder keyword
         arguments; ``n_hosts`` defaults to ``n_ranks``.
     algorithm:
-        A worker registry name (``"aiac"``, ``"sisc"``, ...), or
-        ``"auto"`` to follow the paper's convention: the environment's
-        default worker, stepped if the problem is time-stepped.
+        A worker registry name (``"aiac"``, ``"sisc"``, or a custom
+        registered worker), or ``"auto"`` to follow the paper's
+        convention: the environment's default worker.  Either protocol
+        runs single-level and time-stepped problems alike.
     options:
         Protocol knobs; ``None`` derives sensible defaults from the
         problem configuration (its ``eps``/``inner_eps``,
@@ -235,20 +236,16 @@ class Scenario:
         params.setdefault("n_hosts", self.n_ranks)
         return get_cluster(self.cluster, **params)
 
-    def resolve_worker(self, problem: Optional[Any] = None) -> str:
+    def resolve_worker(self) -> str:
         """The concrete worker name this scenario runs.
 
         ``"auto"`` follows the paper: the environment's default worker
         (the synchronous baseline runs SISC, the multi-threaded
-        environments run AIAC), stepped when the problem is
-        time-stepped.
+        environments run AIAC).
         """
         if self.algorithm != "auto":
             return self.algorithm
-        if problem is None:
-            problem = self.build_problem()
-        stepped = bool(getattr(problem, "stepped", self.kind == "chemical"))
-        return self.build_environment().default_worker(stepped)
+        return self.build_environment().default_worker()
 
     def resolved_options(self, problem: Optional[Any] = None) -> AIACOptions:
         """Explicit options, or defaults derived from the problem config."""

@@ -65,33 +65,32 @@ def compile_plan(
     ``engine_factory(rank, size)`` builds per-rank
     :class:`MigrationEngine` instances.  Raises ``ValueError`` when the
     scenario's worker or problem cannot support migration -- balancing
-    needs the asynchronous single-level worker (``"aiac"``) and a
-    problem exposing ``make_migratable``.
+    needs the asynchronous worker (``"aiac"``) and a problem exposing
+    ``make_migratable``, also when ``make_solver`` overrides the solver
+    factory (a time-stepped problem, such as the chemical one, keeps
+    its static partition).
     """
     plan = scenario.balancer
     if plan is None:
         raise ValueError("scenario carries no balancing plan")
-    worker = scenario.resolve_worker(problem)
+    worker = scenario.resolve_worker()
     if worker != "aiac":
         raise ValueError(
             f"load balancing requires the 'aiac' worker, but this scenario "
-            f"resolves to {worker!r} (synchronous and stepped workers keep "
-            "their static partition)"
+            f"resolves to {worker!r} (a synchronous worker keeps its "
+            "static partition)"
         )
-    if make_solver is None:
-        factory = getattr(problem, "make_migratable", None)
-        if factory is None:
-            raise ValueError(
-                f"problem {scenario.problem!r} does not support row "
-                "migration (no make_migratable factory)"
-            )
-    else:
-        factory = make_solver
+    factory = getattr(problem, "make_migratable", None)
+    if factory is None:
+        raise ValueError(
+            f"problem {scenario.problem!r} does not support row "
+            "migration (no make_migratable factory)"
+        )
 
     def engine_factory(rank: int, size: int) -> MigrationEngine:
         return MigrationEngine(plan, rank, size)
 
-    return factory, engine_factory
+    return make_solver or factory, engine_factory
 
 
 __all__ = [

@@ -20,9 +20,11 @@ This package is the paper's primary contribution rebuilt as a library:
 * :mod:`repro.core.comm` -- the asynchronous send scheduler with the
   skip-send rule ("data are actually sent only if any previous sending
   of the same data to the same destination is terminated");
-* :mod:`repro.core.aiac` -- the AIAC worker coroutines (single-level
-  and time-stepped variants, Section 4.3): the effects around a Detector;
-* :mod:`repro.core.sisc` -- the synchronous (SISC) counterparts used as
+* :mod:`repro.core.aiac` -- the AIAC worker coroutine (the effects
+  around a Detector) and the step driver it shares with SISC: the
+  solver's shape picks a single iterative process or Section 4.3's
+  time-step loop;
+* :mod:`repro.core.sisc` -- the synchronous (SISC) counterpart used as
   the paper's baseline;
 * :mod:`repro.core.run` -- the worker registry every backend resolves
   a scenario's algorithm through.
@@ -37,8 +39,8 @@ from repro.core.model import (
 )
 from repro.core.convergence import Detector
 from repro.core.comm import SendScheduler
-from repro.core.aiac import AIACOptions, WorkerReport, aiac_worker, aiac_stepped_worker
-from repro.core.sisc import sisc_worker, sisc_stepped_worker
+from repro.core.aiac import AIACOptions, WorkerReport, aiac_worker
+from repro.core.sisc import sisc_worker
 
 __all__ = [
     "AsyncSchedule",
@@ -51,7 +53,5 @@ __all__ = [
     "AIACOptions",
     "WorkerReport",
     "aiac_worker",
-    "aiac_stepped_worker",
     "sisc_worker",
-    "sisc_stepped_worker",
 ]

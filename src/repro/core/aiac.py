@@ -9,26 +9,23 @@ termination protocol -- tells it to.  The coroutine yields
 :mod:`repro.core.effects` objects, so the same code runs on the
 discrete-event simulator and on the real-thread runtime.
 
-Two variants are provided:
-
-* :func:`aiac_worker` -- single-level iterative problems (the sparse
-  linear system);
-* :func:`aiac_stepped_worker` -- time-stepped problems with an inner
-  iterative process per step and a synchronisation barrier between
-  steps (the non-linear chemical problem).
+One worker serves every problem: :func:`_drive_steps` gives it the
+time-step loop of Section 4.3 when the solver is time-stepped (the
+non-linear chemical problem) and a single iterative process otherwise
+(the sparse linear system).  The SISC worker shares the same driver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator, Optional
 
 import numpy as np
 
 from repro.core.comm import SendScheduler
 from repro.core.convergence import Detector
 from repro.core.effects import Barrier, Drain, Iterate, Now, Recv, Send, Trace
-from repro.problems.base import LocalSolver, SteppedLocalSolver
+from repro.problems.base import LocalSolver
 
 
 @dataclass(frozen=True)
@@ -181,6 +178,39 @@ def _aiac_inner(
     return detector, scheduler, meta
 
 
+def _drive_steps(solver: LocalSolver, inner: Callable[[str], Generator]) -> Generator:
+    """Run ``inner(tag_suffix)``, one protocol's inner loop, in the shape
+    the solver calls for; return ``(elapsed, outcomes, stepped)``.
+
+    A solver with ``n_steps`` (duck-typed, so a delegating proxy
+    qualifies) runs Section 4.3's loop: a barrier synchronises all
+    processors at each time step, the inner process runs to
+    convergence, and a halo exchange hands the converged boundary to
+    the neighbours before the next step.  Any other solver runs one
+    inner process after the startup exchange and barrier ("only the
+    first iteration begins at the same time").  ``outcomes`` holds
+    what ``inner`` returned, one per step.
+    """
+    start = yield Now()
+    n_steps = getattr(solver, "n_steps", None)  # duck-typed: proxies delegate
+    if n_steps is None:
+        yield from _initial_exchange(solver, "init")
+        yield Barrier()
+        outcomes = [(yield from inner(""))]
+    else:
+        yield from _initial_exchange(solver, "halo:init")
+        outcomes = []
+        for step in range(n_steps):
+            yield Barrier()
+            solver.begin_step(step)
+            outcomes.append((yield from inner(f":{step}")))
+            yield from _initial_exchange(solver, f"halo:{step}")
+            solver.end_step(step)
+        yield Barrier()
+    end = yield Now()
+    return end - start, outcomes, n_steps is not None
+
+
 def aiac_worker(
     rank: int,
     size: int,
@@ -188,94 +218,45 @@ def aiac_worker(
     opts: Optional[AIACOptions] = None,
     balancer: Optional[Any] = None,
 ) -> Generator:
-    """AIAC worker for single-level problems (the sparse linear system).
+    """The AIAC worker, for single-level and time-stepped problems alike.
 
-    ``balancer`` (a :class:`repro.balancing.MigrationEngine`) enables
-    in-band dynamic load balancing; the solver must then support row
-    migration (``give_rows``/``take_rows``).  The final row range and
-    migration counters land in the report meta (``"rows"`` /
+    A time-stepped run converges only if the coordinator stopped every
+    step; its counters are summed over the steps and its meta carries
+    ``"per_step_iterations"``.  ``balancer`` (a
+    :class:`repro.balancing.MigrationEngine`) enables in-band dynamic
+    load balancing on a solver that supports row migration; the final
+    row range and migration counters land in the meta (``"rows"`` /
     ``"balancing"``).
     """
     opts = opts or AIACOptions()
-    start = yield Now()
-    yield from _initial_exchange(solver, "init")
-    yield Barrier()  # "only the first iteration begins at the same time"
-    detector, scheduler, meta = yield from _aiac_inner(rank, size, solver, opts, "", balancer)
-    end = yield Now()
+    elapsed, outcomes, stepped = yield from _drive_steps(
+        solver, lambda suffix: _aiac_inner(rank, size, solver, opts, suffix, balancer)
+    )
+    detectors = [detector for detector, _, _ in outcomes]
+    schedulers = [scheduler for _, scheduler, _ in outcomes]
+    last = detectors[-1]
+    meta = dict(outcomes[-1][2])
+    if stepped:
+        converged = stopped = all(detector.stopped for detector in detectors)
+        meta["per_step_iterations"] = [detector.iterations for detector in detectors]
+    else:
+        converged, stopped = last.converged, last.stopped
     if balancer is not None:
-        meta = dict(meta)
         meta["rows"] = list(solver.row_range)
         meta["balancing"] = balancer.summary()
     return WorkerReport(
         rank=rank,
-        iterations=detector.iterations,
-        converged=detector.converged,
-        stopped_by_coordinator=detector.stopped,
-        elapsed=end - start,
-        residual=detector.residual,
+        iterations=sum(detector.iterations for detector in detectors),
+        converged=converged,
+        stopped_by_coordinator=stopped,
+        elapsed=elapsed,
+        residual=last.residual,
         solution=solver.local_solution(),
-        sends=scheduler.sent,
-        skipped_sends=scheduler.skipped,
-        state_messages=detector.reports,
+        sends=sum(scheduler.sent for scheduler in schedulers),
+        skipped_sends=sum(scheduler.skipped for scheduler in schedulers),
+        state_messages=sum(detector.reports for detector in detectors),
         meta=meta,
     )
 
 
-def aiac_stepped_worker(
-    rank: int,
-    size: int,
-    solver: SteppedLocalSolver,
-    opts: Optional[AIACOptions] = None,
-) -> Generator:
-    """AIAC worker for time-stepped problems (the chemical problem).
-
-    Per Section 4.3: a barrier synchronises all processors at each time
-    step (the concentrations of the previous step must be fully known);
-    *within* a step the computations run asynchronously, terminated by
-    the same centralized convergence detection; then a final halo
-    exchange and barrier prepare the next step.
-    """
-    opts = opts or AIACOptions()
-    start = yield Now()
-    yield from _initial_exchange(solver, "halo:init")
-    all_stopped = True
-    residual = float("inf")
-    meta: Dict[str, Any] = {}
-    per_step_iterations = []
-    sends = skipped = state_messages = 0  # summed over the steps
-
-    for step in range(solver.n_steps):
-        yield Barrier()
-        solver.begin_step(step)
-        detector, scheduler, meta = yield from _aiac_inner(rank, size, solver, opts, f":{step}")
-        # Make the converged boundary data of this step available to
-        # the neighbours before anyone starts the next step.
-        yield from _initial_exchange(solver, f"halo:{step}")
-        solver.end_step(step)
-        all_stopped = all_stopped and detector.stopped
-        residual = detector.residual
-        per_step_iterations.append(detector.iterations)
-        sends += scheduler.sent
-        skipped += scheduler.skipped
-        state_messages += detector.reports
-
-    yield Barrier()
-    end = yield Now()
-    meta = dict(meta)
-    meta["per_step_iterations"] = per_step_iterations
-    return WorkerReport(
-        rank=rank,
-        iterations=sum(per_step_iterations),
-        converged=all_stopped,
-        stopped_by_coordinator=all_stopped,
-        elapsed=end - start,
-        residual=residual,
-        solution=solver.local_solution(),
-        sends=sends,
-        skipped_sends=skipped,
-        state_messages=state_messages,
-        meta=meta,
-    )
-
-
-__all__ = ["AIACOptions", "WorkerReport", "aiac_worker", "aiac_stepped_worker"]
+__all__ = ["AIACOptions", "WorkerReport", "aiac_worker"]

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from typing import Callable, List
 
-from repro.core.aiac import aiac_worker, aiac_stepped_worker
-from repro.core.sisc import sisc_worker, sisc_stepped_worker
+from repro.core.aiac import aiac_worker
+from repro.core.sisc import sisc_worker
 from repro.registry import Registry
 
 WORKER_REGISTRY = Registry("worker")
@@ -37,8 +37,6 @@ def list_workers() -> List[str]:
 
 register_worker("aiac")(aiac_worker)
 register_worker("sisc")(sisc_worker)
-register_worker("aiac_stepped")(aiac_stepped_worker)
-register_worker("sisc_stepped")(sisc_stepped_worker)
 
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""SISC worker coroutines -- the paper's synchronous baseline.
+"""The SISC worker coroutine -- the paper's synchronous baseline.
 
 SISC (Synchronous Iterations, Synchronous Communications): all
 processors begin the same iteration at the same time and exchange data
@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
-from repro.core.aiac import AIACOptions, WorkerReport, _initial_exchange
-from repro.core.effects import Barrier, Iterate, Now, Recv, Send
-from repro.problems.base import LocalSolver, SteppedLocalSolver
+from repro.core.aiac import AIACOptions, WorkerReport, _drive_steps
+from repro.core.effects import Iterate, Recv, Send
+from repro.problems.base import LocalSolver
 
 
 def _allreduce_max(
@@ -114,69 +114,30 @@ def sisc_worker(
     solver: LocalSolver,
     opts: Optional[AIACOptions] = None,
 ) -> Generator:
-    """SISC worker for single-level problems (the sparse linear system)."""
+    """The SISC worker, for single-level and time-stepped problems alike.
+
+    A time-stepped run counts as converged only if every step did, and
+    its report meta carries ``"per_step_iterations"``.
+    """
     opts = opts or AIACOptions()
-    start = yield Now()
-    yield from _initial_exchange(solver, "init")
-    yield Barrier()
-    iterations, converged, residual, meta = yield from _sisc_inner(
-        rank, size, solver, opts, suffix=""
+    elapsed, outcomes, stepped = yield from _drive_steps(
+        solver, lambda suffix: _sisc_inner(rank, size, solver, opts, suffix)
     )
-    end = yield Now()
+    converged = all(step_converged for _, step_converged, _, _ in outcomes)
+    _, _, residual, meta = outcomes[-1]
+    meta = dict(meta)
+    if stepped:
+        meta["per_step_iterations"] = [iterations for iterations, _, _, _ in outcomes]
     return WorkerReport(
         rank=rank,
-        iterations=iterations,
+        iterations=sum(iterations for iterations, _, _, _ in outcomes),
         converged=converged,
         stopped_by_coordinator=converged,
-        elapsed=end - start,
+        elapsed=elapsed,
         residual=residual,
         solution=solver.local_solution(),
         meta=meta,
     )
 
 
-def sisc_stepped_worker(
-    rank: int,
-    size: int,
-    solver: SteppedLocalSolver,
-    opts: Optional[AIACOptions] = None,
-) -> Generator:
-    """SISC worker for time-stepped problems (the chemical problem)."""
-    opts = opts or AIACOptions()
-    start = yield Now()
-    yield from _initial_exchange(solver, "halo:init")
-    total_iterations = 0
-    all_converged = True
-    residual = float("inf")
-    meta: Dict[str, Any] = {}
-    per_step_iterations = []
-
-    for step in range(solver.n_steps):
-        yield Barrier()
-        solver.begin_step(step)
-        iterations, converged, residual, meta = yield from _sisc_inner(
-            rank, size, solver, opts, suffix=f":{step}"
-        )
-        yield from _initial_exchange(solver, f"halo:{step}")
-        solver.end_step(step)
-        total_iterations += iterations
-        all_converged = all_converged and converged
-        per_step_iterations.append(iterations)
-
-    yield Barrier()
-    end = yield Now()
-    meta = dict(meta)
-    meta["per_step_iterations"] = per_step_iterations
-    return WorkerReport(
-        rank=rank,
-        iterations=total_iterations,
-        converged=all_converged,
-        stopped_by_coordinator=all_converged,
-        elapsed=end - start,
-        residual=residual,
-        solution=solver.local_solution(),
-        meta=meta,
-    )
-
-
-__all__ = ["sisc_worker", "sisc_stepped_worker"]
+__all__ = ["sisc_worker"]

@@ -189,11 +189,9 @@ class Environment:
             rendezvous_threshold=self.rendezvous.get(problem, float("inf")),
         )
 
-    def default_worker(self, stepped: bool) -> str:
+    def default_worker(self) -> str:
         """Worker kind this environment is benchmarked with."""
-        if self.supports_asynchronous:
-            return "aiac_stepped" if stepped else "aiac"
-        return "sisc_stepped" if stepped else "sisc"
+        return "aiac" if self.supports_asynchronous else "sisc"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Environment {self.name}>"

@@ -4,9 +4,11 @@ The AIAC and SISC workers of :mod:`repro.core` are generic: they drive
 any object implementing :class:`LocalSolver` (single-level iterative
 problems, e.g. the sparse linear system) or :class:`SteppedLocalSolver`
 (time-stepped problems with an inner iterative process per step, e.g.
-the chemical problem).  This is the concrete form of the paper's
-comparison discipline: the *same* computation scheme runs under every
-environment and both synchronisation modes.
+the chemical problem).  The solver's shape picks the step loop: a
+solver with ``n_steps`` runs one inner process per time step, so each
+protocol has one worker for both.  This is the concrete form of the
+paper's comparison discipline: the *same* computation scheme runs under
+every environment and both synchronisation modes.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class SteppedLocalSolver(LocalSolver):
     @property
     @abc.abstractmethod
     def n_steps(self) -> int:
-        """Number of outer time steps."""
+        """Number of outer time steps (at least one)."""
 
     @abc.abstractmethod
     def begin_step(self, step: int) -> None:

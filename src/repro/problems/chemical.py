@@ -318,10 +318,6 @@ def _strip_rhs_kernel(
 class ChemicalProblem:
     """Grid, right-hand side and sequential reference solver."""
 
-    #: Outer time-step loop with an inner iterative process per step:
-    #: the ``*_stepped`` workers apply.
-    stepped = True
-
     def __init__(self, config: ChemicalConfig) -> None:
         if config.nx < 3 or config.nz < 3:
             raise ValueError("grid must be at least 3 x 3")

@@ -95,9 +95,6 @@ def spread_offsets(n: int, n_diagonals: int) -> Tuple[int, ...]:
 class SparseLinearProblem:
     """An instance of the problem: matrix, right-hand side, true solution."""
 
-    #: Single-level iterative process: the plain (non-stepped) workers apply.
-    stepped = False
-
     def __init__(self, config: SparseLinearConfig) -> None:
         self.config = config
         rng = np.random.default_rng(config.seed)

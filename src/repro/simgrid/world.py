@@ -20,7 +20,8 @@ from repro.simgrid.process import Process, ProcessState
 
 
 class ProcessFailure(RuntimeError):
-    """A simulated process raised; re-raised with context at run()."""
+    """A simulated process raised; re-raised at run() naming the process
+    and the cause's type and message (the cause is also chained)."""
 
 
 class World:
@@ -116,7 +117,8 @@ class World:
         if self._failure is not None:
             proc = self._failed_process
             raise ProcessFailure(
-                f"process {proc.name if proc else '?'} failed"
+                f"process {proc.name if proc else '?'} failed: "
+                f"{type(self._failure).__name__}: {self._failure}"
             ) from self._failure
         unfinished = [p for p in self.processes.values() if p.state is not ProcessState.DONE]
         if unfinished and until is None and max_events is None:

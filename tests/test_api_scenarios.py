@@ -108,8 +108,29 @@ def test_scenario_auto_algorithm_follows_paper():
         environment="pm2",
         n_ranks=2,
     )
-    assert chemical.resolve_worker() == "aiac_stepped"
-    assert chemical.derive(environment="sync_mpi").resolve_worker() == "sisc_stepped"
+    assert chemical.resolve_worker() == "aiac"
+    assert chemical.derive(environment="sync_mpi").resolve_worker() == "sisc"
+
+
+@pytest.mark.parametrize("environment, worker", [("pm2", "aiac"), ("sync_mpi", "sisc")])
+def test_a_named_protocol_runs_a_chemical_scenario_as_auto_does(environment, worker):
+    """The solver's shape picks the step loop, so naming the protocol
+    runs the time-stepped problem exactly as ``"auto"`` does."""
+    auto = Scenario(
+        problem="chemical",
+        problem_params=dict(nx=6, nz=6, t_end=360.0),
+        environment=environment,
+        n_ranks=2,
+    )
+    records = [
+        SimulatedBackend().run(scenario).to_record(include_solution=True)
+        for scenario in (auto, auto.derive(algorithm=worker))
+    ]
+    for record in records:
+        for key in ("elapsed", "scenario", "scenario_hash"):
+            record.pop(key)
+    assert records[0] == records[1]
+    assert records[0]["converged"]
 
 
 def test_scenario_network_sized_to_ranks():
@@ -135,6 +156,8 @@ def test_registry_error_messages_name_known_entries():
         get_cluster("no_such_cluster")
     with pytest.raises(KeyError, match="aiac"):
         get_worker("no_such_worker")
+    with pytest.raises(KeyError, match=r"known: \['aiac', 'sisc'\]"):
+        Scenario(problem="chemical", algorithm="aiac_stepped")
     with pytest.raises(KeyError, match="simulated"):
         get_backend("no_such_backend")
 
@@ -143,7 +166,7 @@ def test_registry_listings_contain_builtins():
     assert {"sparse_linear", "chemical"} <= set(list_problems())
     assert {"ethernet_wan", "ethernet_adsl", "local_cluster",
             "uniform_cluster"} <= set(list_clusters())
-    assert {"aiac", "sisc", "aiac_stepped", "sisc_stepped"} <= set(list_workers())
+    assert {"aiac", "sisc"} <= set(list_workers())
     assert {"simulated", "threaded"} <= set(list_backends())
 
 

@@ -132,6 +132,9 @@ def test_balancer_requires_a_migratable_problem():
                         balancer=BalancingPlan(policy="diffusion"))
     with pytest.raises(ValueError, match="migration"):
         SimulatedBackend().run(scenario)
+    # A make_solver override does not let the time-stepped problem in.
+    with pytest.raises(ValueError, match="migration"):
+        SimulatedBackend().run(scenario, make_solver=scenario.build_problem().make_local)
 
 
 # ----------------------------------------------------------------------

@@ -49,10 +49,9 @@ def test_duplicate_registration_rejected():
 
 
 def test_default_worker_selection():
-    assert get_environment("sync_mpi").default_worker(stepped=False) == "sisc"
-    assert get_environment("sync_mpi").default_worker(stepped=True) == "sisc_stepped"
-    assert get_environment("pm2").default_worker(stepped=False) == "aiac"
-    assert get_environment("omniorb").default_worker(stepped=True) == "aiac_stepped"
+    assert get_environment("sync_mpi").default_worker() == "sisc"
+    assert get_environment("pm2").default_worker() == "aiac"
+    assert get_environment("omniorb").default_worker() == "aiac"
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +114,7 @@ def test_thread_policy_describe_wording():
 
 #: SHA-1 of every environment's policies and traits; any changed
 #: calibration constant, thread count or trait changes it.
-ENVIRONMENT_TABLE_SHA1 = "ec2e10bb516a34c02d738645290479ba1a9912b4"
+ENVIRONMENT_TABLE_SHA1 = "a35ad3c607de4bdc4704f223ba0f95ec3b453e0a"
 
 
 def test_environment_table_is_pinned():
@@ -134,8 +133,7 @@ def test_environment_table_is_pinned():
             env.display_name,
             env.multithreaded,
             env.supports_asynchronous,
-            env.default_worker(stepped=False),
-            env.default_worker(stepped=True),
+            env.default_worker(),
             dataclasses.asdict(env.deployment),
             dataclasses.asdict(env.ergonomics),
         ])

@@ -284,7 +284,7 @@ def test_failure_in_a_directly_resumed_receiver_is_the_receivers():
 
     world.spawn(sender(0, 2))
     proc = world.spawn(receiver(1, 2))
-    with pytest.raises(ProcessFailure, match=proc.name) as excinfo:
+    with pytest.raises(ProcessFailure, match=f"{proc.name} failed: ValueError: boom") as excinfo:
         world.run()
     assert isinstance(excinfo.value.__cause__, ValueError)
     assert len(halts) == 1 and world.engine.now == halts[0] < 10.0

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.aiac import AIACOptions, aiac_stepped_worker, aiac_worker
+from repro.core.aiac import AIACOptions, aiac_worker
 from repro.core.effects import (
     Barrier, Compute, Drain, Message, Now, Recv, Send, Sleep, Trace,
 )
@@ -189,7 +189,7 @@ def test_threads_aiac_chemical_matches_sequential():
         eps=problem.config.inner_eps, stability_count=5, max_iterations=10_000,
     )
     reports = run_threads(
-        lambda r, s: aiac_stepped_worker(r, s, problem.make_local(r, s), opts), 3
+        lambda r, s: aiac_worker(r, s, problem.make_local(r, s), opts), 3
     )[0]
     solution = np.concatenate(
         [reports[r].solution.reshape(2, -1, 8) for r in sorted(reports)], axis=1,

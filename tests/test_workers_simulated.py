@@ -126,12 +126,12 @@ def test_sisc_iteration_cap_respected():
 
 
 # ----------------------------------------------------------------------
-# chemical problem (stepped workers)
+# chemical problem (the same workers, driven step by step)
 # ----------------------------------------------------------------------
 def test_sisc_stepped_matches_sequential():
     opts = AIACOptions(eps=CHEMICAL.config.inner_eps, stability_count=2,
                        max_iterations=3000)
-    result = _run("sync_mpi", "sisc_stepped", opts, n_ranks=3, problem=CHEMICAL)
+    result = _run("sync_mpi", "sisc", opts, n_ranks=3, problem=CHEMICAL)
     assert result.converged
     rel = np.max(
         np.abs(_chemical_solution(result) - CHEMICAL_REFERENCE)
@@ -144,7 +144,7 @@ def test_sisc_stepped_matches_sequential():
 def test_aiac_stepped_matches_sequential(env_name):
     opts = AIACOptions(eps=CHEMICAL.config.inner_eps, stability_count=2,
                        max_iterations=3000)
-    result = _run(env_name, "aiac_stepped", opts, n_ranks=3, problem=CHEMICAL)
+    result = _run(env_name, "aiac", opts, n_ranks=3, problem=CHEMICAL)
     assert result.converged
     rel = np.max(
         np.abs(_chemical_solution(result) - CHEMICAL_REFERENCE)
@@ -156,7 +156,7 @@ def test_aiac_stepped_matches_sequential(env_name):
 def test_stepped_worker_reports_per_step_iterations():
     opts = AIACOptions(eps=CHEMICAL.config.inner_eps, stability_count=2,
                        max_iterations=3000)
-    result = _run("pm2", "aiac_stepped", opts, n_ranks=3, problem=CHEMICAL)
+    result = _run("pm2", "aiac", opts, n_ranks=3, problem=CHEMICAL)
     per_step = result.reports[0].meta["per_step_iterations"]
     assert len(per_step) == CHEMICAL.config.n_steps
     assert all(k >= 1 for k in per_step)
@@ -181,6 +181,36 @@ def test_stepped_worker_sums_its_send_counters_over_the_steps():
     stops, halo = 2 * n_steps, 4 * (n_steps + 1)
     data_and_state = sum(r.sends + r.state_messages for r in reports.values())
     assert data_and_state + stops + halo == result.backend_stats["messages_sent"] == 204
+
+
+class _Delegating:
+    """Forwards every attribute to the wrapped solver, as a tracing
+    wrapper does; it is not a ``SteppedLocalSolver`` itself."""
+
+    def __init__(self, solver):
+        self._solver = solver
+
+    def __getattr__(self, name):
+        return getattr(self._solver, name)
+
+
+def test_a_delegating_solver_proxy_keeps_the_step_loop():
+    """The step loop follows the solver's ``n_steps``, not its class,
+    so a proxy around a chemical strip runs exactly the plain run."""
+    scenario = Scenario(
+        problem="chemical", problem_params={"nx": 6, "nz": 6, "t_end": 360.0},
+        environment="pm2", n_ranks=2,
+    )
+    problem = scenario.build_problem()
+    proxied = SimulatedBackend().run(
+        scenario, make_solver=lambda r, s: _Delegating(problem.make_local(r, s))
+    )
+    plain = SimulatedBackend().run(scenario)
+    records = [result.to_record(include_solution=True) for result in (proxied, plain)]
+    for record in records:
+        record.pop("elapsed")
+    assert records[0] == records[1]
+    assert len(proxied.reports[0].meta["per_step_iterations"]) == 2
 
 
 # ----------------------------------------------------------------------

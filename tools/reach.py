@@ -58,6 +58,12 @@ def runs(out: Path) -> List[Tuple[str, List[List[str]]]]:
         # benchmark; disabled, it calls the benchmarked function plainly.
         ("tier-1", [[py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                      "--benchmark-disable"]]),
+        ("paper-specs", [[py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "--benchmark-disable", "-m", "benchmark",
+                          "benchmarks/test_table2_sparse_linear.py",
+                          "benchmarks/test_table3_chemical.py",
+                          "benchmarks/test_figure3_scalability.py",
+                          "benchmarks/test_tables14_figures12.py"]]),
         ("perf-bench-smoke", [[py, "benchmarks/perf/run.py", "--quick", "--trace"]]),
         ("conformance-smoke", [cli + ["conformance", "--n", "25", "--seed", "0",
                                       "--report", str(out / "conformance-report.json")]]),
