@@ -21,11 +21,11 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.api.faults import FaultPlan
 from repro.balancing.policy import BalancingPlan
-from repro.clusters import get_cluster
+from repro.clusters import CLUSTER_REGISTRY, get_cluster
 from repro.core.aiac import AIACOptions
 from repro.core.run import WORKER_REGISTRY
-from repro.envs import Environment, get_environment
-from repro.problems import get_problem_factory
+from repro.envs import ENVIRONMENT_REGISTRY, Environment, get_environment
+from repro.problems import PROBLEM_REGISTRY, get_problem_factory
 
 
 #: ``(factory, params_json, instance)`` of the last problem
@@ -52,7 +52,9 @@ class Scenario:
 
     Every field is either a registry string, a plain parameter mapping
     or an :class:`AIACOptions` value, so a scenario round-trips through
-    ``to_dict``/``from_dict`` (and therefore JSON) without loss.
+    ``to_dict``/``from_dict`` (and therefore JSON) without loss.  The
+    four registry strings are checked when the scenario is built: an
+    unknown name raises ``KeyError`` naming the known ones.
 
     Attributes
     ----------
@@ -150,11 +152,17 @@ class Scenario:
             object.__setattr__(
                 self, "balancer", BalancingPlan.from_dict(self.balancer)
             )
-        if self.algorithm != "auto" and self.algorithm not in WORKER_REGISTRY:
-            raise KeyError(
-                f"unknown worker {self.algorithm!r}; "
-                f"known: {WORKER_REGISTRY.names()} (or 'auto')"
-            )
+        if not (
+            self.problem in PROBLEM_REGISTRY
+            and self.environment in ENVIRONMENT_REGISTRY
+            and self.cluster in CLUSTER_REGISTRY
+            and (self.algorithm == "auto" or self.algorithm in WORKER_REGISTRY)
+        ):
+            # The first unknown name raises, naming the known ones.
+            PROBLEM_REGISTRY.get(self.problem)
+            ENVIRONMENT_REGISTRY.get(self.environment)
+            CLUSTER_REGISTRY.get(self.cluster)
+            WORKER_REGISTRY.get(self.algorithm)
 
     # ------------------------------------------------------------------
     # derivation

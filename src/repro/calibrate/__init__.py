@@ -22,12 +22,11 @@ measure/objective/search machinery from its own module.
 
 from __future__ import annotations
 
-from repro.calibrate.errors import CalibrationDriftError, CalibrationError
+from repro.calibrate.errors import CalibrationError
 from repro.calibrate.presets import (
     DEFAULT_MAKESPAN_TOLERANCE,
     DEFAULT_SCORE_TOLERANCE,
     PRESET_SCHEMA,
-    assert_no_drift,
     build_preset,
     check_drift,
     load_preset,
@@ -39,7 +38,6 @@ from repro.calibrate.presets import (
 __all__ = [
     # errors
     "CalibrationError",
-    "CalibrationDriftError",
     # presets
     "PRESET_SCHEMA",
     "DEFAULT_MAKESPAN_TOLERANCE",
@@ -50,5 +48,4 @@ __all__ = [
     "register_preset",
     "register_shipped_presets",
     "check_drift",
-    "assert_no_drift",
 ]

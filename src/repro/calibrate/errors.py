@@ -1,10 +1,10 @@
-"""Calibration failure modes, importable without the heavy machinery.
+"""The calibration failure type, importable without the heavy machinery.
 
 This module deliberately imports nothing from the rest of the library:
 :mod:`repro.calibrate.presets` (itself imported during
 ``repro.clusters`` initialisation) and the heavyweight
-measure/objective/search modules all share these exception types, so
-they must sit below everything else in the package.
+measure/objective/search modules all share this exception type, so it
+must sit below everything else in the package.
 """
 
 from __future__ import annotations
@@ -15,10 +15,4 @@ class CalibrationError(RuntimeError):
     missing optional dependency requested explicitly, ...)."""
 
 
-class CalibrationDriftError(CalibrationError):
-    """The drift check failed: re-scoring a fitted preset against its
-    reference landed outside the recorded tolerance -- the simulator's
-    behaviour (or the preset file) has drifted since the fit."""
-
-
-__all__ = ["CalibrationError", "CalibrationDriftError"]
+__all__ = ["CalibrationError"]

@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.calibrate.errors import CalibrationDriftError, CalibrationError
+from repro.calibrate.errors import CalibrationError
 
 #: Schema tag written into every preset file.
 PRESET_SCHEMA = "repro.calibration-preset/1"
@@ -219,29 +219,6 @@ def check_drift(
     }
 
 
-def assert_no_drift(
-    preset: Union[str, Path, Mapping[str, Any]],
-    makespan_tolerance: Optional[float] = None,
-    score_tolerance: Optional[float] = None,
-) -> Dict[str, Any]:
-    """:func:`check_drift`, raising :class:`CalibrationDriftError` on
-    failure; the CI gate calls this."""
-    report = check_drift(
-        preset,
-        makespan_tolerance=makespan_tolerance,
-        score_tolerance=score_tolerance,
-    )
-    if not report["ok"]:
-        raise CalibrationDriftError(
-            f"preset {report['name']!r} drifted: score "
-            f"{report['score']:.4f} vs recorded {report['recorded_score']:.4f} "
-            f"(tolerance {report['score_tolerance']}), max makespan error "
-            f"{report['max_makespan_error']:.2%} (tolerance "
-            f"{report['makespan_tolerance']:.0%})"
-        )
-    return report
-
-
 __all__ = [
     "PRESET_SCHEMA",
     "DATA_DIR",
@@ -253,5 +230,4 @@ __all__ = [
     "register_preset",
     "register_shipped_presets",
     "check_drift",
-    "assert_no_drift",
 ]

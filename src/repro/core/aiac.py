@@ -23,9 +23,14 @@ from typing import Any, Callable, Dict, Generator, Optional
 import numpy as np
 
 from repro.core.comm import SendScheduler
-from repro.core.convergence import Detector
+from repro.core.convergence import COORDINATOR, Detector
 from repro.core.effects import Barrier, Drain, Iterate, Now, Recv, Send, Trace
 from repro.problems.base import LocalSolver
+
+#: Wire sizes, in bytes, of a state report ``(rank, stamp, flag)`` to
+#: the coordinator and of its stop signal.
+STATE_BYTES = 24.0
+STOP_BYTES = 8.0
 
 
 @dataclass(frozen=True)
@@ -41,10 +46,6 @@ class AIACOptions:
     eps: float = 1e-6
     stability_count: int = 3
     max_iterations: int = 10_000
-    coordinator_rank: int = 0
-    state_bytes: float = 24.0
-    stop_bytes: float = 8.0
-    control_bytes: float = 16.0
     trace_iterations: bool = False
     # Optional sliding window on top of "every dependency heard from at
     # least once" (always required): local convergence is only believed
@@ -122,7 +123,6 @@ def _aiac_inner(
     drain_state = Drain(tag_state)
     drain_stop = Drain(tag_stop)
     iterate_effect = Iterate(solver)
-    coord = opts.coordinator_rank
     detector = Detector(rank, size, solver.providers(), opts)
     scheduler = SendScheduler()
     meta: Dict[str, Any] = {}
@@ -138,7 +138,7 @@ def _aiac_inner(
         if balancer is not None and (yield from balancer.pump(solver, detector.iterations)):
             report = detector.migrated()
             if report is not None:
-                yield Send(coord, tag_state, report, opts.state_bytes)
+                yield Send(COORDINATOR, tag_state, report, STATE_BYTES)
 
         result = yield iterate_effect  # resumes with the flops charged
         meta = result.meta
@@ -158,14 +158,14 @@ def _aiac_inner(
         held = balancer is not None and balancer.holds_convergence()  # rows in flight
         report = detector.iterated(result.residual, held)
         if report is not None:
-            yield Send(coord, tag_state, report, opts.state_bytes)
-        if rank == coord:
+            yield Send(COORDINATOR, tag_state, report, STATE_BYTES)
+        if rank == COORDINATOR:
             for msg in (yield drain_state):
                 detector.state(*msg.payload)
             if detector.halt():
                 for other in range(size):
                     if other != rank:
-                        yield Send(other, tag_stop, None, opts.stop_bytes)
+                        yield Send(other, tag_stop, None, STOP_BYTES)
                 break
         elif (yield drain_stop):
             detector.stop()

@@ -27,6 +27,9 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 INF = float("inf")
 
+#: The rank that runs the centralised detector.
+COORDINATOR = 0
+
 
 class LocalConvergenceTracker:
     """Tracks one processor's local convergence with an oscillation guard:
@@ -103,16 +106,6 @@ class CoordinatorPanel:
     def all_converged(self) -> bool:
         return all(self._state)
 
-    def converged_count(self) -> int:
-        return sum(self._state)
-
-    def snapshot(self) -> Dict[int, bool]:
-        return {r: s for r, s in enumerate(self._state)}
-
-    def reset(self) -> None:
-        self._state = [False] * self.size
-        self._iteration = [-1] * self.size
-
 
 class Detector:
     """One rank's side of the termination protocol.
@@ -124,8 +117,8 @@ class Detector:
     coordinator -- ``(rank, stamp, flag)``, stamps strictly increasing
     per rank -- or ``None``; the coordinator's own report goes straight
     into its panel and is never on the wire.  ``opts`` is read for
-    ``eps``, ``stability_count``, ``coordinator_rank`` and
-    ``freshness_window``.
+    ``eps``, ``stability_count`` and ``freshness_window``; rank
+    :data:`COORDINATOR` keeps the panel.
     """
 
     __slots__ = ("rank", "iterations", "reports", "stopped", "_providers", "_heard",
@@ -143,7 +136,7 @@ class Detector:
         self._measured = INF
         self._stamp = 0
         self._tracker = LocalConvergenceTracker(opts.eps, opts.stability_count)
-        self._panel = CoordinatorPanel(size) if rank == opts.coordinator_rank else None
+        self._panel = CoordinatorPanel(size) if rank == COORDINATOR else None
 
     def data(self, src: int) -> None:
         self._heard[src] = self.iterations
@@ -212,4 +205,4 @@ class Detector:
         return self._measured if self.stopped and not residual < INF else residual
 
 
-__all__ = ["LocalConvergenceTracker", "CoordinatorPanel", "Detector"]
+__all__ = ["COORDINATOR", "LocalConvergenceTracker", "CoordinatorPanel", "Detector"]

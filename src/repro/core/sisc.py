@@ -21,13 +21,15 @@ from repro.core.aiac import AIACOptions, WorkerReport, _drive_steps
 from repro.core.effects import Iterate, Recv, Send
 from repro.problems.base import LocalSolver
 
+#: Wire size of one allreduce message (a residual), in bytes.
+CONTROL_BYTES = 16.0
+
 
 def _allreduce_max(
     rank: int,
     size: int,
     value: float,
     tag: str,
-    opts: AIACOptions,
 ) -> Generator:
     """Max-allreduce: binomial-tree reduce to rank 0 + binomial bcast.
 
@@ -43,7 +45,7 @@ def _allreduce_max(
     offset = 1
     while offset < size:
         if rank & offset:
-            yield Send(rank - offset, f"{tag}:r{offset}", val, opts.control_bytes)
+            yield Send(rank - offset, f"{tag}:r{offset}", val, CONTROL_BYTES)
             break
         if rank + offset < size:
             messages = yield Recv(f"{tag}:r{offset}", count=1)
@@ -54,7 +56,7 @@ def _allreduce_max(
     mask = 1
     while mask < size:
         if rank < mask and rank + mask < size:
-            yield Send(rank + mask, f"{tag}:b{mask}", val, opts.control_bytes)
+            yield Send(rank + mask, f"{tag}:b{mask}", val, CONTROL_BYTES)
         elif mask <= rank < 2 * mask:
             messages = yield Recv(f"{tag}:b{mask}", count=1)
             val = messages[0].payload
@@ -99,7 +101,7 @@ def _sisc_inner(
                 solver.integrate(msg.src, msg.payload)
 
         global_residual = yield from _allreduce_max(
-            rank, size, residual, f"red{suffix}:{iterations}", opts
+            rank, size, residual, f"red{suffix}:{iterations}"
         )
         if global_residual < opts.eps:
             converged = True

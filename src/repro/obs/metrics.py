@@ -7,8 +7,8 @@ timeline's meta block read the same way.
 
 No external dependencies, no background threads: every instrument is a
 couple of plain attributes behind one lock, and ``snapshot()`` renders
-the whole registry as a JSON-safe dict.  Histograms use fixed
-log-spaced latency buckets (seconds) by default -- enough resolution
+the whole registry as a JSON-safe dict.  Every histogram uses the
+same fixed log-spaced latency buckets (seconds) -- enough resolution
 to separate "served from cache" from "ran a scenario" from "waited
 behind the queue" without pretending sub-millisecond precision this
 service does not have.
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict
 
-#: Default histogram bucket upper bounds, in seconds: 1ms .. 60s,
+#: Histogram bucket upper bounds, in seconds: 1ms .. 60s,
 #: roughly x2.5 per step, plus the implicit +inf overflow bucket.
 DEFAULT_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
@@ -57,29 +57,21 @@ class Gauge:
         with self._lock:
             self._value = float(value)
 
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += float(delta)
-
     @property
     def value(self) -> float:
         return self._value
 
 
 class Histogram:
-    """Fixed-bucket histogram with count/sum/min/max.
+    """Histogram over :data:`DEFAULT_BUCKETS` with count/sum/min/max.
 
-    ``buckets`` are upper bounds in ascending order; observations above
-    the last bound land in the implicit overflow bucket.
+    Observations above the last bound land in the implicit overflow
+    bucket.
     """
 
-    def __init__(self, buckets: Optional[Sequence[float]] = None) -> None:
-        bounds = tuple(buckets if buckets is not None else DEFAULT_BUCKETS)
-        if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise ValueError(f"bucket bounds must strictly ascend: {bounds}")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)  # +1: overflow
+        self._counts = [0] * (len(DEFAULT_BUCKETS) + 1)  # +1: overflow
         self.count = 0
         self.sum = 0.0
         self.min = math.inf
@@ -88,8 +80,8 @@ class Histogram:
     def observe(self, value: float) -> None:
         value = float(value)
         with self._lock:
-            index = len(self.bounds)
-            for i, bound in enumerate(self.bounds):
+            index = len(DEFAULT_BUCKETS)
+            for i, bound in enumerate(DEFAULT_BUCKETS):
                 if value <= bound:
                     index = i
                     break
@@ -113,7 +105,7 @@ class Histogram:
             "max": hi,
             "buckets": [
                 {"le": bound, "count": counts[i]}
-                for i, bound in enumerate(self.bounds)
+                for i, bound in enumerate(DEFAULT_BUCKETS)
             ]
             + [{"le": "inf", "count": counts[-1]}],
         }
@@ -135,11 +127,11 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._instruments: Dict[str, Any] = {}
 
-    def _get(self, name: str, cls, *args) -> Any:
+    def _get(self, name: str, cls) -> Any:
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:
-                instrument = self._instruments[name] = cls(*args)
+                instrument = self._instruments[name] = cls()
             elif not isinstance(instrument, cls):
                 raise TypeError(
                     f"metric {name!r} already registered as "
@@ -153,11 +145,7 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
 
-    def histogram(
-        self, name: str, buckets: Optional[Sequence[float]] = None
-    ) -> Histogram:
-        if buckets is not None:
-            return self._get(name, Histogram, buckets)
+    def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
     def snapshot(self) -> Dict[str, Any]:

@@ -772,9 +772,6 @@ class SolveMemo:
         self.nbytes = 0
         self.hits = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def get(self, key: Tuple) -> Optional[_Outcome]:
         entry = self._entries.get(key)
         if entry is None:

@@ -20,10 +20,10 @@ placements, the tests' stubs):
   deadline, a ``wake()``, the ``timeout`` ceiling), then return
   ``(job_id, kind, payload)`` rows: ``done`` carries the run record;
   ``failed`` an in-job error (string, or ``{"error", "traceback"}``);
-  ``timeout`` an attempt the executor cut off at its deadline;
+  ``timeout`` an attempt the executor cut off at its deadline or that
+  raised a :class:`~repro.runtime.executor.BackendTimeoutError`;
   ``crashed`` an attempt whose process died.  Only an executor that
-  owns processes may emit ``crashed``, only one that enforces
-  deadlines ``timeout``;
+  owns processes may emit ``crashed``;
 * ``shutdown()`` -- release resources, abandoning jobs in flight;
 * where the daemon needs them: ``wake()`` (end a blocked ``poll``
   from another thread), ``kill(job_id)`` (cancel support) and
@@ -56,7 +56,6 @@ from repro.serve.protocol import (
     RUNNING,
     TERMINAL_STATES,
 )
-from repro.serve.workers import is_timeout_error
 
 
 @dataclass
@@ -218,10 +217,10 @@ class WorkQueue:
     (:meth:`~repro.serve.cache.ResultCache.get_checked`).  Records pass
     through and are never retained here.
 
-    The retry rule: a ``timeout`` or ``crashed`` event, or a ``failed``
-    one whose error is of the ``BackendTimeoutError`` family, is
-    transient and re-queues the job until it has been dispatched
-    ``max_attempts`` times; any other failure is terminal at once.
+    The retry rule: a ``timeout`` or ``crashed`` event is transient and
+    re-queues the job until it has been dispatched ``max_attempts``
+    times; a ``failed`` one is terminal at once.  The executor that saw
+    the exception picks the kind, so nothing here reads error text.
     """
 
     def __init__(
@@ -430,8 +429,7 @@ class WorkQueue:
             error = payload.get("error", "unknown failure") if isinstance(
                 payload, Mapping) else payload
             error = f"worker crashed: {error}" if kind == "crashed" else str(error)
-            transient = kind in ("timeout", "crashed") or is_timeout_error(error)
-            if transient and job.attempts < self.max_attempts:
+            if kind in ("timeout", "crashed") and job.attempts < self.max_attempts:
                 self._enqueue(job)
                 self.counters["retries"] += 1
                 return None

@@ -41,9 +41,9 @@ natively (``capacity`` / ``submit`` / ``poll`` / ``shutdown``, plus
 *policy* lives in that queue (retry vs. fail); this module only
 enforces deadlines mechanically -- ``poll`` kills and replaces a worker
 whose attempt outlived ``job_timeout`` and reports a ``timeout`` event
--- and exports :func:`is_timeout_error`, with which the queue
-recognises a :class:`~repro.runtime.executor.BackendTimeoutError`
-family error that crossed a process boundary as a string.
+-- and classifies a job's error once, by type, where it is raised: a
+:class:`~repro.runtime.executor.BackendTimeoutError` is a ``timeout``
+event, anything else ``failed``.
 """
 
 from __future__ import annotations
@@ -53,27 +53,6 @@ import multiprocessing.connection
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple, Union
-
-#: Error-string prefixes that mean "the attempt timed out" (the
-#: BackendTimeoutError family, flattened to ``f"{type}: {message}"``
-#: by whatever process boundary the error crossed) and deserve a
-#: retry rather than a permanent failure.
-TIMEOUT_ERROR_PREFIXES = (
-    "BackendTimeoutError",
-    "ThreadTimeoutError",
-    "ProcessTimeoutError",
-)
-
-
-def is_timeout_error(error: str) -> bool:
-    """True when a stringified per-job error is a backend timeout.
-
-    The work queue's retry rule rests on it: timeouts (and worker
-    crashes) are transient and retried with a bounded budget; every
-    other error is deterministic and fails the job immediately.
-    """
-    return str(error).startswith(TIMEOUT_ERROR_PREFIXES)
-
 
 def _worker_main(
     tasks: Any,
@@ -99,6 +78,7 @@ def _worker_main(
     import repro.api  # noqa: F401 - repopulates registries under spawn
     from repro.api.backends import get_backend
     from repro.api.scenario import Scenario
+    from repro.runtime.executor import BackendTimeoutError
 
     if isinstance(backend, str):
         backend = get_backend(backend, **backend_kwargs)
@@ -115,8 +95,9 @@ def _worker_main(
             record = result.to_record(include_solution=include_solution)
             events.send((job_id, "done", record))
         except BaseException as exc:  # noqa: BLE001 - reported per job
+            kind = "timeout" if isinstance(exc, BackendTimeoutError) else "failed"
             try:
-                events.send((job_id, "failed", f"{type(exc).__name__}: {exc}"))
+                events.send((job_id, kind, f"{type(exc).__name__}: {exc}"))
             except Exception:  # noqa: BLE001 - parent is gone; nothing to do
                 break
 
@@ -441,4 +422,4 @@ class WorkerPool:
         }
 
 
-__all__ = ["WorkerPool", "TIMEOUT_ERROR_PREFIXES", "is_timeout_error"]
+__all__ = ["WorkerPool"]

@@ -17,10 +17,9 @@ Performance notes (this is the simulator's hottest loop; see the
   simulator's own per-message and per-effect events use the
   handle-free :meth:`Engine.post_at` / :meth:`Engine.post_after`, which
   apply the same time checks and allocate nothing but the entry;
-* :meth:`Engine.run` has two loops: the unlimited one pops and
-  dispatches directly -- same-timestamp groups run back to back with no
-  peeking -- and only runs that set ``until`` / ``max_events`` /
-  ``stop_when`` pay for those tests per event.
+* :meth:`Engine.run` is one loop that pops and dispatches directly --
+  same-timestamp groups run back to back with no peeking -- and tests
+  nothing per event but the halt flag.
 """
 
 from __future__ import annotations
@@ -65,42 +64,30 @@ _Entry = Tuple[float, int, Callable[[], None], Optional[Event]]
 
 
 class Engine:
-    """Virtual-time event loop.
+    """Virtual-time event loop; virtual time starts at ``0.0`` seconds."""
 
-    Parameters
-    ----------
-    start_time:
-        Initial virtual time (seconds).  Defaults to ``0.0``.
-    """
-
-    def __init__(self, start_time: float = 0.0) -> None:
+    def __init__(self) -> None:
         #: Current virtual time in seconds (a plain attribute -- it is
         #: read several times per event; only the engine writes it).
-        self.now = float(start_time)
+        self.now = 0.0
         self._queue: List[_Entry] = []
         self._seq = itertools.count()
-        self._events_processed = 0
+        self._events = 0
         self._running = False
         self._halted = False
 
     def halt(self) -> None:
         """Stop the current :meth:`run` after the event being dispatched.
 
-        A cheap flag checked once per event in the hot loops -- callers
-        that need to stop the world from inside a callback (process
-        failure) use this instead of a ``stop_when`` closure, which
-        would cost a Python call per event.
+        A cheap flag checked once per event in the hot loop -- how a
+        callback stops the world (process failure) without costing every
+        event a Python call.
         """
         self._halted = True
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def events_processed(self) -> int:
-        """Number of callbacks executed so far."""
-        return self._events_processed
-
     def stats(self) -> dict:
         """Flat engine counters for observability surfaces.
 
@@ -110,7 +97,7 @@ class Engine:
         """
         return {
             "now": self.now,
-            "events": self._events_processed,
+            "events": self._events,
             "pending_events": len(self._queue),
         }
 
@@ -164,27 +151,10 @@ class Engine:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> float:
-        """Run until the queue empties (or a limit is reached).
+    def run(self) -> float:
+        """Run until the queue empties or a callback calls :meth:`halt`.
 
-        Parameters
-        ----------
-        until:
-            Stop once virtual time would exceed this value.
-        max_events:
-            Safety valve against runaway simulations.
-        stop_when:
-            Optional predicate checked after every event.
-
-        Returns
-        -------
-        float
-            The virtual time at which the run stopped.
+        Returns the virtual time at which the run stopped.
         """
         if self._running:
             raise SimulationError("engine is not reentrant")
@@ -194,51 +164,27 @@ class Engine:
         heappop = heapq.heappop
         processed = 0
         try:
-            if until is None and max_events is None and stop_when is None:
-                # Hot path: no limits.  One tight loop, locals bound,
-                # same-timestamp events dispatched back to back without
-                # re-reading any engine state beyond the queue head and
-                # the halt flag.
-                while queue:
-                    time, _seq, callback, handle = heappop(queue)
-                    if handle is not None and handle.cancelled:
-                        continue
-                    self.now = time
-                    processed += 1
-                    callback()
-                    if self._halted:
-                        break
-                return self.now
+            # One tight loop, locals bound, same-timestamp events
+            # dispatched back to back without re-reading any engine
+            # state beyond the queue head and the halt flag.
             while queue:
-                time, _seq, callback, handle = queue[0]
+                time, _seq, callback, handle = heappop(queue)
                 if handle is not None and handle.cancelled:
-                    heappop(queue)
                     continue
-                if until is not None and time > until:
-                    self.now = until
-                    break
-                heappop(queue)
                 self.now = time
                 processed += 1
                 callback()
                 if self._halted:
                     break
-                if stop_when is not None and stop_when():
-                    break
-                if max_events is not None and processed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; "
-                        "simulation appears to be diverging"
-                    )
             return self.now
         finally:
-            self._events_processed += processed
+            self._events += processed
             self._running = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Engine(now={self.now:.6f}, pending={len(self._queue)}, "
-            f"processed={self._events_processed})"
+            f"processed={self._events})"
         )
 
 

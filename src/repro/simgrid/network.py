@@ -91,12 +91,6 @@ class Network:
     def links(self) -> List[Link]:
         return list(self._links.values())
 
-    def host(self, name: str) -> Host:
-        try:
-            return self._hosts[name]
-        except KeyError:
-            raise KeyError(f"unknown host {name!r}") from None
-
     def route(self, src: Host | str, dst: Host | str) -> Route:
         src_name = src.name if isinstance(src, Host) else src
         dst_name = dst.name if isinstance(dst, Host) else dst

@@ -95,11 +95,7 @@ class World:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
+    def run(self) -> float:
         """Run all processes to completion; returns final virtual time."""
         if not self.processes:
             raise SimulationError("no processes spawned")
@@ -110,10 +106,9 @@ class World:
             self.faults.install(self)
         for proc in self.processes.values():
             proc.start()
-        # Failures halt the loop via ``engine.halt()`` (a flag the hot
-        # loop checks per event) rather than a ``stop_when`` closure,
-        # which would cost a Python call per event.
-        self.engine.run(until=until, max_events=max_events)
+        # Failures halt the loop via ``engine.halt()``, a flag the hot
+        # loop checks per event.
+        self.engine.run()
         if self._failure is not None:
             proc = self._failed_process
             raise ProcessFailure(
@@ -121,7 +116,7 @@ class World:
                 f"{type(self._failure).__name__}: {self._failure}"
             ) from self._failure
         unfinished = [p for p in self.processes.values() if p.state is not ProcessState.DONE]
-        if unfinished and until is None and max_events is None:
+        if unfinished:
             names = ", ".join(p.name for p in unfinished)
             raise SimulationError(f"deadlock: processes never finished: {names}")
         return self.engine.now

@@ -94,27 +94,6 @@ def _as_scenario(spec: ScenarioLike) -> Scenario:
     return Scenario.from_dict(spec)
 
 
-def _validate_registries(scenario: Scenario) -> None:
-    """Resolve every registry string; raises with the bad name inside.
-
-    Worker names are already checked by ``Scenario.__post_init__``;
-    problems and environments resolve through their registries (cheap
-    lookups), clusters by membership (building one is not).
-    """
-    from repro.api.registry import (
-        get_environment,
-        get_problem_factory,
-        list_clusters,
-    )
-
-    get_problem_factory(scenario.problem)
-    get_environment(scenario.environment)
-    if scenario.cluster not in list_clusters():
-        raise KeyError(
-            f"unknown cluster {scenario.cluster!r}; known: {list_clusters()}"
-        )
-
-
 def run_sweep(
     scenarios: Iterable[ScenarioLike],
     backend: Union[Backend, str, None] = None,
@@ -226,7 +205,6 @@ def run_sweep(
         counters["items"] = index + 1
         try:
             scenario = _as_scenario(spec)
-            _validate_registries(scenario)
         except Exception as exc:  # noqa: BLE001 - per-item error record
             counters["invalid"] += 1
             invalid[index] = {

@@ -26,9 +26,9 @@ addressable by name from :func:`repro.sweep.run_sweep` and
 
 Event vocabulary (``poll`` return rows, ``(id, kind, payload)``):
 ``done`` carries the run record; ``failed`` an in-unit error (string,
-or ``{"error", "traceback"}``); ``timeout`` and ``crashed`` are
-transient -- the work queue retries them (and ``BackendTimeoutError``
-family ``failed`` ones) within its per-unit budget.
+or ``{"error", "traceback"}``); ``timeout`` (a deadline, or a
+``BackendTimeoutError`` raised in the unit) and ``crashed`` are
+transient -- the work queue retries them within its per-unit budget.
 """
 
 from __future__ import annotations

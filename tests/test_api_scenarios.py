@@ -331,7 +331,7 @@ def test_sweep_grid_across_processes():
 
 def test_sweep_accepts_dicts_and_captures_failures():
     good = _fast_scenario().to_dict()
-    bad = _fast_scenario(cluster="no_such_cluster").to_dict()
+    bad = dict(good, cluster="no_such_cluster")  # fails from_dict too
     malformed = dict(good, algorithm="no_such_worker")  # fails from_dict itself
     records = run_sweep([good, bad, malformed]).records
     assert "error" not in records[0]

@@ -184,7 +184,7 @@ def test_run_many_matches_run_per_scenario(memos):
     grid = _speed_grid(4, **_LOCKSTEP_CHEMICAL)
     records = _swept(grid)
     (memo,) = memos
-    assert len(memo) > 0 and memo.hits >= 3 * len(memo)
+    assert len(memo._entries) > 0 and memo.hits >= 3 * len(memo._entries)
     for scenario, record in zip(grid, records):
         _assert_parity(scenario, record)
 
@@ -208,8 +208,8 @@ def test_local_chemical_cluster_sweep_shares_solves(memos):
     second = _swept(grid)
     assert len(memos) == 2
     for memo in memos:
-        assert len(memo) > 0 and memo.hits >= 2 * len(memo)
-    assert len(memos[0]) == len(memos[1]) and memos[0].hits == memos[1].hits
+        assert len(memo._entries) > 0 and memo.hits >= 2 * len(memo._entries)
+    assert len(memos[0]._entries) == len(memos[1]._entries) and memos[0].hits == memos[1].hits
     assert [_essence(r) for r in first] == [_essence(r) for r in second]
 
 

@@ -363,9 +363,9 @@ def test_memo_hit_is_bit_identical_to_recomputing():
     reference = _drive_lockstep(p, 3, steps)
     memo = SolveMemo()
     assert _drive_lockstep(p, 3, steps, memo) == reference
-    solved, hits = len(memo), memo.hits
+    solved, hits = len(memo._entries), memo.hits
     assert _drive_lockstep(p, 3, steps, memo) == reference
-    assert len(memo) == solved  # nothing new was solved
+    assert len(memo._entries) == solved  # nothing new was solved
     assert memo.hits - hits >= solved
 
 
@@ -389,20 +389,20 @@ def test_memo_misses_a_mutated_halo_or_carry():
     p = _problem(nx=6, nz=9, t_end=360.0)
     memo = SolveMemo()
     _stepped_strip(p, memo).iterate()
-    assert (len(memo), memo.hits) == (1, 0)
+    assert (len(memo._entries), memo.hits) == (1, 0)
     _stepped_strip(p, memo).iterate()
-    assert (len(memo), memo.hits) == (1, 1)
+    assert (len(memo._entries), memo.hits) == (1, 1)
 
     strip = _stepped_strip(p, memo)
     halo = strip.halo_top.copy()
     halo[0, 0] = np.nextafter(halo[0, 0], np.inf)
     strip.halo_top = halo
     strip.iterate()
-    assert (len(memo), memo.hits) == (2, 1)
+    assert (len(memo._entries), memo.hits) == (2, 1)
     strip = _stepped_strip(p, memo)
     strip.halo_bottom = None
     strip.iterate()
-    assert (len(memo), memo.hits) == (3, 1)
+    assert (len(memo._entries), memo.hits) == (3, 1)
 
     # The carry: the residual a full update ends with starts the next.
     strip = _stepped_strip(p)
@@ -430,12 +430,12 @@ def test_memo_evicts_least_recently_used_within_its_bound(monkeypatch):
         memo.put((key, y.tobytes()), outcome)
     assert memo.get(("a", y.tobytes())) is not None  # "b" is now the oldest
     memo.put(("c", y.tobytes()), outcome)
-    assert memo.nbytes == 2 * entry and len(memo) == 2
+    assert memo.nbytes == 2 * entry and len(memo._entries) == 2
     assert memo.get(("b", y.tobytes())) is None
     assert memo.get(("a", y.tobytes())) is not None
     huge = np.zeros(100)
     memo.put(("d",), (huge, {"_fu": huge}))
-    assert memo.get(("d",)) is None and len(memo) == 2
+    assert memo.get(("d",)) is None and len(memo._entries) == 2
 
 
 def test_memo_key_may_leave_out_the_scale():

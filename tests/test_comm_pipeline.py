@@ -81,7 +81,7 @@ def test_pool_finish_events_reach_the_right_job():
     engine.run()
     # "queued" takes the thread "short" frees at t=1.
     assert done == [("short", 1.0), ("queued", 2.0), ("mid", 3.0), ("long", 5.0)]
-    assert engine.events_processed == 4  # one event per job
+    assert engine.stats()["events"] == 4  # one event per job
 
 
 def test_queued_jobs_keep_their_turn_when_a_callback_submits():
@@ -107,7 +107,7 @@ def test_on_demand_pool_hold_and_one_event_per_job():
     pool.submit(0.25, lambda t: done.append(("quick", t)))
     engine.run()
     assert done == [("quick", 0.75), ("hold", 3.5)]
-    assert engine.events_processed == 3  # spawn + service is one event
+    assert engine.stats()["events"] == 3  # spawn + service is one event
 
 
 def test_pool_requires_positive_size():
@@ -208,10 +208,10 @@ def test_one_message_is_four_engine_events():
         engine, transport = _transport(policy)
         transport.send(Message(src=0, dst=1, tag="d", payload=None, size=1000.0), SendHandle())
         engine.run()
-        assert engine.events_processed == 4
+        assert engine.stats()["events"] == 4
         transport.send(Message(src=0, dst=2, tag="d", payload=None, size=0.0), SendHandle())
         engine.run()
-        assert engine.events_processed == 4 + 3
+        assert engine.stats()["events"] == 4 + 3
 
 
 RENDEZVOUS = CommPolicy(name="t", n_send_threads=1, blocking_send=True,
@@ -226,7 +226,7 @@ def test_rendezvous_blocked_sender_costs_three_events():
     handle = SendHandle()
     transport.send(Message(src=0, dst=1, tag="d", payload=None, size=1000.0), handle)
     engine.run()
-    assert engine.events_processed == 3
+    assert engine.stats()["events"] == 3
     assert handle.sender_done_at == 1e-4 + 1000.0 / 1e6  # software, then the lan
     assert handle.completed_at == handle.sender_done_at + 1e-3
 
@@ -245,7 +245,7 @@ def test_an_observable_release_keeps_its_event(case):
         transport.send(Message(src=0, dst=2, tag="d", payload=None, size=size), SendHandle())
     engine.run()
     # The queued second message is the last on its thread: three events.
-    assert engine.events_processed == (4 + 3 if case == "queued" else 4)
+    assert engine.stats()["events"] == (4 + 3 if case == "queued" else 4)
     assert handle.sender_done_at == 1e-4 + size / 1e6
 
 

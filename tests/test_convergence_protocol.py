@@ -94,16 +94,12 @@ def test_panel_latest_update_wins():
 def test_panel_snapshot_and_counts():
     panel = CoordinatorPanel(3)
     panel.update(1, 1, True)
-    assert panel.converged_count() == 1
-    assert panel.snapshot() == {0: False, 1: True, 2: False}
-
-
-def test_panel_reset():
-    panel = CoordinatorPanel(2)
-    panel.update(0, 1, True)
-    panel.update(1, 1, True)
-    panel.reset()
+    panel.update(1, 1, False)  # same stamp: stale, rank 1 stays converged
     assert not panel.all_converged()
+    panel.update(0, 1, True)
+    panel.update(2, 1, True)
+    assert panel.all_converged()
+    assert (panel.messages_processed, panel.stale_messages) == (4, 1)
 
 
 def test_panel_validation():

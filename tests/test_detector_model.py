@@ -30,7 +30,7 @@ from hypothesis.stateful import (
 
 from repro.api import Scenario, SimulatedBackend
 from repro.core.aiac import AIACOptions
-from repro.core.convergence import Detector
+from repro.core.convergence import COORDINATOR, Detector
 
 UNDER, OVER = 1e-9, 1.0
 MAX_RANKS = 4
@@ -43,7 +43,7 @@ class Protocol:
     def __init__(self, size, opts=AIACOptions()):
         self.size = size
         self.opts = opts
-        self.coord = opts.coordinator_rank
+        self.coord = COORDINATOR
         self.providers = [
             {p for p in (r - 1, r + 1) if 0 <= p < size} for r in range(size)
         ]

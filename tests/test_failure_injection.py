@@ -10,7 +10,6 @@ from repro.core.effects import Compute, Send
 from repro.envs.base import CommPolicy
 from repro.linalg.sparse import MultiDiagonalMatrix
 from repro.problems.sparse_linear import SparseLinearConfig, SparseLinearProblem
-from repro.simgrid.engine import SimulationError
 from repro.simgrid.host import Host
 from repro.simgrid.link import Link
 from repro.simgrid.network import Network, NoRouteError
@@ -143,18 +142,3 @@ def test_freshness_window_blocks_convergence_without_messages():
     # Healthy network: the window never blocks a true convergence.
     assert result.converged
     assert problem.solution_error(result.solution()) < 1e-4
-
-
-def test_engine_max_events_catches_runaway_worlds():
-    net = uniform_cluster(2)
-    world = World(net, CommPolicy(name="t"))
-
-    def chatter(rank, size):
-        while True:
-            yield Send(1 - rank, "noise", None, 1.0)
-            yield Compute(1.0)
-
-    world.spawn(chatter(0, 2))
-    world.spawn(chatter(1, 2))
-    with pytest.raises(SimulationError):
-        world.run(max_events=500)

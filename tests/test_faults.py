@@ -186,15 +186,14 @@ def test_multiple_host_slowdown_windows_hit_their_own_hosts():
     ))
     injector = SimFaultInjector(plan)
     injector.install(world)
-    host_a, host_b = world.hosts
-    world.engine.run(until=1.5)
-    assert host_a.speed == pytest.approx(50.0)   # a's own window is open
-    assert host_b.speed == pytest.approx(200.0)  # b's window has not started
-    world.engine.run(until=5.5)
-    assert host_a.speed == pytest.approx(100.0)  # a recovered
-    assert host_b.speed == pytest.approx(20.0)
-    world.engine.run(until=10.0)
-    assert host_b.speed == pytest.approx(200.0)
+    speeds = {}
+    for t in (1.5, 5.5, 10.0):  # probes read both hosts inside one run
+        world.engine.post_at(t, lambda t=t: speeds.update(
+            {t: tuple(host.speed for host in world.hosts)}))
+    world.engine.run()
+    assert speeds[1.5] == pytest.approx((50.0, 200.0))   # only a's window is open
+    assert speeds[5.5] == pytest.approx((100.0, 20.0))   # a recovered, b slowed
+    assert speeds[10.0] == pytest.approx((100.0, 200.0))
     assert injector.counters["recoveries"] == 2
 
 
@@ -220,12 +219,13 @@ def test_overlapping_link_windows_compose():
     ))
     SimFaultInjector(plan).install(world)
     link = world.network.links[0]
-    world.engine.run(until=7.0)
-    assert link.bandwidth == pytest.approx(250.0)  # both windows open
-    world.engine.run(until=12.0)
-    assert link.bandwidth == pytest.approx(500.0)  # second still active
-    world.engine.run(until=20.0)
-    assert link.bandwidth == pytest.approx(1000.0)
+    bandwidths = {}
+    for t in (7.0, 12.0, 20.0):  # probes read the link inside one run
+        world.engine.post_at(t, lambda t=t: bandwidths.update({t: link.bandwidth}))
+    world.engine.run()
+    assert bandwidths[7.0] == pytest.approx(250.0)  # both windows open
+    assert bandwidths[12.0] == pytest.approx(500.0)  # second still active
+    assert bandwidths[20.0] == pytest.approx(1000.0)
 
 
 def test_open_ended_window_does_not_stretch_makespan():

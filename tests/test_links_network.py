@@ -151,6 +151,7 @@ def _route_tables(draw):
 def test_reaches_matches_the_transitive_closure_of_the_routes(table):
     n_hosts, routes = table
     net, names = _network_from_routes(n_hosts, routes)
+    hosts = {host.name: host for host in net.hosts}
     closure = {(i, i) for i in range(n_hosts)} | set(routes)
     while True:  # compose the relation with itself until it stops growing
         grown = closure | {(i, k) for i, j in closure for j2, k in closure if j == j2}
@@ -160,7 +161,7 @@ def test_reaches_matches_the_transitive_closure_of_the_routes(table):
     for i, src in enumerate(names):
         for j, dst in enumerate(names):  # self pairs included
             assert net.reaches(src, dst) == ((i, j) in closure)
-            assert net.reaches(net.host(src), net.host(dst)) == net.reaches(src, dst)
+            assert net.reaches(hosts[src], hosts[dst]) == net.reaches(src, dst)
 
 
 def test_reaches_follows_route_direction_and_ignores_unknown_hosts():

@@ -32,7 +32,7 @@ from repro.obs import (
     validate_chrome_trace,
     write_trace,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.obs.metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram
 from repro.runtime.executor import WallTracer
 
 
@@ -184,27 +184,30 @@ class TestMetrics:
     def test_gauge(self):
         g = Gauge()
         g.set(3.0)
-        g.add(-1.5)
-        assert g.value == pytest.approx(1.5)
+        g.set(1.5)
+        assert g.value == 1.5
 
     def test_histogram_bucket_counts(self):
-        h = Histogram(buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 0.5, 5.0, 50.0):
+        h = Histogram()
+        for v in (0.1, 0.5, 0.5, 5.0, 100.0):
             h.observe(v)
         snap = h.snapshot()
         assert snap["count"] == 5
-        assert snap["sum"] == pytest.approx(56.05)
+        assert snap["sum"] == pytest.approx(106.1)
         counts = {b["le"]: b["count"] for b in snap["buckets"]}
-        # Per-bucket counts, overflow under "inf".
+        # Per-bucket counts (a bound is inclusive), overflow under "inf".
         assert counts[0.1] == 1
-        assert counts[1.0] == 2
-        assert counts[10.0] == 1
+        assert counts[0.5] == 2
+        assert counts[5.0] == 1
         assert counts["inf"] == 1
         assert sum(counts.values()) == snap["count"]
 
     def test_histogram_requires_ascending_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram(buckets=(1.0, 0.5))
+        # observe() takes the first bound at or above a value, which is
+        # its bucket only while the one bucket table strictly ascends.
+        assert list(DEFAULT_BUCKETS) == sorted(set(DEFAULT_BUCKETS))
+        assert [b["le"] for b in Histogram().snapshot()["buckets"]] == [
+            *DEFAULT_BUCKETS, "inf"]
 
     def test_registry_get_or_create_and_type_clash(self):
         reg = MetricsRegistry()

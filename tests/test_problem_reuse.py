@@ -77,9 +77,9 @@ def test_a_reregistered_factory_is_never_served_the_old_instance():
     def make_other(n=30):
         return SparseLinearProblem(SparseLinearConfig(n=n, seed=5))
 
-    scenario = Scenario(problem="_reuse_problem", problem_kind="sparse_linear")
     register_problem("_reuse_problem")(make_small)
     try:
+        scenario = Scenario(problem="_reuse_problem", problem_kind="sparse_linear")
         old = scenario.build_problem()
         PROBLEM_REGISTRY._items.pop("_reuse_problem")
         register_problem("_reuse_problem")(make_other)

@@ -228,7 +228,7 @@ def test_loopback_blocking_sends_do_not_grow_the_stack():
     world.run()
     assert world.results[0] == list(range(count))
     assert len(depths) == 1
-    assert world.engine.events_processed == 1  # the start event, nothing else
+    assert world.engine.stats()["events"] == 1  # the start event, nothing else
 
 
 def test_recv_send_ping_pong_runs_at_constant_stack_depth():
@@ -262,7 +262,7 @@ def test_recv_send_ping_pong_runs_at_constant_stack_depth():
     # One message is four events; nothing bounces through the engine.
     messages = world.transport.messages_sent
     assert messages == 2 * rounds + 1
-    assert world.engine.events_processed == 4 * messages + 2
+    assert world.engine.stats()["events"] == 4 * messages + 2
 
 
 def test_failure_in_a_directly_resumed_receiver_is_the_receivers():

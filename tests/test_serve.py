@@ -404,6 +404,23 @@ class TestSchedulerStateMachine:
             )
         assert info.value.code == "bad-scenario"
 
+    @pytest.mark.parametrize("field", ["problem", "environment", "cluster"])
+    def test_unknown_registry_name_refused_at_submit(self, tmp_path, field):
+        scheduler, pool = make_scheduler(tmp_path)
+        with pytest.raises(ProtocolError) as info:
+            scheduler.submit({**SCENARIO.to_dict(), field: "nope"})
+        assert info.value.code == "bad-scenario"
+        assert f"unknown {field} 'nope'" in str(info.value)
+        assert not scheduler.work.jobs and not pool.running
+
+    @pytest.mark.parametrize(
+        "field", ["coordinator_rank", "state_bytes", "stop_bytes", "control_bytes"])
+    def test_a_fixed_protocol_constant_is_not_an_option(self, tmp_path, field):
+        scheduler, _ = make_scheduler(tmp_path)
+        with pytest.raises(ProtocolError) as info:
+            scheduler.submit({**SCENARIO.to_dict(), "options": {field: 0}})
+        assert info.value.code == "bad-scenario" and field in str(info.value)
+
     def test_unknown_job(self, tmp_path):
         scheduler, _ = make_scheduler(tmp_path)
         with pytest.raises(ProtocolError) as info:
@@ -849,6 +866,20 @@ TINY = Scenario(
 )
 
 
+class _TimingOutBackend:
+    """Raises a backend timeout on grid point ``n == 66``, a plain error
+    on ``n == 70``."""
+
+    name = "_timing_out"
+
+    def run(self, scenario):
+        from repro.runtime.executor import ThreadTimeoutError
+
+        if scenario.problem_params.get("n") == 66:
+            raise ThreadTimeoutError("rank 1 missed its deadline")
+        raise ValueError("deliberate failure")
+
+
 class _BlockingBackend:
     """Blocks on grid point ``n == 66`` until its worker is killed."""
 
@@ -1000,6 +1031,20 @@ class TestEventDrivenPool:
             pool.submit("j2", TINY.to_dict())
             [(got, kind, _)] = poll_until_event(pool)
             assert (got, kind) == ("j2", "done")
+        finally:
+            pool.shutdown()
+
+    def test_a_worker_sends_a_backend_timeout_as_a_timeout_event(self):
+        from repro.serve import WorkerPool
+
+        pool = WorkerPool(backend=_TimingOutBackend(), size=1)
+        try:
+            pool.submit("slow", TINY.derive(problem_params__n=66).to_dict())
+            assert poll_until_event(pool) == [
+                ("slow", "timeout", "ThreadTimeoutError: rank 1 missed its deadline")]
+            pool.submit("bad", TINY.derive(problem_params__n=70).to_dict())
+            assert poll_until_event(pool) == [
+                ("bad", "failed", "ValueError: deliberate failure")]
         finally:
             pool.shutdown()
 

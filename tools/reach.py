@@ -65,7 +65,8 @@ def runs(out: Path) -> List[Tuple[str, List[List[str]]]]:
                           "benchmarks/test_figure3_scalability.py",
                           "benchmarks/test_tables14_figures12.py"]]),
         ("perf-bench-smoke", [[py, "benchmarks/perf/run.py", "--quick", "--trace"]]),
-        ("conformance-smoke", [cli + ["conformance", "--n", "25", "--seed", "0",
+        ("conformance-smoke", [cli + ["list"],
+                               cli + ["conformance", "--n", "25", "--seed", "0",
                                       "--report", str(out / "conformance-report.json")]]),
         ("serve-smoke", [
             [py, "benchmarks/serve_load.py", "--n", "50", "--duplicate-fraction", "0.5",
