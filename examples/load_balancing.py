@@ -27,9 +27,9 @@ from repro.api import BalancingPlan, Scenario, run_scenario
 
 
 def describe(label, result) -> None:
-    progress = result.per_rank
-    rows = [progress[r].rows for r in sorted(progress)]
-    iters = [progress[r].iterations for r in sorted(progress)]
+    reports = result.reports
+    rows = [reports[r].meta["rows"] for r in sorted(reports)]
+    iters = [reports[r].iterations for r in sorted(reports)]
     balancing = result.balancing
     print(f"{label}:")
     print(f"  makespan {result.makespan:8.3f} virtual s   "

@@ -49,7 +49,7 @@ def main() -> None:
     print(f"AIAC on threads: wall {aiac.makespan:.3f} s, "
           f"per-rank iterations {iters}, "
           f"error {problem.solution_error(aiac.solution()):.2e}")
-    print(f"messages exchanged: {aiac.stats()['messages_sent']}")
+    print(f"messages exchanged: {aiac.backend_stats['messages_sent']}")
     print("\nNote: on one core the threads time-share, so wall times are "
           "not a performance comparison -- that is what the simulator is "
           "for.  This demonstrates protocol correctness on real threads.")

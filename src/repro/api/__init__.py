@@ -54,13 +54,11 @@ from repro.api.faults import (
     MessageLoss,
     MessageReorder,
     RankCrash,
-    fault_kinds,
 )
 from repro.api.registry import (
     get_balancer,
     get_cluster,
     get_environment,
-    get_problem,
     get_problem_factory,
     get_worker,
     list_balancers,
@@ -73,7 +71,7 @@ from repro.api.registry import (
     register_problem,
     register_worker,
 )
-from repro.api.result import RankProgress, RunResult, jsonify
+from repro.api.result import RunResult, jsonify
 from repro.balancing import BalancingPlan
 from repro.api.scenario import Scenario, scenario_matrix
 
@@ -81,7 +79,6 @@ __all__ = [
     "Scenario",
     "scenario_matrix",
     "RunResult",
-    "RankProgress",
     "jsonify",
     "BalancingPlan",
     "register_balancer",
@@ -94,7 +91,6 @@ __all__ = [
     "MessageDuplication",
     "MessageReorder",
     "RankCrash",
-    "fault_kinds",
     "Backend",
     "SimulatedBackend",
     "ThreadedBackend",
@@ -107,7 +103,6 @@ __all__ = [
     "get_worker",
     "list_workers",
     "register_problem",
-    "get_problem",
     "get_problem_factory",
     "list_problems",
     "register_cluster",

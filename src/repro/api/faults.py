@@ -444,11 +444,6 @@ class MessageFates:
         return NO_FAULT
 
 
-def fault_kinds() -> List[str]:
-    """Sorted names of every registered fault-event kind."""
-    return _EVENT_KINDS.names()
-
-
 __all__ = [
     "FaultPlan",
     "FaultEvent",
@@ -462,7 +457,6 @@ __all__ = [
     "FaultDecision",
     "NO_FAULT",
     "DATA_TAGS",
-    "fault_kinds",
     "in_window",
     "matches_tag",
 ]

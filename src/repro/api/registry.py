@@ -21,7 +21,6 @@ from repro.core.run import get_worker, list_workers, register_worker
 from repro.envs import all_environments, get_environment
 from repro.envs import register as register_environment
 from repro.problems import (
-    get_problem,
     get_problem_factory,
     list_problems,
     register_problem,
@@ -44,7 +43,6 @@ __all__ = [
     "get_worker",
     "list_workers",
     "register_problem",
-    "get_problem",
     "get_problem_factory",
     "list_problems",
     "register_cluster",

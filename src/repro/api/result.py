@@ -19,23 +19,6 @@ from repro.api.scenario import Scenario
 from repro.core.aiac import WorkerReport
 
 
-@dataclass(frozen=True)
-class RankProgress:
-    """One rank's progress summary (the balancing-evaluation view).
-
-    ``busy_time`` is the time the rank spent computing, on the
-    backend's own clock (virtual seconds on the simulator, wall
-    seconds on threads); ``rows`` is the final ``[lo, hi)`` row range
-    when the run migrated rows (``None`` for static partitions).
-    """
-
-    rank: int
-    iterations: int
-    busy_time: float
-    sends: int = 0
-    rows: Optional[tuple] = None
-
-
 def jsonify(value: Any) -> Any:
     """Recursively convert numpy containers/scalars to JSON-safe types::
 
@@ -118,29 +101,6 @@ class RunResult:
         return max((r.iterations for r in self.reports.values()), default=0)
 
     @property
-    def per_rank(self) -> Dict[int, RankProgress]:
-        """Per-rank progress: iterations, busy time, final row range.
-
-        The currency of balancing evaluation::
-
-            progress = result.per_rank
-            busy = [progress[r].busy_time for r in sorted(progress)]
-
-        ``busy_time`` survives ``to_record``/``from_record``.
-        """
-        progress: Dict[int, RankProgress] = {}
-        for rank, rep in self.reports.items():
-            rows = rep.meta.get("rows") if isinstance(rep.meta, Mapping) else None
-            progress[rank] = RankProgress(
-                rank=rank,
-                iterations=rep.iterations,
-                busy_time=float(getattr(rep, "busy_time", 0.0)),
-                sends=rep.sends,
-                rows=None if rows is None else tuple(rows),
-            )
-        return progress
-
-    @property
     def balancing(self) -> Dict[str, int]:
         """Aggregated migration counters over all ranks (empty when the
         run carried no balancing plan); see ``docs/balancing.md``."""
@@ -162,21 +122,6 @@ class RunResult:
                 "written with include_solution=False?)"
             )
         return np.concatenate(parts)
-
-    def stats(self) -> dict:
-        """Flat summary dict (makespan, convergence, per-rank iterations)."""
-        return {
-            "backend": self.backend,
-            "makespan": self.makespan,
-            "elapsed": self.elapsed,
-            "converged": self.converged,
-            "iterations_per_rank": {
-                r: rep.iterations for r, rep in sorted(self.reports.items())
-            },
-            "skipped_sends": sum(r.skipped_sends for r in self.reports.values()),
-            **({"faults": dict(self.faults)} if self.faults else {}),
-            **self.backend_stats,
-        }
 
     # ------------------------------------------------------------------
     # records
@@ -270,4 +215,4 @@ class RunResult:
         )
 
 
-__all__ = ["RunResult", "RankProgress", "jsonify"]
+__all__ = ["RunResult", "jsonify"]

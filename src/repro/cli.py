@@ -351,6 +351,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     from repro.api import Scenario, run_scenario
     from repro.obs import write_trace
+    from repro.obs.report import describe_makespan
 
     data = _load_scenario_list(args.scenarios)
     if data is None:
@@ -387,7 +388,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"wrote chrome trace to {path} "
         f"(backend={timeline.backend}, clock={timeline.clock}, "
         f"{len(timeline.spans)} span(s), {len(timeline.markers)} marker(s), "
-        f"makespan {timeline.makespan():.4f}s)"
+        f"{describe_makespan(timeline)})"
     )
     return 0
 

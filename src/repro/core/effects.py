@@ -2,11 +2,13 @@
 
 The AIAC and SISC algorithm implementations in :mod:`repro.core` are
 written once as generator coroutines that ``yield`` the effect objects
-defined here.  Three interpreters execute them:
+defined here.  The vocabulary is exactly what the workers yield --
+``Send``, ``Recv``, ``Drain``, ``Iterate``, ``Now``, ``Barrier`` and
+``Trace`` -- and three interpreters execute it:
 
 * the discrete-event simulator (:mod:`repro.simgrid.process`) charges
-  virtual time for ``Compute`` and routes ``Send`` through the
-  environment's communication model;
+  virtual time for an ``Iterate``'s flops and routes ``Send`` through
+  the environment's communication model;
 * the real-thread and real-process runtime (:mod:`repro.runtime`)
   executes them against channels and the wall clock.
 
@@ -34,27 +36,6 @@ class Effect:
     """Base class for all yieldable effects."""
 
     __slots__ = ()
-
-
-@dataclass(slots=True)
-class Compute(Effect):
-    """Charge ``flops`` of computation to the calling process's host.
-
-    The numerical work itself has already been performed in user code
-    (for real); this effect only advances virtual time.  The optional
-    ``label`` shows up in Gantt traces.
-    """
-
-    flops: float
-    label: str = "compute"
-
-
-@dataclass(slots=True)
-class Sleep(Effect):
-    """Advance time by ``seconds`` without doing work (idle span)."""
-
-    seconds: float
-    label: str = "sleep"
 
 
 @dataclass(slots=True)
@@ -142,10 +123,10 @@ class Iterate(Effect):
     """Run one local-solver iteration and charge its ``flops``.
 
     Resumes with the solver's ``LocalIteration`` (anything with a
-    ``flops`` attribute) once that is charged as ``Compute(result.flops)``
-    would be: virtual time and a ``"compute"`` span on the simulator,
-    the closed work segment on the wall-clock backends.  Every
-    interpreter calls ``solver.iterate()`` inline.
+    ``flops`` attribute) once its flops are charged: virtual time and a
+    ``"compute"`` span on the simulator, the closed work segment on the
+    wall-clock backends.  Every interpreter calls ``solver.iterate()``
+    inline.
     """
 
     solver: Any
@@ -302,8 +283,6 @@ def drain_tagged(
 
 __all__ = [
     "Effect",
-    "Compute",
-    "Sleep",
     "Send",
     "SendHandle",
     "Drain",

@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from numpy._core.multiarray import c_einsum
@@ -93,18 +93,14 @@ class MultiDiagonalMatrix:
         return self.row_block(lo, hi, x).matvec()
 
     def column_spans(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`column_dependencies` as ``(starts, stops)`` arrays."""
+        """Global column ranges read by rows ``[lo, hi)``, one per
+        diagonal, as ``(starts, stops)`` arrays."""
         k = self.offsets
         # Each diagonal's rows inside the matrix, clipped to [lo, hi).
         rlo = np.maximum(-k, max(lo, 0))
         rhi = np.minimum(self.n - k, min(hi, self.n))
         meets = rlo < rhi
         return rlo[meets] + k[meets], rhi[meets] + k[meets]
-
-    def column_dependencies(self, lo: int, hi: int) -> List[Tuple[int, int]]:
-        """Global column ranges read by rows ``[lo, hi)``, one per diagonal."""
-        starts, stops = self.column_spans(lo, hi)
-        return list(zip(starts.tolist(), stops.tolist()))
 
     # ------------------------------------------------------------------
     # conversions / analysis
@@ -162,7 +158,7 @@ class RowBlockOperator:
     that buffer: a row memcpy per diagonal instead of an indexed load
     per element.  Where a window overhangs the matrix it reads the
     zero padding, never an ``x`` entry outside the block's
-    :meth:`~MultiDiagonalMatrix.column_dependencies` (whose ``inf`` or
+    :meth:`~MultiDiagonalMatrix.column_spans` (whose ``inf`` or
     ``NaN`` would otherwise poison the row through ``0 * inf``).
 
     The buffer belongs to this operator alone: ranks sharing one matrix

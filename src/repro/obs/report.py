@@ -50,17 +50,27 @@ def format_utilisation(rows: List[Dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
+def describe_makespan(timeline: Timeline) -> str:
+    """The run's makespan, read from ``meta`` when the backend recorded
+    it there, and where the spans end when that is earlier."""
+    last = f"{timeline.makespan():.4f}s"
+    makespan = f"{timeline.meta['makespan']:.4f}s" if "makespan" in timeline.meta else last
+    if last == makespan:
+        return f"makespan: {makespan}"
+    return f"makespan: {makespan}, last span ends {last}"
+
+
 def render_report(timeline: Timeline, width: int = 72) -> str:
     """The full ``repro report`` body: header, table, Gantt, markers."""
     lines = [
         f"backend: {timeline.backend}   clock: {timeline.clock}   "
-        f"makespan: {timeline.makespan():.4f}s   "
+        f"{describe_makespan(timeline)}   "
         f"spans: {len(timeline.spans)}   markers: {len(timeline.markers)}",
     ]
     interesting = {
         k: v
         for k, v in timeline.meta.items()
-        if isinstance(v, (int, float, str, bool))
+        if isinstance(v, (int, float, str, bool)) and k != "makespan"
     }
     if interesting:
         lines.append(
@@ -83,4 +93,4 @@ def render_report(timeline: Timeline, width: int = 72) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["utilisation_table", "format_utilisation", "render_report"]
+__all__ = ["utilisation_table", "format_utilisation", "describe_makespan", "render_report"]

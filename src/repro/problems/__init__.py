@@ -13,7 +13,7 @@
   the AIAC / SISC workers in :mod:`repro.core`.
 """
 
-from typing import Any, Callable, List
+from typing import Callable, List
 
 from repro.problems.base import (
     LocalIteration,
@@ -52,11 +52,6 @@ def get_problem_factory(name: str) -> Callable:
     return PROBLEM_REGISTRY.get(name)
 
 
-def get_problem(name: str, **params: Any):
-    """Build a problem instance from a registered factory."""
-    return PROBLEM_REGISTRY.get(name)(**params)
-
-
 def list_problems() -> List[str]:
     """Sorted names of all registered problems."""
     return PROBLEM_REGISTRY.names()
@@ -69,7 +64,6 @@ __all__ = [
     "PROBLEM_REGISTRY",
     "register_problem",
     "get_problem_factory",
-    "get_problem",
     "list_problems",
     "LocalIteration",
     "LocalSolver",

@@ -3,9 +3,8 @@
 The same effect vocabulary as the simulator, interpreted against real
 threads:
 
-* ``Iterate``/``Compute``/``Sleep`` -- ``Iterate`` runs the solver
-  inline; both close the rank's work segment as busy time and yield
-  the GIL before resuming; ``Sleep`` sleeps a bounded amount;
+* ``Iterate`` -- runs the solver inline, closes the rank's work
+  segment as busy time and yields the GIL before resuming;
 * ``Send`` -- posts to the :class:`~repro.runtime.channels.ChannelHub`
   immediately (an in-process channel never blocks), so the
   :class:`~repro.core.effects.SendHandle` completes at once;
@@ -24,9 +23,6 @@ from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.core import effects as fx
 from repro.core.trace import Timeline
-
-#: Cap on simulated Sleep effects so a buggy coroutine cannot hang a test run.
-_MAX_SLEEP = 0.1
 
 
 class BackendTimeoutError(RuntimeError):
@@ -102,8 +98,8 @@ def _interpret(
     busy = 0.0
     # Start of the open work segment: everything since the last
     # blocking effect (or the run start).  Inline effect handling --
-    # sends, drains, the solver call -- counts as work; Iterate/Compute
-    # close the segment as busy, blocked waits (Recv/Barrier/Sleep) not.
+    # sends, drains, the solver call -- counts as work; Iterate closes
+    # the segment as busy, blocked waits (Recv/Barrier) not.
     segment = start
     try:
         while True:
@@ -116,17 +112,14 @@ def _interpret(
                 return
             if isinstance(effect, fx.Now):
                 value = time.monotonic() - start
-            elif isinstance(effect, (fx.Iterate, fx.Compute)):
-                # Iterate runs inline.  Either way the flops ran in the
-                # open segment, which closes as the rank's busy time.
-                if isinstance(effect, fx.Iterate):
-                    value, label = effect.solver.iterate(), "compute"
-                else:
-                    value, label = None, effect.label
+            elif isinstance(effect, fx.Iterate):
+                # The flops run inline, in the open segment, which
+                # closes as the rank's busy time.
+                value = effect.solver.iterate()
                 now = time.monotonic()
                 busy += now - segment
                 if tracer is not None:
-                    tracer.span(rank, segment, now, "compute", label)
+                    tracer.span(rank, segment, now, "compute", "compute")
                 # Yield the GIL at every iteration boundary: with
                 # vectorised kernels an iteration is far shorter than
                 # the interpreter's switch interval, and without an
@@ -135,13 +128,6 @@ def _interpret(
                 # never get scheduled.
                 time.sleep(0)
                 segment = time.monotonic()
-            elif isinstance(effect, fx.Sleep):
-                waited = time.monotonic()
-                time.sleep(min(effect.seconds, _MAX_SLEEP))
-                segment = time.monotonic()
-                if tracer is not None:
-                    tracer.span(rank, waited, segment, "idle", effect.label)
-                value = None
             elif isinstance(effect, fx.Trace):
                 if tracer is not None:
                     tracer.marker(rank, time.monotonic(), effect.kind, effect.info)

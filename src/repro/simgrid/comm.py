@@ -26,17 +26,17 @@ implements exactly that machinery:
 
 One message costs at most four engine events -- software done, sender
 released, arrival, visible -- all of them methods of the message's
-:class:`_Flight` or of the pools, none a per-message closure (see "The
-simulator's event path" in ``DESIGN.md``).  It costs three when the
+:class:`_Flight` or of the pools (a pool job is a ``partial`` of the
+pool's ``_finish``), none a per-message closure (see "The simulator's
+event path" in ``DESIGN.md``).  It costs three when the
 sender release cannot be observed: nothing to hold the thread for, or
 a rendezvous sender blocked until arrival with no job queued behind it.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from heapq import heappop, heappush
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.effects import Message, SendHandle, drain_tagged
@@ -52,25 +52,24 @@ class _ServiceThreads:
     """The jobs in service on one pool's threads.
 
     A job is ``on_done(now)`` plus the time its thread is finished with
-    it.  Every job's engine event is the same bound method,
-    :meth:`_finish`, which takes the earliest ``(finish time, start
-    order)`` off a heap -- the key the engine orders the events by, so
-    the job popped is the one whose event is firing.
+    it.  Each job is its own engine event, ``partial(_finish, on_done)``;
+    the engine's heap orders them, and the pool only counts its busy
+    threads.
     """
 
     _queue: tuple = ()  # jobs waiting for a thread: none in an unbounded pool
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self._running: List[Tuple[float, int, Callable[[float], None]]] = []
-        self._order = itertools.count()
+        self.busy = 0
 
     def _occupy(self, finish_time: float, on_done: Callable[[float], None]) -> None:
-        heappush(self._running, (finish_time, next(self._order), on_done))
-        self.engine.post_at(finish_time, self._finish)
+        self.busy += 1
+        self.engine.post_at(finish_time, partial(self._finish, on_done))
 
-    def _finish(self) -> None:
-        heappop(self._running)[2](self.engine.now)
+    def _finish(self, on_done: Callable[[float], None]) -> None:
+        self.busy -= 1
+        on_done(self.engine.now)
 
     # A sending thread stays occupied once the software overhead is
     # paid, until the message has cleared the links (blocking-socket
@@ -100,15 +99,16 @@ class ThreadPoolModel(_ServiceThreads):
         self._queue: Deque[Tuple[float, Callable[[float], None]]] = deque()
 
     def submit(self, duration: float, on_done: Callable[[float], None]) -> None:
-        if self._queue or len(self._running) >= self.size:
+        if self._queue or self.busy >= self.size:
             self._queue.append((duration, on_done))  # until a thread is free
         else:
             self._occupy(self.engine.now + duration, on_done)
 
-    def _finish(self) -> None:
-        heappop(self._running)[2](self.engine.now)  # as the base class, inline
+    def _finish(self, on_done: Callable[[float], None]) -> None:
+        self.busy -= 1  # as the base class, inline
+        on_done(self.engine.now)
         queue = self._queue
-        while queue and len(self._running) < self.size:
+        while queue and self.busy < self.size:
             duration, on_done = queue.popleft() if self.fair else queue.pop()
             self._occupy(self.engine.now + duration, on_done)
 
@@ -124,7 +124,7 @@ class OnDemandPool(_ServiceThreads):
     def submit(self, duration: float, on_done: Callable[[float], None]) -> None:
         # One event per job: the thread is spawned, then serves.
         self._occupy((self.engine.now + self.spawn_cost) + duration, on_done)
-        self.peak_concurrency = max(self.peak_concurrency, len(self._running))
+        self.peak_concurrency = max(self.peak_concurrency, self.busy)
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,8 @@ class Host:
     name:
         Unique identifier, e.g. ``"site0-node3"``.
     speed:
-        Compute rate in normalised flop/s.  ``Compute(flops)`` effects
-        take ``flops / speed`` virtual seconds on this host.
+        Compute rate in normalised flop/s.  An ``Iterate`` of ``flops``
+        takes ``flops / speed`` virtual seconds on this host.
     site:
         Name of the site (cluster) this host belongs to; used by the
         network topology builders to pick intra- vs inter-site links.
@@ -44,9 +44,6 @@ class Host:
         if flops < 0:
             raise ValueError("flops must be non-negative")
         return flops / self.speed
-
-    def __hash__(self) -> int:
-        return hash(self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Host({self.name!r}, speed={self.speed:g}, site={self.site!r})"

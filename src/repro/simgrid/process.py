@@ -6,7 +6,7 @@ The interpreter advances the generator, translating each effect into
 engine events, trace spans and transport calls.
 
 Whatever unblocks a process resumes its coroutine *directly*, inside
-the event that did it (a compute/sleep/barrier event of its own, the
+the event that did it (a compute/barrier event of its own, the
 sender-released or arrival event of a blocking send, the visible event
 that satisfies a ``Recv``) -- never through a same-timestamp bounce
 event.  :meth:`Process._advance` is the trampoline that keeps this
@@ -60,7 +60,7 @@ class Process:
         self.state = ProcessState.READY
         self.result: Any = None
         self.exception: Optional[BaseException] = None
-        #: Virtual seconds this process spent in Compute effects
+        #: Virtual seconds this process spent in Iterate effects
         #: (surfaced as per-rank busy time in run results).
         self.busy_time: float = 0.0
         self._blocked_since: float = 0.0
@@ -80,7 +80,7 @@ class Process:
         self.world.engine.post_at(self.world.engine.now, self._wake)
 
     def _wake(self) -> None:
-        """Engine event: a compute / sleep / barrier wait is over."""
+        """Engine event: a compute or barrier wait is over."""
         value, self._wake_value = self._wake_value, None
         self._advance(value)
 
@@ -129,18 +129,14 @@ class Process:
             # Effects that resume immediately are handled in this loop
             # (no engine round-trip); time-consuming ones schedule a
             # callback and return.  The chain is ordered by frequency
-            # in the iterative hot loop: drain, compute, send.
+            # in the iterative hot loop: drain, iterate, send.
             if isinstance(effect, fx.Drain):
                 value = self.world.transport.mailboxes[self.rank].drain(effect.tag)
                 continue
             if isinstance(effect, fx.Iterate):
                 # Host-side numerics now, the simulated cost charged
                 # before the coroutine sees the result.
-                result = effect.solver.iterate()
-                self._compute(result.flops, "compute", result)
-                return
-            if isinstance(effect, fx.Compute):
-                self._compute(effect.flops, effect.label)
+                self._compute(effect.solver.iterate())
                 return
             if isinstance(effect, fx.Send):
                 handle = self._do_send(effect)
@@ -162,9 +158,6 @@ class Process:
                     value = self._recv_value
                     continue
                 return
-            if isinstance(effect, fx.Sleep):
-                self._do_sleep(effect)
-                return
             if isinstance(effect, fx.Barrier):
                 self.state = ProcessState.BLOCKED
                 self._blocked_since = engine.now
@@ -175,24 +168,15 @@ class Process:
     # ------------------------------------------------------------------
     # effect handlers
     # ------------------------------------------------------------------
-    def _compute(self, flops: float, label: str, value: Any = None) -> None:
-        """Charge ``flops`` to the host, then resume with ``value``."""
+    def _compute(self, result: Any) -> None:
+        """Charge an iteration's ``flops`` to the host, then resume with it."""
         engine = self.world.engine
-        duration = self.host.compute_time(flops)
+        duration = self.host.compute_time(result.flops)
         self.busy_time += duration
         start = engine.now
-        self.world.trace.add_span(self.rank, start, start + duration, "compute", label)
-        self._wake_value = value
+        self.world.trace.add_span(self.rank, start, start + duration, "compute", "compute")
+        self._wake_value = result
         engine.post_after(duration, self._wake)
-
-    def _do_sleep(self, effect: fx.Sleep) -> None:
-        engine = self.world.engine
-        if effect.seconds < 0:
-            raise SimulationError("negative sleep")
-        self.world.trace.add_span(
-            self.rank, engine.now, engine.now + effect.seconds, "idle", effect.label
-        )
-        engine.post_after(effect.seconds, self._wake)
 
     def _do_send(self, effect: fx.Send) -> fx.SendHandle:
         handle = fx.SendHandle()

@@ -28,7 +28,6 @@ from repro.sweep.placement import (
     PoolPlacement,
     ServePlacement,
     get_placement,
-    list_placements,
     register_placement,
 )
 from repro.sweep.state import SweepState, SweepStateError, plan_fingerprint
@@ -43,7 +42,6 @@ __all__ = [
     "ServePlacement",
     "register_placement",
     "get_placement",
-    "list_placements",
     "SweepState",
     "SweepStateError",
     "plan_fingerprint",

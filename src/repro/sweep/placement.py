@@ -135,11 +135,6 @@ def get_placement(name: str) -> Type[Placement]:
     return PLACEMENT_REGISTRY.get(name)
 
 
-def list_placements() -> List[str]:
-    """Sorted names of all registered placement strategies."""
-    return PLACEMENT_REGISTRY.names()
-
-
 # ----------------------------------------------------------------------
 # strategies
 # ----------------------------------------------------------------------
@@ -348,7 +343,6 @@ __all__ = [
     "PlacementEvent",
     "register_placement",
     "get_placement",
-    "list_placements",
     "LocalPlacement",
     "PoolPlacement",
     "ServePlacement",

@@ -227,7 +227,7 @@ def test_run_result_record_without_solution():
 
 
 def test_run_result_record_round_trips_all_counter_families_at_once():
-    """per_rank + faults + balancing populated *simultaneously*.
+    """Reports + faults + balancing populated *simultaneously*.
 
     Each family round-trips in isolation elsewhere; this run carries a
     balancing plan on a message-faulted scenario, so one record holds
@@ -259,12 +259,12 @@ def test_run_result_record_round_trips_all_counter_families_at_once():
     # All three families survive together, not just in isolation.
     assert rebuilt.faults == result.faults
     assert rebuilt.balancing == result.balancing
-    progress, again = result.per_rank, rebuilt.per_rank
+    progress, again = result.reports, rebuilt.reports
     assert sorted(again) == sorted(progress) == list(range(4))
     for rank in progress:
         assert again[rank].iterations == progress[rank].iterations
         assert again[rank].busy_time == pytest.approx(progress[rank].busy_time)
-        assert again[rank].rows == progress[rank].rows
+        assert again[rank].meta["rows"] == progress[rank].meta["rows"]
         assert again[rank].sends == progress[rank].sends
     assert rebuilt.scenario == result.scenario
     np.testing.assert_allclose(rebuilt.solution(), result.solution())
@@ -302,10 +302,9 @@ def test_same_scenario_runs_on_both_backends():
 
 def test_threaded_backend_derives_stats():
     result = ThreadedBackend().run(_fast_scenario(algorithm="sisc", n_ranks=2))
-    stats = result.stats()
-    assert stats["backend"] == "threaded"
-    assert stats["messages_sent"] > 0
-    assert set(stats["iterations_per_rank"]) == {0, 1}
+    assert result.backend == "threaded"
+    assert result.backend_stats["messages_sent"] > 0
+    assert set(result.reports) == {0, 1}
 
 
 # ----------------------------------------------------------------------

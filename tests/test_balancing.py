@@ -42,8 +42,7 @@ HETERO = Scenario(
 
 
 def _row_spans(result):
-    progress = result.per_rank
-    return [progress[r].rows for r in sorted(progress)]
+    return [result.reports[r].meta["rows"] for r in sorted(result.reports)]
 
 
 def _assert_partition(result, n):
@@ -431,19 +430,18 @@ def test_handoff_payloads_survive_the_process_wire_format():
 def test_per_rank_progress_and_busy_time_round_trip():
     scenario = HETERO.derive(balancer=BalancingPlan(policy="diffusion", period=10))
     result = run_scenario(scenario)
-    progress = result.per_rank
+    progress = result.reports
     assert sorted(progress) == list(range(6))
-    for rank, entry in progress.items():
-        assert entry.iterations == result.reports[rank].iterations
+    for entry in progress.values():
         assert 0.0 < entry.busy_time <= result.makespan
-        assert entry.rows is not None
+        assert entry.meta["rows"] is not None
     record = result.to_record()
     rebuilt = RunResult.from_record(json.loads(json.dumps(record)))
-    again = rebuilt.per_rank
+    again = rebuilt.reports
     for rank in progress:
         assert again[rank].iterations == progress[rank].iterations
         assert again[rank].busy_time == pytest.approx(progress[rank].busy_time)
-        assert again[rank].rows == progress[rank].rows
+        assert again[rank].meta["rows"] == progress[rank].meta["rows"]
     assert rebuilt.balancing == result.balancing
 
 
@@ -452,9 +450,9 @@ def test_busy_time_is_reported_without_balancing_too():
                         problem_params={"n": 200, "sign_structure": "random"},
                         n_ranks=3, seed=1)
     result = run_scenario(scenario)
-    for entry in result.per_rank.values():
+    for entry in result.reports.values():
         assert entry.busy_time > 0.0
-        assert entry.rows is None
+        assert "rows" not in entry.meta
     assert result.balancing == {}
 
 

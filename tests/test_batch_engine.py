@@ -24,7 +24,7 @@ from repro.api.backends import ProcessBackend, SimulatedBackend
 from repro.api.faults import FaultPlan, MessageDuplication, MessageLoss
 from repro.clusters import uniform_cluster
 from repro.core.aiac import AIACOptions
-from repro.core.effects import Compute, Iterate
+from repro.core.effects import Iterate
 from repro.envs.base import CommPolicy
 from repro.problems import chemical
 from repro.simgrid.process import ProcessState
@@ -102,6 +102,12 @@ def test_batched_parity_async_chemical(memos):
     assert memo.hits > 0
 
 
+def work(flops):
+    """An ``Iterate`` over a stub solver whose iteration costs ``flops``."""
+    done = SimpleNamespace(flops=flops)
+    return Iterate(SimpleNamespace(iterate=lambda: done))
+
+
 class _Boom(RuntimeError):
     pass
 
@@ -126,7 +132,7 @@ def test_inline_iterate_failure_fails_the_process(poisoned_first):
     sibling (t = 2)."""
 
     def program(seconds, solver):
-        yield Compute(seconds)  # unit-speed hosts: flops are seconds
+        yield work(seconds)  # unit-speed hosts: flops are seconds
         yield Iterate(solver)
         return "unreachable for the poisoned rank"
 

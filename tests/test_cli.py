@@ -88,6 +88,25 @@ def test_trace_then_report_round_trip(tmp_path, capsys):
     assert "backend: simulated" in report and "util" in report
 
 
+def test_trace_and_report_print_one_run_makespan(tmp_path, capsys):
+    """The simulated run ends well after its last span: both commands
+    print the run's makespan and say where the spans end, and the
+    ``meta:`` line does not repeat it."""
+    from repro.obs import load_trace
+
+    out = tmp_path / "trace.json"
+    assert main(["trace", str(TRACE_SCENARIO), "--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert main(["report", str(out)]) == 0
+    header, meta = capsys.readouterr().out.splitlines()[:2]
+    timeline = load_trace(out)
+    run_end, spans_end = timeline.meta["makespan"], timeline.makespan()
+    assert spans_end < 0.9 * run_end
+    expected = f"makespan: {run_end:.4f}s, last span ends {spans_end:.4f}s"
+    assert expected in summary and expected in header
+    assert meta.startswith("meta: ") and "makespan" not in meta
+
+
 def test_conformance_simulated_only(tmp_path, capsys):
     report = tmp_path / "conformance.json"
     assert main(["conformance", "--n", "2", "--simulated-only",

@@ -1,12 +1,14 @@
 """Failure-injection tests: divergence caps, starvation, broken topologies."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.api import Scenario, SimulatedBackend
 from repro.core.aiac import AIACOptions
 from repro.clusters import uniform_cluster
-from repro.core.effects import Compute, Send
+from repro.core.effects import Iterate, Send
 from repro.envs.base import CommPolicy
 from repro.linalg.sparse import MultiDiagonalMatrix
 from repro.problems.sparse_linear import SparseLinearConfig, SparseLinearProblem
@@ -14,6 +16,12 @@ from repro.simgrid.host import Host
 from repro.simgrid.link import Link
 from repro.simgrid.network import Network, NoRouteError
 from repro.simgrid.world import ProcessFailure, World
+
+
+def work(flops):
+    """An ``Iterate`` over a stub solver whose iteration costs ``flops``."""
+    done = SimpleNamespace(flops=flops)
+    return Iterate(SimpleNamespace(iterate=lambda: done))
 
 
 def _divergent_problem(n=60):
@@ -83,10 +91,10 @@ def test_unfair_scheduler_starves_old_messages():
         def sender(rank, size):
             for i in range(4):
                 yield Send(1, "d", i, 1.0)
-            yield Compute(1.0)
+            yield work(1.0)
 
         def receiver(rank, size):
-            yield Compute(1e12)  # wait long enough for all handling
+            yield work(1e12)  # wait long enough for all handling
             from repro.core.effects import Drain
             msgs = yield Drain("d")
             return [m.payload for m in sorted(msgs, key=lambda m: m.delivered_at)]
@@ -113,7 +121,7 @@ def test_missing_route_fails_the_run_cleanly():
         if rank == 1:
             yield Send(0, "d", None, 8.0)  # b -> a has no route
         else:
-            yield Compute(1.0)
+            yield work(1.0)
 
     world.spawn(talks_back(0, 2))
     world.spawn(talks_back(1, 2))

@@ -33,13 +33,6 @@ def test_host_rejects_negative_flops():
         Host(name="h", speed=1.0).compute_time(-5.0)
 
 
-def test_host_hashes_by_name():
-    a, twin = Host(name="a", speed=1.0), Host(name="a", speed=1.0)
-    assert hash(a) == hash(twin) == hash("a")
-    assert {a: 1}[twin] == 1
-    assert len({a, twin, Host(name="b", speed=1.0)}) == 2
-
-
 # ----------------------------------------------------------------------
 # links
 # ----------------------------------------------------------------------

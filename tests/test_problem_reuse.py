@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.api import ProcessBackend, Scenario, SimulatedBackend, ThreadedBackend
-from repro.problems import PROBLEM_REGISTRY, get_problem, register_problem
+from repro.problems import PROBLEM_REGISTRY, get_problem_factory, register_problem
 from repro.problems.sparse_linear import SparseLinearConfig, SparseLinearProblem
 
 SPARSE = Scenario(
@@ -126,7 +126,7 @@ def test_runs_on_the_shared_instance_equal_a_run_on_a_fresh_one(scenario):
     first = _record(SimulatedBackend().run(scenario))
     second = _record(SimulatedBackend().run(scenario))
     seeded = {} if scenario.seed is None else {"seed": scenario.seed}
-    fresh = get_problem(scenario.problem, **scenario.problem_params, **seeded)
+    fresh = get_problem_factory(scenario.problem)(**scenario.problem_params, **seeded)
     assert fresh is not scenario.build_problem()
     reference = _record(SimulatedBackend().run(scenario, make_solver=fresh.make_local))
     assert first["backend_stats"]["events"] > 0

@@ -80,7 +80,7 @@ def test_process_backend_converges_and_matches_the_reference_solution():
     # Real wall clock on both axes, and per-rank accounting filled in.
     assert result.makespan == result.elapsed > 0.0
     assert result.backend_stats["messages_sent"] > 0
-    progress = result.per_rank
+    progress = result.reports
     assert sorted(progress) == [0, 1, 2]
     for entry in progress.values():
         assert entry.iterations >= 1

@@ -1,19 +1,19 @@
 """Integration tests of the coroutine interpreter and World container."""
 
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from repro.clusters import uniform_cluster
 from repro.core.effects import (
     Barrier,
-    Compute,
     Drain,
+    Iterate,
     Now,
     Recv,
     Send,
     SendHandle,
-    Sleep,
     Trace,
 )
 from repro.envs import get_environment
@@ -28,11 +28,17 @@ def make_world(n=2, policy=POLICY, **kwargs):
     return World(uniform_cluster(n_hosts=n, speed=1e6, latency=1e-3), policy, **kwargs)
 
 
+def work(flops):
+    """An ``Iterate`` over a stub solver whose iteration costs ``flops``."""
+    done = SimpleNamespace(flops=flops)
+    return Iterate(SimpleNamespace(iterate=lambda: done))
+
+
 def test_compute_advances_virtual_time():
     world = make_world(1)
 
     def proc(rank, size):
-        yield Compute(2e6)  # 2 seconds at 1e6 flop/s
+        yield work(2e6)  # 2 seconds at 1e6 flop/s
         return (yield Now())
 
     world.spawn(proc(0, 1))
@@ -40,24 +46,11 @@ def test_compute_advances_virtual_time():
     assert world.results[0] == pytest.approx(2.0)
 
 
-def test_sleep_is_idle_time():
-    world = make_world(1)
-
-    def proc(rank, size):
-        yield Sleep(1.5)
-        return (yield Now())
-
-    world.spawn(proc(0, 1))
-    world.run()
-    assert world.results[0] == pytest.approx(1.5)
-    assert world.trace.spans_for(0, "idle")
-
-
 def test_send_and_blocking_recv():
     world = make_world(2)
 
     def sender(rank, size):
-        yield Compute(1e6)
+        yield work(1e6)
         yield Send(1, "data", {"x": 7}, 100.0)
         return "sent"
 
@@ -79,7 +72,7 @@ def test_recv_timeout_returns_empty():
         return (msgs, (yield Now()))
 
     def idle(rank, size):
-        yield Sleep(1.0)
+        yield work(1e6)  # 1 second
 
     world.spawn(receiver(0, 2))
     world.spawn(idle(1, 2))
@@ -93,7 +86,7 @@ def test_drain_is_nonblocking():
 
     def receiver(rank, size):
         first = yield Drain("data")
-        yield Sleep(1.0)
+        yield work(1e6)  # 1 second
         second = yield Drain("data")
         return (len(first), len(second))
 
@@ -139,7 +132,7 @@ def test_barrier_synchronises_all_ranks():
     world = make_world(3)
 
     def proc(rank, size):
-        yield Compute((rank + 1) * 1e6)  # 1, 2, 3 seconds
+        yield work((rank + 1) * 1e6)  # 1, 2, 3 seconds
         yield Barrier()
         return (yield Now())
 
@@ -276,7 +269,7 @@ def test_failure_in_a_directly_resumed_receiver_is_the_receivers():
 
     def sender(rank, size):
         yield Send(1, "d", None, 100.0)
-        yield Sleep(10.0)
+        yield work(1e7)  # 10 seconds
 
     def receiver(rank, size):
         yield Recv("d")
@@ -298,7 +291,7 @@ def test_process_failure_propagates():
     world = make_world(1)
 
     def bad(rank, size):
-        yield Compute(1.0)
+        yield work(1.0)
         raise ValueError("boom")
 
     world.spawn(bad(0, 1))
@@ -313,7 +306,7 @@ def test_deadlock_detected():
         yield Recv("never-sent")
 
     def finishes(rank, size):
-        yield Compute(1.0)
+        yield work(1.0)
 
     world.spawn(waits_forever(0, 2))
     world.spawn(finishes(1, 2))
@@ -326,7 +319,7 @@ def test_trace_markers_recorded():
 
     def proc(rank, size):
         yield Trace("checkpoint", {"k": 1})
-        yield Compute(1.0)
+        yield work(1.0)
 
     world.spawn(proc(0, 1))
     world.run()
@@ -338,7 +331,7 @@ def test_spawn_after_run_rejected():
     world = make_world(1)
 
     def proc(rank, size):
-        yield Compute(1.0)
+        yield work(1.0)
 
     world.spawn(proc(0, 1))
     world.run()
@@ -350,7 +343,7 @@ def test_duplicate_rank_rejected():
     world = make_world(2)
 
     def proc(rank, size):
-        yield Compute(1.0)
+        yield work(1.0)
 
     world.spawn(proc(0, 2), rank=0)
     with pytest.raises(ValueError):

@@ -1,13 +1,14 @@
 """Tests of the real-thread backend (channels + executor)."""
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core.aiac import AIACOptions, aiac_worker
 from repro.core.effects import (
-    Barrier, Compute, Drain, Message, Now, Recv, Send, Sleep, Trace,
+    Barrier, Drain, Iterate, Message, Now, Recv, Send, Trace,
 )
 from repro.core.sisc import sisc_worker
 from repro.problems.chemical import ChemicalConfig, ChemicalProblem
@@ -15,6 +16,12 @@ from repro.problems.sparse_linear import SparseLinearConfig, SparseLinearProblem
 from repro.runtime import ChannelHub, run_threads
 from repro.runtime.channels import Mailbox
 from repro.runtime.executor import ThreadWorkerError
+
+
+def work(flops):
+    """An ``Iterate`` over a stub solver whose iteration costs ``flops``."""
+    done = SimpleNamespace(flops=flops)
+    return Iterate(SimpleNamespace(iterate=lambda: done))
 
 
 # ----------------------------------------------------------------------
@@ -90,7 +97,7 @@ def test_executor_runs_simple_exchange():
 
 def test_executor_barrier_and_effects():
     def worker(rank, size):
-        yield Compute(1e6)
+        yield work(1e6)
         yield Barrier()
         t = yield Now()
         drained = yield Drain("nothing")
@@ -110,14 +117,13 @@ def test_effects_resume_with_the_same_value_types_as_the_simulator():
 
     def worker(rank, size):
         seen = []
-        for effect in (Now(), Barrier(), Trace("mark"), Compute(1e3), Sleep(0.0),
+        for effect in (Now(), Barrier(), Trace("mark"),
                        Send(rank, "self", rank, 8.0), Drain(), Barrier()):
             value = yield effect
             seen.append(type(value).__name__)
         return seen
 
-    expected = ["float", "NoneType", "NoneType", "NoneType", "NoneType",
-                "SendHandle", "list", "NoneType"]
+    expected = ["float", "NoneType", "NoneType", "SendHandle", "list", "NoneType"]
     world = World(uniform_cluster(n_hosts=2, speed=1e6, latency=1e-3),
                   CommPolicy(name="test"))
     for rank in range(2):
@@ -127,9 +133,63 @@ def test_effects_resume_with_the_same_value_types_as_the_simulator():
     assert run_threads(worker, 2)[0] == {0: expected, 1: expected}
 
 
+def test_the_vocabulary_is_what_the_workers_yield(monkeypatch):
+    """The effect types the workers yield -- an iteration-traced
+    asynchronous sparse run, a synchronous one and a chemical one, on
+    the simulator and on threads -- are exactly the ``Effect``
+    subclasses of ``repro.core.effects``: no interpreter carries a
+    handler that no coroutine reaches."""
+    import repro.api.backends as backends
+    from repro.api import Scenario, SimulatedBackend, ThreadedBackend
+    from repro.core import effects
+
+    yielded = set()
+    lookup = backends.get_worker
+
+    def recording(name):
+        worker = lookup(name)
+
+        def recorded(*args, **kwargs):
+            coroutine, value = worker(*args, **kwargs), None
+            while True:
+                try:
+                    effect = coroutine.send(value)
+                except StopIteration as stop:
+                    return stop.value
+                yielded.add(type(effect))
+                value = yield effect
+
+        return recorded
+
+    monkeypatch.setattr(backends, "get_worker", recording)
+    sparse = Scenario(
+        problem="sparse_linear",
+        problem_params={"n": 60, "sign_structure": "random", "eps": 1e-6},
+        cluster="uniform_cluster", n_ranks=2, seed=1,
+    )
+    scenarios = [
+        sparse.derive(environment="pm2",
+                      options=AIACOptions(eps=1e-6, trace_iterations=True)),
+        sparse.derive(environment="sync_mpi"),
+        Scenario(problem="chemical",
+                 problem_params={"nx": 8, "nz": 8, "t_end": 360.0, "dt": 180.0},
+                 cluster="uniform_cluster", n_ranks=2, seed=1),
+    ]
+    vocabulary = {
+        cls for cls in vars(effects).values()
+        if isinstance(cls, type) and issubclass(cls, effects.Effect)
+        and cls is not effects.Effect
+    }
+    for backend in (SimulatedBackend(), ThreadedBackend()):
+        yielded.clear()
+        for scenario in scenarios:
+            backend.run(scenario)
+        assert yielded == vocabulary, backend.name
+
+
 def test_executor_propagates_worker_exception():
     def bad(rank, size):
-        yield Compute(1.0)
+        yield work(1.0)
         raise RuntimeError("kaboom")
 
     with pytest.raises(ThreadWorkerError):

@@ -111,9 +111,15 @@ def test_multidiag_validation():
         m.row_block_matvec(2, 1, np.zeros(3))
 
 
+def _column_ranges(matrix, lo, hi):
+    """``column_spans`` zipped into ``(start, stop)`` pairs."""
+    starts, stops = matrix.column_spans(lo, hi)
+    return list(zip(starts.tolist(), stops.tolist()))
+
+
 def test_multidiag_column_dependencies_ranges():
     m = MultiDiagonalMatrix(10, (0, 3))
-    deps = m.column_dependencies(0, 5)
+    deps = _column_ranges(m, 0, 5)
     assert (0, 5) in deps           # main diagonal reads own columns
     assert (3, 8) in deps           # offset +3 reads shifted columns
 
@@ -206,7 +212,7 @@ def test_row_block_never_reads_outside_its_column_dependencies(poison):
     x = np.random.default_rng(3).standard_normal(m.n)
     for lo, hi in [(0, 4), (6, 11), (10, 11), (15, 20), (0, 20)]:
         needed = np.zeros(m.n, dtype=bool)
-        for clo, chi in m.column_dependencies(lo, hi):
+        for clo, chi in _column_ranges(m, lo, hi):
             needed[clo:chi] = True
         poisoned = np.where(needed, x, poison)
         d0, d1 = np.searchsorted(m.offsets, [1 - hi, m.n - lo])
@@ -319,7 +325,7 @@ def _owner_loop_dependencies(matrix, partition):
     deps = {}
     for block in range(partition.m):
         needed = set()
-        for clo, chi in matrix.column_dependencies(*partition.bounds(block)):
+        for clo, chi in _column_ranges(matrix, *partition.bounds(block)):
             needed.update(range(_owner(partition, clo), _owner(partition, chi - 1) + 1))
         needed.discard(block)
         deps[block] = needed
@@ -348,7 +354,7 @@ def _pattern_and_partition(draw):
 def test_structure_maps_match_the_dense_pattern(case):
     m, lo, hi, balanced, cut = case
     dense = m.to_dense()
-    assert m.column_dependencies(lo, hi) == _dense_column_spans(dense, lo, hi)
+    assert _column_ranges(m, lo, hi) == _dense_column_spans(dense, lo, hi)
     # Balanced blocks are contiguous with no zero-width block between
     # two owners, so the maps are exactly the owners of the columns read.
     providers = block_column_dependencies(m, balanced)
@@ -369,8 +375,8 @@ def test_structure_maps_of_a_block_no_diagonal_meets():
     m = MultiDiagonalMatrix(10, (-9, 9))  # the two corners only
     m.set_diagonal(-9, 1.0)
     m.set_diagonal(9, 1.0)
-    assert m.column_dependencies(2, 8) == []
-    assert m.column_dependencies(0, 10) == [(0, 1), (9, 10)]
+    assert _column_ranges(m, 2, 8) == []
+    assert _column_ranges(m, 0, 10) == [(0, 1), (9, 10)]
     providers = block_column_dependencies(m, BlockPartition(10, 5))
     assert providers == {0: {4}, 1: set(), 2: set(), 3: set(), 4: {0}}
     # Seven blocks over three rows: four of them zero-width.

@@ -228,10 +228,9 @@ def test_simulate_validates_inputs():
 
 def test_run_result_stats_structure():
     result = _run("pm2", "aiac", _linear_opts(), n_ranks=2)
-    stats = result.stats()
-    assert stats["policy"] == "pm2"
-    assert stats["converged"] is True
-    assert set(stats["iterations_per_rank"]) == {0, 1}
+    assert result.backend_stats["policy"] == "pm2"
+    assert result.converged is True
+    assert set(result.reports) == {0, 1}
 
 
 def test_trace_records_compute_spans_for_all_ranks():
