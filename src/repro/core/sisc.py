@@ -37,9 +37,6 @@ def _allreduce_max(
     the synchronous baseline's collective cost scales the way a real
     MPI implementation's would.
     """
-    if size == 1:
-        return value
-
     # --- binomial reduce towards rank 0 -----------------------------
     val = value
     offset = 1
@@ -92,17 +89,20 @@ def _sisc_inner(
         # explicitly waits for all its dependencies (the receipts are
         # "explicitly localized in the sequence of the program" -- the
         # MPI constraint of Section 2).
-        tag_data = f"sdata{suffix}:{iterations}"
-        for dst, (payload, nbytes) in sorted(result.outgoing.items()):
-            yield Send(dst, tag_data, payload, nbytes)
-        if providers:
-            messages = yield Recv(tag_data, count=len(providers))
-            for msg in messages:
-                solver.integrate(msg.src, msg.payload)
+        if result.outgoing or providers:  # else no tags: no one to talk to
+            tag_data = f"sdata{suffix}:{iterations}"
+            for dst, (payload, nbytes) in sorted(result.outgoing.items()):
+                yield Send(dst, tag_data, payload, nbytes)
+            if providers:
+                messages = yield Recv(tag_data, count=len(providers))
+                for msg in messages:
+                    solver.integrate(msg.src, msg.payload)
 
-        global_residual = yield from _allreduce_max(
-            rank, size, residual, f"red{suffix}:{iterations}"
-        )
+        global_residual = residual
+        if size > 1:
+            global_residual = yield from _allreduce_max(
+                rank, size, residual, f"red{suffix}:{iterations}"
+            )
         if global_residual < opts.eps:
             converged = True
             break

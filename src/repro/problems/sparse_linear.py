@@ -105,28 +105,35 @@ class SparseLinearProblem:
                 f"unknown sign_structure {config.sign_structure!r}; "
                 "expected 'negative' or 'random'"
             )
-        # No temporary larger than one diagonal.  The draws are the
-        # |A[i, i+off]|; the row sums add them up in ascending offset
+        # The draws are the |A[i, i+off]|, diagonal by diagonal in
+        # ascending offset order; the row sums add them up in that
         # order, as offdiagonal_row_sums does, bit for bit.
         row_sums = np.zeros(config.n)
         index = matrix._offset_index
-        for off in offsets:
-            lo = max(0, -off)
-            hi = min(config.n, config.n - off)
-            vals = rng.uniform(0.2, 1.0, hi - lo)
-            if config.sign_structure == "negative":
-                np.negative(vals, out=matrix.data[index[off], lo:hi])  # summed below
-            else:
+        if config.sign_structure == "negative":
+            # One draw in that order, stored row-major over the in-matrix
+            # entries of the rows off the main one; dropped before b's product.
+            k, cols, h = matrix.offsets[:, None], np.arange(config.n), index[0]
+            stored = np.zeros(matrix.data.shape, bool)
+            np.greater_equal(cols, -k[:h], out=stored[:h])
+            np.less(cols, config.n - k[h + 1:], out=stored[h + 1:])
+            vals = rng.uniform(0.2, 1.0, np.count_nonzero(stored))
+            matrix.data[stored] = np.negative(vals, out=vals)
+            del vals, stored
+            # Column sums run down the diagonals in that order (the zeros
+            # around them add nothing), and rounding is symmetric in sign:
+            # the negated sum of the stored -v is the sum of the draws.
+            np.negative(np.add.reduce(matrix.data, axis=0, out=row_sums), out=row_sums)
+        else:
+            # The uniform and sign draws interleave: one diagonal at a time.
+            for off in offsets:
+                lo, hi = matrix._valid_range(off)
+                vals = rng.uniform(0.2, 1.0, hi - lo)
                 row_sums[lo:hi] += vals
                 # The draw rng.choice([-1.0, 1.0], k) makes, without its
                 # per-call argument checks.
                 vals *= _SIGNS[rng.integers(0, 2, hi - lo)]
                 matrix.data[index[off], lo:hi] = vals
-        if config.sign_structure == "negative":
-            # Column sums run down the diagonals in that order (the zeros
-            # around them add nothing), and rounding is symmetric in sign:
-            # the negated sum of the stored -v is the sum of the draws.
-            np.negative(np.add.reduce(matrix.data, axis=0, out=row_sums), out=row_sums)
         # Strict diagonal dominance => Jacobi spectral radius <= dominance,
         # above a floor of np.median's value: the middle sum (x + x is
         # exactly 2x) or the mean of the two middle ones.  Some sum is
@@ -161,7 +168,8 @@ class SparseLinearProblem:
         return gradient_descent(self.matrix, self.b, **kwargs)
 
     def block_dependencies(self, partition):
-        """``(providers, receivers)`` maps of ``partition``, computed once.
+        """``(providers, receivers, stored)`` maps of ``partition``,
+        computed once; ``stored`` counts each block's stored entries.
 
         Every rank of a run asks for the same maps, so they are
         memoised per partition (keyed by its bounds) and shared:
@@ -171,8 +179,9 @@ class SparseLinearProblem:
         key = tuple(partition)
         deps = self._dependencies.get(key)
         if deps is None:
-            deps = self._dependencies[key] = block_ranges_dependencies(
-                self.matrix, partition
+            stored: Dict[int, int] = {}
+            deps = self._dependencies[key] = (
+                *block_ranges_dependencies(self.matrix, partition, stored), stored
             )
         return deps
 
@@ -229,13 +238,12 @@ class SparseLinearLocal(LocalSolver):
                 f"{problem.n} rows); the static decomposition needs "
                 "n >= n_ranks"
             )
-        providers, receivers = problem.block_dependencies(self.partition)
+        providers, receivers, stored = problem.block_dependencies(self.partition)
         self._providers = providers[rank]
         self._receivers = receivers[rank]
         self._block = problem.kernel.block(self.lo, self.hi)
-        self._flops_per_iter = problem.kernel.update_flops(self.lo, self.hi)
+        self._flops_per_iter = problem.kernel.update_flops(self.lo, self.hi, stored[rank])
         self._size_bytes = BYTES_PER_VALUE * (self.hi - self.lo)
-        self.iterations_done = 0
 
     # ------------------------------------------------------------------
     @property
@@ -262,7 +270,6 @@ class SparseLinearLocal(LocalSolver):
 
     def iterate(self) -> LocalIteration:
         new_block, residual = self._block.step()
-        self.iterations_done += 1
         # ``new_block`` is fresh and not retained here: it is the payload.
         item = ((self.rank, new_block), self._size_bytes)
         return LocalIteration(
@@ -320,7 +327,6 @@ class MigratableSparseLinearLocal(LocalSolver):
             raise ValueError("partition does not match problem/size")
         self.lo, self.hi = partition.bounds(rank)
         self._others = {r for r in range(size) if r != rank}
-        self.iterations_done = 0
         self._reslice(None)
 
     # ------------------------------------------------------------------
@@ -394,7 +400,6 @@ class MigratableSparseLinearLocal(LocalSolver):
         else:
             # Empty block: trivially stationary, but still heard from.
             new_block, residual = _EMPTY_ROWS, 0.0
-        self.iterations_done += 1
         item = ((self.rank, self.lo, new_block), self._size_bytes)
         return LocalIteration(
             residual=residual,

@@ -44,15 +44,10 @@ class Event:
     without firing it, counting it or advancing the clock to it.
     """
 
-    __slots__ = ("time", "cancelled")
+    __slots__ = ("cancelled",)
 
-    def __init__(self, time: float) -> None:
-        self.time = time
+    def __init__(self) -> None:
         self.cancelled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time:.6f}{state})"
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when popped."""
@@ -134,11 +129,23 @@ class Engine:
             raise SimulationError(f"negative delay: {delay}")
         self.post_at(self.now + delay, callback)
 
+    def fire_in_place(self, time: float) -> bool:
+        """For a callback whose last act would be to post an event at
+        ``time``: if that event would fire next (the queue is empty or
+        its head later, the run not halted), move the clock there, count
+        it and return True -- the caller runs it in place."""
+        queue = self._queue
+        if self._halted or not self.now <= time < (queue[0][0] if queue else _INF):
+            return False
+        self.now = time
+        self._events += 1
+        return True
+
     def at(self, time: float, callback: Callable[[], None]) -> Event:
         """Like :meth:`post_at`, returning a handle that can cancel the event."""
         if not self.now <= time < _INF:
             time = self._admit(time)
-        event = Event(time)
+        event = Event()
         heapq.heappush(self._queue, (time, next(self._seq), callback, event))
         return event
 
@@ -180,12 +187,6 @@ class Engine:
         finally:
             self._events += processed
             self._running = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Engine(now={self.now:.6f}, pending={len(self._queue)}, "
-            f"processed={self._events})"
-        )
 
 
 __all__ = ["Engine", "Event", "SimulationError"]

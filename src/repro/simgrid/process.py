@@ -36,7 +36,6 @@ _PARKED = object()
 class ProcessState(enum.Enum):
     READY = "ready"
     RUNNING = "running"
-    BLOCKED = "blocked"
     DONE = "done"
     FAILED = "failed"
 
@@ -82,10 +81,11 @@ class Process:
     def _wake(self) -> None:
         """Engine event: a compute or barrier wait is over."""
         value, self._wake_value = self._wake_value, None
-        self._advance(value)
+        self._advance(value, True)
 
-    def _advance(self, value: Any) -> None:
-        """Send ``value`` into the coroutine and run it until it parks."""
+    def _advance(self, value: Any, in_wake: bool = False) -> None:
+        """Send ``value`` into the coroutine and run it until it parks
+        (``in_wake``: inside this process's own ``_wake`` event)."""
         if self._advancing:
             # Resumed from inside our own effect handling: the running
             # loop below picks the value up when the handler returns.
@@ -94,7 +94,7 @@ class Process:
         self._advancing = True
         try:
             while True:
-                self._advance_inner(value)
+                self._advance_inner(value, in_wake)
                 value = self._resume_value
                 if value is _PARKED:
                     return
@@ -110,7 +110,7 @@ class Process:
         finally:
             self._advancing = False
 
-    def _advance_inner(self, value: Any) -> None:
+    def _advance_inner(self, value: Any, in_wake: bool) -> None:
         engine = self.world.engine
         while True:
             try:
@@ -136,13 +136,23 @@ class Process:
             if isinstance(effect, fx.Iterate):
                 # Host-side numerics now, the simulated cost charged
                 # before the coroutine sees the result.
-                self._compute(effect.solver.iterate())
+                value = effect.solver.iterate()
+                if self._compute(value, in_wake):
+                    continue
                 return
             if isinstance(effect, fx.Send):
                 handle = self._do_send(effect)
                 policy = self.world.policy
                 if policy.blocking_send:
-                    self._block_until_handle(handle, policy.rendezvous(effect.size))
+                    self._blocked_since = engine.now
+                    self._blocked_on = handle
+                    # A rendezvous (large-message MPI) send returns once the
+                    # receiver has the data, an eager one once the sender's
+                    # side of the transfer is done (socket buffer drained).
+                    if policy.rendezvous(effect.size):
+                        handle.on_complete(self._send_unblocked)
+                    else:
+                        handle.on_sender_release(self._send_unblocked)
                     return
                 value = handle
                 continue
@@ -154,12 +164,11 @@ class Process:
                 value = None
                 continue
             if isinstance(effect, fx.Recv):
-                if self._try_recv(effect):
-                    value = self._recv_value
+                value = self._try_recv(effect)
+                if value is not None:
                     continue
                 return
             if isinstance(effect, fx.Barrier):
-                self.state = ProcessState.BLOCKED
                 self._blocked_since = engine.now
                 self.world.barrier_arrive(self)
                 return
@@ -168,15 +177,20 @@ class Process:
     # ------------------------------------------------------------------
     # effect handlers
     # ------------------------------------------------------------------
-    def _compute(self, result: Any) -> None:
-        """Charge an iteration's ``flops`` to the host, then resume with it."""
+    def _compute(self, result: Any, in_wake: bool) -> bool:
+        """Charge an iteration's ``flops`` to the host, then resume with it:
+        in place (returns True) when the process's own wake would end
+        by posting the next event to fire, else through a posted wake."""
         engine = self.world.engine
         duration = self.host.compute_time(result.flops)
         self.busy_time += duration
         start = engine.now
         self.world.trace.add_span(self.rank, start, start + duration, "compute", "compute")
+        if in_wake and engine.fire_in_place(start + duration):
+            return True
         self._wake_value = result
         engine.post_after(duration, self._wake)
+        return False
 
     def _do_send(self, effect: fx.Send) -> fx.SendHandle:
         handle = fx.SendHandle()
@@ -197,45 +211,25 @@ class Process:
         self.world.transport.send(message, handle)
         return handle
 
-    def _block_until_handle(self, handle: fx.SendHandle, rendezvous: bool = False) -> None:
-        self.state = ProcessState.BLOCKED
-        self._blocked_since = self.world.engine.now
-        self._blocked_on = handle
-        if rendezvous:
-            # Large-message MPI semantics: the send returns only once
-            # the receiver has the data.
-            handle.on_complete(self._send_unblocked)
-        else:
-            # Eager/buffered send: resumes when the sender-side
-            # transfer is finished (socket buffer drained).
-            handle.on_sender_release(self._send_unblocked)
-
     def _send_unblocked(self, when: float) -> None:
         self.world.trace.add_span(
             self.rank, self._blocked_since, when, "comm", "blocking-send"
         )
-        self.state = ProcessState.RUNNING
         self._advance(self._blocked_on)
 
-    def _try_recv(self, effect: fx.Recv) -> bool:
-        """Attempt to satisfy a blocking receive immediately.
-
-        Returns True (and stores the messages in ``_recv_value``) when
-        enough messages are already visible; otherwise installs a
-        mailbox waiter / timeout and returns False.
-        """
+    def _try_recv(self, effect: fx.Recv) -> Optional[list]:
+        """The messages of a blocking receive, if enough are visible now;
+        otherwise install a mailbox waiter / timeout and return None."""
         mailbox = self.world.transport.mailboxes[self.rank]
         if mailbox.peek_count(effect.tag) >= max(1, effect.count):
-            self._recv_value = mailbox.drain(effect.tag)
-            return True
+            return mailbox.drain(effect.tag)
         engine = self.world.engine
-        self.state = ProcessState.BLOCKED
         self._blocked_since = engine.now
         self._blocked_on = effect
         mailbox.set_waiter(self._recv_wake)
         if effect.timeout is not None:
             self._recv_timer = engine.after(effect.timeout, self._recv_timeout)
-        return False
+        return None
 
     def _recv_wake(self) -> None:
         """Mailbox waiter: a message became visible while blocked in Recv."""
@@ -258,7 +252,6 @@ class Process:
         self.world.trace.add_span(
             self.rank, self._blocked_since, self.world.engine.now, "comm", "recv-wait"
         )
-        self.state = ProcessState.RUNNING
         self._advance(messages)
 
     # Called by the barrier manager.
@@ -266,11 +259,7 @@ class Process:
         self.world.trace.add_span(
             self.rank, self._blocked_since, release_time, "idle", "barrier"
         )
-        self.state = ProcessState.RUNNING
         self.world.engine.post_at(release_time, self._wake)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Process({self.name}, state={self.state.value})"
 
 
 __all__ = ["Process", "ProcessState"]

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Type, Union
 
 from repro.api.scenario import Scenario
-from repro.problems import chemical
+from repro.problems import chemical, get_problem_factory
 from repro.registry import Registry
 from repro.runtime.executor import BackendTimeoutError
 from repro.serve.workers import WorkerPool
@@ -156,7 +156,8 @@ class LocalPlacement(Placement):
     trajectory on differently-timed hardware solves each Newton update
     once.  A hit is bit-identical and charges the same flops, so every
     record equals ``run()`` of its scenario.  Balanced units keep the
-    plain path (``compile_plan`` owns their solver factory).
+    plain path (``compile_plan`` owns their solver factory), and so do
+    units of any factory but ``chemical``'s (no instance built to ask).
     """
 
     def __init__(self, context: PlacementContext) -> None:
@@ -189,11 +190,10 @@ class LocalPlacement(Placement):
 
     def _run(self, scenario: Scenario) -> Any:
         memo = self._memo
-        if memo is None or scenario.balancer is not None:
+        if (memo is None or scenario.balancer is not None
+                or get_problem_factory(scenario.problem) is not chemical.make_chemical_problem):
             return self._backend.run(scenario)
         problem = scenario.build_problem()
-        if not isinstance(problem, chemical.ChemicalProblem):
-            return self._backend.run(scenario)
 
         def make_solver(rank: int, size: int):
             solver = problem.make_local(rank, size)

@@ -189,3 +189,25 @@ def test_determinism_across_runs():
         return order
 
     assert build_and_run() == build_and_run()
+
+
+def test_fire_in_place_only_for_the_strictly_next_event():
+    """An event fires in place only when it would be the next one
+    popped: the queue is empty or its head is later.  A tie, a
+    cancelled head at or before it, a halted run or a time in the past
+    leave the clock and the count alone."""
+    engine = Engine()
+    assert engine.fire_in_place(1.0)  # empty queue
+    assert (engine.now, engine.stats()["events"]) == (1.0, 1)
+    engine.post_at(3.0, lambda: None)
+    assert not engine.fire_in_place(3.0)  # tie with the head
+    assert not engine.fire_in_place(0.5)  # in the past
+    assert not engine.fire_in_place(float("nan"))
+    assert engine.fire_in_place(2.0)
+    engine.at(2.5, lambda: None).cancel()
+    assert not engine.fire_in_place(2.5) and not engine.fire_in_place(2.75)
+    assert engine.fire_in_place(2.25)
+    engine.halt()
+    assert not engine.fire_in_place(2.3)
+    assert (engine.now, engine.stats()["events"]) == (2.25, 3)
+    assert engine.stats()["pending_events"] == 2

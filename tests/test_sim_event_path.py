@@ -115,6 +115,65 @@ def test_benchmark_event_budget_is_pinned(scenario, events, messages, makespan):
 
 
 # ----------------------------------------------------------------------
+# (d) a lone wake skips the queue
+# ----------------------------------------------------------------------
+def count_posts(monkeypatch):
+    """Count ``Engine.post_after`` calls -- the queued form of a compute
+    completion, which nothing else in the simulator uses."""
+    calls = []
+    post_after = Engine.post_after
+
+    def counting(self, delay, callback):
+        calls.append(delay)
+        return post_after(self, delay, callback)
+
+    monkeypatch.setattr(Engine, "post_after", counting)
+    return calls
+
+
+def test_a_lone_rank_never_queues_its_compute_completions(monkeypatch):
+    """One rank, nothing else scheduled: every ``Iterate`` completes in
+    place, and still counts its event (start + barrier + one each)."""
+    posts = count_posts(monkeypatch)
+    result = SimulatedBackend().run(Scenario.from_dict({
+        "problem": "sparse_linear", "problem_params": {"n": 40},
+        "environment": "sync_mpi", "n_ranks": 1, "seed": 71,
+    }))
+    assert result.converged and result.total_iterations == 41
+    assert posts == []
+    assert result.backend_stats["events"] == result.total_iterations + 2
+
+
+def test_compute_completions_that_tie_take_the_queue(monkeypatch):
+    """Two ranks whose completions fall on the same instants: a tie is
+    never fired in place, so the ranks keep alternating in the order
+    their events were queued."""
+    from types import SimpleNamespace
+
+    from repro.clusters import uniform_cluster
+    from repro.core.effects import Iterate, Now
+    from repro.envs.base import CommPolicy
+    from repro.simgrid.world import World
+
+    posts = count_posts(monkeypatch)
+    log = []
+    done = SimpleNamespace(flops=1e6)  # one second per iteration
+    work = Iterate(SimpleNamespace(iterate=lambda: done))
+
+    def proc(rank, size):
+        for _ in range(3):
+            yield work
+            log.append((rank, (yield Now())))
+
+    world = World(uniform_cluster(n_hosts=2, speed=1e6), CommPolicy(name="test"))
+    world.spawn(proc(0, 2))
+    world.spawn(proc(1, 2))
+    world.run()
+    assert log == [(0, 1.0), (1, 1.0), (0, 2.0), (1, 2.0), (0, 3.0), (1, 3.0)]
+    assert len(posts) == 6 and world.engine.stats()["events"] == 2 + 6
+
+
+# ----------------------------------------------------------------------
 # (e) SISC does not depend on the order of same-timestamp events
 # ----------------------------------------------------------------------
 def block_shuffled(seed: int, block: int = 8):

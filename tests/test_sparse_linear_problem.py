@@ -6,9 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.effects import Message
 from repro.linalg.partition import BlockPartition
+from repro.linalg.sparse import MultiDiagonalMatrix
 from repro.problems.sparse_linear import (
     PAPER_SPARSE_LINEAR,
     SparseLinearConfig,
@@ -140,6 +143,48 @@ def test_generated_instance_bytes_are_pinned(params, matrix_sha1, b_sha1, x_true
     assert digests == [matrix_sha1, b_sha1, x_true_sha1]
 
 
+def oracle_instance(config):
+    """``(matrix.data, b, x_true)`` built one diagonal at a time, with
+    ``rng.choice`` signs and ``np.median``'s floor: the plain form of the
+    draw order every pinned instance was made with."""
+    rng = np.random.default_rng(config.seed)
+    offsets = spread_offsets(config.n, config.n_diagonals)
+    matrix = MultiDiagonalMatrix(config.n, (0,) + offsets)
+    row_sums = np.zeros(config.n)
+    for off in offsets:
+        lo, hi = max(0, -off), min(config.n, config.n - off)
+        vals = rng.uniform(0.2, 1.0, hi - lo)
+        row_sums[lo:hi] += vals
+        if config.sign_structure == "random":
+            vals = vals * rng.choice([-1.0, 1.0], hi - lo)
+        else:
+            vals = -vals
+        matrix.set_diagonal(off, vals)
+    floor = np.median(row_sums[row_sums > 0])
+    matrix.set_diagonal(0, np.maximum(row_sums, floor) / config.dominance)
+    x_true = rng.standard_normal(config.n)
+    return matrix.data, matrix.matvec(x_true), x_true
+
+
+@given(
+    n=st.integers(3, 400),
+    n_diagonals=st.integers(2, 40),
+    seed=st.integers(0, 2**64 - 1),
+    dominance=st.floats(0.05, 0.99),
+    sign_structure=st.sampled_from(["negative", "random"]),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_instance_build_matches_the_per_diagonal_oracle(
+    n, n_diagonals, seed, dominance, sign_structure
+):
+    config = SparseLinearConfig(n=n, n_diagonals=n_diagonals, seed=seed,
+                                dominance=dominance, sign_structure=sign_structure)
+    p = SparseLinearProblem(config)
+    expected = oracle_instance(config)
+    for got, want in zip((p.matrix.data, p.b, p.x_true), expected):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_instance_build_holds_no_whole_matrix_temporary():
     """Building an instance peaks at the matrix plus one product's
     gathered operand (for ``b``), never at a second whole-matrix copy."""
@@ -228,7 +273,6 @@ def test_solver_and_message_payload_round_trip_through_pickle():
     # Matrix + b + x_true + x ..., never the (positions x rows) window view.
     assert len(blob) < 8 * (p.matrix.data.size + 8 * p.n)
     clone = pickle.loads(blob)
-    assert clone.iterations_done == 1
     assert clone.x.tobytes() == local.x.tobytes()
     # The clone's x, own block and operator are wired together again.
     clone.integrate(0, (0, np.full(1000, 0.5)))

@@ -3,8 +3,9 @@
 
 Runs ``repro.testing.generator.generate_scenarios(n, seed)`` for every
 seed, then the fixed ``CHEMICAL_BATTERY`` and ``SPARSE_BATTERY`` below
-(the benchmark's tiny unit and asynchronous sparse scenario, and a
-``sync_mpi`` run whose data sends all go rendezvous), on the simulated
+(the benchmark's tiny unit and asynchronous sparse scenario, a
+``sync_mpi`` run whose data sends all go rendezvous, and ``pm2`` on the
+heterogeneous ``ethernet_wan`` cluster), on the simulated
 backend of *both* trees (each in its own subprocess, ``PYTHONPATH``
 pointing at that tree's ``src/``; both run *this* file) and diffs,
 per scenario, the deterministic ``work_counters`` minus ``events`` (the
@@ -55,22 +56,26 @@ def fail(message: str) -> NoReturn:
 #: Fixed chemical members, run once after the generated scenarios
 #: (which only ever build ``nx = nz = 8`` two-step strips): one per
 #: shape the strip kernel and the GMRES cycle distinguish.  ``name:
-#: (problem_params, environment, n_ranks)``; a few seconds in total.
+#: (problem_params, environment, n_ranks, cluster)``; a few seconds in
+#: total.
 CHEMICAL_BATTERY = {
     # the sim_lockstep_chem benchmark scenario
     "chem-bench": ({"nx": 24, "nz": 24, "t_end": 1080.0, "gmres_tol": 1e-12,
-                    "newton_tol": 1e-10}, "sync_mpi", 4),
-    "chem-async": ({"nx": 10, "nz": 9, "t_end": 360.0}, "pm2", 3),
+                    "newton_tol": 1e-10}, "sync_mpi", 4, "uniform_cluster"),
+    "chem-async": ({"nx": 10, "nz": 9, "t_end": 360.0}, "pm2", 3, "uniform_cluster"),
     # both ghost columns mirror the same source column
-    "chem-nx3": ({"nx": 3, "nz": 6, "t_end": 360.0, "gmres_tol": 1e-10}, "sync_mpi", 2),
-    "chem-row-per-rank": ({"nx": 7, "nz": 4, "t_end": 360.0}, "sync_mpi", 4),
+    "chem-nx3": ({"nx": 3, "nz": 6, "t_end": 360.0, "gmres_tol": 1e-10}, "sync_mpi", 2,
+                 "uniform_cluster"),
+    "chem-row-per-rank": ({"nx": 7, "nz": 4, "t_end": 360.0}, "sync_mpi", 4,
+                          "uniform_cluster"),
     # both strip boundaries physical
-    "chem-one-rank": ({"nx": 6, "nz": 5, "t_end": 360.0}, "sync_mpi", 1),
+    "chem-one-rank": ({"nx": 6, "nz": 5, "t_end": 360.0}, "sync_mpi", 1, "uniform_cluster"),
     "chem-standard-signs": ({"nx": 8, "nz": 8, "t_end": 360.0,
-                             "paper_reaction_signs": False}, "sync_mpi", 2),
+                             "paper_reaction_signs": False}, "sync_mpi", 2, "uniform_cluster"),
     # multi-cycle GMRES, some solves cut by gmres_max_iterations
     "chem-restart4": ({"nx": 8, "nz": 8, "t_end": 360.0, "gmres_restart": 4,
-                       "gmres_tol": 1e-12, "newton_tol": 1e-10}, "sync_mpi", 2),
+                       "gmres_tol": 1e-12, "newton_tol": 1e-10}, "sync_mpi", 2,
+                      "uniform_cluster"),
 }
 
 
@@ -78,12 +83,17 @@ CHEMICAL_BATTERY = {
 #: sub-threshold messages) never reach.  Same layout as above.
 SPARSE_BATTERY = {
     # the sweep / serve tiny unit: 30 diagonals over 40 rows, one rank
-    "sparse-tiny": ({"n": 40}, "sync_mpi", 1),
+    "sparse-tiny": ({"n": 40}, "sync_mpi", 1, "uniform_cluster"),
     # the sim_async_sparse benchmark scenario
-    "sparse-async-bench": ({"n": 1200, "dominance": 0.6, "eps": 1e-3}, "pm2", 8),
+    "sparse-async-bench": ({"n": 1200, "dominance": 0.6, "eps": 1e-3}, "pm2", 8,
+                           "uniform_cluster"),
     # 200-row (1.6 KB) blocks: every data send takes sync_mpi's
     # rendezvous path (threshold 1 KB)
-    "sparse-rendezvous": ({"n": 800, "dominance": 0.6}, "sync_mpi", 4),
+    "sparse-rendezvous": ({"n": 800, "dominance": 0.6}, "sync_mpi", 4, "uniform_cluster"),
+    # heterogeneous hosts over a WAN: a fast rank often finds its next
+    # compute completion ahead of every queued event (the simulator's
+    # lone-wake path) while the other ranks and messages are live
+    "sparse-wan-hetero": ({"n": 400}, "pm2", 3, "ethernet_wan"),
 }
 
 
@@ -93,8 +103,8 @@ def battery(problem: str, members: dict) -> list:
 
     return [
         Scenario(problem=problem, problem_params=params, environment=environment,
-                 n_ranks=n_ranks, seed=1, name=name)
-        for name, (params, environment, n_ranks) in members.items()
+                 n_ranks=n_ranks, cluster=cluster, seed=1, name=name)
+        for name, (params, environment, n_ranks, cluster) in members.items()
     ]
 
 
