@@ -60,16 +60,14 @@ class FixedStepGradient:
         """
         return BlockUpdate(self, lo, hi, x)
 
-    def update_flops(self, lo: int, hi: int, stored=None) -> float:
+    def update_flops(self, lo: int, hi: int) -> float:
         """Analytic flop count of one block update (used for time charging).
 
         2 flops per stored non-zero in the block rows (multiply + add)
-        plus 3 per row (subtract, divide, add); ``stored``: that count.
+        plus 3 per row (subtract, divide, add).
         """
-        if stored is None:
-            starts, stops = self.matrix.column_spans(lo, hi)
-            stored = int((stops - starts).sum())
-        return 2.0 * stored + 3.0 * (hi - lo)
+        starts, stops = self.matrix.column_spans(lo, hi)
+        return 2.0 * int((stops - starts).sum()) + 3.0 * (hi - lo)
 
 
 class BlockUpdate:

@@ -31,14 +31,13 @@ def jacobi_splitting(matrix: MultiDiagonalMatrix) -> np.ndarray:
 
 
 def block_column_dependencies(
-    matrix: MultiDiagonalMatrix, partition: BlockPartition, stored=None
+    matrix: MultiDiagonalMatrix, partition: BlockPartition
 ) -> Dict[int, Set[int]]:
     """For every block, the set of *other* blocks whose x-entries it reads.
 
     This is the "list of its data dependencies from other processors"
     each processor constructs in the first step of the paper's sparse
-    linear algorithm (Section 4.3).  ``stored`` gets each block's count
-    of stored entries.
+    linear algorithm (Section 4.3).
     """
     bounds = list(partition)
     m = len(bounds)
@@ -48,8 +47,6 @@ def block_column_dependencies(
     deps: Dict[int, Set[int]] = {}
     for block, (lo, hi) in enumerate(bounds):
         starts, stops = matrix.column_spans(lo, hi)
-        if stored is not None:
-            stored[block] = int((stops - starts).sum())
         # Each span reads every block from the owner of its first column
         # to the owner of its last: +1 / -1 marks, then a running sum.
         cover = np.bincount(ends.searchsorted(starts, "right"), minlength=m + 1)
@@ -61,16 +58,16 @@ def block_column_dependencies(
 
 
 def block_ranges_dependencies(
-    matrix: MultiDiagonalMatrix, partition: BlockPartition, stored=None
+    matrix: MultiDiagonalMatrix, partition: BlockPartition
 ) -> Tuple[Dict[int, Set[int]], Dict[int, Set[int]]]:
     """Providers and receivers maps for every block.
 
     Returns ``(providers, receivers)`` where ``providers[i]`` is the set
     of blocks whose data block ``i`` reads and ``receivers[i]`` the set
     of blocks that read block ``i``'s data (to whom updates must be
-    sent).  ``stored`` is passed to :func:`block_column_dependencies`.
+    sent).
     """
-    providers = block_column_dependencies(matrix, partition, stored)
+    providers = block_column_dependencies(matrix, partition)
     receivers: Dict[int, Set[int]] = {b: set() for b in range(partition.m)}
     for consumer, sources in providers.items():
         for src in sources:

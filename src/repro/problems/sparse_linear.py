@@ -30,6 +30,8 @@ from repro.problems.base import LocalIteration, LocalSolver
 
 BYTES_PER_VALUE = 8.0
 _SIGNS = np.array([-1.0, 1.0])
+#: Most magnitudes a ``"negative"`` instance build draws at once.
+_DRAW_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -111,15 +113,16 @@ class SparseLinearProblem:
         row_sums = np.zeros(config.n)
         index = matrix._offset_index
         if config.sign_structure == "negative":
-            # One draw in that order, stored row-major over the in-matrix
-            # entries of the rows off the main one; dropped before b's product.
-            k, cols, h = matrix.offsets[:, None], np.arange(config.n), index[0]
-            stored = np.zeros(matrix.data.shape, bool)
-            np.greater_equal(cols, -k[:h], out=stored[:h])
-            np.less(cols, config.n - k[h + 1:], out=stored[h + 1:])
-            vals = rng.uniform(0.2, 1.0, np.count_nonzero(stored))
-            matrix.data[stored] = np.negative(vals, out=vals)
-            del vals, stored
+            # Whole diagonals, <= _DRAW_ENTRIES draws a group (later calls continue
+            # the stream), stored row-major over in-matrix entries off the main row.
+            n, cols = config.n, np.arange(config.n)
+            step = max(1, _DRAW_ENTRIES // n)
+            for first in range(0, len(matrix.offsets), step):
+                k = matrix.offsets[first:first + step, None]
+                stored = (cols >= -k) & (cols < n - k) & (k != 0)
+                vals = rng.uniform(0.2, 1.0, np.count_nonzero(stored))
+                matrix.data[first:first + step][stored] = np.negative(vals, out=vals)
+            del cols, k, stored, vals  # none outlives the build into b's product
             # Column sums run down the diagonals in that order (the zeros
             # around them add nothing), and rounding is symmetric in sign:
             # the negated sum of the stored -v is the sum of the draws.
@@ -168,8 +171,7 @@ class SparseLinearProblem:
         return gradient_descent(self.matrix, self.b, **kwargs)
 
     def block_dependencies(self, partition):
-        """``(providers, receivers, stored)`` maps of ``partition``,
-        computed once; ``stored`` counts each block's stored entries.
+        """``(providers, receivers)`` maps of ``partition``, computed once.
 
         Every rank of a run asks for the same maps, so they are
         memoised per partition (keyed by its bounds) and shared:
@@ -179,9 +181,8 @@ class SparseLinearProblem:
         key = tuple(partition)
         deps = self._dependencies.get(key)
         if deps is None:
-            stored: Dict[int, int] = {}
-            deps = self._dependencies[key] = (
-                *block_ranges_dependencies(self.matrix, partition, stored), stored
+            deps = self._dependencies[key] = block_ranges_dependencies(
+                self.matrix, partition
             )
         return deps
 
@@ -238,12 +239,13 @@ class SparseLinearLocal(LocalSolver):
                 f"{problem.n} rows); the static decomposition needs "
                 "n >= n_ranks"
             )
-        providers, receivers, stored = problem.block_dependencies(self.partition)
+        providers, receivers = problem.block_dependencies(self.partition)
         self._providers = providers[rank]
         self._receivers = receivers[rank]
         self._block = problem.kernel.block(self.lo, self.hi)
-        self._flops_per_iter = problem.kernel.update_flops(self.lo, self.hi, stored[rank])
+        self._flops_per_iter = problem.kernel.update_flops(self.lo, self.hi)
         self._size_bytes = BYTES_PER_VALUE * (self.hi - self.lo)
+        self.iterations_done = 0
 
     # ------------------------------------------------------------------
     @property
@@ -270,6 +272,7 @@ class SparseLinearLocal(LocalSolver):
 
     def iterate(self) -> LocalIteration:
         new_block, residual = self._block.step()
+        self.iterations_done += 1
         # ``new_block`` is fresh and not retained here: it is the payload.
         item = ((self.rank, new_block), self._size_bytes)
         return LocalIteration(
@@ -327,6 +330,7 @@ class MigratableSparseLinearLocal(LocalSolver):
             raise ValueError("partition does not match problem/size")
         self.lo, self.hi = partition.bounds(rank)
         self._others = {r for r in range(size) if r != rank}
+        self.iterations_done = 0
         self._reslice(None)
 
     # ------------------------------------------------------------------
@@ -400,6 +404,7 @@ class MigratableSparseLinearLocal(LocalSolver):
         else:
             # Empty block: trivially stationary, but still heard from.
             new_block, residual = _EMPTY_ROWS, 0.0
+        self.iterations_done += 1
         item = ((self.rank, self.lo, new_block), self._size_bytes)
         return LocalIteration(
             residual=residual,

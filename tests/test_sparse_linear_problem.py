@@ -3,6 +3,7 @@
 import hashlib
 import pickle
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core.effects import Message
 from repro.linalg.partition import BlockPartition
 from repro.linalg.sparse import MultiDiagonalMatrix
+from repro.problems import sparse_linear
 from repro.problems.sparse_linear import (
     PAPER_SPARSE_LINEAR,
     SparseLinearConfig,
@@ -172,14 +174,18 @@ def oracle_instance(config):
     seed=st.integers(0, 2**64 - 1),
     dominance=st.floats(0.05, 0.99),
     sign_structure=st.sampled_from(["negative", "random"]),
+    draw_entries=st.integers(1, 4000),
 )
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_instance_build_matches_the_per_diagonal_oracle(
-    n, n_diagonals, seed, dominance, sign_structure
+    n, n_diagonals, seed, dominance, sign_structure, draw_entries
 ):
+    """Also with the draw cut into groups of every size, down to one
+    diagonal each: successive draws continue one stream."""
     config = SparseLinearConfig(n=n, n_diagonals=n_diagonals, seed=seed,
                                 dominance=dominance, sign_structure=sign_structure)
-    p = SparseLinearProblem(config)
+    with mock.patch.object(sparse_linear, "_DRAW_ENTRIES", draw_entries):
+        p = SparseLinearProblem(config)
     expected = oracle_instance(config)
     for got, want in zip((p.matrix.data, p.b, p.x_true), expected):
         assert got.tobytes() == want.tobytes()
@@ -273,6 +279,7 @@ def test_solver_and_message_payload_round_trip_through_pickle():
     # Matrix + b + x_true + x ..., never the (positions x rows) window view.
     assert len(blob) < 8 * (p.matrix.data.size + 8 * p.n)
     clone = pickle.loads(blob)
+    assert clone.iterations_done == 1
     assert clone.x.tobytes() == local.x.tobytes()
     # The clone's x, own block and operator are wired together again.
     clone.integrate(0, (0, np.full(1000, 0.5)))

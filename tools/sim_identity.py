@@ -56,26 +56,23 @@ def fail(message: str) -> NoReturn:
 #: Fixed chemical members, run once after the generated scenarios
 #: (which only ever build ``nx = nz = 8`` two-step strips): one per
 #: shape the strip kernel and the GMRES cycle distinguish.  ``name:
-#: (problem_params, environment, n_ranks, cluster)``; a few seconds in
-#: total.
+#: (problem_params, environment, n_ranks[, cluster])``, the cluster
+#: ``uniform_cluster`` when left out; a few seconds in total.
 CHEMICAL_BATTERY = {
     # the sim_lockstep_chem benchmark scenario
     "chem-bench": ({"nx": 24, "nz": 24, "t_end": 1080.0, "gmres_tol": 1e-12,
-                    "newton_tol": 1e-10}, "sync_mpi", 4, "uniform_cluster"),
-    "chem-async": ({"nx": 10, "nz": 9, "t_end": 360.0}, "pm2", 3, "uniform_cluster"),
+                    "newton_tol": 1e-10}, "sync_mpi", 4),
+    "chem-async": ({"nx": 10, "nz": 9, "t_end": 360.0}, "pm2", 3),
     # both ghost columns mirror the same source column
-    "chem-nx3": ({"nx": 3, "nz": 6, "t_end": 360.0, "gmres_tol": 1e-10}, "sync_mpi", 2,
-                 "uniform_cluster"),
-    "chem-row-per-rank": ({"nx": 7, "nz": 4, "t_end": 360.0}, "sync_mpi", 4,
-                          "uniform_cluster"),
+    "chem-nx3": ({"nx": 3, "nz": 6, "t_end": 360.0, "gmres_tol": 1e-10}, "sync_mpi", 2),
+    "chem-row-per-rank": ({"nx": 7, "nz": 4, "t_end": 360.0}, "sync_mpi", 4),
     # both strip boundaries physical
-    "chem-one-rank": ({"nx": 6, "nz": 5, "t_end": 360.0}, "sync_mpi", 1, "uniform_cluster"),
+    "chem-one-rank": ({"nx": 6, "nz": 5, "t_end": 360.0}, "sync_mpi", 1),
     "chem-standard-signs": ({"nx": 8, "nz": 8, "t_end": 360.0,
-                             "paper_reaction_signs": False}, "sync_mpi", 2, "uniform_cluster"),
+                             "paper_reaction_signs": False}, "sync_mpi", 2),
     # multi-cycle GMRES, some solves cut by gmres_max_iterations
     "chem-restart4": ({"nx": 8, "nz": 8, "t_end": 360.0, "gmres_restart": 4,
-                       "gmres_tol": 1e-12, "newton_tol": 1e-10}, "sync_mpi", 2,
-                      "uniform_cluster"),
+                       "gmres_tol": 1e-12, "newton_tol": 1e-10}, "sync_mpi", 2),
 }
 
 
@@ -83,13 +80,12 @@ CHEMICAL_BATTERY = {
 #: sub-threshold messages) never reach.  Same layout as above.
 SPARSE_BATTERY = {
     # the sweep / serve tiny unit: 30 diagonals over 40 rows, one rank
-    "sparse-tiny": ({"n": 40}, "sync_mpi", 1, "uniform_cluster"),
+    "sparse-tiny": ({"n": 40}, "sync_mpi", 1),
     # the sim_async_sparse benchmark scenario
-    "sparse-async-bench": ({"n": 1200, "dominance": 0.6, "eps": 1e-3}, "pm2", 8,
-                           "uniform_cluster"),
+    "sparse-async-bench": ({"n": 1200, "dominance": 0.6, "eps": 1e-3}, "pm2", 8),
     # 200-row (1.6 KB) blocks: every data send takes sync_mpi's
     # rendezvous path (threshold 1 KB)
-    "sparse-rendezvous": ({"n": 800, "dominance": 0.6}, "sync_mpi", 4, "uniform_cluster"),
+    "sparse-rendezvous": ({"n": 800, "dominance": 0.6}, "sync_mpi", 4),
     # heterogeneous hosts over a WAN: a fast rank often finds its next
     # compute completion ahead of every queued event (the simulator's
     # lone-wake path) while the other ranks and messages are live
@@ -103,8 +99,9 @@ def battery(problem: str, members: dict) -> list:
 
     return [
         Scenario(problem=problem, problem_params=params, environment=environment,
-                 n_ranks=n_ranks, cluster=cluster, seed=1, name=name)
-        for name, (params, environment, n_ranks, cluster) in members.items()
+                 n_ranks=n_ranks, cluster=(cluster or ["uniform_cluster"])[0],
+                 seed=1, name=name)
+        for name, (params, environment, n_ranks, *cluster) in members.items()
     ]
 
 
