@@ -593,8 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--placement", default=None,
-        help="placement strategy: local, pool, serve, or a registered "
-        "custom name (default: pool when --processes > 1, else local)",
+        help="placement strategy: local, pool or serve "
+        "(default: pool when --processes > 1, else local)",
     )
     sweep_parser.add_argument(
         "--processes", type=int, default=1,

@@ -413,7 +413,6 @@ class ServeDaemon:
         job_timeout: float = 60.0,
         max_attempts: int = 2,
         state_dir: Optional[Union[str, Path]] = None,
-        backend_kwargs: Optional[Dict[str, Any]] = None,
         scheduler: Optional[Scheduler] = None,
     ) -> None:
         # Bind first: a taken port fails before any worker process (which
@@ -428,7 +427,6 @@ class ServeDaemon:
                 backend=backend,
                 size=workers,
                 job_timeout=job_timeout,
-                backend_kwargs=backend_kwargs,
             )
             if state_dir is None:
                 self._throwaway_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")

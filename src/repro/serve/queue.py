@@ -11,8 +11,10 @@ so cancelling a queued job is O(1).
 :class:`~repro.serve.daemon.Scheduler` and
 :func:`repro.sweep.run_sweep` share -- admit, dispatch, settle, replay
 validation -- over any *executor*, the one protocol every place work
-can run speaks (:class:`~repro.serve.workers.WorkerPool`, the sweep
-placements, the tests' stubs):
+can run speaks (:class:`~repro.serve.workers.WorkerPool`, which is also
+the sweep's ``pool`` placement, the sweep's
+:class:`~repro.sweep.placement.LocalPlacement` and
+:class:`~repro.sweep.placement.ServePlacement`, the tests' stubs):
 
 * ``capacity`` -- how many more jobs ``submit`` would take right now;
 * ``submit(job_id, scenario_dict)`` -- take one job;

@@ -36,12 +36,13 @@ which daemonic processes may not do.
 
 The pool speaks the executor protocol of :mod:`repro.serve.queue`
 natively (``capacity`` / ``submit`` / ``poll`` / ``shutdown``, plus
-``wake`` / ``kill`` / ``stats``), so the serve scheduler and the sweep's
-``pool`` placement drive it through the same work queue.  Timeout
-*policy* lives in that queue (retry vs. fail); this module only
-enforces deadlines mechanically -- ``poll`` kills and replaces a worker
-whose attempt outlived ``job_timeout`` and reports a ``timeout`` event
--- and classifies a job's error once, by type, where it is raised: a
+``wake`` / ``kill`` / ``stats``): the serve scheduler drives it, and
+the sweep's ``pool`` placement is this class as it stands, both
+through the same work queue.  Timeout *policy* lives in that queue
+(retry vs. fail); this module only enforces deadlines mechanically --
+``poll`` kills and replaces a worker whose attempt outlived
+``job_timeout`` and reports a ``timeout`` event -- and classifies a
+job's error once, by type, where it is raised: a
 :class:`~repro.runtime.executor.BackendTimeoutError` is a ``timeout``
 event, anything else ``failed``.
 """
@@ -59,7 +60,6 @@ def _worker_main(
     events: Any,
     parent_ends: Tuple[Any, Any],
     backend: Union[str, Any],
-    backend_kwargs: Dict[str, Any],
     include_solution: bool = False,
 ) -> None:
     """Run jobs forever: ``(job_id, scenario_dict)`` in, events out.
@@ -81,7 +81,7 @@ def _worker_main(
     from repro.runtime.executor import BackendTimeoutError
 
     if isinstance(backend, str):
-        backend = get_backend(backend, **backend_kwargs)
+        backend = get_backend(backend)
     while True:
         try:
             item = tasks.recv()
@@ -105,17 +105,14 @@ def _worker_main(
 class _Worker:
     """One live worker process plus its current assignment."""
 
-    def __init__(
-        self, worker_id: int, ctx, backend, backend_kwargs,
-        include_solution: bool = False,
-    ):
+    def __init__(self, worker_id: int, ctx, backend, include_solution: bool = False):
         self.id = worker_id
         tasks_recv, self.tasks = ctx.Pipe(duplex=False)
         self.events, events_send = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
             target=_worker_main,
             args=(tasks_recv, events_send, (self.tasks, self.events),
-                  backend, backend_kwargs, include_solution),
+                  backend, include_solution),
             name=f"repro-serve-worker-{worker_id}",
             daemon=False,
         )
@@ -191,7 +188,6 @@ class WorkerPool:
         backend: Union[str, Any] = "simulated",
         size: int = 2,
         job_timeout: Optional[float] = 60.0,
-        backend_kwargs: Optional[Dict[str, Any]] = None,
         start_method: Optional[str] = None,
         include_solution: bool = False,
     ) -> None:
@@ -205,7 +201,6 @@ class WorkerPool:
         self.size = size
         self.job_timeout = job_timeout
         self.include_solution = include_solution
-        self._backend_kwargs = dict(backend_kwargs or {})
         self._ctx = multiprocessing.get_context(start_method)
         self._next_worker_id = 0
         self._lock = threading.Lock()  # guards _workers and _undelivered
@@ -228,11 +223,7 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def _spawn(self) -> _Worker:
         worker = _Worker(
-            self._next_worker_id,
-            self._ctx,
-            self.backend,
-            self._backend_kwargs,
-            self.include_solution,
+            self._next_worker_id, self._ctx, self.backend, self.include_solution
         )
         self._workers[worker.id] = worker
         self._next_worker_id += 1

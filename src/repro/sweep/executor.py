@@ -21,9 +21,9 @@ input index through the placement-agnostic
    re-running a finished grid costs nothing, resuming a killed one
    costs only the units that had not settled (plus any journaled
    completion whose cache entry rotted: *repaired*).
-4. **Pump** the remainder through the chosen placement
-   (:mod:`repro.sweep.placement`): the queue fills capacity, the sweep
-   blocks in the placement's ``poll``, the queue retries transient
+4. **Pump** the remainder through the executor the placement name
+   picks from ``_EXECUTORS``: the queue fills capacity, the sweep
+   blocks in the executor's ``poll``, the queue retries transient
    settlements (timeout, worker crash) within a bounded per-unit
    budget and journals every terminal transition.
 
@@ -46,7 +46,8 @@ from repro.api.scenario import Scenario
 from repro.serve.cache import ResultCache
 from repro.serve.protocol import DONE, FAILED
 from repro.serve.queue import WorkQueue
-from repro.sweep.placement import PlacementContext, get_placement
+from repro.serve.workers import WorkerPool
+from repro.sweep.placement import LocalPlacement, ServePlacement
 from repro.sweep.state import SweepState, plan_fingerprint
 
 ScenarioLike = Union[Scenario, Mapping[str, Any]]
@@ -56,6 +57,26 @@ ScenarioLike = Union[Scenario, Mapping[str, Any]]
 SOURCE_EXECUTED = "executed"
 SOURCE_CACHE = "cache"
 SOURCE_RESUMED = "resumed"
+
+
+def _local(backend, timeout, include_solution, **_):
+    return LocalPlacement(backend, timeout, include_solution)
+
+
+#: Placement name -> constructor of the executor a sweep pumps its
+#: units through (each speaks :mod:`repro.serve.queue`'s executor
+#: protocol), called with :func:`run_sweep`'s own arguments by name.
+#: ``mega`` is a second name of ``local``: the benchmark's
+#: ``mega_async_grid`` workload asks for it.
+_EXECUTORS: Dict[str, Callable[..., Any]] = {
+    "local": _local,
+    "mega": _local,
+    "pool": lambda backend, processes, timeout, include_solution, **_: WorkerPool(
+        backend=backend, size=max(1, processes), job_timeout=timeout,
+        include_solution=include_solution),
+    "serve": lambda host, port, processes, priority, **_: ServePlacement(
+        host, port, processes, priority),
+}
 
 
 @dataclass
@@ -122,10 +143,9 @@ def run_sweep(
         ``pool`` placement; the ``serve`` placement ignores this (the
         daemon runs its own backend).
     placement:
-        ``"local"`` (in-process, daemonic-safe), ``"pool"`` (process
-        per shard), ``"serve"`` (submit to a running daemon), or any
-        name added via
-        :func:`~repro.sweep.placement.register_placement`.
+        ``"local"`` (in-process, daemonic-safe; ``"mega"`` is a second
+        name), ``"pool"`` (process per shard), or ``"serve"`` (submit
+        to a running daemon).
     processes:
         Worker count for ``pool`` / in-flight sizing hint for
         ``serve``; ignored by ``local``.
@@ -168,18 +188,14 @@ def run_sweep(
     if backend is None:
         backend = SimulatedBackend()
     backend_name = backend if isinstance(backend, str) else getattr(backend, "name", None)
-    placement_cls = get_placement(placement)  # fail fast on unknown names
+    if placement not in _EXECUTORS:  # fail fast, before any unit runs
+        raise KeyError(f"unknown placement {placement!r}; known: {sorted(_EXECUTORS)}")
     if placement == "serve" and include_solution:
         raise ValueError(
             "include_solution is not available with the 'serve' placement: "
             "the daemon caches records without per-rank solutions; "
             "use the 'local' or 'pool' placement instead"
         )
-    if placement == "pool" and backend_name == "process":
-        # The process backend spawns one child per rank and already
-        # parallelises internally; hosting it inside pool workers would
-        # nest process trees for no throughput gain.
-        placement, placement_cls = "local", get_placement("local")
 
     counters = {
         "items": 0,
@@ -308,27 +324,24 @@ def run_sweep(
                 counters["repaired"] += 1
 
         # --------------------------------------------------------------
-        # 4. pump the remainder through the placement
+        # 4. pump the remainder through the placement's executor
         # --------------------------------------------------------------
-        if placement == "pool" and work.in_flight <= 1:
-            placement_cls = get_placement("local")
+        if placement == "pool" and (work.in_flight <= 1 or backend_name == "process"):
+            # One unit gains nothing from a worker process.  The process
+            # backend spawns one child per rank and already parallelises
+            # internally; hosting it inside pool workers would nest
+            # process trees for no throughput gain.
+            placement = "local"
         if work.in_flight:
-            context = PlacementContext(
-                backend=backend,
-                size=max(1, processes),
-                timeout=timeout,
-                include_solution=include_solution,
-                host=host,
-                port=port,
+            executor = _EXECUTORS[placement](
+                backend=backend, processes=processes, timeout=timeout,
+                include_solution=include_solution, host=host, port=port,
                 priority=priority,
-                connect_retry_for=2.0,
             )
-            strategy = placement_cls(context)
-            strategy.start()
             try:
                 while work.in_flight:
-                    work.dispatch(strategy, time.monotonic())
-                    for event in strategy.poll():
+                    work.dispatch(executor, time.monotonic())
+                    for event in executor.poll():
                         work.store(*event)
                         job = work.settle(*event)
                         if job is None:
@@ -347,7 +360,7 @@ def run_sweep(
                                 payload["traceback"] = str(trace)
                         settle(job.key, job.state, payload, SOURCE_EXECUTED)
             finally:
-                strategy.shutdown()
+                executor.shutdown()
         counters["retries"] = work.counters["retries"]
     finally:
         if state is not None:

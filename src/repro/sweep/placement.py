@@ -1,28 +1,28 @@
-"""Pluggable placement strategies for the sweep executor.
+"""The sweep's own executors: ``local`` (and its second name ``mega``)
+and ``serve``.
 
 A *placement* decides where a sweep unit's scenario actually runs.
-Every strategy speaks the executor protocol of :mod:`repro.serve.queue`
--- offer ``capacity``, ``submit`` units, report settlements from
-``poll`` -- so the work queue under :func:`repro.sweep.run_sweep` is
-placement-agnostic:
+:func:`repro.sweep.run_sweep` builds its executor from one table of
+name -> constructor; every entry speaks the executor protocol of
+:mod:`repro.serve.queue` -- offer ``capacity``, ``submit`` units,
+report settlements from ``poll``, ``shutdown`` -- so the work queue
+under the sweep is placement-agnostic:
 
-* ``local`` -- in-process, one unit at a time.  The daemonic-safe
-  path: it works inside pytest workers, other pools, and is the only
-  placement that can host the ``process`` backend (whose per-rank
-  children may not be spawned from a daemonic pool worker).  On the
-  simulated backend the sweep's chemical units share one solve memo.
-  ``mega`` is a second name for it.
-* ``pool`` -- one OS process per worker slot via the serve layer's
-  non-daemonic :class:`~repro.serve.workers.WorkerPool`, with per-unit
-  deadline reaping (kill + respawn) in the parent.
-* ``serve`` -- the remote stub: units are submitted to a running
-  ``repro serve`` daemon through :class:`~repro.serve.client.
-  ServeClient`, reusing the scheduler's priority queue, duplicate
-  coalescing, content-hash cache and bounded retry wholesale.
-
-Custom strategies register with :func:`register_placement` and are
-addressable by name from :func:`repro.sweep.run_sweep` and
-``repro sweep --placement`` (see ``docs/sweeping.md``).
+* ``local`` -- :class:`LocalPlacement`: in-process, one unit at a
+  time.  The daemonic-safe path: it works inside pytest workers, other
+  pools, and is the only placement that can host the ``process``
+  backend (whose per-rank children may not be spawned from a daemonic
+  pool worker).  On the simulated backend the sweep's chemical units
+  share one solve memo.  ``mega`` is a second name for it.
+* ``pool`` -- the serve layer's non-daemonic
+  :class:`~repro.serve.workers.WorkerPool` itself: one OS process per
+  worker slot, with per-unit deadline reaping (kill + respawn) in the
+  parent.
+* ``serve`` -- :class:`ServePlacement`, the remote stub: units are
+  submitted to a running ``repro serve`` daemon through
+  :class:`~repro.serve.client.ServeClient`, reusing the scheduler's
+  priority queue, duplicate coalescing, content-hash cache and bounded
+  retry wholesale.
 
 Event vocabulary (``poll`` return rows, ``(id, kind, payload)``):
 ``done`` carries the run record; ``failed`` an in-unit error (string,
@@ -36,117 +36,25 @@ from __future__ import annotations
 import inspect
 import time
 import traceback
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Type, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.api.scenario import Scenario
 from repro.problems import chemical, get_problem_factory
-from repro.registry import Registry
 from repro.runtime.executor import BackendTimeoutError
-from repro.serve.workers import WorkerPool
 
 #: One settlement: ``(unit id, kind, payload)`` where kind is one of
 #: ``done`` / ``failed`` / ``timeout`` / ``crashed``.
 PlacementEvent = Tuple[str, str, Any]
 
 
-@dataclass
-class PlacementContext:
-    """Everything a placement may need to set itself up.
-
-    ``backend`` is a registered backend name or a picklable backend
-    instance (ignored by the ``serve`` placement, whose daemon runs its
-    own configured backend).  ``timeout`` is the per-attempt deadline
-    (``None`` = no deadline beyond what the backend itself enforces).
-    """
-
-    backend: Union[str, Any] = "simulated"
-    size: int = 1
-    timeout: Optional[float] = None
-    include_solution: bool = False
-    start_method: Optional[str] = None
-    host: str = "127.0.0.1"
-    port: int = 7341
-    priority: int = 0
-    connect_retry_for: float = 0.0
-
-
-class Placement:
-    """Base class: buffered events plus the executor-facing surface."""
-
-    name = "base"
-
-    def __init__(self, context: PlacementContext) -> None:
-        self.context = context
-        self._events: List[PlacementEvent] = []
-
-    def start(self) -> None:
-        """Acquire resources (processes, connections); called once."""
-
-    @property
-    def capacity(self) -> int:
-        """How many more units may be submitted right now."""
-        raise NotImplementedError
-
-    def submit(self, key: str, scenario_dict: Dict[str, Any]) -> None:
-        """Accept one unit; settlement arrives via :meth:`poll`."""
-        raise NotImplementedError
-
-    def poll(self, timeout: Optional[float] = None) -> List[PlacementEvent]:
-        """Settlements since the last poll.
-
-        A placement with units in flight elsewhere blocks until one
-        settles (or a deadline it enforces passes) -- but no longer
-        than ``timeout`` when one is given; the sweep gives none.
-        """
-        events, self._events = self._events, []
-        return events
-
-    def shutdown(self) -> None:
-        """Release resources; in-flight units may be abandoned."""
-
-
-# ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-PLACEMENT_REGISTRY = Registry("placement")
-
-
-def register_placement(name: str):
-    """Class decorator registering a placement strategy under a name::
-
-        @register_placement("my_grid")
-        class MyGridPlacement(Placement): ...
-
-    A name registered twice raises ``ValueError``.
-    """
-
-    def decorate(cls: Type[Placement]) -> Type[Placement]:
-        PLACEMENT_REGISTRY.register(name)(cls)
-        cls.name = name
-        return cls
-
-    return decorate
-
-
-def get_placement(name: str) -> Type[Placement]:
-    """The placement class registered under ``name`` (KeyError names
-    the known strategies)."""
-    return PLACEMENT_REGISTRY.get(name)
-
-
-# ----------------------------------------------------------------------
-# strategies
-# ----------------------------------------------------------------------
-@register_placement("local")
-class LocalPlacement(Placement):
+class LocalPlacement:
     """Run units in-process, serially, one settlement per pump turn.
 
     Capacity is deliberately 0 while a settlement is unreported so the
     executor journals each unit before the next one starts -- a killed
     sweep loses at most the unit that was computing.  Deadlines are
-    whatever the backend itself enforces: a ``timeout`` in the context
-    is forwarded to name-resolved backends that accept one (threaded /
+    whatever the backend itself enforces: a ``timeout`` is forwarded to
+    a name-resolved backend whose class accepts one (threaded /
     process); the simulated backend is deterministic and needs none.
 
     On the simulated backend the chemical solvers of every unit share
@@ -160,29 +68,31 @@ class LocalPlacement(Placement):
     units of any factory but ``chemical``'s (no instance built to ask).
     """
 
-    def __init__(self, context: PlacementContext) -> None:
-        super().__init__(context)
-        self._backend: Any = None
-        self._memo: Optional[chemical.SolveMemo] = None
+    def __init__(
+        self,
+        backend: Union[str, Any],
+        timeout: Optional[float] = None,
+        include_solution: bool = False,
+    ) -> None:
+        from repro.api.backends import BACKEND_REGISTRY, SimulatedBackend
 
-    def start(self) -> None:
-        from repro.api.backends import SimulatedBackend, get_backend
-
-        backend = self.context.backend
         if isinstance(backend, str):
+            factory = BACKEND_REGISTRY.get(backend)
             kwargs: Dict[str, Any] = {}
-            if self.context.timeout is not None:
-                factory = type(get_backend(backend))
+            if timeout is not None:
                 try:
                     params = inspect.signature(factory).parameters
                 except (TypeError, ValueError):
                     params = {}
                 if "timeout" in params:
-                    kwargs["timeout"] = self.context.timeout
-            backend = get_backend(backend, **kwargs)
+                    kwargs["timeout"] = timeout
+            backend = factory(**kwargs)
         self._backend = backend
-        if isinstance(backend, SimulatedBackend):
-            self._memo = chemical.SolveMemo()
+        self._include_solution = include_solution
+        self._memo: Optional[chemical.SolveMemo] = (
+            chemical.SolveMemo() if isinstance(backend, SimulatedBackend) else None
+        )
+        self._events: List[PlacementEvent] = []
 
     @property
     def capacity(self) -> int:
@@ -205,7 +115,7 @@ class LocalPlacement(Placement):
     def submit(self, key: str, scenario_dict: Dict[str, Any]) -> None:
         try:
             result = self._run(Scenario.from_dict(scenario_dict))
-            record = result.to_record(include_solution=self.context.include_solution)
+            record = result.to_record(include_solution=self._include_solution)
             event: PlacementEvent = (key, "done", record)
         except BackendTimeoutError as exc:
             event = (key, "timeout", f"{type(exc).__name__}: {exc}")
@@ -220,38 +130,15 @@ class LocalPlacement(Placement):
             )
         self._events.append(event)
 
+    def poll(self, timeout: Optional[float] = None) -> List[PlacementEvent]:
+        events, self._events = self._events, []
+        return events
 
-# A second name: the benchmark's ``mega_async_grid`` workload asks for it.
-PLACEMENT_REGISTRY.register("mega")(LocalPlacement)
-
-
-@register_placement("pool")
-class PoolPlacement(WorkerPool, Placement):
-    """One shard per worker process: the serve layer's WorkerPool, which
-    speaks the placement surface natively, sized from a context (the
-    workers are spawned at construction; ``start`` has nothing to add).
-
-    The pool is non-daemonic and parent-controlled: an expired unit's
-    worker is killed and respawned (the unit comes back as a
-    ``timeout`` event), a worker that dies mid-unit (segfault, OOM
-    kill, ``os._exit`` in problem code) surfaces as ``crashed`` --
-    both transient kinds the work queue retries with its bounded budget.
-    """
-
-    def __init__(self, context: PlacementContext) -> None:
-        Placement.__init__(self, context)
-        WorkerPool.__init__(
-            self,
-            backend=context.backend,
-            size=max(1, context.size),
-            job_timeout=context.timeout,
-            start_method=context.start_method,
-            include_solution=context.include_solution,
-        )
+    def shutdown(self) -> None:
+        pass
 
 
-@register_placement("serve")
-class ServePlacement(Placement):
+class ServePlacement:
     """The remote stub: shards ride a running ``repro serve`` daemon.
 
     Submissions reuse the scheduler's machinery wholesale -- priority
@@ -259,8 +146,8 @@ class ServePlacement(Placement):
     result cache, per-job deadline + bounded retry -- so this placement
     is a thin loop over :class:`~repro.serve.client.ServeClient`: it
     long-polls (``wait_s``) the oldest in-flight job and sweeps the rest.
-    The context's ``backend``/``timeout`` do not travel: the daemon
-    runs whatever backend and deadlines it was started with.
+    The sweep's backend and timeout do not travel: the daemon runs
+    whatever backend and deadlines it was started with.
     """
 
     #: In-flight submissions kept per worker-slot hint; the daemon
@@ -270,30 +157,30 @@ class ServePlacement(Placement):
     #: Length of one long poll when the caller sets no ceiling.
     _HOLD_S = 10.0
 
-    def __init__(self, context: PlacementContext) -> None:
-        super().__init__(context)
-        self._client: Any = None
-        self._jobs: Dict[str, str] = {}  # unit key -> daemon job id
+    #: How long to retry a refused connection: a daemon just forked
+    #: (``repro serve &``, a test harness) may not be listening yet.
+    _CONNECT_RETRY_S = 2.0
 
-    def start(self) -> None:
+    def __init__(self, host: str, port: int, processes: int = 1, priority: int = 0) -> None:
         from repro.serve.client import ServeClient
 
         self._client = ServeClient.connect(
-            host=self.context.host,
-            port=self.context.port,
-            retry_for=self.context.connect_retry_for,
+            host=host, port=port, retry_for=self._CONNECT_RETRY_S
         )
+        self._limit = max(1, processes) * self.INFLIGHT_PER_SLOT
+        self._priority = priority
+        self._jobs: Dict[str, str] = {}  # unit key -> daemon job id
+        self._events: List[PlacementEvent] = []
 
     @property
     def capacity(self) -> int:
-        limit = max(1, self.context.size) * self.INFLIGHT_PER_SLOT
-        return max(0, limit - len(self._jobs))
+        return max(0, self._limit - len(self._jobs))
 
     def submit(self, key: str, scenario_dict: Dict[str, Any]) -> None:
         from repro.serve.client import ServeError
 
         try:
-            ack = self._client.submit(scenario_dict, priority=self.context.priority)
+            ack = self._client.submit(scenario_dict, priority=self._priority)
         except ServeError as exc:
             # A refusal (bad-scenario, ...) is deterministic: no retry.
             self._events.append((key, "failed", f"daemon refused unit: {exc}"))
@@ -303,7 +190,7 @@ class ServePlacement(Placement):
     def poll(self, timeout: Optional[float] = None) -> List[PlacementEvent]:
         from repro.serve.protocol import CANCELLED, DONE, FAILED
 
-        events = super().poll(timeout)
+        events, self._events = self._events, []
         started = time.monotonic()
         budget = self._HOLD_S if timeout is None else timeout
         # Nothing to report yet: let the daemon hold the first request
@@ -317,7 +204,14 @@ class ServePlacement(Placement):
             state = frame["state"]
             if state == DONE:
                 del self._jobs[key]
-                events.append((key, "done", frame.get("record") or {}))
+                record = frame.get("record")
+                if record:
+                    events.append((key, "done", record))
+                else:
+                    # The daemon's cache lost the entry (a corrupt one
+                    # is deleted on read): nothing to store or report.
+                    events.append((key, "failed",
+                                   f"daemon job {job_id} is done but sent no record"))
             elif state == FAILED:
                 del self._jobs[key]
                 events.append((key, "failed", str(frame.get("error", "job failed"))))
@@ -333,17 +227,7 @@ class ServePlacement(Placement):
     def shutdown(self) -> None:
         # In-flight jobs stay with the daemon (they finish and populate
         # its cache); a resumed sweep re-submits and coalesces or hits.
-        if self._client is not None:
-            self._client.close()
+        self._client.close()
 
 
-__all__ = [
-    "Placement",
-    "PlacementContext",
-    "PlacementEvent",
-    "register_placement",
-    "get_placement",
-    "LocalPlacement",
-    "PoolPlacement",
-    "ServePlacement",
-]
+__all__ = ["PlacementEvent", "LocalPlacement", "ServePlacement"]

@@ -30,7 +30,8 @@ from repro.problems import chemical
 from repro.simgrid.process import ProcessState
 from repro.simgrid.world import ProcessFailure, World
 from repro.sweep import run_sweep
-from repro.sweep.placement import LocalPlacement, PlacementContext, get_placement
+from repro.sweep import executor as sweep_executor
+from repro.sweep.placement import LocalPlacement
 from repro.testing.generator import generate_scenarios
 
 
@@ -409,16 +410,24 @@ def test_mega_placement_attributes_failures_per_unit():
     assert "hosts" in outcome.records[1]["error"]
 
 
-def test_mega_placement_keeps_the_backend_it_was_given():
+def test_mega_placement_keeps_the_backend_it_was_given(monkeypatch):
     """``mega`` is a second name of ``local``, which runs the backend
     it was given as-is and builds a memo only for a simulated one."""
-    assert get_placement("mega") is LocalPlacement
-    assert LocalPlacement.name == "local"
     backend = SimulatedBackend()
-    placement = LocalPlacement(PlacementContext(backend=backend))
-    placement.start()
+    placement = LocalPlacement(backend)
     assert placement._backend is backend
     assert isinstance(placement._memo, chemical.SolveMemo)
-    threaded = LocalPlacement(PlacementContext(backend="threaded"))
-    threaded.start()
-    assert threaded._memo is None
+    assert LocalPlacement("threaded")._memo is None
+
+    built = []
+
+    class Recorded(LocalPlacement):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(sweep_executor, "LocalPlacement", Recorded)
+    outcome = run_sweep([Scenario(problem="sparse_linear", n_ranks=2)],
+                        backend=backend, placement="mega")
+    assert not outcome.errors
+    assert [p._backend for p in built] == [backend]

@@ -22,15 +22,9 @@ from repro.api.backends import SimulatedBackend
 from repro.runtime.executor import BackendTimeoutError
 from repro.serve import ServeDaemon
 from repro.serve.cache import ResultCache
-from repro.sweep import (
-    LocalPlacement,
-    Placement,
-    SweepStateError,
-    get_placement,
-    plan_fingerprint,
-    register_placement,
-    run_sweep,
-)
+from repro.serve.client import ServeClient
+from repro.serve.workers import WorkerPool
+from repro.sweep import SweepStateError, plan_fingerprint, run_sweep
 from repro.testing import check_invariants, work_counters
 
 
@@ -232,11 +226,8 @@ class TestUpFrontValidation:
         with pytest.raises(KeyError) as info:
             run_sweep([{"problem": "sparse_linear"}], placement="cloud")
         assert "cloud" in str(info.value)
-        for name in ("local", "pool", "serve"):
+        for name in ("local", "mega", "pool", "serve"):
             assert repr(name) in str(info.value)  # the known strategies
-        with pytest.raises(ValueError, match="already registered"):
-            register_placement("local")(type("Again", (Placement,), {}))
-        assert get_placement("local") is LocalPlacement
 
     def test_serve_placement_refuses_include_solution(self):
         with pytest.raises(ValueError, match="serve"):
@@ -245,6 +236,60 @@ class TestUpFrontValidation:
                 placement="serve",
                 include_solution=True,
             )
+
+
+# ---------------------------------------------------------------------------
+# the executor a placement name picks
+# ---------------------------------------------------------------------------
+
+class _LostRecordClient:
+    """A daemon client whose one job finishes with its record gone from
+    the daemon's cache (``result`` then sends ``record: None``)."""
+
+    def submit(self, scenario_dict, priority=0):
+        return {"ok": True, "id": "j000042", "state": "queued"}
+
+    def result(self, job_id, wait_s=0.0):
+        return {"ok": True, "id": job_id, "state": "done", "record": None}
+
+    def close(self):
+        pass
+
+
+class TestExecutors:
+    def test_pool_runs_in_process_for_one_unit_or_the_process_backend(
+        self, monkeypatch
+    ):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the pool placement started worker processes")
+
+        monkeypatch.setattr(WorkerPool, "__init__", refuse)
+        units = [
+            dict(problem="sparse_linear", problem_params={"n": n}, n_ranks=2)
+            for n in (40, 44)
+        ]
+        outcome = run_sweep(units, placement="pool", processes=2, backend="process")
+        assert outcome.counters["executed"] == 2
+        assert not outcome.errors
+        outcome = run_sweep(units[:1], placement="pool", processes=2)
+        assert outcome.counters["executed"] == 1
+        assert not outcome.errors
+
+    def test_serve_done_without_record_fails_and_stores_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            ServeClient, "connect", classmethod(lambda cls, **_: _LostRecordClient())
+        )
+        scenario = Scenario(problem="sparse_linear", problem_params={"n": 40}, n_ranks=2)
+        outcome = run_sweep([scenario], placement="serve", state_dir=tmp_path)
+        assert "j000042" in outcome.records[0]["error"]
+        assert outcome.counters["failed"] == 1
+        assert outcome.counters["executed"] == 0
+        assert not list((tmp_path / "cache").glob("*.json"))
+        # A resume must not read an empty record back as a result.
+        again = run_sweep([scenario], placement="serve", state_dir=tmp_path, resume=True)
+        assert "error" in again.records[0]
 
 
 # ---------------------------------------------------------------------------

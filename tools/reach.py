@@ -77,7 +77,9 @@ def runs(out: Path) -> List[Tuple[str, List[List[str]]]]:
         ]),
         ("sweep-resume-smoke", [
             [py, "benchmarks/sweep_resume.py", "--n", "200", "--seed", "0",
-             "--kill-fraction", "0.3", "--state-dir", str(out / "sweep-smoke-state")],
+             "--kill-fraction", "0.3", "--placement", placement,
+             "--state-dir", str(out / f"sweep-smoke-state-{placement}")]
+            for placement in ("local", "pool")
         ]),
         ("trace-smoke", [
             *(cli + ["trace", "examples/trace_scenario.json", "--backend", backend,
