@@ -12,11 +12,16 @@ contract end to end:
 * **Duplicates are free**: every duplicate submission is served by
   coalescing onto the in-flight twin or straight from the
   content-hash result cache -- never executed twice.
-* **Kill-resume** (``--kill-fraction > 0``): the daemon is SIGKILLed
-  mid-run, restarted on the same state dir and port, and must requeue
-  every accepted-but-unfinished job from its journal; submissions
-  in flight during the kill reconnect and resubmit (idempotent by
-  content hash).
+* **Kill-resume** (``--kill-fraction > 0``): the daemon's process
+  group is SIGKILLed mid-run -- once that fraction of the unique work
+  is done and while a job is still queued or running -- restarted on
+  the same state dir and port, and must requeue every
+  accepted-but-unfinished job from its journal; submissions in flight
+  during the kill reconnect and resubmit (idempotent by content hash).
+  The submissions from the last never-seen scenario on are held back
+  until the restart, so the second life has fresh work to queue.
+
+Every exit path kills and reaps the daemon's process group.
 
 The outcome is a JSON report (throughput, cache-hit rate, per-life
 daemon stats) written to ``--report``; a non-zero exit means an
@@ -43,6 +48,7 @@ import argparse
 import json
 import os
 import random
+import signal
 import socket
 import subprocess
 import sys
@@ -121,6 +127,7 @@ class DaemonProcess:
                 "--job-timeout", str(self.job_timeout),
             ],
             stdout=log, stderr=subprocess.STDOUT, env=env,
+            start_new_session=True,  # one process group: daemon + workers
         )
         if not wait_for_daemon("127.0.0.1", self.port, timeout=30.0):
             raise RuntimeError(
@@ -129,7 +136,12 @@ class DaemonProcess:
             )
 
     def sigkill(self) -> None:
-        self.proc.kill()
+        """SIGKILL the daemon's process group -- the daemon and its
+        workers, as a host crash would -- and reap the daemon."""
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the group is gone already
         self.proc.wait(timeout=10.0)
 
     def shutdown_clean(self) -> int:
@@ -162,16 +174,19 @@ def run_closed_loop(args: argparse.Namespace) -> dict:
     idle daemon, read from the daemon's own histogram."""
     submissions = build_submissions(args.closed_loop, 0.0, args.seed)
     daemon = start_daemon(args)
-    started = time.perf_counter()
-    with ServeClient(port=daemon.port, timeout=30.0) as client:
-        for scenario, _, _ in submissions:
-            ack = client.submit(scenario)
-            assert not ack["cached"] and not ack["coalesced"], ack
-            frame = client.wait(ack["id"], timeout=args.drain_timeout)
-            assert frame["state"] == "done", frame
-        elapsed = time.perf_counter() - started
-        metrics = client.metrics()
-    exit_code = daemon.shutdown_clean()
+    try:
+        started = time.perf_counter()
+        with ServeClient(port=daemon.port, timeout=30.0) as client:
+            for scenario, _, _ in submissions:
+                ack = client.submit(scenario)
+                assert not ack["cached"] and not ack["coalesced"], ack
+                frame = client.wait(ack["id"], timeout=args.drain_timeout)
+                assert frame["state"] == "done", frame
+            elapsed = time.perf_counter() - started
+            metrics = client.metrics()
+        exit_code = daemon.shutdown_clean()
+    finally:
+        daemon.sigkill()  # whatever is left of it, on every exit path
     waits = metrics["histograms"]["queue_latency_s"]
     assert waits["count"] == len(submissions), waits
     mean_wait_s = waits["sum"] / waits["count"]
@@ -194,14 +209,41 @@ def run_closed_loop(args: argparse.Namespace) -> dict:
     }
 
 
+def first_fresh_of_the_tail(submissions) -> int:
+    """Index of the last submission whose content (the scenario minus
+    its label) no earlier submission has: held back until the second
+    daemon life, it is work that life must queue afresh."""
+    seen = set()
+    last = 0
+    for index, (scenario, _, _) in enumerate(submissions):
+        content = json.dumps({k: v for k, v in scenario.items() if k != "name"},
+                             sort_keys=True)
+        if content not in seen:
+            seen.add(content)
+            last = index
+    return last
+
+
 def run_load(args: argparse.Namespace) -> dict:
     submissions = build_submissions(args.n, args.duplicate_fraction, args.seed)
-    n_duplicates = sum(1 for _, _, dup in submissions if dup)
     daemon = start_daemon(args)
+    try:
+        return drive_load(args, daemon, submissions)
+    finally:
+        daemon.sigkill()  # whatever is left of it, on every exit path
+
+
+def drive_load(args: argparse.Namespace, daemon: DaemonProcess, submissions) -> dict:
+    n_duplicates = sum(1 for _, _, dup in submissions if dup)
     port = daemon.port
 
     daemon_up = threading.Event()
     daemon_up.set()
+    # With a kill phase, the tail from the last never-seen scenario on
+    # waits for the second life, so that life has fresh work to queue
+    # (its queue-latency histogram is asserted non-empty below).
+    held_from = first_fresh_of_the_tail(submissions) if args.kill_fraction > 0 else len(submissions)
+    second_life = threading.Event()
     acks: dict = {}  # submission index -> ack frame
     ack_lock = threading.Lock()
     next_index = [0]
@@ -215,6 +257,8 @@ def run_load(args: argparse.Namespace) -> dict:
                     break
                 index = next_index[0]
                 next_index[0] += 1
+            if index >= held_from:
+                second_life.wait(timeout=600.0)
             scenario, priority, _ = submissions[index]
             while True:
                 daemon_up.wait(timeout=60.0)
@@ -240,27 +284,41 @@ def run_load(args: argparse.Namespace) -> dict:
         threading.Thread(target=submitter, name=f"submitter-{i}", daemon=True)
         for i in range(args.submitters)
     ]
+    # The kill-phase watcher connects before the submitters do: a
+    # connection attempt dropped by a full listen backlog is retried by
+    # TCP a second later, long enough for the first life to finish.
+    watcher = ServeClient(port=port, timeout=30.0) if args.kill_fraction > 0 else None
     for thread in threads:
         thread.start()
 
     lives = 1
     first_life_stats = None
     if args.kill_fraction > 0:
-        # Wait until a fraction of the unique work is done, then
-        # SIGKILL the daemon mid-run and restart it on the same
-        # journal.  Submitter threads stall and resubmit.
+        # Wait until a fraction of the unique work is done while a job
+        # is still queued or running -- the work the restarted daemon
+        # must replay -- then SIGKILL the daemon mid-run and restart it
+        # on the same journal.  Submitter threads stall and resubmit.
         target = max(1, int((args.n - n_duplicates) * args.kill_fraction))
-        with ServeClient(port=port, timeout=30.0) as watcher:
+        with watcher:
             while True:
                 stats = watcher.stats()
-                if stats["counters"]["completed"] >= target:
+                open_jobs = stats["jobs"].get("queued", 0) + stats["jobs"].get("running", 0)
+                if stats["counters"]["completed"] >= target and open_jobs:
                     first_life_stats = stats
                     break
-                time.sleep(0.05)
+                with ack_lock:
+                    drained = not open_jobs and len(acks) >= held_from
+                if drained:
+                    raise RuntimeError(
+                        "the first daemon life finished all its work before the "
+                        "kill could catch a job in flight; lower --kill-fraction"
+                    )
+                time.sleep(0.01)
         daemon_up.clear()
         daemon.sigkill()
         daemon.start()
         daemon_up.set()
+        second_life.set()
         lives += 1
 
     for thread in threads:

@@ -10,6 +10,7 @@ mapping, convergence/iteration aggregates, the assembled global
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
@@ -25,14 +26,17 @@ def jsonify(value: Any) -> Any:
         >>> jsonify({"x": np.arange(2), "n": np.int64(3)})
         {'x': [0, 1], 'n': 3}
     """
+    # ``dict`` first, the ABC (Python-level checks per value) last.
+    if isinstance(value, dict):
+        return {str(k): jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonify(v) for v in value]
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, Mapping):
+    if isinstance(value, abc.Mapping):
         return {str(k): jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
     return value
 
 

@@ -317,11 +317,17 @@ class Scenario:
             >>> b = Scenario(problem="sparse_linear", name="again")
             >>> a.content_hash() == b.content_hash()
             True
+
+        A scenario is a value: the digest is computed once per instance.
         """
-        payload = self.to_dict()
-        payload.pop("name", None)
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        digest = self.__dict__.get("_content_hash")
+        if digest is None:
+            payload = self.to_dict()
+            payload.pop("name", None)
+            canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_content_hash", digest)
+        return digest
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":

@@ -53,8 +53,9 @@ class SendHandle:
     * ``done`` -- the message reached the destination host (a
       *rendezvous* blocking send resumes here).
 
-    A callback list exists only once a callback is registered on it, so
-    the simulator can ask whether anyone watches the sender release.
+    A callback list exists only once a callback is registered on it:
+    ``release_callbacks is None`` tells the simulator that nobody
+    watches the sender release.
     """
 
     done: bool = False
@@ -62,7 +63,7 @@ class SendHandle:
     sender_done: bool = False
     sender_done_at: float = float("nan")
     _callbacks: Optional[list] = None
-    _sender_callbacks: Optional[list] = None
+    release_callbacks: Optional[list] = None
 
     def complete(self, when: float) -> None:
         """Mark delivery to the destination host."""
@@ -79,13 +80,9 @@ class SendHandle:
         """Mark the sender-side transfer as finished."""
         self.sender_done = True
         self.sender_done_at = when
-        callbacks, self._sender_callbacks = self._sender_callbacks, None
+        callbacks, self.release_callbacks = self.release_callbacks, None
         for cb in callbacks or ():
             cb(when)
-
-    def release_observed(self) -> bool:
-        """True when a callback waits for the sender-side release."""
-        return self._sender_callbacks is not None
 
     def on_complete(self, callback) -> None:
         """Invoke ``callback(when)`` at delivery (or now if delivered)."""
@@ -99,7 +96,7 @@ class SendHandle:
         if self.sender_done:
             callback(self.sender_done_at)
         else:
-            self._sender_callbacks = [*(self._sender_callbacks or ()), callback]
+            self.release_callbacks = [*(self.release_callbacks or ()), callback]
 
 
 @dataclass(slots=True)
@@ -226,7 +223,7 @@ class Message:
     size: float = 0.0
     sent_at: float = 0.0
     delivered_at: float = float("nan")
-    uid: int = field(default_factory=lambda: next(_MESSAGE_IDS))
+    uid: int = field(default_factory=_MESSAGE_IDS.__next__)
 
     def clone(self) -> "Message":
         """A fresh-uid copy (a duplicated delivery must be two messages)."""

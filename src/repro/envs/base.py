@@ -33,7 +33,10 @@ class CommPolicy:
 
     ``n_send_threads`` / ``n_recv_threads`` use ``None`` to mean
     "created on demand" (one thread per message / per peer), matching
-    the wording of Table 4 in the paper.
+    the wording of Table 4 in the paper.  A message of ``size`` bytes
+    costs its sending thread ``send_base + send_per_byte * size`` seconds
+    of software and its receiving thread ``recv_base + recv_per_byte *
+    size``; the simulator's transport reads these once per run.
     """
 
     name: str
@@ -54,16 +57,6 @@ class CommPolicy:
     # The paper's sparse-linear data blocks (~1.3 MB) are far above any
     # 2004 MPI rendezvous threshold.
     rendezvous_threshold: float = float("inf")
-
-    def send_sw_time(self, size: float) -> float:
-        return self.send_base + self.send_per_byte * size
-
-    def recv_sw_time(self, size: float) -> float:
-        return self.recv_base + self.recv_per_byte * size
-
-    def rendezvous(self, size: float) -> bool:
-        """True when a send of ``size`` bytes blocks its sender until delivery."""
-        return self.blocking_send and size >= self.rendezvous_threshold
 
     def with_overrides(self, **kwargs) -> "CommPolicy":
         """Return a copy with selected fields replaced."""

@@ -17,20 +17,22 @@ implements exactly that machinery:
   job queue in FIFO (fair scheduler, e.g. Marcel) or LIFO (unfair)
   order; :class:`OnDemandPool` simulates thread-per-message creation;
 * :class:`Transport` drives a message through: sending-thread occupancy
-  (software overhead, then the serialisation of the message along the
-  route, as with blocking sockets), *cut-through* traversal of the
-  route (each hop's serialisation chains FIFO onto the next link and
-  the route's total latency is added once, at delivery), then the
-  receive path, after which the message becomes *visible* in the
-  destination :class:`Mailbox`.
+  (software overhead, then the serialisation along the route, as with
+  blocking sockets), a *cut-through* traversal of the route (one loop
+  chains each hop's serialisation FIFO onto the next link and sums the
+  links' live latency, added once at delivery), then the receive path,
+  after which the message is *visible* in the destination
+  :class:`Mailbox`, whose waiter -- a blocked ``Recv(count=k)`` -- is
+  woken once, by the k-th message.
 
 One message costs at most four engine events -- software done, sender
-released, arrival, visible -- all of them methods of the message's
-:class:`_Flight` or of the pools (a pool job is a ``partial`` of the
-pool's ``_finish``), none a per-message closure (see "The simulator's
-event path" in ``DESIGN.md``).  It costs three when the
-sender release cannot be observed: nothing to hold the thread for, or
-a rendezvous sender blocked until arrival with no job queued behind it.
+released, arrival, visible -- each a method of the message's
+:class:`_Flight` or of a pool (a job is a ``partial`` of the pool's
+``_finish``) that does its stage inline, with the policy's costs read
+once per transport (see "The simulator's event path" in ``DESIGN.md``).
+It costs three when the sender release cannot be observed: nothing to
+hold the thread for, or a rendezvous sender blocked until arrival with
+no job queued behind it.
 """
 
 from __future__ import annotations
@@ -63,10 +65,6 @@ class _ServiceThreads:
         self.engine = engine
         self.busy = 0
 
-    def _occupy(self, finish_time: float, on_done: Callable[[float], None]) -> None:
-        self.busy += 1
-        self.engine.post_at(finish_time, partial(self._finish, on_done))
-
     def _finish(self, on_done: Callable[[float], None]) -> None:
         self.busy -= 1
         on_done(self.engine.now)
@@ -77,7 +75,9 @@ class _ServiceThreads:
     # chained from ``on_done`` via :meth:`hold`.
     def hold(self, delay: float, on_release: Callable[[float], None]) -> None:
         """Keep the calling thread busy for ``delay`` more seconds."""
-        self._occupy(self.engine.now + delay, on_release)
+        self.busy += 1
+        engine = self.engine
+        engine.post_at(engine.now + delay, partial(self._finish, on_release))
 
 
 class ThreadPoolModel(_ServiceThreads):
@@ -102,15 +102,19 @@ class ThreadPoolModel(_ServiceThreads):
         if self._queue or self.busy >= self.size:
             self._queue.append((duration, on_done))  # until a thread is free
         else:
-            self._occupy(self.engine.now + duration, on_done)
+            self.busy += 1
+            engine = self.engine
+            engine.post_at(engine.now + duration, partial(self._finish, on_done))
 
     def _finish(self, on_done: Callable[[float], None]) -> None:
         self.busy -= 1  # as the base class, inline
-        on_done(self.engine.now)
+        engine = self.engine
+        on_done(engine.now)
         queue = self._queue
         while queue and self.busy < self.size:
             duration, on_done = queue.popleft() if self.fair else queue.pop()
-            self._occupy(self.engine.now + duration, on_done)
+            self.busy += 1
+            engine.post_at(engine.now + duration, partial(self._finish, on_done))
 
 
 class OnDemandPool(_ServiceThreads):
@@ -119,12 +123,12 @@ class OnDemandPool(_ServiceThreads):
     def __init__(self, engine: Engine, spawn_cost: float) -> None:
         super().__init__(engine)
         self.spawn_cost = spawn_cost
-        self.peak_concurrency = 0
 
     def submit(self, duration: float, on_done: Callable[[float], None]) -> None:
         # One event per job: the thread is spawned, then serves.
-        self._occupy((self.engine.now + self.spawn_cost) + duration, on_done)
-        self.peak_concurrency = max(self.peak_concurrency, self.busy)
+        self.busy += 1
+        engine = self.engine
+        engine.post_at((engine.now + self.spawn_cost) + duration, partial(self._finish, on_done))
 
 
 # ----------------------------------------------------------------------
@@ -136,15 +140,21 @@ class Mailbox:
     def __init__(self) -> None:
         self._by_tag: Dict[str, List[Message]] = {}
         self._waiter: Optional[Callable[[], None]] = None
+        self._wait_tag: Optional[str] = None
+        self._wait_count = 1
         self.total_received = 0
 
     def deposit(self, message: Message) -> None:
-        queue = self._by_tag.get(message.tag)
+        tag = message.tag
+        queue = self._by_tag.get(tag)
         if queue is None:
-            queue = self._by_tag[message.tag] = []
+            queue = self._by_tag[tag] = []
         queue.append(message)
         self.total_received += 1
-        if self._waiter is not None:
+        wait_tag = self._wait_tag
+        if self._waiter is not None and (wait_tag == tag or wait_tag is None) and (
+            len(queue) if wait_tag == tag else self.peek_count()
+        ) >= self._wait_count:
             waiter, self._waiter = self._waiter, None
             waiter()
 
@@ -162,10 +172,16 @@ class Mailbox:
             return sum(len(v) for v in self._by_tag.values())
         return len(self._by_tag.get(tag, ()))
 
-    def set_waiter(self, callback: Callable[[], None]) -> None:
+    def set_waiter(
+        self, callback: Callable[[], None], tag: Optional[str] = None, count: int = 1
+    ) -> None:
+        """Run ``callback()`` once, at the deposit that makes ``count``
+        messages of ``tag`` (any tag: ``None``) visible."""
         if self._waiter is not None:
             raise RuntimeError("mailbox already has a waiter")
         self._waiter = callback
+        self._wait_tag = tag
+        self._wait_count = count
 
     def clear_waiter(self) -> None:
         self._waiter = None
@@ -180,8 +196,9 @@ class _Flight:
     The per-message state lives here once, and the stage callbacks are
     its bound methods: :meth:`software_done` (sending thread paid the
     software overhead) -> ``handle.release_sender`` (thread and links
-    cleared) -> :meth:`arrive` (last byte at the destination host) ->
-    :meth:`visible` (receive path done).
+    cleared) -> :meth:`arrive` (last byte at the destination host, the
+    receive path submitted) -> :meth:`visible` (receive path done),
+    each doing its whole stage inline.
 
     The release is an event of its own only when something can observe
     it at that instant.  A rendezvous sender is blocked until arrival,
@@ -202,19 +219,27 @@ class _Flight:
     def software_done(self, now: float) -> None:
         # Traverse the route cut-through, reserving the links *now*
         # (not at send(): the thread may have queued behind other
-        # messages): each hop's serialisation chains FIFO onto the
-        # next, and the total propagation latency is added once at the
-        # end.  TCP backpressure keeps the sending thread busy until
-        # the message has cleared the bottleneck (the whole
-        # serialisation chain): with a single sending thread this
-        # serialises a processor's outgoing messages head-of-line --
-        # the very effect Table 4's thread counts are about.
+        # messages): each hop's serialisation starts FIFO at
+        # ``max(t, busy_until)`` and chains onto the next, and the
+        # route's latency -- summed live, from 0 in link order, since a
+        # fault window changes it in place -- is added once at the end.
+        # TCP backpressure keeps the sending thread busy until the
+        # message has cleared the bottleneck (the whole serialisation
+        # chain): with a single sending thread this serialises a
+        # processor's outgoing messages head-of-line -- the very effect
+        # Table 4's thread counts are about.
         message = self.message
-        route = self.route
+        size = message.size
         t = now
-        for link in route.links:
-            t = link.reserve(t, message.size)[1]
-        arrival = t + route.latency
+        latency = 0
+        for link in self.route.links:
+            busy = link.busy_until
+            t = (busy if busy > t else t) + size / link.bandwidth
+            link.busy_until = t
+            link.bytes_carried += size
+            link.transfers += 1
+            latency += link.latency
+        arrival = t + latency
         decision = self.decision
         if decision is not None and decision.extra_delay > 0.0:
             arrival += decision.extra_delay
@@ -222,8 +247,8 @@ class _Flight:
         handle = self.handle
         pool = transport._send_pools[message.src]
         if t > now and (
-            pool._queue or handle.release_observed()
-            or not transport.policy.rendezvous(message.size)
+            pool._queue or handle.release_callbacks is not None
+            or size < transport.rendezvous_from
         ):
             pool.hold(t - now, handle.release_sender)
         else:
@@ -236,25 +261,24 @@ class _Flight:
         # The handle always completes -- the skip-send gate must reopen
         # even for a message the fault plan destroys, exactly as a real
         # sender never learns that an unacknowledged datagram died.
-        self.handle.complete(self.transport.engine.now)
+        transport = self.transport
+        self.handle.complete(transport.engine.now)
         decision = self.decision
         if decision is not None and decision.drop:
             return  # lost in the network: no receive path, no mailbox
-        self.receive()
-        if decision is not None and decision.duplicate:
-            _Flight(self.transport, self.message.clone(), None, None, None).receive()
-
-    def receive(self) -> None:
-        """Message reached the destination NIC: run the receive path."""
-        transport = self.transport
+        # The message reached the destination NIC: run the receive path.
         message = self.message
-        transport._recv_pools[message.dst].submit(
-            transport.policy.recv_sw_time(message.size), self.visible
-        )
+        pool = transport._recv_pools[message.dst]
+        cost = transport._recv_base + transport._recv_per_byte * message.size
+        pool.submit(cost, self.visible)
+        if decision is not None and decision.duplicate:
+            twin = _Flight(transport, message.clone(), None, None, None)
+            pool.submit(cost, twin.visible)
 
     def visible(self, now: float) -> None:
-        self.message.delivered_at = now
-        self.transport.mailboxes[self.message.dst].deposit(self.message)
+        message = self.message
+        message.delivered_at = now
+        self.transport.mailboxes[message.dst].deposit(message)
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +297,13 @@ class Transport:
         self.engine = engine
         self.network = network
         self.policy = policy
+        self._send_base = policy.send_base
+        self._send_per_byte = policy.send_per_byte
+        self._recv_base = policy.recv_base
+        self._recv_per_byte = policy.recv_per_byte
+        #: Smallest size whose blocking send waits for delivery (MPI
+        #: rendezvous); infinite when sends never wait for it.
+        self.rendezvous_from = policy.rendezvous_threshold if policy.blocking_send else float("inf")
         self.rank_to_host = dict(rank_to_host)
         n = len(self.rank_to_host)
         self._send_pools: Dict[int, ThreadPoolModel | OnDemandPool] = {}
@@ -305,6 +336,9 @@ class Transport:
         destination host, the receive path starts; when *that*
         completes the message becomes visible in the mailbox.
         """
+        size = message.size
+        if size < 0:
+            raise ValueError(f"message size must be >= 0, got {size}")
         # The Route object is cached per rank pair, never its latency: a
         # fault window changes link latency and bandwidth in place.
         pair = (message.src, message.dst)
@@ -315,13 +349,13 @@ class Transport:
                 raise KeyError(f"unknown destination rank {message.dst}")
             route = self._routes[pair] = self.network.route(hosts[message.src], hosts[message.dst])
         self.messages_sent += 1
-        self.bytes_sent += message.size
+        self.bytes_sent += size
         now = self.engine.now
         message.sent_at = now
         decision = self.faults.on_send(message, now) if self.faults is not None else None
         flight = _Flight(self, message, handle, route, decision)
         self._send_pools[message.src].submit(
-            self.policy.send_sw_time(message.size), flight.software_done
+            self._send_base + self._send_per_byte * size, flight.software_done
         )
 
     # ------------------------------------------------------------------

@@ -39,9 +39,12 @@ class Link:
     name: str
     latency: float
     bandwidth: float
-    # Time at which the link becomes free for the next transfer.  The
-    # FIFO discipline is enforced by always starting a new transfer at
-    # ``max(now, busy_until)``.
+    # Kept by the transport's cut-through traversal
+    # (``repro.simgrid.comm``): a transfer of ``size`` bytes starts FIFO
+    # at ``max(now, busy_until)`` and occupies the link ``size /
+    # bandwidth`` seconds.  Latency is added once per route, at
+    # delivery: folded into each hop it would book links in the future
+    # and, with one watermark, block traffic across idle gaps.
     busy_until: float = field(default=0.0, repr=False)
     bytes_carried: float = field(default=0.0, repr=False)
     transfers: int = field(default=0, repr=False)
@@ -51,31 +54,6 @@ class Link:
             raise ValueError(f"link {self.name!r}: latency must be >= 0")
         if self.bandwidth <= 0:
             raise ValueError(f"link {self.name!r}: bandwidth must be > 0")
-
-    def transmission_time(self, size: float) -> float:
-        """Seconds of link occupancy for a message of ``size`` bytes."""
-        if size < 0:
-            raise ValueError("size must be non-negative")
-        return size / self.bandwidth
-
-    def reserve(self, now: float, size: float) -> tuple[float, float]:
-        """Reserve the link for one message, FIFO.
-
-        Returns ``(start, end)`` where the transfer occupies the link
-        during ``[start, end] = [start, start + size/bandwidth]``.
-        Propagation latency is *not* included: the transport adds the
-        total route latency once, at delivery (cut-through model).
-        Reserving with latency folded into the hop-to-hop handoff would
-        make messages book links several milliseconds in the future,
-        which -- with a single ``busy_until`` watermark -- would block
-        other traffic across gaps where the link is actually idle.
-        """
-        start = max(now, self.busy_until)
-        occupancy = self.transmission_time(size)
-        self.busy_until = start + occupancy
-        self.bytes_carried += size
-        self.transfers += 1
-        return start, start + occupancy
 
 
 __all__ = ["Link", "mbit", "kbit"]

@@ -3,9 +3,9 @@
 A :class:`Network` stores, for every ordered pair of hosts, the sequence
 of simplex links a message traverses.  The traversal is *cut-through*:
 the transport chains each hop's serialisation FIFO onto the next link
-(:meth:`repro.simgrid.link.Link.reserve`) and adds the route's total
-latency once, at delivery -- no hop waits for the previous one's
-propagation delay.
+and adds the route's total latency, summed live over its links, once
+at delivery (:class:`repro.simgrid.comm.Transport`) -- no hop waits for
+the previous one's propagation delay.
 
 Connection graphs may be *incomplete*: the paper's Section 5.3 discusses
 how PM2 requires a complete interconnection graph while OmniORB
@@ -34,11 +34,6 @@ class Route:
     src: str
     dst: str
     links: Tuple[Link, ...]
-
-    @property
-    def latency(self) -> float:
-        """Total one-way latency along the route."""
-        return sum(link.latency for link in self.links)
 
 
 class Network:

@@ -128,47 +128,66 @@ class Process:
 
             # Effects that resume immediately are handled in this loop
             # (no engine round-trip); time-consuming ones schedule a
-            # callback and return.  The chain is ordered by frequency
-            # in the iterative hot loop: drain, iterate, send.
-            if isinstance(effect, fx.Drain):
+            # callback and return.  The seven effect classes have no
+            # subclasses, so the type is compared, not isinstance-d, in
+            # order of frequency in the iterative hot loop: drain,
+            # iterate, send.
+            kind = type(effect)
+            if kind is fx.Drain:
                 value = self.world.transport.mailboxes[self.rank].drain(effect.tag)
                 continue
-            if isinstance(effect, fx.Iterate):
+            if kind is fx.Iterate:
                 # Host-side numerics now, the simulated cost charged
                 # before the coroutine sees the result.
                 value = effect.solver.iterate()
                 if self._compute(value, in_wake):
                     continue
                 return
-            if isinstance(effect, fx.Send):
-                handle = self._do_send(effect)
-                policy = self.world.policy
-                if policy.blocking_send:
+            if kind is fx.Send:
+                handle = fx.SendHandle()
+                message = fx.Message(self.rank, effect.dest, effect.tag, effect.payload,
+                                     effect.size)
+                if effect.dest == self.rank:
+                    # Loopback: visible at once, no transport involvement.
+                    message.sent_at = message.delivered_at = engine.now
+                    self.world.transport.mailboxes[self.rank].deposit(message)
+                    handle.complete(engine.now)
+                else:
+                    self.world.transport.send(message, handle)
+                if self.world.policy.blocking_send:
                     self._blocked_since = engine.now
                     self._blocked_on = handle
                     # A rendezvous (large-message MPI) send returns once the
                     # receiver has the data, an eager one once the sender's
                     # side of the transfer is done (socket buffer drained).
-                    if policy.rendezvous(effect.size):
+                    if effect.size >= self.world.transport.rendezvous_from:
                         handle.on_complete(self._send_unblocked)
                     else:
                         handle.on_sender_release(self._send_unblocked)
                     return
                 value = handle
                 continue
-            if isinstance(effect, fx.Now):
+            if kind is fx.Now:
                 value = engine.now
                 continue
-            if isinstance(effect, fx.Trace):
+            if kind is fx.Trace:
                 self.world.trace.add_marker(self.rank, engine.now, effect.kind, effect.info)
                 value = None
                 continue
-            if isinstance(effect, fx.Recv):
-                value = self._try_recv(effect)
-                if value is not None:
+            if kind is fx.Recv:
+                # Satisfied now, or woken by the deposit that satisfies it.
+                mailbox = self.world.transport.mailboxes[self.rank]
+                count = effect.count if effect.count > 1 else 1
+                if mailbox.peek_count(effect.tag) >= count:
+                    value = mailbox.drain(effect.tag)
                     continue
+                self._blocked_since = engine.now
+                self._blocked_on = effect
+                mailbox.set_waiter(self._recv_wake, effect.tag, count)
+                if effect.timeout is not None:
+                    self._recv_timer = engine.after(effect.timeout, self._recv_timeout)
                 return
-            if isinstance(effect, fx.Barrier):
+            if kind is fx.Barrier:
                 self._blocked_since = engine.now
                 self.world.barrier_arrive(self)
                 return
@@ -185,63 +204,27 @@ class Process:
         duration = self.host.compute_time(result.flops)
         self.busy_time += duration
         start = engine.now
-        self.world.trace.add_span(self.rank, start, start + duration, "compute", "compute")
+        trace = self.world.trace
+        if trace.enabled:
+            trace.add_span(self.rank, start, start + duration, "compute", "compute")
         if in_wake and engine.fire_in_place(start + duration):
             return True
         self._wake_value = result
         engine.post_after(duration, self._wake)
         return False
 
-    def _do_send(self, effect: fx.Send) -> fx.SendHandle:
-        handle = fx.SendHandle()
-        message = fx.Message(
-            src=self.rank,
-            dst=effect.dest,
-            tag=effect.tag,
-            payload=effect.payload,
-            size=effect.size,
-        )
-        if effect.dest == self.rank:
-            # Loopback: visible immediately, no transport involvement.
-            message.sent_at = self.world.engine.now
-            message.delivered_at = self.world.engine.now
-            self.world.transport.mailboxes[self.rank].deposit(message)
-            handle.complete(self.world.engine.now)
-            return handle
-        self.world.transport.send(message, handle)
-        return handle
-
     def _send_unblocked(self, when: float) -> None:
-        self.world.trace.add_span(
-            self.rank, self._blocked_since, when, "comm", "blocking-send"
-        )
+        trace = self.world.trace
+        if trace.enabled:
+            trace.add_span(self.rank, self._blocked_since, when, "comm", "blocking-send")
         self._advance(self._blocked_on)
 
-    def _try_recv(self, effect: fx.Recv) -> Optional[list]:
-        """The messages of a blocking receive, if enough are visible now;
-        otherwise install a mailbox waiter / timeout and return None."""
-        mailbox = self.world.transport.mailboxes[self.rank]
-        if mailbox.peek_count(effect.tag) >= max(1, effect.count):
-            return mailbox.drain(effect.tag)
-        engine = self.world.engine
-        self._blocked_since = engine.now
-        self._blocked_on = effect
-        mailbox.set_waiter(self._recv_wake)
-        if effect.timeout is not None:
-            self._recv_timer = engine.after(effect.timeout, self._recv_timeout)
-        return None
-
     def _recv_wake(self) -> None:
-        """Mailbox waiter: a message became visible while blocked in Recv."""
-        effect = self._blocked_on
-        mailbox = self.world.transport.mailboxes[self.rank]
-        if mailbox.peek_count(effect.tag) < max(1, effect.count):
-            mailbox.set_waiter(self._recv_wake)
-            return
+        """Mailbox waiter: the blocked ``Recv``'s count became visible."""
         if self._recv_timer is not None:
             self._recv_timer.cancel()
             self._recv_timer = None
-        self._recv_unblocked(mailbox.drain(effect.tag))
+        self._recv_unblocked(self.world.transport.mailboxes[self.rank].drain(self._blocked_on.tag))
 
     def _recv_timeout(self) -> None:
         self._recv_timer = None
@@ -249,16 +232,17 @@ class Process:
         self._recv_unblocked([])
 
     def _recv_unblocked(self, messages: list) -> None:
-        self.world.trace.add_span(
-            self.rank, self._blocked_since, self.world.engine.now, "comm", "recv-wait"
-        )
+        trace = self.world.trace
+        if trace.enabled:
+            end = self.world.engine.now
+            trace.add_span(self.rank, self._blocked_since, end, "comm", "recv-wait")
         self._advance(messages)
 
     # Called by the barrier manager.
     def barrier_release(self, release_time: float) -> None:
-        self.world.trace.add_span(
-            self.rank, self._blocked_since, release_time, "idle", "barrier"
-        )
+        trace = self.world.trace
+        if trace.enabled:
+            trace.add_span(self.rank, self._blocked_since, release_time, "idle", "barrier")
         self.world.engine.post_at(release_time, self._wake)
 
 

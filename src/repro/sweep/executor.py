@@ -39,7 +39,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.api.backends import Backend, SimulatedBackend
 from repro.api.scenario import Scenario
@@ -59,8 +59,8 @@ SOURCE_CACHE = "cache"
 SOURCE_RESUMED = "resumed"
 
 
-def _local(backend, timeout, include_solution, **_):
-    return LocalPlacement(backend, timeout, include_solution)
+def _local(backend, timeout, include_solution, scenarios, **_):
+    return LocalPlacement(backend, timeout, include_solution, scenarios)
 
 
 #: Placement name -> constructor of the executor a sweep pumps its
@@ -216,7 +216,7 @@ def run_sweep(
     invalid: Dict[int, Dict[str, Any]] = {}
     index_keys: Dict[int, str] = {}
     index_scenarios: Dict[int, Dict[str, Any]] = {}
-    units: Dict[str, Dict[str, Any]] = {}  # distinct key -> scenario dict
+    units: Dict[str, Tuple[Dict[str, Any], Scenario]] = {}  # distinct key -> unit
     for index, spec in enumerate(scenarios):
         counters["items"] = index + 1
         try:
@@ -236,7 +236,7 @@ def run_sweep(
         if key in units:
             counters["coalesced"] += 1
         else:
-            units[key] = index_scenarios[index]
+            units[key] = (index_scenarios[index], scenario)
     counters["distinct"] = len(units)
 
     fingerprint = plan_fingerprint(units.keys())
@@ -295,6 +295,7 @@ def run_sweep(
         notify(key, kind, source)
 
     journaled_done = set(state.done) if state is not None else set()
+    job_scenarios: Dict[str, Scenario] = {}  # job id -> its unit's Scenario
 
     # ------------------------------------------------------------------
     # 3. admit: sticky failures, cache-born settlements, the rest queued
@@ -307,12 +308,13 @@ def run_sweep(
             backend=backend_name,
             require_solution=include_solution,
         )
-        for key, scenario_dict in units.items():
+        for key, (scenario_dict, scenario) in units.items():
             if state is not None and key in state.failed:
                 counters["resumed"] += 1
                 settle(key, FAILED, {"error": state.failed[key]}, SOURCE_RESUMED)
                 continue
-            _job, _coalesced, record = work.admit(key, scenario_dict)
+            job, _coalesced, record = work.admit(key, scenario_dict)
+            job_scenarios[job.id] = scenario
             if record is not None:
                 source = SOURCE_RESUMED if key in journaled_done else SOURCE_CACHE
                 counters["resumed" if source == SOURCE_RESUMED else "cache_hits"] += 1
@@ -336,7 +338,7 @@ def run_sweep(
             executor = _EXECUTORS[placement](
                 backend=backend, processes=processes, timeout=timeout,
                 include_solution=include_solution, host=host, port=port,
-                priority=priority,
+                priority=priority, scenarios=job_scenarios,
             )
             try:
                 while work.in_flight:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import inspect
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.api.scenario import Scenario
 from repro.problems import chemical, get_problem_factory
@@ -66,6 +66,8 @@ class LocalPlacement:
     record equals ``run()`` of its scenario.  Balanced units keep the
     plain path (``compile_plan`` owns their solver factory), and so do
     units of any factory but ``chemical``'s (no instance built to ask).
+    ``scenarios`` maps job ids to the scenarios the sweep already built
+    and hashed; a job without one is rebuilt from its dict.
     """
 
     def __init__(
@@ -73,6 +75,7 @@ class LocalPlacement:
         backend: Union[str, Any],
         timeout: Optional[float] = None,
         include_solution: bool = False,
+        scenarios: Optional[Mapping[str, Scenario]] = None,
     ) -> None:
         from repro.api.backends import BACKEND_REGISTRY, SimulatedBackend
 
@@ -89,6 +92,7 @@ class LocalPlacement:
             backend = factory(**kwargs)
         self._backend = backend
         self._include_solution = include_solution
+        self._scenarios = scenarios or {}
         self._memo: Optional[chemical.SolveMemo] = (
             chemical.SolveMemo() if isinstance(backend, SimulatedBackend) else None
         )
@@ -112,16 +116,17 @@ class LocalPlacement:
 
         return self._backend.run(scenario, make_solver)
 
-    def submit(self, key: str, scenario_dict: Dict[str, Any]) -> None:
+    def submit(self, job_id: str, scenario_dict: Dict[str, Any]) -> None:
         try:
-            result = self._run(Scenario.from_dict(scenario_dict))
+            result = self._run(
+                self._scenarios.get(job_id) or Scenario.from_dict(scenario_dict))
             record = result.to_record(include_solution=self._include_solution)
-            event: PlacementEvent = (key, "done", record)
+            event: PlacementEvent = (job_id, "done", record)
         except BackendTimeoutError as exc:
-            event = (key, "timeout", f"{type(exc).__name__}: {exc}")
+            event = (job_id, "timeout", f"{type(exc).__name__}: {exc}")
         except Exception as exc:  # noqa: BLE001 - settled per unit
             event = (
-                key,
+                job_id,
                 "failed",
                 {
                     "error": f"{type(exc).__name__}: {exc}",

@@ -7,9 +7,14 @@ multiprocessing sweep.
 """
 
 import json
+import typing
+from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.api import (
     RunResult,
@@ -27,6 +32,7 @@ from repro.api import (
     run_scenario,
     scenario_matrix,
 )
+from repro.api.result import jsonify
 from repro.clusters import CLUSTER_REGISTRY
 from repro.core.aiac import AIACOptions
 from repro.core.run import get_worker
@@ -215,6 +221,45 @@ def test_run_result_record_json_round_trip():
     assert rebuilt.backend == "simulated"
     assert rebuilt.scenario == result.scenario
     np.testing.assert_allclose(rebuilt.solution(), result.solution())
+
+
+def _jsonify_before(value):
+    """``jsonify`` as it was, testing ``typing.Mapping`` first: the oracle."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, typing.Mapping):
+        return {str(k): _jsonify_before(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonify_before(v) for v in value]
+    return value
+
+
+def _json_values():
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(-10**6, 10**6),
+        st.floats(allow_nan=False), st.text(max_size=4),
+        st.integers(-1000, 1000).map(np.int64), st.floats(-1e3, 1e3).map(np.float64),
+        st.booleans().map(np.bool_),
+        hnp.arrays(st.sampled_from([np.float64, np.int32]), st.integers(0, 3),
+                   elements=st.integers(-9, 9)),
+    )
+    keys = st.one_of(st.text(max_size=3), st.integers(0, 9))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.dictionaries(keys, inner, max_size=3),
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(keys, inner, max_size=3).map(MappingProxyType),
+    ), max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values())
+def test_jsonify_equals_the_typing_mapping_version(value):
+    """Nested dicts, lists, tuples, numpy scalars and arrays and non-dict
+    mappings convert exactly as before ``dict`` was tested first."""
+    assert repr(jsonify(value)) == repr(_jsonify_before(value))
 
 
 def test_run_result_record_without_solution():

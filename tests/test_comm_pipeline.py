@@ -121,9 +121,9 @@ def test_on_demand_pool_unbounded_concurrency():
     pool = OnDemandPool(engine, spawn_cost=0.5)
     for i in range(5):
         pool.submit(1.0, lambda t, i=i: done.append(t))
+    assert pool.busy == 5  # all five in service at once
     engine.run()
     assert done == [1.5] * 5
-    assert pool.peak_concurrency == 5
 
 
 def test_on_demand_pool_charges_spawn_cost():
@@ -381,7 +381,15 @@ def test_policy_with_overrides():
 
 
 def test_policy_cost_helpers():
+    """A message of ``size`` bytes costs its sending thread ``send_base +
+    send_per_byte * size`` and its receiving thread ``recv_base +
+    recv_per_byte * size``."""
     policy = CommPolicy(name="p", send_base=1.0, send_per_byte=0.1,
-                        recv_base=2.0, recv_per_byte=0.2)
-    assert policy.send_sw_time(10.0) == pytest.approx(2.0)
-    assert policy.recv_sw_time(10.0) == pytest.approx(4.0)
+                        recv_base=2.0, recv_per_byte=0.2, thread_spawn_cost=0.0)
+    engine, transport = _transport(policy)
+    handle = SendHandle()
+    transport.send(Message(src=0, dst=1, tag="d", payload=None, size=10.0), handle)
+    engine.run()
+    (message,) = transport.mailboxes[1].drain("d")
+    assert handle.sender_done_at == pytest.approx(2.0 + 10.0 / 1e6)  # then the lan
+    assert message.delivered_at - handle.completed_at == pytest.approx(4.0)

@@ -201,6 +201,38 @@ def _stack_depth() -> int:
     return depth
 
 
+@pytest.mark.parametrize("timeout", [None, 30.0])
+def test_recv_of_k_messages_is_woken_once(monkeypatch, timeout):
+    """A blocked ``Recv(count=k)`` is resumed by the one mailbox wake of
+    its k-th visible message, not re-examined on each of the k."""
+    from repro.simgrid.process import Process
+
+    wakes = []
+    recv_wake = Process._recv_wake
+    monkeypatch.setattr(Process, "_recv_wake",
+                        lambda self: (wakes.append(self.rank), recv_wake(self))[1])
+    world = make_world(2)
+    k = 5
+
+    def sender(rank, size):
+        for i in range(k):
+            yield work(1e5)
+            yield Send(1, "d", i, 100.0)
+            yield Send(1, "other", i, 100.0)  # another tag wakes nobody
+
+    def receiver(rank, size):
+        msgs = yield Recv("d", count=k, timeout=timeout)
+        return [m.payload for m in msgs], (yield Now())
+
+    world.spawn(sender(0, 2))
+    world.spawn(receiver(1, 2))
+    world.run()
+    payloads, resumed_at = world.results[1]
+    assert payloads == list(range(k))
+    assert resumed_at < 1.0  # by the wake, not the timeout
+    assert wakes == [1]
+
+
 def test_loopback_blocking_sends_do_not_grow_the_stack():
     """A blocking send to oneself completes inside its own effect
     handling; the trampoline hands the resume to the running loop
