@@ -61,7 +61,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import Scenario  # noqa: E402
 from repro.serve import ServeClient  # noqa: E402
-from repro.serve.daemon import wait_for_daemon  # noqa: E402
 
 
 def free_port() -> int:
@@ -129,11 +128,14 @@ class DaemonProcess:
             stdout=log, stderr=subprocess.STDOUT, env=env,
             start_new_session=True,  # one process group: daemon + workers
         )
-        if not wait_for_daemon("127.0.0.1", self.port, timeout=30.0):
+        try:
+            with ServeClient.connect(port=self.port, retry_for=30.0) as client:
+                client.ping()
+        except OSError as exc:
             raise RuntimeError(
                 f"daemon did not come up on port {self.port}; "
                 f"see {self.logs[-1]}"
-            )
+            ) from exc
 
     def sigkill(self) -> None:
         """SIGKILL the daemon's process group -- the daemon and its

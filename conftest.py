@@ -10,6 +10,7 @@ Every test starts with no problem instance held by
 before it.
 """
 
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -40,3 +41,17 @@ def _empty_problem_slot():
     scenario = sys.modules.get("repro.api.scenario")
     if scenario is not None:
         scenario._LAST_BUILT = None
+
+
+@pytest.fixture
+def start_method():
+    """Set the process-wide ``multiprocessing`` start method for one test.
+
+    Call the fixture with ``"fork"`` or ``"spawn"``: the process backend
+    and the worker pool start their children with whatever method is in
+    force.  The method in force before the test, ``None`` (the platform
+    default) included, is restored after it.
+    """
+    previous = multiprocessing.get_start_method(allow_none=True)
+    yield lambda method: multiprocessing.set_start_method(method, force=True)
+    multiprocessing.set_start_method(previous, force=True)

@@ -304,10 +304,10 @@ class ProcessBackend:
 
         result = ProcessBackend(timeout=120.0).run(scenario)
 
-    ``start_method`` forces a ``multiprocessing`` start method
-    (``"spawn"``/``"fork"``/``"forkserver"``); the child bootstrap
-    re-imports :mod:`repro.api`, so registries survive spawn.  A run
-    that exceeds ``timeout`` is reaped (children terminated) and raises
+    Children start with the process-wide ``multiprocessing`` start
+    method; the child bootstrap re-imports :mod:`repro.api`, so
+    registries survive spawn.  A run that exceeds ``timeout`` is reaped
+    (children terminated) and raises
     :class:`~repro.runtime.process_hub.ProcessTimeoutError`.  See
     ``docs/backends.md``.
     """
@@ -315,7 +315,6 @@ class ProcessBackend:
     name: ClassVar[str] = "process"
 
     timeout: float = 120.0
-    start_method: Optional[str] = None
     #: Record wall-clock spans inside every worker process, merged in
     #: the parent and attached as :attr:`RunResult.timeline`.
     timeline: bool = False
@@ -334,10 +333,7 @@ class ProcessBackend:
             )
         from repro.runtime.process_hub import run_processes
 
-        outcome = run_processes(
-            scenario, timeout=self.timeout, start_method=self.start_method,
-            trace=self.timeline,
-        )
+        outcome = run_processes(scenario, timeout=self.timeout, trace=self.timeline)
         return _wall_result(self.name, scenario, *outcome)
 
 

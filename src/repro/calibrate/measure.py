@@ -43,11 +43,9 @@ REFERENCE_SCHEMA = "repro.calibration-reference/1"
 # ----------------------------------------------------------------------
 def default_battery(
     sizes: Sequence[int] = (72_000, 84_000, 96_000),
-    n_ranks: int = 2,
-    environment: str = "sync_mpi",
-    seed: int = 0,
 ) -> List[Scenario]:
-    """The standard calibration battery: one rank count, several sizes.
+    """The standard calibration battery: lockstep ``sync_mpi`` at two
+    ranks, seed 0, several sizes.
 
     Two deliberate choices:
 
@@ -69,23 +67,18 @@ def default_battery(
         raise ValueError("battery needs at least one problem size")
     return [
         Scenario(
-            name=f"cal-{environment}-n{n}-r{n_ranks}",
+            name=f"cal-sync_mpi-n{n}-r2",
             problem="sparse_linear",
             problem_params={"n": int(n)},
-            environment=environment,
-            n_ranks=n_ranks,
-            seed=seed,
+            environment="sync_mpi",
+            n_ranks=2,
+            seed=0,
         )
         for n in sizes
     ]
 
 
-def tiny_battery(
-    sizes: Sequence[int] = (48_000, 64_000),
-    n_ranks: int = 2,
-    environment: str = "sync_mpi",
-    seed: int = 0,
-) -> List[Scenario]:
+def tiny_battery() -> List[Scenario]:
     """A seconds-scale battery for the CI smoke job.
 
     Small enough to measure and fit in well under a minute, large
@@ -94,9 +87,7 @@ def tiny_battery(
     smoke job pairs it with a looser makespan tolerance, since on a
     fast machine these sizes sit closer to that floor.
     """
-    return default_battery(
-        sizes=sizes, n_ranks=n_ranks, environment=environment, seed=seed
-    )
+    return default_battery(sizes=(48_000, 64_000))
 
 
 #: Named battery factories the CLI exposes (``--battery``).

@@ -43,9 +43,11 @@ def build_preset(
     reference: Mapping[str, Any],
     util_weight: float = 0.5,
     makespan_tolerance: float = DEFAULT_MAKESPAN_TOLERANCE,
-    score_tolerance: float = DEFAULT_SCORE_TOLERANCE,
 ) -> Dict[str, Any]:
     """Assemble a preset payload from a fit and its reference.
+
+    The payload records :data:`DEFAULT_SCORE_TOLERANCE` as the drift
+    a later re-score may show.
 
     ``fit_result`` is a :class:`repro.calibrate.search.FitResult` or
     any mapping/object exposing ``params``, ``score``,
@@ -73,7 +75,7 @@ def build_preset(
         "seed": int(get("seed", 0)),
         "util_weight": float(util_weight),
         "makespan_tolerance": float(makespan_tolerance),
-        "score_tolerance": float(score_tolerance),
+        "score_tolerance": DEFAULT_SCORE_TOLERANCE,
         "reference": dict(reference),
     }
 
@@ -108,18 +110,14 @@ def load_preset(path: Union[str, Path]) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # registration
 # ----------------------------------------------------------------------
-def register_preset(
-    preset: Union[str, Path, Mapping[str, Any]],
-    name: Optional[str] = None,
-    overwrite: bool = True,
-) -> str:
-    """Register a fitted preset as a named cluster builder.
+def register_preset(preset: Union[str, Path, Mapping[str, Any]]) -> str:
+    """Register a fitted preset as a cluster builder under its name.
 
     After this, ``get_cluster(name)`` (and any scenario dict naming the
     preset) builds a :func:`calibrated_cluster` with the fitted
     parameters baked in; callers may still override ``n_hosts`` or any
-    individual parameter.  ``overwrite=True`` keeps registration
-    idempotent across repeated imports.
+    individual parameter.  Registering a name again replaces it, so
+    registration is idempotent across repeated imports.
     """
     from repro.clusters import register_cluster
     from repro.clusters.presets import calibrated_cluster
@@ -127,7 +125,7 @@ def register_preset(
     if isinstance(preset, (str, Path)):
         preset = load_preset(preset)
     params = {k: float(v) for k, v in preset["params"].items()}
-    preset_name = name or preset["name"]
+    preset_name = preset["name"]
 
     def fitted_cluster(**overrides: Any):
         merged = {**params, **overrides}
@@ -140,7 +138,7 @@ def register_preset(
         f"{preset.get('score')} against backend "
         f"{preset.get('reference', {}).get('backend')!r})."
     )
-    register_cluster(preset_name, overwrite=overwrite)(fitted_cluster)
+    register_cluster(preset_name, overwrite=True)(fitted_cluster)
     return preset_name
 
 

@@ -99,13 +99,12 @@ def validate_single(
 def warm_start_speed(
     objective: CalibrationObjective,
     params: Mapping[str, float],
-    probe_factor: float = 4.0,
 ) -> Tuple[Dict[str, float], Dict[str, Any]]:
     """Closed-form speed estimate from two probe evaluations.
 
     For a lockstep battery the simulated makespan decomposes as
     ``A/speed + B`` (compute + speed-independent communication), so two
-    probes at ``s1`` and ``s2`` solve for ``A`` and ``B`` per entry,
+    probes at ``s1`` and ``s2 = 4 * s1`` solve for ``A`` and ``B`` per entry,
     and ``A / (measured - B)`` is the speed that lands the entry
     exactly on its measured makespan.  The geometric mean over entries
     seeds the local search within a decade of the optimum.  Falls back
@@ -115,7 +114,7 @@ def warm_start_speed(
     params = clamp_params(params)
     first = objective.evaluate(params)
     s1 = params["speed"]
-    s2 = clamp_params({"speed": s1 * probe_factor})["speed"]
+    s2 = clamp_params({"speed": s1 * 4.0})["speed"]
     if s2 == s1:
         return dict(params), first
     second = objective.evaluate({**params, "speed": s2})
@@ -146,7 +145,6 @@ def coordinate_descent(
     seed: int = 0,
     max_rounds: int = 12,
     step: float = 2.0,
-    min_step: float = 1.02,
     log: Optional[Callable[[str], None]] = None,
 ) -> Tuple[Dict[str, float], Dict[str, Any]]:
     """Seeded multiplicative coordinate descent on the log scale.
@@ -154,7 +152,7 @@ def coordinate_descent(
     Each round tries ``x*step`` and ``x/step`` for every parameter (in
     an order shuffled by the seeded RNG, so no coordinate is
     structurally favoured); a round without improvement shrinks the
-    step towards 1 until it drops below ``min_step``.  Deterministic
+    step towards 1 until it drops below 1.02.  Deterministic
     for a fixed ``(objective, initial, seed)``.
     """
     if step <= 1.0:
@@ -183,7 +181,7 @@ def coordinate_descent(
             )
         if not improved:
             step_now = math.sqrt(step_now)
-            if step_now < min_step:
+            if step_now < 1.02:
                 break
     return params, best
 
@@ -193,24 +191,21 @@ def coordinate_descent(
 # ----------------------------------------------------------------------
 def fit(
     reference: Union[str, Path, Mapping[str, Any], CalibrationObjective],
-    initial: Optional[Mapping[str, float]] = None,
     seed: int = 0,
     rounds: int = 12,
     step: float = 2.0,
     util_weight: float = 0.5,
-    cluster: str = "calibrated",
     log: Optional[Callable[[str], None]] = None,
 ) -> FitResult:
-    """Run the staged workflow and return a :class:`FitResult`."""
+    """Run the staged workflow from ``DEFAULT_PARAMS`` and return a
+    :class:`FitResult`."""
     emit = log or (lambda message: None)
     if isinstance(reference, CalibrationObjective):
         objective = reference
     else:
-        objective = CalibrationObjective(
-            reference, cluster=cluster, util_weight=util_weight
-        )
+        objective = CalibrationObjective(reference, util_weight=util_weight)
 
-    baseline_params = clamp_params({**DEFAULT_PARAMS, **dict(initial or {})})
+    baseline_params = clamp_params(DEFAULT_PARAMS)
     stages: List[Dict[str, Any]] = []
 
     baseline = validate_single(objective, baseline_params)

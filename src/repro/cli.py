@@ -120,6 +120,20 @@ def _load_scenario_list(path: str):
     return data
 
 
+def _bounded(convert, low, strict: bool = False):
+    """An argparse ``type``: ``convert`` the text, then refuse a value
+    below ``low`` (or equal to it, when ``strict``)."""
+    def check(text: str):
+        value = convert(text)
+        if value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {value}")
+        return value
+
+    check.__name__ = convert.__name__  # argparse's "invalid int value"
+    return check
+
+
 def _write_text(path: str, text: str, what: str) -> bool:
     """Write ``text`` and a newline to ``path``, noting it on stderr;
     ``False`` (with the error printed) when the path is unwritable."""
@@ -140,17 +154,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("error: give a scenario file or --conformance N (not both)",
               file=sys.stderr)
         return 2
-    if args.retries < 0:
-        print(f"error: --retries must be >= 0, got {args.retries}", file=sys.stderr)
-        return 2
     if args.resume and not args.state_dir:
         print("error: --resume requires --state-dir", file=sys.stderr)
         return 2
     if args.conformance is not None:
-        if args.conformance < 1:
-            print(f"error: --conformance must be >= 1, got {args.conformance}",
-                  file=sys.stderr)
-            return 2
         from repro.testing import generate_scenarios
 
         data = [s.to_dict() for s in generate_scenarios(args.conformance, args.seed)]
@@ -226,13 +233,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_conformance(args: argparse.Namespace) -> int:
     from repro.testing import run_conformance
 
-    if args.n < 1:
-        print(f"error: --n must be >= 1, got {args.n}", file=sys.stderr)
-        return 2
-    if args.timeout <= 0:
-        print(f"error: --timeout must be > 0, got {args.timeout}", file=sys.stderr)
-        return 2
-
     def backend_mark(record, name: str) -> str:
         if name in record.get("timed_out", ()):
             return "HUNG"
@@ -291,17 +291,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ServeDaemon
 
-    if args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
-    if args.job_timeout <= 0:
-        print(f"error: --job-timeout must be > 0, got {args.job_timeout}",
-              file=sys.stderr)
-        return 2
-    if args.max_attempts < 1:
-        print(f"error: --max-attempts must be >= 1, got {args.max_attempts}",
-              file=sys.stderr)
-        return 2
     try:
         daemon = ServeDaemon(
             host=args.host,
@@ -413,10 +402,6 @@ def _cmd_calibrate_measure(args: argparse.Namespace) -> int:
     from repro.calibrate import CalibrationError
     from repro.calibrate.measure import BATTERIES, measure_battery, write_reference
 
-    if args.repeats < 1:
-        print(f"error: --repeats must be >= 1, got {args.repeats}",
-              file=sys.stderr)
-        return 2
     if args.battery not in BATTERIES:
         print(f"error: unknown battery {args.battery!r}; "
               f"known: {', '.join(sorted(BATTERIES))}", file=sys.stderr)
@@ -579,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="path to a scenario JSON file (omit with --conformance)",
     )
     sweep_parser.add_argument(
-        "--conformance", type=int, default=None, metavar="N",
+        "--conformance", type=_bounded(int, 1), default=None, metavar="N",
         help="sweep N seeded conformance scenarios instead of a file",
     )
     sweep_parser.add_argument(
@@ -611,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         "are free",
     )
     sweep_parser.add_argument(
-        "--retries", type=int, default=1, metavar="K",
+        "--retries", type=_bounded(int, 0), default=1, metavar="K",
         help="transient-failure budget per unit (timeouts, worker "
         "crashes; default: 1)",
     )
@@ -661,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     conformance_parser.add_argument(
-        "--n", type=int, default=25, metavar="N",
+        "--n", type=_bounded(int, 1), default=25, metavar="N",
         help="number of scenarios to generate (default: 25)",
     )
     conformance_parser.add_argument(
@@ -678,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the JSON conformance report here",
     )
     conformance_parser.add_argument(
-        "--timeout", type=float, default=60.0, metavar="T",
+        "--timeout", type=_bounded(float, 0, strict=True), default=60.0, metavar="T",
         help="per-scenario timeout for the threaded/process backends; a "
         "hung run is reaped and reported as that scenario's failure "
         "(default: 60)",
@@ -720,16 +705,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="backend the workers run scenarios on (default: simulated)",
     )
     serve_parser.add_argument(
-        "--workers", type=int, default=2,
+        "--workers", type=_bounded(int, 1), default=2,
         help="worker-process pool size (default: 2)",
     )
     serve_parser.add_argument(
-        "--job-timeout", type=float, default=60.0, metavar="T",
+        "--job-timeout", type=_bounded(float, 0, strict=True), default=60.0,
+        metavar="T",
         help="per-attempt deadline in seconds; an expired attempt's worker "
         "is killed and the job retried (default: 60)",
     )
     serve_parser.add_argument(
-        "--max-attempts", type=int, default=2, metavar="K",
+        "--max-attempts", type=_bounded(int, 1), default=2, metavar="K",
         help="attempts per job before a timeout becomes a failure "
         "(default: 2)",
     )
@@ -819,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock backend to measure (default: threaded)",
     )
     measure_parser.add_argument(
-        "--repeats", type=int, default=3, metavar="K",
+        "--repeats", type=_bounded(int, 1), default=3, metavar="K",
         help="runs per scenario; the median supplies the shape (default: 3)",
     )
     measure_parser.add_argument(

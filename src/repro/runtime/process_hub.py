@@ -296,7 +296,6 @@ def _window_counters(scenario, t0: float) -> Dict[str, int]:
 def run_processes(
     scenario,
     timeout: float = 120.0,
-    start_method: Optional[str] = None,
     trace: bool = False,
 ) -> RunOutcome:
     """Execute a scenario with one OS process per rank.
@@ -313,10 +312,6 @@ def run_processes(
         One shared wall-clock deadline for the whole run; on expiry
         every child is terminated and :class:`ProcessTimeoutError`
         raises.
-    start_method:
-        ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
-        ``"forkserver"``) or ``None`` for the platform default.  The
-        backend is spawn-safe by construction (see module docstring).
     trace:
         Record wall-clock compute/idle/comm spans in every child; the
         per-rank rows ride home on the exit reports and are joined
@@ -327,7 +322,7 @@ def run_processes(
     n_ranks = scenario.n_ranks
     if n_ranks < 1:
         raise ValueError("n_ranks must be >= 1")
-    ctx = multiprocessing.get_context(start_method)
+    ctx = multiprocessing.get_context()
     inboxes = [ctx.Queue() for _ in range(n_ranks)]
     results: Any = ctx.Queue()
     barrier = ctx.Barrier(n_ranks)

@@ -38,7 +38,7 @@ User guide: ``docs/serving.md``.  Load harness:
 
 from repro.serve.cache import ResultCache
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.daemon import Scheduler, ServeDaemon, wait_for_daemon
+from repro.serve.daemon import Scheduler, ServeDaemon
 from repro.serve.protocol import (
     CANCELLED,
     DONE,
@@ -63,7 +63,6 @@ __all__ = [
     "Journal",
     "WorkQueue",
     "ProtocolError",
-    "wait_for_daemon",
     "QUEUED",
     "RUNNING",
     "DONE",

@@ -28,6 +28,11 @@ from typing import Any, Dict, Optional, Union
 from repro.api.scenario import Scenario
 from repro.serve.protocol import TERMINAL_STATES, decode_frame, encode_frame
 
+#: Pacing of the client's retry loops: the pause between two refused
+#: connects, and the least length of one :meth:`ServeClient.wait` round
+#: when the daemon answers a long poll at once (it is closing).
+_POLL_S = 0.05
+
 
 class ServeError(RuntimeError):
     """The daemon refused a request (``ok: false``)."""
@@ -62,9 +67,7 @@ class ServeClient:
         cls,
         host: str = "127.0.0.1",
         port: int = 7341,
-        timeout: float = 30.0,
         retry_for: float = 0.0,
-        poll: float = 0.1,
     ) -> "ServeClient":
         """Connect, optionally retrying for ``retry_for`` seconds.
 
@@ -76,11 +79,11 @@ class ServeClient:
         deadline = time.monotonic() + retry_for
         while True:
             try:
-                return cls(host=host, port=port, timeout=timeout)
+                return cls(host=host, port=port)
             except OSError:
                 if time.monotonic() >= deadline:
                     raise
-                time.sleep(poll)
+                time.sleep(_POLL_S)
 
     # ------------------------------------------------------------------
     # plumbing
@@ -170,19 +173,14 @@ class ServeClient:
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
-    def wait(
-        self,
-        job_id: str,
-        timeout: float = 120.0,
-        poll: float = 0.05,
-    ) -> Dict[str, Any]:
+    def wait(self, job_id: str, timeout: float = 120.0) -> Dict[str, Any]:
         """Block until the job is terminal; returns its ``result`` frame.
 
         Each round is one long-polling ``result`` request the daemon
         answers the moment the job settles, so the record arrives
-        without a polling delay.  A daemon that predates ``wait_s``
-        ignores it and answers at once; the round is then padded to
-        ``poll`` seconds, which is the old polling loop.
+        without a polling delay.  A daemon that is closing answers at
+        once; the round is then padded to 50 ms, so the loop never
+        spins.
 
         Raises :class:`TimeoutError` when the deadline passes first --
         the job keeps running server-side (use :meth:`cancel` to stop
@@ -200,7 +198,7 @@ class ServeClient:
                 raise TimeoutError(
                     f"job {job_id} still {frame['state']!r} after {timeout}s"
                 )
-            time.sleep(max(0.0, min(poll - (now - asked), deadline - now)))
+            time.sleep(max(0.0, min(_POLL_S - (now - asked), deadline - now)))
 
 
 __all__ = ["ServeClient", "ServeError"]

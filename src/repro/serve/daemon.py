@@ -45,7 +45,6 @@ are requeued by the next daemon pointed at the same state dir.
 from __future__ import annotations
 
 import shutil
-import socket
 import socketserver
 import tempfile
 import threading
@@ -386,6 +385,9 @@ class _Server(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
     block_on_close = False
+    #: Listen backlog.  ``socketserver``'s 5 makes a burst of connects
+    #: (a sweep's submitters, a load harness) wait out a 1 s SYN retry.
+    request_queue_size = 128
 
 
 class ServeDaemon:
@@ -528,21 +530,4 @@ def _pool_utilization(pool_stats: Dict[str, Any]) -> float:
     return busy / workers if workers else 0.0
 
 
-def wait_for_daemon(
-    host: str, port: int, timeout: float = 10.0, poll: float = 0.05
-) -> bool:
-    """Poll until a daemon answers ``ping`` on ``host:port`` (or time out)."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            with socket.create_connection((host, port), timeout=poll * 4) as sock:
-                sock.sendall(encode_frame({"verb": "ping"}))
-                if sock.recv(1024):
-                    return True
-        except OSError:
-            pass
-        time.sleep(poll)
-    return False
-
-
-__all__ = ["Scheduler", "ServeDaemon", "wait_for_daemon"]
+__all__ = ["Scheduler", "ServeDaemon"]

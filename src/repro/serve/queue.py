@@ -31,6 +31,9 @@ the sweep's ``pool`` placement, the sweep's
   from another thread), ``kill(job_id)`` (cancel support) and
   ``stats()``.
 
+An executor that runs a job itself settles it with :func:`run_unit`,
+the one place that decides which in-job error is transient.
+
 :class:`Journal` is what makes the queue survive a daemon kill: every
 accepted submission and every terminal transition is one JSON line,
 appended and flushed before the client sees the ack.  Replaying the
@@ -45,10 +48,12 @@ from __future__ import annotations
 
 import heapq
 import json
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
+from repro.runtime.executor import BackendTimeoutError
 from repro.serve.cache import ResultCache
 from repro.serve.protocol import (
     CANCELLED,
@@ -58,6 +63,28 @@ from repro.serve.protocol import (
     RUNNING,
     TERMINAL_STATES,
 )
+
+
+def run_unit(
+    job_id: str, run: Callable[[], Any], include_solution: bool
+) -> Tuple[str, str, Any]:
+    """Run one job and return its executor event.
+
+    ``run`` returns the job's :class:`~repro.api.result.RunResult`.  A
+    :class:`~repro.runtime.executor.BackendTimeoutError` it raises is a
+    ``timeout`` event (transient: the work queue may retry it); any
+    other error is ``failed``, with its traceback.
+    """
+    try:
+        record = run().to_record(include_solution=include_solution)
+        return (job_id, DONE, record)
+    except BackendTimeoutError as exc:
+        return (job_id, "timeout", f"{type(exc).__name__}: {exc}")
+    except Exception as exc:  # noqa: BLE001 - settled per job
+        return (job_id, FAILED, {
+            "error": f"{type(exc).__name__}: {exc}",
+            "traceback": traceback.format_exc(),
+        })
 
 
 @dataclass
@@ -450,4 +477,4 @@ class WorkQueue:
         self._leave(job)
 
 
-__all__ = ["Job", "JobQueue", "Journal", "WorkQueue"]
+__all__ = ["Job", "JobQueue", "Journal", "WorkQueue", "run_unit"]

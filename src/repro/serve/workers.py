@@ -41,10 +41,8 @@ the sweep's ``pool`` placement is this class as it stands, both
 through the same work queue.  Timeout *policy* lives in that queue
 (retry vs. fail); this module only enforces deadlines mechanically --
 ``poll`` kills and replaces a worker whose attempt outlived
-``job_timeout`` and reports a ``timeout`` event -- and classifies a
-job's error once, by type, where it is raised: a
-:class:`~repro.runtime.executor.BackendTimeoutError` is a ``timeout``
-event, anything else ``failed``.
+``job_timeout`` and reports a ``timeout`` event -- and settles each
+job where it ran, with :func:`repro.serve.queue.run_unit`.
 """
 
 from __future__ import annotations
@@ -78,7 +76,7 @@ def _worker_main(
     import repro.api  # noqa: F401 - repopulates registries under spawn
     from repro.api.backends import get_backend
     from repro.api.scenario import Scenario
-    from repro.runtime.executor import BackendTimeoutError
+    from repro.serve.queue import run_unit
 
     if isinstance(backend, str):
         backend = get_backend(backend)
@@ -90,16 +88,14 @@ def _worker_main(
         if item is None:
             break
         job_id, scenario_dict = item
+        event = run_unit(
+            job_id, lambda: backend.run(Scenario.from_dict(scenario_dict)),
+            include_solution,
+        )
         try:
-            result = backend.run(Scenario.from_dict(scenario_dict))
-            record = result.to_record(include_solution=include_solution)
-            events.send((job_id, "done", record))
-        except BaseException as exc:  # noqa: BLE001 - reported per job
-            kind = "timeout" if isinstance(exc, BackendTimeoutError) else "failed"
-            try:
-                events.send((job_id, kind, f"{type(exc).__name__}: {exc}"))
-            except Exception:  # noqa: BLE001 - parent is gone; nothing to do
-                break
+            events.send(event)
+        except OSError:
+            break  # the parent is gone; nothing to do
 
 
 class _Worker:
@@ -188,7 +184,6 @@ class WorkerPool:
         backend: Union[str, Any] = "simulated",
         size: int = 2,
         job_timeout: Optional[float] = 60.0,
-        start_method: Optional[str] = None,
         include_solution: bool = False,
     ) -> None:
         if size < 1:
@@ -201,7 +196,7 @@ class WorkerPool:
         self.size = size
         self.job_timeout = job_timeout
         self.include_solution = include_solution
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context()
         self._next_worker_id = 0
         self._lock = threading.Lock()  # guards _workers and _undelivered
         self._workers: Dict[int, _Worker] = {}

@@ -14,7 +14,6 @@ from repro.core.trace import Timeline
 from repro.envs.base import CommPolicy
 from repro.simgrid.comm import Transport
 from repro.simgrid.engine import Engine, SimulationError
-from repro.simgrid.host import Host
 from repro.simgrid.network import Network
 from repro.simgrid.process import Process, ProcessState
 
@@ -34,9 +33,6 @@ class World:
     policy:
         The :class:`~repro.envs.base.CommPolicy` of the programming
         environment under test.
-    hosts:
-        Hosts to place ranks on, in rank order.  Defaults to
-        ``network.hosts`` order.
     trace:
         Record the run's :class:`~repro.core.trace.Timeline` (small
         overhead; on by default).
@@ -51,14 +47,13 @@ class World:
         self,
         network: Network,
         policy: CommPolicy,
-        hosts: Optional[List[Host]] = None,
         trace: bool = True,
         faults: Optional[Any] = None,
     ) -> None:
         self.engine = Engine()
         self.network = network
         self.policy = policy
-        self.hosts = list(hosts) if hosts is not None else list(network.hosts)
+        self.hosts = list(network.hosts)
         if not self.hosts:
             raise ValueError("world needs at least one host")
         self.trace = Timeline("simulated", "virtual", enabled=trace)
@@ -73,22 +68,13 @@ class World:
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
-    def spawn(
-        self,
-        coroutine: Generator,
-        rank: Optional[int] = None,
-        host: Optional[Host] = None,
-    ) -> Process:
-        """Register a process.  Ranks default to spawn order."""
+    def spawn(self, coroutine: Generator) -> Process:
+        """Register a process.  Ranks are spawn order; rank ``r`` runs
+        on host ``r`` of the network, wrapping round."""
         if self.transport is not None:
             raise SimulationError("cannot spawn after run() started")
-        if rank is None:
-            rank = len(self.processes)
-        if rank in self.processes:
-            raise ValueError(f"rank {rank} already spawned")
-        if host is None:
-            host = self.hosts[rank % len(self.hosts)]
-        proc = Process(self, rank, host, coroutine)
+        rank = len(self.processes)
+        proc = Process(self, rank, self.hosts[rank % len(self.hosts)], coroutine)
         self.processes[rank] = proc
         return proc
 

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import inspect
 import time
-import traceback
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.api.scenario import Scenario
 from repro.problems import chemical, get_problem_factory
-from repro.runtime.executor import BackendTimeoutError
+from repro.serve.queue import run_unit
 
 #: One settlement: ``(unit id, kind, payload)`` where kind is one of
 #: ``done`` / ``failed`` / ``timeout`` / ``crashed``.
@@ -117,23 +116,12 @@ class LocalPlacement:
         return self._backend.run(scenario, make_solver)
 
     def submit(self, job_id: str, scenario_dict: Dict[str, Any]) -> None:
-        try:
-            result = self._run(
-                self._scenarios.get(job_id) or Scenario.from_dict(scenario_dict))
-            record = result.to_record(include_solution=self._include_solution)
-            event: PlacementEvent = (job_id, "done", record)
-        except BackendTimeoutError as exc:
-            event = (job_id, "timeout", f"{type(exc).__name__}: {exc}")
-        except Exception as exc:  # noqa: BLE001 - settled per unit
-            event = (
-                job_id,
-                "failed",
-                {
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "traceback": traceback.format_exc(),
-                },
-            )
-        self._events.append(event)
+        self._events.append(run_unit(
+            job_id,
+            lambda: self._run(
+                self._scenarios.get(job_id) or Scenario.from_dict(scenario_dict)),
+            self._include_solution,
+        ))
 
     def poll(self, timeout: Optional[float] = None) -> List[PlacementEvent]:
         events, self._events = self._events, []
@@ -224,8 +212,8 @@ class ServePlacement:
                 del self._jobs[key]
                 events.append((key, "failed", "job cancelled server-side"))
         if not events and self._jobs:
-            # A daemon that predates ``wait_s`` answered at once: pad
-            # the pass to the time it was allowed to take.
+            # A closing daemon answers a long poll at once: pad the
+            # pass to the time it was allowed to take.
             time.sleep(max(0.0, budget - (time.monotonic() - started)))
         return events
 

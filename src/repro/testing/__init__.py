@@ -29,7 +29,7 @@ reproduce a failing generated scenario from its seed.
 """
 
 from repro.testing.conformance import run_conformance, run_scenario_conformance
-from repro.testing.generator import GeneratorConfig, generate_scenarios
+from repro.testing.generator import generate_scenarios
 from repro.testing.invariants import (
     check_invariants,
     check_row_partition,
@@ -37,7 +37,6 @@ from repro.testing.invariants import (
 )
 
 __all__ = [
-    "GeneratorConfig",
     "generate_scenarios",
     "check_invariants",
     "check_row_partition",

@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.api import ProcessBackend, Scenario, SimulatedBackend, ThreadedBackend
 from repro.api.faults import HostSlowdown, LinkDegradation, RankCrash
 from repro.runtime.executor import BackendTimeoutError
-from repro.testing.generator import DEFAULT_CONFIG, GeneratorConfig, generate_scenarios
+from repro.testing.generator import generate_scenarios
 from repro.testing.invariants import check_invariants, work_counters
 
 #: The real-concurrency backends of the three-way parity battery, in
@@ -243,7 +243,6 @@ def run_conformance(
     threaded: bool = True,
     threaded_timeout: float = 60.0,
     process: bool = True,
-    config: GeneratorConfig = DEFAULT_CONFIG,
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> Dict[str, Any]:
     """Sweep ``n`` generated scenarios through the conformance battery.
@@ -253,7 +252,7 @@ def run_conformance(
     is invoked with each per-scenario record as it completes.
     """
     started = time.perf_counter()
-    scenarios = generate_scenarios(n, seed=seed, config=config)
+    scenarios = generate_scenarios(n, seed=seed)
     filtered_out = 0
     if filter:
         needle = filter.lower()

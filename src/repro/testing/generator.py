@@ -21,8 +21,8 @@ happen, observably, in the fault counters.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Any, Dict, List, Tuple
 
 from repro.api import Scenario
 from repro.balancing import BalancingPlan
@@ -39,59 +39,36 @@ from repro.api.faults import (
 from repro.core.aiac import AIACOptions
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Knobs of the random scenario space.
-
-    The defaults keep every scenario small enough that a 25-scenario
-    conformance sweep (two backends plus a determinism re-run each)
-    finishes in CI-smoke time.
-    """
-
-    environments: Tuple[str, ...] = ("sync_mpi", "pm2", "mpimad", "omniorb")
-    min_ranks: int = 2
-    max_ranks: int = 5
-    #: Fraction of scenarios that carry a fault plan.
-    fault_fraction: float = 0.5
-    #: Fraction of *faulty* scenarios whose plan has a timed window
-    #: (link degradation / host slowdown / rank crash) sized by probing
-    #: the fault-free makespan.
-    windowed_fraction: float = 0.5
-    #: Fraction of scenarios using the (slower) chemical problem.
-    chemical_fraction: float = 0.1
-    #: Fraction of eligible (asynchronous sparse) scenarios expanded
-    #: into a balanced/unbalanced *pair*: the same base scenario once
-    #: with the diffusion balancer and once with the no-op baseline,
-    #: both running the migratable machinery.  Each pair consumes two
-    #: of the ``n`` slots.
-    balanced_fraction: float = 0.25
-    sparse_sizes: Tuple[int, ...] = (120, 160, 200, 260)
-    max_iterations: int = 5000
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.min_ranks <= self.max_ranks:
-            raise ValueError("need 1 <= min_ranks <= max_ranks")
-        for name, value in [
-            ("fault_fraction", self.fault_fraction),
-            ("windowed_fraction", self.windowed_fraction),
-            ("chemical_fraction", self.chemical_fraction),
-            ("balanced_fraction", self.balanced_fraction),
-        ]:
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+# The random scenario space.  Every scenario stays small enough that a
+# 25-scenario conformance sweep (every backend plus a determinism
+# re-run each) finishes in CI-smoke time.
+_ENVIRONMENTS = ("sync_mpi", "pm2", "mpimad", "omniorb")
+_MIN_RANKS, _MAX_RANKS = 2, 5
+#: Fraction of scenarios that carry a fault plan.
+_FAULT_FRACTION = 0.5
+#: Fraction of *faulty* scenarios whose plan has a timed window (link
+#: degradation / host slowdown / rank crash) sized by probing the
+#: fault-free makespan.
+_WINDOWED_FRACTION = 0.5
+#: Fraction of scenarios using the (slower) chemical problem.
+_CHEMICAL_FRACTION = 0.1
+#: Fraction of eligible (asynchronous sparse) scenarios expanded into a
+#: balanced/unbalanced *pair*: the same base scenario once with the
+#: diffusion balancer and once with the no-op baseline, both running
+#: the migratable machinery.  Each pair consumes two of the ``n`` slots.
+_BALANCED_FRACTION = 0.25
+_SPARSE_SIZES = (120, 160, 200, 260)
+_MAX_ITERATIONS = 5000
 
 
-DEFAULT_CONFIG = GeneratorConfig()
-
-
-def _pick_problem(rng: random.Random, config: GeneratorConfig, n_ranks: int):
+def _pick_problem(rng: random.Random, n_ranks: int):
     """(problem name, problem_params, options) for one scenario."""
-    if rng.random() < config.chemical_fraction and n_ranks <= 4:
+    if rng.random() < _CHEMICAL_FRACTION and n_ranks <= 4:
         # A tiny two-step instance of the stepped chemical problem.
         params: Dict[str, Any] = {"nx": 8, "nz": 8, "t_end": 360.0, "dt": 180.0}
         return "chemical", params, None
     params = {
-        "n": rng.choice(config.sparse_sizes),
+        "n": rng.choice(_SPARSE_SIZES),
         "n_diagonals": rng.choice((4, 6, 8)),
         "dominance": round(rng.uniform(0.55, 0.8), 3),
         "sign_structure": "random" if rng.random() < 0.8 else "negative",
@@ -99,7 +76,7 @@ def _pick_problem(rng: random.Random, config: GeneratorConfig, n_ranks: int):
     options = AIACOptions(
         eps=1e-6,
         stability_count=rng.choice((2, 3, 4)),
-        max_iterations=config.max_iterations,
+        max_iterations=_MAX_ITERATIONS,
     )
     return "sparse_linear", params, options
 
@@ -219,11 +196,7 @@ def _probe_run(scenario: Scenario) -> Tuple[float, int]:
     return result.makespan, result.max_iterations
 
 
-def generate_scenarios(
-    n: int,
-    seed: int = 0,
-    config: GeneratorConfig = DEFAULT_CONFIG,
-) -> List[Scenario]:
+def generate_scenarios(n: int, seed: int = 0) -> List[Scenario]:
     """``n`` deterministic random scenarios for seed ``seed``.
 
     Scenario names are ``gen<seed>-<index>-<problem>-<env>-r<ranks>``
@@ -237,8 +210,8 @@ def generate_scenarios(
     scenarios: List[Scenario] = []
     index = 0
     while len(scenarios) < n:
-        n_ranks = rng.randint(config.min_ranks, config.max_ranks)
-        problem, problem_params, options = _pick_problem(rng, config, n_ranks)
+        n_ranks = rng.randint(_MIN_RANKS, _MAX_RANKS)
+        problem, problem_params, options = _pick_problem(rng, n_ranks)
         if problem == "chemical":
             # The chemical problem's inner GMRES iterations are orders of
             # magnitude heavier; the default cluster speeds already put
@@ -247,7 +220,7 @@ def generate_scenarios(
             cluster, cluster_params = "uniform_cluster", {}
         else:
             cluster, cluster_params = _pick_cluster(rng, n_ranks, problem_params)
-        environment = rng.choice(config.environments)
+        environment = rng.choice(_ENVIRONMENTS)
         policy_overrides: Dict[str, Any] = {}
         if rng.random() < 0.15:
             policy_overrides["fair"] = False
@@ -271,10 +244,10 @@ def generate_scenarios(
         # would simply deadlock SISC), so sync scenarios draw their
         # adversity from the link/host windows the synchronous
         # algorithm does feel.
-        if problem == "sparse_linear" and rng.random() < config.fault_fraction:
+        if problem == "sparse_linear" and rng.random() < _FAULT_FRACTION:
             asynchronous = environment != "sync_mpi"
             events = _timeless_events(rng) if asynchronous else []
-            if not asynchronous or rng.random() < config.windowed_fraction:
+            if not asynchronous or rng.random() < _WINDOWED_FRACTION:
                 makespan, probe_iters = _probe_run(scenario)
                 windowed = _windowed_event(
                     rng, makespan, n_ranks, allow_crash=asynchronous
@@ -315,7 +288,7 @@ def generate_scenarios(
             and n_ranks >= 2
             and len(scenarios) + 2 <= n
         )
-        if eligible_for_balancing and rng.random() < config.balanced_fraction:
+        if eligible_for_balancing and rng.random() < _BALANCED_FRACTION:
             balancing = BalancingPlan(
                 policy="diffusion",
                 period=rng.choice((10, 15, 20)),
@@ -336,4 +309,4 @@ def generate_scenarios(
     return scenarios
 
 
-__all__ = ["GeneratorConfig", "DEFAULT_CONFIG", "generate_scenarios"]
+__all__ = ["generate_scenarios"]

@@ -344,7 +344,7 @@ def test_run_many_equals_per_scenario_runs_in_every_grid_order(grid):
 # ----------------------------------------------------------------------
 # the process boundary
 # ----------------------------------------------------------------------
-def test_a_memo_never_crosses_a_process_boundary(monkeypatch):
+def test_a_memo_never_crosses_a_process_boundary(monkeypatch, start_method):
     """A pickled solver carries no memo, and neither the ``pool``
     placement nor the ``process`` backend builds one: with the memo's
     constructor poisoned (forked children inherit it) both still run,
@@ -357,6 +357,7 @@ def test_a_memo_never_crosses_a_process_boundary(monkeypatch):
         raise _Boom("a memo was built")
 
     monkeypatch.setattr(chemical.SolveMemo, "__init__", refuse)
+    start_method("fork")
     points = [
         dict(
             problem="chemical",
@@ -372,9 +373,7 @@ def test_a_memo_never_crosses_a_process_boundary(monkeypatch):
     # Two distinct units: a pool sweep of one unit runs it locally.
     pooled = run_sweep(points, placement="pool", processes=1, timeout=60.0)
     assert not pooled.errors and all(r["converged"] for r in pooled.records)
-    result = ProcessBackend(timeout=60.0, start_method="fork").run(
-        Scenario.from_dict(points[0])
-    )
+    result = ProcessBackend(timeout=60.0).run(Scenario.from_dict(points[0]))
     assert result.converged
 
 

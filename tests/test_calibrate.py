@@ -40,7 +40,7 @@ GROUND_TRUTH = {"speed": 3.0e7, "latency": 2.0e-4, "bandwidth": 5.0e6}
 
 def _synthetic_battery():
     """A fast battery (tiny n) for sim-to-sim tests."""
-    return default_battery(sizes=(48, 72), n_ranks=2)
+    return default_battery(sizes=(48, 72))
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,7 @@ class TestMeasure:
         assert env["python"] and env["numpy"] and env["cpu_count"] >= 1
 
     def test_threaded_measure_smoke(self):
-        battery = default_battery(sizes=(400,), n_ranks=2)
+        battery = default_battery(sizes=(400,))
         ref = measure_battery(battery, backend="threaded", repeats=2,
                               timeout=60.0)
         assert ref["backend"] == "threaded"

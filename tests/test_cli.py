@@ -145,6 +145,24 @@ def test_bad_input_exits_2(argv, message, grid, closed_port, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--conformance", "0"],
+    ["sweep", "{grid}", "--retries", "-1"],
+    ["conformance", "--n", "0"],
+    ["conformance", "--timeout", "0"],
+    ["serve", "--workers", "0"],
+    ["serve", "--job-timeout", "-1"],
+    ["serve", "--max-attempts", "0"],
+    ["calibrate", "measure", "--repeats", "0"],
+], ids=lambda argv: argv[-2])
+def test_out_of_range_flag_exits_2_naming_it(argv, grid, capsys):
+    argv = [a.format(grid=grid) for a in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {argv[-2]}: must be " in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def calibration(tmp_path_factory):
     """A one-entry simulated reference and the preset fitted to it."""
@@ -155,7 +173,7 @@ def calibration(tmp_path_factory):
         s.derive(cluster="calibrated",
                  cluster_params={"speed": 3.0e7, "latency": 2.0e-4,
                                  "bandwidth": 5.0e6})
-        for s in default_battery(sizes=(48,), n_ranks=2)
+        for s in default_battery(sizes=(48,))
     ]
     reference = write_reference(
         root / "reference.json",

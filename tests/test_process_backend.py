@@ -108,7 +108,7 @@ def test_process_backend_runs_the_stepped_chemical_worker():
 # ----------------------------------------------------------------------
 # satellite: spawn-method safety
 # ----------------------------------------------------------------------
-def test_registries_survive_a_forced_spawn_start():
+def test_registries_survive_a_forced_spawn_start(start_method):
     """Regression: spawn children start with empty registries.
 
     The child bootstrap must explicitly import :mod:`repro.api` so the
@@ -117,7 +117,8 @@ def test_registries_survive_a_forced_spawn_start():
     """
     scenario = SMALL.derive(n_ranks=2, problem_params={"n": 150,
                             "sign_structure": "random"})
-    result = ProcessBackend(timeout=120.0, start_method="spawn").run(scenario)
+    start_method("spawn")
+    result = ProcessBackend(timeout=120.0).run(scenario)
     assert result.converged
     assert sorted(result.reports) == [0, 1]
 
@@ -208,16 +209,18 @@ def _child_that_never_leaves(*args):
     time.sleep(3600.0)  # reported, then stuck -- like a rank blocked in its exit drain
 
 
-def test_a_rank_stuck_after_reporting_does_not_hold_the_result_back(monkeypatch):
+def test_a_rank_stuck_after_reporting_does_not_hold_the_result_back(
+    monkeypatch, start_method
+):
     # Regression: the parent used to join every rank for the rest of the
     # run deadline *after* all reports were in, so one rank stuck in its
     # exit drain made a correct run return ``timeout`` seconds late.
+    # Fork, so the children run the patched ``_child_main``.
     monkeypatch.setattr(process_hub, "_child_main", _child_that_never_leaves)
+    start_method("fork")
     timeout = 60.0
     started = time.monotonic()
-    reports = run_processes(
-        SMALL.derive(n_ranks=2), timeout=timeout, start_method="fork"
-    )[0]
+    reports = run_processes(SMALL.derive(n_ranks=2), timeout=timeout)[0]
     elapsed = time.monotonic() - started
     assert sorted(reports) == [0, 1]
     assert all(report.converged for report in reports.values())

@@ -372,14 +372,16 @@ def test_spawn_after_run_rejected():
 
 
 def test_duplicate_rank_rejected():
+    """Ranks are spawn order, so no two processes can share one."""
     world = make_world(2)
 
     def proc(rank, size):
         yield work(1.0)
 
-    world.spawn(proc(0, 2), rank=0)
-    with pytest.raises(ValueError):
-        world.spawn(proc(0, 2), rank=0)
+    spawned = [world.spawn(proc(r, 3)) for r in range(3)]
+    assert [p.rank for p in spawned] == [0, 1, 2]
+    assert sorted(world.processes) == [0, 1, 2]
+    assert [p.host for p in spawned] == [world.hosts[0], world.hosts[1], world.hosts[0]]
 
 
 def test_world_requires_processes():

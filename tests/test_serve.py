@@ -142,7 +142,9 @@ class TestSweepPerItemErrors:
         # The pool-placement vocabulary for a worker that died mid-unit
         # (retried once by the executor's transient budget, then failed).
         assert "crashed" in records[1]["error"]
-        assert "deliberate failure" in records[2]["error"]
+        assert records[2]["error"] == "ValueError: deliberate failure"
+        # A pool failure carries the traceback a local one does.
+        assert 'raise ValueError("deliberate failure")' in records[2]["traceback"]
         assert "error" not in records[3] and records[3]["converged"]
 
     def test_in_process_sweep_unchanged(self):
@@ -995,12 +997,14 @@ class TestEventDrivenPool:
         assert not thread.is_alive()
         assert len(states) == 36 and set(states.values()) == {DONE}
 
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_pipe_hand_off(self, start_method):
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_pipe_hand_off(self, method, start_method):
         from repro.serve import WorkerPool
 
-        pool = WorkerPool(size=1, start_method=start_method)
+        start_method(method)
+        pool = WorkerPool(size=1)
         try:
+            assert pool._ctx.get_start_method() == method
             for job_id in ("a", "b"):  # the pipe is reused job after job
                 assert pool.capacity == 1
                 pool.submit(job_id, TINY.to_dict())
@@ -1043,8 +1047,10 @@ class TestEventDrivenPool:
             assert poll_until_event(pool) == [
                 ("slow", "timeout", "ThreadTimeoutError: rank 1 missed its deadline")]
             pool.submit("bad", TINY.derive(problem_params__n=70).to_dict())
-            assert poll_until_event(pool) == [
-                ("bad", "failed", "ValueError: deliberate failure")]
+            [(got, kind, payload)] = poll_until_event(pool)
+            assert (got, kind, payload["error"]) == (
+                "bad", "failed", "ValueError: deliberate failure")
+            assert "deliberate failure" in payload["traceback"]
         finally:
             pool.shutdown()
 
@@ -1074,8 +1080,8 @@ class TestEventDrivenPool:
         finally:
             pool.shutdown()
 
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_workers_of_a_killed_owner_exit(self, start_method):
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_workers_of_a_killed_owner_exit(self, method):
         # EOF on the task pipe is how a worker learns its owner is gone;
         # it only arrives if the worker holds no writer of that pipe.
         import subprocess
@@ -1083,9 +1089,10 @@ class TestEventDrivenPool:
 
         owner = subprocess.Popen(
             [sys.executable, "-c",
-             "import time\n"
+             "import multiprocessing, time\n"
              "from repro.serve import WorkerPool\n"
-             f"pool = WorkerPool(size=2, start_method={start_method!r})\n"
+             f"multiprocessing.set_start_method({method!r})\n"
+             "pool = WorkerPool(size=2)\n"
              "print(*[w.process.pid for w in pool._workers.values()], flush=True)\n"
              "time.sleep(600)\n"],
             stdout=subprocess.PIPE, text=True,
@@ -1340,14 +1347,31 @@ class TestDaemonEndToEnd:
             ack = client.submit(Scenario(
                 problem="sparse_linear", problem_params={"n": 90}, seed=4))
             started = time.monotonic()
-            frame = client.wait(ack["id"], timeout=60.0, poll=0.05)
+            frame = client.wait(ack["id"], timeout=60.0)
             elapsed = time.monotonic() - started
         assert frame["state"] == DONE
-        # Paced, not spinning: about one request per ``poll`` interval.
+        # Paced, not spinning: about one request per 50 ms round.
         assert calls.count("result") <= elapsed / 0.05 + 2
 
 
 class TestDaemonLifecycle:
+    def test_a_burst_of_connects_fits_the_listen_backlog(self):
+        # Bound and listening, not yet accepting: every connect of the
+        # burst must complete from the backlog, not wait out a SYN retry.
+        import socket as socket_module
+
+        server = daemon_module._Server(("127.0.0.1", 0), daemon_module._RequestHandler)
+        clients = []
+        try:
+            for _ in range(16):
+                clients.append(socket_module.create_connection(
+                    server.server_address, timeout=0.3))
+        finally:
+            for client in clients:
+                client.close()
+            server.server_close()
+        assert len(clients) == 16
+
     def test_a_stateless_daemon_removes_its_cache_dir_on_stop(self):
         daemon = ServeDaemon(port=0, workers=1)
         cache_dir = daemon.scheduler.cache.root
